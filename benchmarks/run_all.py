@@ -54,6 +54,7 @@ from repro.kernels import reference as ref  # noqa: E402
 from repro.octree.builder import Octree  # noqa: E402
 from repro.octree.linear import OctreeTable  # noqa: E402
 from repro.octree.neighbors import neighbor_codes_batch  # noqa: E402
+from repro.parallel import available_cores  # noqa: E402
 from repro.sampling.fps import FarthestPointSampler  # noqa: E402
 from repro.sampling.ois import OctreeIndexedSampler  # noqa: E402
 
@@ -70,14 +71,6 @@ HISTORY_PATH = Path(__file__).resolve().parent / "history.jsonl"
 #: --check-baseline fails) and a ``min_speedup`` absolute floor; this
 #: constant only backstops hand-edited or legacy bare-number entries.
 DEFAULT_REGRESSION_BUDGET = 2.0
-
-
-def _effective_cores() -> int:
-    """CPU cores actually available to this process (affinity-aware)."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # pragma: no cover - non-Linux fallback
-        return os.cpu_count() or 1
 
 
 @dataclasses.dataclass
@@ -551,11 +544,11 @@ def build_scenarios(quick: bool) -> List[Scenario]:
                 "num_points": n_bp,
                 "num_samples": k_bp,
                 "workers": 4,
-                "effective_cores": _effective_cores(),
+                "effective_cores": available_cores(),
             },
             run_vectorized=run_bp_vec,
             run_reference=run_bp_ref,
-            min_speedup=1.5 if _effective_cores() >= 4 else None,
+            min_speedup=1.5 if available_cores() >= 4 else None,
         )
     )
 

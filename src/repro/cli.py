@@ -482,6 +482,8 @@ def _run_serve(config: ServeConfig) -> int:
             shard_paths.append(path)
 
     batches = metrics["batches"]
+    busy = [stats["completed"] for stats in metrics["per_worker"].values()]
+    idle = exec_cfg.workers * exec_cfg.shards - len(busy)
     rows = [
         ["requests served", f"{counts['completed']}/{len(requests)}"],
         ["traffic model", f"{traffic_model} at {config.traffic.rate_hz:g} Hz"],
@@ -499,6 +501,9 @@ def _run_serve(config: ServeConfig) -> int:
         ["latency p50/p95/p99 [ms]",
          "{p50:.2f} / {p95:.2f} / {p99:.2f}".format(**metrics["latency_ms"])],
         ["throughput [req/s]", f"{metrics['throughput_rps']:.1f}"],
+        ["worker balance (min/max completed)",
+         f"{0 if idle else min(busy, default=0)}/{max(busy, default=0)}"
+         f" ({idle} idle)"],
         ["bit-identical vs sequential",
          "verified" if config.verify else "skipped"],
     ]

@@ -26,7 +26,7 @@ as shared-memory messages (:mod:`repro.serving.cluster.transport`):
   enqueues the tiny message on worker ``w``'s request queue;
 * the child decodes (copying out of the segment), runs ``run_batch``, and
   ships the responses back in a ``repro-resp-{childpid}-{b}`` segment on
-  the shared response queue, with its latest ``session.stats()`` riding
+  the shared response pipe, with its latest ``session.stats()`` riding
   along;
 * a collector thread in the parent decodes the responses, resolves the
   futures, **acks** the batch back to the child (which then unlinks its
@@ -37,12 +37,19 @@ receiver has copied the bytes out.  The deterministic names make crash
 cleanup possible: when a child dies, the parent can attach-and-unlink the
 response segments the corpse may have left behind.
 
-Routing is **shape-key affine**: the first batch of a warm-shape key picks
-the worker with the fewest assigned keys (ties to the lowest index) and
-the key sticks, so each process accumulates a small warm set instead of
-every process warming every shape.
+Routing is **sticky at low load, balanced under load**: a warm-shape key's
+*home* is the first worker it was sent to, and a batch goes home while no
+other worker has strictly fewer frames in flight; otherwise it spills to
+the least-loaded worker (ties: already warm for the key, then warm for the
+fewest keys, then lowest index).  One-at-a-time traffic keeps each warm
+set small; a burst of one key uses every process.  Each child caps its
+BLAS pool to ``available_cores // num_workers`` threads (reported as
+``blas_threads`` in ``worker_stats()``), so ``W`` workers do not spin
+``W x cores`` threads.  Responses back-reference their request's
+``PointCloud`` (``known=`` in the transport) instead of shipping it back:
+the parent patches in the caller's own object, as on the thread path.
 
-Crash semantics: the collector polls the response queue with a short
+Crash semantics: the collector polls the response pipe with a short
 timeout and sweeps ``process.is_alive()`` between polls.  When a worker
 dies, the surviving (non-expired) requests of its in-flight batches are
 **re-enqueued** with capped exponential seeded-jitter backoff (see
@@ -55,7 +62,8 @@ fail: with the original :class:`WorkerCrashed` when retries are disabled
 :class:`~repro.serving.resilience.RetriesExhausted` chaining the last
 crash.  The ``WorkerCrashed`` message stays descriptive -- worker name,
 pid, exit code, and the in-flight batch ids.  A corrupted response
-segment (``TransportError`` on decode) is retried the same way.
+segment (``TransportError`` on decode) is retried the same way, as is a
+request the child could not decode.
 
 End-of-stream is collector-driven: ``end_of_stream()`` only marks the
 stream closed; the collector sends each worker its ``stop`` sentinel once
@@ -66,6 +74,8 @@ Fault injection: an optional seeded
 :class:`~repro.serving.faults.FaultPlan` rides the fork into every child
 and is consulted per batch -- scripted kills, added latency, and poisoned
 response manifests exercise each recovery path above deterministically.
+A fault's batch ordinal counts batches as they arrive at that worker;
+which batches those are depends on the load-aware routing above.
 """
 
 from __future__ import annotations
@@ -79,6 +89,7 @@ import threading
 import time
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
+from repro.parallel import available_cores, limit_blas_threads
 from repro.serving.cluster.transport import (
     SharedMemoryArena,
     TransportError,
@@ -322,36 +333,27 @@ def _process_worker_main(
     generation: int,
     session_factory: Callable[[], Session],
     request_queue,
-    response_queue,
+    respond: Callable[[Tuple[Any, ...]], None],
     force_inline: bool,
     ack_wait_seconds: float,
     faults: Optional[FaultPlan] = None,
+    blas_share: int = 1,
 ) -> None:
     """Child entry point: warm session, serve batches until ``stop``."""
+    blas_threads = limit_blas_threads(blas_share)
     session = session_factory()
     arena = SharedMemoryArena(prefix=f"repro-resp-{os.getpid()}")
     unacked: Dict[int, str] = {}
     #: 0-based count of batches this worker has started (fault coordinates).
     ordinal = -1
 
+    def _stats() -> dict:
+        return dict(session.stats(), blas_threads=blas_threads)
+
     def _apply_ack(batch_id: int) -> None:
         segment = unacked.pop(batch_id, None)
         if segment is not None:
             arena.release(segment)
-
-    def _fault_exit(code: int) -> None:
-        # The response queue is shared by every worker: its put() hands
-        # the item to a feeder thread that performs the pipe write while
-        # holding the queue's cross-process write lock.  os._exit while
-        # the feeder is mid-write would orphan that lock and wedge every
-        # sibling's put() forever, so a scripted kill flushes the feeder
-        # first -- it models a crash *between* batches, not mid-syscall.
-        try:
-            response_queue.close()
-            response_queue.join_thread()
-        except Exception:
-            pass
-        os._exit(code)
 
     try:
         while True:
@@ -365,11 +367,13 @@ def _process_worker_main(
                 if faults is not None:
                     # Scripted latency and/or a scripted death, addressed
                     # by (worker, generation, ordinal) -- deterministic.
-                    faults.on_batch_start(
-                        worker_index, generation, ordinal, exit=_fault_exit
-                    )
+                    faults.on_batch_start(worker_index, generation, ordinal)
+                #: The request clouds, which the parent already holds:
+                #: responses back-reference them instead of shipping them.
+                known: List[Any] = []
                 try:
                     requests = decode_requests(wire)
+                    known = [request.cloud for request in requests]
                     result = session.run_batch(requests)
                     payload: Dict[str, Any] = {
                         "responses": list(result.responses),
@@ -385,6 +389,7 @@ def _process_worker_main(
                     arena=arena,
                     segment_name=_response_segment_name(os.getpid(), batch_id),
                     force_inline=force_inline,
+                    known=known,
                 )
                 if out.segment is not None:
                     unacked[batch_id] = out.segment
@@ -394,14 +399,14 @@ def _process_worker_main(
                     # Corrupt the manifest, not the bytes: the parent's
                     # decode fails loudly with TransportError and retries.
                     out = poison_message(out)
-                response_queue.put(
+                respond(
                     (
                         "result",
                         worker_index,
                         generation,
                         batch_id,
                         out,
-                        session.stats(),
+                        _stats(),
                     )
                 )
             elif kind == "stop":
@@ -416,7 +421,7 @@ def _process_worker_main(
                         continue
                     if message[0] == "ack":
                         _apply_ack(message[1])
-                response_queue.put(("bye", worker_index, session.stats()))
+                respond(("bye", worker_index, _stats()))
                 break
     finally:
         arena.release_all()
@@ -505,11 +510,14 @@ class ProcessWorkerPool(WorkerPool):
         self._retries: List[_PendingRetry] = []
         self._probe: Optional[Session] = None
         self._workers: List[_WorkerHandle] = []
-        self._response_queue = None
+        self._responses = None
+        self._respond: Optional[Callable[[Tuple[Any, ...]], None]] = None
         self._collector: Optional[threading.Thread] = None
         self._lock = threading.Lock()
         self._in_flight: Dict[int, _InFlight] = {}
+        #: Warm-shape key -> home worker, and the keys each worker has seen.
         self._affinity: Dict[Any, int] = {}
+        self._warm: List[Set[Any]] = [set() for _ in range(self.num_workers)]
         self._latest_stats: List[Optional[dict]] = []
         self._eos = False
         self._all_done = threading.Event()
@@ -535,7 +543,18 @@ class ProcessWorkerPool(WorkerPool):
                 resource_tracker.ensure_running()
             except Exception:
                 pass
-        self._response_queue = self._ctx.Queue()
+        # One pipe carries every worker's responses, written synchronously
+        # under a shared lock.  (An mp.Queue would write from a feeder
+        # thread: a worker dying inside run_batch while its feeder held the
+        # queue's write lock wedged every sibling's put() forever.)
+        self._responses, writer = self._ctx.Pipe(duplex=False)
+        write_lock = self._ctx.Lock()
+
+        def respond(message: Tuple[Any, ...]) -> None:
+            with write_lock:
+                writer.send(message)
+
+        self._respond = respond
         # Spawn before any dispatching threads exist so the forks do not
         # duplicate a thread holding a lock.
         self._workers = [
@@ -557,10 +576,11 @@ class ProcessWorkerPool(WorkerPool):
                 generation,
                 self.session_factory,
                 request_queue,
-                self._response_queue,
+                self._respond,
                 self._force_inline,
                 self._ack_wait_seconds,
                 self.faults,
+                max(1, available_cores() // self.num_workers),
             ),
             name=f"{self.name}-proc-{index}",
             daemon=True,
@@ -609,17 +629,25 @@ class ProcessWorkerPool(WorkerPool):
             handle.request_queue.put(("batch", batch.batch_id, wire))
 
     def _route(self, key: Any) -> int:
-        """Shape-key-affine placement: sticky, least-loaded on first sight."""
+        """Load-aware placement: home while it is no busier than the rest."""
         with self._lock:
-            worker_index = self._affinity.get(key)
-            if worker_index is None:
-                counts = [0] * self.num_workers
-                for assigned in self._affinity.values():
-                    counts[assigned] += 1
-                worker_index = min(
-                    range(self.num_workers), key=lambda i: (counts[i], i)
-                )
-                self._affinity[key] = worker_index
+            load = [0] * self.num_workers
+            for info in self._in_flight.values():
+                load[info.worker_index] += len(info.batch.entries)
+            home = self._affinity.get(key)
+            worker_index = min(
+                range(self.num_workers),
+                key=lambda i: (
+                    self._workers[i].done,  # retired while draining
+                    load[i],
+                    i != home,
+                    key not in self._warm[i],
+                    len(self._warm[i]),
+                    i,
+                ),
+            )
+            self._affinity.setdefault(key, worker_index)
+            self._warm[worker_index].add(key)
             return worker_index
 
     def end_of_stream(self) -> None:
@@ -647,12 +675,9 @@ class ProcessWorkerPool(WorkerPool):
                 handle.request_queue.cancel_join_thread()
             except Exception:
                 pass
-        if self._response_queue is not None:
-            try:
-                self._response_queue.close()
-                self._response_queue.cancel_join_thread()
-            except Exception:
-                pass
+        if self._responses is not None:
+            self._responses.close()
+            self._respond = None  # drops the write end with the closure
         self._arena.release_all()
 
     # -- introspection ---------------------------------------------------
@@ -678,10 +703,9 @@ class ProcessWorkerPool(WorkerPool):
     def _collector_loop(self) -> None:
         try:
             while True:
-                try:
-                    message = self._response_queue.get(timeout=_POLL_SECONDS)
-                except _stdlib_queue.Empty:
-                    message = None
+                message = None
+                if self._responses.poll(_POLL_SECONDS):
+                    message = self._responses.recv()
                 if message is not None:
                     if message[0] == "result":
                         self._handle_result(message)
@@ -755,21 +779,17 @@ class ProcessWorkerPool(WorkerPool):
             self._latest_stats[worker_index] = stats
             handle = self._workers[worker_index]
         worker_name = f"{self.name}-proc-{worker_index}"
-        responses: Optional[List[Any]] = None
-        error: Optional[BaseException] = None
-        transport_error: Optional[TransportError] = None
-        try:
-            payload = decode_payload(wire)
-        except TransportError as exc:
-            transport_error = exc
-            error = WorkerError(
-                f"{worker_name}: response transport failed: {exc}"
-            )
-        else:
-            if payload["error"] is not None:
-                error = WorkerError(f"{worker_name}: {payload['error']}")
-            else:
-                responses = payload["responses"]
+        payload: Optional[Dict[str, Any]] = None
+        failure: Optional[BaseException] = None
+        if info is not None:  # an orphan is reclaimed below, never decoded
+            try:
+                payload = decode_payload(
+                    wire, known=[e.request.cloud for e in info.batch.entries]
+                )
+            except TransportError as exc:
+                failure = WorkerError(
+                    f"{worker_name}: response transport failed: {exc}"
+                )
         # Ack so the child can unlink its response segment; reclaim the
         # request segment this side created.
         try:
@@ -787,24 +807,38 @@ class ProcessWorkerPool(WorkerPool):
             return
         if info.segment is not None:
             self._arena.release(info.segment)
-        if transport_error is not None:
+        if payload is None:
             # A corrupted response proves nothing about the request:
             # recomputing is idempotent, so treat it like a crash and
             # retry the survivors under the same policy.
-            if self._schedule_retry(info, error):
-                return
-            if info.attempts > 1:
-                error = RetriesExhausted(
-                    f"batch {batch_id} gave up after {info.attempts} "
-                    f"attempts; last failure: {error}"
-                )
+            self._retry_or_fail(batch_id, info, failure, worker_name)
+            return
+        if payload["error"] is not None:
+            failure = WorkerError(f"{worker_name}: {payload['error']}")
         self._complete_batch(
             info.batch,
             info.dispatched_at,
             self.clock(),
-            responses,
-            error,
+            payload["responses"],
+            failure,
             worker_name,
+        )
+
+    def _retry_or_fail(
+        self, batch_id: int, info: _InFlight, cause: BaseException, worker_name: str
+    ) -> None:
+        """Retry the batch's survivors, or fail it when out of attempts."""
+        if self._schedule_retry(info, cause):
+            return
+        error = cause
+        if info.attempts > 1:
+            error = RetriesExhausted(
+                f"batch {batch_id} gave up after {info.attempts} "
+                f"attempts; last failure: {cause}"
+            )
+            error.__cause__ = cause
+        self._complete_batch(
+            info.batch, info.dispatched_at, self.clock(), None, error, worker_name
         )
 
     def _schedule_retry(
@@ -845,6 +879,7 @@ class ProcessWorkerPool(WorkerPool):
                 if handle.done or handle.process.is_alive():
                     continue
                 handle.done = True
+                self._warm[slot] = set()  # its warm sessions died with it
                 batches: List[Tuple[int, _InFlight]] = []
                 for batch_id, info in list(self._in_flight.items()):
                     if (
@@ -895,20 +930,4 @@ class ProcessWorkerPool(WorkerPool):
                     # Best-effort reclaim of a response segment the corpse
                     # may have created for this batch.
                     self._arena.release(_response_segment_name(pid, batch_id))
-                if self._schedule_retry(info, error):
-                    continue
-                batch_error: BaseException = error
-                if info.attempts > 1:
-                    batch_error = RetriesExhausted(
-                        f"batch {batch_id} gave up after {info.attempts} "
-                        f"attempts; last failure: {error}"
-                    )
-                    batch_error.__cause__ = error
-                self._complete_batch(
-                    info.batch,
-                    info.dispatched_at,
-                    self.clock(),
-                    None,
-                    batch_error,
-                    worker_name,
-                )
+                self._retry_or_fail(batch_id, info, error, worker_name)

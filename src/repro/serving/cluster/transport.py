@@ -14,7 +14,11 @@ out of the pickle stream instead:
   placeholder in the **skeleton** and appending the raw bytes to a
   shared-memory segment.  The message that crosses the queue is tiny: the
   skeleton, a **manifest** of ``(dtype, shape, order, offset, nbytes)``
-  specs, and the segment name.
+  specs, and the segment name.  An array referenced twice is lifted once
+  and decodes aliased, like pickle's own memo.  Objects the receiver
+  already holds (``known=``: the pool passes each request's cloud) are
+  not shipped: the skeleton carries a ``("repro-known", i)``
+  back-reference and the receiver patches in its own object.
 * :func:`decode_payload` validates the manifest against the segment,
   rebuilds each array byte-exactly (dtype, shape, and C/F contiguity all
   preserved), and unpickles the skeleton with the arrays patched back in.
@@ -49,7 +53,7 @@ import itertools
 import os
 import pickle
 import threading
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -142,9 +146,7 @@ class SharedMemoryArena:
                 return False
             try:
                 segment = _shared_memory_module.SharedMemory(name=name)
-            except FileNotFoundError:
-                return False
-            except Exception:
+            except Exception:  # gone already, or unmappable
                 return False
         try:
             segment.close()
@@ -211,6 +213,10 @@ class TransportMessage:
     inline: Optional[bytes] = None
     total_bytes: int = 0
     header: Optional[FrameBatchHeader] = None
+    #: How many ``known`` objects the sender held, and which of them the
+    #: skeleton back-references; decoding needs a ``known`` of that length.
+    known_count: int = 0
+    known_refs: Tuple[int, ...] = ()
 
     @property
     def via_shared_memory(self) -> bool:
@@ -218,45 +224,63 @@ class TransportMessage:
 
 
 class _ArrayLiftingPickler(pickle.Pickler):
-    """Pickler that swaps numpy arrays for manifest placeholders."""
+    """Pickler that swaps numpy arrays for manifest placeholders.
 
-    def __init__(self, file, arrays: List[np.ndarray]):
+    ``persistent_id`` runs before pickle's memo, so both tables are keyed
+    by ``id()``: a repeated array reuses its manifest entry and a
+    ``known`` object becomes a back-reference into the receiver's list.
+    """
+
+    def __init__(self, file, known: Sequence[Any]):
         super().__init__(file, protocol=pickle.HIGHEST_PROTOCOL)
-        self._arrays = arrays
+        self.arrays: List[np.ndarray] = []
+        self._array_index: Dict[int, int] = {}
+        self._known_index = {id(obj): i for i, obj in enumerate(known)}
+        self.known_refs: Set[int] = set()
 
     def persistent_id(self, obj: Any):
+        known = self._known_index.get(id(obj))
+        if known is not None:
+            self.known_refs.add(known)
+            return ("repro-known", known)
         # Exact ndarray only: subclasses and object-dtype arrays keep their
         # own (possibly custom) pickle semantics.
         if type(obj) is np.ndarray and not obj.dtype.hasobject:
-            self._arrays.append(obj)
-            return ("repro-ndarray", len(self._arrays) - 1)
+            index = self._array_index.get(id(obj))
+            if index is None:
+                index = self._array_index[id(obj)] = len(self.arrays)
+                self.arrays.append(obj)
+            return ("repro-ndarray", index)
         return None
 
 
 class _ArrayRestoringUnpickler(pickle.Unpickler):
-    """Unpickler that patches decoded arrays back into the skeleton."""
+    """Unpickler that patches decoded arrays and known objects back in."""
 
-    def __init__(self, file, arrays: Sequence[np.ndarray]):
+    def __init__(self, file, arrays: Sequence[np.ndarray], known: Sequence[Any]):
         super().__init__(file)
-        self._arrays = arrays
+        self._tables = {"repro-ndarray": arrays, "repro-known": known}
 
-    def persistent_load(self, pid: Any) -> np.ndarray:
+    def persistent_load(self, pid: Any) -> Any:
         try:
             tag, index = pid
-            if tag == "repro-ndarray":
-                return self._arrays[index]
-        except (TypeError, ValueError):
-            pass
-        raise pickle.UnpicklingError(f"unknown persistent id {pid!r}")
+            return self._tables[tag][index]
+        except (TypeError, ValueError, LookupError):
+            raise pickle.UnpicklingError(f"unknown persistent id {pid!r}")
 
 
-def _contiguous_bytes(array: np.ndarray) -> Tuple[np.ndarray, str]:
-    """``(C-contiguous byte source, order flag)`` for ``array``."""
-    if array.flags.f_contiguous and not array.flags.c_contiguous:
-        # An F-contiguous array's memory equals the C-order bytes of its
-        # transpose; recording "F" lets decode restore the original layout.
-        return np.ascontiguousarray(array.T), "F"
-    return np.ascontiguousarray(array), "C"
+def _write_arrays(buffer, manifest: Sequence[ArraySpec], arrays) -> None:
+    """Copy each array straight into its slot of ``buffer`` (one copy)."""
+    for spec, array in zip(manifest, arrays):
+        target = np.frombuffer(
+            buffer, dtype=array.dtype, count=array.size, offset=spec.offset
+        )
+        if spec.order == "F":
+            # An F-contiguous array's memory equals the C-order bytes of
+            # its transpose; recording "F" lets decode restore the layout.
+            target.reshape(array.shape[::-1])[...] = array.T
+        else:
+            target.reshape(array.shape)[...] = array
 
 
 def encode_payload(
@@ -264,65 +288,57 @@ def encode_payload(
     arena: Optional[SharedMemoryArena] = None,
     segment_name: Optional[str] = None,
     force_inline: bool = False,
+    known: Sequence[Any] = (),
 ) -> TransportMessage:
     """Encode ``obj`` with its array data lifted out of the pickle stream.
 
     Uses a shared-memory segment (allocated from ``arena``, or a throwaway
     arena when none is given) unless shared memory is unavailable or
-    ``force_inline`` is set, in which case the bytes ride inline.
+    ``force_inline`` is set, in which case the bytes ride inline.  Objects
+    listed in ``known`` are replaced by back-references; the receiver must
+    decode with its own list of the same length.
     """
     buffer = io.BytesIO()
-    arrays: List[np.ndarray] = []
-    _ArrayLiftingPickler(buffer, arrays).dump(obj)
+    pickler = _ArrayLiftingPickler(buffer, known)
+    pickler.dump(obj)
+    arrays = pickler.arrays
 
-    sources: List[np.ndarray] = []
     manifest: List[ArraySpec] = []
     offset = 0
     for index, array in enumerate(arrays):
-        source, order = _contiguous_bytes(array)
+        fortran = array.flags.f_contiguous and not array.flags.c_contiguous
         offset = (offset + _ALIGNMENT - 1) & ~(_ALIGNMENT - 1)
         manifest.append(
             ArraySpec(
                 index=index,
                 dtype=array.dtype.str,
                 shape=tuple(array.shape),
-                order=order,
+                order="F" if fortran else "C",
                 offset=offset,
-                nbytes=source.nbytes,
+                nbytes=array.nbytes,
             )
         )
-        sources.append(source)
-        offset += source.nbytes
-    total = offset
-
-    use_shm = (
-        shared_memory_available() and not force_inline and total > 0
+        offset += array.nbytes
+    message = TransportMessage(
+        skeleton=buffer.getvalue(),
+        manifest=tuple(manifest),
+        total_bytes=offset,
+        known_count=len(known),
+        known_refs=tuple(sorted(pickler.known_refs)),
     )
-    if use_shm:
+
+    if shared_memory_available() and not force_inline and offset > 0:
         own_arena = arena if arena is not None else SharedMemoryArena()
-        segment = own_arena.allocate(total, name=segment_name)
+        segment = own_arena.allocate(offset, name=segment_name)
         try:
-            view = segment.buf
-            for spec, source in zip(manifest, sources):
-                view[spec.offset : spec.offset + spec.nbytes] = source.tobytes()
-            return TransportMessage(
-                skeleton=buffer.getvalue(),
-                manifest=tuple(manifest),
-                segment=segment.name,
-                total_bytes=total,
-            )
+            _write_arrays(segment.buf, manifest, arrays)
         except Exception:
             own_arena.release(segment.name)
             raise
-    inline = bytearray(total)
-    for spec, source in zip(manifest, sources):
-        inline[spec.offset : spec.offset + spec.nbytes] = source.tobytes()
-    return TransportMessage(
-        skeleton=buffer.getvalue(),
-        manifest=tuple(manifest),
-        inline=bytes(inline),
-        total_bytes=total,
-    )
+        return dataclasses.replace(message, segment=segment.name)
+    inline = bytearray(offset)
+    _write_arrays(inline, manifest, arrays)
+    return dataclasses.replace(message, inline=bytes(inline))
 
 
 def _read_array(buffer, spec: ArraySpec) -> np.ndarray:
@@ -347,13 +363,22 @@ def _read_array(buffer, spec: ArraySpec) -> np.ndarray:
     return flat.reshape(spec.shape).copy()
 
 
-def decode_payload(message: TransportMessage) -> Any:
+def decode_payload(message: TransportMessage, known: Sequence[Any] = ()) -> Any:
     """Decode a message; arrays come back byte-exact and independently owned.
 
-    Attaches to the segment only for the duration of the copy; the segment
-    itself is left for its creator to unlink (see the ack protocol in
-    :mod:`repro.serving.cluster.pool`).
+    ``known`` is the receiver's copy of the list the sender encoded with;
+    its length and every back-reference index are checked before any byte
+    is read.  Attaches to the segment only for the duration of the copy;
+    the segment itself is left for its creator to unlink (see the ack
+    protocol in :mod:`repro.serving.cluster.pool`).
     """
+    if message.known_count != len(known) or any(
+        not 0 <= ref < len(known) for ref in message.known_refs
+    ):
+        raise TransportError(
+            f"message back-references {list(message.known_refs)} of "
+            f"{message.known_count} known objects, receiver holds {len(known)}"
+        )
     if message.segment is not None:
         segment = _attach(message.segment)
         try:
@@ -364,7 +389,7 @@ def decode_payload(message: TransportMessage) -> Any:
         inline = message.inline if message.inline is not None else b""
         arrays = [_read_array(inline, s) for s in message.manifest]
     return _ArrayRestoringUnpickler(
-        io.BytesIO(message.skeleton), arrays
+        io.BytesIO(message.skeleton), arrays, known
     ).load()
 
 

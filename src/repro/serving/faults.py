@@ -15,6 +15,11 @@ over the fork and is consulted at well-defined points:
   payload bytes are untouched -- corruption is *detected*, never silently
   decoded).
 
+The batch **ordinal** counts batches as they arrive at that worker.  The
+process pool routes by load (a busy home spills to an idler sibling), so
+which batches a worker sees depends on timing; a spec names a position
+in the worker's own arrival sequence, not a global batch id.
+
 Every spec matches a specific worker **generation** (default 0, the
 original spawn).  A respawned replacement runs generation >= 1, so a kill
 spec fires exactly once instead of crash-looping the replacement -- which

@@ -16,6 +16,7 @@ pipeline with a manual clock gets exactly reproducible percentiles.
 from __future__ import annotations
 
 import threading
+from collections import Counter
 from dataclasses import dataclass, replace
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
@@ -232,18 +233,13 @@ class ServingMetrics:
             merged._retries += retries
             merged._breaker_trips += breaker_trips
             merged._failovers += failovers
-            for name, count in shed_classes.items():
-                merged._shed_classes[name] = (
-                    merged._shed_classes.get(name, 0) + count
-                )
-            for name, count in load_shed_classes.items():
-                merged._load_shed_classes[name] = (
-                    merged._load_shed_classes.get(name, 0) + count
-                )
-            for name, count in rate_limited_classes.items():
-                merged._rate_limited_classes[name] = (
-                    merged._rate_limited_classes.get(name, 0) + count
-                )
+            for target, counts in (
+                (merged._shed_classes, shed_classes),
+                (merged._load_shed_classes, load_shed_classes),
+                (merged._rate_limited_classes, rate_limited_classes),
+            ):
+                for name, count in counts.items():
+                    target[name] = target.get(name, 0) + count
             max_batch_id = -1
             for record in records:
                 max_batch_id = max(max_batch_id, record.batch_id)
@@ -301,9 +297,17 @@ class ServingMetrics:
         for record in records:
             batches.setdefault(record.batch_id, record)
         occupancies = [r.batch_size for r in batches.values()]
-        triggers: Dict[str, int] = {}
-        for record in batches.values():
-            triggers[record.trigger] = triggers.get(record.trigger, 0) + 1
+        triggers = dict(Counter(r.trigger for r in batches.values()))
+
+        # Work per worker name, so an idle worker shows.  Derived from the
+        # records, hence merge-aware (shard-qualified names, re-keyed ids).
+        frames = Counter(r.worker for r in completed)
+        per_worker = {
+            name: {"completed": frames[name], "batches": count}
+            for name, count in sorted(
+                Counter(r.worker for r in batches.values()).items()
+            )
+        }
 
         throughput = 0.0
         if completed:
@@ -350,6 +354,7 @@ class ServingMetrics:
                 load_shed_classes,
                 rate_limited_classes,
             ),
+            "per_worker": per_worker,
             "batches": {
                 "count": len(batches),
                 "mean_occupancy": (

@@ -10,8 +10,10 @@ shutdown idempotency guarantees the process pool relies on.
 
 from __future__ import annotations
 
+import dataclasses
 import os
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -96,6 +98,25 @@ class ExplodingSession(Session):
         ):
             raise ValueError("refused poison frame")
         return super().run_batch(frames, **kwargs)
+
+
+class SlowSession(Session):
+    """Adds a fixed sleep per batch (to hold batches in flight)."""
+
+    delay_seconds = 0.2
+
+    def run_batch(self, frames, **kwargs):
+        time.sleep(self.delay_seconds)
+        return super().run_batch(frames, **kwargs)
+
+
+def slow_factory():
+    return SlowSession(
+        config=small_config(),
+        task="semantic_segmentation",
+        sampler="random",
+        response_cache_size=0,
+    )
 
 
 def crashing_factory():
@@ -242,6 +263,132 @@ class TestProcessExecution:
         # Every record of one shape names one worker (sticky placement).
         workers = {record.worker for record in records}
         assert len(workers) == 2
+
+    def test_single_key_burst_spills_to_every_worker(self):
+        # One warm-shape key, batches held in flight by a slow session: the
+        # second batch finds its home busy and spills to the idle worker.
+        requests = [make_request(i) for i in range(6)]
+        expected = reference_signatures(requests)
+        with FrameServer(
+            slow_factory,
+            num_workers=2,
+            execution="process",
+            max_batch_size=1,
+            max_wait_seconds=0.001,
+            name="burst",
+        ) as server:
+            futures = [server.submit(request) for request in requests]
+            responses = [future.result(timeout=60) for future in futures]
+            affinity = server.pool.affinity_map()
+        snapshot = server.shutdown()
+        assert list(affinity.values()) == [0]  # one key, one home
+        per_worker = snapshot["per_worker"]
+        assert sorted(per_worker) == ["burst-proc-0", "burst-proc-1"]
+        completed = [w["completed"] for w in per_worker.values()]
+        assert sum(completed) == 6 and min(completed) >= 1
+        assert snapshot["futures_monotonic"]
+        assert snapshot["requests"]["failed"] == 0
+        for response, signature in zip(responses, expected):
+            assert signatures_equal(response_signature(response), signature)
+
+    def test_one_at_a_time_traffic_stays_on_the_home_worker(self):
+        with FrameServer(
+            make_session,
+            num_workers=2,
+            execution="process",
+            max_wait_seconds=0.001,
+            name="home",
+        ) as server:
+            for i in range(5):
+                server.submit(make_request(i)).result(timeout=60)
+            affinity = server.pool.affinity_map()
+        assert list(affinity.values()) == [0]
+        assert {r.worker for r in server.metrics.records} == {"home-proc-0"}
+        assert server.metrics.snapshot()["per_worker"] == {
+            "home-proc-0": {"completed": 5, "batches": 5}
+        }
+
+    def test_responses_reference_the_submitted_cloud(self):
+        # The child back-references the request clouds instead of shipping
+        # them; the parent patches in the caller's own objects, so the
+        # process path aliases exactly what the thread path aliases.
+        requests = [make_request(i) for i in range(3)]
+        for execution in ("thread", "process"):
+            with FrameServer(
+                make_session,
+                num_workers=1,
+                execution=execution,
+                max_wait_seconds=0.002,
+                name=f"alias-{execution}",
+            ) as server:
+                futures = [server.submit(request) for request in requests]
+                responses = [future.result(timeout=60) for future in futures]
+            for request, response in zip(requests, responses):
+                assert response.request.cloud is request.cloud
+                assert response.result.preprocessing.octree.cloud is request.cloud
+
+    def test_orphan_result_is_released_without_being_decoded(self, monkeypatch):
+        from repro.serving.cluster import pool as pool_module
+
+        with FrameServer(
+            make_session, num_workers=1, execution="process", name="orphan"
+        ) as server:
+            server.submit(make_request(0)).result(timeout=60)
+            arena = transport.SharedMemoryArena(prefix="repro-test-orphan")
+            wire = transport.encode_payload({"a": np.arange(4.0)}, arena=arena)
+            monkeypatch.setattr(
+                pool_module,
+                "decode_payload",
+                lambda *a, **k: pytest.fail("orphan result was decoded"),
+            )
+            # No batch 999 is in flight: a result the crash sweep already
+            # failed.  Its segment is reclaimed by name, unread.
+            server.pool._handle_result(("result", 0, 0, 999, wire, {}))
+            monkeypatch.undo()
+            if wire.segment is not None:
+                assert not arena.release(wire.segment)  # already gone
+            after = server.submit(make_request(1)).result(timeout=60)
+            assert after.result.frame_id == "req0001"
+
+    def test_children_cap_blas_to_their_core_share_across_respawn(self):
+        from repro.parallel import available_cores, blas
+
+        controllable = bool(blas._mapped_blas_libraries())
+        try:
+            import threadpoolctl  # noqa: F401
+
+            controllable = True
+        except ImportError:
+            pass
+        share = max(1, available_cores() // 2) if controllable else None
+        server = FrameServer(
+            crashing_factory,
+            num_workers=2,
+            execution="process",
+            max_batch_size=1,
+            max_wait_seconds=0.001,
+            name="blas",
+            retry_policy=RetryPolicy(max_attempts=1),
+        ).start()
+        try:
+            server.submit(make_request(0)).result(timeout=60)
+            assert server.worker_stats()[0]["blas_threads"] == share
+            poison = server.submit(
+                FrameRequest(
+                    cloud=sample_cad_shape(400, shape="box", seed=9),
+                    frame_id="poison",
+                )
+            )
+            with pytest.raises(WorkerCrashed):
+                poison.result(timeout=60)
+            # Generation 1 of the slot reports the same cap.
+            server.submit(make_request(1)).result(timeout=60)
+            assert server.pool.respawns == 1
+            stats = server.worker_stats()[0]
+            assert stats["frames_processed"] == 1
+            assert stats["blas_threads"] == share
+        finally:
+            server.shutdown()
 
     def test_worker_stats_reported_from_children(self):
         with FrameServer(
@@ -446,6 +593,22 @@ class TestMetricsMerge:
         # Both sources used batch 0; merged they must stay distinct.
         assert snapshot["batches"]["count"] == 2
         assert snapshot["futures_monotonic"]
+
+    def test_per_worker_block_counts_frames_and_batches_across_a_merge(self):
+        a, b = ServingMetrics(), ServingMetrics()
+        for source, name in ((a, "s0-proc-0"), (b, "s1-proc-0")):
+            for record in (
+                _record(0, 0, 0), _record(1, 0, 1), _record(2, 1, 2, ok=False)
+            ):
+                source.record(dataclasses.replace(record, worker=name))
+        assert a.snapshot()["per_worker"] == {
+            "s0-proc-0": {"completed": 2, "batches": 2}
+        }
+        merged = ServingMetrics.merge([a, b]).snapshot()["per_worker"]
+        assert merged == {
+            "s0-proc-0": {"completed": 2, "batches": 2},
+            "s1-proc-0": {"completed": 2, "batches": 2},
+        }
 
     def test_merge_preserves_violations(self):
         bad = ServingMetrics()

@@ -48,7 +48,7 @@ from repro.serving.resilience import (
     BREAKER_HALF_OPEN,
     BREAKER_OPEN,
 )
-from repro.session import FrameRequest, Session
+from repro.session import FrameRequest
 
 from test_cluster import (
     CrashingSession,
@@ -56,27 +56,9 @@ from test_cluster import (
     make_request,
     make_session,
     reference_signatures,
+    slow_factory,
     small_config,
 )
-
-
-class SlowSession(Session):
-    """Adds a fixed sleep per batch (to hold batches in flight)."""
-
-    delay_seconds = 0.2
-
-    def run_batch(self, frames, **kwargs):
-        time.sleep(self.delay_seconds)
-        return super().run_batch(frames, **kwargs)
-
-
-def slow_factory():
-    return SlowSession(
-        config=small_config(),
-        task="semantic_segmentation",
-        sampler="random",
-        response_cache_size=0,
-    )
 
 
 # ----------------------------------------------------------------------

@@ -632,6 +632,11 @@ class TestServeCLI:
         assert report["serve"]["execution"] == "process"
         assert report["serve"]["verified_bit_identical"] is True
         assert report["metrics"]["requests"]["completed"] == 12
+        # An idle worker would be visible without the benchmark harness.
+        assert "worker balance (min/max completed)" in out
+        per_worker = report["metrics"]["per_worker"]
+        assert set(per_worker) <= {"serving-proc-0", "serving-proc-1"}
+        assert sum(w["completed"] for w in per_worker.values()) == 12
 
     def test_serve_soak_sharded_writes_per_shard_metrics(self, tmp_path, capsys):
         import json
@@ -663,3 +668,7 @@ class TestServeCLI:
             for shard in report["shards"].values()
         )
         assert per_shard_completed == 12
+        # The merged per-worker block keeps shard-qualified worker names.
+        merged_workers = report["metrics"]["per_worker"]
+        assert sum(w["completed"] for w in merged_workers.values()) == 12
+        assert all("-shard-" in name for name in merged_workers)

@@ -3,9 +3,10 @@
 Covers byte-exact roundtrips of FrameBatch tensors through a shared-memory
 segment (dtype, shape, and C/F contiguity all preserved), manifest
 validation rejecting mismatched shapes before any bytes are touched,
-arena segment ownership, the micro-batch request wire format, and
+arena segment ownership, the micro-batch request wire format,
 equivalence of the inline fallback path when
-``multiprocessing.shared_memory`` is unavailable.
+``multiprocessing.shared_memory`` is unavailable, single lifting of a
+repeated array, and validated ``known=`` back-references.
 """
 
 from __future__ import annotations
@@ -137,6 +138,116 @@ class TestPayloadRoundtrip:
         message = encode_payload({"just": "data"})
         assert message.segment is None and message.total_bytes == 0
         assert decode_payload(message) == {"just": "data"}
+
+
+    @pytest.mark.parametrize("force_inline", [False, True])
+    def test_repeated_array_is_lifted_once_and_stays_aliased(self, force_inline):
+        # Regression: persistent_id runs before pickle's memo, so one array
+        # referenced twice used to ship twice and decode as two copies.
+        a = np.arange(10.0)
+        with SharedMemoryArena(prefix="repro-test") as arena:
+            message = encode_payload(
+                {"x": a, "y": a, "z": a.copy()},
+                arena=arena,
+                force_inline=force_inline,
+            )
+            decoded = decode_payload(message)
+        assert len(message.manifest) == 2
+        assert decoded["x"] is decoded["y"]
+        assert decoded["z"] is not decoded["x"]
+        np.testing.assert_array_equal(decoded["z"], a)
+
+    @pytest.mark.parametrize("force_inline", [False, True])
+    def test_sources_are_written_in_place_byte_identically(self, force_inline):
+        # Strided, transposed, F-ordered, 0-d and empty sources all land in
+        # the buffer exactly as their contiguous bytes would.
+        base = np.arange(120, dtype=np.int32).reshape(10, 12)
+        sources = [
+            base[::2, 1::3],
+            np.asfortranarray(base.astype(np.float64)),
+            base.T,
+            np.array(2.5),
+            np.empty((0, 3)),
+            np.arange(5, dtype=np.uint8),
+        ]
+        message = encode_payload(sources, force_inline=True)
+        for spec, source in zip(message.manifest, sources):
+            order = "F" if spec.order == "F" else "C"
+            stored = message.inline[spec.offset : spec.offset + spec.nbytes]
+            assert stored == source.tobytes(order=order)
+            assert spec.offset % 64 == 0
+            assert spec.nbytes == source.nbytes
+        with SharedMemoryArena(prefix="repro-test") as arena:
+            decoded = decode_payload(
+                encode_payload(sources, arena=arena, force_inline=force_inline)
+            )
+        for got, source in zip(decoded, sources):
+            assert got.dtype == source.dtype
+            np.testing.assert_array_equal(got, source)
+        assert decoded[1].flags.f_contiguous and decoded[2].flags.f_contiguous
+
+
+# ----------------------------------------------------------------------
+# Back-references to objects the receiver already holds
+# ----------------------------------------------------------------------
+class TestKnownBackReferences:
+    def _payload(self):
+        batch = make_batch(num_frames=2)
+        clouds = list(batch.clouds)
+        payload = {
+            "responses": [
+                {"request": cloud, "octree": {"cloud": cloud}, "n": i}
+                for i, cloud in enumerate(clouds)
+            ]
+        }
+        return payload, clouds
+
+    @pytest.mark.parametrize("force_inline", [False, True])
+    def test_known_objects_are_not_shipped_and_come_back_identical(
+        self, force_inline
+    ):
+        payload, clouds = self._payload()
+        with SharedMemoryArena(prefix="repro-test") as arena:
+            plain = encode_payload(payload, arena=arena, force_inline=force_inline)
+            message = encode_payload(
+                payload, arena=arena, force_inline=force_inline, known=clouds
+            )
+            # The receiver patches in *its own* objects, whatever they are.
+            mine = [object(), object()]
+            decoded = decode_payload(message, known=mine)
+        assert len(plain.manifest) == 2 and len(message.manifest) == 0
+        assert message.known_count == 2 and message.known_refs == (0, 1)
+        for i, response in enumerate(decoded["responses"]):
+            assert response["request"] is mine[i]
+            assert response["octree"]["cloud"] is mine[i]
+            assert response["n"] == i
+
+    def test_unreferenced_known_objects_are_declared_but_not_referenced(self):
+        message = encode_payload({"n": 1}, known=[object(), object()])
+        assert message.known_count == 2 and message.known_refs == ()
+        assert decode_payload(message, known=["a", "b"]) == {"n": 1}
+
+    def test_wrong_known_length_rejected(self):
+        payload, clouds = self._payload()
+        message = encode_payload(payload, known=clouds)
+        for known in ((), clouds[:1], clouds + clouds):
+            with pytest.raises(TransportError, match="known objects"):
+                decode_payload(message, known=known)
+        with pytest.raises(TransportError, match="known objects"):
+            decode_payload(encode_payload({"n": 1}), known=clouds)
+
+    def test_out_of_range_back_reference_rejected_before_reading(self):
+        payload, clouds = self._payload()
+        message = encode_payload(
+            {"a": np.arange(4.0), **payload}, known=clouds, force_inline=True
+        )
+        # The segment is gone: validation must fail first, not the attach.
+        for refs in ((0, 2), (-1,)):
+            torn = dataclasses.replace(
+                message, known_refs=refs, inline=None, segment="repro-test-gone"
+            )
+            with pytest.raises(TransportError, match="back-references"):
+                decode_payload(torn, known=clouds)
 
 
 # ----------------------------------------------------------------------
