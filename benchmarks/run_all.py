@@ -649,7 +649,7 @@ def build_scenarios(quick: bool) -> List[Scenario]:
         )
     )
 
-    # --- network: fused blocked-MLP backend vs the numpy default --------
+    # --- network: fused blocked backend vs the numpy reference ----------
     # The stacked PointNet++ forward over a ~100k-point batch, once per
     # compute backend.  Same frames, same deterministic weights, same
     # per-frame gathers; the delta is purely the dense-layer execution
@@ -684,8 +684,9 @@ def build_scenarios(quick: bool) -> List[Scenario]:
     scenarios.append(_serving_scenario(quick, rate_hz=0.0, label="burst"))
 
     # --- serving: the same Poisson stream on the fused backend -----------
-    # Both the server's warm-session workers and the naive sequential
-    # reference run fused sessions, so the default bit-identity comparison
+    # (named explicitly, so the scenario does not follow the process
+    # default).  Both the server's warm-session workers and the naive
+    # sequential reference run fused sessions, so the bit-identity comparison
     # doubles as the fused backend's serving determinism gate: per-frame
     # and stacked dispatch must agree bit-for-bit under the fused backend
     # for the signatures to match across scheduling.
@@ -907,6 +908,7 @@ def _serving_scenario(
     reference: str = "naive",
     backend: Optional[str] = None,
 ) -> Scenario:
+    from repro.network.backends import resolve_backend
     from repro.session import FrameRequest, Session
     from repro.serving import (
         ExecutionConfig,
@@ -1047,7 +1049,7 @@ def _serving_scenario(
             "execution": execution,
             "shards": shards,
             "reference": reference,
-            "backend": backend or "numpy",
+            "backend": resolve_backend(backend).name,
         },
         run_vectorized=run_scheduled,
         run_reference=(

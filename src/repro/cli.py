@@ -100,7 +100,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=registry.available("backend"),
         default=None,
         help="registered compute backend for the network layers "
-             "(default: session default -- REPRO_BACKEND env or numpy)",
+             "(default: session default -- REPRO_BACKEND env or fused)",
     )
     e2e.add_argument(
         "--preprocess-workers", type=_positive_int, default=None,

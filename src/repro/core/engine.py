@@ -273,7 +273,7 @@ class InferenceEngine:
     task: str = "classification"
     num_classes: Optional[int] = None
     #: Compute backend name executing the dense layers (``None`` = process
-    #: default: ``REPRO_BACKEND`` env when set, else numpy).
+    #: default: ``REPRO_BACKEND`` env when set, else fused).
     backend: Optional[str] = None
     #: Intra-batch worker count for the per-frame tail of
     #: :meth:`process_batch` (workload extraction + accelerator pricing).

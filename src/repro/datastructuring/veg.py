@@ -31,8 +31,9 @@ per-centroid scalar reference (:func:`repro.kernels.reference.veg_scalar`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional
+from dataclasses import dataclass, fields
+from functools import cached_property
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -70,27 +71,67 @@ class VEGStageStats:
     voxels_visited: int = 0
 
 
-@dataclass
+@dataclass(eq=False)
 class VEGRunStats:
-    """Aggregate VEG statistics over all centroids of one run."""
+    """VEG statistics of every centroid of one run.
 
-    per_centroid: List[VEGStageStats] = field(default_factory=list)
+    One ``int64`` column per :class:`VEGStageStats` field, row ``i``
+    describing centroid ``i`` -- the arrays the batched gatherer already
+    holds, which is also what the DSU cost model prices a frame from.
+    :attr:`per_centroid` is the same data as one record per centroid,
+    built on first use.
+    """
+
+    expansions: np.ndarray
+    inner_points: np.ndarray
+    last_shell_points: np.ndarray
+    sorted_candidates: np.ndarray
+    voxels_visited: np.ndarray
+
+    @classmethod
+    def from_stats(cls, per_centroid: Sequence[VEGStageStats]) -> "VEGRunStats":
+        """Columns from one :class:`VEGStageStats` record per centroid."""
+        return cls(
+            **{
+                column.name: np.array(
+                    [getattr(stats, column.name) for stats in per_centroid],
+                    dtype=np.int64,
+                )
+                for column in fields(VEGStageStats)
+            }
+        )
+
+    @property
+    def num_centroids(self) -> int:
+        return int(self.expansions.shape[0])
+
+    @cached_property
+    def per_centroid(self) -> List[VEGStageStats]:
+        return [
+            VEGStageStats(*row)
+            for row in zip(
+                *(
+                    getattr(self, column.name).tolist()
+                    for column in fields(VEGStageStats)
+                )
+            )
+        ]
 
     def total_sorted_candidates(self) -> int:
-        return sum(s.sorted_candidates for s in self.per_centroid)
+        return int(self.sorted_candidates.sum())
 
     def total_inner_points(self) -> int:
-        return sum(s.inner_points for s in self.per_centroid)
+        return int(self.inner_points.sum())
 
     def mean_expansions(self) -> float:
-        if not self.per_centroid:
+        if not self.num_centroids:
             return 0.0
-        return float(np.mean([s.expansions for s in self.per_centroid]))
+        return float(np.mean(self.expansions))
 
     def mean_sorted_candidates(self) -> float:
-        if not self.per_centroid:
+        if not self.num_centroids:
             return 0.0
-        return float(np.mean([s.sorted_candidates for s in self.per_centroid]))
+        return float(np.mean(self.sorted_candidates))
 
 
 @dataclass
@@ -172,7 +213,6 @@ class VoxelExpandedGatherer(Gatherer):
             depth = grid.depth
 
         counters = OpCounters()
-        run_stats = VEGRunStats()
         num_centroids = centroid_indices.shape[0]
 
         # Stage FP + LV for every centroid: fetch the central point and
@@ -183,14 +223,14 @@ class VoxelExpandedGatherer(Gatherer):
         counters.node_visits += num_centroids
 
         if self._ball_radius is not None:
-            rows = self._gather_ball_batch(
+            rows, run_stats = self._gather_ball_batch(
                 grid, cloud, centroid_indices, center_cells, neighbors,
-                counters, run_stats,
+                counters,
             )
         else:
-            rows = self._gather_knn_batch(
+            rows, run_stats = self._gather_knn_batch(
                 grid, cloud, centroid_indices, center_cells, neighbors,
-                rng, counters, run_stats,
+                rng, counters,
             )
 
         return GatherResult(
@@ -302,8 +342,7 @@ class VoxelExpandedGatherer(Gatherer):
         neighbors: int,
         rng: np.random.Generator,
         counters: OpCounters,
-        run_stats: VEGRunStats,
-    ) -> np.ndarray:
+    ) -> Tuple[np.ndarray, VEGRunStats]:
         points = cloud.points
         num_centroids = centroid_indices.shape[0]
         targets = np.full(num_centroids, neighbors, dtype=np.int64)
@@ -377,16 +416,13 @@ class VoxelExpandedGatherer(Gatherer):
             # Stage BF: write the K gathered points to the input buffer.
             counters.onchip_writes += neighbors
             rows[row] = selection[:neighbors]
-            run_stats.per_centroid.append(
-                VEGStageStats(
-                    expansions=int(pool.last_radius[row]),
-                    inner_points=inner_n,
-                    last_shell_points=int(last_counts[row]),
-                    sorted_candidates=int(last_counts[row]) if exact else 0,
-                    voxels_visited=int(pool.voxels_visited[row]),
-                )
-            )
-        return rows
+        return rows, VEGRunStats(
+            expansions=pool.last_radius,
+            inner_points=inner_counts,
+            last_shell_points=last_counts,
+            sorted_candidates=last_counts if exact else np.zeros_like(last_counts),
+            voxels_visited=pool.voxels_visited,
+        )
 
     # ------------------------------------------------------------------
     def _gather_ball_batch(
@@ -397,8 +433,7 @@ class VoxelExpandedGatherer(Gatherer):
         center_cells: np.ndarray,
         neighbors: int,
         counters: OpCounters,
-        run_stats: VEGRunStats,
-    ) -> np.ndarray:
+    ) -> Tuple[np.ndarray, VEGRunStats]:
         """Ball-query gathering: expand only as far as the ball reaches.
 
         The number of shells is fixed by the ball radius and the voxel edge
@@ -451,13 +486,11 @@ class VoxelExpandedGatherer(Gatherer):
                 selection = np.concatenate([inside, pad])
             counters.onchip_writes += neighbors
             rows[row] = selection
-            run_stats.per_centroid.append(
-                VEGStageStats(
-                    expansions=shell_limit,
-                    inner_points=0,
-                    last_shell_points=int(pool_counts[row]),
-                    sorted_candidates=int(pool_counts[row]),
-                    voxels_visited=int(pool.voxels_visited[row]),
-                )
-            )
-        return rows
+        pool_counts = pool_counts.astype(np.int64)
+        return rows, VEGRunStats(
+            expansions=np.full(num_centroids, shell_limit, dtype=np.int64),
+            inner_points=np.zeros(num_centroids, dtype=np.int64),
+            last_shell_points=pool_counts,
+            sorted_candidates=pool_counts,
+            voxels_visited=pool.voxels_visited,
+        )

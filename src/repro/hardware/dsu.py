@@ -15,7 +15,9 @@ fixed estimate; an analytic path is provided for paper-scale inputs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, Optional
+
+import numpy as np
 
 from repro.core.metrics import LatencyBreakdown
 from repro.datastructuring.veg import VEGRunStats, VEGStageStats
@@ -98,12 +100,37 @@ class DataStructuringUnit:
     def breakdown_for_run(
         self, run_stats: VEGRunStats, neighbors: int
     ) -> DSUStageBreakdown:
-        """Aggregate stage cycles over all centroids of one frame."""
-        totals = {stage: 0 for stage in DSU_STAGES}
-        for stats in run_stats.per_centroid:
-            for stage, cycles in self.stage_cycles_for_centroid(stats, neighbors).items():
-                totals[stage] += cycles
-        return DSUStageBreakdown(cycles=totals)
+        """Aggregate stage cycles over all centroids of one frame.
+
+        The sum of :meth:`stage_cycles_for_centroid` over the run, computed
+        from the statistics columns in exact integer arithmetic; the sorter
+        is priced once per distinct candidate count.
+        """
+        count = run_stats.num_centroids
+        ve = np.maximum(1, -(-run_stats.voxels_visited // self.expansion_lanes))
+        gp = np.maximum(
+            1, -(-np.maximum(1, run_stats.inner_points) // self.gather_lanes)
+        )
+        st = 0
+        for candidates, times in zip(
+            *np.unique(run_stats.sorted_candidates, return_counts=True)
+        ):
+            candidates, times = int(candidates), int(times)
+            if candidates > 0:
+                distance = -(-candidates // self.distance_lanes)
+                st += times * (distance + self.sorter.cycles_to_sort(candidates))
+            else:
+                st += times
+        return DSUStageBreakdown(
+            cycles={
+                "FP": count,
+                "LV": self.octree_depth * count,
+                "VE": int(ve.sum()),
+                "GP": int(gp.sum()),
+                "ST": st,
+                "BF": max(1, -(-neighbors // self.gather_lanes)) * count,
+            }
+        )
 
     def seconds_for_run(
         self,
@@ -112,7 +139,7 @@ class DataStructuringUnit:
         pipelined: bool = True,
     ) -> float:
         breakdown = self.breakdown_for_run(run_stats, neighbors)
-        num_centroids = max(1, len(run_stats.per_centroid))
+        num_centroids = max(1, run_stats.num_centroids)
         cycles = (
             breakdown.pipelined_cycles(num_centroids)
             if pipelined
@@ -148,14 +175,17 @@ class DataStructuringUnit:
         inner = (
             int(round(mean_inner)) if mean_inner is not None else max(1, neighbors // 2)
         )
-        stats = VEGStageStats(
-            expansions=int(round(mean_expansions)),
-            inner_points=inner,
-            last_shell_points=last_shell,
-            sorted_candidates=last_shell,
-            voxels_visited=int(round(mean_voxels_visited)),
+
+        def column(value: float) -> np.ndarray:
+            return np.full(num_centroids, int(round(value)), dtype=np.int64)
+
+        return VEGRunStats(
+            expansions=column(mean_expansions),
+            inner_points=column(inner),
+            last_shell_points=column(last_shell),
+            sorted_candidates=column(last_shell),
+            voxels_visited=column(mean_voxels_visited),
         )
-        return VEGRunStats(per_centroid=[stats] * num_centroids)
 
     def synthetic_seconds(
         self,

@@ -4,18 +4,21 @@ Importing this package registers the built-in backends under the
 ``"backend"`` registry kind (the :mod:`repro.registry` idiom every other
 component family follows):
 
-* ``numpy`` -- the default whole-operand path, contract = bit-identity.
-* ``fused`` -- blocked MLP with folded bias/BN/ReLU epilogues, contract =
-  documented ``allclose`` tolerance, dispatch-invariant by construction.
+* ``fused`` -- the default: cache-sized blocks with folded bias/BN/ReLU
+  epilogues and streamed set abstraction (gather -> MLP -> running max),
+  contract = documented ``allclose`` tolerance, dispatch-invariant by
+  construction.
+* ``numpy`` -- the whole-operand path every contract is stated against,
+  contract = bit-identity.
 * ``torch`` -- optional; only registered when PyTorch is importable, so
   ``registry.available("backend")`` always lists exactly the backends that
   can actually run on this host.
 
 Call sites resolve backends through :func:`resolve_backend`, which accepts
 a registry name, an existing instance, or ``None`` for the process default
-(the ``REPRO_BACKEND`` environment variable when set, else ``numpy`` --
-the env hook is how CI runs the whole tier-1 suite under the fused
-backend without touching any call site).
+(the ``REPRO_BACKEND`` environment variable when set, else ``fused`` --
+the env hook is how CI runs the whole tier-1 suite under the numpy
+reference backend without touching any call site).
 """
 
 from __future__ import annotations
@@ -42,14 +45,14 @@ registry.register("backend", "fused", FusedBlockedBackend)
 if torch_available():  # pragma: no cover - exercised only with torch present
     registry.register("backend", "torch", TorchBackend)
 
-#: Backend instances are stateless value objects; share one per name so
-#: repeated resolution (every Session, every warm model) reuses it.
+#: One shared instance per name, so repeated resolution (every Session,
+#: every warm model) reuses it and its per-thread workspaces.
 _INSTANCES: Dict[str, ComputeBackend] = {}
 
 
 def default_backend_name() -> str:
-    """The process-default backend name (``REPRO_BACKEND`` env, else numpy)."""
-    return os.environ.get("REPRO_BACKEND") or "numpy"
+    """The process-default backend name (``REPRO_BACKEND`` env, else fused)."""
+    return os.environ.get("REPRO_BACKEND") or "fused"
 
 
 def get_backend(name: str) -> ComputeBackend:

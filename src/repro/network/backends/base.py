@@ -1,18 +1,18 @@
 """Compute-backend contract: how the network forward executes its layers.
 
-A :class:`ComputeBackend` owns the *execution strategy* of the row-wise
-dense layers (shared MLPs, FP refinements, heads) that dominate the stacked
-PointNet++ forward: every layer application in
+A :class:`ComputeBackend` owns the *execution strategy* of the stacked
+PointNet++ forward: every row-wise dense layer (FP refinements, heads) in
 :mod:`repro.network.pointnet2` -- single-frame and batched alike -- goes
-through :meth:`ComputeBackend.apply`.  Swapping the backend changes *how*
-``x @ W + b`` / batch-norm / ReLU are scheduled (one whole-array pass per
-op, cache-blocked fused passes, torch kernels, ...) but never *what* is
-computed, and every backend declares how close its outputs are to the
-default numpy backend via an explicit :class:`EquivalenceContract`:
+through :meth:`ComputeBackend.apply`, and every set abstraction (gather,
+centre, shared MLP, max over the group) through
+:meth:`ComputeBackend.apply_grouped`.  Swapping the backend changes *how*
+``x @ W + b`` / batch-norm / ReLU / pooling are scheduled (one whole-array
+pass per op, cache-blocked fused passes streamed from the neighbour rows,
+torch kernels, ...) but never *what* is computed, and every backend
+declares how close its outputs are to the reference numpy backend via an
+explicit :class:`EquivalenceContract`:
 
-* ``bit_identical`` -- outputs are byte-for-byte the numpy results; the
-  existing bit-identity gates (batch dispatch, serving soak, chaos soak)
-  hold verbatim.
+* ``bit_identical`` -- outputs are byte-for-byte the numpy results.
 * ``allclose`` -- outputs match within a stated ``atol``/``rtol``
   tolerance (floating-point re-association from fusion, blocking, or a
   different BLAS), enforced by ``tests/test_backends.py`` and the
@@ -23,10 +23,10 @@ Orthogonally to the numpy-equivalence contract, every backend MUST be
 by frame or as one batch must produce bit-identical rows *for that same
 backend*.  That invariance is what keeps ``Session.run_batch(batched=True)``
 bit-identical to the sequential path -- and the serving/chaos soaks green --
-under every backend, not just numpy.  Backends either guarantee it by
-construction (the fused backend's blocks never span frames) or calibrate it
-per layer shape with :meth:`ComputeBackend.stack_rows_safe` and fall back
-to per-frame dispatch where the probe fails (the numpy and torch backends).
+under every backend.  Backends either guarantee it by construction (the
+default fused backend's blocks never span frames) or calibrate it per
+layer shape with :meth:`ComputeBackend.stack_rows_safe` and fall back to
+per-frame dispatch where the probe fails (the numpy and torch backends).
 
 The calibration cache is keyed on the **backend name** as well as the layer
 shape: two backends sharing a process (or two BLAS configurations behind
@@ -40,6 +40,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro.kernels import frame_offsets
 from repro.network.layers import BatchNorm, Dense, SharedMLP
 
 
@@ -187,24 +188,52 @@ def fold_stages(layer) -> List[DenseStage]:
     return stages
 
 
+def _parameters(layer) -> Tuple[np.ndarray, ...]:
+    """Every array :func:`fold_stages` reads from ``layer``."""
+    if isinstance(layer, SharedMLP):
+        arrays: List[np.ndarray] = []
+        for dense, norm in zip(layer.layers, layer.norms):
+            arrays += [dense.weight, dense.bias]
+            if norm is not None:
+                arrays += [norm.gamma, norm.beta, norm.running_mean, norm.running_var]
+        return tuple(arrays)
+    return (layer.weight, layer.bias)
+
+
+def folded_stages(layer) -> List[DenseStage]:
+    """:func:`fold_stages`, folded once and kept on the layer.
+
+    The cached fold is revalidated against the identity of every parameter
+    array, so re-assigning a weight or a batch-norm statistic refolds;
+    editing a parameter array *in place* after the layer's first
+    application is not supported.
+    """
+    cached = layer.__dict__.get("_folded")
+    if cached is not None:
+        params = _parameters(layer)
+        if len(params) == len(cached[0]) and all(
+            a is b for a, b in zip(params, cached[0])
+        ):
+            return cached[1]
+    stages = fold_stages(layer)  # raises for foreign layer types
+    layer.__dict__["_folded"] = (_parameters(layer), stages)
+    return stages
+
+
 class ComputeBackend:
     """Base class of the pluggable network-execution backends.
 
-    Subclasses implement :meth:`apply` (and optionally override the
-    stacking probe).  Instances are cheap, stateless value objects -- they
-    travel inside pickled Sessions to worker processes -- and all
-    calibration state lives in the module-level per-name cache.
+    Subclasses implement :meth:`apply` (and optionally override
+    :meth:`apply_grouped` and the stacking probe).  Instances are cheap
+    value objects -- they travel inside pickled Sessions to worker
+    processes -- and all calibration state lives in the module-level
+    per-name cache.
     """
 
     #: Registry name (``registry.create("backend", name)``).
     name: str = "abstract"
     #: Declared closeness to the numpy backend's outputs.
     contract: EquivalenceContract = EquivalenceContract(kind="bit_identical")
-    #: Default ``Session.batch_rows_budget`` (stacked down-sampled points
-    #: per batch-native dispatch) when the user does not override it.  This
-    #: is the per-backend half of the calibration: backends whose working
-    #: set stays cache-sized under stacking sustain a higher budget.
-    default_rows_budget: int = 512
 
     # ------------------------------------------------------------------
     def apply(
@@ -217,6 +246,45 @@ class ComputeBackend:
         over the B frames.
         """
         raise NotImplementedError
+
+    def apply_grouped(
+        self,
+        mlp: SharedMLP,
+        points: np.ndarray,
+        features: Optional[np.ndarray],
+        centers: np.ndarray,
+        neighbor_rows: np.ndarray,
+    ) -> np.ndarray:
+        """One set abstraction: gather, centre, shared MLP, max over K.
+
+        ``points`` is the stacked ``(B, N, 3)`` coordinate tensor,
+        ``features`` the ``(B, N, F)`` feature tensor or ``None``,
+        ``centers`` the ``(B, M, 3)`` group centres and ``neighbor_rows``
+        the ``(B, M, K)`` frame-local point rows of every group.  Returns
+        the pooled ``(B, M, C_out)`` features.  The same dispatch
+        invariance as :meth:`apply` holds frame by frame.
+
+        This base implementation materialises the ``(B * M * K, 3 + F)``
+        grouped operand and hands it to :meth:`apply`; backends that can
+        consume the neighbour rows block by block override it.
+        """
+        num_frames, num_points, _ = points.shape
+        _, num_groups, group_size = neighbor_rows.shape
+        flat_rows = neighbor_rows + frame_offsets(num_frames, num_points)[
+            :, None, None
+        ]
+        grouped = points.reshape(-1, 3)[flat_rows] - centers[:, :, None, :]
+        if features is not None:
+            grouped_features = features.reshape(num_frames * num_points, -1)[
+                flat_rows
+            ]
+            grouped = np.concatenate([grouped, grouped_features], axis=-1)
+        flat = grouped.reshape(num_frames * num_groups * group_size, -1)
+        return (
+            self.apply(mlp, flat, num_frames)
+            .reshape(num_frames, num_groups, group_size, -1)
+            .max(axis=2)
+        )
 
     # ------------------------------------------------------------------
     def stack_rows_safe(
@@ -278,7 +346,6 @@ class ComputeBackend:
         return {
             "name": self.name,
             "contract": self.contract.describe(),
-            "default_rows_budget": self.default_rows_budget,
         }
 
     def __repr__(self) -> str:  # pragma: no cover - debugging nicety

@@ -1,17 +1,21 @@
-"""Fused blocked-MLP backend: cache-sized row blocks, folded epilogues.
+"""Fused blocked backend: cache-sized row blocks, folded epilogues, streamed SA.
 
 The numpy backend runs each layer as one whole-operand pass: a single BLAS
 matmul followed by bias, batch-norm (three whole-array temporaries), and
 ReLU passes, each streaming the full stacked ``(B * M * K, C)`` operand
-through DRAM.  Past the cache size those elementwise passes dominate --
-``batch_rows_budget`` exists precisely to keep the stack small enough.
+through DRAM, after first materialising that grouped operand from the
+neighbour rows.  Past the cache size those elementwise passes dominate.
 
 This backend tiles the *entire layer chain* over row blocks sized to stay
 cache-resident.  Each block is pushed through every stage (matmul, then a
-folded ``y * scale + shift`` epilogue and an in-place ReLU) before the next
-block is touched, so per layer the block makes one trip to DRAM instead of
-four-plus, and the batch-norm affine collapses into a single multiply-add
-(see :class:`~repro.network.backends.base.DenseStage` for the fold).
+folded ``y * scale + shift`` epilogue and an in-place ReLU, see
+:class:`~repro.network.backends.base.DenseStage`) before the next block is
+touched, in per-thread workspaces that are reused from call to call.  A set
+abstraction (:meth:`FusedBlockedBackend.apply_grouped`) is streamed the way
+HgPCN feeds VEG neighbour indices to its DLA: a block of whole groups is
+gathered by index into the workspace, centred, run through the stages and
+max-pooled straight into the output, so neither the ``(M * K, C_in)`` input
+nor the ``(M * K, C_out)`` activation ever exists.
 
 Equivalence contract: ``allclose`` against the numpy backend.  The folded
 epilogue re-associates the bias/BN arithmetic ``(x@W + b - mean) * s + beta
@@ -23,16 +27,17 @@ below and that is what the tests and the ``forward_fused_vs_numpy``
 benchmark assert).
 
 Dispatch invariance, by contrast, is exact by construction: the block
-decomposition is a pure function of the layer shapes and the per-frame row
-count, and blocks never span a frame boundary -- so the stacked apply
+decomposition is a pure function of the layer shapes and the per-frame
+operand shape, and blocks never span a frame boundary -- so a stacked call
 performs literally the same block-sized kernel calls as the per-frame
-applies, and ``Session.run_batch(batched=True)`` stays bit-identical to the
+calls, and ``Session.run_batch(batched=True)`` stays bit-identical to the
 sequential path under this backend.
 """
 
 from __future__ import annotations
 
-from typing import List
+import threading
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -40,8 +45,26 @@ from repro.network.backends.base import (
     ComputeBackend,
     DenseStage,
     EquivalenceContract,
-    fold_stages,
+    folded_stages,
 )
+
+
+class _Workspace(threading.local):
+    """Reusable float64 scratch, one set per thread.
+
+    Worker threads share the backend singleton, so the buffers a block is
+    computed in must not be shared between them.
+    """
+
+    def __init__(self) -> None:
+        self.buffers: Dict[str, np.ndarray] = {}
+
+    def take(self, slot: str, rows: int, cols: int) -> np.ndarray:
+        """A C-contiguous ``(rows, cols)`` view of the buffer named ``slot``."""
+        buffer = self.buffers.get(slot)
+        if buffer is None or buffer.size < rows * cols:
+            buffer = self.buffers[slot] = np.empty(rows * cols)
+        return buffer[: rows * cols].reshape(rows, cols)
 
 
 class FusedBlockedBackend(ComputeBackend):
@@ -49,11 +72,6 @@ class FusedBlockedBackend(ComputeBackend):
 
     name = "fused"
     contract = EquivalenceContract(kind="allclose", atol=1e-10, rtol=1e-9)
-    #: The working set per dispatch is one row block regardless of how many
-    #: frames are stacked, so the budget that exists to keep the un-fused
-    #: pipeline cache-resident can open up: more frames per dispatch means
-    #: fewer python-level dispatches with no cache penalty.
-    default_rows_budget = 4096
 
     #: Combined footprint target (input + output buffer) of one row block,
     #: sized to sit in L2 for the narrow layers where fusion pays.
@@ -66,10 +84,47 @@ class FusedBlockedBackend(ComputeBackend):
     min_block_rows = 64
     max_block_rows = 16384
 
+    def __init__(self) -> None:
+        self._workspace = _Workspace()
+
+    def __reduce__(self):
+        # Workspaces are scratch: a backend travelling inside a pickled
+        # Session (process worker pools) arrives with none.
+        return (type(self), ())
+
     def _block_rows(self, stages: List[DenseStage]) -> int:
         widest = max(max(s.in_features, s.out_features) for s in stages)
         rows = self.target_block_bytes // (2 * 8 * widest)
         return int(min(self.max_block_rows, max(self.min_block_rows, rows)))
+
+    def _run_stages(
+        self,
+        stages: List[DenseStage],
+        x: np.ndarray,
+        out: Optional[np.ndarray] = None,
+    ) -> np.ndarray:
+        """Push one block through every stage; the last writes into ``out``.
+
+        Intermediate activations alternate between two workspace buffers
+        (never the one ``x`` may itself live in), so the returned array is
+        only valid until the next block when ``out`` is not given.
+        """
+        last = len(stages) - 1
+        for i, stage in enumerate(stages):
+            if i == last and out is not None:
+                y = out
+            else:
+                y = self._workspace.take(
+                    "even" if i % 2 == 0 else "odd", x.shape[0], stage.out_features
+                )
+            np.matmul(x, stage.weight, out=y)
+            if stage.scale is not None:
+                y *= stage.scale
+            y += stage.shift
+            if stage.relu:
+                np.maximum(y, 0.0, out=y)
+            x = y
+        return x
 
     def apply(self, layer, flat: np.ndarray, num_frames: int = 1) -> np.ndarray:
         if num_frames < 1 or flat.shape[0] % num_frames:
@@ -77,38 +132,58 @@ class FusedBlockedBackend(ComputeBackend):
                 f"cannot split {flat.shape[0]} stacked rows into "
                 f"{num_frames} frames"
             )
-        stages = fold_stages(layer)
-        if flat.shape[0] == 0:
-            return np.empty((0, stages[-1].out_features), dtype=flat.dtype)
+        stages = folded_stages(layer)
+        out = np.empty((flat.shape[0], stages[-1].out_features))
         rows_per_frame = flat.shape[0] // num_frames
         block = self._block_rows(stages)
-        out = None
-        for frame in range(num_frames):
-            base = frame * rows_per_frame
-            for start in range(0, rows_per_frame, block):
-                stop = min(start + block, rows_per_frame)
-                x = flat[base + start : base + stop]
-                for stage in stages:
-                    y = x @ stage.weight
-                    if stage.scale is not None:
-                        y *= stage.scale
-                    y += stage.shift
-                    if stage.relu:
-                        np.maximum(y, 0.0, out=y)
-                    x = y
-                if out is None:
-                    out = np.empty((flat.shape[0], x.shape[1]), dtype=x.dtype)
-                out[base + start : base + stop] = x
+        for base in range(0, flat.shape[0], max(1, rows_per_frame)):
+            for start in range(base, base + rows_per_frame, block):
+                stop = min(start + block, base + rows_per_frame)
+                self._run_stages(stages, flat[start:stop], out[start:stop])
         return out
 
-    def stack_rows_safe(
+    def apply_grouped(
         self,
-        in_features: int,
-        out_features: int,
-        rows_per_frame: int,
-        num_frames: int,
-    ) -> bool:
-        # Blocks never cross frame boundaries and the block size depends
-        # only on the layer shapes, so stacking is invariant by
-        # construction -- no probe needed.
-        return True
+        mlp,
+        points: np.ndarray,
+        features: Optional[np.ndarray],
+        centers: np.ndarray,
+        neighbor_rows: np.ndarray,
+    ) -> np.ndarray:
+        stages = folded_stages(mlp)
+        num_frames, num_groups, group_size = neighbor_rows.shape
+        channels = 0 if features is None else features.shape[-1]
+        pooled = np.empty((num_frames, num_groups, stages[-1].out_features))
+        # Blocks hold whole groups; a group larger than one block (the
+        # global group of the last SA layer) is walked in block-sized
+        # pieces under a running max.
+        block = self._block_rows(stages)
+        piece = min(group_size, block)
+        groups_per_block = block // piece
+        take = self._workspace.take
+        for b in range(num_frames):
+            for g0 in range(0, num_groups, groups_per_block):
+                g1 = min(g0 + groups_per_block, num_groups)
+                target = pooled[b, g0:g1]
+                for k0 in range(0, group_size, piece):
+                    rows = neighbor_rows[b, g0:g1, k0 : k0 + piece]
+                    count, width = rows.shape
+                    index = rows.reshape(-1)
+                    x = take("input", index.size, 3 + channels)
+                    xyz = take("xyz", index.size, 3)
+                    np.take(points[b], index, axis=0, out=xyz)
+                    np.subtract(
+                        xyz.reshape(count, width, 3),
+                        centers[b, g0:g1, None, :],
+                        out=x.reshape(count, width, -1)[:, :, :3],
+                    )
+                    if channels:
+                        gathered = take("features", index.size, channels)
+                        np.take(features[b], index, axis=0, out=gathered)
+                        x[:, 3:] = gathered
+                    y = self._run_stages(stages, x).reshape(count, width, -1)
+                    if k0 == 0:
+                        y.max(axis=1, out=target)
+                    else:
+                        np.maximum(target, y.max(axis=1), out=target)
+        return pooled

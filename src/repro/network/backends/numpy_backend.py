@@ -1,4 +1,4 @@
-"""The default numpy compute backend (the extracted pre-backend path).
+"""The reference numpy compute backend (the extracted pre-backend path).
 
 This is the execution strategy the stacked forward has always used, moved
 behind the :class:`~repro.network.backends.base.ComputeBackend` seam: one
@@ -6,8 +6,8 @@ whole-operand call per layer (one BLAS matmul per dense layer, whole-array
 bias/BN/ReLU passes), with per-frame fallback wherever stacking is not
 bit-identical.  Its contract is strict bit-identity by definition -- it *is*
 the reference -- so every pre-existing bit-identity gate (batch dispatch,
-serving soak, chaos soak) holds verbatim when this backend runs, which it
-does whenever no backend is selected.
+serving soak, chaos soak) holds verbatim when this backend runs
+(``REPRO_BACKEND=numpy`` or ``backend="numpy"``).
 """
 
 from __future__ import annotations
@@ -39,10 +39,6 @@ class NumpyBackend(ComputeBackend):
 
     name = "numpy"
     contract = EquivalenceContract(kind="bit_identical")
-    #: The un-fused pipeline streams whole stacked operands through DRAM
-    #: between layers, so the budget keeps the stack cache-sized (the
-    #: pre-backend default).
-    default_rows_budget = 512
 
     def apply(self, layer, flat: np.ndarray, num_frames: int = 1) -> np.ndarray:
         rows_per_frame = flat.shape[0] // num_frames

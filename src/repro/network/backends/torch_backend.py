@@ -44,9 +44,6 @@ class TorchBackend(ComputeBackend):
 
     name = "torch"
     contract = EquivalenceContract(kind="allclose", atol=1e-9, rtol=1e-7)
-    #: Torch's threaded kernels keep scaling past the single-core cache
-    #: knee the numpy budget guards, so allow larger dispatches.
-    default_rows_budget = 8192
 
     def __init__(self):
         if not torch_available():

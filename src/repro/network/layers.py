@@ -10,6 +10,7 @@ is the quantity the Feature Computation Unit's systolic-array model consumes.
 
 from __future__ import annotations
 
+import zlib
 from dataclasses import dataclass, field
 from typing import List, Optional
 
@@ -156,8 +157,13 @@ def softmax(logits: np.ndarray, axis: int = -1) -> np.ndarray:
 
 
 def _glorot(shape: tuple[int, int], name: str) -> np.ndarray:
-    """Deterministic Glorot-uniform initialisation keyed by the layer name."""
-    seed = abs(hash(name)) % (2**32)
+    """Deterministic Glorot-uniform initialisation keyed by the layer name.
+
+    The seed is a CRC of the name, not ``hash(name)``: string hashes are
+    salted per interpreter, and spawned workers, other hosts and other runs
+    must all build the same weights.
+    """
+    seed = zlib.crc32(name.encode())
     rng = np.random.default_rng(seed)
     fan_in, fan_out = shape
     limit = np.sqrt(6.0 / (fan_in + fan_out))

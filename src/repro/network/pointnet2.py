@@ -27,18 +27,18 @@ from repro.datastructuring.knn import BruteForceKNN
 from repro.geometry.pointcloud import PointCloud
 from repro.kernels import frame_offsets, stack_frames
 from repro.network.backends import ComputeBackend, resolve_backend
-from repro.network.layers import Dense, ReLU, SharedMLP, max_pool_groups, softmax
+from repro.network.layers import Dense, ReLU, SharedMLP, softmax
 
-# Every dense-layer application below -- single-frame and stacked alike --
-# goes through a pluggable ComputeBackend (repro/network/backends/): the
-# default numpy backend reproduces the historical whole-operand path
+# Every dense-layer application and every set abstraction below --
+# single-frame and stacked alike -- goes through a pluggable ComputeBackend
+# (repro/network/backends/): the default fused backend streams cache-sized
+# blocks, the numpy backend reproduces the historical whole-operand path
 # bit-identically (including the per-(backend, layer-shape) stacking
-# calibration and its single-row / BLAS-edge per-frame fallbacks), while
-# alternative backends (fused blocked MLP, torch) swap the execution
-# strategy behind the same seam under explicit equivalence contracts.
-# Routing *both* forward paths through the backend is what keeps the
-# batched path bit-identical to the sequential one under every backend,
-# not just numpy.
+# calibration and its single-row / BLAS-edge per-frame fallbacks), and
+# every backend states its closeness to numpy as an explicit equivalence
+# contract.  Routing *both* forward paths through the backend is what
+# keeps the batched path bit-identical to the sequential one under every
+# backend.
 
 
 @dataclass
@@ -99,7 +99,7 @@ class SetAbstraction:
         self-contained, HgPCN substitutes VEG.
     backend:
         Compute backend executing the shared MLP (name, instance, or
-        ``None`` for the process default -- the numpy backend unless
+        ``None`` for the process default -- the fused backend unless
         ``REPRO_BACKEND`` overrides it).
     """
 
@@ -126,59 +126,11 @@ class SetAbstraction:
         cloud: PointCloud,
         features: Optional[np.ndarray],
     ) -> tuple[PointCloud, np.ndarray, SetAbstractionTrace]:
-        trace = SetAbstractionTrace(name=self.name, gather=None)
-
-        if self.num_centroids is None:
-            # Global grouping: every point forms one group.
-            grouped_xyz = cloud.points[None, :, :]
-            grouped_features = (
-                features[None, :, :] if features is not None else None
-            )
-            new_cloud = PointCloud(points=cloud.centroid()[None, :])
-        else:
-            centroid_indices = pick_random_centroids(
-                cloud, min(self.num_centroids, cloud.num_points), seed=self.seed
-            )
-            gather = self.gatherer.gather(
-                cloud, centroid_indices, min(self.neighbors, cloud.num_points)
-            )
-            trace.gather = gather
-            grouped_xyz = gather.grouped_coordinates(cloud)
-            grouped_features = gather.grouped_features(
-                cloud.with_features(features) if features is not None else cloud
-            )
-            new_cloud = cloud.select(centroid_indices)
-
-        # Translate each group into its centroid's local frame, as PointNet++
-        # does, then concatenate coordinates and features channel-wise.
-        centers = new_cloud.points[:, None, :]
-        local_xyz = grouped_xyz - centers
-        if grouped_features is not None:
-            group_input = np.concatenate([local_xyz, grouped_features], axis=-1)
-        else:
-            group_input = local_xyz
-
-        num_groups, group_size, _ = group_input.shape
-        flat = group_input.reshape(num_groups * group_size, -1)
-        if flat.shape[-1] != self.mlp.in_features:
-            raise ValueError(
-                f"{self.name}: MLP expects {self.mlp.in_features} input "
-                f"channels, got {flat.shape[-1]}"
-            )
-        transformed = self.backend.apply(self.mlp, flat).reshape(
-            num_groups, group_size, -1
+        """Run the layer on one frame: :meth:`forward_batch` with ``B = 1``."""
+        new_clouds, new_features, traces = self.forward_batch(
+            [cloud], None if features is None else features[None]
         )
-        new_features = max_pool_groups(transformed)
-
-        trace.layers.append(
-            LayerTrace(
-                name=f"{self.name}.mlp",
-                num_vectors=num_groups * group_size,
-                mac_ops=self.mlp.mac_count(num_groups * group_size),
-                output_channels=self.mlp.out_features,
-            )
-        )
-        return new_cloud, new_features, trace
+        return new_clouds[0], new_features[0], traces[0]
 
     # ------------------------------------------------------------------
     def forward_batch(
@@ -189,36 +141,37 @@ class SetAbstraction:
         """Run the layer over a stack of B same-shaped frames.
 
         Data structuring stays per frame (each frame's neighborhoods are its
-        own), but the feature computation stacks every frame's groups into a
-        single ``(B * M * K, C)`` operand so the shared MLP runs one matmul
-        per layer for the whole batch.
+        own); the feature computation -- translate each group into its
+        centroid's local frame as PointNet++ does, concatenate coordinates
+        and features channel-wise, shared MLP, max over the group -- is the
+        backend's :meth:`~repro.network.backends.ComputeBackend.apply_grouped`
+        over the neighbour rows of the whole stack.
 
-        Centroid seeding convention: the sequential forward seeds
-        :func:`pick_random_centroids` with the *layer* seed -- the same seed
-        for every frame -- so the batched path seeds each frame index with
-        that same layer seed.  Same-shaped frames therefore pick identical
-        centroid rows in both paths, which is what makes the batched logits
+        Centroid seeding convention: :func:`pick_random_centroids` is seeded
+        with the *layer* seed -- the same seed for every frame -- so
+        same-shaped frames pick identical centroid rows whether they arrive
+        alone or stacked, which is what makes the batched logits
         bit-identical to the sequential ones.
 
         ``features`` is the stacked ``(B, N, F)`` feature tensor (``None``
         for coordinate-only input).  Returns the per-frame centroid clouds,
         the stacked ``(B, M, C_out)`` output features, and one
-        :class:`SetAbstractionTrace` per frame (bit-identical to the
-        sequential traces, including the gather results).
+        :class:`SetAbstractionTrace` per frame.
         """
         num_frames = len(clouds)
-        traces = [
-            SetAbstractionTrace(name=self.name, gather=None)
-            for _ in range(num_frames)
-        ]
         num_points = clouds[0].num_points
+        channels = 3 + (0 if features is None else features.shape[-1])
+        if channels != self.mlp.in_features:
+            raise ValueError(
+                f"{self.name}: MLP expects {self.mlp.in_features} input "
+                f"channels, got {channels}"
+            )
 
+        gathers: List[Optional[GatherResult]] = [None] * num_frames
         if self.num_centroids is None:
             # Global grouping: every point of each frame forms one group.
-            points = stack_frames([cloud.points for cloud in clouds])
-            grouped_xyz = points[:, None, :, :]  # (B, 1, N, 3)
-            grouped_features = (
-                features[:, None, :, :] if features is not None else None
+            rows = np.broadcast_to(
+                np.arange(num_points), (num_frames, 1, num_points)
             )
             new_clouds = [
                 PointCloud(points=cloud.centroid()[None, :]) for cloud in clouds
@@ -226,64 +179,44 @@ class SetAbstraction:
         else:
             num_centroids = min(self.num_centroids, num_points)
             neighbors = min(self.neighbors, num_points)
-            gathers: List[GatherResult] = []
-            for cloud in clouds:
-                centroid_indices = pick_random_centroids(
-                    cloud, num_centroids, seed=self.seed
+            gathers = [
+                self.gatherer.gather(
+                    cloud,
+                    pick_random_centroids(cloud, num_centroids, seed=self.seed),
+                    neighbors,
                 )
-                gathers.append(
-                    self.gatherer.gather(cloud, centroid_indices, neighbors)
-                )
-            for trace, gather in zip(traces, gathers):
-                trace.gather = gather
-            # One fancy-indexing gather over the flattened stack instead of
-            # B per-frame gathers: per-frame neighbor rows plus the frame's
-            # flat row offset address the stacked coordinate matrix.
+                for cloud in clouds
+            ]
             rows = stack_frames([g.neighbor_indices for g in gathers])
-            offsets = frame_offsets(num_frames, num_points)
-            flat_rows = rows + offsets[:, None, None]
-            flat_points = stack_frames(
-                [cloud.points for cloud in clouds]
-            ).reshape(-1, 3)
-            grouped_xyz = flat_points[flat_rows]  # (B, M, K, 3)
-            grouped_features = None
-            if features is not None:
-                grouped_features = features.reshape(
-                    num_frames * num_points, -1
-                )[flat_rows]
             new_clouds = [
                 cloud.select(gather.centroid_indices)
                 for cloud, gather in zip(clouds, gathers)
             ]
 
-        centers = stack_frames([cloud.points for cloud in new_clouds])
-        local_xyz = grouped_xyz - centers[:, :, None, :]
-        if grouped_features is not None:
-            group_input = np.concatenate([local_xyz, grouped_features], axis=-1)
-        else:
-            group_input = local_xyz
-
-        _, num_groups, group_size, channels = group_input.shape
-        flat = group_input.reshape(num_frames * num_groups * group_size, -1)
-        if flat.shape[-1] != self.mlp.in_features:
-            raise ValueError(
-                f"{self.name}: MLP expects {self.mlp.in_features} input "
-                f"channels, got {flat.shape[-1]}"
-            )
-        transformed = self.backend.apply(self.mlp, flat, num_frames).reshape(
-            num_frames, num_groups, group_size, -1
+        new_features = self.backend.apply_grouped(
+            self.mlp,
+            stack_frames([cloud.points for cloud in clouds]),
+            features,
+            stack_frames([cloud.points for cloud in new_clouds]),
+            rows,
         )
-        new_features = transformed.max(axis=2)  # (B, M, C_out)
 
-        for trace in traces:
-            trace.layers.append(
-                LayerTrace(
-                    name=f"{self.name}.mlp",
-                    num_vectors=num_groups * group_size,
-                    mac_ops=self.mlp.mac_count(num_groups * group_size),
-                    output_channels=self.mlp.out_features,
-                )
+        num_vectors = rows.shape[1] * rows.shape[2]
+        traces = [
+            SetAbstractionTrace(
+                name=self.name,
+                gather=gather,
+                layers=[
+                    LayerTrace(
+                        name=f"{self.name}.mlp",
+                        num_vectors=num_vectors,
+                        mac_ops=self.mlp.mac_count(num_vectors),
+                        output_channels=self.mlp.out_features,
+                    )
+                ],
             )
+            for gather in gathers
+        ]
         return new_clouds, new_features, traces
 
 

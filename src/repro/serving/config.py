@@ -461,7 +461,7 @@ class ServeConfig:
             default=None,
             help="compute backend for every serving session -- workers and "
                  "the sequential bit-identity reference alike (default: "
-                 "session default -- REPRO_BACKEND env or numpy)",
+                 "session default -- REPRO_BACKEND env or fused)",
         )
         execution.add_argument(
             "--max-batch", type=positive_int, default=8,

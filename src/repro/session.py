@@ -49,10 +49,14 @@ from repro.core.pipeline import EndToEndResult, SequenceResult
 from repro.datasets.base import Frame, PointCloudDataset
 from repro.datasets.lidar import LidarSensorModel
 from repro.geometry.pointcloud import PointCloud
-from repro.network.backends import get_backend, resolve_backend
+from repro.network.backends import resolve_backend
 
 #: Anything :meth:`Session.run` accepts as a frame.
 FrameLike = Union["FrameRequest", Frame, PointCloud]
+
+#: Default :attr:`Session.batch_rows_budget` (stacked down-sampled points
+#: per batch-native dispatch), the same for every compute backend.
+DEFAULT_BATCH_ROWS_BUDGET = 512
 
 #: Sentinel distinguishing "legacy kwarg not passed" from an explicit value
 #: (``block=False`` and ``block`` omitted must behave identically, but only
@@ -255,22 +259,22 @@ class Session:
     batch_rows_budget:
         Cap on the stacked down-sampled points per batch-native dispatch:
         a shape group whose frames down-sample to N points is processed in
-        sub-batches of ``max(1, budget // N)`` frames.  Stacked network
-        operands grow linearly with the sub-batch, and once they outgrow
-        the CPU caches the elementwise passes (bias, batch-norm, ReLU)
-        stream from main memory and the batch win inverts -- so the budget
-        is a *per-backend* calibration: ``None`` (the default) adopts the
-        selected compute backend's ``default_rows_budget`` (512 for the
-        whole-operand numpy backend; higher for the fused backend, whose
-        working set is one cache-sized block regardless of the stack).
-        Responses are bit-identical for every budget (sub-batching changes
-        operand shapes, not results).
+        sub-batches of ``max(1, budget // N)`` frames.  Frames are stacked
+        only while the stacked set-abstraction operand still fits one of
+        the compute backend's cache-sized blocks -- stacking saves
+        python-level dispatches on small frames, and past a block it only
+        grows memory -- so ``None`` (the default) means
+        :data:`DEFAULT_BATCH_ROWS_BUDGET` for every backend: one frame per
+        dispatch at N >= 512, four at N = 128.  Responses are bit-identical
+        for every budget (sub-batching changes operand shapes, not
+        results).
     backend:
-        Registry name of the compute backend executing the dense network
-        layers (``available("backend")``), or ``None`` for the process
-        default (``REPRO_BACKEND`` env when set, else ``numpy``).  The
-        backend is part of the warm-model cache key and is inherited by
-        serving workers built from this session's options.
+        Registry name of the compute backend executing the network layers
+        (``available("backend")``), or ``None`` for the process default
+        (``REPRO_BACKEND`` env when set, else ``fused``; ``numpy`` is the
+        bit-identity reference).  The backend is part of the warm-model
+        cache key and is inherited by serving workers built from this
+        session's options.
     preprocess_workers:
         Intra-batch worker count for the engines' ``process_batch`` stage
         tails (frames of one batch finish on different cores, joined in
@@ -336,7 +340,7 @@ class Session:
         ).name
         self.response_cache_size = max(0, int(response_cache_size))
         if batch_rows_budget is None:
-            batch_rows_budget = get_backend(self.backend).default_rows_budget
+            batch_rows_budget = DEFAULT_BATCH_ROWS_BUDGET
         self.batch_rows_budget = max(1, int(batch_rows_budget))
         self._response_cache: "OrderedDict[str, FrameResponse]" = OrderedDict()
         self.frames_processed = 0

@@ -14,9 +14,17 @@ Every registered backend is held to the two-tier contract documented in
   per-frame fallback.  This is the property the serving bit-identity
   gates rest on.
 
+The fused backend's streamed set abstraction (``apply_grouped``) is held
+to the same two tiers against the materialised base implementation, plus
+workspace isolation between threads and across pickling.
+
 Torch cases are ``skipif``-guarded; on hosts without torch the backend is
 not registered at all and the parametrized suite covers numpy + fused.
 """
+
+import pickle
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -88,16 +96,17 @@ class TestRegistry:
             resolve_backend("definitely-not-a-backend")
 
     def test_env_override_sets_process_default(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BACKEND", "fused")
+        monkeypatch.delenv("REPRO_BACKEND", raising=False)
         assert default_backend_name() == "fused"
-        assert resolve_backend(None).name == "fused"
+        monkeypatch.setenv("REPRO_BACKEND", "numpy")
+        assert default_backend_name() == "numpy"
+        assert resolve_backend(None).name == "numpy"
 
     def test_describe_reports_contract(self):
         for name in BACKEND_NAMES:
             info = get_backend(name).describe()
             assert info["name"] == name
-            assert info["contract"]
-            assert info["default_rows_budget"] >= 1
+            assert info["contract"] == get_backend(name).contract.describe()
 
 
 class TestDeclaredContract:
@@ -312,20 +321,17 @@ class TestModelEquivalence:
 
 class TestSessionIntegration:
     def test_default_budget_comes_from_backend(self):
-        from repro.session import Session
+        from repro.session import DEFAULT_BATCH_ROWS_BUDGET, Session
 
-        # The no-argument Session adopts the process-default backend's
-        # budget (numpy's 512 normally, the REPRO_BACKEND override's in
-        # the CI fused leg).
-        assert (
-            Session().batch_rows_budget
-            == get_backend(default_backend_name()).default_rows_budget
-        )
-        assert (
-            Session(backend="fused").batch_rows_budget
-            == get_backend("fused").default_rows_budget
-        )
-        # An explicit budget always wins over the backend default.
+        # One budget for every backend: frames stack only while the stacked
+        # SA operand still fits a block, whoever executes it.
+        assert Session().batch_rows_budget == DEFAULT_BATCH_ROWS_BUDGET
+        for name in BACKEND_NAMES:
+            assert (
+                Session(backend=name).batch_rows_budget
+                == DEFAULT_BATCH_ROWS_BUDGET
+            )
+        # An explicit budget always wins over the default.
         assert Session(backend="fused", batch_rows_budget=64).batch_rows_budget == 64
 
     def test_session_reports_backend(self):
@@ -349,6 +355,166 @@ class TestSessionIntegration:
         session.run(cloud)
         keys = session.inference_engine.warm_keys()
         assert keys and all(key[3] == "fused" for key in keys)
+
+
+def _grouped_operands(rng, frames, points, groups, neighbors, channels):
+    """Random ``apply_grouped`` operands; ``groups=None`` = one global group."""
+    xyz = rng.standard_normal((frames, points, 3))
+    features = (
+        rng.standard_normal((frames, points, channels)) if channels else None
+    )
+    if groups is None:
+        rows = np.broadcast_to(np.arange(points), (frames, 1, points))
+        centers = xyz.mean(axis=1, keepdims=True)
+    else:
+        rows = rng.integers(0, points, (frames, groups, neighbors))
+        centers = np.take_along_axis(xyz, rows[:, :, :1], axis=1)
+    return xyz, features, centers, rows
+
+
+class TestStreamedSetAbstraction:
+    """``fused.apply_grouped`` vs the materialise -> apply -> max reference."""
+
+    # The 1024-wide last layer pins the block at the 64-row floor, so these
+    # small shapes cross block boundaries the way full frames do.
+    @pytest.mark.parametrize(
+        "frames,points,groups,neighbors,channels",
+        [
+            (1, 90, 31, 5, 4),  # 12 groups per block: 31 leaves a ragged tail
+            (1, 50, 70, 1, 2),  # K = 1
+            (1, 60, 9, 8, 0),  # coordinates only
+            (1, 40, 1, 7, 3),  # one centroid
+            (1, 200, None, 200, 6),  # global group of 200 rows > one block
+            (3, 90, 31, 5, 4),  # B > 1
+            (2, 200, None, 200, 0),
+        ],
+    )
+    def test_matches_materialised_reference(
+        self, rng, frames, points, groups, neighbors, channels
+    ):
+        fused = get_backend("fused")
+        mlp = SharedMLP([3 + channels, 16, 1024], name="t.stream")
+        operands = _grouped_operands(
+            rng, frames, points, groups, neighbors, channels
+        )
+        assert fused._block_rows(fold_stages(mlp)) == 64
+        expected = get_backend("numpy").apply_grouped(mlp, *operands)
+        actual = fused.apply_grouped(mlp, *operands)
+        assert actual.shape == (frames, operands[3].shape[1], 1024)
+        assert fused.contract.matches(actual, expected)
+        # Dispatch invariance: frame by frame is the very same block calls.
+        for b in range(frames):
+            alone = fused.apply_grouped(
+                mlp,
+                *(None if op is None else op[b : b + 1] for op in operands),
+            )
+            np.testing.assert_array_equal(alone[0], actual[b])
+
+    def test_numpy_path_is_the_historical_materialised_one(self, rng):
+        mlp = SharedMLP([3 + 4, 16, 32], name="t.hist")
+        xyz, features, centers, rows = _grouped_operands(rng, 1, 90, 31, 5, 4)
+        grouped = np.concatenate(
+            [xyz[0][rows[0]] - centers[0][:, None, :], features[0][rows[0]]],
+            axis=-1,
+        )
+        expected = mlp(grouped.reshape(31 * 5, -1)).reshape(31, 5, -1).max(axis=1)
+        np.testing.assert_array_equal(
+            get_backend("numpy").apply_grouped(mlp, xyz, features, centers, rows)[0],
+            expected,
+        )
+
+    def test_refolds_when_a_parameter_is_replaced(self, rng):
+        fused = get_backend("fused")
+        mlp = SharedMLP([3, 8], name="t.refold")
+        flat = rng.standard_normal((10, 3))
+        before = fused.apply(mlp, flat)
+        mlp.layers[0].bias = np.ones(8)
+        assert fused.contract.matches(fused.apply(mlp, flat), mlp(flat))
+        assert not np.array_equal(fused.apply(mlp, flat), before)
+
+    def test_run_batch_batched_equals_sequential_under_the_default(self, monkeypatch):
+        from repro import HgPCNConfig
+        from repro.serving.server import response_signature, signatures_equal
+        from repro.session import Session
+
+        monkeypatch.delenv("REPRO_BACKEND", raising=False)
+        frames = [sample_cad_shape(1024, seed=40 + i) for i in range(5)]
+
+        def session():
+            return Session(
+                config=HgPCNConfig.for_task(256, neighbors=16),
+                task="classification",
+                response_cache_size=0,
+            )
+
+        assert session().backend == "fused"
+        assert session().batch_rows_budget // 256 == 2  # frames do get stacked
+        batched = session().run_batch(frames, batched=True).responses
+        sequential = session().run_batch(frames, batched=False).responses
+        for got, want in zip(batched, sequential):
+            assert signatures_equal(response_signature(got), response_signature(want))
+
+    def test_threads_sharing_the_singleton_do_not_share_workspaces(self):
+        fused = get_backend("fused")
+        mlp = SharedMLP([3 + 4, 32, 64], name="t.threads")
+        cases = [
+            _grouped_operands(np.random.default_rng(seed), 2, 300, 150, 8, 4)
+            for seed in range(4)
+        ]
+        expected = [fused.apply_grouped(mlp, *case) for case in cases]
+        results = [[] for _ in cases]
+
+        def worker(slot):
+            for _ in range(25):
+                results[slot].append(fused.apply_grouped(mlp, *cases[slot]))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [
+                threading.Thread(target=worker, args=(slot,)) for slot in range(4)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for slot, outputs in enumerate(results):
+            assert len(outputs) == 25
+            for output in outputs:
+                np.testing.assert_array_equal(output, expected[slot])
+
+    def test_warm_session_pickles_without_workspaces(self):
+        from repro import HgPCNConfig
+        from repro.session import Session
+
+        session = Session(
+            config=HgPCNConfig.for_task(256, neighbors=16),
+            task="classification",
+            backend="fused",
+            response_cache_size=0,
+        )
+        cloud = sample_cad_shape(1024, seed=3)
+        logits = session.run(cloud).result.inference.forward.logits
+        backend = session.inference_engine.warm_state(256, 0).model.backend
+        held = sum(b.nbytes for b in backend._workspace.buffers.values())
+        assert held > 0
+        cold = Session(
+            config=session.config, task="classification", backend="fused",
+            response_cache_size=0,
+        )
+        cold.inference_engine.warm_state(256, 0)  # weights, no forward yet
+        payload = pickle.dumps(session)
+        # Same weights travel either way; the scratch does not.
+        assert len(payload) - len(pickle.dumps(cold)) < held // 2
+        clone = pickle.loads(payload)
+        clone_backend = clone.inference_engine.warm_state(256, 0).model.backend
+        assert clone_backend._workspace.buffers == {}
+        np.testing.assert_array_equal(
+            clone.run(cloud).result.inference.forward.logits, logits
+        )
 
 
 @pytest.mark.skipif(not torch_available(), reason="torch not installed")

@@ -1,5 +1,9 @@
 """Unit tests for the PointNet++ models."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -118,3 +122,32 @@ class TestFactory:
     def test_unknown_task(self):
         with pytest.raises(ValueError):
             build_model_for_task("detection", input_size=256)
+
+
+_LOGITS_DIGEST = """
+import hashlib
+from repro.datasets.synthetic import sample_cad_shape
+from repro.network.pointnet2 import build_model_for_task
+model = build_model_for_task("classification", input_size=96, neighbors=8)
+logits = model.forward(sample_cad_shape(96, seed=5)).logits
+print(hashlib.sha1(logits.tobytes()).hexdigest())
+"""
+
+
+class TestWeightsAcrossInterpreters:
+    def test_logits_do_not_depend_on_the_string_hash_seed(self):
+        """Weights are seeded from a CRC of the layer name, so interpreters
+        started with different ``PYTHONHASHSEED`` values (spawned workers,
+        other hosts, two CI runs) produce the same logits."""
+        digests = []
+        for hash_seed in ("1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+            env["PYTHONPATH"] = os.pathsep.join(p for p in sys.path if p)
+            done = subprocess.run(
+                [sys.executable, "-c", _LOGITS_DIGEST],
+                env=env, capture_output=True, text=True, timeout=120,
+            )
+            assert done.returncode == 0, done.stderr
+            digests.append(done.stdout.strip())
+        assert len(digests[0]) == 40
+        assert digests[0] == digests[1]
