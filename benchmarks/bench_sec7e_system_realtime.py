@@ -10,8 +10,8 @@ whole pipeline on scaled-down frames.
 
 from repro.analysis.figures import section7e_realtime
 from repro.core.config import HgPCNConfig, InferenceEngineConfig, PreprocessingConfig
-from repro.core.pipeline import HgPCNSystem
 from repro.datasets import KittiLikeDataset
+from repro.session import Session
 
 from conftest import emit
 
@@ -27,7 +27,7 @@ def test_sec7e_modelled_realtime(benchmark):
 def test_sec7e_functional_sequence(benchmark):
     """Functional pipeline over a short KITTI-like sequence."""
     dataset = KittiLikeDataset(num_frames=3, seed=0, scale=0.002)
-    system = HgPCNSystem(
+    session = Session(
         config=HgPCNConfig(
             preprocessing=PreprocessingConfig(num_samples=256, seed=0),
             inference=InferenceEngineConfig(
@@ -37,7 +37,7 @@ def test_sec7e_functional_sequence(benchmark):
         task="semantic_segmentation",
     )
     result = benchmark.pedantic(
-        lambda: system.process_sequence(dataset.frames()), rounds=1, iterations=1
+        lambda: session.run_sequence(dataset.frames()), rounds=1, iterations=1
     )
     emit(
         "Section VII-E (functional, scaled frames): modelled capacity "

@@ -1,8 +1,8 @@
 """Benchmark: cold per-frame construction vs a warm :class:`repro.Session`.
 
-The seed-era ``HgPCNSystem.process_cloud`` rebuilt the PointNet++ network,
-gatherer, and sampler for every frame; the Session API keeps that state warm
-and answers repeated frame content from its response cache.  This benchmark
+The seed-era one-shot pipeline rebuilt the PointNet++ network, gatherer, and
+sampler for every frame; the Session API keeps that state warm and answers
+repeated frame content from its response cache.  This benchmark
 replays a 20-frame KITTI-like service trace (five distinct sensor frames,
 each arriving four times -- the duplicate-request / replay pattern a serving
 fleet sees) two ways:

@@ -264,7 +264,7 @@ def build_scenarios(quick: bool) -> List[Scenario]:
     # Both sides run cold every round -- the per-frame cost each path really
     # pays downstream of ``Octree.build``: the flat side re-derives its
     # per-level code arrays and slot bounds, the scalar side re-materialises
-    # the pointer tree (which the pre-flat ``from_octree`` forced per frame)
+    # the pointer tree (which the pre-flat table walk forced per frame)
     # and re-walks it.
     def run_table_vec():
         octree_for_flat._level_codes = None
@@ -823,7 +823,7 @@ def _batch_dispatch_scenario(batch_frames: int, quick: bool) -> Scenario:
         ),
         run_reference=lambda: (
             batch_comparable(
-                session_sequential.run_batch(frames, batched=False)
+                session_sequential.run_batch(frames, batch_size=1)
             ),
             None,
         ),

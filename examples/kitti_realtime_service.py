@@ -15,17 +15,17 @@ from repro.accelerators import HgPCNInferenceAccelerator, InferenceWorkloadSpec
 from repro.accelerators.cpu import CPUExecutor
 from repro.analysis.realtime import evaluate_realtime
 from repro.core.config import HgPCNConfig, InferenceEngineConfig, PreprocessingConfig
-from repro.core.pipeline import HgPCNSystem
 from repro.datasets import KittiLikeDataset, get_benchmark
 from repro.hardware.interconnect import InterconnectModel
 from repro.hardware.octree_build_unit import OctreeBuildUnit
 from repro.hardware.sampling_module import DownSamplingUnit
+from repro.session import Session
 
 
 def functional_sequence() -> None:
     print("== functional pipeline on a scaled-down sequence ==")
     dataset = KittiLikeDataset(num_frames=4, seed=0, scale=0.003)
-    system = HgPCNSystem(
+    session = Session(
         config=HgPCNConfig(
             preprocessing=PreprocessingConfig(num_samples=512, seed=0),
             inference=InferenceEngineConfig(
@@ -34,7 +34,7 @@ def functional_sequence() -> None:
         ),
         task="semantic_segmentation",
     )
-    sequence = system.process_sequence(dataset.frames())
+    sequence = session.run_sequence(dataset.frames())
     for result in sequence.frame_results:
         print(
             f"  {result.frame_id}: pre {result.preprocessing_seconds * 1e3:.2f} ms, "

@@ -40,7 +40,7 @@ from repro.core.config import (
 )
 from repro.core.engine import InferenceEngine, PreprocessingEngine
 from repro.core.metrics import LatencyBreakdown, OpCounters
-from repro.core.pipeline import EndToEndResult, HgPCNSystem
+from repro.core.pipeline import EndToEndResult
 from repro.geometry.pointcloud import PointCloud
 from repro.registry import available, create
 from repro.session import BatchResult, FrameRequest, FrameResponse, Session
@@ -53,7 +53,6 @@ __all__ = [
     "FrameRequest",
     "FrameResponse",
     "HgPCNConfig",
-    "HgPCNSystem",
     "InferenceEngine",
     "InferenceEngineConfig",
     "LatencyBreakdown",

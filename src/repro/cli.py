@@ -262,9 +262,7 @@ def _run_serve(config: ServeConfig) -> int:
     # policy drive the server, a served response must match this exactly.
     expected = None
     if config.verify:
-        reference = Session(**session_options).run_batch(
-            requests, batched=False
-        )
+        reference = Session(**session_options).run_batch(requests, batch_size=1)
         expected = [response_signature(r) for r in reference.responses]
 
     endpoint_options = config.endpoint_options(len(requests), faults)

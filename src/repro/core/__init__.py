@@ -6,8 +6,9 @@ The two engines mirror Figure 1(b) / Figure 4 of the paper:
   + Down-sampling Unit (FPGA) running the OIS method.
 * :class:`~repro.core.engine.InferenceEngine` = Data Structuring Unit +
   Feature Computation Unit (both on the FPGA).
-* :class:`~repro.core.pipeline.HgPCNSystem` wires them together into the
-  end-to-end service evaluated in Section VII-E.
+* :class:`repro.session.Session` wires them together into the end-to-end
+  service evaluated in Section VII-E; :mod:`repro.core.pipeline` holds its
+  result types.
 """
 
 from repro.core.config import (
@@ -18,18 +19,16 @@ from repro.core.config import (
 )
 from repro.core.engine import InferenceEngine, PreprocessingEngine
 from repro.core.metrics import LatencyBreakdown, OpCounters, PhaseLatency
-from repro.core.pipeline import EndToEndResult, HgPCNSystem
+from repro.core.pipeline import EndToEndResult
 
 from repro import registry
 
 registry.register("engine", "preprocessing", PreprocessingEngine)
 registry.register("engine", "inference", InferenceEngine)
-registry.register("engine", "system", HgPCNSystem)
 
 __all__ = [
     "EndToEndResult",
     "HgPCNConfig",
-    "HgPCNSystem",
     "InferenceEngine",
     "InferenceEngineConfig",
     "LatencyBreakdown",

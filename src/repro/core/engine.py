@@ -135,11 +135,8 @@ class PreprocessingEngine:
         return registry.create("sampler", self.sampler_name, **options)
 
     def process(self, cloud: PointCloud) -> PreprocessingResult:
-        """Pre-process one raw frame: octree build + down-sampling."""
-        pre = self.config.preprocessing
-        depth = pre.octree_depth or suggest_depth(cloud.num_points)
-        octree = Octree.build(cloud, depth=depth)
-        return self._finish_frame(cloud, octree, depth)
+        """Pre-process one raw frame: :meth:`process_batch` with ``B = 1``."""
+        return self.process_batch(FrameBatch.from_clouds([cloud]))[0]
 
     def process_batch(self, batch: "FrameBatch") -> List[PreprocessingResult]:
         """Pre-process a same-shaped frame batch.
@@ -151,9 +148,9 @@ class PreprocessingEngine:
         Sampling and the latency/on-chip accounting stay per frame --
         spread over ``max_workers`` cores when configured -- and every
         returned :class:`PreprocessingResult` is bit-identical to
-        :meth:`process` on that frame alone, for any worker count: the
-        per-frame tail is pure (fresh sampler RNG per frame) and results
-        join in frame order.
+        processing that frame alone, for any worker count: the per-frame
+        tail is pure (fresh sampler RNG per frame) and results join in
+        frame order.
         """
         pre = self.config.preprocessing
         depth = pre.octree_depth or suggest_depth(batch.num_points)
@@ -170,7 +167,7 @@ class PreprocessingEngine:
     def _finish_frame(
         self, cloud: PointCloud, octree: Octree, depth: int
     ) -> PreprocessingResult:
-        """Shared per-frame tail: table, down-sampling, cost accounting."""
+        """Per-frame tail: table, down-sampling, cost accounting."""
         num_samples = min(self.config.preprocessing.num_samples, cloud.num_points)
 
         # Flat-path table construction: pure array work over the per-level
@@ -327,12 +324,8 @@ class InferenceEngine:
         return tuple(self._warm)
 
     def process(self, sampled: PointCloud) -> InferenceExecution:
-        """Run the PCN on one down-sampled input cloud."""
-        state = self.warm_state(sampled.num_points, sampled.num_feature_channels)
-        warm = state.uses > 0
-        state.uses += 1
-        forward = state.model.forward(sampled)
-        return self._finish_execution(sampled, forward, warm)
+        """Run the PCN on one input cloud: :meth:`process_batch` with ``B = 1``."""
+        return self.process_batch(FrameBatch.from_clouds([sampled]))[0]
 
     def process_batch(self, batch: FrameBatch) -> List[InferenceExecution]:
         """Run the PCN on a batch of same-shaped down-sampled inputs.
@@ -342,7 +335,7 @@ class InferenceEngine:
         every shared-MLP / FP / head layer sees one stacked operand for all
         frames -- while traces, workload extraction, and accelerator pricing
         stay per frame.  Each returned :class:`InferenceExecution` is
-        bit-identical to :meth:`process` on that frame alone, including the
+        bit-identical to processing that frame alone, including the
         ``warm`` flag sequence (the first frame of a cold shape reports
         ``warm=False``, every later one ``warm=True``).
         """
@@ -351,10 +344,7 @@ class InferenceEngine:
         for _ in range(len(batch)):
             warms.append(state.uses > 0)
             state.uses += 1
-        if hasattr(state.model, "forward_batch"):
-            forwards = state.model.forward_batch(batch)
-        else:
-            forwards = [state.model.forward(cloud) for cloud in batch.clouds]
+        forwards = state.model.forward_batch(batch)
         # Resolve the accelerator probe on the calling thread so the
         # parallel per-frame tails only read it.
         self._ensure_measured_probe()
@@ -367,7 +357,7 @@ class InferenceEngine:
     def _finish_execution(
         self, sampled: PointCloud, forward: ForwardResult, warm: bool
     ) -> InferenceExecution:
-        """Shared per-frame tail: workload extraction + accelerator pricing."""
+        """Per-frame tail: workload extraction + accelerator pricing."""
         inf = self.config.inference
         workload = extract_workload(forward)
 

@@ -1,29 +1,22 @@
-"""The end-to-end HgPCN system (pre-processing + inference).
+"""Result types of the end-to-end HgPCN pipeline (pre-processing + inference).
 
-:class:`HgPCNSystem` chains the two engines on a per-frame basis and exposes
-the system-level, real-time evaluation of Section VII-E: process a timestamped
-frame sequence and check whether the service keeps up with the sensor's data
-generation rate.
+:class:`EndToEndResult` is one frame through both engines;
+:class:`SequenceResult` is the system-level, real-time evaluation of Section
+VII-E: a timestamped frame sequence and whether the service keeps up with
+the sensor's data generation rate.  :class:`repro.session.Session` produces
+both.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from dataclasses import dataclass
+from typing import List, Optional
 
 import numpy as np
 
-from repro.core.config import HgPCNConfig
-from repro.core.engine import (
-    InferenceEngine,
-    InferenceExecution,
-    PreprocessingEngine,
-    PreprocessingResult,
-)
+from repro.core.engine import InferenceExecution, PreprocessingResult
 from repro.core.metrics import LatencyBreakdown
-from repro.datasets.base import Frame, PointCloudDataset
-from repro.datasets.lidar import LidarSensorModel, ServiceTrace
-from repro.geometry.pointcloud import PointCloud
+from repro.datasets.lidar import ServiceTrace
 
 
 @dataclass
@@ -54,7 +47,7 @@ class SequenceResult:
     frame_results: List[EndToEndResult]
     service_trace: Optional[ServiceTrace] = None
     #: Whether cross-frame pipelining was modelled (see
-    #: :meth:`HgPCNSystem.process_sequence`).
+    #: :meth:`repro.session.Session.run_sequence`).
     pipelined: bool = False
 
     def frame_latencies(self) -> List[float]:
@@ -88,74 +81,3 @@ class SequenceResult:
         if self.service_trace is None:
             return True
         return self.service_trace.keeps_up()
-
-
-@dataclass
-class HgPCNSystem:
-    """End-to-end HgPCN: Pre-processing Engine + Inference Engine.
-
-    Retained as a thin compatibility shim over :class:`repro.session.Session`
-    -- the session owns the engines and the warm model/sampler state, so a
-    long-lived ``HgPCNSystem`` now also reuses its constructed network across
-    same-shaped frames instead of rebuilding it per frame.  The session's
-    content-addressed response cache is *disabled* here to preserve the old
-    memory profile (it would retain whole frames and results); new code
-    should construct a ``Session`` directly and opt into it.
-    """
-
-    config: HgPCNConfig = field(default_factory=HgPCNConfig)
-    task: str = "semantic_segmentation"
-    preprocessing_engine: Optional[PreprocessingEngine] = None
-    inference_engine: Optional[InferenceEngine] = None
-
-    def __post_init__(self) -> None:
-        # Imported here: repro.session imports the result types above.
-        from repro.session import Session
-
-        self._session = Session(
-            config=self.config,
-            task=self.task,
-            response_cache_size=0,
-            preprocessing_engine=self.preprocessing_engine,
-            inference_engine=self.inference_engine,
-        )
-        self.preprocessing_engine = self._session.preprocessing_engine
-        self.inference_engine = self._session.inference_engine
-
-    @property
-    def session(self) -> "Session":
-        """The warm :class:`~repro.session.Session` backing this facade."""
-        return self._session
-
-    # ------------------------------------------------------------------
-    def process_cloud(self, cloud: PointCloud, frame_id: str = "frame") -> EndToEndResult:
-        """Run the full pipeline on one raw frame."""
-        return self._session.run(cloud, frame_id=frame_id).result
-
-    def process_frame(self, frame: Frame) -> EndToEndResult:
-        from repro.session import FrameRequest
-
-        return self._session.run(FrameRequest.from_frame(frame)).result
-
-    # ------------------------------------------------------------------
-    def process_sequence(
-        self,
-        frames: Sequence[Frame] | PointCloudDataset,
-        sensor: Optional[LidarSensorModel] = None,
-        pipelined: bool = False,
-    ) -> SequenceResult:
-        """Process a frame sequence and evaluate real-time behaviour.
-
-        When ``sensor`` is given (or the frames carry timestamps implying a
-        rate), the per-frame modelled latencies are queued through the
-        sensor's arrival schedule to decide whether the service keeps up with
-        the data generation rate -- the Section VII-E criterion.
-
-        ``pipelined`` models cross-frame overlap: the Octree-build Unit (CPU)
-        prepares frame ``i+1`` while the FPGA engines process frame ``i``,
-        which the shared-memory platform permits because the two phases use
-        disjoint resources.  Functional outputs are unchanged; only the
-        latency seen by the arrival queue drops to the slower of the two
-        phases per frame.
-        """
-        return self._session.run_sequence(frames, sensor=sensor, pipelined=pipelined)

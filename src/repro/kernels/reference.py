@@ -734,7 +734,7 @@ def filter_occupied_scalar(codes, occupied) -> List[int]:
 # Octree-Table construction (pre-flat recursive pointer-tree emit)
 # ----------------------------------------------------------------------
 def octree_table_scalar(octree: Octree):
-    """The pre-flat ``OctreeTable.from_octree``: recursive node-by-node emit.
+    """The pre-flat Octree-Table construction: recursive node-by-node emit.
 
     Walks the pointer tree (forcing its lazy materialisation when needed),
     collecting one row per node in pre-order with dict child links, then

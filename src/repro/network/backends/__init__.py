@@ -10,9 +10,6 @@ component family follows):
   construction.
 * ``numpy`` -- the whole-operand path every contract is stated against,
   contract = bit-identity.
-* ``torch`` -- optional; only registered when PyTorch is importable, so
-  ``registry.available("backend")`` always lists exactly the backends that
-  can actually run on this host.
 
 Call sites resolve backends through :func:`resolve_backend`, which accepts
 a registry name, an existing instance, or ``None`` for the process default
@@ -28,7 +25,6 @@ from typing import Dict, Optional, Union
 
 from repro import registry
 from repro.network.backends.base import (
-    BackendUnavailable,
     ComputeBackend,
     DenseStage,
     EquivalenceContract,
@@ -38,12 +34,9 @@ from repro.network.backends.base import (
 )
 from repro.network.backends.fused import FusedBlockedBackend
 from repro.network.backends.numpy_backend import NumpyBackend
-from repro.network.backends.torch_backend import TorchBackend, torch_available
 
 registry.register("backend", "numpy", NumpyBackend)
 registry.register("backend", "fused", FusedBlockedBackend)
-if torch_available():  # pragma: no cover - exercised only with torch present
-    registry.register("backend", "torch", TorchBackend)
 
 #: One shared instance per name, so repeated resolution (every Session,
 #: every warm model) reuses it and its per-thread workspaces.
@@ -81,18 +74,15 @@ def resolve_backend(
 
 
 __all__ = [
-    "BackendUnavailable",
     "ComputeBackend",
     "DenseStage",
     "EquivalenceContract",
     "FusedBlockedBackend",
     "NumpyBackend",
-    "TorchBackend",
     "clear_calibration_cache",
     "default_backend_name",
     "dense_shapes",
     "fold_stages",
     "get_backend",
     "resolve_backend",
-    "torch_available",
 ]

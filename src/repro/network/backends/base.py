@@ -2,13 +2,13 @@
 
 A :class:`ComputeBackend` owns the *execution strategy* of the stacked
 PointNet++ forward: every row-wise dense layer (FP refinements, heads) in
-:mod:`repro.network.pointnet2` -- single-frame and batched alike -- goes
-through :meth:`ComputeBackend.apply`, and every set abstraction (gather,
+:mod:`repro.network.pointnet2` goes through :meth:`ComputeBackend.apply`,
+and every set abstraction (gather,
 centre, shared MLP, max over the group) through
 :meth:`ComputeBackend.apply_grouped`.  Swapping the backend changes *how*
 ``x @ W + b`` / batch-norm / ReLU / pooling are scheduled (one whole-array
 pass per op, cache-blocked fused passes streamed from the neighbour rows,
-torch kernels, ...) but never *what* is computed, and every backend
+...) but never *what* is computed, and every backend
 declares how close its outputs are to the reference numpy backend via an
 explicit :class:`EquivalenceContract`:
 
@@ -21,12 +21,13 @@ explicit :class:`EquivalenceContract`:
 Orthogonally to the numpy-equivalence contract, every backend MUST be
 **dispatch invariant**: applying a stacked ``(B * rows, C)`` operand frame
 by frame or as one batch must produce bit-identical rows *for that same
-backend*.  That invariance is what keeps ``Session.run_batch(batched=True)``
-bit-identical to the sequential path -- and the serving/chaos soaks green --
-under every backend.  Backends either guarantee it by construction (the
-default fused backend's blocks never span frames) or calibrate it per
-layer shape with :meth:`ComputeBackend.stack_rows_safe` and fall back to
-per-frame dispatch where the probe fails (the numpy and torch backends).
+backend*.  That invariance is what makes a frame's ``Session.run_batch``
+response independent of how the stream was chunked and stacked -- and keeps
+the serving/chaos soaks green -- under every backend.  Backends either
+guarantee it by construction (the default fused backend's blocks never span
+frames) or calibrate it per layer shape with
+:meth:`ComputeBackend.stack_rows_safe` and fall back to per-frame dispatch
+where the probe fails (the numpy backend).
 
 The calibration cache is keyed on the **backend name** as well as the layer
 shape: two backends sharing a process (or two BLAS configurations behind
@@ -42,15 +43,6 @@ import numpy as np
 
 from repro.kernels import frame_offsets
 from repro.network.layers import BatchNorm, Dense, SharedMLP
-
-
-class BackendUnavailable(RuntimeError):
-    """Raised when a registered backend cannot run on this host.
-
-    The message says what is missing (e.g. ``torch``), so a CLI user asking
-    for an optional backend gets a diagnosis instead of an ImportError deep
-    inside the forward pass.
-    """
 
 
 @dataclass(frozen=True)
@@ -320,10 +312,9 @@ class ComputeBackend:
         rows_per_frame: int,
         num_frames: int,
     ) -> bool:
-        """Probe the backend's matmul kernel for stacking invariance.
+        """Probe the numpy matmul kernel for stacking invariance.
 
-        The default probe runs the backend's own matmul via
-        :meth:`_probe_matmul` on a random ``(rows_per_frame, in_features)``
+        The probe multiplies a random ``(rows_per_frame, in_features)``
         operand against itself tiled ``num_frames`` times, so any
         kernel-selection threshold the real shapes straddle is the one being
         tested (a fixed probe shape could certify a regime the real operands
@@ -332,13 +323,8 @@ class ComputeBackend:
         rng = np.random.default_rng(1_000_003 * in_features + out_features)
         x = rng.standard_normal((rows_per_frame, in_features))
         weight = rng.standard_normal((in_features, out_features))
-        small = self._probe_matmul(x, weight)
-        tiled = self._probe_matmul(np.tile(x, (num_frames, 1)), weight)
-        return bool(np.array_equal(tiled, np.tile(small, (num_frames, 1))))
-
-    def _probe_matmul(self, x: np.ndarray, weight: np.ndarray) -> np.ndarray:
-        """The matmul kernel the stacking probe certifies (numpy by default)."""
-        return x @ weight
+        tiled = np.tile(x, (num_frames, 1)) @ weight
+        return bool(np.array_equal(tiled, np.tile(x @ weight, (num_frames, 1))))
 
     # ------------------------------------------------------------------
     def describe(self) -> Dict[str, object]:

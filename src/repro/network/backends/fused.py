@@ -30,8 +30,8 @@ Dispatch invariance, by contrast, is exact by construction: the block
 decomposition is a pure function of the layer shapes and the per-frame
 operand shape, and blocks never span a frame boundary -- so a stacked call
 performs literally the same block-sized kernel calls as the per-frame
-calls, and ``Session.run_batch(batched=True)`` stays bit-identical to the
-sequential path under this backend.
+calls, and a ``Session.run_batch`` response does not depend on how the
+frames were stacked under this backend.
 """
 
 from __future__ import annotations

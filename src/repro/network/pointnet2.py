@@ -29,16 +29,17 @@ from repro.kernels import frame_offsets, stack_frames
 from repro.network.backends import ComputeBackend, resolve_backend
 from repro.network.layers import Dense, ReLU, SharedMLP, softmax
 
-# Every dense-layer application and every set abstraction below --
-# single-frame and stacked alike -- goes through a pluggable ComputeBackend
+# Every layer below has one implementation, ``forward_batch`` over a stack
+# of B same-shaped frames; the single-frame names (``__call__``,
+# ``forward``) are that with B = 1.  Every dense-layer application and
+# every set abstraction goes through a pluggable ComputeBackend
 # (repro/network/backends/): the default fused backend streams cache-sized
 # blocks, the numpy backend reproduces the historical whole-operand path
 # bit-identically (including the per-(backend, layer-shape) stacking
 # calibration and its single-row / BLAS-edge per-frame fallbacks), and
 # every backend states its closeness to numpy as an explicit equivalence
-# contract.  Routing *both* forward paths through the backend is what
-# keeps the batched path bit-identical to the sequential one under every
-# backend.
+# contract.  Backends are dispatch invariant, so a frame's result does not
+# depend on how many frames share its stack.
 
 
 @dataclass
@@ -245,43 +246,14 @@ class FeaturePropagation:
         coarse_cloud: PointCloud,
         coarse_features: np.ndarray,
     ) -> tuple[np.ndarray, LayerTrace]:
-        if coarse_cloud.num_points == 1:
-            interpolated = np.repeat(coarse_features, dense_cloud.num_points, axis=0)
-        else:
-            # Select the 3 nearest coarse points on squared distances (sqrt
-            # is monotone, so the selection is unchanged); the sqrt is paid
-            # only for the k kept entries that feed the inverse-distance
-            # weights -- the same convention as the FPS sampler.
-            diff = (
-                dense_cloud.points[:, None, :] - coarse_cloud.points[None, :, :]
-            )
-            sq_dist = (diff**2).sum(axis=-1)
-            k = min(3, coarse_cloud.num_points)
-            nearest = np.argpartition(sq_dist, kth=k - 1, axis=1)[:, :k]
-            near_dist = (
-                np.sqrt(np.take_along_axis(sq_dist, nearest, axis=1)) + 1e-10
-            )
-            weights = 1.0 / near_dist
-            weights = weights / weights.sum(axis=1, keepdims=True)
-            interpolated = (coarse_features[nearest] * weights[..., None]).sum(axis=1)
-
-        if dense_features is not None:
-            combined = np.concatenate([dense_features, interpolated], axis=-1)
-        else:
-            combined = interpolated
-        if combined.shape[-1] != self.mlp.in_features:
-            raise ValueError(
-                f"{self.name}: MLP expects {self.mlp.in_features} input "
-                f"channels, got {combined.shape[-1]}"
-            )
-        refined = self.backend.apply(self.mlp, combined)
-        trace = LayerTrace(
-            name=f"{self.name}.mlp",
-            num_vectors=combined.shape[0],
-            mac_ops=self.mlp.mac_count(combined.shape[0]),
-            output_channels=self.mlp.out_features,
+        """Run the layer on one frame: :meth:`forward_batch` with ``B = 1``."""
+        refined, traces = self.forward_batch(
+            [dense_cloud],
+            None if dense_features is None else dense_features[None],
+            [coarse_cloud],
+            coarse_features[None],
         )
-        return refined, trace
+        return refined[0], traces[0]
 
     # ------------------------------------------------------------------
     def forward_batch(
@@ -293,10 +265,13 @@ class FeaturePropagation:
     ) -> Tuple[np.ndarray, List[LayerTrace]]:
         """Propagate features for a stack of B same-shaped frames.
 
-        The nearest-coarse-point selection runs on the flattened
-        ``(B * N, M)`` distance matrix (per-row selection is independent,
-        so the rows are bit-identical to the per-frame ones) and the
-        refining MLP runs once over the stacked ``(B * N, C)`` operand.
+        The three nearest coarse points are selected on squared distances
+        (sqrt is monotone, so the selection is unchanged; the sqrt is paid
+        only for the k kept entries that feed the inverse-distance weights
+        -- the same convention as the FPS sampler) over the flattened
+        ``(B * N, M)`` distance matrix -- per-row selection is independent,
+        so a frame's rows do not depend on its stack -- and the refining
+        MLP runs once over the stacked ``(B * N, C)`` operand.
         ``dense_features`` / ``coarse_features`` are stacked ``(B, N, F)`` /
         ``(B, M, C)`` tensors; returns the stacked ``(B, N, C_out)`` output
         plus one per-frame trace.
@@ -354,6 +329,14 @@ class FeaturePropagation:
         return refined.reshape(num_frames, num_dense, -1), traces
 
 
+def _batch_of_one(cloud: PointCloud):
+    """``cloud`` as a one-frame :class:`~repro.core.framebatch.FrameBatch`."""
+    # Imported here: repro.core imports this module for its engines.
+    from repro.core.framebatch import FrameBatch
+
+    return FrameBatch.from_clouds([cloud])
+
+
 class PointNet2Classification:
     """PointNet++ (SSG) shape classification -- ``Pointnet++(c)`` of Table I."""
 
@@ -406,40 +389,8 @@ class PointNet2Classification:
         self._relu = ReLU()
 
     def forward(self, cloud: PointCloud) -> ForwardResult:
-        features = cloud.features
-        sa_traces: List[SetAbstractionTrace] = []
-
-        cloud1, feat1, trace1 = self.sa1(cloud, features)
-        sa_traces.append(trace1)
-        cloud2, feat2, trace2 = self.sa2(cloud1, feat1)
-        sa_traces.append(trace2)
-        _cloud3, feat3, trace3 = self.sa3(cloud2, feat2)
-        sa_traces.append(trace3)
-
-        head_traces: List[LayerTrace] = []
-        x = feat3
-        for fc in (self.fc1, self.fc2):
-            x = self._relu(self.backend.apply(fc, x))
-            head_traces.append(
-                LayerTrace(
-                    name=fc.name,
-                    num_vectors=x.shape[0],
-                    mac_ops=fc.mac_count(x.shape[0]),
-                    output_channels=fc.out_features,
-                )
-            )
-        logits = self.backend.apply(self.fc3, x)
-        head_traces.append(
-            LayerTrace(
-                name=self.fc3.name,
-                num_vectors=x.shape[0],
-                mac_ops=self.fc3.mac_count(x.shape[0]),
-                output_channels=self.fc3.out_features,
-            )
-        )
-        return ForwardResult(
-            logits=logits, sa_traces=sa_traces, head_traces=head_traces
-        )
+        """Forward one frame: :meth:`forward_batch` with ``B = 1``."""
+        return self.forward_batch(_batch_of_one(cloud))[0]
 
     def forward_batch(self, batch) -> List[ForwardResult]:
         """Forward a :class:`~repro.core.framebatch.FrameBatch` of frames.
@@ -447,10 +398,9 @@ class PointNet2Classification:
         The three SA layers run stacked (one shared-MLP matmul per layer for
         the whole batch).  The classification head operates on one global
         feature vector per frame -- a single-row operand, which BLAS
-        dispatches through its matrix-vector path -- so it runs per frame to
-        stay bit-identical to the sequential forward (the backend's
-        single-frame dispatch).  Returns one per-frame
-        :class:`ForwardResult`, bit-identical to ``forward`` on each frame.
+        dispatches through its matrix-vector path -- so it runs per frame
+        and a frame's logits do not depend on its stack.  Returns one
+        :class:`ForwardResult` per frame.
         """
         clouds = list(batch.clouds)
         features = batch.features
@@ -539,40 +489,16 @@ class PointNet2Segmentation:
         self.head = Dense(128, num_classes, name="seg.head")
 
     def forward(self, cloud: PointCloud) -> ForwardResult:
-        features = cloud.features
-        sa_traces: List[SetAbstractionTrace] = []
-        head_traces: List[LayerTrace] = []
-
-        cloud1, feat1, trace1 = self.sa1(cloud, features)
-        sa_traces.append(trace1)
-        cloud2, feat2, trace2 = self.sa2(cloud1, feat1)
-        sa_traces.append(trace2)
-
-        up1, fp_trace1 = self.fp1(cloud1, feat1, cloud2, feat2)
-        head_traces.append(fp_trace1)
-        up0, fp_trace0 = self.fp0(cloud, features, cloud1, up1)
-        head_traces.append(fp_trace0)
-
-        logits = self.backend.apply(self.head, up0)
-        head_traces.append(
-            LayerTrace(
-                name=self.head.name,
-                num_vectors=up0.shape[0],
-                mac_ops=self.head.mac_count(up0.shape[0]),
-                output_channels=self.head.out_features,
-            )
-        )
-        return ForwardResult(
-            logits=logits, sa_traces=sa_traces, head_traces=head_traces
-        )
+        """Forward one frame: :meth:`forward_batch` with ``B = 1``."""
+        return self.forward_batch(_batch_of_one(cloud))[0]
 
     def forward_batch(self, batch) -> List[ForwardResult]:
         """Forward a :class:`~repro.core.framebatch.FrameBatch` of frames.
 
         Both SA layers, both FP layers, and the per-point head run stacked:
         each underlying dense layer sees one ``(B * rows, C)`` operand, so
-        the whole batch is one matmul per layer.  Returns one per-frame
-        :class:`ForwardResult`, bit-identical to ``forward`` on each frame.
+        the whole batch is one matmul per layer.  Returns one
+        :class:`ForwardResult` per frame.
         """
         clouds = list(batch.clouds)
         features = batch.features

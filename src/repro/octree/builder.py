@@ -21,9 +21,9 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from repro.geometry.bbox import AxisAlignedBox
-from repro.geometry.morton import morton_encode_points, voxel_center
+from repro.geometry.morton import voxel_center
 from repro.geometry.pointcloud import PointCloud
-from repro.kernels import bucketize_codes, unique_sorted
+from repro.kernels import unique_sorted
 from repro.octree.node import OctreeNode
 
 
@@ -82,25 +82,10 @@ class Octree:
         cls,
         cloud: PointCloud,
         depth: int,
-        box: Optional[AxisAlignedBox] = None,
         padding: float = 1e-9,
     ) -> "Octree":
-        """Build an octree of ``depth`` levels below the root over ``cloud``.
-
-        The construction is vectorised (a single m-code computation over the
-        whole cloud followed by a sort), which mirrors the single-pass nature
-        of the hardware algorithm while staying fast in Python.
-        """
-        if cloud.num_points == 0:
-            raise ValueError("cannot build an octree over an empty cloud")
-        if box is None:
-            box = cloud.bounds().as_cube(padding=padding)
-
-        codes = morton_encode_points(cloud.points, box, depth)
-        order, unique_codes, starts, counts = bucketize_codes(codes)
-        return cls._assemble(
-            cloud, depth, box, codes, order, unique_codes, starts, counts
-        )
+        """Build one frame's octree: :meth:`build_batch` with ``B = 1``."""
+        return cls.build_batch([cloud], depth, padding)[0]
 
     @classmethod
     def build_batch(
@@ -111,12 +96,14 @@ class Octree:
     ) -> List["Octree"]:
         """Build one octree per frame of a same-shaped batch.
 
-        The heavy kernel work is issued once for the whole stack -- one
+        The construction is vectorised, which mirrors the single-pass
+        nature of the hardware algorithm while staying fast in Python: the
+        heavy kernel work is issued once for the whole stack -- one
         bit-spreading m-code encode over the ``(B * N, 3)`` voxel indices
         and one stable ``argsort`` over the ``(B, N)`` code matrix -- while
         the per-frame assembly (unique leaf codes, node counting, stats)
-        stays frame-local.  Every returned octree is bit-identical (codes,
-        permutation, stats, box) to ``Octree.build`` on that frame alone.
+        stays frame-local, so a frame's octree (codes, permutation, stats,
+        box) does not depend on its batch.
         """
         from repro.kernels import encode_cells, stack_frames
 
@@ -185,7 +172,7 @@ class Octree:
         starts: np.ndarray,
         counts: np.ndarray,
     ) -> "Octree":
-        """Assemble an octree from pre-bucketed m-codes (shared build tail)."""
+        """Assemble one frame's octree from its pre-bucketed m-codes."""
         stats = OctreeBuildStats(num_points=cloud.num_points, depth=depth)
         # One streaming read of every raw point (coordinates) ...
         stats.host_memory_reads += cloud.num_points

@@ -14,11 +14,10 @@ FPGA table walk assumes.
 
 :meth:`OctreeTable.from_flat` builds the whole table from the octree's flat
 per-level code arrays -- pure ``searchsorted``/``lexsort`` array work that
-never materialises an :class:`~repro.octree.node.OctreeNode`.
-:meth:`OctreeTable.from_octree` is the compatibility constructor that walks
-the pointer tree (forcing its lazy materialisation) and produces the same
-arrays row for row.  :class:`OctreeTableEntry` remains as a thin per-row
-view for existing consumers.
+never materialises an :class:`~repro.octree.node.OctreeNode`.  The frozen
+pointer-tree walk it must match row for row is
+``kernels.reference.octree_table_scalar``.  :class:`OctreeTableEntry` is a
+thin per-row view.
 
 The table also knows its own on-chip footprint in bits, which is what the
 Figure 13 on-chip-memory analysis measures.
@@ -33,7 +32,6 @@ import numpy as np
 
 from repro.kernels import gather_ragged
 from repro.octree.builder import Octree
-from repro.octree.node import OctreeNode
 
 
 @dataclass(frozen=True)
@@ -183,56 +181,6 @@ class OctreeTable:
         )
 
     @classmethod
-    def from_octree(cls, octree: Octree) -> "OctreeTable":
-        """Flatten a pointer-based octree into table form (compat path).
-
-        Walks the materialised pointer tree node by node -- the pre-PR
-        construction -- and packs the emitted rows into the same arrays as
-        :meth:`from_flat`.  Runtime consumers use :meth:`from_flat`; this
-        constructor remains for pointer-tree callers and as the behavioural
-        anchor of the flat path.
-        """
-        # First pass: assign leaf address ranges in SFC order.
-        leaf_ranges: Dict[int, Tuple[int, int]] = {}
-        cursor = 0
-        for leaf in octree.leaves_in_sfc_order():
-            start = cursor
-            cursor += leaf.num_points
-            leaf_ranges[leaf.code] = (start, cursor)
-
-        # Second pass: pre-order traversal emitting rows; children are fixed
-        # up after their rows exist.
-        codes: List[int] = []
-        levels: List[int] = []
-        leaf_flags: List[bool] = []
-        children: List[Dict[int, int]] = []
-        addr: List[Tuple[int, int]] = []
-
-        def emit(node: OctreeNode) -> int:
-            row = len(codes)
-            codes.append(node.code)
-            levels.append(node.level)
-            leaf_flags.append(node.is_leaf)
-            children.append({})
-            addr.append(
-                leaf_ranges.get(node.code, (0, 0)) if node.is_leaf else (0, 0)
-            )
-            for octant in node.occupied_octants():
-                children[row][octant] = emit(node.children[octant])
-            return row
-
-        root_index = emit(octree.root)
-        return cls._from_rows(
-            depth=octree.depth,
-            codes=codes,
-            levels=levels,
-            leaf_flags=leaf_flags,
-            children=children,
-            addr=addr,
-            root_index=root_index,
-        )
-
-    @classmethod
     def _from_rows(
         cls,
         depth: int,
@@ -243,7 +191,10 @@ class OctreeTable:
         addr: List[Tuple[int, int]],
         root_index: int,
     ) -> "OctreeTable":
-        """Pack per-row Python records into the parallel-array layout."""
+        """Pack per-row Python records into the parallel-array layout.
+
+        The constructor behind ``kernels.reference.octree_table_scalar``.
+        """
         total = len(codes)
         child_bounds = np.zeros(total + 1, dtype=np.intp)
         child_rows: List[int] = []

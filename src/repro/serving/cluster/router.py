@@ -62,7 +62,6 @@ from repro.session import (
     FrameRequest,
     Session,
     SubmitOptions,
-    _UNSET,
 )
 
 if TYPE_CHECKING:  # imported lazily at runtime to avoid a cycle
@@ -254,16 +253,12 @@ class ShardRouter:
         frame: FrameLike,
         frame_id: Optional[str] = None,
         options: Optional[SubmitOptions] = None,
-        *,
-        block: object = _UNSET,
-        timeout: object = _UNSET,
-        ttl: object = _UNSET,
     ):
         """Admit one frame on its consistent-hash shard; returns a future.
 
         Per-request knobs travel as one
-        :class:`~repro.session.SubmitOptions` (legacy ``block``/
-        ``timeout``/``ttl`` kwargs still work behind a deprecation shim).
+        :class:`~repro.session.SubmitOptions`, forwarded untouched to the
+        shard.
 
         When the ring owner is down -- stopped, breaker-open, or erroring
         at submit -- the request **fails over** along the ring to the next
@@ -274,10 +269,6 @@ class ShardRouter:
         """
         if not self._started:
             self.start()
-        options = SubmitOptions.coerce(
-            options, block=block, timeout=timeout, ttl=ttl,
-            caller="ShardRouter.submit",
-        )
         request = FrameRequest.coerce(frame, index=next(self._counter))
         if frame_id is not None:
             request = dataclasses.replace(request, frame_id=frame_id)

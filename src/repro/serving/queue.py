@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Deque, List, Optional
 
 from repro.serving.metrics import Clock
-from repro.session import FrameRequest, SubmitOptions, _UNSET
+from repro.session import FrameRequest, SubmitOptions
 
 
 #: Blocking submitters wake at least this often (real seconds) to re-check
@@ -107,18 +107,14 @@ class AdmissionQueue:
         request: FrameRequest,
         options: Optional[SubmitOptions] = None,
         *,
-        block: object = _UNSET,
-        timeout: object = _UNSET,
-        ttl: object = _UNSET,
         priority: int = 0,
         class_name: str = "default",
     ) -> QueuedRequest:
         """Admit ``request``; returns its queue entry (future included).
 
-        Per-request knobs travel as one :class:`~repro.session.SubmitOptions`
-        (the legacy ``block``/``timeout``/``ttl`` kwargs still work behind a
-        deprecation shim).  ``options.ttl`` (seconds, > 0) stamps an
-        absolute deadline on the entry; expired entries are shed before
+        Per-request knobs travel as one
+        :class:`~repro.session.SubmitOptions`.  ``options.ttl`` (seconds,
+        > 0) stamps an absolute deadline on the entry; expired entries are shed before
         dispatch rather than served.  ``priority``/``class_name`` are the
         *resolved* policy values stamped by the owning server (the raw
         ``options.priority``/``options.class_name`` may be ``None``).
@@ -128,10 +124,7 @@ class AdmissionQueue:
         and :class:`QueueClosed` after :meth:`close`.  A full queue first
         sheds its own expired entries to make room.
         """
-        options = SubmitOptions.coerce(
-            options, block=block, timeout=timeout, ttl=ttl,
-            caller="AdmissionQueue.submit",
-        )
+        options = SubmitOptions.coerce(options)
         ttl_seconds = options.ttl
         shed: List[QueuedRequest] = []
         try:

@@ -76,7 +76,6 @@ from repro.session import (
     FrameResponse,
     Session,
     SubmitOptions,
-    _UNSET,
 )
 
 #: How long the scheduler sleeps waiting for work when nothing is pending.
@@ -355,20 +354,15 @@ class FrameServer:
         frame: FrameLike,
         frame_id: Optional[str] = None,
         options: Optional[SubmitOptions] = None,
-        *,
-        block: object = _UNSET,
-        timeout: object = _UNSET,
-        ttl: object = _UNSET,
     ):
         """Admit one frame; returns a future resolving to a FrameResponse.
 
         Per-request knobs travel as one
-        :class:`~repro.session.SubmitOptions` (the legacy
-        ``block``/``timeout``/``ttl`` kwargs still work behind a
-        deprecation shim).  ``options.ttl`` (seconds, > 0) bounds how long
-        the request may wait before dispatch: past it, the future resolves
-        with :class:`~repro.serving.resilience.DeadlineExceeded` instead
-        of being served (never a silent drop).
+        :class:`~repro.session.SubmitOptions`.  ``options.ttl`` (seconds,
+        > 0) bounds how long the request may wait before dispatch: past it,
+        the future resolves with
+        :class:`~repro.serving.resilience.DeadlineExceeded` instead of
+        being served (never a silent drop).
         ``options.class_name``/``options.priority`` select the serving
         policy class (ignored without a policy beyond metrics labelling).
 
@@ -382,10 +376,7 @@ class FrameServer:
         """
         if not self._started:
             self.start()
-        options = SubmitOptions.coerce(
-            options, block=block, timeout=timeout, ttl=ttl,
-            caller="FrameServer.submit",
-        )
+        options = SubmitOptions.coerce(options)
         request = FrameRequest.coerce(frame, index=next(self._submit_counter))
         if frame_id is not None:
             request = dataclasses.replace(request, frame_id=frame_id)

@@ -1,9 +1,7 @@
 """Session-based pipeline API: warm state + request/response framing.
 
-The one-shot :class:`~repro.core.pipeline.HgPCNSystem` facade rebuilds the
-PointNet++ network, its gatherer, and the OIS sampler for every frame.  A
-:class:`Session` is the serving-oriented entry point that owns that warm
-state instead:
+A :class:`Session` is the entry point of the pipeline and owns its warm
+state:
 
 * the **Inference Engine's model cache** keyed by ``(task, input_size,
   feature_channels)`` -- repeated :meth:`Session.run` calls on same-shaped
@@ -14,9 +12,10 @@ state instead:
   a serving fleet) is answered without recomputing anything.
 
 Requests and responses are explicit dataclasses (:class:`FrameRequest`,
-:class:`FrameResponse`, :class:`BatchResult`), and :meth:`Session.run_batch`
-groups same-shaped frames so each shape's warm-up is paid once before the
-group is processed back-to-back.  Components are referenced by their
+:class:`FrameResponse`, :class:`BatchResult`).  :meth:`Session.run_batch`
+is the one execution path: it groups same-shaped frames so each shape's
+warm-up is paid once and the group travels the engines as a stack;
+:meth:`Session.run` is a batch of one.  Components are referenced by their
 registry names (``sampler="ois"``, ``accelerator="hgpcn"``), which keeps the
 session constructor free of concrete imports::
 
@@ -24,16 +23,12 @@ session constructor free of concrete imports::
     session = Session(task="semantic_segmentation", sampler="ois")
     response = session.run(cloud)
     batch = session.run_batch(dataset)
-
-:class:`~repro.core.pipeline.HgPCNSystem` remains as a thin compatibility
-shim over a Session.
 """
 
 from __future__ import annotations
 
 import hashlib
 import threading
-import warnings
 from collections import OrderedDict
 from dataclasses import dataclass, field, replace
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
@@ -58,22 +53,17 @@ FrameLike = Union["FrameRequest", Frame, PointCloud]
 #: per batch-native dispatch), the same for every compute backend.
 DEFAULT_BATCH_ROWS_BUDGET = 512
 
-#: Sentinel distinguishing "legacy kwarg not passed" from an explicit value
-#: (``block=False`` and ``block`` omitted must behave identically, but only
-#: the explicit spelling should trigger the deprecation shim).
-_UNSET: Any = object()
-
 
 @dataclass(frozen=True)
 class SubmitOptions:
     """Per-request options for the asynchronous submit path.
 
-    One typed bundle replaces the ``block``/``timeout``/``ttl`` kwarg pile
-    that :meth:`Session.submit`, ``FrameServer.submit``, and
-    ``AdmissionQueue.submit`` each used to re-declare; the same object is
-    threaded through all three layers untouched.  Lives here (not in
-    :mod:`repro.serving`) because the serving queue imports this module --
-    the options travel *down* the dependency graph with the request.
+    One typed bundle that :meth:`Session.submit`, ``FrameServer.submit``,
+    ``ShardRouter.submit`` and ``AdmissionQueue.submit`` all take as
+    ``options=``; the same object is threaded through the layers
+    untouched.  Lives here (not in :mod:`repro.serving`) because the
+    serving queue imports this module -- the options travel *down* the
+    dependency graph with the request.
 
     ``priority`` and ``class_name`` feed the serving policy layer
     (:mod:`repro.serving.policy`): ``class_name`` picks a configured
@@ -103,43 +93,8 @@ class SubmitOptions:
             raise ValueError(f"timeout must be >= 0, got {self.timeout}")
 
     @classmethod
-    def coerce(
-        cls,
-        options: Optional["SubmitOptions"] = None,
-        *,
-        block: Any = _UNSET,
-        timeout: Any = _UNSET,
-        ttl: Any = _UNSET,
-        caller: str = "submit",
-    ) -> "SubmitOptions":
-        """Resolve the new ``options`` object against legacy kwargs.
-
-        The deprecation shim for the pre-SubmitOptions API: explicit
-        ``block``/``timeout``/``ttl`` kwargs still work but warn, and
-        mixing them with ``options`` is an error (two sources of truth).
-        Call sites that already hold a ``SubmitOptions`` pass it through
-        unchanged; bare calls get the defaults.
-        """
-        legacy = {
-            name: value
-            for name, value in (
-                ("block", block), ("timeout", timeout), ("ttl", ttl)
-            )
-            if value is not _UNSET
-        }
-        if legacy:
-            if options is not None:
-                raise TypeError(
-                    f"{caller}: pass either options=SubmitOptions(...) or the "
-                    f"legacy {sorted(legacy)} kwargs, not both"
-                )
-            warnings.warn(
-                f"{caller}(block=/timeout=/ttl=) is deprecated; pass "
-                f"options=SubmitOptions({', '.join(sorted(legacy))}=...) instead",
-                DeprecationWarning,
-                stacklevel=3,
-            )
-            return cls(**legacy)
+    def coerce(cls, options: Optional["SubmitOptions"] = None) -> "SubmitOptions":
+        """``options`` itself, or the defaults when ``None``."""
         return options if options is not None else cls()
 
 
@@ -278,12 +233,9 @@ class Session:
     preprocess_workers:
         Intra-batch worker count for the engines' ``process_batch`` stage
         tails (frames of one batch finish on different cores, joined in
-        frame order -- ``run_batch(batched=True)`` output is bit-identical
-        for any value).  ``None`` defers to the
-        ``REPRO_PREPROCESS_WORKERS`` environment variable, then serial.
-    preprocessing_engine / inference_engine:
-        Pre-built engines to adopt (used by the :class:`HgPCNSystem` shim);
-        when given they override ``sampler`` / ``accelerator``.
+        frame order -- :meth:`run_batch` output is bit-identical for any
+        value).  ``None`` defers to the ``REPRO_PREPROCESS_WORKERS``
+        environment variable, then serial.
     """
 
     def __init__(
@@ -296,8 +248,6 @@ class Session:
         batch_rows_budget: Optional[int] = None,
         backend: Optional[str] = None,
         preprocess_workers: Optional[int] = None,
-        preprocessing_engine: Optional[PreprocessingEngine] = None,
-        inference_engine: Optional[InferenceEngine] = None,
     ):
         self.config = config if config is not None else HgPCNConfig()
         self.task = task
@@ -309,35 +259,22 @@ class Session:
             raise ValueError(
                 f"preprocess_workers must be >= 1, got {preprocess_workers}"
             )
-        if preprocessing_engine is None:
-            preprocessing_engine = PreprocessingEngine(
-                config=self.config,
-                sampler_name=sampler,
-                max_workers=preprocess_workers,
-            )
-        elif preprocess_workers is not None:
-            preprocessing_engine.max_workers = preprocess_workers
-        if inference_engine is None:
-            if isinstance(accelerator, str):
-                accelerator = registry.create("accelerator", accelerator)
-            inference_engine = InferenceEngine(
-                config=self.config,
-                accelerator=accelerator,
-                task=task,
-                backend=backend,
-                max_workers=preprocess_workers,
-            )
-        else:
-            if backend is not None and inference_engine.backend is None:
-                inference_engine.backend = backend
-            if preprocess_workers is not None:
-                inference_engine.max_workers = preprocess_workers
+        if isinstance(accelerator, str):
+            accelerator = registry.create("accelerator", accelerator)
         self.preprocess_workers = preprocess_workers
-        self.preprocessing_engine = preprocessing_engine
-        self.inference_engine = inference_engine
-        self.backend = resolve_backend(
-            backend if backend is not None else inference_engine.backend
-        ).name
+        self.preprocessing_engine = PreprocessingEngine(
+            config=self.config,
+            sampler_name=sampler,
+            max_workers=preprocess_workers,
+        )
+        self.inference_engine = InferenceEngine(
+            config=self.config,
+            accelerator=accelerator,
+            task=task,
+            backend=backend,
+            max_workers=preprocess_workers,
+        )
+        self.backend = resolve_backend(backend).name
         self.response_cache_size = max(0, int(response_cache_size))
         if batch_rows_budget is None:
             batch_rows_budget = DEFAULT_BATCH_ROWS_BUDGET
@@ -396,50 +333,11 @@ class Session:
 
     # -- single-frame path ---------------------------------------------
     def run(self, frame: FrameLike, frame_id: Optional[str] = None) -> FrameResponse:
-        """Process one frame, reusing warm state wherever possible.
-
-        Results are value objects and must be treated as read-only: a
-        response served from the content cache shares its
-        :class:`EndToEndResult` (bar the rewritten ``frame_id``) with the
-        original computation and with any later hit on the same content.
-        """
+        """Process one frame: :meth:`run_batch` with a batch of one."""
         request = FrameRequest.coerce(frame, index=self.frames_processed)
         if frame_id is not None:
             request = replace(request, frame_id=frame_id)
-
-        digest = request.content_digest() if self.response_cache_size else None
-        if digest is not None:
-            hit = self._response_cache.get(digest)
-            if hit is not None:
-                self._response_cache.move_to_end(digest)
-                self.cache_hits += 1
-                self.frames_processed += 1
-                result = hit.result
-                if result.frame_id != request.frame_id:
-                    result = replace(result, frame_id=request.frame_id)
-                return FrameResponse(
-                    request=request, result=result, warm=True, cached=True
-                )
-
-        pre = self.preprocessing_engine.process(request.cloud)
-        inf = self.inference_engine.process(pre.sampled)
-
-        breakdown = LatencyBreakdown()
-        breakdown.add("preprocessing", pre.total_seconds())
-        breakdown.add("inference", inf.total_seconds())
-        result = EndToEndResult(
-            frame_id=request.frame_id,
-            preprocessing=pre,
-            inference=inf,
-            breakdown=breakdown,
-        )
-        response = FrameResponse(request=request, result=result, warm=inf.warm)
-        if digest is not None:
-            self._response_cache[digest] = response
-            while len(self._response_cache) > self.response_cache_size:
-                self._response_cache.popitem(last=False)
-        self.frames_processed += 1
-        return response
+        return self.run_batch([request]).responses[0]
 
     # -- asynchronous path ----------------------------------------------
     def submit(
@@ -447,10 +345,6 @@ class Session:
         frame: FrameLike,
         frame_id: Optional[str] = None,
         options: Optional[SubmitOptions] = None,
-        *,
-        block: Any = _UNSET,
-        timeout: Any = _UNSET,
-        ttl: Any = _UNSET,
         **server_options,
     ):
         """Submit one frame asynchronously; returns a future.
@@ -464,18 +358,12 @@ class Session:
         :meth:`~repro.serving.server.FrameServer.submit` (``ttl`` seconds
         bounds the queue wait -- past it the future resolves with
         :class:`~repro.serving.resilience.DeadlineExceeded` instead of
-        being served); the legacy ``block``/``timeout``/``ttl`` kwargs
-        still work behind a deprecation shim.  The future resolves to the
-        frame's :class:`FrameResponse` once its micro-batch has been
-        served; call :meth:`drain` to flush pending work and stop the
-        server.  Do not mix ``submit`` with direct
+        being served).  The future resolves to the frame's
+        :class:`FrameResponse` once its micro-batch has been served; call
+        :meth:`drain` to flush pending work and stop the server.  Do not mix ``submit`` with direct
         :meth:`run`/:meth:`run_batch` calls while the server is live --
         the session's warm state is not thread-safe.
         """
-        options = SubmitOptions.coerce(
-            options, block=block, timeout=timeout, ttl=ttl,
-            caller="Session.submit",
-        )
         with self._server_lock:
             if self._server is None:
                 from repro.serving.server import FrameServer
@@ -509,34 +397,34 @@ class Session:
     def run_batch(
         self,
         frames: Sequence[FrameLike],
-        batched: bool = True,
         batch_size: Optional[int] = None,
     ) -> BatchResult:
         """Process many frames, grouping same-shaped ones.
 
         Frames that will down-sample to the same ``(task, input_size,
         channels)`` shape form one dispatch group: the group's network
-        construction is paid once and -- in the default batch-native mode --
-        the group's frames travel the engines as
+        construction is paid once and its frames travel the engines as
         :class:`~repro.core.framebatch.FrameBatch` stacks (one octree-build
         kernel sequence, one warm model, one stacked network forward per
-        layer) instead of re-entering the pipeline one frame at a time.
-        ``responses`` comes back in submission order regardless.
+        layer).  ``responses`` comes back in submission order regardless.
 
-        ``batched=False`` forces the frame-at-a-time dispatch (each frame
-        goes through :meth:`run`).  Both modes produce bit-identical
-        responses -- logits, gather rows, stage counters, warm/cached flags,
-        and response-cache behaviour (hits, LRU order, evictions) -- so the
-        flag exists for benchmarking and verification, not for correctness.
-        This method is the single coercion site for its frames:
+        Responses -- logits, gather rows, stage counters, warm/cached
+        flags, and response-cache behaviour (hits, LRU order, evictions) --
+        are bit-identical to feeding the same frames one at a time, however
+        they are chunked or stacked.  Results are value objects and must be
+        treated as read-only: a response served from the content cache
+        shares its :class:`EndToEndResult` (bar the rewritten ``frame_id``)
+        with the original computation and with any later hit on the same
+        content.  This method is the single coercion site for its frames:
         :meth:`run_sequence` delegates here without pre-wrapping.
 
         ``batch_size`` chunks the frame stream: each consecutive chunk of at
         most ``batch_size`` frames is dispatched as its own batch (shape
-        groups never span chunks), and the chunk results are merged back
-        into one :class:`BatchResult` in submission order.  ``None`` (the
-        default) dispatches everything as one batch; anything else must be
-        a positive integer -- zero and negative values are rejected here
+        groups never span chunks; ``batch_size=1`` is frame-at-a-time
+        execution), and the chunk results are merged back into one
+        :class:`BatchResult` in submission order.  ``None`` (the default)
+        dispatches everything as one batch; anything else must be a
+        positive integer -- zero and negative values are rejected here
         rather than crashing deep inside the group planner.
         """
         if batch_size is not None:
@@ -554,9 +442,7 @@ class Session:
                 merged: List[FrameResponse] = []
                 groups: Dict[Tuple[str, int, int], int] = {}
                 for start in range(0, len(frames), batch_size):
-                    chunk = self.run_batch(
-                        frames[start : start + batch_size], batched=batched
-                    )
+                    chunk = self.run_batch(frames[start : start + batch_size])
                     merged.extend(chunk.responses)
                     for key, count in chunk.groups.items():
                         groups[key] = groups.get(key, 0) + count
@@ -569,37 +455,32 @@ class Session:
         for i, request in enumerate(requests):
             grouped.setdefault(self.shape_key(request.cloud), []).append(i)
 
-        # Every slot is assigned exactly once (the dispatchers return or
-        # raise), keeping responses 1:1 with the submitted frames.
+        # Every slot is assigned exactly once (the dispatcher returns or
+        # raises), keeping responses 1:1 with the submitted frames.
         responses: List[FrameResponse] = [None] * len(requests)  # type: ignore[list-item]
         for indices in grouped.values():
-            if batched:
-                self._dispatch_group_batched(requests, indices, responses)
-            else:
-                for i in indices:
-                    responses[i] = self.run(requests[i])
+            self._dispatch_group(requests, indices, responses)
         return BatchResult(
             responses=responses,
             groups={key: len(indices) for key, indices in grouped.items()},
         )
 
-    def _dispatch_group_batched(
+    def _dispatch_group(
         self,
         requests: List[FrameRequest],
         indices: List[int],
         responses: List[FrameResponse],
     ) -> None:
-        """Process one shape group batch-natively.
+        """Process one shape group.
 
-        The sequential path interleaves response-cache operations with
-        per-frame compute (check -> compute -> insert -> evict, frame by
-        frame), and that interleaving is observable: a duplicate frame hits
-        the cache only if its first occurrence has not been evicted by the
-        frames in between.  To stay bit-identical, the dispatch first
-        *simulates* the sequential cache-op sequence to decide which frames
-        compute, then runs all computing frames through the batched engines,
-        and finally replays the real cache operations in the original frame
-        order.
+        The response cache behaves as if the group's frames arrived one at
+        a time (check -> compute -> insert -> evict, frame by frame), and
+        that interleaving is observable: a duplicate frame hits the cache
+        only if its first occurrence has not been evicted by the frames in
+        between.  So the dispatch first *simulates* that cache-op sequence
+        to decide which frames compute, then runs all computing frames
+        through the engines as stacks, and finally replays the real cache
+        operations in the original frame order.
         """
         use_cache = self.response_cache_size > 0
         digests: Dict[int, str] = {}
@@ -722,17 +603,18 @@ class Session:
     ) -> SequenceResult:
         """Process a frame sequence and evaluate real-time behaviour.
 
-        The batched path feeds the Section VII-E evaluation: frames go
-        through :meth:`run_batch` (amortising warm-up across same-shaped
-        frames), then the per-frame modelled latencies are queued through the
-        sensor's arrival schedule.  See
-        :meth:`~repro.core.pipeline.HgPCNSystem.process_sequence` for the
-        meaning of ``pipelined``.
+        Frames go through :meth:`run_batch` (coerced exactly once, there);
+        the per-frame modelled latencies are then queued through the
+        sensor's arrival schedule -- ``sensor`` when given, else the rate
+        the frames' timestamps imply -- to decide whether the service keeps
+        up with the data generation rate, the Section VII-E criterion.
 
-        Frames are handed to :meth:`run_batch` raw and coerced exactly once
-        there (the pre-wrap here used to coerce a second time with its own
-        ``frames_processed`` offset); the timestamps below are read back
-        from the batch's coerced requests.
+        ``pipelined`` models cross-frame overlap: the Octree-build Unit (CPU)
+        prepares frame ``i+1`` while the FPGA engines process frame ``i``,
+        which the shared-memory platform permits because the two phases use
+        disjoint resources.  Functional outputs are unchanged; only the
+        latency seen by the arrival queue drops to the slower of the two
+        phases per frame.
         """
         batch = self.run_batch(list(frames))
         requests = [response.request for response in batch.responses]

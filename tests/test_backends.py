@@ -5,7 +5,7 @@ Every registered backend is held to the two-tier contract documented in
 
 * **numpy equivalence** -- outputs match the numpy backend's to the
   backend's *declared* :class:`EquivalenceContract` (bit-identity for
-  numpy itself, a stated allclose tolerance for fused/torch).  The tests
+  numpy itself, a stated allclose tolerance for fused).  The tests
   assert through the contract object, so the asserted tolerance can never
   drift from the declared one.
 * **dispatch invariance** -- stacked and per-frame application agree
@@ -17,9 +17,6 @@ Every registered backend is held to the two-tier contract documented in
 The fused backend's streamed set abstraction (``apply_grouped``) is held
 to the same two tiers against the materialised base implementation, plus
 workspace isolation between threads and across pickling.
-
-Torch cases are ``skipif``-guarded; on hosts without torch the backend is
-not registered at all and the parametrized suite covers numpy + fused.
 """
 
 import pickle
@@ -37,7 +34,6 @@ from repro.network.backends import (
     default_backend_name,
     get_backend,
     resolve_backend,
-    torch_available,
 )
 from repro.network.backends.base import (
     _CALIBRATION,
@@ -81,9 +77,6 @@ class TestRegistry:
     def test_builtin_backends_registered(self):
         assert "numpy" in BACKEND_NAMES
         assert "fused" in BACKEND_NAMES
-
-    def test_torch_registered_iff_importable(self):
-        assert ("torch" in BACKEND_NAMES) == torch_available()
 
     def test_resolve_accepts_name_instance_and_none(self):
         fused = get_backend("fused")
@@ -449,8 +442,8 @@ class TestStreamedSetAbstraction:
 
         assert session().backend == "fused"
         assert session().batch_rows_budget // 256 == 2  # frames do get stacked
-        batched = session().run_batch(frames, batched=True).responses
-        sequential = session().run_batch(frames, batched=False).responses
+        batched = session().run_batch(frames).responses
+        sequential = session().run_batch(frames, batch_size=1).responses
         for got, want in zip(batched, sequential):
             assert signatures_equal(response_signature(got), response_signature(want))
 
@@ -515,22 +508,3 @@ class TestStreamedSetAbstraction:
         np.testing.assert_array_equal(
             clone.run(cloud).result.inference.forward.logits, logits
         )
-
-
-@pytest.mark.skipif(not torch_available(), reason="torch not installed")
-class TestTorchBackend:
-    def test_contract_against_numpy(self, rng):
-        backend = get_backend("torch")
-        layer = SharedMLP([3, 16, 32], name="t.torch")
-        flat = rng.standard_normal((4 * 37, 3))
-        assert backend.contract.matches(
-            backend.apply(layer, flat, 4),
-            _per_frame_reference(layer, flat, 4),
-        )
-
-    def test_pickle_roundtrip(self):
-        import pickle
-
-        backend = get_backend("torch")
-        clone = pickle.loads(pickle.dumps(backend))
-        assert clone.name == "torch"

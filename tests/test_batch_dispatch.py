@@ -229,12 +229,6 @@ class TestForwardBatch:
         for cloud, result in zip(clouds, batched):
             assert_traces_equal(result, model.forward(cloud))
 
-    def test_single_frame_batch_matches_forward(self):
-        cloud = make_cloud(3, points=80)
-        model = build_model_for_task("semantic_segmentation", input_size=80, seed=0)
-        (result,) = model.forward_batch(FrameBatch.from_clouds([cloud]))
-        assert_traces_equal(result, model.forward(cloud))
-
     def test_tiny_frames_fall_back_per_frame(self):
         # input_size 16 drives sa3's global group (and the classification
         # head) down to single-row operands, exercising the per-frame
@@ -354,7 +348,7 @@ class TestSessionBatchedDispatch:
             response_cache_size=cache,
         )
         batched = batched_session.run_batch(frames)
-        sequential = sequential_session.run_batch(frames, batched=False)
+        sequential = sequential_session.run_batch(frames, batch_size=1)
         return batched_session, sequential_session, batched, sequential
 
     def test_same_shape_batch_bit_identical(self):

@@ -69,10 +69,11 @@ def tables_row_identical(a: OctreeTable, b: OctreeTable) -> None:
 class TestOctreeTableFlat:
     @pytest.mark.parametrize("case", range(len(random_clouds())))
     def test_from_flat_matches_from_octree_row_for_row(self, case):
+        """The per-row entry views equal the pointer-tree walk's."""
         cloud, depth = random_clouds()[case]
         flat = OctreeTable.from_flat(Octree.build(cloud, depth=depth))
-        walk = OctreeTable.from_octree(Octree.build(cloud, depth=depth))
-        tables_row_identical(flat, walk)
+        walk = ref.octree_table_scalar(Octree.build(cloud, depth=depth))
+        assert flat.entries == walk.entries
 
     @pytest.mark.parametrize("case", range(len(random_clouds())))
     def test_from_flat_matches_scalar_reference(self, case):
@@ -91,7 +92,7 @@ class TestOctreeTableFlat:
 
     def test_entry_views_match_pointer_walk(self, medium_cloud):
         flat = OctreeTable.from_flat(Octree.build(medium_cloud, depth=4))
-        walk = OctreeTable.from_octree(Octree.build(medium_cloud, depth=4))
+        walk = ref.octree_table_scalar(Octree.build(medium_cloud, depth=4))
         assert flat.entries == walk.entries
 
     def test_leaf_lookup_on_flat_table(self, medium_cloud):
@@ -299,6 +300,22 @@ class TestVoxelGridVectorised:
         assert np.array_equal(result.indices, expected)
 
 
+def three_nearest_interpolation(dense_points, coarse_points, coarse_features):
+    """Independent per-frame FP formula on the 2-D ``(N, M)`` distances:
+    full sqrt distances before selection (the pre-squared-distance code)."""
+    num_coarse = coarse_points.shape[0]
+    if num_coarse == 1:
+        return np.repeat(coarse_features, dense_points.shape[0], axis=0)
+    diff = dense_points[:, None, :] - coarse_points[None, :, :]
+    dist = np.sqrt((diff**2).sum(axis=-1)) + 1e-10
+    k = min(3, num_coarse)
+    nearest = np.argpartition(dist, kth=k - 1, axis=1)[:, :k]
+    near_dist = np.take_along_axis(dist, nearest, axis=1)
+    weights = 1.0 / near_dist
+    weights = weights / weights.sum(axis=1, keepdims=True)
+    return (coarse_features[nearest] * weights[..., None]).sum(axis=1)
+
+
 class TestFeaturePropagationSquared:
     def test_interpolation_matches_sqrt_formula(self):
         from repro.network.pointnet2 import FeaturePropagation
@@ -311,15 +328,49 @@ class TestFeaturePropagationSquared:
         fp = FeaturePropagation("fp", [16, 32])
         refined, trace = fp(dense, None, coarse, coarse_features)
 
-        # The pre-PR formula: full sqrt distances before selection.
-        diff = dense.points[:, None, :] - coarse.points[None, :, :]
-        dist = np.sqrt((diff**2).sum(axis=-1)) + 1e-10
-        nearest = np.argpartition(dist, kth=2, axis=1)[:, :3]
-        near_dist = np.take_along_axis(dist, nearest, axis=1)
-        weights = 1.0 / near_dist
-        weights = weights / weights.sum(axis=1, keepdims=True)
-        interpolated = (coarse_features[nearest] * weights[..., None]).sum(axis=1)
-        expected = fp.mlp(interpolated)
-
+        expected = fp.mlp(
+            three_nearest_interpolation(dense.points, coarse.points, coarse_features)
+        )
         assert np.array_equal(refined, expected)
         assert trace.num_vectors == 120
+
+    @pytest.mark.parametrize("num_coarse", [1, 2, 3, 20])
+    @pytest.mark.parametrize("dense_channels", [0, 5])
+    def test_forward_batch_matches_per_frame_formula(self, num_coarse, dense_channels):
+        """Every frame of a stack equals the formula applied to it alone,
+        bit for bit on the numpy reference backend."""
+        from repro.network.pointnet2 import FeaturePropagation
+
+        rng = np.random.default_rng(11 + num_coarse)
+        num_frames, num_dense = 3, 70
+        dense = [
+            PointCloud(points=rng.uniform(-1, 1, size=(num_dense, 3)))
+            for _ in range(num_frames)
+        ]
+        coarse = [
+            PointCloud(points=rng.uniform(-1, 1, size=(num_coarse, 3)))
+            for _ in range(num_frames)
+        ]
+        coarse_features = rng.normal(size=(num_frames, num_coarse, 16))
+        dense_features = (
+            rng.normal(size=(num_frames, num_dense, dense_channels))
+            if dense_channels
+            else None
+        )
+
+        fp = FeaturePropagation("fp", [dense_channels + 16, 32], backend="numpy")
+        refined, traces = fp.forward_batch(
+            dense, dense_features, coarse, coarse_features
+        )
+
+        assert refined.shape == (num_frames, num_dense, 32)
+        assert [t.num_vectors for t in traces] == [num_dense] * num_frames
+        for b in range(num_frames):
+            interpolated = three_nearest_interpolation(
+                dense[b].points, coarse[b].points, coarse_features[b]
+            )
+            if dense_features is not None:
+                interpolated = np.concatenate(
+                    [dense_features[b], interpolated], axis=-1
+                )
+            assert np.array_equal(refined[b], fp.mlp(interpolated)), b

@@ -86,6 +86,13 @@ class TestFeatureComputationUnit:
             1000 * 16 * 4 / 1e6
         )
 
+    def test_int8_fcu_streams_less_data(self):
+        """The FCU's streaming term shrinks with one-byte activations."""
+        workload = synthetic_pointnet2_workload(4096, task="semantic_segmentation")
+        fp32 = FeatureComputationUnit(buffer_bandwidth=1e9, bytes_per_activation=4)
+        int8 = FeatureComputationUnit(buffer_bandwidth=1e9, bytes_per_activation=1)
+        assert int8.seconds_for_workload(workload) < fp32.seconds_for_workload(workload)
+
     def test_utilization_bounded(self):
         fcu = FeatureComputationUnit()
         workload = synthetic_pointnet2_workload(4096, task="semantic_segmentation")

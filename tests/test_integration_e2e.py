@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.core.config import HgPCNConfig, InferenceEngineConfig, PreprocessingConfig
-from repro.core.pipeline import HgPCNSystem
 from repro.datasets import (
     KittiLikeDataset,
     ModelNetLikeDataset,
@@ -15,6 +14,7 @@ from repro.datastructuring.knn import BruteForceKNN
 from repro.datastructuring.veg import VoxelExpandedGatherer
 from repro.network.pointnet2 import build_model_for_task
 from repro.sampling.ois import OctreeIndexedSampler
+from repro.session import Session
 
 
 def small_config(num_samples: int = 192, neighbors: int = 12) -> HgPCNConfig:
@@ -41,8 +41,7 @@ def test_full_pipeline_on_every_benchmark_style(dataset_cls, task):
     """Raw frame -> octree -> OIS -> VEG-backed PointNet++ -> logits."""
     dataset = dataset_cls(num_frames=1, seed=0, scale=0.005)
     frame = dataset.generate_frame(0)
-    system = HgPCNSystem(config=small_config(), task=task)
-    result = system.process_frame(frame)
+    result = Session(config=small_config(), task=task).run(frame).result
 
     sampled = result.preprocessing.sampled
     # The requested 192 samples, clamped to the frame size for tiny frames
@@ -92,8 +91,8 @@ def test_veg_and_knn_backed_models_agree_on_workload_shape():
 
 def test_sequence_processing_reports_realtime_verdict():
     dataset = KittiLikeDataset(num_frames=4, seed=2, scale=0.002)
-    system = HgPCNSystem(config=small_config(num_samples=128, neighbors=8))
-    sequence = system.process_sequence(dataset.frames())
+    session = Session(config=small_config(num_samples=128, neighbors=8))
+    sequence = session.run_sequence(dataset.frames())
     assert len(sequence.frame_results) == 4
     assert sequence.service_trace is not None
     # The modelled hardware latency is far below the 10 Hz frame period.

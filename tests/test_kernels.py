@@ -251,25 +251,46 @@ class TestShells:
 # ----------------------------------------------------------------------
 # Octree construction
 # ----------------------------------------------------------------------
+def assert_octree_matches_scalar(vectorized, scalar):
+    assert np.array_equal(vectorized.leaf_codes, scalar.leaf_codes)
+    assert np.array_equal(vectorized.point_codes, scalar.point_codes)
+    assert np.array_equal(
+        vectorized.points_in_sfc_order(), scalar.points_in_sfc_order()
+    )
+    assert vectorized.stats == scalar.stats
+    for node_v, node_s in zip(
+        vectorized.root.iter_nodes(), scalar.root.iter_nodes()
+    ):
+        assert node_v.code == node_s.code
+        assert node_v.level == node_s.level
+        assert np.array_equal(node_v.point_indices, node_s.point_indices)
+        assert np.allclose(node_v.box.minimum, node_s.box.minimum)
+        assert np.allclose(node_v.box.maximum, node_s.box.maximum)
+
+
 class TestOctreeEquivalence:
     @pytest.mark.parametrize("depth", [1, 3, 6])
     def test_build_matches_scalar_reference(self, medium_cloud, depth):
-        vectorized = Octree.build(medium_cloud, depth=depth)
-        scalar = ref.build_octree_scalar(medium_cloud, depth=depth)
-        assert np.array_equal(vectorized.leaf_codes, scalar.leaf_codes)
-        assert np.array_equal(vectorized.point_codes, scalar.point_codes)
-        assert np.array_equal(
-            vectorized.points_in_sfc_order(), scalar.points_in_sfc_order()
+        # ``Octree.build`` is ``build_batch`` with B = 1.
+        assert_octree_matches_scalar(
+            Octree.build(medium_cloud, depth=depth),
+            ref.build_octree_scalar(medium_cloud, depth=depth),
         )
-        assert vectorized.stats == scalar.stats
-        for node_v, node_s in zip(
-            vectorized.root.iter_nodes(), scalar.root.iter_nodes()
-        ):
-            assert node_v.code == node_s.code
-            assert node_v.level == node_s.level
-            assert np.array_equal(node_v.point_indices, node_s.point_indices)
-            assert np.allclose(node_v.box.minimum, node_s.box.minimum)
-            assert np.allclose(node_v.box.maximum, node_s.box.maximum)
+
+    @pytest.mark.parametrize("depth", [1, 3, 6])
+    def test_build_batch_matches_scalar_reference(self, depth):
+        # B > 1: every frame of one stacked encode + sort equals the
+        # per-frame scalar insertion walk (duplicate points included).
+        rng = np.random.default_rng(depth)
+        clouds = [
+            PointCloud(points=rng.normal(scale=1 + b, size=(500, 3)))
+            for b in range(3)
+        ]
+        clouds.append(PointCloud(points=clouds[0].points[rng.integers(0, 40, 500)]))
+        for cloud, octree in zip(clouds, Octree.build_batch(clouds, depth=depth)):
+            assert_octree_matches_scalar(
+                octree, ref.build_octree_scalar(cloud, depth=depth)
+            )
 
     def test_points_in_sfc_order_view_is_read_only(self, medium_cloud):
         octree = Octree.build(medium_cloud, depth=4)

@@ -1,0 +1,52 @@
+"""DESIGN.md's layering diagram, asserted on the import graph.
+
+Each case runs in a fresh interpreter (this one has long since imported
+everything): the public entry point must not drag the serving stack, the
+CLI or the frozen scalar references in, and nothing below the serving layer
+may import it.
+"""
+
+import json
+import os
+import subprocess
+import sys
+
+import pytest
+
+_REPRO_MODULES = (
+    "import json, sys\n"
+    "{statement}\n"
+    "print(json.dumps(sorted(m for m in sys.modules if m.startswith('repro'))))\n"
+)
+
+
+def modules_after(statement: str) -> list:
+    """The ``repro*`` modules a fresh interpreter holds after ``statement``."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
+    done = subprocess.run(
+        [sys.executable, "-c", _REPRO_MODULES.format(statement=statement)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout)
+
+
+def test_session_import_stays_below_serving():
+    loaded = modules_after("import repro; from repro import Session")
+    assert "repro.session" in loaded
+    above = [
+        name
+        for name in loaded
+        if name.startswith("repro.serving")
+        or name in ("repro.cli", "repro.kernels.reference")
+    ]
+    assert above == []
+
+
+@pytest.mark.parametrize(
+    "package", ["repro.core", "repro.octree", "repro.network", "repro.kernels"]
+)
+def test_lower_layers_never_import_serving(package):
+    loaded = modules_after(f"import {package}")
+    assert package in loaded
+    assert [name for name in loaded if name.startswith("repro.serving")] == []

@@ -13,7 +13,7 @@ def octree(medium_cloud):
 
 @pytest.fixture
 def table(octree):
-    return OctreeTable.from_octree(octree)
+    return OctreeTable.from_flat(octree)
 
 
 class TestStructure:
@@ -77,10 +77,10 @@ class TestFootprint:
     def test_larger_cloud_larger_table(self):
         from repro.datasets.synthetic import uniform_cube
 
-        small_table = OctreeTable.from_octree(
+        small_table = OctreeTable.from_flat(
             Octree.build(uniform_cube(200, seed=0), depth=4)
         )
-        big_table = OctreeTable.from_octree(
+        big_table = OctreeTable.from_flat(
             Octree.build(uniform_cube(4000, seed=0), depth=4)
         )
         assert big_table.total_bits() > small_table.total_bits()

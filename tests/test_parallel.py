@@ -184,7 +184,7 @@ class TestBatchDeterminism:
                 preprocess_workers=workers,
                 response_cache_size=0,
             )
-            batch = session.run_batch(frames, batched=True)
+            batch = session.run_batch(frames)
             signature = [
                 (
                     response.result.frame_id,

@@ -35,6 +35,7 @@ from repro.serving import (
     RateLimitExceeded,
     ServingMetrics,
     ServingPolicy,
+    ShardRouter,
     SubmitOptions,
     TokenBucket,
 )
@@ -537,7 +538,7 @@ class TestRateLimitEndToEnd:
 
 
 # ----------------------------------------------------------------------
-# SubmitOptions: the deprecation shim
+# SubmitOptions: the one way to pass per-request knobs
 # ----------------------------------------------------------------------
 class TestSubmitOptions:
     def test_validation(self):
@@ -551,36 +552,26 @@ class TestSubmitOptions:
         assert SubmitOptions.coerce(options) is options
         assert SubmitOptions.coerce(None) == SubmitOptions()
 
-    def test_legacy_kwargs_warn_and_map(self):
-        with pytest.warns(DeprecationWarning, match="AdmissionQueue.submit"):
-            options = SubmitOptions.coerce(
-                block=True, timeout=2.0, caller="AdmissionQueue.submit"
-            )
-        assert options == SubmitOptions(block=True, timeout=2.0)
+    def test_legacy_kwargs_are_a_type_error(self):
+        # Rejected at argument binding, so no server or shard ever starts.
+        submits = (
+            AdmissionQueue(capacity=4).submit,
+            FrameServer(session_factory=make_session, num_workers=1).submit,
+            ShardRouter(num_shards=1, session_factory=make_session).submit,
+            make_session().submit,
+        )
+        for submit in submits:
+            for legacy in ({"block": True}, {"timeout": 2.0}, {"ttl": 1.0}):
+                with pytest.raises(TypeError):
+                    submit(make_request(0), **legacy)
+        with pytest.raises(TypeError):
+            SubmitOptions.coerce(ttl=1.0)
 
     def test_mixing_options_and_legacy_kwargs_raises(self):
-        with pytest.raises(TypeError, match="not both"):
-            SubmitOptions.coerce(SubmitOptions(), ttl=1.0)
-
-    def test_queue_legacy_ttl_matches_options_path(self):
-        clock = ManualClock(start=5.0)
-        queue = AdmissionQueue(capacity=4, clock=clock)
-        via_options = queue.submit(
-            make_request(0), options=SubmitOptions(ttl=2.0)
-        )
-        with pytest.warns(DeprecationWarning):
-            via_legacy = queue.submit(make_request(1), ttl=2.0)
-        assert via_options.deadline == via_legacy.deadline == 7.0
-
-    def test_server_legacy_kwarg_still_works_but_warns(self):
-        server = FrameServer(
-            session_factory=make_session, num_workers=1,
-            max_wait_seconds=0.002, queue_capacity=4,
-        )
-        with server:
-            with pytest.warns(DeprecationWarning, match="FrameServer.submit"):
-                future = server.submit(make_request(0), block=True)
-            assert future.result(timeout=60.0).request.frame_id == "req0000"
+        with pytest.raises(TypeError):
+            AdmissionQueue(capacity=4).submit(
+                make_request(0), options=SubmitOptions(), ttl=1.0
+            )
 
 
 # ----------------------------------------------------------------------

@@ -40,7 +40,7 @@ def test_octree_partitions_points(cloud, depth):
 @given(cloud=cloud_strategy(), depth=st.integers(min_value=1, max_value=4))
 def test_octree_table_address_ranges_partition_points(cloud, depth):
     octree = Octree.build(cloud, depth=depth)
-    table = OctreeTable.from_octree(octree)
+    table = OctreeTable.from_flat(octree)
     spans = [leaf.address_range for leaf in table.leaf_entries()]
     covered = []
     for start, end in spans:

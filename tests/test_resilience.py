@@ -48,7 +48,7 @@ from repro.serving.resilience import (
     BREAKER_HALF_OPEN,
     BREAKER_OPEN,
 )
-from repro.session import FrameRequest
+from repro.session import FrameRequest, SubmitOptions
 
 from test_cluster import (
     CrashingSession,
@@ -257,16 +257,16 @@ class TestDeadlines:
     def test_ttl_must_be_positive(self):
         queue = AdmissionQueue(capacity=2)
         with pytest.raises(ValueError, match="ttl"):
-            queue.submit(_entry_request(0), ttl=0)
+            queue.submit(_entry_request(0), options=SubmitOptions(ttl=0))
         with pytest.raises(ValueError, match="ttl"):
-            queue.submit(_entry_request(0), ttl=-1.0)
+            queue.submit(_entry_request(0), options=SubmitOptions(ttl=-1.0))
 
     def test_full_queue_sheds_expired_before_queue_full(self):
         clock = ManualClock()
         shed = []
         queue = AdmissionQueue(capacity=2, clock=clock, on_shed=shed.append)
-        first = queue.submit(_entry_request(0), ttl=1.0)
-        queue.submit(_entry_request(1), ttl=10.0)
+        first = queue.submit(_entry_request(0), options=SubmitOptions(ttl=1.0))
+        queue.submit(_entry_request(1), options=SubmitOptions(ttl=10.0))
         # Full with nothing expired: still QueueFull, counted as rejected.
         with pytest.raises(QueueFull):
             queue.submit(_entry_request(2))
@@ -322,7 +322,7 @@ class TestDeadlines:
             max_wait_seconds=30.0,
             name="ttl",
         ) as server:
-            doomed = server.submit(make_request(0), ttl=0.05)
+            doomed = server.submit(make_request(0), options=SubmitOptions(ttl=0.05))
             with pytest.raises(DeadlineExceeded, match="missed its deadline"):
                 doomed.result(timeout=10)
             snapshot = server.stats()
@@ -341,9 +341,9 @@ class TestDeadlines:
             max_wait_seconds=0.001,
             name="ttl-ok",
         ) as server:
-            response = server.submit(make_request(0), ttl=60.0).result(
-                timeout=60
-            )
+            response = server.submit(
+                make_request(0), options=SubmitOptions(ttl=60.0)
+            ).result(timeout=60)
             assert response.result.frame_id == "req0000"
         assert server.shutdown()["requests"]["shed"] == 0
 
@@ -354,9 +354,9 @@ class TestDeadlines:
         # first submit()".
         session = make_session()
         try:
-            first = session.submit(make_request(0), ttl=60.0)
+            first = session.submit(make_request(0), options=SubmitOptions(ttl=60.0))
             assert first.result(timeout=60).result.frame_id == "req0000"
-            second = session.submit(make_request(1), ttl=60.0)
+            second = session.submit(make_request(1), options=SubmitOptions(ttl=60.0))
             assert second.result(timeout=60).result.frame_id == "req0001"
         finally:
             metrics = session.drain()
@@ -377,7 +377,9 @@ class TestBlockingAdmissionManualClock:
         self._fill(queue, 1)
         start = time.monotonic()
         with pytest.raises(QueueFull):
-            queue.submit(_entry_request(9), block=True, timeout=0)
+            queue.submit(
+                _entry_request(9), options=SubmitOptions(block=True, timeout=0)
+            )
         assert time.monotonic() - start < 1.0
         assert queue.rejected == 1
 
@@ -392,7 +394,9 @@ class TestBlockingAdmissionManualClock:
 
         def blocked_submit():
             try:
-                queue.submit(_entry_request(9), block=True, timeout=0.05)
+                queue.submit(
+                    _entry_request(9), options=SubmitOptions(block=True, timeout=0.05)
+                )
                 outcome["result"] = "admitted"
             except QueueFull:
                 outcome["result"] = "full"
@@ -415,7 +419,9 @@ class TestBlockingAdmissionManualClock:
 
         def blocked_submit():
             admitted.append(
-                queue.submit(_entry_request(9), block=True, timeout=100.0)
+                queue.submit(
+                    _entry_request(9), options=SubmitOptions(block=True, timeout=100.0)
+                )
             )
 
         thread = threading.Thread(target=blocked_submit)
@@ -435,7 +441,9 @@ class TestBlockingAdmissionManualClock:
 
         def blocked_submit():
             try:
-                queue.submit(_entry_request(9), block=True, timeout=100.0)
+                queue.submit(
+                    _entry_request(9), options=SubmitOptions(block=True, timeout=100.0)
+                )
             except QueueClosed as exc:
                 errors.append(exc)
 
@@ -451,12 +459,14 @@ class TestBlockingAdmissionManualClock:
         clock = ManualClock()
         shed = []
         queue = AdmissionQueue(capacity=1, clock=clock, on_shed=shed.append)
-        doomed = queue.submit(_entry_request(0), ttl=1.0)
+        doomed = queue.submit(_entry_request(0), options=SubmitOptions(ttl=1.0))
         admitted = []
 
         def blocked_submit():
             admitted.append(
-                queue.submit(_entry_request(9), block=True, timeout=100.0)
+                queue.submit(
+                    _entry_request(9), options=SubmitOptions(block=True, timeout=100.0)
+                )
             )
 
         thread = threading.Thread(target=blocked_submit)

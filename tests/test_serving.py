@@ -36,7 +36,7 @@ from repro.serving import (
     response_signature,
     signatures_equal,
 )
-from repro.session import FrameRequest, Session
+from repro.session import FrameRequest, Session, SubmitOptions
 
 
 def small_config(num_samples: int = 64) -> HgPCNConfig:
@@ -102,7 +102,9 @@ class TestAdmissionQueue:
         queue.submit(make_request(0))
         start = time.monotonic()
         with pytest.raises(QueueFull):
-            queue.submit(make_request(1), block=True, timeout=0.05)
+            queue.submit(
+                make_request(1), options=SubmitOptions(block=True, timeout=0.05)
+            )
         assert time.monotonic() - start >= 0.04
 
     def test_blocking_submit_proceeds_when_slot_frees(self):
@@ -115,7 +117,9 @@ class TestAdmissionQueue:
 
         thread = threading.Thread(target=drain_soon)
         thread.start()
-        entry = queue.submit(make_request(1), block=True, timeout=2.0)
+        entry = queue.submit(
+            make_request(1), options=SubmitOptions(block=True, timeout=2.0)
+        )
         thread.join()
         assert entry.sequence == 1
 
@@ -345,7 +349,7 @@ class TestServingMetrics:
 # ----------------------------------------------------------------------
 class TestFrameServer:
     def sequential_signatures(self, requests):
-        reference = make_session().run_batch(requests, batched=False)
+        reference = make_session().run_batch(requests, batch_size=1)
         return [response_signature(r) for r in reference.responses]
 
     @pytest.mark.parametrize("num_workers", [1, 2, 3])
@@ -443,7 +447,7 @@ class TestFrameServer:
 
     def test_worker_exception_resolves_futures(self):
         class ExplodingSession(Session):
-            def run_batch(self, frames, batched=True, batch_size=None):
+            def run_batch(self, frames, batch_size=None):
                 raise RuntimeError("boom")
 
         server = FrameServer(
@@ -493,7 +497,7 @@ class TestSessionSubmit:
         assert session.model_builds == 1
 
     def signatures(self, requests):
-        reference = make_session().run_batch(requests, batched=False)
+        reference = make_session().run_batch(requests, batch_size=1)
         return [response_signature(r) for r in reference.responses]
 
     def test_drain_without_submit_is_a_noop(self):

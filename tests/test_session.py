@@ -8,7 +8,7 @@ from repro.core.config import (
     InferenceEngineConfig,
     PreprocessingConfig,
 )
-from repro.core.pipeline import HgPCNSystem, SequenceResult
+from repro.core.pipeline import SequenceResult
 from repro.datasets import KittiLikeDataset
 from repro.datasets.synthetic import sample_cad_shape
 from repro.session import BatchResult, FrameRequest, FrameResponse, Session
@@ -156,29 +156,6 @@ class TestBatch:
         assert len(sequence.frame_results) == 3
         # KITTI-like frames carry timestamps, so a sensor model is inferred.
         assert sequence.service_trace is not None
-
-
-class TestSystemShim:
-    def test_process_cloud_matches_session_run(self):
-        config = small_config()
-        system = HgPCNSystem(config=config, task="semantic_segmentation")
-        direct = Session(config=config, task="semantic_segmentation")
-        cloud = make_cloud(5)
-        np.testing.assert_array_equal(
-            system.process_cloud(cloud).inference.forward.logits,
-            direct.run(cloud).result.inference.forward.logits,
-        )
-
-    def test_system_reuses_model_across_frames(self):
-        system = HgPCNSystem(config=small_config(), task="semantic_segmentation")
-        system.process_cloud(make_cloud(1), frame_id="f1")
-        system.process_cloud(make_cloud(2), frame_id="f2")
-        assert system.session.model_builds == 1
-
-    def test_shim_exposes_engines(self):
-        system = HgPCNSystem(config=small_config())
-        assert system.preprocessing_engine is system.session.preprocessing_engine
-        assert system.inference_engine is system.session.inference_engine
 
 
 class TestPluggableComponents:
