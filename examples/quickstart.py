@@ -46,6 +46,11 @@ def main() -> None:
           f"(octree depth {pre.octree.depth}, {pre.octree.num_leaves} leaves)")
     print(f"octree-table on-chip footprint: {pre.onchip_megabits:.2f} Mb "
           f"(budget {config.system.onchip_memory_megabits:.0f} Mb)")
+    # The response keeps a summary; the full octree and Octree-Table are one
+    # deterministic engine call away.
+    full = session.preprocessing_engine.process(frame.cloud)
+    print(f"full octree from the engine: {full.octree.leaf_codes.shape[0]} leaf "
+          f"codes, {len(full.octree_table)} table rows")
 
     labels = response.predicted_labels()
     print(f"inference produced per-point labels for {labels.shape[0]} points; "

@@ -505,6 +505,12 @@ def _run_serve(config: ServeConfig) -> int:
         ["bit-identical vs sequential",
          "verified" if config.verify else "skipped"],
     ]
+    if exec_cfg.execution == "process":
+        shipped = sum(stats.get("response_bytes", 0) for stats in worker_stats)
+        frames = sum(stats.get("frames_processed", 0) for stats in worker_stats)
+        rows.append(
+            ["response KB / frame", f"{shipped / max(1, frames) / 1e3:.1f}"]
+        )
     if policy is not None:
         rows.append(
             ["typed sheds (load/rate)",

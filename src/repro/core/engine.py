@@ -40,7 +40,7 @@ from repro.hardware.sampling_module import DownSamplingUnit
 from repro.network.backends import resolve_backend
 from repro.network.pointnet2 import ForwardResult, build_model_for_task
 from repro.network.workload import NetworkWorkload, extract_workload
-from repro.octree.builder import Octree
+from repro.octree.builder import Octree, OctreeSummary
 from repro.octree.linear import OctreeTable
 from repro.parallel import ordered_map
 from repro.sampling.base import Sampler, SamplingResult
@@ -60,8 +60,38 @@ def _accepts_keyword(func: Any, name: str) -> bool:
 
 
 @dataclass
+class PreprocessingSummary:
+    """What a served response keeps of one frame's pre-processing.
+
+    The *response's* record (``EndToEndResult.preprocessing``): the
+    down-sampled cloud, the sampling indices and counters, the modelled
+    latency, and the octree / Octree-Table reduced to their counts.  The
+    octree and table themselves are the engine's working set and stay
+    behind; ``PreprocessingEngine.process(cloud)`` recomputes them
+    deterministically, bit-identical to what this record was reduced from.
+    """
+
+    sampled: PointCloud
+    sampling: SamplingResult
+    octree: OctreeSummary
+    octree_table_entries: int
+    octree_table_bits: int
+    breakdown: LatencyBreakdown
+    onchip_megabits: float
+
+    def total_seconds(self) -> float:
+        return self.breakdown.total_seconds()
+
+
+@dataclass
 class PreprocessingResult:
-    """Output of the Pre-processing Engine for one frame."""
+    """Output of the Pre-processing Engine for one frame.
+
+    The *engine's* output: it holds the full octree and Octree-Table (the
+    Down-sampling Unit's working set, ~8 MB on a 100k-point frame).  A
+    :class:`~repro.session.Session` keeps only its :meth:`summary` in the
+    response.
+    """
 
     sampled: PointCloud
     sampling: SamplingResult
@@ -72,6 +102,18 @@ class PreprocessingResult:
 
     def total_seconds(self) -> float:
         return self.breakdown.total_seconds()
+
+    def summary(self) -> PreprocessingSummary:
+        """The array-light record of this frame that a response carries."""
+        return PreprocessingSummary(
+            sampled=self.sampled,
+            sampling=self.sampling,
+            octree=self.octree.summary(),
+            octree_table_entries=len(self.octree_table),
+            octree_table_bits=self.octree_table.total_bits(),
+            breakdown=self.breakdown,
+            onchip_megabits=self.onchip_megabits,
+        )
 
 
 @dataclass
@@ -135,7 +177,13 @@ class PreprocessingEngine:
         return registry.create("sampler", self.sampler_name, **options)
 
     def process(self, cloud: PointCloud) -> PreprocessingResult:
-        """Pre-process one raw frame: :meth:`process_batch` with ``B = 1``."""
+        """Pre-process one raw frame: :meth:`process_batch` with ``B = 1``.
+
+        This is also how a caller gets the octree or Octree-Table of a frame
+        a session served: ``session.preprocessing_engine.process(cloud)`` is
+        deterministic and bit-identical to what the response was computed
+        from.
+        """
         return self.process_batch(FrameBatch.from_clouds([cloud]))[0]
 
     def process_batch(self, batch: "FrameBatch") -> List[PreprocessingResult]:

@@ -14,17 +14,24 @@ from typing import List, Optional
 
 import numpy as np
 
-from repro.core.engine import InferenceExecution, PreprocessingResult
+from repro.core.engine import InferenceExecution, PreprocessingSummary
 from repro.core.metrics import LatencyBreakdown
 from repro.datasets.lidar import ServiceTrace
 
 
 @dataclass
 class EndToEndResult:
-    """Per-frame result of the full HgPCN pipeline."""
+    """Per-frame result of the full HgPCN pipeline: what a response carries.
+
+    ``preprocessing`` is the response-side summary, not the engine's
+    :class:`~repro.core.engine.PreprocessingResult`: the octree and
+    Octree-Table are the pipeline's working set and are dropped as soon as
+    the frame is down-sampled (ask the engine for them, see
+    :meth:`~repro.core.engine.PreprocessingEngine.process`).
+    """
 
     frame_id: str
-    preprocessing: PreprocessingResult
+    preprocessing: PreprocessingSummary
     inference: InferenceExecution
     breakdown: LatencyBreakdown
 

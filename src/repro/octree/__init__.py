@@ -16,7 +16,7 @@ are built on (Sections IV-VI of the paper):
   consecutive addresses.
 """
 
-from repro.octree.builder import Octree, OctreeBuildStats
+from repro.octree.builder import Octree, OctreeBuildStats, OctreeSummary
 from repro.octree.linear import OctreeTable, OctreeTableEntry
 from repro.octree.memory_layout import HostMemoryLayout
 from repro.octree.neighbors import (
@@ -32,6 +32,7 @@ __all__ = [
     "Octree",
     "OctreeBuildStats",
     "OctreeNode",
+    "OctreeSummary",
     "OctreeTable",
     "OctreeTableEntry",
     "codes_within_radius_batch",

@@ -48,6 +48,27 @@ class OctreeBuildStats:
         return self.host_memory_reads + self.host_memory_writes
 
 
+@dataclass(frozen=True)
+class OctreeSummary:
+    """What a served response keeps of a frame's octree (no per-point array).
+
+    Built by :meth:`Octree.summary`; the full octree of the same frame is
+    one deterministic ``PreprocessingEngine.process(cloud)`` away.
+    """
+
+    depth: int
+    box: AxisAlignedBox
+    stats: OctreeBuildStats
+
+    @property
+    def num_nodes(self) -> int:
+        return self.stats.num_nodes
+
+    @property
+    def num_leaves(self) -> int:
+        return self.stats.num_leaves
+
+
 @dataclass
 class Octree:
     """A built octree over a point cloud frame."""
@@ -304,6 +325,10 @@ class Octree:
     @property
     def num_nodes(self) -> int:
         return self.stats.num_nodes
+
+    def summary(self) -> OctreeSummary:
+        """Depth, root box and build counts, without the per-point arrays."""
+        return OctreeSummary(depth=self.depth, box=self.box, stats=self.stats)
 
     def leaf(self, code: int) -> Optional[OctreeNode]:
         """Leaf node with m-code ``code`` or ``None`` when that voxel is empty."""

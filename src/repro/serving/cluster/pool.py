@@ -48,6 +48,7 @@ BLAS pool to ``available_cores // num_workers`` threads (reported as
 ``W x cores`` threads.  Responses back-reference their request's
 ``PointCloud`` (``known=`` in the transport) instead of shipping it back:
 the parent patches in the caller's own object, as on the thread path.
+What a child does ship is summed into ``worker_stats()[i]["response_bytes"]``.
 
 Crash semantics: the collector polls the response pipe with a short
 timeout and sweeps ``process.is_alive()`` between polls.  When a worker
@@ -346,9 +347,15 @@ def _process_worker_main(
     unacked: Dict[int, str] = {}
     #: 0-based count of batches this worker has started (fault coordinates).
     ordinal = -1
+    #: Array bytes of every response message shipped so far.
+    response_bytes = 0
 
     def _stats() -> dict:
-        return dict(session.stats(), blas_threads=blas_threads)
+        return dict(
+            session.stats(),
+            blas_threads=blas_threads,
+            response_bytes=response_bytes,
+        )
 
     def _apply_ack(batch_id: int) -> None:
         segment = unacked.pop(batch_id, None)
@@ -391,6 +398,7 @@ def _process_worker_main(
                     force_inline=force_inline,
                     known=known,
                 )
+                response_bytes += out.total_bytes
                 if out.segment is not None:
                     unacked[batch_id] = out.segment
                 if faults is not None and faults.should_poison(

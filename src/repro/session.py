@@ -136,7 +136,15 @@ class FrameRequest:
 
 @dataclass
 class FrameResponse:
-    """Result of one :meth:`Session.run` call."""
+    """Result of one :meth:`Session.run` call.
+
+    A response carries the answer -- logits, sampled indices, gather rows,
+    counters, the modelled breakdown (~0.5 MB on a 100k-point LiDAR frame)
+    -- plus a reference to the caller's own request.  It does not carry the
+    octree or Octree-Table; for those call
+    ``session.preprocessing_engine.process(request.cloud)``, which is
+    deterministic and bit-identical to what the response was computed from.
+    """
 
     request: FrameRequest
     result: EndToEndResult
@@ -207,10 +215,10 @@ class Session:
         :class:`~repro.accelerators.base.InferenceAccelerator` instance.
     response_cache_size:
         Capacity of the content-addressed response cache; ``0`` disables it.
-        Each entry retains the frame's full :class:`EndToEndResult`
-        (including the raw cloud and octree), so size the cache to the frame
-        scale -- or disable it -- when serving paper-scale million-point
-        frames.
+        Each entry retains the frame's :class:`EndToEndResult` (the answer,
+        not the octree) and its request's raw cloud, so size the cache to
+        the frame scale -- or disable it -- when serving paper-scale
+        million-point frames.
     batch_rows_budget:
         Cap on the stacked down-sampled points per batch-native dispatch:
         a shape group whose frames down-sample to N points is processed in
@@ -569,7 +577,10 @@ class Session:
 
         Pre-processing batches per raw shape (frames of one dispatch group
         share the *down-sampled* shape but may differ in raw point count);
-        inference runs the whole sub-batch against one warm model.
+        inference runs the whole sub-batch against one warm model.  Each
+        frame's engine output is reduced to its response-side summary as
+        soon as it is produced (inference only needs the sampled cloud), so
+        the octrees and tables never outlive their ``process_batch`` call.
         """
         raw_groups: "OrderedDict[Tuple[int, int], List[int]]" = OrderedDict()
         for i in indices:
@@ -584,7 +595,7 @@ class Session:
             for i, pre in zip(
                 raw_indices, self.preprocessing_engine.process_batch(batch)
             ):
-                pre_results[i] = pre
+                pre_results[i] = pre.summary()
 
         inference_batch = FrameBatch.from_clouds(
             [pre_results[i].sampled for i in indices]

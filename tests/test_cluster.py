@@ -11,9 +11,11 @@ shutdown idempotency guarantees the process pool relies on.
 from __future__ import annotations
 
 import dataclasses
+import gc
 import os
 import threading
 import time
+import types
 
 import numpy as np
 import pytest
@@ -24,6 +26,7 @@ from repro.core.config import (
     PreprocessingConfig,
 )
 from repro.datasets.synthetic import sample_cad_shape
+from repro.geometry.pointcloud import PointCloud
 from repro.serving import (
     FrameServer,
     RequestRecord,
@@ -68,6 +71,25 @@ def make_session(**overrides) -> Session:
     )
     options.update(overrides)
     return Session(**options)
+
+
+def reachable(root, kinds):
+    """Every instance of ``kinds`` reachable from ``root`` by reference.
+
+    Follows ``gc.get_referents`` through containers and instances, but not
+    into classes, modules or functions (those lead to the whole program).
+    """
+    opaque = (type, types.ModuleType, types.FunctionType, types.BuiltinFunctionType)
+    seen, stack, found = {id(root)}, [root], []
+    while stack:
+        obj = stack.pop()
+        if isinstance(obj, kinds):
+            found.append(obj)
+        for referent in gc.get_referents(obj):
+            if id(referent) not in seen and not isinstance(referent, opaque):
+                seen.add(id(referent))
+                stack.append(referent)
+    return found
 
 
 def reference_signatures(requests):
@@ -325,7 +347,13 @@ class TestProcessExecution:
                 responses = [future.result(timeout=60) for future in futures]
             for request, response in zip(requests, responses):
                 assert response.request.cloud is request.cloud
-                assert response.result.preprocessing.octree.cloud is request.cloud
+                # Nothing else in a response holds a cloud: the octree (and
+                # its reference to the raw frame) stays in the engine.
+                clouds = reachable(response, PointCloud)
+                assert {id(cloud) for cloud in clouds} == {
+                    id(request.cloud),
+                    id(response.result.preprocessing.sampled),
+                }
 
     def test_orphan_result_is_released_without_being_decoded(self, monkeypatch):
         from repro.serving.cluster import pool as pool_module
@@ -405,6 +433,36 @@ class TestProcessExecution:
         assert len(stats) == 2
         served = sum(s.get("frames_processed", 0) for s in stats)
         assert served == 6
+
+    def test_response_bytes_count_what_the_children_shipped(self):
+        requests = [make_request(i) for i in range(5)]
+        with FrameServer(
+            make_session,
+            num_workers=2,
+            execution="process",
+            max_batch_size=1,
+            max_wait_seconds=0.001,
+            name="bytes",
+        ) as server:
+            futures = [server.submit(request) for request in requests]
+            responses = [future.result(timeout=60) for future in futures]
+            stats = server.worker_stats()
+        # One response per message: the counter is the sum of what encoding
+        # each response against its (known) request cloud lifts out.
+        expected = sum(
+            transport.encode_payload(
+                {"responses": [response], "error": None},
+                known=[request.cloud],
+                force_inline=True,
+            ).total_bytes
+            for request, response in zip(requests, responses)
+        )
+        shipped = sum(s["response_bytes"] for s in stats)
+        assert shipped == expected
+        # The response-contract bound (tests/test_response_contract.py):
+        # under a megabyte per frame, and here less than two raw clouds.
+        per_frame = shipped / sum(s["frames_processed"] for s in stats)
+        assert 0 < per_frame < 2 * requests[0].cloud.points.nbytes < 1_000_000
 
     def test_process_server_has_no_parent_side_sessions(self):
         with FrameServer(
