@@ -1,15 +1,18 @@
 """Asynchronous serving on top of the ``FrameBatch`` boundary.
 
-The subsystem is three small pieces wired together by
-:class:`~repro.serving.server.FrameServer`:
+The subsystem is four small pieces wired together by
+:class:`~repro.serving.server.FrameServer`, whose hand-off forms a
+micro-batch only when a worker can start it:
 
 * :class:`~repro.serving.queue.AdmissionQueue` -- bounded FIFO front door
   with enqueue timestamps and backpressure;
 * :class:`~repro.serving.scheduler.MicroBatchScheduler` -- groups admitted
-  requests by warm-state shape key into micro-batches, dispatching on a
+  requests by warm-state shape key; a group is taken on a priority,
   max-batch-size or max-wait-deadline trigger, whichever fires first;
-* worker threads each owning one warm :class:`~repro.session.Session`,
-  draining batches through the bit-identical ``run_batch`` path;
+* a :class:`~repro.serving.cluster.pool.WorkerPool` -- workers (threads or
+  processes, see :mod:`repro.serving.cluster.pool`) each owning one warm
+  :class:`~repro.session.Session`, pulling batches from the hand-off and
+  running them through the bit-identical ``run_batch`` path;
 * :class:`~repro.serving.metrics.ServingMetrics` -- per-request records and
   p50/p95/p99 queue-wait/latency percentiles.
 

@@ -1,6 +1,6 @@
 """Process-sharded serving: shared-memory transport, process pool, router.
 
-Three layers on top of the PR 5 serving stack, each usable alone:
+Three layers under the serving stack, each usable alone:
 
 * :mod:`~repro.serving.cluster.transport` -- ship ``FrameBatch`` tensors
   and response payloads across process boundaries without pickling array

@@ -1,25 +1,28 @@
 """Worker pools: thread workers and process workers behind one contract.
 
 A :class:`WorkerPool` is the execution half of a
-:class:`~repro.serving.server.FrameServer`: the server's scheduler thread
-forms micro-batches and hands them to ``pool.dispatch``; the pool runs each
-batch on a warm :class:`~repro.session.Session` and resolves the
-per-request futures in admission order.  The life cycle is::
+:class:`~repro.serving.server.FrameServer`.  Pools *pull*: whatever can
+start a micro-batch now calls the server's one hand-off (``next_batch``,
+see ``FrameServer._next_batch``), runs the batch on a warm
+:class:`~repro.session.Session` and resolves the per-request futures in
+admission order.  ``next_batch`` returning ``None`` is the end of the
+stream.  The life cycle is::
 
-    pool.start()            # build sessions / spawn workers
-    pool.dispatch(batch)*   # scheduler thread, any number of times
-    pool.end_of_stream()    # no more batches will ever arrive (idempotent)
-    pool.join(timeout)      # wait for every dispatched batch + worker exit
+    pool.start()            # build sessions / spawn workers; pulling begins
+    pool.join(timeout)      # after the stream ended: wait for worker exit
 
-:class:`ThreadWorkerPool` is PR 5's worker threads extracted behind the
-contract: one warm session per thread, batches over a stdlib queue,
-``None`` sentinels at end of stream.
+:class:`ThreadWorkerPool` runs one warm session per thread; an idle thread
+takes its next batch itself, so nothing is ever queued in the pool.
 
 :class:`ProcessWorkerPool` runs the same contract across **fork**-spawned
 worker processes, each owning a warm session built *in the child* (the
 factory closure rides the fork, nothing is pickled).  Micro-batches travel
 as shared-memory messages (:mod:`repro.serving.cluster.transport`):
 
+* a parent-side feeder thread takes a batch from the hand-off only while
+  fewer than ``_STAGED_PER_CHILD x num_workers`` batches are in flight, so
+  the backlog stays in the server's waiting room where ``queue_capacity``,
+  TTLs and priorities reach it;
 * the parent encodes a batch's requests into a
   ``repro-req-{pid}-{pool}-{w}-{b}`` segment (the pool token keeps names
   unique when one parent runs several pools, e.g. sharded serving) and
@@ -66,10 +69,10 @@ pid, exit code, and the in-flight batch ids.  A corrupted response
 segment (``TransportError`` on decode) is retried the same way, as is a
 request the child could not decode.
 
-End-of-stream is collector-driven: ``end_of_stream()`` only marks the
-stream closed; the collector sends each worker its ``stop`` sentinel once
-no batch is in flight *and* no retry is pending, so a retry can never land
-behind a ``stop`` in the FIFO request queue.
+End-of-stream is collector-driven: the feeder only marks the stream closed
+when the hand-off returns ``None``; the collector sends each worker its
+``stop`` sentinel once no batch is in flight *and* no retry is pending, so a
+retry can never land behind a ``stop`` in the FIFO request queue.
 
 Fault injection: an optional seeded
 :class:`~repro.serving.faults.FaultPlan` rides the fork into every child
@@ -85,9 +88,9 @@ import dataclasses
 import itertools
 import multiprocessing
 import os
-import queue as _stdlib_queue
 import threading
 import time
+from queue import Empty as _QueueEmpty  # what an mp.Queue.get(timeout=) raises
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from repro.parallel import available_cores, limit_blas_threads
@@ -103,7 +106,7 @@ from repro.serving.cluster.transport import (
 from repro.serving.faults import FaultPlan, poison_message
 from repro.serving.metrics import Clock, RequestRecord, ServingMetrics
 from repro.serving.queue import QueuedRequest
-from repro.serving.resilience import DeadlineExceeded, RetriesExhausted, RetryPolicy
+from repro.serving.resilience import RetriesExhausted, RetryPolicy
 from repro.serving.scheduler import MicroBatch
 from repro.session import Session
 
@@ -113,6 +116,10 @@ _POLL_SECONDS = 0.05
 #: How long a draining child waits for outstanding response-segment acks.
 _ACK_WAIT_SECONDS = 5.0
 
+#: Batches the feeder keeps in flight per child: one running plus one staged,
+#: so the next request's encode and transport overlap the current compute.
+_STAGED_PER_CHILD = 2
+
 
 class WorkerCrashed(RuntimeError):
     """A worker process died while its batches were in flight."""
@@ -120,6 +127,11 @@ class WorkerCrashed(RuntimeError):
 
 class WorkerError(RuntimeError):
     """A worker raised while serving a batch (re-raised in the parent)."""
+
+
+def _remaining(deadline: Optional[float]) -> Optional[float]:
+    """Seconds left until ``deadline`` on the wall clock joins wait on."""
+    return None if deadline is None else max(0.0, deadline - time.monotonic())
 
 
 class WorkerPool:
@@ -132,6 +144,10 @@ class WorkerPool:
         metrics: ServingMetrics,
         clock: Clock,
         name: str,
+        next_batch: Callable[[], Optional[MicroBatch]],
+        shed_entry: Callable[[QueuedRequest, float], None],
+        faults: Optional[FaultPlan] = None,
+        retry_policy: Optional[RetryPolicy] = None,
     ):
         if num_workers < 1:
             raise ValueError(f"num_workers must be >= 1, got {num_workers}")
@@ -140,42 +156,37 @@ class WorkerPool:
         self.metrics = metrics
         self.clock = clock
         self.name = name
+        #: The server's hand-off (blocking; ``None`` ends the stream) and its
+        #: resolver of expired entries (``DeadlineExceeded``, counted).
+        self._next_batch = next_batch
+        self._shed_entry = shed_entry
+        self.faults = faults
+        self.retry_policy = retry_policy
+        #: A parent-side session answering shape/budget queries, set by
+        #: :meth:`start`.
+        self._probe: Optional[Session] = None
 
     # -- contract --------------------------------------------------------
     def start(self) -> None:
         raise NotImplementedError
 
-    def dispatch(self, batch: MicroBatch) -> None:
-        raise NotImplementedError
-
-    def end_of_stream(self) -> None:
-        raise NotImplementedError
-
     def join(self, timeout: Optional[float] = None) -> None:
-        raise NotImplementedError
-
-    def shape_key(self, cloud) -> Tuple[Any, ...]:
+        """Wait up to ``timeout`` seconds *in total* for the workers to exit."""
         raise NotImplementedError
 
     def worker_stats(self) -> List[dict]:
         raise NotImplementedError
 
+    def shape_key(self, cloud) -> Tuple[Any, ...]:
+        assert self._probe is not None, "pool not started"
+        return self._probe.shape_key(cloud)
+
     def default_batch_rows_budget(self) -> Optional[int]:
         """The sessions' own rows budget (scheduler default)."""
-        raise NotImplementedError
+        assert self._probe is not None, "pool not started"
+        return self._probe.batch_rows_budget
 
     # -- shared completion path ------------------------------------------
-    def _shed_entry(self, entry: QueuedRequest, now: float) -> None:
-        """Resolve one expired entry with ``DeadlineExceeded`` (typed, counted)."""
-        if entry.future.set_running_or_notify_cancel():
-            entry.future.set_exception(
-                DeadlineExceeded(
-                    f"request {entry.request.frame_id!r} missed its deadline "
-                    f"by {now - (entry.deadline or now):.3f}s before dispatch"
-                )
-            )
-        self.metrics.record_shed(entry.class_name)
-
     def _complete_batch(
         self,
         batch: MicroBatch,
@@ -214,31 +225,16 @@ class WorkerPool:
 
 
 class ThreadWorkerPool(WorkerPool):
-    """PR 5's warm-session worker threads behind the pool contract."""
+    """Warm-session worker threads, each pulling its own batches.
 
-    def __init__(
-        self,
-        session_factory: Callable[[], Session],
-        num_workers: int,
-        metrics: ServingMetrics,
-        clock: Clock,
-        name: str,
-        faults: Optional[FaultPlan] = None,
-        retry_policy: Optional[RetryPolicy] = None,
-    ):
-        super().__init__(session_factory, num_workers, metrics, clock, name)
-        # Threads cannot be killed or poisoned; only "slow" faults apply.
-        # retry_policy is accepted for contract uniformity (threads do not
-        # crash, so there is nothing to retry).
-        self.faults = faults
-        self.retry_policy = retry_policy
+    Threads cannot be killed or poisoned, so only "slow" faults apply and
+    there is nothing for ``retry_policy`` to retry.
+    """
+
+    def __init__(self, *args: Any, **kwargs: Any):
+        super().__init__(*args, **kwargs)
         self.sessions: List[Session] = []
-        self._dispatch: "_stdlib_queue.Queue[Optional[MicroBatch]]" = (
-            _stdlib_queue.Queue()
-        )
         self._threads: List[threading.Thread] = []
-        self._eos = False
-        self._eos_lock = threading.Lock()
 
     def start(self) -> None:
         self.sessions = [self.session_factory() for _ in range(self.num_workers)]
@@ -246,6 +242,7 @@ class ThreadWorkerPool(WorkerPool):
             raise ValueError(
                 "session_factory must build a distinct Session per worker"
             )
+        self._probe = self.sessions[0]
         for worker_index in range(self.num_workers):
             thread = threading.Thread(
                 target=self._worker_loop,
@@ -256,46 +253,29 @@ class ThreadWorkerPool(WorkerPool):
             self._threads.append(thread)
             thread.start()
 
-    def dispatch(self, batch: MicroBatch) -> None:
-        self._dispatch.put(batch)
-
-    def end_of_stream(self) -> None:
-        with self._eos_lock:
-            if self._eos:
-                return
-            self._eos = True
-        for _ in range(self.num_workers):
-            self._dispatch.put(None)
-
     def join(self, timeout: Optional[float] = None) -> None:
+        deadline = None if timeout is None else time.monotonic() + timeout
         for thread in self._threads:
-            thread.join(timeout)
-
-    def shape_key(self, cloud) -> Tuple[Any, ...]:
-        return self.sessions[0].shape_key(cloud)
+            thread.join(_remaining(deadline))
 
     def worker_stats(self) -> List[dict]:
         return [session.stats() for session in self.sessions]
-
-    def default_batch_rows_budget(self) -> Optional[int]:
-        return self.sessions[0].batch_rows_budget
 
     def _worker_loop(self, worker_index: int) -> None:
         session = self.sessions[worker_index]
         worker_name = f"{self.name}-worker-{worker_index}"
         ordinal = -1
-        while True:
-            batch = self._dispatch.get()
-            if batch is None:
-                break
+        while (batch := self._next_batch()) is not None:
             ordinal += 1
+            # Taken means started: the batch left the waiting room at
+            # ``formed_at``; an injected delay below is slow *service*.
+            dispatched_at = batch.formed_at
+            for entry in batch.entries:
+                entry.dispatched_at = dispatched_at
             if self.faults is not None:
                 delay = self.faults.slow_delay(worker_index, 0, ordinal)
                 if delay > 0:
                     time.sleep(delay)
-            dispatched_at = self.clock()
-            for entry in batch.entries:
-                entry.dispatched_at = dispatched_at
             try:
                 result = session.run_batch(
                     [entry.request for entry in batch.entries]
@@ -336,7 +316,6 @@ def _process_worker_main(
     request_queue,
     respond: Callable[[Tuple[Any, ...]], None],
     force_inline: bool,
-    ack_wait_seconds: float,
     faults: Optional[FaultPlan] = None,
     blas_share: int = 1,
 ) -> None:
@@ -421,11 +400,11 @@ def _process_worker_main(
                 # Hold un-acked response segments until the parent has
                 # copied them out (it acks each one); bounded wait so a
                 # vanished parent cannot wedge the child.
-                deadline = time.monotonic() + ack_wait_seconds
+                deadline = time.monotonic() + _ACK_WAIT_SECONDS
                 while unacked and time.monotonic() < deadline:
                     try:
                         message = request_queue.get(timeout=0.1)
-                    except _stdlib_queue.Empty:
+                    except _QueueEmpty:
                         continue
                     if message[0] == "ack":
                         _apply_ack(message[1])
@@ -485,43 +464,32 @@ class ProcessWorkerPool(WorkerPool):
     Requires the ``fork`` start method (session factories are ordinary
     closures; fork inherits them, nothing crosses a pickle boundary except
     the transport messages).  Raises :class:`TransportError` where fork is
-    unavailable.  When :mod:`multiprocessing.shared_memory` is missing (or
-    ``force_inline`` is set) the transport carries the bytes inline through
-    the queues -- slower, byte-identical.
+    unavailable.  When :mod:`multiprocessing.shared_memory` is missing the
+    transport carries the bytes inline through the queues -- slower,
+    byte-identical.
     """
 
-    def __init__(
-        self,
-        session_factory: Callable[[], Session],
-        num_workers: int,
-        metrics: ServingMetrics,
-        clock: Clock,
-        name: str,
-        force_inline: bool = False,
-        ack_wait_seconds: float = _ACK_WAIT_SECONDS,
-        faults: Optional[FaultPlan] = None,
-        retry_policy: Optional[RetryPolicy] = None,
-    ):
-        super().__init__(session_factory, num_workers, metrics, clock, name)
+    def __init__(self, *args: Any, **kwargs: Any):
+        super().__init__(*args, **kwargs)
         if "fork" not in multiprocessing.get_all_start_methods():
             raise TransportError(
                 "ProcessWorkerPool needs the 'fork' start method, which is "
                 "unavailable on this platform; use execution='thread'"
             )
         self._ctx = multiprocessing.get_context("fork")
-        self._force_inline = bool(force_inline) or not shared_memory_available()
-        self._ack_wait_seconds = ack_wait_seconds
-        self.faults = faults
-        self.retry_policy = retry_policy or RetryPolicy()
+        self._force_inline = not shared_memory_available()
+        self.retry_policy = self.retry_policy or RetryPolicy()
         self._pool_token = next(_POOL_TOKENS) % 100
         self._arena = SharedMemoryArena(prefix=f"repro-req-{os.getpid()}")
         self._retries: List[_PendingRetry] = []
-        self._probe: Optional[Session] = None
         self._workers: List[_WorkerHandle] = []
         self._responses = None
         self._respond: Optional[Callable[[Tuple[Any, ...]], None]] = None
         self._collector: Optional[threading.Thread] = None
+        self._feeder: Optional[threading.Thread] = None
         self._lock = threading.Lock()
+        #: Signalled (under ``_lock``) whenever a batch leaves ``_in_flight``.
+        self._slot_free = threading.Condition(self._lock)
         self._in_flight: Dict[int, _InFlight] = {}
         #: Warm-shape key -> home worker, and the keys each worker has seen.
         self._affinity: Dict[Any, int] = {}
@@ -563,8 +531,8 @@ class ProcessWorkerPool(WorkerPool):
                 writer.send(message)
 
         self._respond = respond
-        # Spawn before any dispatching threads exist so the forks do not
-        # duplicate a thread holding a lock.
+        # Spawn before the collector and feeder threads exist so the forks do
+        # not duplicate a thread holding a lock.
         self._workers = [
             self._spawn(index, generation=0) for index in range(self.num_workers)
         ]
@@ -574,6 +542,28 @@ class ProcessWorkerPool(WorkerPool):
             daemon=True,
         )
         self._collector.start()
+        self._feeder = threading.Thread(
+            target=self._feeder_loop, name=f"{self.name}-feeder", daemon=True
+        )
+        self._feeder.start()
+
+    def _feeder_loop(self) -> None:
+        """Move batches from the hand-off to the children, a slot at a time."""
+        slots = _STAGED_PER_CHILD * self.num_workers
+        try:
+            while True:
+                with self._lock:
+                    while len(self._in_flight) >= slots:
+                        self._slot_free.wait()
+                batch = self._next_batch()
+                if batch is None:
+                    break
+                self._send(batch)
+        finally:
+            # Even if the hand-off raised: the collector stops the children
+            # only once the stream is marked closed.
+            with self._lock:
+                self._eos = True
 
     def _spawn(self, index: int, generation: int) -> _WorkerHandle:
         request_queue = self._ctx.Queue()
@@ -586,7 +576,6 @@ class ProcessWorkerPool(WorkerPool):
                 request_queue,
                 self._respond,
                 self._force_inline,
-                self._ack_wait_seconds,
                 self.faults,
                 max(1, available_cores() // self.num_workers),
             ),
@@ -601,9 +590,11 @@ class ProcessWorkerPool(WorkerPool):
             request_queue=request_queue,
         )
 
-    def dispatch(self, batch: MicroBatch, attempts: int = 1) -> None:
+    def _send(self, batch: MicroBatch, attempts: int = 1) -> None:
+        """Encode ``batch`` and enqueue it on the child routing picks."""
         worker_index = self._route(batch.key)
-        dispatched_at = self.clock()
+        # A first attempt started when it left the waiting room.
+        dispatched_at = batch.formed_at if attempts == 1 else self.clock()
         for entry in batch.entries:
             entry.dispatched_at = dispatched_at
             entry.attempts = attempts
@@ -658,23 +649,14 @@ class ProcessWorkerPool(WorkerPool):
             self._warm[worker_index].add(key)
             return worker_index
 
-    def end_of_stream(self) -> None:
-        # Only mark the stream closed.  The collector sends the per-worker
-        # "stop" sentinels once nothing is in flight and no retry is
-        # pending: request queues are FIFO, so a retry dispatched after a
-        # "stop" would land behind it and never run.
-        with self._lock:
-            if self._eos:
-                return
-            self._eos = True
-
     def join(self, timeout: Optional[float] = None) -> None:
-        self.end_of_stream()
-        self._all_done.wait(timeout)
-        if self._collector is not None:
-            self._collector.join(timeout)
+        deadline = None if timeout is None else time.monotonic() + timeout
+        self._all_done.wait(_remaining(deadline))
+        for thread in (self._feeder, self._collector):
+            if thread is not None:
+                thread.join(_remaining(deadline))
         for handle in self._workers:
-            handle.process.join(timeout)
+            handle.process.join(_remaining(deadline))
             if handle.process.is_alive():  # refuse to hang the caller
                 handle.process.terminate()
                 handle.process.join(1.0)
@@ -689,18 +671,10 @@ class ProcessWorkerPool(WorkerPool):
         self._arena.release_all()
 
     # -- introspection ---------------------------------------------------
-    def shape_key(self, cloud) -> Tuple[Any, ...]:
-        assert self._probe is not None, "pool not started"
-        return self._probe.shape_key(cloud)
-
     def worker_stats(self) -> List[dict]:
         """Latest ``session.stats()`` reported by each worker process."""
         with self._lock:
             return [dict(stats) if stats else {} for stats in self._latest_stats]
-
-    def default_batch_rows_budget(self) -> Optional[int]:
-        assert self._probe is not None, "pool not started"
-        return self._probe.batch_rows_budget
 
     def affinity_map(self) -> Dict[Any, int]:
         """Warm-shape key -> worker index (snapshot)."""
@@ -761,14 +735,16 @@ class ProcessWorkerPool(WorkerPool):
         for pending in due:
             # Deadlines are re-checked at re-dispatch time: backoff may
             # have outlived a survivor's TTL.
-            survivors = [e for e in pending.batch.entries if not e.expired(now)]
-            for entry in pending.batch.entries:
-                if entry.expired(now):
-                    self._shed_entry(entry, now)
-            if not survivors:
-                continue
-            pending.batch.entries = survivors
-            self.dispatch(pending.batch, attempts=pending.attempts + 1)
+            if self._keep_survivors(pending.batch, now):
+                self._send(pending.batch, attempts=pending.attempts + 1)
+
+    def _keep_survivors(self, batch: MicroBatch, now: float) -> bool:
+        """Shed the batch's expired entries (typed); False when none is left."""
+        for entry in batch.entries:
+            if entry.expired(now):
+                self._shed_entry(entry, now)
+        batch.entries = [e for e in batch.entries if not e.expired(now)]
+        return bool(batch.entries)
 
     def _handle_result(self, message: Tuple[Any, ...]) -> None:
         _, worker_index, generation, batch_id, wire, stats = message
@@ -784,6 +760,7 @@ class ProcessWorkerPool(WorkerPool):
                 info = None
             else:
                 self._in_flight.pop(batch_id, None)
+                self._slot_free.notify()
             self._latest_stats[worker_index] = stats
             handle = self._workers[worker_index]
         worker_name = f"{self.name}-proc-{worker_index}"
@@ -860,15 +837,10 @@ class ProcessWorkerPool(WorkerPool):
         if self.retry_policy.exhausted(info.attempts):
             return False
         now = self.clock()
-        survivors = [e for e in info.batch.entries if not e.expired(now)]
-        for entry in info.batch.entries:
-            if entry.expired(now):
-                self._shed_entry(entry, now)
-        if not survivors:
+        if not self._keep_survivors(info.batch, now):
             return True
-        info.batch.entries = survivors
         delay = self.retry_policy.delay(info.attempts)
-        for _ in survivors:
+        for _ in info.batch.entries:
             self.metrics.record_retry()
         with self._lock:
             self._retries.append(
@@ -896,20 +868,21 @@ class ProcessWorkerPool(WorkerPool):
                     ):
                         del self._in_flight[batch_id]
                         batches.append((batch_id, info))
+                self._slot_free.notify()
                 retryable = any(
                     not self.retry_policy.exhausted(info.attempts)
                     for _, info in batches
                 )
                 if not self._eos or retryable:
                     # Replace the handle inside this same critical section:
-                    # dispatch() reads the handle and registers in-flight
+                    # _send() reads the handle and registers in-flight
                     # under the lock, so a batch can never be enqueued on
                     # the dead worker's queue after its casualties were
                     # collected (it either lands in `batches` above or on
                     # the fresh replacement).  While draining, respawn only
                     # when a retry will need the slot; a retry whose
                     # affinity points at a retired slot respawns it lazily
-                    # in dispatch().
+                    # in _send().
                     self._workers[slot] = self._spawn(
                         handle.index, generation=handle.generation + 1
                     )

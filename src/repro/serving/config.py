@@ -2,11 +2,11 @@
 
 :class:`ServeConfig` is the one description of a serving soak: what traffic
 to generate, under which serving policy, on what execution substrate, with
-which chaos plan.  The ``serve`` CLI parses straight into it
-(:meth:`ServeConfig.add_cli_args` declares the argparse groups,
-:meth:`ServeConfig.from_args` reads them back) and
-``benchmarks/run_all.py`` constructs it directly -- one source of truth
-instead of two copies of the same ~20-knob plumbing.
+which chaos plan.  The ``serve`` CLI parses straight into it: a config field
+declared with :func:`_flag` *is* the flag -- name, default, validator and
+help written once -- so :meth:`ServeConfig.add_cli_args` and
+:meth:`ServeConfig.from_args` are loops over the dataclass fields, and
+``benchmarks/run_all.py`` constructs the same dataclasses directly.
 
 The sub-configs mirror the argparse groups:
 
@@ -29,7 +29,7 @@ byte-identical soaks.
 from __future__ import annotations
 
 import argparse
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
@@ -58,43 +58,30 @@ DATASET_TASKS = {
 }
 
 
-def positive_int(text: str) -> int:
-    """argparse type: integer >= 1 (clean error instead of a deep crash)."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
-    if value < 1:
-        raise argparse.ArgumentTypeError(
-            f"expected a positive integer, got {value}"
-        )
-    return value
+def _number(cast: type, accept: Any, kind: str, what: str) -> Any:
+    """argparse type: ``cast(text)`` passing ``accept`` (a clean error
+    instead of a deep crash)."""
+
+    def parse(text: str) -> Any:
+        try:
+            value = cast(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected {kind}, got {text!r}")
+        if not accept(value):
+            raise argparse.ArgumentTypeError(f"expected {what}, got {text}")
+        return value
+
+    return parse
 
 
-def nonnegative_int(text: str) -> int:
-    """argparse type: integer >= 0 (0 is the documented sentinel)."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
-    if value < 0:
-        raise argparse.ArgumentTypeError(
-            f"expected a non-negative integer, got {value}"
-        )
-    return value
-
-
-def positive_float(text: str) -> float:
-    """argparse type: finite float > 0 (clean error instead of a deep crash)."""
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}")
-    if not value > 0 or not np.isfinite(value):
-        raise argparse.ArgumentTypeError(
-            f"expected a positive number, got {text}"
-        )
-    return value
+positive_int = _number(int, lambda v: v >= 1, "an integer", "a positive integer")
+#: 0 is the documented sentinel of the flags that take this.
+nonnegative_int = _number(
+    int, lambda v: v >= 0, "an integer", "a non-negative integer"
+)
+positive_float = _number(
+    float, lambda v: v > 0 and np.isfinite(v), "a number", "a positive number"
+)
 
 
 def parse_class_spec(spec: str) -> PriorityClass:
@@ -163,22 +150,92 @@ def _parse_traffic_param(text: str) -> Tuple[str, Any]:
     return key.replace("-", "_"), value
 
 
+def _flag(default: Any, flag: Optional[str] = None, **argparse_kwargs: Any) -> Any:
+    """A config field that is also a ``serve`` flag.
+
+    ``default`` (a factory for mutable values) is the one place the default
+    is written; ``flag`` names the option when it is not ``--field-name``;
+    the rest are its ``add_argument`` keywords (``choices`` may be a
+    callable, resolved when the parser is built).
+    """
+    metadata = {"flag": flag, "argparse": argparse_kwargs}
+    if callable(default):
+        return field(default_factory=default, metadata=metadata)
+    return field(default=default, metadata=metadata)
+
+
+def _flag_name(spec: Any) -> str:
+    return spec.metadata["flag"] or "--" + spec.name.replace("_", "-")
+
+
+def _flag_dest(spec: Any) -> str:
+    """The ``args`` attribute argparse stores the flag's value under."""
+    explicit = spec.metadata["argparse"].get("dest")
+    return explicit or _flag_name(spec)[2:].replace("-", "_")
+
+
+def _add_flags(group: Any, owner: type) -> None:
+    """Declare every :func:`_flag` field of ``owner`` on ``group``."""
+    defaults = owner()
+    for spec in fields(owner):
+        if "flag" not in spec.metadata:
+            continue
+        kwargs = dict(spec.metadata["argparse"])
+        if callable(kwargs.get("choices")):
+            kwargs["choices"] = kwargs["choices"]()
+        default = getattr(defaults, spec.name)
+        if kwargs.get("action") == "append":
+            default = list(default)  # the field's own empty collection
+        group.add_argument(_flag_name(spec), default=default, **kwargs)
+
+
+def _from_flags(owner: type, args: argparse.Namespace, **computed: Any) -> Any:
+    """Build ``owner`` from parsed flags: a field is ``computed`` or a plain
+    copy of its flag's value (fields without a flag keep their default)."""
+    values = dict(computed)
+    for spec in fields(owner):
+        if "flag" in spec.metadata and spec.name not in values:
+            values[spec.name] = getattr(args, _flag_dest(spec))
+    return owner(**values)
+
+
 @dataclass
 class TrafficConfig:
     """Which traffic model generates the request stream, and how fast."""
 
     #: Registered ``"traffic"`` model name; ``None`` keeps the legacy
     #: dataset-frames + seeded-Poisson request path.
-    model: Optional[str] = None
+    model: Optional[str] = _flag(
+        None, "--traffic", choices=lambda: registry.available("traffic"),
+        help="registered traffic model generating the request stream "
+             "(default: dataset frames on a seeded Poisson schedule)",
+    )
     #: Mean arrival rate in Hz (0 = submit everything at once).
-    rate_hz: float = 100.0
+    rate_hz: float = _flag(
+        100.0, type=float,
+        help="mean arrival rate of the open-loop traffic "
+             "(0 = submit everything at once)",
+    )
     #: Raw cloud size for model-generated frames.
-    raw_points: int = 400
+    raw_points: int = _flag(
+        400, "--traffic-raw-points", type=positive_int,
+        help="raw cloud size of model-generated frames (default 400)",
+    )
+    #: Model-specific constructor kwargs (e.g. ``burst_size``, ``sigma``).
+    params: Dict[str, Any] = _flag(
+        dict, "--traffic-param", type=_parse_traffic_param, action="append",
+        metavar="KEY=VALUE",
+        help="model-specific parameter, repeatable "
+             "(e.g. --traffic-param burst_size=8)",
+    )
     #: Per-item class draw weights, parallel to the policy's class list
     #: (``None`` -> uniform).  Only used when a policy defines classes.
-    class_weights: Optional[Tuple[float, ...]] = None
-    #: Model-specific constructor kwargs (e.g. ``burst_size``, ``sigma``).
-    params: Dict[str, Any] = field(default_factory=dict)
+    class_weights: Optional[Tuple[float, ...]] = _flag(
+        None, "--traffic-class-weights",
+        help="per-class draw weights: either comma-separated floats "
+             "parallel to --classes, or name=weight pairs "
+             "(e.g. high=0.3,low=0.7; default uniform)",
+    )
 
     def build(
         self,
@@ -207,14 +264,43 @@ class TrafficConfig:
 class PolicyConfig:
     """Serving-policy knobs; :meth:`build` returns ``None`` when untouched."""
 
-    classes: Tuple[PriorityClass, ...] = ()
-    default_class: Optional[str] = None
-    admission: str = "reject"
-    max_backlog: Optional[int] = None
-    rate_limit_hz: Optional[float] = None
-    rate_limit_burst: int = 8
-    adaptive_max_wait: bool = False
-    min_wait_ms: float = 0.5
+    classes: Tuple[PriorityClass, ...] = _flag(
+        (), type=parse_class_spec, action="append",
+        metavar="NAME:PRIO[:SLO_MS][:preempt]",
+        help="priority class spec, repeatable "
+             "(e.g. --classes high:10:50:preempt --classes low:0)",
+    )
+    default_class: Optional[str] = _flag(
+        None,
+        help="class for unlabelled requests "
+             "(default: the lowest-priority class)",
+    )
+    admission: str = _flag(
+        "reject", choices=ADMISSION_MODES,
+        help="over-capacity behaviour: 'reject' raises QueueFull, "
+             "'shed' resolves lowest-priority work with LoadShed",
+    )
+    max_backlog: Optional[int] = _flag(
+        None, type=positive_int,
+        help="shed threshold on admitted-but-unfinished requests "
+             "(default: the queue capacity)",
+    )
+    rate_limit_hz: Optional[float] = _flag(
+        None, type=positive_float,
+        help="per-shape-key token-bucket refill rate (default: off)",
+    )
+    rate_limit_burst: int = _flag(
+        8, type=positive_int, help="token-bucket capacity (default 8)"
+    )
+    adaptive_max_wait: bool = _flag(
+        False, action="store_true",
+        help="tune the micro-batch deadline trigger to the observed "
+             "arrival rate (never above --max-wait-ms)",
+    )
+    min_wait_ms: float = _flag(
+        0.5, type=positive_float,
+        help="floor of the adaptive wait (default 0.5)",
+    )
     adaptive_alpha: float = 0.2
 
     @property
@@ -257,28 +343,74 @@ class PolicyConfig:
 class ExecutionConfig:
     """Workers, shards, micro-batch triggers, and pipeline components."""
 
-    workers: int = 2
-    execution: str = "thread"
-    shards: int = 1
-    max_batch: int = 8
-    max_wait_ms: float = 5.0
+    workers: int = _flag(
+        2, type=positive_int,
+        help="warm-session workers per server/shard (default 2)",
+    )
+    execution: str = _flag(
+        "thread", choices=("thread", "process"),
+        help="run workers as threads or as fork-spawned processes with "
+             "shared-memory batch transport (default thread)",
+    )
+    shards: int = _flag(
+        1, type=positive_int,
+        help="consistent-hash shard count; >1 routes requests across N "
+             "in-process FrameServer shards (default 1)",
+    )
+    sampler: str = _flag("ois", choices=lambda: registry.available("sampler"))
+    accelerator: str = _flag(
+        "hgpcn", choices=lambda: registry.available("accelerator")
+    )
+    backend: Optional[str] = _flag(
+        None, choices=lambda: registry.available("backend"),
+        help="compute backend for every serving session -- workers and "
+             "the sequential bit-identity reference alike (default: "
+             "session default -- REPRO_BACKEND env or fused)",
+    )
+    max_batch: int = _flag(
+        8, type=positive_int, help="micro-batch size trigger (default 8)"
+    )
+    max_wait_ms: float = _flag(
+        5.0, type=float, help="micro-batch deadline trigger in ms (default 5)"
+    )
     #: Admission queue bound (0 = sized to the request count).
-    queue_capacity: int = 0
+    queue_capacity: int = _flag(
+        0, type=nonnegative_int,
+        help="admission queue bound (0 = sized to the request count, "
+             "i.e. no backpressure during the soak)",
+    )
     #: Stacked-rows cap per dispatch (0 = session default).
-    batch_rows_budget: int = 0
-    sampler: str = "ois"
-    accelerator: str = "hgpcn"
-    backend: Optional[str] = None
-    preprocess_workers: Optional[int] = None
+    batch_rows_budget: int = _flag(
+        0, type=nonnegative_int,
+        help="stacked-rows cap per dispatch (0 = session default)",
+    )
+    preprocess_workers: Optional[int] = _flag(
+        None, type=positive_int,
+        help="intra-batch worker threads inside each serving worker's "
+             "engine stage tails (default: REPRO_PREPROCESS_WORKERS "
+             "env, else serial)",
+    )
 
 
 @dataclass
 class ChaosConfig:
     """Seeded fault plan for chaos soaks (requires process execution)."""
 
-    enabled: bool = False
-    kill_after: int = 2
-    slow_ms: float = 25.0
+    enabled: bool = _flag(
+        False, "--chaos", action="store_true",
+        help="run the soak under a seeded fault plan (kill one worker "
+             "mid-run, slow another) and gate on full recovery; "
+             "requires --execution process",
+    )
+    kill_after: int = _flag(
+        2, "--chaos-kill-after", type=nonnegative_int,
+        help="kill worker 0 after it has started this many batches "
+             "(default 2)",
+    )
+    slow_ms: float = _flag(
+        25.0, "--chaos-slow-ms", type=positive_float,
+        help="injected latency per batch on the slow worker (default 25)",
+    )
 
     def build(self, seed: int, workers: int) -> Optional[FaultPlan]:
         if not self.enabled:
@@ -295,19 +427,42 @@ class ChaosConfig:
 class ServeConfig:
     """Everything one serving soak needs, CLI- and benchmark-constructible."""
 
-    dataset: str = "kitti"
-    scale: float = 0.001
-    samples: int = 64
-    neighbors: int = 8
-    seed: int = 0
-    frames: int = 200
-    verify: bool = True
-    metrics_out: Path = Path("serving_metrics.json")
-    p99_budget_ms: float = 10_000.0
-    request_timeout: float = 300.0
+    dataset: str = _flag("kitti", choices=sorted(DATASET_TASKS))
+    scale: float = _flag(
+        0.001, type=float,
+        help="fraction of the paper-scale raw frame to generate",
+    )
+    samples: int = _flag(
+        64, type=positive_int, help="down-sampled input size (default 64)"
+    )
+    neighbors: int = _flag(8, type=positive_int)
+    seed: int = _flag(0, type=nonnegative_int)
+    frames: int = _flag(
+        200, type=positive_int, help="number of synthetic requests to serve"
+    )
+    metrics_out: Path = _flag(
+        Path("serving_metrics.json"), type=Path,
+        help="where to write the JSON metrics report",
+    )
+    p99_budget_ms: float = _flag(
+        10_000.0, type=float,
+        help="fail when p99 end-to-end latency exceeds this (0 disables)",
+    )
+    request_timeout: float = _flag(
+        300.0, type=positive_float,
+        help="per-request future.result timeout in seconds (default 300)",
+    )
+    verify: bool = _flag(
+        True, "--no-verify", dest="verify", action="store_false",
+        help="skip the bit-identity check against a sequential run_batch",
+    )
     #: Gate: fail unless at least this many requests were load-shed (a
     #: shed soak where nothing shed proves nothing; 0 disables).
-    min_load_sheds: int = 0
+    min_load_sheds: int = _flag(
+        0, type=nonnegative_int,
+        help="fail unless at least this many requests were load-shed "
+             "(validates a shed-mode soak actually shed; 0 disables)",
+    )
     traffic: TrafficConfig = field(default_factory=TrafficConfig)
     policy: PolicyConfig = field(default_factory=PolicyConfig)
     execution: ExecutionConfig = field(default_factory=ExecutionConfig)
@@ -316,193 +471,11 @@ class ServeConfig:
     # -- argparse integration --------------------------------------------
     @staticmethod
     def add_cli_args(parser: argparse.ArgumentParser) -> None:
-        """Declare the ``serve`` flags as traffic/policy/execution/chaos
-        argparse groups (flag names unchanged from the pre-group CLI)."""
-        parser.add_argument(
-            "--dataset", choices=sorted(DATASET_TASKS), default="kitti"
-        )
-        parser.add_argument(
-            "--scale", type=float, default=0.001,
-            help="fraction of the paper-scale raw frame to generate",
-        )
-        parser.add_argument(
-            "--samples", type=positive_int, default=64,
-            help="down-sampled input size (default 64)",
-        )
-        parser.add_argument("--neighbors", type=positive_int, default=8)
-        parser.add_argument("--seed", type=nonnegative_int, default=0)
-        parser.add_argument(
-            "--frames", type=positive_int, default=200,
-            help="number of synthetic requests to serve",
-        )
-        parser.add_argument(
-            "--metrics-out", type=Path, default=Path("serving_metrics.json"),
-            help="where to write the JSON metrics report",
-        )
-        parser.add_argument(
-            "--p99-budget-ms", type=float, default=10_000.0,
-            help="fail when p99 end-to-end latency exceeds this (0 disables)",
-        )
-        parser.add_argument(
-            "--request-timeout", type=positive_float, default=300.0,
-            help="per-request future.result timeout in seconds (default 300)",
-        )
-        parser.add_argument(
-            "--no-verify", dest="verify", action="store_false",
-            help="skip the bit-identity check against a sequential run_batch",
-        )
-        parser.add_argument(
-            "--min-load-sheds", type=nonnegative_int, default=0,
-            help="fail unless at least this many requests were load-shed "
-                 "(validates a shed-mode soak actually shed; 0 disables)",
-        )
-
-        traffic = parser.add_argument_group(
-            "traffic", "what request stream to generate"
-        )
-        traffic.add_argument(
-            "--traffic",
-            choices=registry.available("traffic"),
-            default=None,
-            help="registered traffic model generating the request stream "
-                 "(default: dataset frames on a seeded Poisson schedule)",
-        )
-        traffic.add_argument(
-            "--rate-hz", type=float, default=100.0,
-            help="mean arrival rate of the open-loop traffic "
-                 "(0 = submit everything at once)",
-        )
-        traffic.add_argument(
-            "--traffic-raw-points", type=positive_int, default=400,
-            help="raw cloud size of model-generated frames (default 400)",
-        )
-        traffic.add_argument(
-            "--traffic-param", type=_parse_traffic_param, action="append",
-            default=[], metavar="KEY=VALUE",
-            help="model-specific parameter, repeatable "
-                 "(e.g. --traffic-param burst_size=8)",
-        )
-        traffic.add_argument(
-            "--traffic-class-weights", default=None,
-            help="per-class draw weights: either comma-separated floats "
-                 "parallel to --classes, or name=weight pairs "
-                 "(e.g. high=0.3,low=0.7; default uniform)",
-        )
-
-        policy = parser.add_argument_group(
-            "policy", "serving policy: priority classes, shedding, limits"
-        )
-        policy.add_argument(
-            "--classes", type=parse_class_spec, action="append", default=[],
-            metavar="NAME:PRIO[:SLO_MS][:preempt]",
-            help="priority class spec, repeatable "
-                 "(e.g. --classes high:10:50:preempt --classes low:0)",
-        )
-        policy.add_argument(
-            "--default-class", default=None,
-            help="class for unlabelled requests "
-                 "(default: the lowest-priority class)",
-        )
-        policy.add_argument(
-            "--admission", choices=ADMISSION_MODES, default="reject",
-            help="over-capacity behaviour: 'reject' raises QueueFull, "
-                 "'shed' resolves lowest-priority work with LoadShed",
-        )
-        policy.add_argument(
-            "--max-backlog", type=positive_int, default=None,
-            help="shed threshold on admitted-but-unfinished requests "
-                 "(default: the queue capacity)",
-        )
-        policy.add_argument(
-            "--rate-limit-hz", type=positive_float, default=None,
-            help="per-shape-key token-bucket refill rate (default: off)",
-        )
-        policy.add_argument(
-            "--rate-limit-burst", type=positive_int, default=8,
-            help="token-bucket capacity (default 8)",
-        )
-        policy.add_argument(
-            "--adaptive-max-wait", action="store_true",
-            help="tune the micro-batch deadline trigger to the observed "
-                 "arrival rate (never above --max-wait-ms)",
-        )
-        policy.add_argument(
-            "--min-wait-ms", type=positive_float, default=0.5,
-            help="floor of the adaptive wait (default 0.5)",
-        )
-
-        execution = parser.add_argument_group(
-            "execution", "workers, shards, and micro-batch triggers"
-        )
-        execution.add_argument(
-            "--workers", type=positive_int, default=2,
-            help="warm-session workers per server/shard (default 2)",
-        )
-        execution.add_argument(
-            "--execution", choices=("thread", "process"), default="thread",
-            help="run workers as threads or as fork-spawned processes with "
-                 "shared-memory batch transport (default thread)",
-        )
-        execution.add_argument(
-            "--shards", type=positive_int, default=1,
-            help="consistent-hash shard count; >1 routes requests across N "
-                 "in-process FrameServer shards (default 1)",
-        )
-        execution.add_argument(
-            "--sampler", choices=registry.available("sampler"), default="ois"
-        )
-        execution.add_argument(
-            "--accelerator", choices=registry.available("accelerator"),
-            default="hgpcn",
-        )
-        execution.add_argument(
-            "--backend",
-            choices=registry.available("backend"),
-            default=None,
-            help="compute backend for every serving session -- workers and "
-                 "the sequential bit-identity reference alike (default: "
-                 "session default -- REPRO_BACKEND env or fused)",
-        )
-        execution.add_argument(
-            "--max-batch", type=positive_int, default=8,
-            help="micro-batch size trigger (default 8)",
-        )
-        execution.add_argument(
-            "--max-wait-ms", type=float, default=5.0,
-            help="micro-batch deadline trigger in ms (default 5)",
-        )
-        execution.add_argument(
-            "--queue-capacity", type=nonnegative_int, default=0,
-            help="admission queue bound (0 = sized to the request count, "
-                 "i.e. no backpressure during the soak)",
-        )
-        execution.add_argument(
-            "--batch-rows-budget", type=nonnegative_int, default=0,
-            help="stacked-rows cap per dispatch (0 = session default)",
-        )
-        execution.add_argument(
-            "--preprocess-workers", type=positive_int, default=None,
-            help="intra-batch worker threads inside each serving worker's "
-                 "engine stage tails (default: REPRO_PREPROCESS_WORKERS "
-                 "env, else serial)",
-        )
-
-        chaos = parser.add_argument_group("chaos", "seeded fault injection")
-        chaos.add_argument(
-            "--chaos", action="store_true",
-            help="run the soak under a seeded fault plan (kill one worker "
-                 "mid-run, slow another) and gate on full recovery; "
-                 "requires --execution process",
-        )
-        chaos.add_argument(
-            "--chaos-kill-after", type=nonnegative_int, default=2,
-            help="kill worker 0 after it has started this many batches "
-                 "(default 2)",
-        )
-        chaos.add_argument(
-            "--chaos-slow-ms", type=positive_float, default=25.0,
-            help="injected latency per batch on the slow worker (default 25)",
-        )
+        """Declare the ``serve`` flags: this class's own on ``parser``, each
+        sub-config's in the argparse group named after its field."""
+        _add_flags(parser, ServeConfig)
+        for name, owner, description in _FLAG_GROUPS:
+            _add_flags(parser.add_argument_group(name, description), owner)
 
     @classmethod
     def from_args(cls, args: argparse.Namespace) -> "ServeConfig":
@@ -525,53 +498,18 @@ class ServeConfig:
                 weights = tuple(by_name.get(n, 0.0) for n in class_names)
             else:
                 weights = tuple(float(w) for w in entries)
-        return cls(
-            dataset=args.dataset,
-            scale=args.scale,
-            samples=args.samples,
-            neighbors=args.neighbors,
-            seed=args.seed,
-            frames=args.frames,
-            verify=args.verify,
-            metrics_out=args.metrics_out,
-            p99_budget_ms=args.p99_budget_ms,
-            request_timeout=args.request_timeout,
-            min_load_sheds=args.min_load_sheds,
-            traffic=TrafficConfig(
-                model=args.traffic,
-                rate_hz=args.rate_hz,
-                raw_points=args.traffic_raw_points,
+        return _from_flags(
+            cls,
+            args,
+            traffic=_from_flags(
+                TrafficConfig,
+                args,
                 class_weights=weights,
                 params=dict(args.traffic_param),
             ),
-            policy=PolicyConfig(
-                classes=tuple(args.classes),
-                default_class=args.default_class,
-                admission=args.admission,
-                max_backlog=args.max_backlog,
-                rate_limit_hz=args.rate_limit_hz,
-                rate_limit_burst=args.rate_limit_burst,
-                adaptive_max_wait=args.adaptive_max_wait,
-                min_wait_ms=args.min_wait_ms,
-            ),
-            execution=ExecutionConfig(
-                workers=args.workers,
-                execution=args.execution,
-                shards=args.shards,
-                max_batch=args.max_batch,
-                max_wait_ms=args.max_wait_ms,
-                queue_capacity=args.queue_capacity,
-                batch_rows_budget=args.batch_rows_budget,
-                sampler=args.sampler,
-                accelerator=args.accelerator,
-                backend=args.backend,
-                preprocess_workers=args.preprocess_workers,
-            ),
-            chaos=ChaosConfig(
-                enabled=args.chaos,
-                kill_after=args.chaos_kill_after,
-                slow_ms=args.chaos_slow_ms,
-            ),
+            policy=_from_flags(PolicyConfig, args, classes=tuple(args.classes)),
+            execution=_from_flags(ExecutionConfig, args),
+            chaos=_from_flags(ChaosConfig, args),
         )
 
     # -- builders ---------------------------------------------------------
@@ -682,3 +620,13 @@ class ServeConfig:
             "execution": self.execution.execution,
             "shards": self.execution.shards,
         }
+
+
+#: ``ServeConfig`` sub-config field / argparse group title, its dataclass,
+#: and the group's description, in ``--help`` order.
+_FLAG_GROUPS = (
+    ("traffic", TrafficConfig, "what request stream to generate"),
+    ("policy", PolicyConfig, "serving policy: priority classes, shedding, limits"),
+    ("execution", ExecutionConfig, "workers, shards, and micro-batch triggers"),
+    ("chaos", ChaosConfig, "seeded fault injection"),
+)

@@ -148,21 +148,6 @@ class ServingMetrics:
                 self._rate_limited_classes.get(class_name, 0) + 1
             )
 
-    def backlog(self) -> int:
-        """Admitted-but-unfinished requests: the SLO admission threshold.
-
-        ``submitted`` minus every final state -- resolved records
-        (completed or failed), cancellations, and both shed kinds.
-        """
-        with self._lock:
-            return (
-                self._submitted
-                - len(self._records)
-                - self._cancelled
-                - self._sheds
-                - self._load_sheds
-            )
-
     def record_retry(self) -> None:
         """Count one request re-enqueued after a worker crash."""
         with self._lock:

@@ -208,9 +208,9 @@ class ServingPolicy:
     ``classes`` must contain ``default_class``; requests submitted without
     an explicit class ride it.  ``admission="reject"`` keeps the legacy
     ``QueueFull`` backpressure; ``"shed"`` switches to SLO-aware admission
-    (see module docstring).  ``max_backlog`` is the shed threshold --
-    admitted-but-unfinished requests across queue, scheduler, and workers
-    -- and defaults (``None``) to the server's queue capacity.
+    (see module docstring).  ``max_backlog`` is the shed threshold on
+    requests admitted but not yet started (queued or grouped); it tightens
+    the server's queue capacity, which is the threshold when ``None``.
     """
 
     classes: Tuple[PriorityClass, ...] = (PriorityClass("default"),)

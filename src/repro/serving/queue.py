@@ -5,8 +5,8 @@ the enqueue time, allocates the submission sequence number, and pairs the
 request with the :class:`concurrent.futures.Future` handed back to the
 caller.  The queue is a bounded FIFO: when it is full, ``submit`` either
 raises :class:`QueueFull` immediately (the default -- open-loop callers
-count the rejection and move on) or blocks until the scheduler drains a
-slot (``block=True``, closed-loop backpressure).  In blocking mode the
+count the rejection and move on) or blocks until a worker starts a batch and
+frees a slot (``block=True``, closed-loop backpressure).  In blocking mode the
 ``timeout`` budget is measured on the queue's *injected* clock -- the same
 clock that stamps ``enqueued_at`` -- so tests driving a
 :class:`~repro.serving.metrics.ManualClock` get exact timeout semantics.
@@ -18,9 +18,12 @@ shed entry is handed to the ``on_shed`` callback *outside* the queue lock
 so the owner can resolve its future with ``DeadlineExceeded`` -- an
 admitted request is never silently dropped.
 
-The scheduler thread is the single consumer; it pulls entries with
-:meth:`pop` and regroups them into shape-keyed micro-batches (see
-:mod:`repro.serving.scheduler`).
+The consumer is the server's hand-off (``FrameServer._next_batch``), run by
+whichever worker can start a batch: it pulls entries with :meth:`pop` and
+regroups them into shape-keyed micro-batches (see
+:mod:`repro.serving.scheduler`).  Popped entries that have not started yet
+still occupy the waiting room: the owner reports them through ``held`` and
+they count against ``capacity`` like queued ones.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ import time
 from collections import deque
 from concurrent.futures import Future
 from dataclasses import dataclass, field
-from typing import Callable, Deque, List, Optional
+from typing import Callable, Deque, Iterable, List, Optional
 
 from repro.serving.metrics import Clock
 from repro.session import FrameRequest, SubmitOptions
@@ -77,6 +80,22 @@ class QueuedRequest:
         return self.deadline is not None and self.deadline <= now
 
 
+def shed_victim(
+    entries: Iterable[QueuedRequest], below_priority: int
+) -> Optional[QueuedRequest]:
+    """The entry SLO-aware admission evicts for a ``below_priority`` arrival.
+
+    Among entries of strictly lower priority: the lowest-priority one,
+    youngest first (the least sunk queue wait).  ``None`` when every entry
+    ranks at least ``below_priority``.
+    """
+    return min(
+        (entry for entry in entries if entry.priority < below_priority),
+        key=lambda entry: (entry.priority, -entry.sequence),
+        default=None,
+    )
+
+
 class AdmissionQueue:
     """Thread-safe bounded FIFO of :class:`QueuedRequest` entries."""
 
@@ -85,6 +104,7 @@ class AdmissionQueue:
         capacity: int = 256,
         clock: Clock = time.monotonic,
         on_shed: Optional[Callable[[QueuedRequest], None]] = None,
+        held: Optional[Callable[[], int]] = None,
     ):
         if capacity < 1:
             raise ValueError(f"queue capacity must be >= 1, got {capacity}")
@@ -93,6 +113,9 @@ class AdmissionQueue:
         #: Called (outside the queue lock) with each expired entry shed to
         #: make room; the owner resolves its future with DeadlineExceeded.
         self.on_shed = on_shed
+        #: Counts entries popped but not yet started (the scheduler's
+        #: groups); they hold their slot until :meth:`notify_room`.
+        self.held = held
         self._entries: Deque[QueuedRequest] = deque()
         self._lock = threading.Lock()
         self._not_empty = threading.Condition(self._lock)
@@ -131,9 +154,9 @@ class AdmissionQueue:
             with self._lock:
                 if self._closed:
                     raise QueueClosed("admission queue is closed")
-                if len(self._entries) >= self.capacity:
+                if self._full():
                     shed.extend(self._shed_expired_locked(self.clock()))
-                if len(self._entries) >= self.capacity:
+                if self._full():
                     if not options.block:
                         self.rejected += 1
                         raise QueueFull(
@@ -144,7 +167,7 @@ class AdmissionQueue:
                         if options.timeout is None
                         else self.clock() + options.timeout
                     )
-                    while len(self._entries) >= self.capacity and not self._closed:
+                    while self._full() and not self._closed:
                         remaining = None
                         if deadline is not None:
                             remaining = deadline - self.clock()
@@ -155,11 +178,11 @@ class AdmissionQueue:
                             if remaining is None
                             else min(remaining, _BLOCKED_POLL_SECONDS)
                         )
-                        if len(self._entries) >= self.capacity:
+                        if self._full():
                             shed.extend(self._shed_expired_locked(self.clock()))
                     if self._closed:
                         raise QueueClosed("admission queue is closed")
-                    if len(self._entries) >= self.capacity:
+                    if self._full():
                         self.rejected += 1
                         raise QueueFull(
                             f"admission queue at capacity ({self.capacity})"
@@ -183,35 +206,28 @@ class AdmissionQueue:
                 for victim in shed:
                     self.on_shed(victim)
 
-    def steal_lowest(self, below_priority: int) -> Optional[QueuedRequest]:
-        """Remove and return the best shed victim under ``below_priority``.
+    def _full(self) -> bool:
+        """Queued plus held entries fill ``capacity`` (caller holds the lock)."""
+        held = self.held() if self.held is not None else 0
+        return len(self._entries) + held >= self.capacity
 
-        SLO-aware admission support: among queued entries with a strictly
-        lower priority, the victim is the lowest-priority one, youngest
-        first (the least sunk queue wait).  The caller resolves the
-        victim's future with a typed ``LoadShed``.  ``None`` when every
-        queued entry ranks at least ``below_priority``.
+    def notify_room(self) -> None:
+        """Wake blocked submitters: held entries started or were shed."""
+        with self._lock:
+            self._not_full.notify_all()
+
+    def steal_lowest(self, below_priority: int) -> Optional[QueuedRequest]:
+        """Remove and return the :func:`shed_victim` among queued entries.
+
+        The caller resolves the victim's future with a typed ``LoadShed``.
         """
         with self._lock:
-            victim: Optional[QueuedRequest] = None
-            for entry in self._entries:
-                if entry.priority >= below_priority:
-                    continue
-                if (
-                    victim is None
-                    or entry.priority < victim.priority
-                    or (
-                        entry.priority == victim.priority
-                        and entry.sequence > victim.sequence
-                    )
-                ):
-                    victim = entry
+            victim = shed_victim(self._entries, below_priority)
             if victim is not None:
                 # Rebuild by identity: dataclass __eq__ would compare the
                 # numpy payloads element-wise.
-                stolen = victim
                 self._entries = deque(
-                    e for e in self._entries if e is not stolen
+                    e for e in self._entries if e is not victim
                 )
                 self._not_full.notify()
             return victim
@@ -236,11 +252,17 @@ class AdmissionQueue:
             self._not_full.notify_all()
 
     # -- consumer side --------------------------------------------------
-    def pop(self, timeout: Optional[float] = None) -> Optional[QueuedRequest]:
+    def pop(
+        self,
+        timeout: Optional[float] = None,
+        sink: Optional[Callable[[QueuedRequest], None]] = None,
+    ) -> Optional[QueuedRequest]:
         """Pop the oldest entry, waiting up to ``timeout`` seconds.
 
         Returns ``None`` on timeout or when the queue is closed and empty
-        (check :meth:`is_drained` to tell the two apart).
+        (check :meth:`is_drained` to tell the two apart).  ``sink`` takes
+        the entry under the queue lock, so one moving into what ``held``
+        counts never drops out of the bound on the way.
         """
         with self._lock:
             if not self._entries:
@@ -250,6 +272,8 @@ class AdmissionQueue:
             if not self._entries:
                 return None
             entry = self._entries.popleft()
+            if sink is not None:
+                sink(entry)
             self._not_full.notify()
             return entry
 

@@ -45,7 +45,7 @@ from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro.serving.metrics import Clock
 from repro.serving.policy import PriorityClass, ServingPolicy
-from repro.serving.queue import QueuedRequest
+from repro.serving.queue import QueuedRequest, shed_victim
 from repro.session import FrameRequest
 
 #: Maps a request to its warm-state shape key ``(task, sampled, channels)``.
@@ -204,40 +204,27 @@ class MicroBatchScheduler:
         return shed
 
     def steal_lowest(self, below_priority: int) -> Optional[QueuedRequest]:
-        """Remove and return the best shed victim under ``below_priority``.
-
-        SLO-aware admission support (same contract as
-        ``AdmissionQueue.steal_lowest``): the lowest-priority pending
-        entry, youngest first among ties.  ``None`` when nothing pending
-        ranks strictly below ``below_priority``.
-        """
+        """Remove and return the :func:`~repro.serving.queue.shed_victim`
+        among pending entries (same contract as the queue's)."""
         with self._lock:
-            victim: Optional[QueuedRequest] = None
-            victim_key: Optional[Tuple[str, int, int]] = None
-            for key, entries in self._pending.items():
-                for entry in entries:
-                    if entry.priority >= below_priority:
-                        continue
-                    if (
-                        victim is None
-                        or entry.priority < victim.priority
-                        or (
-                            entry.priority == victim.priority
-                            and entry.sequence > victim.sequence
-                        )
-                    ):
-                        victim, victim_key = entry, key
-            if victim is not None and victim_key is not None:
-                entries = self._pending[victim_key]
+            victim = shed_victim(
+                (e for entries in self._pending.values() for e in entries),
+                below_priority,
+            )
+            if victim is not None:
+                key = next(
+                    key
+                    for key, entries in self._pending.items()
+                    if any(e is victim for e in entries)
+                )
                 # Remove by identity: dataclass __eq__ would compare the
                 # numpy payloads element-wise.
-                self._pending[victim_key] = [
-                    e for e in entries if e is not victim
-                ]
-                entries = self._pending[victim_key]
-                if not entries:
-                    del self._pending[victim_key]
-                    self._urgent.discard(victim_key)
+                rest = [e for e in self._pending[key] if e is not victim]
+                if rest:
+                    self._pending[key] = rest
+                else:
+                    del self._pending[key]
+                    self._urgent.discard(key)
             return victim
 
     @staticmethod
@@ -278,53 +265,58 @@ class MicroBatchScheduler:
             ),
         )
 
-    def ready(self, now: Optional[float] = None) -> List[MicroBatch]:
-        """Pop every batch whose priority, size, or deadline trigger fired."""
+    def take(
+        self, now: Optional[float] = None, flush: bool = False
+    ) -> Optional[MicroBatch]:
+        """Pop the first batch whose priority, size, or deadline trigger fired.
+
+        The hand-off primitive: whoever can start a batch *now* takes one.
+        ``flush`` hands out every pending group regardless of triggers
+        (trigger ``"drain"``, the shutdown path).  ``None`` when nothing is
+        due.
+        """
         if now is None:
             now = self.clock()
-        batches: List[MicroBatch] = []
         with self._lock:
             for key in self._visit_order():
                 entries = self._pending[key]
                 limit = self.effective_batch_size(key)
-                if key in self._urgent:
+                if flush:
+                    trigger = "drain"
+                elif key in self._urgent:
                     # A preempting arrival dispatches its group now: the
                     # highest-priority members ride out immediately instead
                     # of waiting for the size trigger to fill.
-                    self._urgent.discard(key)
-                    chosen, entries = self._select(entries, limit)
-                    batches.append(self._form(key, chosen, now, "priority"))
-                    self._pending[key] = entries
-                while len(entries) >= limit:
-                    chosen, entries = self._select(entries, limit)
-                    batches.append(self._form(key, chosen, now, "size"))
-                    self._pending[key] = entries
-                if entries and (
-                    now - entries[0].enqueued_at >= self._group_wait(entries)
-                ):
-                    chosen, entries = self._select(entries, limit)
-                    batches.append(self._form(key, chosen, now, "deadline"))
-                    self._pending[key] = entries
-                if not entries:
-                    self._pending.pop(key, None)
-                    self._urgent.discard(key)
+                    trigger = "priority"
+                elif len(entries) >= limit:
+                    trigger = "size"
+                elif now - entries[0].enqueued_at >= self._group_wait(entries):
+                    trigger = "deadline"
+                else:
+                    continue
+                self._urgent.discard(key)
+                chosen, rest = self._select(entries, limit)
+                if rest:
+                    self._pending[key] = rest
+                else:
+                    del self._pending[key]
+                return self._form(key, chosen, now, trigger)
+        return None
+
+    def ready(
+        self, now: Optional[float] = None, flush: bool = False
+    ) -> List[MicroBatch]:
+        """Every batch :meth:`take` would hand out at ``now``, in order."""
+        if now is None:
+            now = self.clock()
+        batches: List[MicroBatch] = []
+        while (batch := self.take(now, flush)) is not None:
+            batches.append(batch)
         return batches
 
     def drain(self, now: Optional[float] = None) -> List[MicroBatch]:
         """Flush every pending group (shutdown path)."""
-        if now is None:
-            now = self.clock()
-        batches: List[MicroBatch] = []
-        with self._lock:
-            for key in list(self._pending):
-                entries = self._pending.pop(key)
-                self._urgent.discard(key)
-                limit = self.effective_batch_size(key)
-                for start in range(0, len(entries), limit):
-                    batches.append(
-                        self._form(key, entries[start : start + limit], now, "drain")
-                    )
-        return batches
+        return self.ready(now, flush=True)
 
     def _form(
         self,

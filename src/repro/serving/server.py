@@ -1,20 +1,27 @@
-"""Warm-session worker pool: admission queue -> scheduler -> N workers.
+"""Warm-session worker pool behind one bounded waiting room.
 
 :class:`FrameServer` owns the full asynchronous serving path:
 
 * callers :meth:`~FrameServer.submit` frames and get
-  :class:`concurrent.futures.Future` objects back;
-* a scheduler thread moves admitted requests into the
-  :class:`~repro.serving.scheduler.MicroBatchScheduler` and dispatches the
-  micro-batches it forms;
-* a :class:`~repro.serving.cluster.pool.WorkerPool` executes the batches
-  on warm :class:`~repro.session.Session` instances and resolves the
+  :class:`concurrent.futures.Future` objects back; an admitted request
+  waits in the admission queue and then in the
+  :class:`~repro.serving.scheduler.MicroBatchScheduler`'s shape groups --
+  one waiting room under one bound (``queue_capacity``), where TTLs,
+  priorities and admission shedding reach every request not yet started;
+* a micro-batch is formed only when something can start it *now*:
+  whatever is about to run one calls the hand-off
+  (:meth:`FrameServer._next_batch`), which sweeps the queue into the
+  groups, sheds what has expired, and returns the first group whose
+  trigger has fired -- or waits for the next trigger, arrival or close;
+* a :class:`~repro.serving.cluster.pool.WorkerPool` runs the batches on
+  warm :class:`~repro.session.Session` instances and resolves the
   per-request futures in admission order.  ``execution="thread"`` (the
   default) runs ``num_workers`` worker threads, each owning one warm
-  session built by ``session_factory``; ``execution="process"`` runs the
-  same contract across fork-spawned worker processes with shared-memory
-  batch transport (:class:`~repro.serving.cluster.pool.ProcessWorkerPool`)
-  -- real multi-core overlap instead of GIL time-slicing.
+  session built by ``session_factory`` and pulling its own batches;
+  ``execution="process"`` runs the same contract across fork-spawned
+  worker processes with shared-memory batch transport
+  (:class:`~repro.serving.cluster.pool.ProcessWorkerPool`) -- real
+  multi-core overlap instead of GIL time-slicing.
 
 Determinism contract: every per-frame computation in the pipeline seeds its
 RNG per call (samplers, gatherers, network layers), so a frame's response
@@ -29,9 +36,9 @@ per-worker response cache, which is why signatures exclude them and serving
 sessions are normally built with ``response_cache_size=0``.
 
 Shutdown is graceful by default: :meth:`shutdown` closes the admission
-queue, the scheduler flushes its pending groups (trigger ``"drain"``), the
-pool finishes every dispatched batch, and only then do the workers exit --
-no admitted request is dropped.  ``drain=False`` cancels instead.
+queue, the hand-off flushes the pending groups (trigger ``"drain"``) to the
+workers and then tells them the stream has ended -- no admitted request is
+dropped.  ``drain=False`` cancels what has not started instead.
 Shutdown is idempotent and exception-safe: any number of concurrent or
 repeated calls (double shutdown, ``__exit__`` racing an explicit call,
 shutdown after a worker crash) all converge on one drain and return the
@@ -69,7 +76,7 @@ from repro.serving.queue import (
     QueueFull,
 )
 from repro.serving.resilience import DeadlineExceeded, RetryPolicy
-from repro.serving.scheduler import MicroBatchScheduler
+from repro.serving.scheduler import MicroBatchScheduler, MicroBatch
 from repro.session import (
     FrameLike,
     FrameRequest,
@@ -77,9 +84,6 @@ from repro.session import (
     Session,
     SubmitOptions,
 )
-
-#: How long the scheduler sleeps waiting for work when nothing is pending.
-_IDLE_POLL_SECONDS = 0.05
 
 #: Recognised values of ``FrameServer(execution=...)``.
 EXECUTION_MODES = ("thread", "process")
@@ -149,8 +153,9 @@ class FrameServer:
         :class:`~repro.serving.scheduler.MicroBatchScheduler`).  The rows
         budget defaults to the sessions' own ``batch_rows_budget``.
     queue_capacity:
-        Admission queue bound (backpressure above it).  A full queue sheds
-        its expired entries (TTL) before rejecting.
+        Bound on requests admitted but not yet started -- queued or
+        grouped (backpressure above it).  A full queue sheds its expired
+        entries (TTL) before rejecting.
     clock:
         Injectable monotonic clock shared by every serving component.
     faults:
@@ -161,7 +166,7 @@ class FrameServer:
         Crash-retry policy for process pools
         (:class:`~repro.serving.resilience.RetryPolicy`; default 3
         attempts with capped seeded-jitter backoff).  Pass
-        ``RetryPolicy(max_attempts=1)`` to fail fast like PR 6.
+        ``RetryPolicy(max_attempts=1)`` to fail on the first crash.
     policy:
         Optional :class:`~repro.serving.policy.ServingPolicy`: priority
         classes, per-shape-key token-bucket rate limits, adaptive
@@ -203,15 +208,31 @@ class FrameServer:
         self._buckets: Dict[Tuple[str, int, int], TokenBucket] = {}
         self._buckets_lock = threading.Lock()
         self.metrics = ServingMetrics()
-        self.admission = AdmissionQueue(
-            capacity=queue_capacity, clock=clock, on_shed=self._shed_entry
-        )
+        #: Shed admission turns the bound's ``QueueFull`` into steal/``LoadShed``
+        #: and may tighten the bound itself (``max_backlog``).
+        self._shed_mode = policy is not None and policy.admission == "shed"
+        if self._shed_mode and policy.max_backlog is not None:
+            queue_capacity = min(queue_capacity, policy.max_backlog)
         self.pool: Optional[WorkerPool] = None
-        self._max_batch_size = max_batch_size
-        self._max_wait_seconds = max_wait_seconds
-        self._batch_rows_budget = batch_rows_budget
-        self.scheduler: Optional[MicroBatchScheduler] = None
-        self._scheduler_thread: Optional[threading.Thread] = None
+        #: The waiting room: the queue, then the scheduler's shape groups
+        #: (whose rows budget :meth:`start` defaults from the sessions').
+        self.scheduler = MicroBatchScheduler(
+            shape_key=lambda request: self.pool.shape_key(request.cloud),
+            max_batch_size=max_batch_size,
+            max_wait_seconds=max_wait_seconds,
+            batch_rows_budget=batch_rows_budget,
+            clock=clock,
+            policy=policy,
+        )
+        self.admission = AdmissionQueue(
+            capacity=queue_capacity,
+            clock=clock,
+            on_shed=self._shed_entry,
+            held=lambda: self.scheduler.pending_count,
+        )
+        #: Serialises the hand-off: one taker at a time sweeps, sheds and
+        #: waits; the others queue behind it for the next batch.
+        self._handoff = threading.Lock()
         #: Numbers raw clouds submitted without a frame_id so each gets a
         #: distinct id *within this server*.  The ids are not coordinated
         #: with the synchronous path's frames_processed numbering (and
@@ -233,44 +254,26 @@ class FrameServer:
                 return self
             if self._stopped or self._stopping:
                 raise RuntimeError("FrameServer cannot be restarted")
-            if self.execution == "process":
-                pool: WorkerPool = ProcessWorkerPool(
-                    session_factory=self.session_factory,
-                    num_workers=self.num_workers,
-                    metrics=self.metrics,
-                    clock=self.clock,
-                    name=self.name,
-                    faults=self.faults,
-                    retry_policy=self.retry_policy,
-                )
-            else:
-                pool = ThreadWorkerPool(
-                    session_factory=self.session_factory,
-                    num_workers=self.num_workers,
-                    metrics=self.metrics,
-                    clock=self.clock,
-                    name=self.name,
-                    faults=self.faults,
-                    retry_policy=self.retry_policy,
-                )
+            pool_cls = (
+                ProcessWorkerPool if self.execution == "process" else ThreadWorkerPool
+            )
+            pool: WorkerPool = pool_cls(
+                session_factory=self.session_factory,
+                num_workers=self.num_workers,
+                metrics=self.metrics,
+                clock=self.clock,
+                name=self.name,
+                next_batch=self._next_batch,
+                shed_entry=self._shed_entry,
+                faults=self.faults,
+                retry_policy=self.retry_policy,
+            )
+            # Workers pull from here on, but find nothing to take: no
+            # request is admitted before this method returns.
             pool.start()
             self.pool = pool
-            if self._batch_rows_budget is None:
-                self._batch_rows_budget = pool.default_batch_rows_budget()
-            self.scheduler = MicroBatchScheduler(
-                shape_key=lambda request: pool.shape_key(request.cloud),
-                max_batch_size=self._max_batch_size,
-                max_wait_seconds=self._max_wait_seconds,
-                batch_rows_budget=self._batch_rows_budget,
-                clock=self.clock,
-                policy=self.policy,
-            )
-            self._scheduler_thread = threading.Thread(
-                target=self._scheduler_loop,
-                name=f"{self.name}-scheduler",
-                daemon=True,
-            )
-            self._scheduler_thread.start()
+            if self.scheduler.batch_rows_budget is None:
+                self.scheduler.batch_rows_budget = pool.default_batch_rows_budget()
             self._started = True
             return self
 
@@ -300,7 +303,8 @@ class FrameServer:
         """Stop serving and return the final metrics snapshot.
 
         ``drain=True`` (the default) completes every admitted request first;
-        ``drain=False`` cancels whatever has not been dispatched yet.
+        ``drain=False`` cancels whatever has not started yet.  ``timeout``
+        bounds the whole wait, however many workers are joined.
         Idempotent: every call (including concurrent ones) returns the same
         final snapshot; only the first performs the drain.
         """
@@ -333,10 +337,7 @@ class FrameServer:
             return snapshot if snapshot is not None else self.metrics.snapshot()
         self.admission.close()
         try:
-            if self._scheduler_thread is not None:
-                self._scheduler_thread.join(timeout)
             if self.pool is not None:
-                self.pool.end_of_stream()
                 self.pool.join(timeout)
         finally:
             # Even if a join raised, leave the server in a terminal state
@@ -359,7 +360,7 @@ class FrameServer:
 
         Per-request knobs travel as one
         :class:`~repro.session.SubmitOptions`.  ``options.ttl`` (seconds,
-        > 0) bounds how long the request may wait before dispatch: past it,
+        > 0) bounds how long the request may wait before it starts: past it,
         the future resolves with
         :class:`~repro.serving.resilience.DeadlineExceeded` instead of
         being served (never a silent drop).
@@ -404,69 +405,44 @@ class FrameServer:
         # worker completes the request first and a live stats() snapshot
         # reports completed > submitted (negative in_flight).
         self.metrics.record_submitted()
-        shed_mode = self.policy is not None and self.policy.admission == "shed"
-        if shed_mode:
-            assert self.policy is not None
-            limit = max(
-                1,
-                self.policy.max_backlog
-                if self.policy.max_backlog is not None
-                else self.admission.capacity,
-            )
-            # The backlog budget counts *waiting* work -- queued plus
-            # scheduler-pending -- which is exactly the stealable
-            # population.  Requests already dispatched to workers are in
-            # flight, not backlog: counting them would shed arrivals that
-            # nothing pending could be evicted for.
-            while self._waiting_depth() >= limit:
+        # One check, two outcomes: the queue's bound counts everything
+        # admitted but not yet started.  Reject mode surfaces ``QueueFull``;
+        # shed mode makes room by evicting strictly lower-priority waiting
+        # work, else sheds the arrival itself -- typed, never raised.
+        if self._shed_mode and options.block:
+            options = dataclasses.replace(options, block=False)
+        while True:
+            try:
+                return self.admission.submit(
+                    request,
+                    options=options,
+                    priority=priority,
+                    class_name=class_name,
+                ).future
+            except QueueFull:
+                if not self._shed_mode:
+                    self.metrics.record_admission_failed()
+                    self.metrics.record_rejected()
+                    raise
                 victim = self.admission.steal_lowest(priority)
-                if victim is None and self.scheduler is not None:
+                if victim is None:
                     victim = self.scheduler.steal_lowest(priority)
                 if victim is None:
-                    # Nothing pending ranks below the incoming request:
-                    # it is itself the lowest-priority work -- shed it.
                     self.metrics.record_load_shed(class_name)
                     return self._typed_failure(
                         LoadShed(
                             f"request {request.frame_id!r} shed at admission "
-                            f"(backlog at {limit})"
+                            f"(backlog at {self.admission.capacity})"
                         )
                     )
                 self._load_shed_entry(victim)
-        try:
-            entry = self.admission.submit(
-                request,
-                options=options,
-                priority=priority,
-                class_name=class_name,
-            )
-        except QueueFull:
-            if shed_mode:
-                # The queue proper filled even though the backlog budget
-                # held (most work sits in the scheduler/workers).  Shed
-                # typed rather than raise: submitted stays counted, the
-                # caller gets a LoadShed future.
-                self.metrics.record_load_shed(class_name)
-                return self._typed_failure(
-                    LoadShed(
-                        f"request {request.frame_id!r} shed at admission "
-                        f"(queue at capacity {self.admission.capacity})"
-                    )
-                )
-            self.metrics.record_admission_failed()
-            self.metrics.record_rejected()
-            raise
-        except QueueClosed:
-            self.metrics.record_admission_failed()
-            raise
-        return entry.future
+            except QueueClosed:
+                self.metrics.record_admission_failed()
+                raise
 
     def _waiting_depth(self) -> int:
-        """Requests admitted but not yet dispatched to a worker."""
-        depth = len(self.admission)
-        if self.scheduler is not None:
-            depth += self.scheduler.pending_count
-        return depth
+        """Requests admitted but not yet started: the waiting room."""
+        return len(self.admission) + self.scheduler.pending_count
 
     def _bucket_for(self, key: Tuple[str, int, int]) -> Optional[TokenBucket]:
         if self.policy is None:
@@ -488,9 +464,10 @@ class FrameServer:
         future.set_exception(exc)
         return future
 
-    def _shed_entry(self, entry: QueuedRequest) -> None:
-        """Resolve one expired entry with ``DeadlineExceeded`` (typed)."""
-        now = self.clock()
+    def _shed_entry(self, entry: QueuedRequest, now: Optional[float] = None) -> None:
+        """Resolve one expired entry with ``DeadlineExceeded`` (typed, counted)."""
+        if now is None:
+            now = self.clock()
         if entry.future.set_running_or_notify_cancel():
             entry.future.set_exception(
                 DeadlineExceeded(
@@ -523,59 +500,47 @@ class FrameServer:
             return []
         return self.pool.worker_stats()
 
-    # -- scheduler thread -------------------------------------------------
-    def _scheduler_loop(self) -> None:
+    # -- the hand-off ------------------------------------------------------
+    def _next_batch(self) -> Optional[MicroBatch]:
+        """Block until a micro-batch can start *now*; ``None`` ends the stream.
+
+        Called by whatever is about to run the batch -- an idle thread
+        worker, or the process pool's feeder while a child has a free slot
+        -- so a batch is never formed ahead of the capacity to run it.
+        Each pass sweeps the admission queue into the shape groups, sheds
+        what has expired (an expired request is never started), and takes
+        the first group whose priority/size/deadline trigger has fired;
+        with none due it waits on the queue for the next trigger, TTL
+        expiry, arrival or close.
+        """
         scheduler = self.scheduler
-        pool = self.pool
-        assert scheduler is not None and pool is not None
-        # The finally block guarantees end_of_stream is signalled even if
-        # the loop dies on an unexpected exception -- otherwise the pool's
-        # workers would wait for batches forever and shutdown's join would
-        # hang the caller.  (end_of_stream is idempotent; shutdown calls it
-        # again.)
-        try:
+        with self._handoff:
             while True:
-                if self.admission.is_drained():
-                    # Shed expired entries even on the way out: a drain
-                    # dispatches only what can still meet its deadline.
-                    for entry in scheduler.shed_expired():
-                        self._shed_entry(entry)
-                    final = scheduler.drain()
-                    if self._discard:
-                        for batch in final:
-                            for entry in batch.entries:
-                                entry.future.cancel()
-                                self.metrics.record_cancelled()
-                    else:
-                        for batch in final:
-                            pool.dispatch(batch)
-                    break
-                deadline = scheduler.next_deadline()
+                while self.admission.pop(timeout=0, sink=scheduler.add):
+                    pass
+                now = self.clock()
+                shed = scheduler.shed_expired(now)
+                for entry in shed:
+                    self._shed_entry(entry, now)
+                closing = self.admission.is_drained()
+                if closing and self._discard:
+                    for batch in scheduler.drain(now):
+                        for entry in batch.entries:
+                            entry.future.cancel()
+                            self.metrics.record_cancelled()
+                batch = scheduler.take(now, flush=closing)
+                if shed or batch is not None:
+                    self.admission.notify_room()
+                if batch is not None or closing:
+                    return batch
                 # Wake for whichever comes first: a batch deadline trigger
                 # or a pending request's TTL expiry (so sheds are timely).
-                expiry = scheduler.next_expiry()
-                if expiry is not None:
-                    deadline = expiry if deadline is None else min(deadline, expiry)
-                if deadline is None:
-                    timeout: Optional[float] = _IDLE_POLL_SECONDS
-                else:
-                    timeout = max(0.0, deadline - self.clock())
-                entry = self.admission.pop(timeout=timeout)
-                if entry is not None:
-                    scheduler.add(entry)
-                    # Sweep whatever else is already queued without
-                    # blocking, so a burst fills a size-triggered batch in
-                    # one pass.
-                    while True:
-                        extra = self.admission.pop(timeout=0)
-                        if extra is None:
-                            break
-                        scheduler.add(extra)
-                # Expired requests leave with DeadlineExceeded *before*
-                # batch formation -- an expired entry is never dispatched.
-                for entry in scheduler.shed_expired():
-                    self._shed_entry(entry)
-                for batch in scheduler.ready():
-                    pool.dispatch(batch)
-        finally:
-            pool.end_of_stream()
+                wakes = [
+                    at
+                    for at in (scheduler.next_deadline(), scheduler.next_expiry())
+                    if at is not None
+                ]
+                self.admission.pop(
+                    timeout=max(0.0, min(wakes) - now) if wakes else None,
+                    sink=scheduler.add,
+                )

@@ -12,7 +12,7 @@ raised ``QueueFull``, never a silent drop.
 
 from __future__ import annotations
 
-import time
+import threading
 from concurrent.futures import Future
 
 import pytest
@@ -428,40 +428,52 @@ SHED_POLICY = ServingPolicy(
 )
 
 
-def wait_for(predicate, timeout=10.0):
-    deadline = time.monotonic() + timeout
-    while time.monotonic() < deadline:
-        if predicate():
-            return True
-        time.sleep(0.005)
-    return False
+def gated_server(**options):
+    """A one-worker server whose worker holds every batch until ``gate`` is
+    set: admitted work then waits for the *worker*, under the real 5 ms
+    deadline trigger, not behind a long ``max_wait_seconds``."""
+    gate, entered = threading.Event(), threading.Event()
+
+    class GatedSession(Session):
+        def run_batch(self, frames, batch_size=None):
+            entered.set()
+            gate.wait(30.0)
+            return super().run_batch(frames, batch_size)
+
+    server = FrameServer(
+        session_factory=lambda: GatedSession(
+            config=small_config(), task="semantic_segmentation",
+            sampler="random", response_cache_size=0,
+        ),
+        num_workers=1,
+        max_batch_size=8,
+        max_wait_seconds=0.005,
+        queue_capacity=16,
+        **options,
+    )
+    return server, gate, entered
 
 
 class TestShedAdmission:
     def test_high_priority_arrival_evicts_pending_low_work(self):
-        server = FrameServer(
-            session_factory=make_session,
-            num_workers=1,
-            max_batch_size=8,
-            max_wait_seconds=60.0,  # park admitted work in the scheduler
-            queue_capacity=16,
-            policy=SHED_POLICY,
-        )
+        server, gate, entered = gated_server(policy=SHED_POLICY)
         with server:
+            running = server.submit(
+                make_request(9), options=SubmitOptions(class_name="low")
+            )
+            assert entered.wait(10.0)  # the worker is busy from here on
             low = server.submit(
                 make_request(0), options=SubmitOptions(class_name="low")
             )
-            # Let the sweeper move the entry out of the queue so the
-            # waiting depth is stable at 1 (== max_backlog).
-            assert wait_for(lambda: server._waiting_depth() == 1)
+            assert server._waiting_depth() == 1  # == max_backlog
             high = server.submit(
                 make_request(1), options=SubmitOptions(class_name="high")
             )
             # The low-priority victim was resolved typed, immediately.
             with pytest.raises(LoadShed):
                 low.result(timeout=5.0)
-            assert wait_for(lambda: server._waiting_depth() == 1)
-            # A second low submit finds only the high entry pending:
+            assert server._waiting_depth() == 1
+            # A second low submit finds only the high entry waiting:
             # nothing ranks below it, so the incoming request itself is
             # shed -- QueueFull is never raised under shed admission.
             incoming = server.submit(
@@ -469,11 +481,13 @@ class TestShedAdmission:
             )
             with pytest.raises(LoadShed):
                 incoming.result(timeout=5.0)
+            gate.set()
             snapshot = server.shutdown(drain=True)
-        # The surviving high request completed; the sheds are typed,
-        # per-class, and nothing was lost.
+        # The started request and the surviving high one completed; the
+        # sheds are typed, per-class, and nothing was lost.
+        assert running.result(timeout=5.0).request.frame_id == "req0009"
         assert high.result(timeout=5.0).request.frame_id == "req0001"
-        assert snapshot["requests"]["completed"] == 1
+        assert snapshot["requests"]["completed"] == 2
         assert snapshot["requests"]["load_shed"] == 2
         assert snapshot["requests"]["rejected"] == 0
         assert snapshot["requests"]["in_flight"] == 0
@@ -481,19 +495,13 @@ class TestShedAdmission:
         assert snapshot["per_class"]["high"]["completed"] == 1
 
     def test_equal_priority_overload_sheds_the_incoming_request(self):
-        server = FrameServer(
-            session_factory=make_session,
-            num_workers=1,
-            max_batch_size=8,
-            max_wait_seconds=60.0,
-            queue_capacity=16,
-            policy=SHED_POLICY,
-        )
+        server, gate, entered = gated_server(policy=SHED_POLICY)
         with server:
+            server.submit(make_request(9), options=SubmitOptions(class_name="low"))
+            assert entered.wait(10.0)
             first = server.submit(
                 make_request(0), options=SubmitOptions(class_name="low")
             )
-            assert wait_for(lambda: server._waiting_depth() == 1)
             second = server.submit(
                 make_request(1), options=SubmitOptions(class_name="low")
             )
@@ -501,6 +509,7 @@ class TestShedAdmission:
             # keeps its slot and the newcomer is shed.
             with pytest.raises(LoadShed):
                 second.result(timeout=5.0)
+            gate.set()
             server.shutdown(drain=True)
         assert first.result(timeout=5.0).request.frame_id == "req0000"
 

@@ -313,8 +313,8 @@ class TestDeadlines:
 
     def test_server_resolves_expired_requests_with_deadline_exceeded(self):
         # max_wait is far beyond the TTL, so the requests sit pending in
-        # the scheduler until their deadlines pass; the scheduler loop
-        # must wake on next_expiry and shed them as typed errors.
+        # the scheduler until their deadlines pass; the idle worker's
+        # hand-off must wake on next_expiry and shed them as typed errors.
         with FrameServer(
             make_session,
             num_workers=1,

@@ -422,6 +422,47 @@ class TestFrameServer:
         )
         assert metrics["requests"]["in_flight"] == 0
 
+    def test_shutdown_timeout_is_one_deadline_across_all_joins(self):
+        release = threading.Event()
+        entered = threading.Semaphore(0)
+
+        class BlockedSession(Session):
+            def run_batch(self, frames, batch_size=None):
+                entered.release()
+                release.wait(30.0)
+                return super().run_batch(frames, batch_size)
+
+        server = FrameServer(
+            session_factory=lambda: BlockedSession(
+                config=small_config(), task="semantic_segmentation",
+                sampler="random", response_cache_size=0,
+            ),
+            num_workers=3,
+            max_batch_size=1,
+            max_wait_seconds=0.001,
+        )
+        server.start()
+        futures = [server.submit(make_request(i)) for i in range(3)]
+        try:
+            for _ in range(3):  # every worker is wedged inside a batch
+                assert entered.acquire(timeout=10.0)
+            started = time.monotonic()
+            snapshot = server.shutdown(timeout=0.2)
+            elapsed = time.monotonic() - started
+            # Not 0.2 s per worker thread (0.6 s): one shared deadline.
+            assert 0.2 <= elapsed < 0.5
+            # Timed out, yet terminal: closed, snapshot cached for everyone.
+            assert not server.running
+            assert server.shutdown() is snapshot
+            assert snapshot["requests"]["in_flight"] == 3
+            with pytest.raises(QueueClosed):
+                server.submit(make_request(9))
+        finally:
+            release.set()
+        assert [f.result(timeout=30.0).request.frame_id for f in futures] == [
+            "req0000", "req0001", "req0002",
+        ]
+
     def test_raw_clouds_get_distinct_frame_ids(self):
         # Submitting bare PointClouds (no FrameRequest wrapper) must number
         # them like the synchronous path does, not reuse frame0000.
@@ -563,6 +604,42 @@ class TestServeCLI:
             main(["e2e", "--frames", "0"])
         assert excinfo.value.code == 2
         assert "positive" in capsys.readouterr().err
+
+    def test_serve_flag_defaults_are_the_dataclass_defaults(self):
+        import argparse
+
+        from repro.serving import ServeConfig
+
+        parser = argparse.ArgumentParser()
+        ServeConfig.add_cli_args(parser)
+        config = ServeConfig()
+        # Flags not named after the field they fill: dest -> (section, field).
+        renamed = {
+            "traffic": ("traffic", "model"),
+            "traffic_raw_points": ("traffic", "raw_points"),
+            "traffic_param": ("traffic", "params"),
+            "traffic_class_weights": ("traffic", "class_weights"),
+            "chaos": ("chaos", "enabled"),
+            "chaos_kill_after": ("chaos", "kill_after"),
+            "chaos_slow_ms": ("chaos", "slow_ms"),
+        }
+        sections = (config.traffic, config.policy, config.execution, config.chaos)
+        flags = [a for a in parser._actions if a.dest != "help"]
+        for action in flags:
+            if action.dest in renamed:
+                section, name = renamed[action.dest]
+                owner = getattr(config, section)
+            else:
+                name = action.dest
+                owner = next(
+                    (s for s in sections if hasattr(s, name)), config
+                )
+            default = getattr(owner, name)
+            if isinstance(action.default, list):  # repeatable flag
+                default = list(default)
+            assert action.default == default, action.option_strings
+        assert len(flags) == 38
+        assert ServeConfig.from_args(parser.parse_args([])) == ServeConfig()
 
     def test_serve_soak_passes_and_writes_metrics(self, tmp_path, capsys):
         import json
