@@ -30,6 +30,7 @@ import numpy as np
 
 from repro.geometry.pointcloud import PointCloud
 from repro.geometry.voxelgrid import VoxelGrid
+from repro.kernels import iter_distance_chunks
 from repro.sampling.base import Sampler, SamplingResult
 
 
@@ -52,15 +53,9 @@ class SamplingQuality:
 
 
 def _nearest_sample_distances(cloud: PointCloud, sampled: PointCloud) -> np.ndarray:
-    samples = sampled.points
-    chunk = 4096
     nearest = np.empty(cloud.num_points)
-    for start in range(0, cloud.num_points, chunk):
-        block = cloud.points[start : start + chunk]
-        diff = block[:, None, :] - samples[None, :, :]
-        nearest[start : start + block.shape[0]] = np.sqrt(
-            (diff**2).sum(axis=-1)
-        ).min(axis=1)
+    for start, sq_dist in iter_distance_chunks(cloud.points, sampled.points):
+        nearest[start : start + sq_dist.shape[0]] = np.sqrt(sq_dist).min(axis=1)
     return nearest
 
 

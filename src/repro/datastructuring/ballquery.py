@@ -14,7 +14,7 @@ import numpy as np
 from repro.datastructuring.base import Gatherer, GatherResult
 from repro.datastructuring.knn import knn_counter_model
 from repro.geometry.pointcloud import PointCloud
-from repro.kernels import distance_chunk_rows, pairwise_sq_dists
+from repro.kernels import iter_distance_chunks
 
 
 class BallQueryGatherer(Gatherer):
@@ -46,10 +46,7 @@ class BallQueryGatherer(Gatherer):
         truncated = 0
         padded = 0
         column = np.arange(neighbors, dtype=np.intp)
-        chunk = distance_chunk_rows(cloud.num_points)
-        for start in range(0, centroid_indices.shape[0], chunk):
-            block_idx = centroid_indices[start : start + chunk]
-            dist = pairwise_sq_dists(points[block_idx], points)
+        for start, dist in iter_distance_chunks(points[centroid_indices], points):
             order = np.argsort(dist, axis=1)
             sorted_dist = np.take_along_axis(dist, order, axis=1)
             # The sorted distances are ascending, so in-radius membership is
@@ -60,7 +57,7 @@ class BallQueryGatherer(Gatherer):
             inside_counts = (sorted_dist <= radius_sq).sum(axis=1)
             truncated += int((inside_counts > neighbors).sum())
             padded += int((inside_counts < neighbors).sum())
-            rows[start : start + block_idx.shape[0]] = np.where(
+            rows[start : start + dist.shape[0]] = np.where(
                 column[None, :] < inside_counts[:, None],
                 order[:, :neighbors],
                 order[:, :1],

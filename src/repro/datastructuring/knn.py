@@ -13,7 +13,7 @@ import numpy as np
 from repro.core.metrics import OpCounters
 from repro.datastructuring.base import Gatherer, GatherResult
 from repro.geometry.pointcloud import PointCloud
-from repro.kernels import distance_chunk_rows, grouped_topk, pairwise_sq_dists
+from repro.kernels import grouped_topk, iter_distance_chunks
 
 
 def knn_counter_model(
@@ -57,23 +57,18 @@ class BruteForceKNN(Gatherer):
         points = cloud.points
         centroids = points[centroid_indices]
 
-        # Chunk over centroids so the (M, N, 3) difference block stays inside
+        # Chunked over centroids so the (M, N) distance buffers stay inside
         # the shared kernel memory budget.
         neighbor_rows = np.empty(
             (centroid_indices.shape[0], neighbors), dtype=np.intp
         )
-        chunk = distance_chunk_rows(cloud.num_points)
-        for start in range(0, centroid_indices.shape[0], chunk):
-            block = centroids[start : start + chunk]
-            dist = pairwise_sq_dists(block, points)
+        for start, dist in iter_distance_chunks(centroids, points):
+            stop = start + dist.shape[0]
             if not self._include_self:
-                rows = np.arange(block.shape[0])
-                dist[rows, centroid_indices[start : start + chunk]] = np.inf
+                dist[np.arange(stop - start), centroid_indices[start:stop]] = np.inf
             # grouped_topk orders the k argpartition survivors by distance so
             # the nearest appears first (useful for ball-query-style caps).
-            neighbor_rows[start : start + block.shape[0]] = grouped_topk(
-                dist, neighbors
-            )
+            neighbor_rows[start:stop] = grouped_topk(dist, neighbors)
 
         counters = knn_counter_model(
             cloud.num_points, centroid_indices.shape[0], neighbors

@@ -18,7 +18,7 @@ Modules
     query, and frontier partitions.
 ``chunking``
     The shared memory-budget-derived chunk-size helper used by every kernel
-    that materialises an ``(M, N)`` pairwise block.
+    that works through an ``(M, N)`` pairwise block.
 ``morton``
     Batched Morton (m-code) encode/decode via bit-spreading magic constants,
     and XOR+popcount Hamming distance over int64 code arrays.
@@ -27,8 +27,9 @@ Modules
     ragged gathers (concatenating many variable-length buckets without a
     Python loop).
 ``distance``
-    Chunked pairwise squared distances and grouped top-k selection via
-    ``argpartition``.
+    Streamed (per-coordinate) pairwise squared distances, grouped top-k
+    selection via ``argpartition`` and the blocked three-nearest search of
+    feature propagation.
 ``stencil``
     Cached Chebyshev offset stencils (shared by VEG and the octree neighbor
     helpers) and array-wide same-level neighbor code generation.
@@ -59,6 +60,7 @@ from repro.kernels.morton import (
     encode_point_scalar,
     hamming_codes,
     popcount64,
+    spread_axis,
 )
 from repro.kernels.bucketing import (
     bucketize_codes,
@@ -72,6 +74,7 @@ from repro.kernels.distance import (
     grouped_topk,
     iter_distance_chunks,
     pairwise_sq_dists,
+    three_nearest,
 )
 from repro.kernels.wavefront import (
     wavefront_level_winners,
@@ -100,6 +103,7 @@ __all__ = [
     "encode_point_scalar",
     "hamming_codes",
     "popcount64",
+    "spread_axis",
     "bucketize_codes",
     "gather_ragged",
     "isin_sorted",
@@ -109,6 +113,7 @@ __all__ = [
     "grouped_topk",
     "iter_distance_chunks",
     "pairwise_sq_dists",
+    "three_nearest",
     "chebyshev_codes",
     "cube_offsets",
     "face_shell_offsets",

@@ -15,15 +15,43 @@ import numpy as np
 from repro.kernels.chunking import distance_chunk_rows
 
 
-def pairwise_sq_dists(queries: np.ndarray, points: np.ndarray) -> np.ndarray:
+#: Bytes of distance buffers one :func:`three_nearest` block works in (the
+#: block plus its scratch): small enough that the block is still in cache
+#: when the selection reads it back, large enough to amortise NumPy dispatch
+#: (64-256 rows measured best at 512 coarse points; this gives 128).
+THREE_NEAREST_BLOCK_BYTES = 1024 * 1024
+
+
+def pairwise_sq_dists(
+    queries: np.ndarray,
+    points: np.ndarray,
+    out: Optional[np.ndarray] = None,
+    scratch: Optional[np.ndarray] = None,
+) -> np.ndarray:
     """``(M, N)`` squared distances between query rows and point rows.
 
-    Computed as an explicit broadcast-subtract/square/sum so the float
-    operation sequence (and therefore every last bit of the result) matches
-    the scalar reference paths.
+    Accumulated one coordinate at a time as ``(dx*dx + dy*dy) + dz*dz`` in
+    two ``(M, N)`` buffers, so no ``(M, N, 3)`` difference block exists.
+    That association is the one ``((q - p)**2).sum(axis=-1)`` uses, so every
+    last bit of the result matches the scalar reference paths and
+    :func:`repro.kernels.reference.pairwise_sq_dists_dense`.  ``out`` and
+    ``scratch`` are optional ``(M, N)`` buffers of the result dtype to reuse
+    across calls; the result is written to (and returned as) ``out``.
     """
-    diff = queries[:, None, :] - points[None, :, :]
-    return (diff**2).sum(axis=-1)
+    shape = (queries.shape[0], points.shape[0])
+    if out is None:
+        out = np.empty(shape, dtype=np.result_type(queries, points))
+    if scratch is None:
+        scratch = np.empty_like(out)
+    # Contiguous coordinate rows: the (N, 3) columns are re-read per query row.
+    px, py, pz = np.ascontiguousarray(points.T)
+    np.subtract(queries[:, 0:1], px, out=out)
+    np.multiply(out, out, out=out)
+    for axis, coordinate in ((1, py), (2, pz)):
+        np.subtract(queries[:, axis : axis + 1], coordinate, out=scratch)
+        np.multiply(scratch, scratch, out=scratch)
+        np.add(out, scratch, out=out)
+    return out
 
 
 def iter_distance_chunks(
@@ -31,10 +59,44 @@ def iter_distance_chunks(
     points: np.ndarray,
     budget_bytes: Optional[int] = None,
 ) -> Iterator[Tuple[int, np.ndarray]]:
-    """Yield ``(row_start, sq_dist_block)`` over memory-budgeted query chunks."""
-    chunk = distance_chunk_rows(points.shape[0], budget_bytes=budget_bytes)
+    """Yield ``(row_start, sq_dist_block)`` over memory-budgeted query chunks.
+
+    Every block is a view of one reused buffer pair: consume (or copy) it
+    before advancing the iterator.
+    """
+    chunk = min(
+        max(1, queries.shape[0]),
+        distance_chunk_rows(points.shape[0], budget_bytes=budget_bytes),
+    )
+    block = np.empty((chunk, points.shape[0]), dtype=np.result_type(queries, points))
+    scratch = np.empty_like(block)
     for start in range(0, queries.shape[0], chunk):
-        yield start, pairwise_sq_dists(queries[start : start + chunk], points)
+        rows = queries[start : start + chunk]
+        size = rows.shape[0]
+        yield start, pairwise_sq_dists(rows, points, block[:size], scratch[:size])
+
+
+def three_nearest(
+    dense: np.ndarray, coarse: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The (up to) three nearest ``coarse`` rows of every ``dense`` row.
+
+    Returns ``(indices, sq_dists)`` of shape ``(N, min(3, M))``, each row in
+    ``argpartition`` order (the k smallest, not sorted among themselves) --
+    exactly what :func:`repro.kernels.reference.three_nearest_dense` selects
+    from the full ``(N, M)`` matrix, but walked in cache-sized row blocks so
+    that matrix never exists.
+    """
+    k = min(3, coarse.shape[0])
+    indices = np.empty((dense.shape[0], k), dtype=np.intp)
+    sq_dists = np.empty((dense.shape[0], k), dtype=np.result_type(dense, coarse))
+    for start, dist in iter_distance_chunks(dense, coarse, THREE_NEAREST_BLOCK_BYTES):
+        nearest = np.argpartition(dist, kth=k - 1, axis=1)[:, :k]
+        indices[start : start + dist.shape[0]] = nearest
+        sq_dists[start : start + dist.shape[0]] = np.take_along_axis(
+            dist, nearest, axis=1
+        )
+    return indices, sq_dists
 
 
 def grouped_topk(sq_dists: np.ndarray, k: int) -> np.ndarray:

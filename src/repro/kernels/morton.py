@@ -70,6 +70,23 @@ _COMPACT_MASKS = (
 )
 
 
+#: Position of each axis inside a 3-bit level group (X most significant).
+_AXIS_SHIFTS = np.array([2, 1, 0], dtype=np.uint64)
+
+
+def spread_axis(coords: np.ndarray, axis) -> np.ndarray:
+    """One axis's share of an m-code: ``coords`` spread to every third bit.
+
+    Morton codes are separable -- ``encode_cells`` is the OR of the three
+    axes' spread coordinates -- so a caller that combines few distinct
+    per-axis values many times (a neighbour stencil) spreads each value once
+    and ORs table entries.  ``axis`` is 0/1/2 for X/Y/Z, or an index array
+    broadcastable against ``coords`` (``np.arange(3)[:, None, None]`` for an
+    axis-major table).  Coordinates must already lie in ``[0, 2**21)``.
+    """
+    return _spread_bits(np.asarray(coords).astype(np.uint64)) << _AXIS_SHIFTS[axis]
+
+
 def _compact_bits(v: np.ndarray) -> np.ndarray:
     v = v & _U(0x1249249249249249)
     for shift, mask in _COMPACT_MASKS:
@@ -93,11 +110,10 @@ def encode_cells(cells: np.ndarray, depth: int) -> np.ndarray:
     limit = np.int64(1) << np.int64(depth)
     if cells.size and (cells.min() < 0 or cells.max() >= limit):
         raise ValueError(f"cell indices outside [0, {int(limit)})")
-    u = cells.astype(np.uint64)
     code = (
-        (_spread_bits(u[..., 0]) << _U(2))
-        | (_spread_bits(u[..., 1]) << _U(1))
-        | _spread_bits(u[..., 2])
+        spread_axis(cells[..., 0], 0)
+        | spread_axis(cells[..., 1], 1)
+        | spread_axis(cells[..., 2], 2)
     )
     return code.astype(np.int64)
 

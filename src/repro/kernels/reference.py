@@ -1198,3 +1198,45 @@ def ballquery_scalar(
                 fill[: inside.shape[0]] = inside
                 rows[start + r] = fill
     return rows, truncated, padded
+
+
+# ----------------------------------------------------------------------
+# Materialised-operand formulations (pre-streaming distance / stencil code)
+# ----------------------------------------------------------------------
+def pairwise_sq_dists_dense(queries: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """``(M, N)`` squared distances through the ``(M, N, 3)`` difference block.
+
+    The streamed :func:`repro.kernels.pairwise_sq_dists` must equal this bit
+    for bit; that holds because ``sum(axis=-1)`` over three squares
+    associates as ``(x + y) + z``.
+    """
+    diff = queries[:, None, :] - points[None, :, :]
+    return (diff**2).sum(axis=-1)
+
+
+def three_nearest_dense(
+    dense: np.ndarray, coarse: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Feature propagation's neighbour selection over the whole matrix.
+
+    Returns ``(indices, sq_dists)`` of shape ``(N, min(3, M))`` in
+    ``argpartition`` order (not sorted by distance).
+    """
+    sq_dist = pairwise_sq_dists_dense(dense, coarse)
+    k = min(3, coarse.shape[0])
+    nearest = np.argpartition(sq_dist, kth=k - 1, axis=1)[:, :k]
+    return nearest, np.take_along_axis(sq_dist, nearest, axis=1)
+
+
+def stencil_codes_dense(
+    cells: np.ndarray, offsets: np.ndarray, depth: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Same-level m-codes of ``cells + offsets``, encoding all ``M * S`` cells."""
+    from repro.kernels import encode_cells
+
+    resolution = 1 << depth
+    coords = np.asarray(cells, dtype=np.int64)[:, None, :] + offsets[None, :, :]
+    in_bounds = np.logical_and(coords >= 0, coords < resolution).all(axis=-1)
+    clipped = np.clip(coords, 0, resolution - 1)
+    codes = encode_cells(clipped.reshape(-1, 3), depth).reshape(in_bounds.shape)
+    return codes, in_bounds

@@ -18,7 +18,7 @@ from typing import Dict, Tuple
 
 import numpy as np
 
-from repro.kernels.morton import decode_cells, encode_cells
+from repro.kernels.morton import MAX_DEPTH, decode_cells, spread_axis
 
 #: Cache of Chebyshev shell offset stencils: radius -> (S, 3) int64 array in
 #: the (dx, dy, dz) lexicographic enumeration order of the scalar reference.
@@ -31,6 +31,9 @@ _SHELL_OFFSET_CACHE_MAX_RADIUS = 32
 #: Cache of the L1-filtered (face-adjacency) shells used by the
 #: ``include_diagonal=False`` neighbor queries.
 _FACE_SHELL_OFFSET_CACHE: Dict[int, np.ndarray] = {}
+
+#: ``axis`` argument of :func:`spread_axis` for an axis-major ``(3, M, V)`` table.
+_AXES = np.arange(3)[:, None, None]
 
 
 def _shell_ring_2d(radius: int) -> np.ndarray:
@@ -122,6 +125,14 @@ def stencil_codes(
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Same-level m-codes of ``cells + offsets`` for a batch of centres.
 
+    Morton codes are separable per axis, so the ``M * S`` stencil entries
+    are never encoded one by one: each axis gets an ``(M, span)`` table of
+    the clipped, spread coordinates over the offsets' value range (plus its
+    in-bounds mask), and an entry's code is the OR of three table lookups.
+    That spreads ``3 * M * (2r + 1)`` values for a radius-``r`` shell instead
+    of ``3 * M * S`` with ``S ~ 24 r^2``; the result is bit-identical to
+    :func:`repro.kernels.reference.stencil_codes_dense`.
+
     Parameters
     ----------
     cells:
@@ -134,17 +145,33 @@ def stencil_codes(
     Returns
     -------
     ``(codes, in_bounds)`` of shape ``(M, S)``: the m-code of every stencil
-    entry (clipped entries carry an arbitrary in-range code) and the mask of
-    entries that fall inside the grid.
+    entry (out-of-grid entries carry the code of the cell they clip to) and
+    the mask of entries that fall inside the grid.
     """
+    if not 1 <= depth <= MAX_DEPTH:
+        raise ValueError(f"depth must be in [1, {MAX_DEPTH}]; got {depth}")
+    cells = np.asarray(cells, dtype=np.int64)
+    offsets = np.asarray(offsets)
+    shape = (cells.shape[0], offsets.shape[0])
+    if 0 in shape:
+        return np.zeros(shape, dtype=np.int64), np.zeros(shape, dtype=bool)
     resolution = 1 << depth
-    coords = np.asarray(cells, dtype=np.int64)[:, None, :] + offsets[None, :, :]
-    in_bounds = np.logical_and(coords >= 0, coords < resolution).all(axis=-1)
+    # Axis-major (3, M, span) tables: every centre coordinate shifted by
+    # every offset value low..high; ``columns`` locates each stencil entry
+    # in its axis's table.
+    low, high = int(offsets.min()), int(offsets.max())
+    columns = np.ascontiguousarray((offsets - low).T, dtype=np.intp)
+    coords = cells.T[:, :, None] + np.arange(low, high + 1, dtype=np.int64)
+    valid = (coords >= 0) & (coords < resolution)
     # Clip so the encoder never sees out-of-range cells; the mask drops the
     # clipped entries afterwards.
-    clipped = np.clip(coords, 0, resolution - 1)
-    codes = encode_cells(clipped.reshape(-1, 3), depth).reshape(in_bounds.shape)
-    return codes, in_bounds
+    table = spread_axis(np.clip(coords, 0, resolution - 1), _AXES)
+    codes = np.take(table[0], columns[0], axis=1)
+    in_bounds = np.take(valid[0], columns[0], axis=1)
+    for axis in (1, 2):
+        codes |= np.take(table[axis], columns[axis], axis=1)
+        in_bounds &= np.take(valid[axis], columns[axis], axis=1)
+    return codes.view(np.int64), in_bounds
 
 
 def shell_codes_batch(

@@ -25,7 +25,7 @@ import numpy as np
 from repro.datastructuring.base import Gatherer, GatherResult, pick_random_centroids
 from repro.datastructuring.knn import BruteForceKNN
 from repro.geometry.pointcloud import PointCloud
-from repro.kernels import frame_offsets, stack_frames
+from repro.kernels import stack_frames, three_nearest
 from repro.network.backends import ComputeBackend, resolve_backend
 from repro.network.layers import Dense, ReLU, SharedMLP, softmax
 
@@ -268,54 +268,48 @@ class FeaturePropagation:
         The three nearest coarse points are selected on squared distances
         (sqrt is monotone, so the selection is unchanged; the sqrt is paid
         only for the k kept entries that feed the inverse-distance weights
-        -- the same convention as the FPS sampler) over the flattened
-        ``(B * N, M)`` distance matrix -- per-row selection is independent,
-        so a frame's rows do not depend on its stack -- and the refining
-        MLP runs once over the stacked ``(B * N, C)`` operand.
+        -- the same convention as the FPS sampler) by the blocked
+        :func:`repro.kernels.three_nearest`, frame by frame -- per-row
+        selection is independent, so a frame's rows do not depend on its
+        stack -- and the refining MLP runs once over the stacked
+        ``(B * N, C)`` operand, which the interpolation accumulates into
+        neighbour by neighbour (no ``(N, 3, C)`` gather).
         ``dense_features`` / ``coarse_features`` are stacked ``(B, N, F)`` /
         ``(B, M, C)`` tensors; returns the stacked ``(B, N, C_out)`` output
         plus one per-frame trace.
         """
         num_frames = len(dense_clouds)
         num_dense = dense_clouds[0].num_points
-        num_coarse = coarse_clouds[0].num_points
-
-        if num_coarse == 1:
-            interpolated = np.repeat(coarse_features, num_dense, axis=1)
-            interpolated = interpolated.reshape(num_frames * num_dense, -1)
-        else:
-            dense_points = stack_frames([c.points for c in dense_clouds])
-            coarse_points = stack_frames([c.points for c in coarse_clouds])
-            diff = dense_points[:, :, None, :] - coarse_points[:, None, :, :]
-            sq_dist = (diff**2).sum(axis=-1).reshape(-1, num_coarse)
-            k = min(3, num_coarse)
-            nearest = np.argpartition(sq_dist, kth=k - 1, axis=1)[:, :k]
-            near_dist = (
-                np.sqrt(np.take_along_axis(sq_dist, nearest, axis=1)) + 1e-10
-            )
-            weights = 1.0 / near_dist
-            weights = weights / weights.sum(axis=1, keepdims=True)
-            # Frame-local coarse indices -> rows of the flattened stack.
-            coarse_rows = nearest + np.repeat(
-                frame_offsets(num_frames, num_coarse), num_dense
-            )[:, None]
-            coarse_flat = coarse_features.reshape(num_frames * num_coarse, -1)
-            interpolated = (
-                coarse_flat[coarse_rows] * weights[..., None]
-            ).sum(axis=1)
-
-        if dense_features is not None:
-            combined = np.concatenate(
-                [dense_features.reshape(num_frames * num_dense, -1), interpolated],
-                axis=-1,
-            )
-        else:
-            combined = interpolated
-        if combined.shape[-1] != self.mlp.in_features:
+        skip_channels = 0 if dense_features is None else dense_features.shape[-1]
+        channels = skip_channels + coarse_features.shape[-1]
+        if channels != self.mlp.in_features:
             raise ValueError(
                 f"{self.name}: MLP expects {self.mlp.in_features} input "
-                f"channels, got {combined.shape[-1]}"
+                f"channels, got {channels}"
             )
+
+        combined = np.empty((num_frames, num_dense, channels), dtype=np.float64)
+        if dense_features is not None:
+            combined[..., :skip_channels] = dense_features
+        for frame in range(num_frames):
+            interpolated = combined[frame, :, skip_channels:]
+            features = coarse_features[frame]
+            if features.shape[0] == 1:
+                interpolated[:] = features
+                continue
+            nearest, near_sq = three_nearest(
+                dense_clouds[frame].points, coarse_clouds[frame].points
+            )
+            weights = 1.0 / (np.sqrt(near_sq) + 1e-10)
+            weights /= weights.sum(axis=1, keepdims=True)
+            # ((w0*f0 + w1*f1) + w2*f2): the order sum(axis=1) over the
+            # gathered (N, k, C) block would take.
+            np.multiply(features[nearest[:, 0]], weights[:, 0:1], out=interpolated)
+            for j in range(1, nearest.shape[1]):
+                term = features[nearest[:, j]]
+                term *= weights[:, j : j + 1]
+                interpolated += term
+        combined = combined.reshape(num_frames * num_dense, channels)
         refined = self.backend.apply(self.mlp, combined, num_frames)
         traces = [
             LayerTrace(

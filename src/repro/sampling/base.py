@@ -10,6 +10,7 @@ import numpy as np
 
 from repro.core.metrics import OpCounters
 from repro.geometry.pointcloud import PointCloud
+from repro.kernels import iter_distance_chunks, pairwise_sq_dists
 
 
 @dataclass
@@ -52,8 +53,7 @@ class SamplingResult:
         pts = self.sampled.points
         if pts.shape[0] < 2:
             return 0.0
-        diff = pts[:, None, :] - pts[None, :, :]
-        dist = np.sqrt((diff**2).sum(axis=-1))
+        dist = np.sqrt(pairwise_sq_dists(pts, pts))
         dist[np.diag_indices_from(dist)] = np.inf
         return float(dist.min())
 
@@ -64,13 +64,9 @@ class SamplingResult:
         information loss; smaller is better.  Evaluated in chunks to bound
         memory.
         """
-        samples = self.sampled.points
         worst = 0.0
-        chunk = 4096
-        for start in range(0, cloud.num_points, chunk):
-            block = cloud.points[start : start + chunk]
-            diff = block[:, None, :] - samples[None, :, :]
-            nearest = np.sqrt((diff**2).sum(axis=-1)).min(axis=1)
+        for _, sq_dist in iter_distance_chunks(cloud.points, self.sampled.points):
+            nearest = np.sqrt(sq_dist).min(axis=1)
             worst = max(worst, float(nearest.max()))
         return worst
 

@@ -197,7 +197,7 @@ class OctreeIndexedSampler(Sampler):
             depth = octree.depth
         layout = HostMemoryLayout.from_octree(octree)
 
-        picked = self._run_sampling_loop(
+        picked, wavefront = self._run_sampling_loop(
             octree, layout, num_samples, rng, counters
         )
         return self._result(
@@ -210,6 +210,7 @@ class OctreeIndexedSampler(Sampler):
                 "octree_leaves": octree.num_leaves,
                 "octree_build_stats": octree.stats,
                 "approximate": self._approximate,
+                "wavefront": wavefront,
             },
         )
 
@@ -221,7 +222,7 @@ class OctreeIndexedSampler(Sampler):
         num_samples: int,
         rng: np.random.Generator,
         counters: OpCounters,
-    ) -> List[int]:
+    ) -> Tuple[List[int], Dict[str, int]]:
         """Wavefront Octree-Table walk over flat per-level node arrays.
 
         Two retained references bound this loop: the dict-walk
@@ -240,6 +241,11 @@ class OctreeIndexedSampler(Sampler):
         committed; nothing of a rejected suffix (counters, RNG draws,
         table state) ever materialises.  Selected indices and all counters
         are bit-identical to both references for every wavefront width.
+
+        Returns the picked indices and how the picks after the seed were
+        made: ``scalar_descents`` one at a time, ``committed_lanes`` out of
+        ``speculated_lanes`` over ``launches`` wavefronts (the commit rate
+        is what a width policy would tune).
         """
         depth = octree.depth
         cloud = octree.cloud
@@ -640,6 +646,9 @@ class OctreeIndexedSampler(Sampler):
         width = initial_width
         stable_run = 0
         previous_code: Optional[int] = None
+        stats = dict.fromkeys(
+            ("launches", "speculated_lanes", "committed_lanes", "scalar_descents"), 0
+        )
         while len(picked) < num_samples:
             # Virtual summary point ||S||_2 of the picked set (Section V-B).
             summary_point = picked_codes_sum / len(picked)
@@ -660,6 +669,7 @@ class OctreeIndexedSampler(Sampler):
                 picked_codes_sum += cloud.points[next_index]
                 counters.host_memory_reads += 1
                 counters.onchip_writes += 1
+                stats["scalar_descents"] += 1
                 width = initial_width
                 continue
             rounds = min(width, budget)
@@ -667,6 +677,9 @@ class OctreeIndexedSampler(Sampler):
                 accepted = run_wavefront_approx(summary_code, rounds)
             else:
                 accepted = run_wavefront_exact(summary_code, rounds)
+            stats["launches"] += 1
+            stats["speculated_lanes"] += rounds
+            stats["committed_lanes"] += accepted
             if accepted == rounds:
                 width = min(rounds * _GROWTH, self._wavefront)
-        return picked
+        return picked, stats

@@ -10,6 +10,8 @@ enforces it again at benchmark scale and records the speedups.
 from __future__ import annotations
 
 import dataclasses
+import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -37,8 +39,13 @@ from repro.kernels import (
     popcount64,
     rows_per_chunk,
     segment_boundaries,
+    spread_axis,
+    stencil_codes,
+    three_nearest,
 )
+from repro.kernels import distance as distance_kernels
 from repro.kernels import reference as ref
+from repro.kernels.stencil import cube_offsets, face_shell_offsets
 from repro.octree.builder import Octree
 from repro.sampling.fps import FarthestPointSampler
 from repro.sampling.ois import OctreeIndexedSampler
@@ -92,6 +99,18 @@ class TestMortonKernels:
                 )
                 == codes[index]
             )
+
+    def test_spread_axis_is_one_axis_of_the_code(self):
+        """encode_cells is the OR of the per-axis spreads; an index-array
+        ``axis`` spreads an axis-major table in one call."""
+        rng = np.random.default_rng(6)
+        cells = rng.integers(0, 1 << 21, size=(200, 3))
+        per_axis = [spread_axis(cells[:, a], a) for a in range(3)]
+        assert per_axis[0].dtype == np.uint64
+        combined = per_axis[0] | per_axis[1] | per_axis[2]
+        assert np.array_equal(combined.astype(np.int64), encode_cells(cells, 21))
+        table = spread_axis(cells.T[:, :, None], np.arange(3)[:, None, None])
+        assert np.array_equal(table[:, :, 0], np.stack(per_axis))
 
     def test_encode_rejects_out_of_range_cells(self):
         with pytest.raises(ValueError):
@@ -186,7 +205,9 @@ class TestChunkingAndDistance:
 
     def test_distance_chunk_rows_derived_from_budget(self):
         rows = distance_chunk_rows(100_000)
-        assert rows * 100_000 * 8 * 4 <= DEFAULT_CHUNK_BUDGET_BYTES
+        # Two (rows, N) float64 buffers: the distance block and its scratch.
+        assert rows * 100_000 * 8 * 2 <= DEFAULT_CHUNK_BUDGET_BYTES
+        assert (rows + 1) * 100_000 * 8 * 2 > DEFAULT_CHUNK_BUDGET_BYTES
         assert distance_chunk_rows(10) > rows
         with pytest.raises(ValueError):
             distance_chunk_rows(0)
@@ -197,6 +218,65 @@ class TestChunkingAndDistance:
         for i in range(7):
             expected = ((small_cloud.points - queries[i]) ** 2).sum(axis=1)
             assert np.array_equal(dist[i], expected)
+
+    @staticmethod
+    def _dense_and_coarse(num_dense, num_coarse, seed=0):
+        """Query/point sets with exact ties (duplicated coarse points) and
+        a dense point coincident with a coarse one (zero distance)."""
+        rng = np.random.default_rng(seed)
+        dense = rng.normal(size=(num_dense, 3)) * 20.0
+        coarse = rng.normal(size=(num_coarse, 3)) * 20.0
+        coarse[num_coarse // 2] = coarse[0]
+        coarse[-1] = coarse[0]
+        dense[0] = coarse[0]
+        dense[-1] = coarse[num_coarse // 3]
+        return dense, coarse
+
+    @pytest.mark.parametrize("num_coarse", [1, 2, 3, 4, 512])
+    def test_pairwise_sq_dists_equals_dense_reference(self, num_coarse):
+        """The per-coordinate accumulation is bit-identical to the frozen
+        ``((q - p)**2).sum(-1)`` -- on this NumPy; a NumPy that associates
+        the three-term sum differently fails here, not in a digest."""
+        dense, coarse = self._dense_and_coarse(131, num_coarse)
+        expected = ref.pairwise_sq_dists_dense(dense, coarse)
+        assert np.array_equal(pairwise_sq_dists(dense, coarse), expected)
+        out = np.full(expected.shape, np.nan)
+        scratch = np.full(expected.shape, np.nan)
+        assert pairwise_sq_dists(dense, coarse, out=out, scratch=scratch) is out
+        assert np.array_equal(out, expected)
+        # Strided inputs (a gathered-then-sliced cloud) take the same path.
+        wide = np.concatenate([dense, dense], axis=1)
+        assert np.array_equal(pairwise_sq_dists(wide[:, 3:], coarse), expected)
+
+    @pytest.mark.parametrize("num_coarse", [1, 2, 3, 4, 512])
+    @pytest.mark.parametrize("block_rows", [None, 8])
+    def test_three_nearest_equals_dense_reference(
+        self, monkeypatch, num_coarse, block_rows
+    ):
+        """Blocked selection == selection over the whole matrix: same
+        indices in the same (argpartition) order, same distances, for row
+        counts around every block boundary."""
+        if block_rows is not None:
+            monkeypatch.setattr(
+                distance_kernels,
+                "THREE_NEAREST_BLOCK_BYTES",
+                block_rows * num_coarse * 8 * 2,
+            )
+        rows = distance_chunk_rows(
+            num_coarse, budget_bytes=distance_kernels.THREE_NEAREST_BLOCK_BYTES
+        )
+        if rows > 1024:  # tiny M at the default budget: one block covers all
+            sizes = [5, 300]
+        else:
+            # below/at/over one block, one row into the third block, ragged.
+            sizes = [rows - 1, rows, rows + 1, 2 * rows + 1, 2 * rows + rows // 2]
+        for num_dense in sizes:
+            dense, coarse = self._dense_and_coarse(num_dense, num_coarse, seed=num_dense)
+            indices, sq_dists = three_nearest(dense, coarse)
+            ref_indices, ref_sq = ref.three_nearest_dense(dense, coarse)
+            assert indices.shape == (num_dense, min(3, num_coarse))
+            assert np.array_equal(indices, ref_indices), num_dense
+            assert np.array_equal(sq_dists, ref_sq), num_dense
 
     def test_grouped_topk_matches_full_sort(self):
         rng = np.random.default_rng(4)
@@ -231,6 +311,83 @@ class TestShells:
         # Lexicographic (dx, dy, dz) enumeration order is preserved.
         keys = (offsets[:, 0] * 10_000 + offsets[:, 1] * 100 + offsets[:, 2])
         assert (np.diff(keys) > 0).all()
+
+    @staticmethod
+    def _boundary_cells(depth):
+        """Centres on every face, edge and corner of the grid plus the bulk."""
+        top = (1 << depth) - 1
+        axis_values = sorted({0, min(1, top), top // 2, max(top - 1, 0), top})
+        return np.array(list(itertools.product(axis_values, repeat=3)), dtype=np.int64)
+
+    @pytest.mark.parametrize("depth", [1, 5, 8, 21])
+    @pytest.mark.parametrize(
+        "stencil, radii",
+        [
+            (shell_offsets, range(13)),
+            (face_shell_offsets, range(13)),
+            (cube_offsets, range(5)),
+        ],
+    )
+    def test_stencil_codes_equal_dense_reference(self, depth, stencil, radii):
+        """Per-axis tables == encoding every (centre, offset) pair: same
+        codes (clipped entries included) and same in-bounds mask, including
+        radii larger than the grid."""
+        cells = self._boundary_cells(depth)
+        for radius in radii:
+            offsets = stencil(radius)
+            codes, in_bounds = stencil_codes(cells, offsets, depth)
+            ref_codes, ref_in_bounds = ref.stencil_codes_dense(cells, offsets, depth)
+            assert codes.dtype == ref_codes.dtype and in_bounds.dtype == np.bool_
+            assert np.array_equal(codes, ref_codes), radius
+            assert np.array_equal(in_bounds, ref_in_bounds), radius
+
+    def test_stencil_codes_arbitrary_offsets(self):
+        """Any integer offsets, not just cached shells: unsorted, repeated,
+        one-sided and per-axis-lopsided."""
+        rng = np.random.default_rng(8)
+        cells = self._boundary_cells(5)
+        for offsets in (
+            rng.integers(-9, 10, size=(40, 3)),
+            rng.integers(3, 7, size=(11, 3)),
+            np.array([[-40, 0, 2], [0, 35, 2], [-40, 0, 2]]),
+            np.array([[7, -3, 0]], dtype=np.int32),
+        ):
+            codes, in_bounds = stencil_codes(cells, offsets, 5)
+            ref_codes, ref_in_bounds = ref.stencil_codes_dense(cells, offsets, 5)
+            assert np.array_equal(codes, ref_codes)
+            assert np.array_equal(in_bounds, ref_in_bounds)
+
+    @pytest.mark.parametrize("num_cells, num_offsets", [(0, 26), (5, 0), (0, 0)])
+    def test_stencil_codes_degenerate_shapes(self, num_cells, num_offsets):
+        cells = np.zeros((num_cells, 3), dtype=np.int64)
+        offsets = shell_offsets(1)[:num_offsets]
+        codes, in_bounds = stencil_codes(cells, offsets, 4)
+        ref_codes, ref_in_bounds = ref.stencil_codes_dense(cells, offsets, 4)
+        assert codes.shape == ref_codes.shape == (num_cells, num_offsets)
+        assert in_bounds.shape == ref_in_bounds.shape
+        assert codes.dtype == ref_codes.dtype and in_bounds.dtype == np.bool_
+
+    @pytest.mark.parametrize("depth", [0, 22])
+    def test_stencil_codes_rejects_bad_depth(self, depth):
+        with pytest.raises(ValueError):
+            stencil_codes(np.zeros((1, 3), dtype=np.int64), shell_offsets(1), depth)
+
+    def test_stencil_codes_never_materialise_per_entry_cells(self):
+        """The 'never materialise' rule as a test: at sa2's largest ring
+        (128 centres x the 2402-entry radius-10 stencil) the peak stays
+        below the size of one (M, S, 3) int64 block -- the dense
+        formulation holds two of them plus their masks."""
+        cells = np.random.default_rng(2).integers(0, 256, size=(128, 3))
+        offsets = shell_offsets(10)
+        assert offsets.shape[0] == 2402
+        stencil_codes(cells, offsets, 8)  # warm caches outside the trace
+        tracemalloc.start()
+        try:
+            stencil_codes(cells, offsets, 8)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 128 * 2402 * 3 * 8
 
     def test_occupied_codes_view_is_read_only(self, small_cloud):
         grid = VoxelGrid.build(small_cloud, 3)
@@ -388,6 +545,27 @@ class TestGatheringEquivalence:
             for s in result.info["run_stats"].per_centroid
         ]
         assert observed == stage_stats
+
+    @pytest.mark.parametrize("fixture", ["lidar_cloud", "cad_cloud"])
+    @pytest.mark.parametrize("kwargs", [{}, {"depth": 6}])
+    def test_veg_identical_to_scalar_on_lidar_and_cad_shapes(
+        self, request, fixture, kwargs
+    ):
+        """Sparse LiDAR scenes expand many rings (large stencils, clipped at
+        the grid faces); CAD surfaces stay shallow.  Rows and every counter
+        must not move with the stencil encoding."""
+        cloud = request.getfixturevalue(fixture)
+        centroids = pick_random_centroids(cloud, 48, seed=2)
+        result = VoxelExpandedGatherer(**kwargs).gather(cloud, centroids, 16)
+        rows, counters, stage_stats = ref.veg_scalar(
+            cloud, centroids, 16, depth=kwargs.get("depth")
+        )
+        assert np.array_equal(result.neighbor_indices, rows)
+        assert counters_of(result.counters) == counters_of(counters)
+        assert [
+            (s.expansions, s.voxels_visited)
+            for s in result.info["run_stats"].per_centroid
+        ] == [(stats[0], stats[4]) for stats in stage_stats]
 
     def test_veg_tiny_cloud_padding_identical(self):
         rng = np.random.default_rng(9)

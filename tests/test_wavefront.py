@@ -34,6 +34,12 @@ def _assert_matches_frozen(cloud, k, depth=None, approximate=False, seed=7,
     )
     np.testing.assert_array_equal(np.asarray(result.indices), ref_indices)
     assert result.counters.as_dict() == ref_counters.as_dict()
+    # Every pick is the seed, a scalar descent or a committed lane, and
+    # every launch commits at least its first lane.
+    wave = result.info["wavefront"]
+    assert 1 + wave["scalar_descents"] + wave["committed_lanes"] == k
+    assert wave["launches"] <= wave["committed_lanes"] <= wave["speculated_lanes"]
+    return wave
 
 
 def _random_cloud(rng, n, duplicates=False):
@@ -66,6 +72,22 @@ class TestWavefrontBitIdentity:
         rng = np.random.default_rng(42)
         cloud = _random_cloud(rng, 900)
         _assert_matches_frozen(cloud, 200, wavefront=wavefront)
+
+    def test_wavefront_info_separates_speculation_from_scalar_walk(self):
+        """``info["wavefront"]`` is the recorded commit rate: width 1 never
+        launches, the default width does and wastes some lanes."""
+        rng = np.random.default_rng(42)
+        cloud = _random_cloud(rng, 900)
+        serial = _assert_matches_frozen(cloud, 200, wavefront=1)
+        assert serial == {
+            "launches": 0,
+            "speculated_lanes": 0,
+            "committed_lanes": 0,
+            "scalar_descents": 199,
+        }
+        speculative = _assert_matches_frozen(cloud, 200)
+        assert speculative["launches"] > 0
+        assert speculative["committed_lanes"] < speculative["speculated_lanes"]
 
     def test_duplicate_coordinate_cloud(self):
         """Duplicate points collapse into shared leaves and force early
