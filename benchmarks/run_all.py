@@ -696,28 +696,18 @@ def build_scenarios(quick: bool) -> List[Scenario]:
         )
     )
 
-    # --- serving: process-sharded execution vs the thread pool ----------
-    # Same seeded arrival schedules, but the measured side runs the
-    # PR 6 cluster subsystem -- a multiprocess worker pool (shared-memory
-    # FrameBatch transport) and a 2-shard consistent-hash router -- while
-    # the reference side is the PR 5 in-process thread pool.  The value
+    # --- serving: process execution vs the thread pool -------------------
+    # Same seeded arrival schedule, but the measured side runs a
+    # multiprocess worker pool (shared-memory FrameBatch transport) while
+    # the reference side is the in-process thread pool.  The value
     # comparison asserts bit-identical responses across execution modes,
-    # so these scenarios double as a cross-process determinism gate.
+    # so this scenario doubles as a cross-process determinism gate.
     scenarios.append(
         _serving_scenario(
             quick,
             rate_hz=2000.0,
             label="process_poisson",
             execution="process",
-            reference="thread_pool",
-        )
-    )
-    scenarios.append(
-        _serving_scenario(
-            quick,
-            rate_hz=0.0,
-            label="sharded_burst",
-            shards=2,
             reference="thread_pool",
         )
     )
@@ -904,18 +894,12 @@ def _serving_scenario(
     rate_hz: float,
     label: str,
     execution: str = "thread",
-    shards: int = 1,
     reference: str = "naive",
     backend: Optional[str] = None,
 ) -> Scenario:
     from repro.network.backends import resolve_backend
     from repro.session import FrameRequest, Session
-    from repro.serving import (
-        ExecutionConfig,
-        FrameServer,
-        ServeConfig,
-        ShardRouter,
-    )
+    from repro.serving import ExecutionConfig, FrameServer, ServeConfig
     from repro.serving.server import response_signature
 
     num_requests = 24 if quick else 64
@@ -937,7 +921,6 @@ def _serving_scenario(
         execution=ExecutionConfig(
             workers=2,
             execution=execution,
-            shards=shards,
             max_batch=8,
             max_wait_ms=2.0,
             queue_capacity=num_requests,
@@ -980,17 +963,9 @@ def _serving_scenario(
 
     def get_endpoint():
         if "endpoint" not in state:
-            if shards > 1:
-                state["endpoint"] = ShardRouter(
-                    num_shards=shards,
-                    name=f"bench-{label}",
-                    **endpoint_options,
-                ).start()
-            else:
-                state["endpoint"] = FrameServer(
-                    name=f"bench-{label}",
-                    **endpoint_options,
-                ).start()
+            state["endpoint"] = FrameServer(
+                name=f"bench-{label}", **endpoint_options
+            ).start()
         return state["endpoint"]
 
     def submit_on_schedule(endpoint):
@@ -1023,10 +998,10 @@ def _serving_scenario(
         return signatures, None
 
     def run_thread_pool_reference():
-        # The PR 5 serving path: one in-process server with a thread
-        # worker pool, driven on the identical seeded arrival schedule.
-        # The harness's value comparison then asserts that the process
-        # pool / shard router produce bit-identical responses.
+        # One in-process server with a thread worker pool, driven on the
+        # identical seeded arrival schedule.  The harness's value
+        # comparison then asserts that the process pool produces
+        # bit-identical responses.
         if "thread_reference" not in state:
             state["thread_reference"] = FrameServer(
                 name=f"bench-{label}-ref",
@@ -1047,7 +1022,6 @@ def _serving_scenario(
             "max_wait_ms": 2.0,
             "sampler": "random",
             "execution": execution,
-            "shards": shards,
             "reference": reference,
             "backend": resolve_backend(backend).name,
         },

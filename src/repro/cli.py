@@ -29,7 +29,6 @@ import json
 import sys
 import time
 from concurrent.futures import TimeoutError as FuturesTimeoutError
-from pathlib import Path
 from typing import List, Optional, Sequence
 
 from repro import registry
@@ -220,13 +219,12 @@ def _run_e2e(
 
 def _run_serve(config: ServeConfig) -> int:
     """The serving soak: a ``ServeConfig``-described traffic stream through
-    a FrameServer (or ShardRouter), gated on the soak invariants."""
+    a FrameServer, gated on the soak invariants."""
     from repro.serving import (
         FrameServer,
         LoadShed,
         QueueFull,
         RateLimitExceeded,
-        ShardRouter,
         SubmitOptions,
         response_signature,
         signatures_equal,
@@ -265,16 +263,9 @@ def _run_serve(config: ServeConfig) -> int:
         reference = Session(**session_options).run_batch(requests, batch_size=1)
         expected = [response_signature(r) for r in reference.responses]
 
-    endpoint_options = config.endpoint_options(len(requests), faults)
-    router: Optional[ShardRouter] = None
-    if exec_cfg.shards > 1:
-        endpoint = router = ShardRouter(
-            num_shards=exec_cfg.shards, name="serve", **endpoint_options
-        )
-    else:
-        endpoint = FrameServer(**endpoint_options)
+    server = FrameServer(**config.endpoint_options(len(requests), faults))
     try:
-        endpoint.start()
+        server.start()
     except TransportError as exc:
         # E.g. no fork start method: refuse cleanly instead of half-starting.
         print(f"error: {exc}", file=sys.stderr)
@@ -284,7 +275,7 @@ def _run_serve(config: ServeConfig) -> int:
     #: Typed non-served outcomes per request index ("load_shed" /
     #: "rate_limited"); anything else that fails is a gate failure.
     typed_outcomes: dict = {}
-    with endpoint:
+    with server:
         start = time.perf_counter()
         for item in items:
             delay = start + item.arrival - time.perf_counter()
@@ -292,7 +283,7 @@ def _run_serve(config: ServeConfig) -> int:
                 time.sleep(delay)
             options = SubmitOptions(class_name=item.class_name)
             try:
-                futures.append(endpoint.submit(item.request, options=options))
+                futures.append(server.submit(item.request, options=options))
             except QueueFull:
                 futures.append(None)
         for i, future in enumerate(futures):
@@ -320,25 +311,8 @@ def _run_serve(config: ServeConfig) -> int:
                 failures.append(f"request {i}: future failed: {exc!r}")
                 responses.append(None)
         wall_seconds = time.perf_counter() - start
-    if router is not None:
-        merged = router.stats()
-        shard_reports = {
-            shard_name: {
-                "metrics": merged["shards"][shard_name],
-                "workers": router.shards[shard_name].worker_stats(),
-            }
-            for shard_name in router.shards
-        }
-        metrics = {key: value for key, value in merged.items() if key != "shards"}
-        worker_stats = [
-            stats
-            for shard_name in sorted(shard_reports)
-            for stats in shard_reports[shard_name]["workers"]
-        ]
-    else:
-        metrics = endpoint.metrics.snapshot()
-        shard_reports = None
-        worker_stats = endpoint.worker_stats()
+    metrics = server.metrics.snapshot()
+    worker_stats = server.worker_stats()
 
     # -- soak gates ------------------------------------------------------
     counts = metrics["requests"]
@@ -439,7 +413,6 @@ def _run_serve(config: ServeConfig) -> int:
             "frames": config.frames,
             "workers": exec_cfg.workers,
             "execution": exec_cfg.execution,
-            "shards": exec_cfg.shards,
             "sampler": exec_cfg.sampler,
             "accelerator": exec_cfg.accelerator,
             "backend": resolve_backend(exec_cfg.backend).describe(),
@@ -460,32 +433,15 @@ def _run_serve(config: ServeConfig) -> int:
         "metrics": metrics,
         "workers": worker_stats,
     }
-    if shard_reports is not None:
-        report["shards"] = shard_reports
     config.metrics_out.write_text(json.dumps(report, indent=2) + "\n")
-    shard_paths: List[Path] = []
-    if shard_reports is not None:
-        for index, shard_name in enumerate(sorted(shard_reports)):
-            path = config.metrics_out.with_name(
-                f"{config.metrics_out.stem}-shard{index}"
-                f"{config.metrics_out.suffix}"
-            )
-            path.write_text(
-                json.dumps(
-                    {"shard": shard_name, **shard_reports[shard_name]},
-                    indent=2,
-                )
-                + "\n"
-            )
-            shard_paths.append(path)
 
     batches = metrics["batches"]
     busy = [stats["completed"] for stats in metrics["per_worker"].values()]
-    idle = exec_cfg.workers * exec_cfg.shards - len(busy)
+    idle = exec_cfg.workers - len(busy)
     rows = [
         ["requests served", f"{counts['completed']}/{len(requests)}"],
         ["traffic model", f"{traffic_model} at {config.traffic.rate_hz:g} Hz"],
-        ["execution x shards", f"{exec_cfg.execution} x {exec_cfg.shards}"],
+        ["execution", exec_cfg.execution],
         ["compute backend", resolve_backend(exec_cfg.backend).name],
         ["workers x max-batch", f"{exec_cfg.workers} x {exec_cfg.max_batch}"],
         ["micro-batches", f"{batches['count']} "
@@ -524,9 +480,8 @@ def _run_serve(config: ServeConfig) -> int:
                 "p99={p99:.2f}".format(**stats["latency_ms"]),
             ])
     if faults is not None:
-        rows.append(["chaos (retries/sheds/failovers)",
-                     "{retries}/{deadline_sheds}/{failovers}".format(
-                         **resilience)])
+        rows.append(["chaos (retries/sheds)",
+                     "{retries}/{deadline_sheds}".format(**resilience)])
     print(
         format_table(
             ["metric", "value"],
@@ -536,8 +491,6 @@ def _run_serve(config: ServeConfig) -> int:
         )
     )
     print(f"wrote {config.metrics_out}")
-    for path in shard_paths:
-        print(f"wrote {path}")
     if failures:
         print("\nserving soak FAILED:")
         for failure in failures:

@@ -5,7 +5,7 @@ gathers, blocked MLPs) spends its time inside NumPy kernels that release
 the GIL, so threads put real cores behind a batch without pickling frames
 across process boundaries.  Pools are cached at module level, keyed by
 worker count -- engines hold only the integer knob, which keeps them (and
-the Session above them) picklable for the process-sharded serving path.
+the Session above them) picklable for process serving.
 
 Determinism contract
 --------------------

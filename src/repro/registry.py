@@ -14,7 +14,7 @@ pipeline declaratively::
 The registry keeps the core (:mod:`repro.session`, :mod:`repro.cli`, the
 analysis sweeps) free of hardcoded import lists: new components become
 reachable everywhere the moment they register, which is the architectural
-seam the serving-oriented roadmap items (multi-backend, sharding) plug into.
+seam new samplers, accelerators and compute backends plug into.
 
 Built-in implementations register when their subpackage is imported.  In
 practice ``import repro`` eagerly imports every registering subpackage; the

@@ -18,10 +18,10 @@ micro-batch only when a worker can start it:
 
 Execution is pluggable: ``FrameServer(execution="thread")`` runs warm
 sessions on worker threads, ``execution="process"`` on fork-spawned worker
-processes with shared-memory batch transport, and
-:class:`~repro.serving.cluster.router.ShardRouter` places requests on N
-in-process servers via consistent hashing -- see
-:mod:`repro.serving.cluster`.
+processes with shared-memory batch transport -- see
+:mod:`repro.serving.cluster`.  One server is the one serving entry point:
+more capacity is more workers (``num_workers``), which the pool routes by
+warm-shape key to a sticky home worker and spills to the least-loaded one.
 
 ``Session.submit`` is the one-liner entry point (a single-worker server
 wrapped around the session itself); build a :class:`FrameServer` directly
@@ -32,9 +32,8 @@ wraps the same pipeline without touching the bit-identical core: requests
 may carry TTL deadlines (shed as :class:`DeadlineExceeded` before
 dispatch), crashed process workers are retried with capped seeded-jitter
 backoff (:class:`RetryPolicy`; :class:`RetriesExhausted` when out of
-attempts), shards fail over along the hash ring behind per-shard
-:class:`CircuitBreaker` guards, and a seeded :class:`FaultPlan` injects
-deterministic kills / latency / transport corruption for chaos testing.
+attempts), and a seeded :class:`FaultPlan` injects deterministic kills /
+latency / transport corruption for chaos testing.
 """
 
 from repro.serving.config import (
@@ -60,9 +59,7 @@ from repro.serving.policy import (
 )
 from repro.serving.traffic import TrafficItem, TrafficModel
 from repro.serving.resilience import (
-    CircuitBreaker,
     DeadlineExceeded,
-    NoHealthyShard,
     RetriesExhausted,
     RetryPolicy,
 )
@@ -80,7 +77,6 @@ from repro.serving.server import (
 )
 from repro.serving.cluster import (
     ProcessWorkerPool,
-    ShardRouter,
     ThreadWorkerPool,
     WorkerCrashed,
     WorkerError,
@@ -91,7 +87,6 @@ __all__ = [
     "AdaptiveMaxWait",
     "AdmissionQueue",
     "ChaosConfig",
-    "CircuitBreaker",
     "DeadlineExceeded",
     "ExecutionConfig",
     "FaultPlan",
@@ -101,7 +96,6 @@ __all__ = [
     "ManualClock",
     "MicroBatch",
     "MicroBatchScheduler",
-    "NoHealthyShard",
     "PolicyConfig",
     "PriorityClass",
     "ProcessWorkerPool",
@@ -115,7 +109,6 @@ __all__ = [
     "ServeConfig",
     "ServingMetrics",
     "ServingPolicy",
-    "ShardRouter",
     "SubmitOptions",
     "ThreadWorkerPool",
     "TokenBucket",

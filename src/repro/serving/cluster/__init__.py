@@ -1,6 +1,6 @@
-"""Process-sharded serving: shared-memory transport, process pool, router.
+"""Process serving: shared-memory transport and the worker pools.
 
-Three layers under the serving stack, each usable alone:
+Two layers under the serving stack, each usable alone:
 
 * :mod:`~repro.serving.cluster.transport` -- ship ``FrameBatch`` tensors
   and response payloads across process boundaries without pickling array
@@ -8,9 +8,7 @@ Three layers under the serving stack, each usable alone:
 * :mod:`~repro.serving.cluster.pool` -- the worker-pool contract behind
   :class:`~repro.serving.server.FrameServer`, with thread and
   fork-process implementations (warm child sessions, shape-key-affine
-  routing, crash detection + respawn);
-* :mod:`~repro.serving.cluster.router` -- N in-process ``FrameServer``
-  shards behind a consistent-hash ring keyed on the warm-shape key.
+  routing, crash detection + respawn).
 """
 
 from repro.serving.cluster.pool import (
@@ -20,7 +18,6 @@ from repro.serving.cluster.pool import (
     WorkerError,
     WorkerPool,
 )
-from repro.serving.cluster.router import HashRing, ShardRouter
 from repro.serving.cluster.transport import (
     ArraySpec,
     FrameBatchHeader,
@@ -39,9 +36,7 @@ from repro.serving.cluster.transport import (
 __all__ = [
     "ArraySpec",
     "FrameBatchHeader",
-    "HashRing",
     "ProcessWorkerPool",
-    "ShardRouter",
     "SharedMemoryArena",
     "ThreadWorkerPool",
     "TransportError",

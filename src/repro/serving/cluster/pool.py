@@ -25,7 +25,7 @@ as shared-memory messages (:mod:`repro.serving.cluster.transport`):
   TTLs and priorities reach it;
 * the parent encodes a batch's requests into a
   ``repro-req-{pid}-{pool}-{w}-{b}`` segment (the pool token keeps names
-  unique when one parent runs several pools, e.g. sharded serving) and
+  unique when one parent runs several process servers at once) and
   enqueues the tiny message on worker ``w``'s request queue;
 * the child decodes (copying out of the segment), runs ``run_batch``, and
   ships the responses back in a ``repro-resp-{childpid}-{b}`` segment on
@@ -293,9 +293,9 @@ class ThreadWorkerPool(WorkerPool):
 # Process pool
 # ----------------------------------------------------------------------
 #: Per-parent pool counter: keeps request-segment names unique when one
-#: parent owns several pools (sharded serving -- every shard has a worker
-#: 0 dispatching a batch 0).  Two digits keep names inside the tightest
-#: platform shm-name limits.
+#: parent runs several process servers at once (e.g. one per task) --
+#: each has a worker 0 dispatching a batch 0.  Two digits keep names
+#: inside the tightest platform shm-name limits.
 _POOL_TOKENS = itertools.count()
 
 

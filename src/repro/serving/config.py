@@ -17,7 +17,7 @@ The sub-configs mirror the argparse groups:
   (``name:priority[:slo_ms][:preempt]``), admission mode, rate limits,
   adaptive max-wait -- building an optional
   :class:`~repro.serving.policy.ServingPolicy`;
-* :class:`ExecutionConfig` -- workers, execution mode, shards, micro-batch
+* :class:`ExecutionConfig` -- workers, execution mode, micro-batch
   triggers, pipeline components;
 * :class:`ChaosConfig` -- the seeded fault plan.
 
@@ -341,21 +341,16 @@ class PolicyConfig:
 
 @dataclass
 class ExecutionConfig:
-    """Workers, shards, micro-batch triggers, and pipeline components."""
+    """Workers, micro-batch triggers, and pipeline components."""
 
     workers: int = _flag(
         2, type=positive_int,
-        help="warm-session workers per server/shard (default 2)",
+        help="warm-session workers in the server (default 2)",
     )
     execution: str = _flag(
         "thread", choices=("thread", "process"),
         help="run workers as threads or as fork-spawned processes with "
              "shared-memory batch transport (default thread)",
-    )
-    shards: int = _flag(
-        1, type=positive_int,
-        help="consistent-hash shard count; >1 routes requests across N "
-             "in-process FrameServer shards (default 1)",
     )
     sampler: str = _flag("ois", choices=lambda: registry.available("sampler"))
     accelerator: str = _flag(
@@ -590,8 +585,7 @@ class ServeConfig:
     def endpoint_options(
         self, num_requests: int, faults: Optional[FaultPlan]
     ) -> Dict[str, Any]:
-        """Constructor kwargs for ``FrameServer`` (or, with ``num_shards``
-        and ``name`` added, ``ShardRouter``)."""
+        """Constructor kwargs for ``FrameServer``."""
         from repro.session import Session
 
         session_options = self.session_options()
@@ -618,7 +612,6 @@ class ServeConfig:
             "policy": policy.describe() if policy is not None else None,
             "workers": self.execution.workers,
             "execution": self.execution.execution,
-            "shards": self.execution.shards,
         }
 
 
@@ -627,6 +620,6 @@ class ServeConfig:
 _FLAG_GROUPS = (
     ("traffic", TrafficConfig, "what request stream to generate"),
     ("policy", PolicyConfig, "serving policy: priority classes, shedding, limits"),
-    ("execution", ExecutionConfig, "workers, shards, and micro-batch triggers"),
+    ("execution", ExecutionConfig, "workers and micro-batch triggers"),
     ("chaos", ChaosConfig, "seeded fault injection"),
 )

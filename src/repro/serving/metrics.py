@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import threading
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
 import numpy as np
@@ -93,8 +93,6 @@ class ServingMetrics:
         self._load_sheds = 0
         self._rate_limited = 0
         self._retries = 0
-        self._breaker_trips = 0
-        self._failovers = 0
         #: Per-class counters for the typed non-served outcomes.
         self._shed_classes: Dict[str, int] = {}
         self._load_shed_classes: Dict[str, int] = {}
@@ -153,16 +151,6 @@ class ServingMetrics:
         with self._lock:
             self._retries += 1
 
-    def record_breaker_trip(self) -> None:
-        """Count one circuit breaker transition to open."""
-        with self._lock:
-            self._breaker_trips += 1
-
-    def record_failover(self) -> None:
-        """Count one request routed past its ring owner to a healthy shard."""
-        with self._lock:
-            self._failovers += 1
-
     def next_completion_index(self) -> int:
         """Allocate the next global completion index."""
         with self._lock:
@@ -179,68 +167,6 @@ class ServingMetrics:
     def records(self) -> List[RequestRecord]:
         with self._lock:
             return list(self._records)
-
-    @classmethod
-    def merge(cls, sources: Sequence["ServingMetrics"]) -> "ServingMetrics":
-        """One metrics view over several independent sources (e.g. shards).
-
-        Counters are summed.  Batch ids and completion indices are re-keyed
-        with per-source offsets -- sources number both from zero, so a
-        naive concatenation would alias batch 0 of shard A with batch 0 of
-        shard B and break the per-batch :meth:`futures_monotonic` check.
-        Relative order *within* each source is preserved exactly.
-        """
-        merged = cls()
-        batch_offset = 0
-        completion_offset = 0
-        for source in sources:
-            with source._lock:
-                records = list(source._records)
-                submitted = source._submitted
-                rejected = source._rejected
-                cancelled = source._cancelled
-                completions = source._completion_counter
-                sheds = source._sheds
-                load_sheds = source._load_sheds
-                rate_limited = source._rate_limited
-                retries = source._retries
-                breaker_trips = source._breaker_trips
-                failovers = source._failovers
-                shed_classes = dict(source._shed_classes)
-                load_shed_classes = dict(source._load_shed_classes)
-                rate_limited_classes = dict(source._rate_limited_classes)
-            merged._submitted += submitted
-            merged._rejected += rejected
-            merged._cancelled += cancelled
-            merged._sheds += sheds
-            merged._load_sheds += load_sheds
-            merged._rate_limited += rate_limited
-            merged._retries += retries
-            merged._breaker_trips += breaker_trips
-            merged._failovers += failovers
-            for target, counts in (
-                (merged._shed_classes, shed_classes),
-                (merged._load_shed_classes, load_shed_classes),
-                (merged._rate_limited_classes, rate_limited_classes),
-            ):
-                for name, count in counts.items():
-                    target[name] = target.get(name, 0) + count
-            max_batch_id = -1
-            for record in records:
-                max_batch_id = max(max_batch_id, record.batch_id)
-                merged._records.append(
-                    replace(
-                        record,
-                        batch_id=record.batch_id + batch_offset,
-                        completion_index=(
-                            record.completion_index + completion_offset
-                        ),
-                    )
-                )
-            batch_offset += max_batch_id + 1
-            completion_offset += completions
-        merged._completion_counter = completion_offset
-        return merged
 
     def futures_monotonic(self) -> bool:
         """Whether resolution order follows admission order within batches.
@@ -270,8 +196,6 @@ class ServingMetrics:
             load_sheds = self._load_sheds
             rate_limited = self._rate_limited
             retries = self._retries
-            breaker_trips = self._breaker_trips
-            failovers = self._failovers
             shed_classes = dict(self._shed_classes)
             load_shed_classes = dict(self._load_shed_classes)
             rate_limited_classes = dict(self._rate_limited_classes)
@@ -284,8 +208,7 @@ class ServingMetrics:
         occupancies = [r.batch_size for r in batches.values()]
         triggers = dict(Counter(r.trigger for r in batches.values()))
 
-        # Work per worker name, so an idle worker shows.  Derived from the
-        # records, hence merge-aware (shard-qualified names, re-keyed ids).
+        # Work per worker name, so an idle worker shows.
         frames = Counter(r.worker for r in completed)
         per_worker = {
             name: {"completed": frames[name], "batches": count}
@@ -357,8 +280,6 @@ class ServingMetrics:
                 "deadline_sheds": sheds,
                 "load_sheds": load_sheds,
                 "rate_limited": rate_limited,
-                "breaker_trips": breaker_trips,
-                "failovers": failovers,
             },
         }
 

@@ -1,4 +1,4 @@
-"""Resilience policies for the serving stack: typed errors, retry, breakers.
+"""Resilience policies for the serving stack: typed errors and retry.
 
 The serving pipeline recomputes rather than replays: responses are
 bit-identical functions of the request (serving sessions run cache-less and
@@ -9,26 +9,19 @@ to redo.  That one property makes the policies in this module safe:
   for re-enqueueing the surviving requests of a crashed worker's in-flight
   batches.  The jitter stream is a deterministic function of the seed, so a
   chaos test replays the exact same schedule every run.
-* :class:`CircuitBreaker` -- the classic closed -> open -> half-open state
-  machine guarding one shard.  Time comes from an injectable clock so tests
-  can step through the open window without sleeping.
 * Typed terminal errors -- an admitted request never disappears: its future
   resolves with a response, :class:`DeadlineExceeded` (shed before
   dispatch), or :class:`RetriesExhausted` (crash recovery gave up).
 
-Everything here is policy, not mechanism: the queue/scheduler/pool/router
-call into these objects but own the threading and the futures themselves.
+Everything here is policy, not mechanism: the queue/scheduler/pool call
+into these objects but own the threading and the futures themselves.
 """
 
 from __future__ import annotations
 
 import threading
-import time
-from typing import Optional
 
 import numpy as np
-
-from repro.serving.metrics import Clock
 
 
 class DeadlineExceeded(RuntimeError):
@@ -37,10 +30,6 @@ class DeadlineExceeded(RuntimeError):
 
 class RetriesExhausted(RuntimeError):
     """Crash recovery re-dispatched the request too many times and gave up."""
-
-
-class NoHealthyShard(RuntimeError):
-    """Every shard on the ring is stopped or breaker-open for this key."""
 
 
 class RetryPolicy:
@@ -105,115 +94,4 @@ class RetryPolicy:
             f"RetryPolicy(max_attempts={self.max_attempts}, "
             f"base={self.base_delay_seconds}, max={self.max_delay_seconds}, "
             f"jitter={self.jitter}, seed={self.seed})"
-        )
-
-
-#: :class:`CircuitBreaker` states.
-BREAKER_CLOSED = "closed"
-BREAKER_OPEN = "open"
-BREAKER_HALF_OPEN = "half_open"
-
-
-class CircuitBreaker:
-    """Closed -> open -> half-open breaker for one downstream shard.
-
-    * **closed**: traffic flows; ``failure_threshold`` *consecutive*
-      failures trip the breaker open.
-    * **open**: :meth:`allow` refuses everything until ``reset_seconds``
-      have elapsed on the injected clock, then one probe is let through
-      (half-open).
-    * **half-open**: exactly one in-flight probe; success closes the
-      breaker, failure re-opens it (and restarts the window).  A probe
-      that ends without a verdict (e.g. its request was shed on deadline)
-      releases the probe slot without changing state.
-    """
-
-    def __init__(
-        self,
-        failure_threshold: int = 3,
-        reset_seconds: float = 5.0,
-        clock: Clock = time.monotonic,
-    ):
-        if failure_threshold < 1:
-            raise ValueError(
-                f"failure_threshold must be >= 1, got {failure_threshold}"
-            )
-        if reset_seconds < 0:
-            raise ValueError(f"reset_seconds must be >= 0, got {reset_seconds}")
-        self.failure_threshold = int(failure_threshold)
-        self.reset_seconds = float(reset_seconds)
-        self.clock = clock
-        self._lock = threading.Lock()
-        self._state = BREAKER_CLOSED
-        self._consecutive_failures = 0
-        self._opened_at: Optional[float] = None
-        self._probe_in_flight = False
-        self.trips = 0
-
-    @property
-    def state(self) -> str:
-        with self._lock:
-            self._maybe_half_open_locked()
-            return self._state
-
-    def allow(self) -> bool:
-        """Whether one more request may be sent through this breaker."""
-        with self._lock:
-            self._maybe_half_open_locked()
-            if self._state == BREAKER_CLOSED:
-                return True
-            if self._state == BREAKER_HALF_OPEN and not self._probe_in_flight:
-                self._probe_in_flight = True
-                return True
-            return False
-
-    def record_success(self) -> None:
-        """A request completed: close the breaker, reset failure streak."""
-        with self._lock:
-            self._state = BREAKER_CLOSED
-            self._consecutive_failures = 0
-            self._opened_at = None
-            self._probe_in_flight = False
-
-    def record_failure(self) -> bool:
-        """A request failed; returns ``True`` when this trips the breaker."""
-        with self._lock:
-            self._maybe_half_open_locked()
-            self._consecutive_failures += 1
-            if self._state == BREAKER_HALF_OPEN:
-                # The probe failed: straight back to open.
-                self._open_locked()
-                return True
-            if (
-                self._state == BREAKER_CLOSED
-                and self._consecutive_failures >= self.failure_threshold
-            ):
-                self._open_locked()
-                return True
-            return False
-
-    def record_probe_release(self) -> None:
-        """A half-open probe ended without a verdict; free the probe slot."""
-        with self._lock:
-            self._probe_in_flight = False
-
-    def _open_locked(self) -> None:
-        self._state = BREAKER_OPEN
-        self._opened_at = self.clock()
-        self._probe_in_flight = False
-        self.trips += 1
-
-    def _maybe_half_open_locked(self) -> None:
-        if (
-            self._state == BREAKER_OPEN
-            and self._opened_at is not None
-            and self.clock() - self._opened_at >= self.reset_seconds
-        ):
-            self._state = BREAKER_HALF_OPEN
-            self._probe_in_flight = False
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return (
-            f"CircuitBreaker(state={self.state!r}, "
-            f"failures={self._consecutive_failures}, trips={self.trips})"
         )

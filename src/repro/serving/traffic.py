@@ -37,7 +37,8 @@ second, smaller raw size (below ``num_samples``) so its stream exercises
 two warm-state shape keys, and ``sequence`` drifts one base cloud frame to
 frame so consecutive requests are correlated the way a real sensor
 sequence is.  Task mixing is out of scope: a serving session is built for
-one task, so one server serves one task (mix tasks across shards instead).
+one task, so one server serves one task; a second task needs a second
+server.
 """
 
 from __future__ import annotations

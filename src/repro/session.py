@@ -58,8 +58,8 @@ DEFAULT_BATCH_ROWS_BUDGET = 512
 class SubmitOptions:
     """Per-request options for the asynchronous submit path.
 
-    One typed bundle that :meth:`Session.submit`, ``FrameServer.submit``,
-    ``ShardRouter.submit`` and ``AdmissionQueue.submit`` all take as
+    One typed bundle that :meth:`Session.submit`, ``FrameServer.submit``
+    and ``AdmissionQueue.submit`` all take as
     ``options=``; the same object is threaded through the layers
     untouched.  Lives here (not in :mod:`repro.serving`) because the
     serving queue imports this module -- the options travel *down* the

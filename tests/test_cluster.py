@@ -1,17 +1,16 @@
-"""Tests for the process-sharded serving subsystem.
+"""Tests for process serving.
 
 Covers the ``ProcessWorkerPool`` behind ``FrameServer(execution="process")``
 (bit-identity with a sequential ``run_batch``, inline-fallback equivalence,
-worker exceptions vs worker crashes, shape-key affinity), the
-consistent-hash ring and ``ShardRouter`` (placement stability, drain-aware
-removal, merged metrics), ``ServingMetrics.merge`` re-keying, and the
-shutdown idempotency guarantees the process pool relies on.
+worker exceptions vs worker crashes, shape-key affinity, two process
+servers in one parent) and the shutdown idempotency guarantees the process
+pool relies on.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import gc
+import glob
 import os
 import threading
 import time
@@ -29,10 +28,7 @@ from repro.datasets.synthetic import sample_cad_shape
 from repro.geometry.pointcloud import PointCloud
 from repro.serving import (
     FrameServer,
-    RequestRecord,
     RetryPolicy,
-    ServingMetrics,
-    ShardRouter,
     WorkerCrashed,
     WorkerError,
     response_signature,
@@ -40,7 +36,6 @@ from repro.serving import (
 )
 from repro.serving.cluster import transport
 from repro.serving.cluster.pool import ProcessWorkerPool
-from repro.serving.cluster.router import HashRing
 from repro.session import FrameRequest, Session
 
 
@@ -355,6 +350,50 @@ class TestProcessExecution:
                     id(response.result.preprocessing.sampled),
                 }
 
+    def test_two_process_servers_in_one_parent(self, monkeypatch):
+        # Two process servers at once in one parent (e.g. one per task):
+        # each has a worker 0 sending a batch 0, so only the pool token
+        # keeps their request-segment names apart.
+        from repro.serving.cluster import pool as pool_module
+
+        names = []
+        segment_name = pool_module._request_segment_name
+
+        def recording_segment_name(*args):
+            names.append(segment_name(*args))
+            return names[-1]
+
+        monkeypatch.setattr(
+            pool_module, "_request_segment_name", recording_segment_name
+        )
+        before = set(glob.glob("/dev/shm/repro-*"))
+        requests = [make_request(i) for i in range(6)]
+        expected = reference_signatures(requests)
+        options = dict(
+            num_workers=1, execution="process", max_wait_seconds=0.002
+        )
+        with (
+            FrameServer(make_session, name="twin0", **options) as first,
+            FrameServer(make_session, name="twin1", **options) as second,
+        ):
+            servers = (first, second)
+            futures = [
+                [server.submit(request) for server in servers]
+                for request in requests
+            ]
+            responses = [
+                [future.result(timeout=60) for future in pair]
+                for pair in futures
+            ]
+        for server in servers:
+            assert server.shutdown()["futures_monotonic"]
+        for pair, signature in zip(responses, expected):
+            for response in pair:
+                assert signatures_equal(response_signature(response), signature)
+        assert len(names) == len(set(names))
+        assert len({name.split("-")[3] for name in names}) == 2  # two tokens
+        assert set(glob.glob("/dev/shm/repro-*")) <= before
+
     def test_orphan_result_is_released_without_being_decoded(self, monkeypatch):
         from repro.serving.cluster import pool as pool_module
 
@@ -474,220 +513,6 @@ class TestProcessExecution:
     def test_invalid_execution_rejected(self):
         with pytest.raises(ValueError, match="execution"):
             FrameServer(make_session, execution="coroutine")
-
-
-# ----------------------------------------------------------------------
-# Consistent-hash ring
-# ----------------------------------------------------------------------
-class TestHashRing:
-    def test_placement_is_deterministic(self):
-        ring_a, ring_b = HashRing(), HashRing()
-        for name in ("s0", "s1", "s2"):
-            ring_a.add(name)
-            ring_b.add(name)
-        keys = [("task", size, 0) for size in range(200)]
-        assert [ring_a.locate(k) for k in keys] == [
-            ring_b.locate(k) for k in keys
-        ]
-
-    def test_removal_only_rehomes_the_removed_nodes_keys(self):
-        ring = HashRing()
-        for name in ("s0", "s1", "s2"):
-            ring.add(name)
-        keys = [("task", size, 0) for size in range(300)]
-        before = {key: ring.locate(key) for key in keys}
-        ring.remove("s1")
-        for key in keys:
-            owner = ring.locate(key)
-            if before[key] != "s1":
-                assert owner == before[key]
-            else:
-                assert owner in ("s0", "s2")
-
-    def test_spread_is_roughly_uniform(self):
-        ring = HashRing()
-        for i in range(4):
-            ring.add(f"s{i}")
-        counts = {}
-        for size in range(2000):
-            owner = ring.locate(("task", size, 0))
-            counts[owner] = counts.get(owner, 0) + 1
-        assert len(counts) == 4
-        assert min(counts.values()) > 2000 / 4 * 0.5
-
-    def test_membership_errors(self):
-        ring = HashRing()
-        ring.add("s0")
-        with pytest.raises(ValueError):
-            ring.add("s0")
-        with pytest.raises(KeyError):
-            ring.remove("s1")
-        ring.remove("s0")
-        with pytest.raises(LookupError):
-            ring.locate("anything")
-
-
-# ----------------------------------------------------------------------
-# Shard router
-# ----------------------------------------------------------------------
-class TestShardRouter:
-    @pytest.mark.parametrize("num_shards", [1, 2, 3])
-    def test_bit_identical_across_shard_counts(self, num_shards):
-        requests = [
-            make_request(i, points=380 + (i % 3) * 40) for i in range(12)
-        ]
-        expected = reference_signatures(requests)
-        with ShardRouter(
-            make_session,
-            num_shards=num_shards,
-            num_workers=1,
-            max_wait_seconds=0.002,
-            name=f"ring{num_shards}",
-        ) as router:
-            futures = [router.submit(request) for request in requests]
-            responses = [future.result(timeout=60) for future in futures]
-        snapshot = router.shutdown()
-        assert snapshot["requests"]["completed"] == len(requests)
-        assert snapshot["requests"]["in_flight"] == 0
-        assert snapshot["futures_monotonic"]
-        assert len(snapshot["shards"]) == num_shards
-        for response, signature in zip(responses, expected):
-            assert signatures_equal(response_signature(response), signature)
-
-    def test_same_shape_lands_on_one_shard(self):
-        with ShardRouter(
-            make_session, num_shards=3, max_wait_seconds=0.002, name="sticky"
-        ) as router:
-            names = {router.route(make_request(i)) for i in range(8)}
-            assert len(names) == 1
-
-    def test_remove_shard_drains_and_rebalances(self):
-        requests = [make_request(i) for i in range(6)]
-        with ShardRouter(
-            make_session, num_shards=2, max_wait_seconds=0.002, name="drainy"
-        ) as router:
-            owner = router.route(requests[0])
-            futures = [router.submit(request) for request in requests[:4]]
-            snapshot = router.remove_shard(owner)
-            # Drain-aware: everything admitted before removal completed.
-            assert snapshot["requests"]["completed"] == 4
-            assert snapshot["requests"]["in_flight"] == 0
-            for future in futures:
-                assert future.result(timeout=60) is not None
-            # The shape now re-homes to the surviving shard.
-            survivor = router.route(requests[0])
-            assert survivor != owner
-            assert router.active_shards == [survivor]
-            late = router.submit(requests[4]).result(timeout=60)
-            assert late.result.frame_id == requests[4].frame_id
-            health = router.shard_health()
-            assert health[owner]["removed"] and not health[owner]["running"]
-            assert health[survivor]["running"]
-        merged = router.stats()
-        assert merged["requests"]["completed"] == 5
-        assert merged["futures_monotonic"]
-
-    def test_removing_twice_returns_same_snapshot(self):
-        with ShardRouter(
-            make_session, num_shards=2, max_wait_seconds=0.002, name="twice"
-        ) as router:
-            owner = router.route(make_request(0))
-            router.submit(make_request(0)).result(timeout=60)
-            first = router.remove_shard(owner)
-            second = router.remove_shard(owner)
-            assert first["requests"] == second["requests"]
-
-    def test_process_execution_inside_shards(self):
-        requests = [make_request(i) for i in range(6)]
-        expected = reference_signatures(requests)
-        with ShardRouter(
-            make_session,
-            num_shards=2,
-            num_workers=1,
-            execution="process",
-            max_wait_seconds=0.002,
-            name="procring",
-        ) as router:
-            futures = [router.submit(request) for request in requests]
-            responses = [future.result(timeout=60) for future in futures]
-        for response, signature in zip(responses, expected):
-            assert signatures_equal(response_signature(response), signature)
-
-
-# ----------------------------------------------------------------------
-# Metrics merging
-# ----------------------------------------------------------------------
-def _record(sequence, batch_id, completion_index, ok=True):
-    return RequestRecord(
-        sequence=sequence,
-        frame_id=f"f{sequence}",
-        enqueued_at=0.0,
-        dispatched_at=0.1,
-        completed_at=0.2,
-        completion_index=completion_index,
-        batch_id=batch_id,
-        batch_size=2,
-        trigger="size",
-        worker="w",
-        ok=ok,
-    )
-
-
-class TestMetricsMerge:
-    def test_counters_sum_and_batches_rekey(self):
-        a, b = ServingMetrics(), ServingMetrics()
-        for source, records in (
-            (a, [_record(0, 0, 0), _record(1, 0, 1)]),
-            (b, [_record(0, 0, 0), _record(1, 0, 1)]),
-        ):
-            for record in records:
-                source.record_submitted()
-                source.next_completion_index()
-                source.record(record)
-        merged = ServingMetrics.merge([a, b])
-        snapshot = merged.snapshot()
-        assert snapshot["requests"]["submitted"] == 4
-        assert snapshot["requests"]["completed"] == 4
-        # Both sources used batch 0; merged they must stay distinct.
-        assert snapshot["batches"]["count"] == 2
-        assert snapshot["futures_monotonic"]
-
-    def test_per_worker_block_counts_frames_and_batches_across_a_merge(self):
-        a, b = ServingMetrics(), ServingMetrics()
-        for source, name in ((a, "s0-proc-0"), (b, "s1-proc-0")):
-            for record in (
-                _record(0, 0, 0), _record(1, 0, 1), _record(2, 1, 2, ok=False)
-            ):
-                source.record(dataclasses.replace(record, worker=name))
-        assert a.snapshot()["per_worker"] == {
-            "s0-proc-0": {"completed": 2, "batches": 2}
-        }
-        merged = ServingMetrics.merge([a, b]).snapshot()["per_worker"]
-        assert merged == {
-            "s0-proc-0": {"completed": 2, "batches": 2},
-            "s1-proc-0": {"completed": 2, "batches": 2},
-        }
-
-    def test_merge_preserves_violations(self):
-        bad = ServingMetrics()
-        bad.record(_record(1, 0, 0))
-        bad.record(_record(0, 0, 1))  # resolved out of admission order
-        good = ServingMetrics()
-        good.record(_record(0, 0, 0))
-        assert not ServingMetrics.merge([good, bad]).futures_monotonic()
-
-    def test_aliasing_batches_would_false_negative_without_rekey(self):
-        # Shard A batch 0 completes before shard B batch 0; interleaving
-        # their completion indices under one batch id would look like an
-        # ordering violation.  merge() keeps them apart.
-        a = ServingMetrics()
-        a.record(_record(5, 0, 0))
-        b = ServingMetrics()
-        b.record(_record(2, 0, 1))
-        merged = ServingMetrics.merge([a, b])
-        assert merged.futures_monotonic()
-        batch_ids = {record.batch_id for record in merged.records}
-        assert len(batch_ids) == 2
 
 
 # ----------------------------------------------------------------------

@@ -26,7 +26,6 @@ from repro.serving import (
     PriorityClass,
     QueueFull,
     ServingPolicy,
-    ShardRouter,
     response_signature,
     signatures_equal,
 )
@@ -241,11 +240,11 @@ class TestPullStructure:
         assert 0 < max(in_flight) <= _STAGED_PER_CHILD * 2
 
     @pytest.mark.parametrize("execution", EXECUTIONS)
-    @pytest.mark.parametrize("sharded", [False, True], ids=["server", "router"])
-    def test_overload_keeps_order_and_bit_identity(self, execution, sharded):
+    def test_overload_keeps_order_and_bit_identity(self, execution):
         requests = make_requests(48, mixed=True)
         reference = make_session().run_batch(requests, batch_size=1)
-        common = dict(
+        server = FrameServer(
+            make_session,
             num_workers=1,
             execution=execution,
             max_batch_size=4,
@@ -253,14 +252,10 @@ class TestPullStructure:
             queue_capacity=4096,
             faults=FaultPlan().slow_worker(0, delay_seconds=SLOW_SECONDS),
         )
-        if sharded:
-            endpoint = ShardRouter(make_session, num_shards=2, **common)
-        else:
-            endpoint = FrameServer(make_session, **common)
-        with endpoint:
-            futures = drive(endpoint, requests)
+        with server:
+            futures = drive(server, requests)
             responses = [future.result(timeout=60.0) for future in futures]
-            snapshot = endpoint.shutdown()
+            snapshot = server.shutdown()
         for response, expected in zip(responses, reference.responses):
             assert signatures_equal(
                 response_signature(response), response_signature(expected)

@@ -35,7 +35,6 @@ from repro.serving import (
     RateLimitExceeded,
     ServingMetrics,
     ServingPolicy,
-    ShardRouter,
     SubmitOptions,
     TokenBucket,
 )
@@ -562,11 +561,10 @@ class TestSubmitOptions:
         assert SubmitOptions.coerce(None) == SubmitOptions()
 
     def test_legacy_kwargs_are_a_type_error(self):
-        # Rejected at argument binding, so no server or shard ever starts.
+        # Rejected at argument binding, so no server ever starts.
         submits = (
             AdmissionQueue(capacity=4).submit,
             FrameServer(session_factory=make_session, num_workers=1).submit,
-            ShardRouter(num_shards=1, session_factory=make_session).submit,
             make_session().submit,
         )
         for submit in submits:

@@ -1,16 +1,14 @@
 """Tests for the serving resilience layer.
 
-Covers the policy objects (``RetryPolicy`` backoff determinism, the
-``CircuitBreaker`` state machine on a manual clock, ``FaultPlan``
-coordinate matching), request deadlines/TTL through the admission queue,
-scheduler, and a live ``FrameServer`` (shed as typed ``DeadlineExceeded``,
-never a silent drop), crash retry with backoff on the process pool
-(seeded worker kills and poisoned transport recover bit-identically;
-exhausted retries surface ``RetriesExhausted`` with the crash as cause),
-shard failover behind per-shard circuit breakers, the blocking-mode
-admission-queue timeout semantics on an injected clock, the
-shutdown-vs-in-flight-batch race, ``WorkerCrashed`` diagnostics, and the
-``serve --chaos`` CLI gates.
+Covers the policy objects (``RetryPolicy`` backoff determinism,
+``FaultPlan`` coordinate matching), request deadlines/TTL through the
+admission queue, scheduler, and a live ``FrameServer`` (shed as typed
+``DeadlineExceeded``, never a silent drop), crash retry with backoff on the
+process pool (seeded worker kills and poisoned transport recover
+bit-identically; exhausted retries surface ``RetriesExhausted`` with the
+crash as cause), the blocking-mode admission-queue timeout semantics on an
+injected clock, the shutdown-vs-in-flight-batch race, ``WorkerCrashed``
+diagnostics, and the ``serve --chaos`` CLI gates.
 """
 
 from __future__ import annotations
@@ -25,28 +23,20 @@ from repro.cli import main as cli_main
 from repro.datasets.synthetic import sample_cad_shape
 from repro.serving import (
     AdmissionQueue,
-    CircuitBreaker,
     DeadlineExceeded,
     FaultPlan,
     FaultSpec,
     FrameServer,
     ManualClock,
     MicroBatchScheduler,
-    NoHealthyShard,
     QueueClosed,
     QueuedRequest,
     QueueFull,
     RetriesExhausted,
     RetryPolicy,
-    ShardRouter,
     WorkerCrashed,
     response_signature,
     signatures_equal,
-)
-from repro.serving.resilience import (
-    BREAKER_CLOSED,
-    BREAKER_HALF_OPEN,
-    BREAKER_OPEN,
 )
 from repro.session import FrameRequest, SubmitOptions
 
@@ -107,74 +97,6 @@ class TestRetryPolicy:
             assert base <= delay <= base * 1.25
         different = RetryPolicy(seed=8, base_delay_seconds=0.1, jitter=0.25)
         assert [different.delay(n) for n in (1, 2, 3, 1, 2)] != delays_a
-
-
-# ----------------------------------------------------------------------
-# CircuitBreaker
-# ----------------------------------------------------------------------
-class TestCircuitBreaker:
-    def test_trips_after_consecutive_failures_only(self):
-        breaker = CircuitBreaker(failure_threshold=3, clock=ManualClock())
-        assert not breaker.record_failure()
-        assert not breaker.record_failure()
-        breaker.record_success()  # resets the streak
-        assert not breaker.record_failure()
-        assert not breaker.record_failure()
-        assert breaker.record_failure()  # third consecutive -> trip
-        assert breaker.state == BREAKER_OPEN
-        assert breaker.trips == 1
-        assert not breaker.allow()
-
-    def test_half_open_admits_exactly_one_probe(self):
-        clock = ManualClock()
-        breaker = CircuitBreaker(
-            failure_threshold=1, reset_seconds=5.0, clock=clock
-        )
-        breaker.record_failure()
-        assert breaker.state == BREAKER_OPEN
-        clock.advance(4.999)
-        assert not breaker.allow()
-        clock.advance(0.002)
-        assert breaker.state == BREAKER_HALF_OPEN
-        assert breaker.allow()       # the probe
-        assert not breaker.allow()   # second caller refused
-        breaker.record_success()
-        assert breaker.state == BREAKER_CLOSED
-        assert breaker.allow()
-
-    def test_failed_probe_reopens_and_restarts_the_window(self):
-        clock = ManualClock()
-        breaker = CircuitBreaker(
-            failure_threshold=1, reset_seconds=1.0, clock=clock
-        )
-        breaker.record_failure()
-        clock.advance(1.0)
-        assert breaker.allow()
-        assert breaker.record_failure()  # probe failed -> straight to open
-        assert breaker.state == BREAKER_OPEN
-        assert breaker.trips == 2
-        assert not breaker.allow()       # window restarted
-        clock.advance(1.0)
-        assert breaker.allow()
-
-    def test_probe_release_frees_the_slot_without_a_verdict(self):
-        clock = ManualClock()
-        breaker = CircuitBreaker(
-            failure_threshold=1, reset_seconds=1.0, clock=clock
-        )
-        breaker.record_failure()
-        clock.advance(1.0)
-        assert breaker.allow()
-        assert not breaker.allow()
-        breaker.record_probe_release()
-        assert breaker.state == BREAKER_HALF_OPEN  # state unchanged
-        assert breaker.allow()  # slot free again
-
-    def test_validation(self):
-        with pytest.raises(ValueError, match="failure_threshold"):
-            CircuitBreaker(failure_threshold=0)
-        with pytest.raises(ValueError, match="reset_seconds"):
-            CircuitBreaker(reset_seconds=-1.0)
 
 
 # ----------------------------------------------------------------------
@@ -617,93 +539,6 @@ class TestCrashRecovery:
         assert snapshot["requests"]["completed"] == 1
         assert snapshot["requests"]["failed"] == 0
         assert snapshot["requests"]["in_flight"] == 0
-
-
-# ----------------------------------------------------------------------
-# Shard failover + circuit breakers
-# ----------------------------------------------------------------------
-class TestFailover:
-    def test_stopped_owner_fails_over_along_the_ring(self):
-        request = make_request(0)
-        with ShardRouter(
-            make_session,
-            num_shards=2,
-            max_wait_seconds=0.002,
-            name="failover",
-        ) as router:
-            owner = router.route(request)
-            # The owner dies without telling the router (no remove_shard):
-            # submit must walk the ring to the surviving shard.
-            router.shards[owner].shutdown(drain=True)
-            future = router.submit(make_request(1))
-            response = future.result(timeout=60)
-            assert response.result.frame_id == "req0001"
-            stats = router.stats()
-        assert stats["resilience"]["failovers"] >= 1
-        assert stats["requests"]["failed"] == 0
-
-    def test_repeated_failures_trip_the_owners_breaker(self):
-        poison_cloud = sample_cad_shape(400, shape="box", seed=2)
-        router = ShardRouter(
-            crashing_factory,
-            num_shards=2,
-            num_workers=1,
-            execution="process",
-            max_batch_size=1,
-            max_wait_seconds=0.001,
-            name="breaker",
-            retry_policy=RetryPolicy(max_attempts=1),
-            breaker_failure_threshold=3,
-            breaker_reset_seconds=60.0,
-        ).start()
-        try:
-            owner = router.route(
-                FrameRequest(cloud=poison_cloud, frame_id="poison")
-            )
-            for _ in range(3):
-                future = router.submit(
-                    FrameRequest(cloud=poison_cloud, frame_id="poison")
-                )
-                with pytest.raises(WorkerCrashed):
-                    future.result(timeout=120)
-            states = router.breaker_states()
-            assert states[owner]["state"] == BREAKER_OPEN
-            assert states[owner]["trips"] == 1
-            # A healthy request of the same shape now skips the open
-            # breaker and fails over to the sibling shard.
-            good = router.submit(make_request(1)).result(timeout=120)
-            assert good.result.frame_id == "req0001"
-            health = router.shard_health()
-            assert health[owner]["breaker"]["state"] == BREAKER_OPEN
-            stats = router.stats()
-            assert stats["resilience"]["breaker_trips"] >= 1
-            assert stats["resilience"]["failovers"] >= 1
-            assert stats["breakers"][owner]["state"] == BREAKER_OPEN
-        finally:
-            router.shutdown()
-
-    def test_no_healthy_shard_is_a_typed_error(self):
-        router = ShardRouter(
-            make_session, num_shards=1, max_wait_seconds=0.002, name="nohealth"
-        ).start()
-        try:
-            (only,) = router.active_shards
-            router.shards[only].shutdown(drain=True)
-            with pytest.raises(NoHealthyShard, match="no healthy shard"):
-                router.submit(make_request(0))
-        finally:
-            router.shutdown()
-
-    def test_breaker_starts_closed_in_health_and_stats(self):
-        with ShardRouter(
-            make_session, num_shards=2, max_wait_seconds=0.002, name="closed"
-        ) as router:
-            router.submit(make_request(0)).result(timeout=60)
-            for entry in router.breaker_states().values():
-                assert entry == {"state": BREAKER_CLOSED, "trips": 0}
-            stats = router.stats()
-        assert stats["resilience"]["breaker_trips"] == 0
-        assert stats["resilience"]["failovers"] == 0
 
 
 # ----------------------------------------------------------------------

@@ -304,7 +304,6 @@ class TestServingMetrics:
         }
         assert snapshot["resilience"] == {
             "retries": 0, "deadline_sheds": 0,
-            "breaker_trips": 0, "failovers": 0,
             "load_sheds": 0, "rate_limited": 0,
         }
         assert snapshot["batches"]["count"] == 10
@@ -638,7 +637,7 @@ class TestServeCLI:
             if isinstance(action.default, list):  # repeatable flag
                 default = list(default)
             assert action.default == default, action.option_strings
-        assert len(flags) == 38
+        assert len(flags) == 37
         assert ServeConfig.from_args(parser.parse_args([])) == ServeConfig()
 
     def test_serve_soak_passes_and_writes_metrics(self, tmp_path, capsys):
@@ -664,14 +663,6 @@ class TestServeCLI:
         assert report["metrics"]["requests"]["completed"] == 12
         assert report["metrics"]["futures_monotonic"] is True
         assert len(report["workers"]) == 2
-
-    def test_serve_rejects_zero_shards(self, capsys):
-        from repro.cli import main
-
-        with pytest.raises(SystemExit) as excinfo:
-            main(["serve", "--shards", "0"])
-        assert excinfo.value.code == 2
-        assert "positive" in capsys.readouterr().err
 
     def test_serve_rejects_unknown_execution(self, capsys):
         from repro.cli import main
@@ -718,38 +709,3 @@ class TestServeCLI:
         per_worker = report["metrics"]["per_worker"]
         assert set(per_worker) <= {"serving-proc-0", "serving-proc-1"}
         assert sum(w["completed"] for w in per_worker.values()) == 12
-
-    def test_serve_soak_sharded_writes_per_shard_metrics(self, tmp_path, capsys):
-        import json
-
-        from repro.cli import main
-
-        metrics_path = tmp_path / "metrics.json"
-        exit_code = main(
-            [
-                "serve", "--frames", "12", "--workers", "1", "--shards", "2",
-                "--scale", "0.0005", "--samples", "32", "--neighbors", "4",
-                "--rate-hz", "0", "--max-wait-ms", "2", "--seed", "0",
-                "--metrics-out", str(metrics_path),
-            ]
-        )
-        out = capsys.readouterr().out
-        assert exit_code == 0, out
-        report = json.loads(metrics_path.read_text())
-        assert report["serve"]["shards"] == 2
-        assert report["serve"]["verified_bit_identical"] is True
-        assert report["metrics"]["requests"]["completed"] == 12
-        assert len(report["shards"]) == 2
-        for index in range(2):
-            shard_path = tmp_path / f"metrics-shard{index}.json"
-            shard_report = json.loads(shard_path.read_text())
-            assert "metrics" in shard_report and "workers" in shard_report
-        per_shard_completed = sum(
-            shard["metrics"]["requests"]["completed"]
-            for shard in report["shards"].values()
-        )
-        assert per_shard_completed == 12
-        # The merged per-worker block keeps shard-qualified worker names.
-        merged_workers = report["metrics"]["per_worker"]
-        assert sum(w["completed"] for w in merged_workers.values()) == 12
-        assert all("-shard-" in name for name in merged_workers)
