@@ -224,7 +224,6 @@ def _run_serve(config: ServeConfig) -> int:
         FrameServer,
         LoadShed,
         QueueFull,
-        RateLimitExceeded,
         SubmitOptions,
         response_signature,
         signatures_equal,
@@ -272,8 +271,8 @@ def _run_serve(config: ServeConfig) -> int:
         return 2
     futures = []
     responses: List[Optional[object]] = []
-    #: Typed non-served outcomes per request index ("load_shed" /
-    #: "rate_limited"); anything else that fails is a gate failure.
+    #: Typed non-served outcomes per request index ("load_shed");
+    #: anything else that fails is a gate failure.
     typed_outcomes: dict = {}
     with server:
         start = time.perf_counter()
@@ -297,9 +296,6 @@ def _run_serve(config: ServeConfig) -> int:
                 )
             except LoadShed:
                 typed_outcomes[i] = "load_shed"
-                responses.append(None)
-            except RateLimitExceeded:
-                typed_outcomes[i] = "rate_limited"
                 responses.append(None)
             except FuturesTimeoutError:
                 failures.append(
@@ -327,7 +323,7 @@ def _run_serve(config: ServeConfig) -> int:
             "in flight after drain"
         )
     # Every request must end in exactly one typed state: completed, or a
-    # typed shed/rate-limit response observed on its own future.
+    # typed load shed observed on its own future.
     served = sum(1 for r in responses if r is not None)
     if counts["completed"] != served:
         failures.append(
@@ -468,10 +464,7 @@ def _run_serve(config: ServeConfig) -> int:
             ["response KB / frame", f"{shipped / max(1, frames) / 1e3:.1f}"]
         )
     if policy is not None:
-        rows.append(
-            ["typed sheds (load/rate)",
-             f"{counts['load_shed']}/{counts['rate_limited']}"]
-        )
+        rows.append(["typed load sheds", str(counts["load_shed"])])
         for name in sorted(per_class):
             stats = per_class[name]
             rows.append([
@@ -552,7 +545,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             preprocess_workers=args.preprocess_workers,
         )
     if args.command == "serve":
-        return _run_serve(ServeConfig.from_args(args))
+        try:
+            config = ServeConfig.from_args(args)
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        return _run_serve(config)
     if args.command == "samplers":
         return _run_samplers(args.points, args.samples, args.seed)
     if args.command == "components":

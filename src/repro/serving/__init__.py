@@ -49,14 +49,7 @@ from repro.serving.metrics import (
     RequestRecord,
     ServingMetrics,
 )
-from repro.serving.policy import (
-    AdaptiveMaxWait,
-    LoadShed,
-    PriorityClass,
-    RateLimitExceeded,
-    ServingPolicy,
-    TokenBucket,
-)
+from repro.serving.policy import LoadShed, PriorityClass, ServingPolicy
 from repro.serving.traffic import TrafficItem, TrafficModel
 from repro.serving.resilience import (
     DeadlineExceeded,
@@ -84,7 +77,6 @@ from repro.serving.cluster import (
 from repro.session import SubmitOptions
 
 __all__ = [
-    "AdaptiveMaxWait",
     "AdmissionQueue",
     "ChaosConfig",
     "DeadlineExceeded",
@@ -102,7 +94,6 @@ __all__ = [
     "QueueClosed",
     "QueueFull",
     "QueuedRequest",
-    "RateLimitExceeded",
     "RequestRecord",
     "RetriesExhausted",
     "RetryPolicy",
@@ -111,7 +102,6 @@ __all__ = [
     "ServingPolicy",
     "SubmitOptions",
     "ThreadWorkerPool",
-    "TokenBucket",
     "TrafficConfig",
     "TrafficItem",
     "TrafficModel",

@@ -12,10 +12,10 @@ The sub-configs mirror the argparse groups:
 
 * :class:`TrafficConfig` -- which registered ``"traffic"`` model generates
   the request stream (``None`` keeps the legacy dataset-frames +
-  seeded-Poisson path), its rate, and model-specific parameters;
+  seeded-Poisson path), its rate, frame size and class weights;
 * :class:`PolicyConfig` -- priority-class specs
-  (``name:priority[:slo_ms][:preempt]``), admission mode, rate limits,
-  adaptive max-wait -- building an optional
+  (``name:priority[:slo_ms][:preempt]``), default class, admission mode
+  and shed backlog -- building an optional
   :class:`~repro.serving.policy.ServingPolicy`;
 * :class:`ExecutionConfig` -- workers, execution mode, micro-batch
   triggers, pipeline components;
@@ -23,7 +23,9 @@ The sub-configs mirror the argparse groups:
 
 Everything a builder returns is a pure function of the config (and its
 seed), so two processes constructing the same ``ServeConfig`` drive
-byte-identical soaks.
+byte-identical soaks.  Flags that contradict each other, or that would
+have no effect, are a ``ValueError`` when the config is constructed, not
+a silently different soak.
 """
 
 from __future__ import annotations
@@ -132,24 +134,6 @@ def parse_class_spec(spec: str) -> PriorityClass:
         raise argparse.ArgumentTypeError(f"class spec {spec!r}: {exc}")
 
 
-def _parse_traffic_param(text: str) -> Tuple[str, Any]:
-    """Parse one ``--traffic-param key=value`` (value coerced to a number
-    when it looks like one)."""
-    if "=" not in text:
-        raise argparse.ArgumentTypeError(
-            f"expected key=value, got {text!r}"
-        )
-    key, raw = text.split("=", 1)
-    value: Any = raw
-    for cast in (int, float):
-        try:
-            value = cast(raw)
-            break
-        except ValueError:
-            continue
-    return key.replace("-", "_"), value
-
-
 def _flag(default: Any, flag: Optional[str] = None, **argparse_kwargs: Any) -> Any:
     """A config field that is also a ``serve`` flag.
 
@@ -221,15 +205,8 @@ class TrafficConfig:
         400, "--traffic-raw-points", type=positive_int,
         help="raw cloud size of model-generated frames (default 400)",
     )
-    #: Model-specific constructor kwargs (e.g. ``burst_size``, ``sigma``).
-    params: Dict[str, Any] = _flag(
-        dict, "--traffic-param", type=_parse_traffic_param, action="append",
-        metavar="KEY=VALUE",
-        help="model-specific parameter, repeatable "
-             "(e.g. --traffic-param burst_size=8)",
-    )
     #: Per-item class draw weights, parallel to the policy's class list
-    #: (``None`` -> uniform).  Only used when a policy defines classes.
+    #: (``None`` -> uniform).  Needs a model and policy classes.
     class_weights: Optional[Tuple[float, ...]] = _flag(
         None, "--traffic-class-weights",
         help="per-class draw weights: either comma-separated floats "
@@ -251,7 +228,6 @@ class TrafficConfig:
             rate_hz=self.rate_hz,
             seed=seed,
             raw_points=self.raw_points,
-            **self.params,
         )
         if class_names:
             kwargs["class_names"] = tuple(class_names)
@@ -282,60 +258,39 @@ class PolicyConfig:
     )
     max_backlog: Optional[int] = _flag(
         None, type=positive_int,
-        help="shed threshold on admitted-but-unfinished requests "
-             "(default: the queue capacity)",
+        help="shed threshold on admitted-but-unstarted requests; needs "
+             "--admission shed (default: the queue capacity)",
     )
-    rate_limit_hz: Optional[float] = _flag(
-        None, type=positive_float,
-        help="per-shape-key token-bucket refill rate (default: off)",
-    )
-    rate_limit_burst: int = _flag(
-        8, type=positive_int, help="token-bucket capacity (default 8)"
-    )
-    adaptive_max_wait: bool = _flag(
-        False, action="store_true",
-        help="tune the micro-batch deadline trigger to the observed "
-             "arrival rate (never above --max-wait-ms)",
-    )
-    min_wait_ms: float = _flag(
-        0.5, type=positive_float,
-        help="floor of the adaptive wait (default 0.5)",
-    )
-    adaptive_alpha: float = 0.2
+
+    def __post_init__(self) -> None:
+        # Policy flags the soak would ignore or crash on mid-run
+        # (``--max-backlog`` without ``--admission shed``, an unknown
+        # ``--default-class``) fail at construction instead.
+        self.build()
 
     @property
     def configured(self) -> bool:
         return bool(
             self.classes
             or self.admission != "reject"
-            or self.rate_limit_hz is not None
-            or self.adaptive_max_wait
+            or self.max_backlog is not None
+            or self.default_class is not None
         )
 
     def build(self) -> Optional[ServingPolicy]:
         if not self.configured:
             return None
         classes = self.classes or (PriorityClass("default"),)
-        names = [cls.name for cls in classes]
         default = self.default_class
         if default is None:
             # Lowest-priority class is the natural default: unlabelled
             # traffic should not outrank labelled high-priority work.
             default = min(classes, key=lambda c: (c.priority, c.name)).name
-        elif default not in names:
-            raise ValueError(
-                f"default class {default!r} is not one of {names}"
-            )
         return ServingPolicy(
             classes=tuple(classes),
             default_class=default,
             admission=self.admission,
             max_backlog=self.max_backlog,
-            rate_limit_hz=self.rate_limit_hz,
-            rate_limit_burst=self.rate_limit_burst,
-            adaptive_max_wait=self.adaptive_max_wait,
-            min_wait_seconds=self.min_wait_ms / 1e3,
-            adaptive_alpha=self.adaptive_alpha,
         )
 
 
@@ -463,6 +418,16 @@ class ServeConfig:
     execution: ExecutionConfig = field(default_factory=ExecutionConfig)
     chaos: ChaosConfig = field(default_factory=ChaosConfig)
 
+    def __post_init__(self) -> None:
+        # Class weights only feed a traffic model's draw over the --classes
+        # list; without both they would be dropped without a word.
+        if self.traffic.class_weights is not None and (
+            self.traffic.model is None or not self.policy.classes
+        ):
+            raise ValueError(
+                "--traffic-class-weights needs --traffic and --classes"
+            )
+
     # -- argparse integration --------------------------------------------
     @staticmethod
     def add_cli_args(parser: argparse.ArgumentParser) -> None:
@@ -474,6 +439,8 @@ class ServeConfig:
 
     @classmethod
     def from_args(cls, args: argparse.Namespace) -> "ServeConfig":
+        """The config the parsed ``serve`` flags describe; ``ValueError``
+        names the flags that contradict each other."""
         weights: Optional[Tuple[float, ...]] = None
         if args.traffic_class_weights:
             entries = args.traffic_class_weights.split(",")
@@ -486,8 +453,8 @@ class ServeConfig:
                 class_names = [spec.name for spec in args.classes]
                 unknown = sorted(set(by_name) - set(class_names))
                 if unknown:
-                    raise SystemExit(
-                        f"error: --traffic-class-weights names {unknown} "
+                    raise ValueError(
+                        f"--traffic-class-weights names {unknown} "
                         f"do not match --classes {class_names}"
                     )
                 weights = tuple(by_name.get(n, 0.0) for n in class_names)
@@ -496,12 +463,7 @@ class ServeConfig:
         return _from_flags(
             cls,
             args,
-            traffic=_from_flags(
-                TrafficConfig,
-                args,
-                class_weights=weights,
-                params=dict(args.traffic_param),
-            ),
+            traffic=_from_flags(TrafficConfig, args, class_weights=weights),
             policy=_from_flags(PolicyConfig, args, classes=tuple(args.classes)),
             execution=_from_flags(ExecutionConfig, args),
             chaos=_from_flags(ChaosConfig, args),

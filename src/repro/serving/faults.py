@@ -20,10 +20,11 @@ process pool routes by load (a busy home spills to an idler sibling), so
 which batches a worker sees depends on timing; a spec names a position
 in the worker's own arrival sequence, not a global batch id.
 
-Every spec matches a specific worker **generation** (default 0, the
-original spawn).  A respawned replacement runs generation >= 1, so a kill
-spec fires exactly once instead of crash-looping the replacement -- which
-is what lets a chaos soak assert full recovery.
+Every spec matches a specific worker **generation**; the builders script
+generation 0, the original spawn.  A respawned replacement runs
+generation >= 1, so a kill spec fires exactly once instead of
+crash-looping the replacement -- which is what lets a chaos soak assert
+full recovery.
 
 ``ThreadWorkerPool`` honours only **slow** faults (killing a thread would
 take the whole process down); the process pool honours all three kinds.
@@ -100,7 +101,6 @@ class FaultPlan:
         self,
         worker_index: int,
         after_batches: int,
-        generation: int = 0,
         exit_code: int = 86,
     ) -> "FaultPlan":
         """Kill worker ``worker_index`` as it starts batch ``after_batches``."""
@@ -109,7 +109,6 @@ class FaultPlan:
                 kind=FAULT_KILL,
                 worker_index=worker_index,
                 after_batches=after_batches,
-                generation=generation,
                 exit_code=exit_code,
             )
         )
@@ -121,7 +120,6 @@ class FaultPlan:
         delay_seconds: float,
         after_batches: int = 0,
         times: int = 1_000_000,
-        generation: int = 0,
     ) -> "FaultPlan":
         """Add ``delay_seconds`` to ``times`` batches starting at an ordinal."""
         self.specs.append(
@@ -129,7 +127,6 @@ class FaultPlan:
                 kind=FAULT_SLOW,
                 worker_index=worker_index,
                 after_batches=after_batches,
-                generation=generation,
                 delay_seconds=delay_seconds,
                 times=times,
             )
@@ -141,7 +138,6 @@ class FaultPlan:
         worker_index: int,
         after_batches: int,
         times: int = 1,
-        generation: int = 0,
     ) -> "FaultPlan":
         """Corrupt the transport manifest of the worker's response(s)."""
         self.specs.append(
@@ -149,7 +145,6 @@ class FaultPlan:
                 kind=FAULT_POISON,
                 worker_index=worker_index,
                 after_batches=after_batches,
-                generation=generation,
                 times=times,
             )
         )

@@ -91,12 +91,10 @@ class ServingMetrics:
         self._completion_counter = 0
         self._sheds = 0
         self._load_sheds = 0
-        self._rate_limited = 0
         self._retries = 0
         #: Per-class counters for the typed non-served outcomes.
         self._shed_classes: Dict[str, int] = {}
         self._load_shed_classes: Dict[str, int] = {}
-        self._rate_limited_classes: Dict[str, int] = {}
 
     # -- recording ------------------------------------------------------
     def record_submitted(self) -> int:
@@ -136,14 +134,6 @@ class ServingMetrics:
             self._load_sheds += 1
             self._load_shed_classes[class_name] = (
                 self._load_shed_classes.get(class_name, 0) + 1
-            )
-
-    def record_rate_limited(self, class_name: str = "default") -> None:
-        """Count one submit denied by a token bucket (never admitted)."""
-        with self._lock:
-            self._rate_limited += 1
-            self._rate_limited_classes[class_name] = (
-                self._rate_limited_classes.get(class_name, 0) + 1
             )
 
     def record_retry(self) -> None:
@@ -194,11 +184,9 @@ class ServingMetrics:
             cancelled = self._cancelled
             sheds = self._sheds
             load_sheds = self._load_sheds
-            rate_limited = self._rate_limited
             retries = self._retries
             shed_classes = dict(self._shed_classes)
             load_shed_classes = dict(self._load_shed_classes)
-            rate_limited_classes = dict(self._rate_limited_classes)
         completed = [r for r in records if r.ok]
         failed = [r for r in records if not r.ok]
 
@@ -239,9 +227,6 @@ class ServingMetrics:
                 #: Resolved ``LoadShed`` by SLO-aware admission -- also a
                 #: typed result, never a silent drop.
                 "load_shed": load_sheds,
-                #: Denied by a token bucket before admission (typed
-                #: ``RateLimitExceeded``; never counted as submitted).
-                "rate_limited": rate_limited,
                 #: Admitted and still queued/executing (0 after a drain).
                 "in_flight": (
                     submitted
@@ -256,11 +241,7 @@ class ServingMetrics:
             "service_ms": _percentiles_ms([r.service_time for r in completed]),
             "latency_ms": _percentiles_ms([r.latency for r in completed]),
             "per_class": self._per_class(
-                completed,
-                failed,
-                shed_classes,
-                load_shed_classes,
-                rate_limited_classes,
+                completed, failed, shed_classes, load_shed_classes
             ),
             "per_worker": per_worker,
             "batches": {
@@ -279,7 +260,6 @@ class ServingMetrics:
                 "retries": retries,
                 "deadline_sheds": sheds,
                 "load_sheds": load_sheds,
-                "rate_limited": rate_limited,
             },
         }
 
@@ -289,7 +269,6 @@ class ServingMetrics:
         failed: List[RequestRecord],
         shed_classes: Dict[str, int],
         load_shed_classes: Dict[str, int],
-        rate_limited_classes: Dict[str, int],
     ) -> Dict[str, Dict[str, Any]]:
         """Per-priority-class breakdown: counters + latency percentiles."""
         names = (
@@ -297,7 +276,6 @@ class ServingMetrics:
             | {r.class_name for r in failed}
             | set(shed_classes)
             | set(load_shed_classes)
-            | set(rate_limited_classes)
         )
         out: Dict[str, Dict[str, Any]] = {}
         for name in sorted(names):
@@ -307,7 +285,6 @@ class ServingMetrics:
                 "failed": sum(1 for r in failed if r.class_name == name),
                 "shed": shed_classes.get(name, 0),
                 "load_shed": load_shed_classes.get(name, 0),
-                "rate_limited": rate_limited_classes.get(name, 0),
                 "queue_wait_ms": _percentiles_ms([r.queue_wait for r in done]),
                 "latency_ms": _percentiles_ms([r.latency for r in done]),
             }

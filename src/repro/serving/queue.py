@@ -140,7 +140,7 @@ class AdmissionQueue:
         > 0) stamps an absolute deadline on the entry; expired entries are shed before
         dispatch rather than served.  ``priority``/``class_name`` are the
         *resolved* policy values stamped by the owning server (the raw
-        ``options.priority``/``options.class_name`` may be ``None``).
+        ``options.class_name`` may be ``None``).
 
         Raises :class:`QueueFull` when at capacity (after ``options.timeout``
         on the injected clock in blocking mode; ``timeout=0`` never waits)

@@ -15,17 +15,14 @@ triggers fires:
   :class:`~repro.session.Session` applies when sub-batching; capping here
   keeps the scheduler from forming batches the session would immediately
   split).
-* **deadline** -- the group's *oldest* request has waited its effective
-  wait since admission.  This bounds the latency a lonely shape pays for
-  batching: a request never waits more than the wait bound for companions
-  that may not come.  The bound is ``max_wait_seconds``, optionally capped
-  further per :class:`~repro.serving.policy.PriorityClass`
-  (``max_wait_seconds`` on the class) and -- under a policy with
-  ``adaptive_max_wait`` -- tuned down to the observed arrival rate
-  (:class:`~repro.serving.policy.AdaptiveMaxWait` on the injected clock).
-* **priority** -- a request of a ``preempt`` class arrived: its shape
-  group dispatches immediately instead of waiting for companions, carrying
-  the highest-priority members first.
+* **deadline** -- the group's *oldest* request has waited
+  ``max_wait_seconds`` since admission.  This bounds the latency a lonely
+  shape pays for batching: a request never waits longer than that for
+  companions that may not come.
+* **priority** -- a request of a ``preempt``
+  :class:`~repro.serving.policy.PriorityClass` arrived: its shape group
+  dispatches immediately instead of waiting for companions, carrying the
+  highest-priority members first.
 
 With a serving policy attached, groups are visited highest-priority first
 (a high-priority arrival jumps the grouping order) and an over-full
@@ -100,11 +97,6 @@ class MicroBatchScheduler:
         self._classes: Dict[str, PriorityClass] = (
             policy.class_map if policy is not None else {}
         )
-        self._adaptive = (
-            policy.make_adaptive_wait(self.max_wait_seconds, self.max_batch_size)
-            if policy is not None
-            else None
-        )
         self._lock = threading.Lock()
         #: Pending entries per shape key, in admission order.
         self._pending: Dict[Tuple[str, int, int], List[QueuedRequest]] = {}
@@ -130,28 +122,10 @@ class MicroBatchScheduler:
         with self._lock:
             return [key for key, entries in self._pending.items() if entries]
 
-    def current_max_wait(self) -> float:
-        """The deadline-trigger wait in force right now (pre per-class caps)."""
-        if self._adaptive is not None:
-            return self._adaptive.current()
-        return self.max_wait_seconds
-
-    def _group_wait(self, entries: List[QueuedRequest]) -> float:
-        """Effective wait bound for a group: adaptive base, capped by the
-        tightest per-class ``max_wait_seconds`` among its members."""
-        wait = self.current_max_wait()
-        for entry in entries:
-            cls = self._classes.get(entry.class_name)
-            if cls is not None and cls.max_wait_seconds is not None:
-                wait = min(wait, cls.max_wait_seconds)
-        return wait
-
     # ------------------------------------------------------------------
     def add(self, entry: QueuedRequest) -> None:
         """Accept one entry from the admission queue into its shape group."""
         key = self.shape_key(entry.request)
-        if self._adaptive is not None:
-            self._adaptive.observe(entry.enqueued_at)
         cls = self._classes.get(entry.class_name)
         with self._lock:
             self._pending.setdefault(key, []).append(entry)
@@ -162,7 +136,7 @@ class MicroBatchScheduler:
         """Earliest clock reading at which a deadline trigger fires."""
         with self._lock:
             deadlines = [
-                entries[0].enqueued_at + self._group_wait(entries)
+                entries[0].enqueued_at + self.max_wait_seconds
                 for entries in self._pending.values()
                 if entries
             ]
@@ -290,7 +264,7 @@ class MicroBatchScheduler:
                     trigger = "priority"
                 elif len(entries) >= limit:
                     trigger = "size"
-                elif now - entries[0].enqueued_at >= self._group_wait(entries):
+                elif now - entries[0].enqueued_at >= self.max_wait_seconds:
                     trigger = "deadline"
                 else:
                     continue

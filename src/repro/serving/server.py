@@ -23,6 +23,13 @@
   (:class:`~repro.serving.cluster.pool.ProcessWorkerPool`) -- real
   multi-core overlap instead of GIL time-slicing.
 
+Work the server will not serve is refused in a typed way, never dropped:
+``QueueFull`` raised at the door (the default ``admission="reject"``), or
+a future resolved with :class:`~repro.serving.policy.LoadShed`
+(``admission="shed"``) or :class:`~repro.serving.resilience.DeadlineExceeded`
+(TTL).  A request's priority is the rank of its
+:class:`~repro.serving.policy.ServingPolicy` class.
+
 Determinism contract: every per-frame computation in the pipeline seeds its
 RNG per call (samplers, gatherers, network layers), so a frame's response
 payload -- logits, sampled indices, gather rows, counters, modelled
@@ -52,7 +59,7 @@ import itertools
 import threading
 import time
 from concurrent.futures import Future
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, List, Optional, Tuple
 
 import numpy as np
 
@@ -63,12 +70,7 @@ from repro.serving.cluster.pool import (
 )
 from repro.serving.faults import FaultPlan
 from repro.serving.metrics import Clock, ServingMetrics
-from repro.serving.policy import (
-    LoadShed,
-    RateLimitExceeded,
-    ServingPolicy,
-    TokenBucket,
-)
+from repro.serving.policy import LoadShed, ServingPolicy
 from repro.serving.queue import (
     AdmissionQueue,
     QueueClosed,
@@ -169,10 +171,8 @@ class FrameServer:
         ``RetryPolicy(max_attempts=1)`` to fail on the first crash.
     policy:
         Optional :class:`~repro.serving.policy.ServingPolicy`: priority
-        classes, per-shape-key token-bucket rate limits, adaptive
-        max-wait, and SLO-aware admission shedding.  Without one the
-        server behaves exactly as before (FIFO per shape, ``QueueFull``
-        backpressure).
+        classes and SLO-aware admission shedding.  Without one every
+        request ranks equal (FIFO per shape, ``QueueFull`` backpressure).
     """
 
     def __init__(
@@ -204,14 +204,11 @@ class FrameServer:
         self.faults = faults
         self.retry_policy = retry_policy
         self.policy = policy
-        #: Lazily-built per-shape-key token buckets (policy rate limiting).
-        self._buckets: Dict[Tuple[str, int, int], TokenBucket] = {}
-        self._buckets_lock = threading.Lock()
         self.metrics = ServingMetrics()
         #: Shed admission turns the bound's ``QueueFull`` into steal/``LoadShed``
-        #: and may tighten the bound itself (``max_backlog``).
+        #: and may tighten the bound itself (``max_backlog``, shed-only).
         self._shed_mode = policy is not None and policy.admission == "shed"
-        if self._shed_mode and policy.max_backlog is not None:
+        if policy is not None and policy.max_backlog is not None:
             queue_capacity = min(queue_capacity, policy.max_backlog)
         self.pool: Optional[WorkerPool] = None
         #: The waiting room: the queue, then the scheduler's shape groups
@@ -364,16 +361,15 @@ class FrameServer:
         the future resolves with
         :class:`~repro.serving.resilience.DeadlineExceeded` instead of
         being served (never a silent drop).
-        ``options.class_name``/``options.priority`` select the serving
-        policy class (ignored without a policy beyond metrics labelling).
+        ``options.class_name`` selects the serving policy class, whose rank
+        is the request's priority (without a policy it only labels the
+        metrics).
 
         Raises :class:`~repro.serving.queue.QueueFull` under backpressure
         and :class:`~repro.serving.queue.QueueClosed` after shutdown.
-        Under a policy, a rate-limited or load-shed request instead gets a
-        future resolved with
-        :class:`~repro.serving.policy.RateLimitExceeded` /
-        :class:`~repro.serving.policy.LoadShed` -- typed results, and with
-        ``admission="shed"`` the server never raises ``QueueFull``.
+        Under ``admission="shed"`` the server never raises ``QueueFull``:
+        a shed request gets a future resolved with
+        :class:`~repro.serving.policy.LoadShed` instead -- a typed result.
         """
         if not self._started:
             self.start()
@@ -382,24 +378,10 @@ class FrameServer:
         if frame_id is not None:
             request = dataclasses.replace(request, frame_id=frame_id)
         if self.policy is not None:
-            cls, priority = self.policy.resolve(
-                options.class_name, options.priority
-            )
-            class_name = cls.name
+            cls = self.policy.resolve(options.class_name)
+            class_name, priority = cls.name, cls.priority
         else:
-            class_name = options.class_name or "default"
-            priority = options.priority if options.priority is not None else 0
-        if self.policy is not None and self.policy.rate_limit_hz is not None:
-            assert self.pool is not None
-            bucket = self._bucket_for(self.pool.shape_key(request.cloud))
-            if bucket is not None and not bucket.try_acquire():
-                self.metrics.record_rate_limited(class_name)
-                return self._typed_failure(
-                    RateLimitExceeded(
-                        f"request {request.frame_id!r} rate-limited "
-                        f"({self.policy.rate_limit_hz:g} Hz per shape key)"
-                    )
-                )
+            class_name, priority = options.class_name or "default", 0
         # Count the submission before the entry becomes visible to the
         # scheduler: recording it afterwards opens a window where a fast
         # worker completes the request first and a live stats() snapshot
@@ -443,18 +425,6 @@ class FrameServer:
     def _waiting_depth(self) -> int:
         """Requests admitted but not yet started: the waiting room."""
         return len(self.admission) + self.scheduler.pending_count
-
-    def _bucket_for(self, key: Tuple[str, int, int]) -> Optional[TokenBucket]:
-        if self.policy is None:
-            return None
-        with self._buckets_lock:
-            bucket = self._buckets.get(key)
-            if bucket is None:
-                bucket = self.policy.make_bucket(self.clock)
-                if bucket is None:
-                    return None
-                self._buckets[key] = bucket
-            return bucket
 
     @staticmethod
     def _typed_failure(exc: BaseException) -> "Future":

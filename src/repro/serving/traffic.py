@@ -1,4 +1,4 @@
-"""Pluggable, seeded traffic models for the serving soaks and benchmarks.
+"""Seeded traffic models for the serving soaks and benchmarks.
 
 A traffic model turns ``(frames, rate_hz, seed, ...)`` into a deterministic
 list of :class:`TrafficItem` -- a :class:`~repro.session.FrameRequest`, its
@@ -19,26 +19,14 @@ the arrival schedule and vice versa -- the bit-identity gate compares
 served responses against a sequential run over the *same* request list,
 which therefore never depends on policy configuration.
 
-The built-in models cover the arrival shapes the serving roadmap calls out:
-
-============  ==========================================================
-``poisson``   memoryless gaps at ``rate_hz`` (the legacy soak traffic)
-``burst``     trains of back-to-back arrivals separated by quiet gaps
-``lognormal`` heavy-tailed gaps with unit-mean lognormal multiplier
-``pareto``    power-law gaps (classical Pareto, ``alpha > 1``)
-``diurnal``   sinusoidally-modulated Poisson (thinned at peak rate)
-``mixed``     Poisson arrivals over two frame shapes + priority classes
-``sequence``  KITTI-like fixed-cadence replay with temporal correlation
-============  ==========================================================
-
-All models emit CAD-style synthetic frames
-(:func:`~repro.datasets.synthetic.sample_cad_shape`); ``mixed`` adds a
+Two models are registered, both Poisson in time: ``poisson`` emits one
+raw size of CAD-style synthetic frame
+(:func:`~repro.datasets.synthetic.sample_cad_shape`), and ``mixed`` adds a
 second, smaller raw size (below ``num_samples``) so its stream exercises
-two warm-state shape keys, and ``sequence`` drifts one base cloud frame to
-frame so consecutive requests are correlated the way a real sensor
-sequence is.  Task mixing is out of scope: a serving session is built for
-one task, so one server serves one task; a second task needs a second
-server.
+two warm-state shape keys -- the CI shed soak and the
+``serving_mixed_traffic`` benchmark scenario drive it with two priority
+classes.  Task mixing is out of scope: a serving session is built for one
+task, so one server serves one task; a second task needs a second server.
 """
 
 from __future__ import annotations
@@ -196,199 +184,8 @@ class PoissonTraffic(TrafficModel):
         return rng.exponential(1.0 / self.rate_hz, size=self.frames)
 
 
-@registry.register("traffic", "burst")
-class BurstTraffic(TrafficModel):
-    """Trains of ``burst_size`` near-simultaneous arrivals.
-
-    Within a train, gaps are ``1 / intra_burst_hz``; trains start
-    ``burst_size / rate_hz`` apart on average (exponential), so the
-    *mean* rate stays ``rate_hz`` while the instantaneous rate during a
-    train is ``intra_burst_hz`` -- the shape that exercises SLO shedding.
-    """
-
-    name = "burst"
-
-    def __init__(
-        self,
-        frames: int = 64,
-        rate_hz: float = 100.0,
-        seed: int = 0,
-        raw_points: int = 400,
-        class_names: Optional[Sequence[str]] = None,
-        class_weights: Optional[Sequence[float]] = None,
-        burst_size: int = 8,
-        intra_burst_hz: float = 2000.0,
-    ):
-        super().__init__(
-            frames, rate_hz, seed, raw_points, class_names, class_weights
-        )
-        if burst_size < 1:
-            raise ValueError(f"burst_size must be >= 1, got {burst_size}")
-        if intra_burst_hz <= 0:
-            raise ValueError(
-                f"intra_burst_hz must be > 0, got {intra_burst_hz}"
-            )
-        self.burst_size = int(burst_size)
-        self.intra_burst_hz = float(intra_burst_hz)
-
-    def _gaps(self, rng: np.random.Generator) -> np.ndarray:
-        gaps = np.empty(self.frames)
-        for i in range(self.frames):
-            if i % self.burst_size == 0:
-                gaps[i] = rng.exponential(self.burst_size / self.rate_hz)
-            else:
-                gaps[i] = 1.0 / self.intra_burst_hz
-        return gaps
-
-    def describe(self) -> Dict[str, Any]:
-        return super().describe() | {
-            "burst_size": self.burst_size,
-            "intra_burst_hz": self.intra_burst_hz,
-        }
-
-
-@registry.register("traffic", "lognormal")
-class LognormalTraffic(TrafficModel):
-    """Heavy-tailed gaps: lognormal with mean ``1 / rate_hz``.
-
-    ``mu = ln(1/rate) - sigma^2 / 2`` keeps the mean exactly on target
-    while ``sigma`` widens the tail (``sigma=0`` degenerates to a fixed
-    cadence).
-    """
-
-    name = "lognormal"
-
-    def __init__(
-        self,
-        frames: int = 64,
-        rate_hz: float = 100.0,
-        seed: int = 0,
-        raw_points: int = 400,
-        class_names: Optional[Sequence[str]] = None,
-        class_weights: Optional[Sequence[float]] = None,
-        sigma: float = 1.0,
-    ):
-        super().__init__(
-            frames, rate_hz, seed, raw_points, class_names, class_weights
-        )
-        if sigma < 0:
-            raise ValueError(f"sigma must be >= 0, got {sigma}")
-        self.sigma = float(sigma)
-
-    def _gaps(self, rng: np.random.Generator) -> np.ndarray:
-        mu = np.log(1.0 / self.rate_hz) - self.sigma**2 / 2.0
-        return rng.lognormal(mean=mu, sigma=self.sigma, size=self.frames)
-
-    def describe(self) -> Dict[str, Any]:
-        return super().describe() | {"sigma": self.sigma}
-
-
-@registry.register("traffic", "pareto")
-class ParetoTraffic(TrafficModel):
-    """Power-law gaps: classical Pareto with mean ``1 / rate_hz``.
-
-    Minimum gap ``m = (1/rate) * (alpha - 1) / alpha`` puts the mean of
-    the Pareto(``alpha``, ``m``) distribution exactly at the target;
-    ``alpha`` close to 1 makes the tail (and the bursts between long
-    silences) extreme.  Requires ``alpha > 1`` for the mean to exist.
-    """
-
-    name = "pareto"
-
-    def __init__(
-        self,
-        frames: int = 64,
-        rate_hz: float = 100.0,
-        seed: int = 0,
-        raw_points: int = 400,
-        class_names: Optional[Sequence[str]] = None,
-        class_weights: Optional[Sequence[float]] = None,
-        alpha: float = 1.5,
-    ):
-        super().__init__(
-            frames, rate_hz, seed, raw_points, class_names, class_weights
-        )
-        if alpha <= 1:
-            raise ValueError(
-                f"alpha must be > 1 for a finite mean gap, got {alpha}"
-            )
-        self.alpha = float(alpha)
-
-    def _gaps(self, rng: np.random.Generator) -> np.ndarray:
-        minimum = (1.0 / self.rate_hz) * (self.alpha - 1.0) / self.alpha
-        # numpy's pareto() samples the Lomax form on [0, inf); 1 + that is
-        # the classical Pareto on [1, inf), scaled to the minimum gap.
-        return minimum * (1.0 + rng.pareto(self.alpha, size=self.frames))
-
-    def describe(self) -> Dict[str, Any]:
-        return super().describe() | {"alpha": self.alpha}
-
-
-@registry.register("traffic", "diurnal")
-class DiurnalTraffic(TrafficModel):
-    """Sinusoidally-modulated Poisson: a compressed day/night cycle.
-
-    Candidate arrivals are drawn at the peak rate ``rate_hz`` and thinned
-    with acceptance probability ``rate(t) / rate_hz`` where ``rate(t)``
-    swings between ``trough_fraction * rate_hz`` and ``rate_hz`` over
-    ``period_seconds`` (thinning keeps the process exactly
-    inhomogeneous-Poisson).  Exactly ``frames`` accepted arrivals are
-    kept, so the stream length never depends on the thinning luck.
-    """
-
-    name = "diurnal"
-
-    def __init__(
-        self,
-        frames: int = 64,
-        rate_hz: float = 100.0,
-        seed: int = 0,
-        raw_points: int = 400,
-        class_names: Optional[Sequence[str]] = None,
-        class_weights: Optional[Sequence[float]] = None,
-        period_seconds: float = 2.0,
-        trough_fraction: float = 0.1,
-    ):
-        super().__init__(
-            frames, rate_hz, seed, raw_points, class_names, class_weights
-        )
-        if period_seconds <= 0:
-            raise ValueError(
-                f"period_seconds must be > 0, got {period_seconds}"
-            )
-        if not 0.0 <= trough_fraction <= 1.0:
-            raise ValueError(
-                f"trough_fraction must be in [0, 1], got {trough_fraction}"
-            )
-        self.period_seconds = float(period_seconds)
-        self.trough_fraction = float(trough_fraction)
-
-    def _gaps(self, rng: np.random.Generator) -> np.ndarray:
-        arrivals = np.empty(self.frames)
-        t = 0.0
-        accepted = 0
-        while accepted < self.frames:
-            t += rng.exponential(1.0 / self.rate_hz)
-            phase = 0.5 * (
-                1.0 - np.cos(2.0 * np.pi * t / self.period_seconds)
-            )
-            intensity = self.trough_fraction + (
-                1.0 - self.trough_fraction
-            ) * phase
-            if rng.random() <= intensity:
-                arrivals[accepted] = t
-                accepted += 1
-        return np.diff(arrivals, prepend=0.0)
-
-    def describe(self) -> Dict[str, Any]:
-        return super().describe() | {
-            "period_seconds": self.period_seconds,
-            "trough_fraction": self.trough_fraction,
-        }
-
-
 @registry.register("traffic", "mixed")
-class MixedTraffic(TrafficModel):
+class MixedTraffic(PoissonTraffic):
     """Poisson arrivals over two frame shapes (two warm-state shape keys).
 
     A ``small_share`` fraction of frames carries ``small_points`` raw
@@ -424,9 +221,6 @@ class MixedTraffic(TrafficModel):
         self.small_points = int(small_points)
         self.small_share = float(small_share)
 
-    def _gaps(self, rng: np.random.Generator) -> np.ndarray:
-        return rng.exponential(1.0 / self.rate_hz, size=self.frames)
-
     def _is_small(self, index: int) -> bool:
         # Deterministic per-index draw, independent of arrivals/classes.
         return bool(
@@ -450,93 +244,4 @@ class MixedTraffic(TrafficModel):
         return super().describe() | {
             "small_points": self.small_points,
             "small_share": self.small_share,
-        }
-
-
-@registry.register("traffic", "sequence")
-class SequenceTraffic(TrafficModel):
-    """KITTI-like replay: fixed cadence, temporally-correlated frames.
-
-    Arrivals tick at exactly ``1 / rate_hz`` (a sensor's frame period)
-    plus a small seeded jitter.  Frames are one base cloud translated by a
-    cumulative random-walk drift (ego motion) with per-frame point jitter,
-    so consecutive requests are *correlated* -- same raw size, same shape
-    key, slightly moved geometry -- the way a replayed sequence trace is.
-    """
-
-    name = "sequence"
-
-    def __init__(
-        self,
-        frames: int = 64,
-        rate_hz: float = 100.0,
-        seed: int = 0,
-        raw_points: int = 400,
-        class_names: Optional[Sequence[str]] = None,
-        class_weights: Optional[Sequence[float]] = None,
-        drift_per_frame: float = 0.02,
-        point_jitter: float = 0.002,
-        cadence_jitter: float = 0.05,
-    ):
-        super().__init__(
-            frames, rate_hz, seed, raw_points, class_names, class_weights
-        )
-        if drift_per_frame < 0:
-            raise ValueError(
-                f"drift_per_frame must be >= 0, got {drift_per_frame}"
-            )
-        if point_jitter < 0:
-            raise ValueError(f"point_jitter must be >= 0, got {point_jitter}")
-        if not 0.0 <= cadence_jitter < 1.0:
-            raise ValueError(
-                f"cadence_jitter must be in [0, 1), got {cadence_jitter}"
-            )
-        self.drift_per_frame = float(drift_per_frame)
-        self.point_jitter = float(point_jitter)
-        self.cadence_jitter = float(cadence_jitter)
-        self._base = sample_cad_shape(
-            num_points=self.raw_points,
-            shape="sphere",
-            non_uniformity=0.2,
-            seed=self.seed + 2,
-        )
-
-    def _gaps(self, rng: np.random.Generator) -> np.ndarray:
-        period = 1.0 / self.rate_hz
-        jitter = rng.uniform(
-            -self.cadence_jitter, self.cadence_jitter, size=self.frames
-        )
-        gaps = period * (1.0 + jitter)
-        gaps[0] = 0.0  # the first frame of a replay starts immediately
-        return gaps
-
-    def _drift(self, index: int) -> np.ndarray:
-        # Cumulative random walk: frame i's offset is the sum of i steps,
-        # each drawn from its own seeded stream so any frame is computable
-        # without generating its predecessors.
-        offset = np.zeros(3)
-        for step in range(index):
-            offset += np.random.default_rng(
-                self.seed + 1000 + step
-            ).normal(0.0, self.drift_per_frame, size=3)
-        return offset
-
-    def _cloud(self, index: int) -> PointCloud:
-        rng = np.random.default_rng(self.seed + 2 + index)
-        points = self._base.points + self._drift(index)
-        if self.point_jitter > 0:
-            points = points + rng.normal(
-                0.0, self.point_jitter, size=points.shape
-            )
-        return PointCloud(
-            points=points,
-            frame_id=f"traffic.sequence.{index}",
-            timestamp=index / self.rate_hz if self.rate_hz else None,
-        )
-
-    def describe(self) -> Dict[str, Any]:
-        return super().describe() | {
-            "drift_per_frame": self.drift_per_frame,
-            "point_jitter": self.point_jitter,
-            "cadence_jitter": self.cadence_jitter,
         }

@@ -65,12 +65,11 @@ class SubmitOptions:
     serving queue imports this module -- the options travel *down* the
     dependency graph with the request.
 
-    ``priority`` and ``class_name`` feed the serving policy layer
-    (:mod:`repro.serving.policy`): ``class_name`` picks a configured
+    ``class_name`` feeds the serving policy layer
+    (:mod:`repro.serving.policy`): it picks a configured
     :class:`~repro.serving.policy.PriorityClass` (the policy's default
-    class when ``None``), ``priority`` overrides that class's rank for
-    this one request.  Both are inert on servers without a policy, except
-    that ``priority`` still orders micro-batch selection.
+    class when ``None``), whose rank the request rides.  On servers
+    without a policy it only labels the per-class metrics.
     """
 
     #: Block for a queue slot instead of raising ``QueueFull`` (legacy
@@ -81,8 +80,6 @@ class SubmitOptions:
     #: Seconds the request may wait before dispatch; past it the future
     #: resolves with ``DeadlineExceeded`` (typed, never silent).
     ttl: Optional[float] = None
-    #: Explicit scheduler rank; ``None`` adopts the class's priority.
-    priority: Optional[int] = None
     #: Serving-policy class name; ``None`` means the policy's default.
     class_name: Optional[str] = None
 

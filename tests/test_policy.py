@@ -1,13 +1,12 @@
 """Tests for the serving-policy layer (``repro.serving.policy``).
 
-Every mechanism runs on the injectable clock, so these tests drive token
-buckets, the adaptive deadline trigger, priority preemption, and SLO-aware
-admission shedding deterministically with a :class:`ManualClock` -- no real
-sleeps anywhere in the scheduler-level tests.  The end-to-end classes
-(``TestShedAdmission``, ``TestRateLimitEndToEnd``) go through a live
-:class:`FrameServer` to pin the typed-failure contract: under a policy a
-request is completed, ``LoadShed``, or ``RateLimitExceeded`` -- never a
-raised ``QueueFull``, never a silent drop.
+Every mechanism runs on the injectable clock, so these tests drive
+priority preemption, selection order and SLO-aware admission shedding
+deterministically with a :class:`ManualClock` -- no real sleeps anywhere in
+the scheduler-level tests.  ``TestShedAdmission`` goes through a live
+:class:`FrameServer` to pin the typed-failure contract: under shed
+admission a request is completed or ``LoadShed`` -- never a raised
+``QueueFull``, never a silent drop.
 """
 
 from __future__ import annotations
@@ -24,7 +23,6 @@ from repro.core.config import (
 )
 from repro.datasets.synthetic import sample_cad_shape
 from repro.serving import (
-    AdaptiveMaxWait,
     AdmissionQueue,
     FrameServer,
     LoadShed,
@@ -32,11 +30,9 @@ from repro.serving import (
     MicroBatchScheduler,
     PriorityClass,
     QueuedRequest,
-    RateLimitExceeded,
     ServingMetrics,
     ServingPolicy,
     SubmitOptions,
-    TokenBucket,
 )
 from repro.session import FrameRequest, Session
 
@@ -120,14 +116,8 @@ class TestServingPolicyConfig:
             ),
             default_class="low",
         )
-        cls, priority = policy.resolve()
-        assert cls.name == "low" and priority == 0
-        cls, priority = policy.resolve("high")
-        assert cls.name == "high" and priority == 10
-        # An explicit per-request priority overrides the class rank but
-        # keeps the class identity.
-        cls, priority = policy.resolve("low", priority=7)
-        assert cls.name == "low" and priority == 7
+        assert policy.resolve().name == "low"
+        assert policy.resolve("high").priority == 10
 
     def test_resolve_unknown_class_is_typed(self):
         policy = ServingPolicy()
@@ -137,10 +127,7 @@ class TestServingPolicyConfig:
     def test_describe_is_json_friendly(self):
         policy = ServingPolicy(
             classes=(
-                PriorityClass(
-                    "rt", priority=5, slo_ms=30.0,
-                    max_wait_seconds=0.001, preempt=True,
-                ),
+                PriorityClass("rt", priority=5, slo_ms=30.0, preempt=True),
             ),
             default_class="rt",
             admission="shed",
@@ -150,135 +137,12 @@ class TestServingPolicyConfig:
         assert desc["admission"] == "shed"
         assert desc["max_backlog"] == 4
         assert desc["classes"][0] == {
-            "name": "rt", "priority": 5, "slo_ms": 30.0,
-            "max_wait_ms": 1.0, "preempt": True,
+            "name": "rt", "priority": 5, "slo_ms": 30.0, "preempt": True,
         }
 
 
 # ----------------------------------------------------------------------
-# Token bucket
-# ----------------------------------------------------------------------
-class TestTokenBucket:
-    def test_starts_full_and_denies_past_burst(self):
-        clock = ManualClock()
-        bucket = TokenBucket(rate_hz=10.0, burst=3, clock=clock)
-        assert [bucket.try_acquire() for _ in range(3)] == [True] * 3
-        # No time has passed on the manual clock: the fourth is denied,
-        # deterministically, however many times it retries.
-        assert not bucket.try_acquire()
-        assert not bucket.try_acquire()
-
-    def test_refill_is_exact_on_the_manual_clock(self):
-        clock = ManualClock()
-        bucket = TokenBucket(rate_hz=10.0, burst=2, clock=clock)
-        assert bucket.try_acquire() and bucket.try_acquire()
-        # 10 Hz * 0.1 s = exactly one token back.
-        clock.advance(0.1)
-        assert bucket.try_acquire()
-        assert not bucket.try_acquire()
-        # Half a token is not a token.
-        clock.advance(0.05)
-        assert not bucket.try_acquire()
-        clock.advance(0.05)
-        assert bucket.try_acquire()
-
-    def test_refill_caps_at_burst(self):
-        clock = ManualClock()
-        bucket = TokenBucket(rate_hz=100.0, burst=2, clock=clock)
-        clock.advance(60.0)  # a minute of accrual cannot exceed the cap
-        assert bucket.try_acquire() and bucket.try_acquire()
-        assert not bucket.try_acquire()
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            TokenBucket(rate_hz=0.0)
-        with pytest.raises(ValueError):
-            TokenBucket(rate_hz=1.0, burst=0)
-
-
-# ----------------------------------------------------------------------
-# Adaptive max-wait
-# ----------------------------------------------------------------------
-class TestAdaptiveMaxWait:
-    def test_base_wait_until_two_arrivals(self):
-        wait = AdaptiveMaxWait(base_wait_seconds=0.005, batch_size=8)
-        assert wait.current() == 0.005
-        wait.observe(1.0)
-        # One arrival gives no gap yet.
-        assert wait.current() == 0.005
-        assert wait.mean_interarrival is None
-
-    def test_converges_to_companion_time_under_regular_arrivals(self):
-        # At a steady 1 kHz the mean gap converges to 1 ms, so an
-        # 8-deep batch plausibly assembles in 7 ms -- above the 5 ms
-        # ceiling, which must keep binding (adaptation never waits
-        # *longer* than configured).
-        wait = AdaptiveMaxWait(
-            base_wait_seconds=0.005, floor_seconds=0.0005, alpha=0.2,
-            batch_size=8,
-        )
-        for i in range(50):
-            wait.observe(i * 0.001)
-        assert wait.mean_interarrival == pytest.approx(0.001, rel=1e-6)
-        assert wait.current() == 0.005
-
-        # Ten times the arrival rate: companions now take 0.7 ms, and the
-        # wait collapses below the ceiling (but stays above the floor).
-        fast = AdaptiveMaxWait(
-            base_wait_seconds=0.005, floor_seconds=0.0005, alpha=0.2,
-            batch_size=8,
-        )
-        for i in range(50):
-            fast.observe(i * 0.0001)
-        assert fast.current() == pytest.approx(7 * 0.0001, rel=1e-6)
-
-    def test_tracks_the_ewma_recurrence_exactly(self):
-        alpha = 0.3
-        wait = AdaptiveMaxWait(
-            base_wait_seconds=1.0, floor_seconds=0.0, alpha=alpha,
-            batch_size=4,
-        )
-        gaps = [0.010, 0.002, 0.030, 0.001]
-        now, mean = 0.0, None
-        wait.observe(now)
-        for gap in gaps:
-            now += gap
-            wait.observe(now)
-            mean = gap if mean is None else mean + alpha * (gap - mean)
-        assert wait.mean_interarrival == pytest.approx(mean, rel=1e-12)
-        assert wait.current() == pytest.approx(
-            min(1.0, max(0.0, 3 * mean)), rel=1e-12
-        )
-
-    def test_floor_binds_under_saturating_traffic(self):
-        wait = AdaptiveMaxWait(
-            base_wait_seconds=0.005, floor_seconds=0.0005, batch_size=8
-        )
-        for _ in range(20):
-            wait.observe(0.0)  # simultaneous arrivals: zero gaps
-        assert wait.current() == 0.0005
-
-    def test_policy_wires_the_adaptive_wait_into_the_scheduler(self):
-        clock = ManualClock()
-        policy = ServingPolicy(adaptive_max_wait=True, min_wait_seconds=0.0005)
-        scheduler = MicroBatchScheduler(
-            shape_key=flat_key, max_batch_size=4, max_wait_seconds=0.005,
-            clock=clock, policy=policy,
-        )
-        assert scheduler.current_max_wait() == 0.005
-        for i in range(20):
-            scheduler.add(make_entry(i, clock))
-            clock.advance(0.001)
-        # Observed gaps of 1 ms: three companions take 3 ms, so the
-        # deadline trigger tightened below the configured 5 ms (but
-        # stayed above the 0.5 ms floor).
-        assert scheduler.current_max_wait() == pytest.approx(
-            3 * 0.001, rel=1e-6
-        )
-
-
-# ----------------------------------------------------------------------
-# Scheduler under a policy: preemption, per-class caps, selection order
+# Scheduler under a policy: preemption, visit and selection order
 # ----------------------------------------------------------------------
 PREEMPT_POLICY = ServingPolicy(
     classes=(
@@ -336,23 +200,6 @@ class TestSchedulerPolicy:
         assert batches[0].trigger == "priority"
         assert [e.sequence for e in batches[0].entries] == [1, 2]
         assert scheduler.pending_count == 1
-
-    def test_per_class_wait_caps_the_deadline_trigger(self):
-        clock = ManualClock()
-        policy = ServingPolicy(
-            classes=(
-                PriorityClass("rt", priority=5, max_wait_seconds=0.001),
-                PriorityClass("bulk", priority=0),
-            ),
-            default_class="bulk",
-        )
-        scheduler = self.make_scheduler(clock, policy=policy)
-        scheduler.add(make_entry(0, clock, priority=5, class_name="rt"))
-        clock.advance(0.0005)
-        assert scheduler.ready() == []
-        clock.advance(0.0006)  # past the 1 ms class cap, far below 60 s
-        batches = scheduler.ready()
-        assert len(batches) == 1 and batches[0].trigger == "deadline"
 
     def test_higher_priority_group_jumps_the_visit_order(self):
         clock = ManualClock()
@@ -514,38 +361,6 @@ class TestShedAdmission:
 
 
 # ----------------------------------------------------------------------
-# Rate limiting, end to end
-# ----------------------------------------------------------------------
-class TestRateLimitEndToEnd:
-    def test_denied_submit_resolves_typed_without_counting_submitted(self):
-        policy = ServingPolicy(
-            rate_limit_hz=1e-6,  # effectively no refill within the test
-            rate_limit_burst=1,
-        )
-        server = FrameServer(
-            session_factory=make_session,
-            num_workers=1,
-            max_batch_size=4,
-            max_wait_seconds=0.002,
-            queue_capacity=8,
-            policy=policy,
-        )
-        with server:
-            admitted = server.submit(make_request(0))
-            denied = server.submit(make_request(1))
-            with pytest.raises(RateLimitExceeded):
-                denied.result(timeout=5.0)
-            assert admitted.result(timeout=60.0).request.frame_id == "req0000"
-            snapshot = server.shutdown(drain=True)
-        # The denial happened before admission: submitted counts only the
-        # served request, and the denial is a typed per-class counter.
-        assert snapshot["requests"]["submitted"] == 1
-        assert snapshot["requests"]["rate_limited"] == 1
-        assert snapshot["resilience"]["rate_limited"] == 1
-        assert snapshot["per_class"]["default"]["rate_limited"] == 1
-
-
-# ----------------------------------------------------------------------
 # SubmitOptions: the one way to pass per-request knobs
 # ----------------------------------------------------------------------
 class TestSubmitOptions:
@@ -614,11 +429,9 @@ class TestPerClassMetrics:
         self.record(metrics, 4, "low", 0.100, ok=False)
         metrics.record_load_shed("low")
         metrics.record_load_shed("low")
-        metrics.record_rate_limited("high")
         per_class = metrics.snapshot()["per_class"]
         assert set(per_class) == {"high", "low"}
         assert per_class["high"]["completed"] == 3
-        assert per_class["high"]["rate_limited"] == 1
         assert per_class["high"]["latency_ms"]["p50"] == pytest.approx(20.0)
         assert per_class["low"]["completed"] == 1
         assert per_class["low"]["failed"] == 1
@@ -628,8 +441,8 @@ class TestPerClassMetrics:
 
     def test_classes_with_only_typed_outcomes_still_appear(self):
         metrics = ServingMetrics()
-        metrics.record_rate_limited("bursty")
+        metrics.record_load_shed("bursty")
         per_class = metrics.snapshot()["per_class"]
         assert per_class["bursty"]["completed"] == 0
-        assert per_class["bursty"]["rate_limited"] == 1
+        assert per_class["bursty"]["load_shed"] == 1
         assert per_class["bursty"]["latency_ms"]["p99"] == 0.0

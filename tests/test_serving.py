@@ -300,11 +300,10 @@ class TestServingMetrics:
         assert snapshot["requests"] == {
             "submitted": 40, "rejected": 0, "completed": 40,
             "failed": 0, "dropped": 0, "shed": 0, "load_shed": 0,
-            "rate_limited": 0, "in_flight": 0,
+            "in_flight": 0,
         }
         assert snapshot["resilience"] == {
-            "retries": 0, "deadline_sheds": 0,
-            "load_sheds": 0, "rate_limited": 0,
+            "retries": 0, "deadline_sheds": 0, "load_sheds": 0,
         }
         assert snapshot["batches"]["count"] == 10
         assert snapshot["batches"]["mean_occupancy"] == 4.0
@@ -616,7 +615,6 @@ class TestServeCLI:
         renamed = {
             "traffic": ("traffic", "model"),
             "traffic_raw_points": ("traffic", "raw_points"),
-            "traffic_param": ("traffic", "params"),
             "traffic_class_weights": ("traffic", "class_weights"),
             "chaos": ("chaos", "enabled"),
             "chaos_kill_after": ("chaos", "kill_after"),
@@ -637,8 +635,32 @@ class TestServeCLI:
             if isinstance(action.default, list):  # repeatable flag
                 default = list(default)
             assert action.default == default, action.option_strings
-        assert len(flags) == 37
+        assert len(flags) == 32
         assert ServeConfig.from_args(parser.parse_args([])) == ServeConfig()
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            # Only shed admission has a backlog threshold to tighten.
+            ["--rate-hz", "0", "--max-backlog", "1"],
+            # Weights only feed a traffic model's draw over --classes.
+            ["--traffic-class-weights", "0.3,0.7"],
+            ["--admission", "shed", "--default-class", "nosuch"],
+        ],
+    )
+    def test_serve_rejects_flags_it_would_ignore_or_crash_on(
+        self, flags, tmp_path, capsys
+    ):
+        from repro.cli import main
+
+        exit_code = main(
+            ["serve", "--frames", "6", "--metrics-out",
+             str(tmp_path / "metrics.json"), *flags]
+        )
+        err = capsys.readouterr().err
+        assert exit_code == 2
+        assert err.startswith("error:") and err.count("\n") == 1, err
+        assert not (tmp_path / "metrics.json").exists()
 
     def test_serve_soak_passes_and_writes_metrics(self, tmp_path, capsys):
         import json

@@ -5,8 +5,8 @@ a pure function of its constructor arguments, and the three random pieces
 (arrival gaps, class draws, frame geometry) consume independent seeded
 generators -- so the bit-identity soak can replay the exact request list
 sequentially regardless of policy configuration.  These tests pin that
-contract plus each model's distinguishing arrival shape, on the generated
-streams alone (no server, no sleeps).
+contract plus the Poisson rate and the mixed model's two frame sizes, on
+the generated streams alone (no server, no sleeps).
 """
 
 from __future__ import annotations
@@ -16,20 +16,9 @@ import pytest
 
 from repro import registry
 from repro.serving import TrafficItem, TrafficModel
-from repro.serving.traffic import (
-    _SHAPES,
-    BurstTraffic,
-    DiurnalTraffic,
-    LognormalTraffic,
-    MixedTraffic,
-    ParetoTraffic,
-    PoissonTraffic,
-    SequenceTraffic,
-)
+from repro.serving.traffic import _SHAPES, MixedTraffic, PoissonTraffic
 
-ALL_MODELS = (
-    "poisson", "burst", "lognormal", "pareto", "diurnal", "mixed", "sequence",
-)
+ALL_MODELS = ("poisson", "mixed")
 
 
 # ----------------------------------------------------------------------
@@ -125,7 +114,7 @@ class TestDeterminism:
 
 
 # ----------------------------------------------------------------------
-# Per-model arrival shapes
+# Arrival rate
 # ----------------------------------------------------------------------
 class TestArrivalShapes:
     def test_poisson_mean_rate_is_approximately_right(self):
@@ -133,54 +122,9 @@ class TestArrivalShapes:
         gaps = np.diff(model.arrivals(), prepend=0.0)
         assert gaps.mean() == pytest.approx(0.01, rel=0.1)
 
-    def test_burst_trains_have_fixed_intra_gaps(self):
-        model = BurstTraffic(
-            frames=32, rate_hz=100.0, seed=0,
-            burst_size=8, intra_burst_hz=2000.0,
-        )
-        gaps = np.diff(model.arrivals(), prepend=0.0)
-        within = [g for i, g in enumerate(gaps) if i % 8 != 0]
-        assert np.allclose(within, 1.0 / 2000.0)
-        # Train-starting gaps are exponential with mean burst/rate --
-        # far larger than the intra-burst tick, on average.
-        starts = [g for i, g in enumerate(gaps) if i % 8 == 0]
-        assert np.mean(starts) > 1.0 / 2000.0
-
-    def test_lognormal_mean_on_target_with_heavy_tail(self):
-        model = LognormalTraffic(
-            frames=20000, rate_hz=100.0, seed=0, sigma=1.0
-        )
-        gaps = np.diff(model.arrivals(), prepend=0.0)
-        assert gaps.mean() == pytest.approx(0.01, rel=0.15)
-        # Heavy tail: the max gap dwarfs the median.
-        assert gaps.max() > 10 * np.median(gaps)
-
-    def test_pareto_respects_minimum_gap_and_mean(self):
-        model = ParetoTraffic(frames=20000, rate_hz=100.0, seed=0, alpha=2.5)
-        gaps = np.diff(model.arrivals(), prepend=0.0)
-        minimum = 0.01 * (2.5 - 1.0) / 2.5
-        assert gaps.min() >= minimum - 1e-12
-        assert gaps.mean() == pytest.approx(0.01, rel=0.15)
-        with pytest.raises(ValueError, match="alpha"):
-            ParetoTraffic(frames=4, alpha=1.0)
-
-    def test_diurnal_modulates_the_local_rate(self):
-        model = DiurnalTraffic(
-            frames=600, rate_hz=1000.0, seed=0,
-            period_seconds=1.0, trough_fraction=0.05,
-        )
-        arrivals = model.arrivals()
-        # Fold arrivals onto the cycle: the half-period around the peak
-        # (phase 0.5) must hold clearly more arrivals than the half
-        # around the trough (phase 0).
-        phase = np.mod(arrivals, 1.0)
-        near_peak = np.sum((phase > 0.25) & (phase < 0.75))
-        near_trough = len(arrivals) - near_peak
-        assert near_peak > 2 * near_trough
-
 
 # ----------------------------------------------------------------------
-# Mixed shapes and the sequence replay
+# Mixed shapes
 # ----------------------------------------------------------------------
 class TestMixedTraffic:
     def test_emits_two_raw_sizes(self):
@@ -216,50 +160,6 @@ class TestMixedTraffic:
         assert {
             len(i.request.cloud.points) for i in none_small.items()
         } == {400}
-
-
-class TestSequenceTraffic:
-    def test_fixed_cadence_with_bounded_jitter(self):
-        model = SequenceTraffic(
-            frames=32, rate_hz=10.0, seed=0, cadence_jitter=0.05
-        )
-        gaps = np.diff(model.arrivals(), prepend=0.0)
-        assert gaps[0] == 0.0  # a replay starts immediately
-        assert np.all(gaps[1:] >= 0.1 * 0.95)
-        assert np.all(gaps[1:] <= 0.1 * 1.05)
-
-    def test_consecutive_frames_are_temporally_correlated(self):
-        model = SequenceTraffic(
-            frames=8, rate_hz=10.0, seed=0, raw_points=200,
-            drift_per_frame=0.02, point_jitter=0.002,
-        )
-        items = model.items()
-        clouds = [item.request.cloud.points for item in items]
-        # Same raw size frame to frame (one warm shape key)...
-        assert {c.shape for c in clouds} == {(200, 3)}
-        # ...and consecutive frames are much closer to each other than to
-        # an independently sampled cloud: the mean per-point displacement
-        # between neighbours stays on the order of drift + jitter.
-        step = np.linalg.norm(clouds[1] - clouds[0], axis=1).mean()
-        assert step < 0.1
-        independent = SequenceTraffic(
-            frames=1, rate_hz=10.0, seed=99, raw_points=200
-        ).items()[0].request.cloud.points
-        far = np.linalg.norm(independent - clouds[0], axis=1).mean()
-        assert far > 2 * step
-
-    def test_drift_accumulates(self):
-        model = SequenceTraffic(
-            frames=12, rate_hz=10.0, seed=0, raw_points=100,
-            drift_per_frame=0.05, point_jitter=0.0,
-        )
-        clouds = [item.request.cloud.points for item in model.items()]
-        first_step = np.abs(clouds[1].mean(0) - clouds[0].mean(0)).sum()
-        total_drift = np.abs(clouds[-1].mean(0) - clouds[0].mean(0)).sum()
-        # A random walk wanders: the net displacement after 11 steps
-        # differs from a single step (and both are non-zero).
-        assert first_step > 0.0
-        assert total_drift != pytest.approx(first_step)
 
 
 # ----------------------------------------------------------------------
