@@ -457,15 +457,16 @@ def build_scenarios(quick: bool) -> List[Scenario]:
         )
     )
 
-    # --- sampling: wavefront OIS vs the frozen scalar loop ------------
+    # --- sampling: the OIS walk vs the frozen array-ranked loop -------
     # ``ois_sampling`` above measures the whole sampler against the fully
-    # scalar PR-2 reference; this scenario isolates the PR-9 rewrite by
-    # pitting the wavefront descent against ``ois_sample_scalar`` -- the
-    # pre-wavefront sampling loop frozen verbatim from PR 8 -- on a
+    # scalar dict-walk reference; this scenario isolates the sampling loop
+    # by pitting the per-pick list walk against ``ois_sample_scalar`` --
+    # the one-sample loop that ranks each level with array ops -- on a
     # pre-built octree (build cost excluded from both sides).  The sample
-    # count is deliberately large: the wavefront's win grows with the
-    # number of picks per frame, and the floor documents the promised
-    # factor at the paper's heaviest down-sampling shape.
+    # count is deliberately large, so per-frame set-up does not hide the
+    # per-pick cost, and the floor documents the promised factor at the
+    # paper's heaviest down-sampling shape.  The scenario keeps the name
+    # ``ois_wavefront`` so its history and baselines stay continuous.
     n_wf = sized(100_000, 8_000)
     k_wf = 8192 if not quick else 1024
     cloud_wf = sample_cad_shape(n_wf, shape="box", non_uniformity=0.3, seed=4)

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import inspect
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -87,18 +88,25 @@ class PreprocessingSummary:
 class PreprocessingResult:
     """Output of the Pre-processing Engine for one frame.
 
-    The *engine's* output: it holds the full octree and Octree-Table (the
-    Down-sampling Unit's working set, ~8 MB on a 100k-point frame).  A
-    :class:`~repro.session.Session` keeps only its :meth:`summary` in the
-    response.
+    The *engine's* output: it holds the full octree, and the Octree-Table
+    (the Down-sampling Unit's working set, ~8 MB on a 100k-point frame) on
+    first access of :attr:`octree_table`.  The engine prices the table from
+    its counts and never builds it.  A :class:`~repro.session.Session`
+    keeps only its :meth:`summary` in the response.
     """
 
     sampled: PointCloud
     sampling: SamplingResult
     octree: Octree
-    octree_table: OctreeTable
+    octree_table_entries: int
+    octree_table_bits: int
     breakdown: LatencyBreakdown
     onchip_megabits: float
+
+    @cached_property
+    def octree_table(self) -> OctreeTable:
+        """The frame's Octree-Table, built on first access."""
+        return OctreeTable.from_flat(self.octree)
 
     def total_seconds(self) -> float:
         return self.breakdown.total_seconds()
@@ -109,8 +117,8 @@ class PreprocessingResult:
             sampled=self.sampled,
             sampling=self.sampling,
             octree=self.octree.summary(),
-            octree_table_entries=len(self.octree_table),
-            octree_table_bits=self.octree_table.total_bits(),
+            octree_table_entries=self.octree_table_entries,
+            octree_table_bits=self.octree_table_bits,
             breakdown=self.breakdown,
             onchip_megabits=self.onchip_megabits,
         )
@@ -215,12 +223,16 @@ class PreprocessingEngine:
     def _finish_frame(
         self, cloud: PointCloud, octree: Octree, depth: int
     ) -> PreprocessingResult:
-        """Per-frame tail: table, down-sampling, cost accounting."""
+        """Per-frame tail: down-sampling, cost accounting."""
         num_samples = min(self.config.preprocessing.num_samples, cloud.num_points)
 
-        # Flat-path table construction: pure array work over the per-level
-        # code arrays, so the pointer tree stays unmaterialised end-to-end.
-        table = OctreeTable.from_flat(octree)
+        # The Octree-Table has one row per octree node, so its footprint
+        # follows from the octree's counts without building it.
+        table_entries = octree.num_nodes
+        entry_bits = OctreeTable.entry_bits_for(
+            depth, table_entries, cloud.num_points
+        )
+        table_bits = table_entries * entry_bits
 
         sampler, accepts_octree = self._sampler_entry(depth)
         if accepts_octree:
@@ -232,7 +244,7 @@ class PreprocessingEngine:
         breakdown.add("octree_build", self.octree_build_unit.seconds_for(octree.stats))
         breakdown.add(
             "table_transfer",
-            self.interconnect.octree_table_transfer_seconds(table.total_bits()),
+            self.interconnect.octree_table_transfer_seconds(table_bits),
         )
         breakdown.add(
             "downsampling",
@@ -240,8 +252,8 @@ class PreprocessingEngine:
         )
 
         onchip = ois_onchip_megabits(
-            num_table_entries=len(table),
-            entry_bits=table.entry_bits(),
+            num_table_entries=table_entries,
+            entry_bits=entry_bits,
             num_samples=num_samples,
         )
         budget = OnChipMemoryModel(
@@ -253,7 +265,8 @@ class PreprocessingEngine:
             sampled=sampling.sampled,
             sampling=sampling,
             octree=octree,
-            octree_table=table,
+            octree_table_entries=table_entries,
+            octree_table_bits=table_bits,
             breakdown=breakdown,
             onchip_megabits=onchip,
         )

@@ -33,10 +33,6 @@ Modules
 ``stencil``
     Cached Chebyshev offset stencils (shared by VEG and the octree neighbor
     helpers) and array-wide same-level neighbor code generation.
-``wavefront``
-    The fused multi-sample OIS descent primitive: greedy winner sequences
-    for a whole wavefront of speculative picks per level pass, resolved as
-    one ragged multiset ranking instead of per-pick argmax scans.
 ``reference``
     The retained scalar reference implementations (not imported eagerly --
     it depends on the higher-level geometry/octree modules).
@@ -75,10 +71,6 @@ from repro.kernels.distance import (
     iter_distance_chunks,
     pairwise_sq_dists,
     three_nearest,
-)
-from repro.kernels.wavefront import (
-    wavefront_level_winners,
-    wavefront_singleton_winners,
 )
 from repro.kernels.stencil import (
     chebyshev_codes,
@@ -120,6 +112,4 @@ __all__ = [
     "shell_codes_batch",
     "shell_offsets",
     "stencil_codes",
-    "wavefront_level_winners",
-    "wavefront_singleton_winners",
 ]

@@ -321,7 +321,7 @@ def ois_scalar(
 
 
 # ----------------------------------------------------------------------
-# OIS (pre-wavefront one-sample-at-a-time descent)
+# OIS (array-ranked one-sample-at-a-time descent)
 # ----------------------------------------------------------------------
 def ois_sample_scalar(
     cloud: PointCloud,
@@ -331,16 +331,16 @@ def ois_sample_scalar(
     seed: int = 0,
     octree: Optional[Octree] = None,
 ) -> Tuple[np.ndarray, OpCounters]:
-    """The pre-wavefront OIS loop; returns ``(indices, counters)``.
+    """The array-ranked OIS loop; returns ``(indices, counters)``.
 
     Frozen from ``OctreeIndexedSampler._run_sampling_loop`` as of PR 8:
     each pick runs one root-to-leaf walk over flat per-level code arrays
     (candidate ranking is one array-wide XOR+popcount per level), and the
     summary point is re-encoded before every descent.  "Scalar" here means
-    one *sample* at a time -- the wavefront sampler in
-    ``repro.sampling.ois`` speculates a whole block of picks per level
-    pass and must match this function bit for bit: same indices, same
-    counters, same RNG draw sequence in approximate mode.
+    one *sample* at a time.  The sampler in ``repro.sampling.ois`` walks
+    the same table over per-level Python lists, ranking each level by the
+    seed's 3-bit digit, and must match this function bit for bit: same
+    indices, same counters, same RNG draw sequence in approximate mode.
 
     Matches ``OctreeIndexedSampler.sample`` without the
     ``count_build_at_scale`` rescaling (benchmarks compare raw counts).

@@ -292,22 +292,27 @@ class OctreeTable:
     # ------------------------------------------------------------------
     # On-chip footprint (Figure 13)
     # ------------------------------------------------------------------
-    def entry_bits(self) -> int:
-        """Bits needed for one table row in the FPGA implementation.
+    @staticmethod
+    def entry_bits_for(depth: int, num_rows: int, num_points: int) -> int:
+        """Bits of one row of a ``num_rows``-row table over ``num_points``.
 
         A row stores: the m-code (3 bits per level), a leaf flag, eight child
         row indices (internal rows) or a start address + count (leaf rows).
         Row indices and addresses are sized for the actual table/point count,
-        rounded up to whole bits.
+        rounded up to whole bits.  Only these three counts enter, and a
+        table has one row per octree node, so a frame's footprint is known
+        from its octree without building the table.
         """
-        code_bits = 3 * self.depth
-        index_bits = max(1, int(np.ceil(np.log2(max(2, len(self))))))
-        address_bits = max(
-            1, int(np.ceil(np.log2(max(2, self.num_points + 1))))
-        )
+        code_bits = 3 * depth
+        index_bits = max(1, int(np.ceil(np.log2(max(2, num_rows)))))
+        address_bits = max(1, int(np.ceil(np.log2(max(2, num_points + 1)))))
         child_bits = 8 * index_bits
         leaf_bits = 2 * address_bits
         return code_bits + 1 + max(child_bits, leaf_bits)
+
+    def entry_bits(self) -> int:
+        """Bits needed for one table row in the FPGA implementation."""
+        return self.entry_bits_for(self.depth, len(self), self.num_points)
 
     def total_bits(self) -> int:
         """Total on-chip storage of the table in bits."""

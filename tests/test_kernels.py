@@ -100,6 +100,17 @@ class TestMortonKernels:
                 == codes[index]
             )
 
+    @pytest.mark.parametrize("depth", [1, 8, 15, 21])
+    def test_encode_point_scalar_every_depth(self, medium_cloud, depth):
+        """Cell indices past 7 bits take the upper spread chunks; the
+        padded box's far corner exercises the top-cell clip."""
+        box = medium_cloud.bounds().as_cube(padding=1e-9)
+        extent = np.where(box.size > 0, box.size, 1.0)
+        points = np.vstack([medium_cloud.points[::29], box.maximum])
+        codes = morton_encode_points(points, box, depth)
+        for point, code in zip(points, codes):
+            assert encode_point_scalar(point, box.minimum, extent, depth) == code
+
     def test_spread_axis_is_one_axis_of_the_code(self):
         """encode_cells is the OR of the per-axis spreads; an index-array
         ``axis`` spreads an axis-major table in one call."""

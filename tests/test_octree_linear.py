@@ -84,3 +84,16 @@ class TestFootprint:
             Octree.build(uniform_cube(4000, seed=0), depth=4)
         )
         assert big_table.total_bits() > small_table.total_bits()
+
+    @pytest.mark.parametrize("depth", [1, 5, 8, 21])
+    def test_footprint_from_counts_matches_the_built_table(self, depth):
+        """``entry_bits_for`` prices a table from the octree's counts alone
+        (one row per node), which is how the engine prices every frame."""
+        from repro.datasets.synthetic import lidar_scene
+
+        octree = Octree.build(lidar_scene(3000, seed=depth), depth=depth)
+        rows = octree.num_nodes
+        bits = OctreeTable.entry_bits_for(depth, rows, octree.cloud.num_points)
+        table = OctreeTable.from_flat(octree)
+        assert bits == table.entry_bits()
+        assert rows * bits == table.total_bits()

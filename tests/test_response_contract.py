@@ -17,6 +17,7 @@ from repro import HgPCNConfig, Session
 from repro.datasets.synthetic import lidar_scene
 from repro.octree.builder import Octree
 from repro.octree.linear import OctreeTable
+from repro.octree.memory_layout import HostMemoryLayout
 from repro.octree.node import OctreeNode
 from repro.serving import FrameServer, response_signature, signatures_equal
 from repro.serving.cluster.transport import encode_payload
@@ -125,3 +126,56 @@ class TestLidarShape:
         assert full.onchip_megabits == summary.onchip_megabits
         np.testing.assert_array_equal(full.sampling.indices, summary.sampling.indices)
         assert full.breakdown.as_dict() == summary.breakdown.as_dict()
+
+
+class TestUnbuiltWorkingSet:
+    """Serving a frame builds neither the Octree-Table nor the reorganised
+    host copy: the engine prices the table from the octree's counts, and
+    OIS walks the octree's own SFC permutation.  The table is still one
+    attribute access away on the engine's result."""
+
+    @pytest.fixture
+    def forbid_working_set(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("working set built on the serving path")
+
+        monkeypatch.setattr(OctreeTable, "from_flat", classmethod(refuse))
+        monkeypatch.setattr(HostMemoryLayout, "from_octree", classmethod(refuse))
+
+    @pytest.fixture(scope="class")
+    def lidar(self):
+        cloud = lidar_scene(20_000, seed=1001)
+        session = Session(
+            config=HgPCNConfig.for_task(512),
+            task="semantic_segmentation",
+            response_cache_size=0,
+        )
+        return session, cloud
+
+    def test_run_batch_and_summary_build_neither(self, lidar, forbid_working_set):
+        session, cloud = lidar
+        batch = session.run_batch([cloud, cloud])
+        assert len(batch.responses) == 2
+        full = session.preprocessing_engine.process(cloud)
+        summary = full.summary()
+        assert summary.octree_table_entries == full.octree.num_nodes
+        assert "octree_table" not in vars(full)
+
+    def test_octree_table_builds_on_access(self, lidar):
+        session, cloud = lidar
+        full = session.preprocessing_engine.process(cloud)
+        table = full.octree_table
+        assert full.octree_table is table
+        assert len(table) == full.octree_table_entries
+        assert table.total_bits() == full.octree_table_bits
+        rebuilt = OctreeTable.from_flat(full.octree)
+        for name in (
+            "codes", "levels", "leaf_flags", "child_bounds", "child_rows",
+            "child_octants", "addr_starts", "addr_ends",
+        ):
+            np.testing.assert_array_equal(
+                getattr(table, name), getattr(rebuilt, name)
+            )
+        assert (table.depth, table.num_points, table.root_index) == (
+            rebuilt.depth, rebuilt.num_points, rebuilt.root_index
+        )

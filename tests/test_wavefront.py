@@ -1,32 +1,31 @@
-"""Wavefront OIS vs the frozen scalar loop: bit-identity property tests.
+"""OIS walk vs the frozen scalar loop: bit-identity property tests.
 
-PR 9 rewrote ``OctreeIndexedSampler._run_sampling_loop`` as a speculative
-multi-sample wavefront descent; the pre-wavefront loop is frozen verbatim
-in :func:`repro.kernels.reference.ois_sample_scalar`.  The contract is
-strict bit-identity -- the same picked indices in the same order AND the
-same operation counters (node visits, Hamming evaluations, on-chip
-traffic) -- for every wavefront width, both exactness modes, any octree
-depth, and degenerate inputs (duplicate coordinates, ``k == n``).
+The sampler's ``_run_sampling_loop`` is one exact walk per pick over
+per-level Python lists; the one-sample-at-a-time array walk it must match
+is frozen in :func:`repro.kernels.reference.ois_sample_scalar`.  The
+contract is strict bit-identity -- the same picked indices in the same
+order AND the same operation counters (node visits, Hamming evaluations,
+on-chip traffic) -- in both exactness modes, at any octree depth, on
+degenerate inputs (duplicate coordinates, ``k == n``) and at the frame
+shapes the end-to-end workloads run.
 
-These tests are the randomised slice of the 400-case sweep used while
-developing the rewrite; the benchmark harness re-asserts the same
-contract at 100k-point scale on every run (``ois_wavefront`` scenario).
+The benchmark harness re-asserts the same contract at 100k-point scale on
+every run (``ois_wavefront`` scenario).
 """
 
 import numpy as np
 import pytest
 
+from repro.datasets.synthetic import lidar_scene, sample_cad_shape
 from repro.geometry.pointcloud import PointCloud
 from repro.kernels import reference as ref
 from repro.octree.builder import Octree
 from repro.sampling.ois import OctreeIndexedSampler
 
 
-def _assert_matches_frozen(cloud, k, depth=None, approximate=False, seed=7,
-                           wavefront=None):
+def _assert_matches_frozen(cloud, k, depth=None, approximate=False, seed=7):
     sampler = OctreeIndexedSampler(
-        octree_depth=depth, approximate=approximate, seed=seed,
-        wavefront=wavefront,
+        octree_depth=depth, approximate=approximate, seed=seed
     )
     result = sampler.sample(cloud, k)
     ref_indices, ref_counters = ref.ois_sample_scalar(
@@ -34,12 +33,6 @@ def _assert_matches_frozen(cloud, k, depth=None, approximate=False, seed=7,
     )
     np.testing.assert_array_equal(np.asarray(result.indices), ref_indices)
     assert result.counters.as_dict() == ref_counters.as_dict()
-    # Every pick is the seed, a scalar descent or a committed lane, and
-    # every launch commits at least its first lane.
-    wave = result.info["wavefront"]
-    assert 1 + wave["scalar_descents"] + wave["committed_lanes"] == k
-    assert wave["launches"] <= wave["committed_lanes"] <= wave["speculated_lanes"]
-    return wave
 
 
 def _random_cloud(rng, n, duplicates=False):
@@ -64,34 +57,9 @@ class TestWavefrontBitIdentity:
             _assert_matches_frozen(cloud, k, depth=depth,
                                    approximate=approximate)
 
-    @pytest.mark.parametrize("wavefront", [1, 2, 3, 257])
-    def test_every_wavefront_width_identical(self, wavefront):
-        """Width is purely a perf knob: W=1 degenerates to the scalar
-        walk, tiny widths stress the regroup/ramp logic, and a width far
-        above the sample count stresses truncation."""
-        rng = np.random.default_rng(42)
-        cloud = _random_cloud(rng, 900)
-        _assert_matches_frozen(cloud, 200, wavefront=wavefront)
-
-    def test_wavefront_info_separates_speculation_from_scalar_walk(self):
-        """``info["wavefront"]`` is the recorded commit rate: width 1 never
-        launches, the default width does and wastes some lanes."""
-        rng = np.random.default_rng(42)
-        cloud = _random_cloud(rng, 900)
-        serial = _assert_matches_frozen(cloud, 200, wavefront=1)
-        assert serial == {
-            "launches": 0,
-            "speculated_lanes": 0,
-            "committed_lanes": 0,
-            "scalar_descents": 199,
-        }
-        speculative = _assert_matches_frozen(cloud, 200)
-        assert speculative["launches"] > 0
-        assert speculative["committed_lanes"] < speculative["speculated_lanes"]
-
     def test_duplicate_coordinate_cloud(self):
         """Duplicate points collapse into shared leaves and force early
-        leaf exhaustion -- the drain path of the wavefront kernels."""
+        leaf exhaustion, so walks skip drained children."""
         rng = np.random.default_rng(7)
         base = rng.random((40, 3))
         points = np.concatenate([base] * 8, axis=0)
@@ -125,9 +93,27 @@ class TestWavefrontBitIdentity:
         assert result.counters.as_dict() == ref_counters.as_dict()
 
     def test_tiny_clouds(self):
-        """n small enough that the wavefront never leaves the ramp."""
+        """Clouds of one to nine points, sampled once and exhaustively."""
         rng = np.random.default_rng(3)
         for n in (1, 2, 3, 5, 9):
             cloud = _random_cloud(rng, n)
             for k in (1, n):
                 _assert_matches_frozen(cloud, k)
+
+    @pytest.mark.parametrize("approximate", [False, True])
+    def test_lidar_workload_shape(self, approximate):
+        """A ``lidar_scene`` frame at the LiDAR workloads' depth 8, down-
+        sampled to K = 2048: a deep, sparse table where long runs of picks
+        share the upper levels of the summary code."""
+        cloud = lidar_scene(30_000, seed=5)
+        _assert_matches_frozen(cloud, 2048, depth=8, approximate=approximate,
+                               seed=3)
+
+    @pytest.mark.parametrize("approximate", [False, True])
+    def test_cad_workload_shape(self, approximate):
+        """A ``sample_cad_shape`` frame at the classification workload's
+        shape: 4096 points at depth 5 down-sampled to K = 1024."""
+        cloud = sample_cad_shape(4096, shape="box", non_uniformity=0.3,
+                                 seed=9)
+        _assert_matches_frozen(cloud, 1024, depth=5, approximate=approximate,
+                               seed=3)
