@@ -38,9 +38,6 @@ import numpy as np
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
-from repro.core.config import HgPCNConfig  # noqa: E402
-from repro.core.engine import PreprocessingEngine  # noqa: E402
-from repro.core.framebatch import FrameBatch  # noqa: E402
 from repro.core.metrics import OpCounters  # noqa: E402
 from repro.datasets.synthetic import sample_cad_shape  # noqa: E402
 from repro.datastructuring.ballquery import BallQueryGatherer  # noqa: E402
@@ -54,7 +51,6 @@ from repro.kernels import reference as ref  # noqa: E402
 from repro.octree.builder import Octree  # noqa: E402
 from repro.octree.linear import OctreeTable  # noqa: E402
 from repro.octree.neighbors import neighbor_codes_batch  # noqa: E402
-from repro.parallel import available_cores  # noqa: E402
 from repro.sampling.fps import FarthestPointSampler  # noqa: E402
 from repro.sampling.ois import OctreeIndexedSampler  # noqa: E402
 
@@ -492,64 +488,6 @@ def build_scenarios(quick: bool) -> List[Scenario]:
             run_vectorized=run_wf_vec,
             run_reference=run_wf_ref,
             min_speedup=3.0 if not quick else 1.2,
-        )
-    )
-
-    # --- core: intra-batch parallel preprocessing ---------------------
-    # PreprocessingEngine.process_batch with 4 workers vs the serial loop
-    # (max_workers=1) on the same FrameBatch.  The per-frame tail (FPS
-    # down-sampling + octree table + latency pricing) spends its time in
-    # GIL-releasing NumPy kernels, so threads put real cores behind the
-    # batch; results join in frame order and must stay bit-identical.
-    # The absolute floor only binds where 4 cores actually exist -- on a
-    # single-core box the scenario is purely a determinism gate.
-    frames_bp = 4
-    n_bp = sized(60_000, 6_000)
-    k_bp = 2048 if not quick else 256
-    clouds_bp = [
-        sample_cad_shape(n_bp, shape="box", non_uniformity=0.3, seed=20 + i)
-        for i in range(frames_bp)
-    ]
-    batch_bp = FrameBatch.from_clouds(clouds_bp)
-    config_bp = HgPCNConfig.for_task(k_bp)
-    engine_bp_par = PreprocessingEngine(
-        config=config_bp, sampler_name="fps", max_workers=4
-    )
-    engine_bp_ser = PreprocessingEngine(
-        config=config_bp, sampler_name="fps", max_workers=1
-    )
-
-    def _preprocess_comparable(results):
-        return [
-            (
-                item.sampling.indices,
-                item.octree_table.codes,
-                item.onchip_megabits,
-                item.breakdown.total_seconds(),
-            )
-            for item in results
-        ]
-
-    def run_bp_vec():
-        return _preprocess_comparable(engine_bp_par.process_batch(batch_bp)), None
-
-    def run_bp_ref():
-        return _preprocess_comparable(engine_bp_ser.process_batch(batch_bp)), None
-
-    scenarios.append(
-        Scenario(
-            name="batch_preprocess_parallel",
-            stage="core",
-            params={
-                "frames": frames_bp,
-                "num_points": n_bp,
-                "num_samples": k_bp,
-                "workers": 4,
-                "effective_cores": available_cores(),
-            },
-            run_vectorized=run_bp_vec,
-            run_reference=run_bp_ref,
-            min_speedup=1.5 if available_cores() >= 4 else None,
         )
     )
 

@@ -101,11 +101,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="registered compute backend for the network layers "
              "(default: session default -- REPRO_BACKEND env or fused)",
     )
-    e2e.add_argument(
-        "--preprocess-workers", type=_positive_int, default=None,
-        help="intra-batch worker threads for the engine stage tails "
-             "(default: REPRO_PREPROCESS_WORKERS env, else serial)",
-    )
 
     serve = sub.add_parser(
         "serve",
@@ -156,7 +151,6 @@ def _run_e2e(
     accelerator: str = "hgpcn",
     batch_size: int = 0,
     backend: Optional[str] = None,
-    preprocess_workers: Optional[int] = None,
 ) -> int:
     task = _DATASET_TASKS[dataset]
     source = registry.create(
@@ -172,7 +166,7 @@ def _run_e2e(
     )
     session = Session(
         config=config, task=task, sampler=sampler, accelerator=accelerator,
-        backend=backend, preprocess_workers=preprocess_workers,
+        backend=backend,
     )
     frames = [
         FrameRequest.from_frame(source.generate_frame(i))
@@ -542,7 +536,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             accelerator=args.accelerator,
             batch_size=args.batch_size,
             backend=args.backend,
-            preprocess_workers=args.preprocess_workers,
         )
     if args.command == "serve":
         try:

@@ -43,7 +43,6 @@ from repro.network.pointnet2 import ForwardResult, build_model_for_task
 from repro.network.workload import NetworkWorkload, extract_workload
 from repro.octree.builder import Octree, OctreeSummary
 from repro.octree.linear import OctreeTable
-from repro.parallel import ordered_map
 from repro.sampling.base import Sampler, SamplingResult
 
 
@@ -146,10 +145,6 @@ class PreprocessingEngine:
     #: Extra keyword arguments forwarded to the sampler factory.  These win
     #: over the engine-derived defaults (octree depth, seed, ...).
     sampler_options: Dict[str, Any] = field(default_factory=dict)
-    #: Intra-batch worker count for :meth:`process_batch` (frames of one
-    #: batch finish on different cores, joined in frame order).  ``None``
-    #: defers to ``REPRO_PREPROCESS_WORKERS``, then serial.
-    max_workers: Optional[int] = None
     #: Warm sampler cache keyed by (sampler_name, octree depth):
     #: (sampler, accepts_octree).  Keyed on the name so reassigning
     #: ``sampler_name`` on a warm engine takes effect; ``sampler_options``
@@ -201,24 +196,18 @@ class PreprocessingEngine:
         (every member down-samples to the same shape), and the per-frame
         octrees come out of one :meth:`Octree.build_batch` kernel sequence
         -- one stacked m-code encode and one stacked sort for all frames.
-        Sampling and the latency/on-chip accounting stay per frame --
-        spread over ``max_workers`` cores when configured -- and every
-        returned :class:`PreprocessingResult` is bit-identical to
-        processing that frame alone, for any worker count: the per-frame
-        tail is pure (fresh sampler RNG per frame) and results join in
-        frame order.
+        Sampling and the latency/on-chip accounting stay per frame, in
+        frame order, and every returned :class:`PreprocessingResult` is
+        bit-identical to processing that frame alone: the per-frame tail
+        is pure (fresh sampler RNG per frame).
         """
         pre = self.config.preprocessing
         depth = pre.octree_depth or suggest_depth(batch.num_points)
         octrees = Octree.build_batch(batch.clouds, depth=depth)
-        # Warm the sampler cache on the calling thread so the parallel
-        # per-frame tails never race the cache fill.
-        self._sampler_entry(depth)
-        return ordered_map(
-            lambda pair: self._finish_frame(pair[0], pair[1], depth),
-            zip(batch.clouds, octrees),
-            max_workers=self.max_workers,
-        )
+        return [
+            self._finish_frame(cloud, octree, depth)
+            for cloud, octree in zip(batch.clouds, octrees)
+        ]
 
     def _finish_frame(
         self, cloud: PointCloud, octree: Octree, depth: int
@@ -333,10 +322,6 @@ class InferenceEngine:
     #: Compute backend name executing the dense layers (``None`` = process
     #: default: ``REPRO_BACKEND`` env when set, else fused).
     backend: Optional[str] = None
-    #: Intra-batch worker count for the per-frame tail of
-    #: :meth:`process_batch` (workload extraction + accelerator pricing).
-    #: ``None`` defers to ``REPRO_PREPROCESS_WORKERS``, then serial.
-    max_workers: Optional[int] = None
     #: Warm model cache, keyed by (task, input_size, feature_channels,
     #: backend name).
     _warm: Dict[Tuple[str, int, int, str], InferenceWarmState] = field(
@@ -406,14 +391,10 @@ class InferenceEngine:
             warms.append(state.uses > 0)
             state.uses += 1
         forwards = state.model.forward_batch(batch)
-        # Resolve the accelerator probe on the calling thread so the
-        # parallel per-frame tails only read it.
-        self._ensure_measured_probe()
-        return ordered_map(
-            lambda args: self._finish_execution(*args),
-            zip(batch.clouds, forwards, warms),
-            max_workers=self.max_workers,
-        )
+        return [
+            self._finish_execution(sampled, forward, warm)
+            for sampled, forward, warm in zip(batch.clouds, forwards, warms)
+        ]
 
     def _finish_execution(
         self, sampled: PointCloud, forward: ForwardResult, warm: bool

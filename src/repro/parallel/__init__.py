@@ -1,28 +1,12 @@
-"""Deterministic intra-batch stage parallelism.
+"""The core budget of a forked serving worker.
 
-The serving layer already spreads *requests* over workers; this package
-spreads the frames of one :class:`~repro.core.batch.FrameBatch` over cores
-*inside* a single engine stage (octree table + down-sampling, workload
-extraction + pricing).  The contract is the one the serving worker pool
-honors: results are joined in submission order, so a stage that is pure
-per frame produces output bit-identical to the serial loop for any worker
-count.  :mod:`repro.parallel.blas` is the other half of the core budget:
-it caps the BLAS pool of a forked serving worker to its share of cores.
+NumPy's BLAS sizes its thread pool to every visible core; ``W`` forked
+serving workers would each spin that many threads.  :mod:`repro.parallel.blas`
+caps a worker's pool to its ``cores // W`` share.  Frames of one batch
+finish in a plain loop inside each engine: there is no thread pool below
+the serving layer.
 """
 
 from repro.parallel.blas import available_cores, limit_blas_threads
-from repro.parallel.executor import (
-    DEFAULT_WORKERS_ENV,
-    ordered_map,
-    resolve_workers,
-    shutdown_pools,
-)
 
-__all__ = [
-    "DEFAULT_WORKERS_ENV",
-    "available_cores",
-    "limit_blas_threads",
-    "ordered_map",
-    "resolve_workers",
-    "shutdown_pools",
-]
+__all__ = ["available_cores", "limit_blas_threads"]

@@ -334,12 +334,6 @@ class ExecutionConfig:
         0, type=nonnegative_int,
         help="stacked-rows cap per dispatch (0 = session default)",
     )
-    preprocess_workers: Optional[int] = _flag(
-        None, type=positive_int,
-        help="intra-batch worker threads inside each serving worker's "
-             "engine stage tails (default: REPRO_PREPROCESS_WORKERS "
-             "env, else serial)",
-    )
 
 
 @dataclass
@@ -493,7 +487,6 @@ class ServeConfig:
             accelerator=self.execution.accelerator,
             response_cache_size=0,
             backend=self.execution.backend,
-            preprocess_workers=self.execution.preprocess_workers,
         )
         if self.execution.batch_rows_budget:
             options["batch_rows_budget"] = self.execution.batch_rows_budget

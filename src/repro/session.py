@@ -97,11 +97,28 @@ class SubmitOptions:
 
 @dataclass(frozen=True)
 class FrameRequest:
-    """One frame submitted to a :class:`Session`."""
+    """One frame submitted to a :class:`Session`.
+
+    Construction is the input boundary: a frame with no points or with a
+    NaN / inf coordinate or feature raises :class:`ValueError` here, naming
+    the frame, instead of failing inside a kernel or a serving worker.
+    """
 
     cloud: PointCloud
     frame_id: str = "frame"
     timestamp: Optional[float] = None
+
+    def __post_init__(self) -> None:
+        cloud = self.cloud
+        if cloud.num_points == 0:
+            defect = "has no points"
+        elif not np.isfinite(cloud.points).all():
+            defect = "has a non-finite (NaN or inf) coordinate"
+        elif cloud.features is not None and not np.isfinite(cloud.features).all():
+            defect = "has a non-finite (NaN or inf) feature"
+        else:
+            return
+        raise ValueError(f"frame {self.frame_id!r} {defect}")
 
     @classmethod
     def from_frame(cls, frame: Frame) -> "FrameRequest":
@@ -235,12 +252,6 @@ class Session:
         bit-identity reference).  The backend is part of the warm-model
         cache key and is inherited by serving workers built from this
         session's options.
-    preprocess_workers:
-        Intra-batch worker count for the engines' ``process_batch`` stage
-        tails (frames of one batch finish on different cores, joined in
-        frame order -- :meth:`run_batch` output is bit-identical for any
-        value).  ``None`` defers to the ``REPRO_PREPROCESS_WORKERS``
-        environment variable, then serial.
     """
 
     def __init__(
@@ -252,7 +263,6 @@ class Session:
         response_cache_size: int = 64,
         batch_rows_budget: Optional[int] = None,
         backend: Optional[str] = None,
-        preprocess_workers: Optional[int] = None,
     ):
         self.config = config if config is not None else HgPCNConfig()
         self.task = task
@@ -260,24 +270,16 @@ class Session:
             # Fail fast on typos: resolve through the registry up front
             # rather than at the first forward pass.
             registry.get_factory("backend", backend)
-        if preprocess_workers is not None and int(preprocess_workers) < 1:
-            raise ValueError(
-                f"preprocess_workers must be >= 1, got {preprocess_workers}"
-            )
         if isinstance(accelerator, str):
             accelerator = registry.create("accelerator", accelerator)
-        self.preprocess_workers = preprocess_workers
         self.preprocessing_engine = PreprocessingEngine(
-            config=self.config,
-            sampler_name=sampler,
-            max_workers=preprocess_workers,
+            config=self.config, sampler_name=sampler
         )
         self.inference_engine = InferenceEngine(
             config=self.config,
             accelerator=accelerator,
             task=task,
             backend=backend,
-            max_workers=preprocess_workers,
         )
         self.backend = resolve_backend(backend).name
         self.response_cache_size = max(0, int(response_cache_size))
@@ -333,7 +335,6 @@ class Session:
             "response_cache_entries": len(self._response_cache),
             "response_cache_hits": self.cache_hits,
             "backend": self.backend,
-            "preprocess_workers": self.preprocess_workers,
         }
 
     # -- single-frame path ---------------------------------------------

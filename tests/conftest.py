@@ -3,15 +3,53 @@
 All fixtures generate small clouds (hundreds to a few thousand points) so
 the functional algorithms stay fast; paper-scale behaviour is covered by the
 analytic counter models, which are exercised separately.
+
+Every test also runs under a wall-clock alarm (:func:`_fail_on_hang`), so a
+hang fails the test that hung, by name, instead of stalling the suite.
 """
 
 from __future__ import annotations
+
+import signal
+import threading
 
 import numpy as np
 import pytest
 
 from repro.geometry.pointcloud import PointCloud
 from repro.datasets.synthetic import gaussian_clusters, lidar_scene, sample_cad_shape
+
+#: Seconds a test may run before SIGALRM fails it.  Well past CI's
+#: ``faulthandler_timeout=120``, which dumps every thread's stack first.
+TEST_TIMEOUT_SECONDS = 300
+
+
+@pytest.fixture(autouse=True)
+def _fail_on_hang(request):
+    """Fail the running test if it is still running after
+    :data:`TEST_TIMEOUT_SECONDS`.
+
+    The alarm is armed on the main thread only (signals are delivered
+    there) and the previous handler is restored afterwards.  A forked pool
+    child does not inherit the pending alarm.
+    """
+    if threading.current_thread() is not threading.main_thread():
+        yield
+        return
+
+    def on_alarm(signum, frame):
+        pytest.fail(
+            f"{request.node.nodeid} still running after "
+            f"{TEST_TIMEOUT_SECONDS} s"
+        )
+
+    previous = signal.signal(signal.SIGALRM, on_alarm)
+    signal.alarm(TEST_TIMEOUT_SECONDS)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 @pytest.fixture

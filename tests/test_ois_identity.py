@@ -44,7 +44,7 @@ def _random_cloud(rng, n, duplicates=False):
     return PointCloud(points=points)
 
 
-class TestWavefrontBitIdentity:
+class TestOISWalkBitIdentity:
     @pytest.mark.parametrize("trial", range(12))
     def test_random_clouds_random_depths(self, trial):
         """Random sizes, depths, and sample counts, both modes."""

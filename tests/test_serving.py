@@ -635,7 +635,7 @@ class TestServeCLI:
             if isinstance(action.default, list):  # repeatable flag
                 default = list(default)
             assert action.default == default, action.option_strings
-        assert len(flags) == 32
+        assert len(flags) == 31
         assert ServeConfig.from_args(parser.parse_args([])) == ServeConfig()
 
     @pytest.mark.parametrize(

@@ -1,5 +1,7 @@
 """Unit tests for the session-based pipeline API (repro.session)."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,8 @@ from repro.core.config import (
 from repro.core.pipeline import SequenceResult
 from repro.datasets import KittiLikeDataset
 from repro.datasets.synthetic import sample_cad_shape
+from repro.geometry.pointcloud import PointCloud
+from repro.serving import FrameServer
 from repro.session import BatchResult, FrameRequest, FrameResponse, Session
 
 
@@ -48,6 +52,56 @@ class TestFrameRequest:
         c = FrameRequest(cloud=make_cloud(1))
         assert a.content_digest() == b.content_digest()
         assert a.content_digest() != c.content_digest()
+
+
+def malformed_cloud(defect: str) -> PointCloud:
+    """A 64-point cloud carrying one input defect."""
+    cloud = make_cloud(0, points=64)
+    points, features = cloud.points.copy(), np.ones((64, 1))
+    if defect == "nan":
+        points[5, 1] = np.nan
+    elif defect == "inf":
+        points[7, 0] = -np.inf
+    elif defect == "empty":
+        points, features = points[:0], features[:0]
+    elif defect == "nonfinite_feature":
+        features[3, 0] = np.nan
+    return PointCloud(points=points, features=features)
+
+
+@pytest.mark.parametrize(
+    "defect, message",
+    [
+        ("nan", "has a non-finite (NaN or inf) coordinate"),
+        ("inf", "has a non-finite (NaN or inf) coordinate"),
+        ("empty", "has no points"),
+        ("nonfinite_feature", "has a non-finite (NaN or inf) feature"),
+    ],
+    ids=["nan", "inf", "empty", "nonfinite_feature"],
+)
+def test_malformed_frame_rejected_at_the_request_boundary(defect, message):
+    """A malformed frame raises one ValueError naming the frame and the
+    defect when its request is built -- through ``run_batch`` and through
+    ``FrameServer.submit`` -- and the session and server stay usable."""
+    cloud = malformed_cloud(defect)
+    with pytest.raises(ValueError, match=f"frame 'bad' {re.escape(message)}"):
+        FrameRequest(cloud=cloud, frame_id="bad")
+
+    session = Session(config=small_config(), task="classification")
+    with pytest.raises(ValueError, match=f"frame 'frame0000' {re.escape(message)}"):
+        session.run_batch([cloud])
+    assert session.frames_processed == 0
+    assert len(session.run_batch([make_cloud(1)])) == 1
+
+    with FrameServer(
+        session_factory=lambda: Session(config=small_config(), task="classification"),
+        num_workers=1,
+    ) as server:
+        with pytest.raises(ValueError, match=re.escape(message)):
+            server.submit(cloud)
+        response = server.submit(make_cloud(1)).result(timeout=60.0)
+    assert response.predicted_labels().shape == (1,)
+    assert server.metrics.snapshot()["requests"]["submitted"] == 1
 
 
 class TestWarmState:
