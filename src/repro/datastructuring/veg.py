@@ -41,7 +41,12 @@ from repro.core.metrics import OpCounters
 from repro.datastructuring.base import Gatherer, GatherResult
 from repro.geometry.pointcloud import PointCloud
 from repro.geometry.voxelgrid import VoxelGrid, suggest_depth
-from repro.kernels import decode_cells, gather_ragged, segment_boundaries
+from repro.kernels import (
+    decode_cells,
+    gather_ragged,
+    segment_boundaries,
+    sort_codes,
+)
 
 
 @dataclass
@@ -311,8 +316,7 @@ class VoxelExpandedGatherer(Gatherer):
         # Group the visited voxels by centroid; the stable sort preserves the
         # radius-then-stencil enumeration order inside each group, so the
         # flattened candidates match the scalar shell concatenation exactly.
-        grouped = np.argsort(rows_all, kind="stable")
-        rows_sorted = rows_all[grouped]
+        grouped, rows_sorted = sort_codes(rows_all)
         positions_sorted = positions_all[grouped]
         radius_sorted = radius_all[grouped]
 

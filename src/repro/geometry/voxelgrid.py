@@ -7,14 +7,17 @@ down-sampling baseline both operate on this structure, so it is factored out
 of the octree proper.
 
 The grid is array-backed (stable sort order + unique codes + bucket
-starts/counts from :mod:`repro.kernels.bucketing`); voxel membership is a
-``searchsorted`` and shell enumeration is one vectorised encode over the
-precomputed Chebyshev offset stencil rather than a per-voxel Python loop.
+starts/counts from :mod:`repro.kernels.bucketing`).  VEG's shell lookups
+find a voxel by address -- one read of a dense slot table indexed by
+m-code, the DSU's locate-voxel stage -- and shell enumeration is one
+vectorised encode over the precomputed Chebyshev offset stencil rather
+than a per-voxel Python loop.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, Iterable, List, Tuple
 
 import numpy as np
@@ -29,6 +32,12 @@ from repro.kernels import (
     shell_offsets,
     stencil_codes,
 )
+
+
+#: Deepest grid given a dense slot table: ``8**6`` int32 slots, 1 MiB.
+#: Every VEG grid is shallower (``suggest_depth`` of <= 2048 points is 5);
+#: deeper grids look voxels up by binary search instead.
+_SLOT_TABLE_MAX_DEPTH = 6
 
 
 @dataclass
@@ -79,6 +88,21 @@ class VoxelGrid:
     @property
     def num_occupied_voxels(self) -> int:
         return int(self.unique_codes.shape[0])
+
+    @cached_property
+    def slot_table(self) -> np.ndarray:
+        """Occupied-voxel position of every cell, indexed by m-code.
+
+        ``int32`` of length ``8**depth``, -1 where the cell is empty.  Built
+        by the first :meth:`shell_positions_batch` on a grid of depth <= 6,
+        so grids that never expand shells (down-sampling, quality
+        analysis) never allocate it.
+        """
+        table = np.full(1 << (3 * self.depth), -1, dtype=np.int32)
+        table[self.unique_codes] = np.arange(
+            self.num_occupied_voxels, dtype=np.int32
+        )
+        return table
 
     def occupied_codes(self) -> np.ndarray:
         """Sorted m-codes of the non-empty voxels (read-only view)."""
@@ -139,14 +163,20 @@ class VoxelGrid:
         -------
         ``(positions, found)`` of shape ``(M, S)`` where ``S`` is the stencil
         size: ``positions`` indexes the occupied-voxel arrays and ``found``
-        masks in-bounds, occupied stencil entries.  Within each row the
+        masks in-bounds, occupied stencil entries.  Positions of entries
+        outside ``found`` are still valid indices.  Within each row the
         stencil order matches the scalar ``shell_codes`` enumeration.
         """
         codes, in_bounds = stencil_codes(
             center_cells, shell_offsets(radius), self.depth
         )
-        positions, occupied = lookup_sorted(self.unique_codes, codes)
-        return positions, in_bounds & occupied
+        if self.depth > _SLOT_TABLE_MAX_DEPTH:
+            positions, occupied = lookup_sorted(self.unique_codes, codes)
+            return positions, in_bounds & occupied
+        positions = self.slot_table[codes]
+        found = in_bounds & (positions >= 0)
+        np.maximum(positions, 0, out=positions)
+        return positions, found
 
     def shell_codes(self, center_code: int, radius: int) -> List[int]:
         """Occupied voxel codes on the Chebyshev shell at ``radius``.

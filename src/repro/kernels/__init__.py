@@ -23,9 +23,9 @@ Modules
     Batched Morton (m-code) encode/decode via bit-spreading magic constants,
     and XOR+popcount Hamming distance over int64 code arrays.
 ``bucketing``
-    ``argsort``/``searchsorted``/``bincount``-based voxel bucketing and
-    ragged gathers (concatenating many variable-length buckets without a
-    Python loop).
+    Packed-key code sorting (a plain ``np.sort`` that equals the stable
+    argsort), run-mask voxel bucketing and ragged gathers (concatenating
+    many variable-length buckets without a Python loop).
 ``distance``
     Streamed (per-coordinate) pairwise squared distances, grouped top-k
     selection via ``argpartition`` and the blocked three-nearest search of
@@ -59,11 +59,13 @@ from repro.kernels.morton import (
     spread_axis,
 )
 from repro.kernels.bucketing import (
+    bucket_sorted,
     bucketize_codes,
     gather_ragged,
     isin_sorted,
     lookup_sorted,
     segment_boundaries,
+    sort_codes,
     unique_sorted,
 )
 from repro.kernels.distance import (
@@ -96,11 +98,13 @@ __all__ = [
     "hamming_codes",
     "popcount64",
     "spread_axis",
+    "bucket_sorted",
     "bucketize_codes",
     "gather_ragged",
     "isin_sorted",
     "lookup_sorted",
     "segment_boundaries",
+    "sort_codes",
     "unique_sorted",
     "grouped_topk",
     "iter_distance_chunks",

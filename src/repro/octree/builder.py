@@ -21,9 +21,14 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from repro.geometry.bbox import AxisAlignedBox
-from repro.geometry.morton import voxel_center
+from repro.geometry.morton import MAX_DEPTH, voxel_center
 from repro.geometry.pointcloud import PointCloud
-from repro.kernels import unique_sorted
+from repro.kernels import (
+    bucket_sorted,
+    sort_codes,
+    spread_axis,
+    unique_sorted,
+)
 from repro.octree.node import OctreeNode
 
 
@@ -119,25 +124,37 @@ class Octree:
 
         The construction is vectorised, which mirrors the single-pass
         nature of the hardware algorithm while staying fast in Python: the
-        heavy kernel work is issued once for the whole stack -- one
-        bit-spreading m-code encode over the ``(B * N, 3)`` voxel indices
-        and one stable ``argsort`` over the ``(B, N)`` code matrix -- while
-        the per-frame assembly (unique leaf codes, node counting, stats)
-        stays frame-local, so a frame's octree (codes, permutation, stats,
-        box) does not depend on its batch.
+        heavy kernel work is issued once for the whole stack -- bounds and
+        quantisation over one contiguous axis-major ``(3, B, N)`` copy of
+        the points, an m-code that is the OR of three per-axis bit spreads,
+        and one packed-key sort (:func:`repro.kernels.sort_codes`, equal to
+        a stable ``argsort``) over the ``(B, N)`` code matrix -- while the
+        per-frame assembly (leaf buckets, node counting, stats) stays
+        frame-local, so a frame's octree (codes, permutation, stats, box)
+        does not depend on its batch.
         """
-        from repro.kernels import encode_cells, stack_frames
-
         clouds = list(clouds)
         if not clouds:
             return []
-        for cloud in clouds:
+        if not 1 <= depth <= MAX_DEPTH:
+            raise ValueError(f"depth must be in [1, {MAX_DEPTH}]; got {depth}")
+        shape = clouds[0].points.shape
+        for b, cloud in enumerate(clouds):
             if cloud.num_points == 0:
                 raise ValueError("cannot build an octree over an empty cloud")
+            if cloud.points.shape != shape:
+                raise ValueError(
+                    f"frame {b} has shape {cloud.points.shape}, "
+                    f"expected {shape}"
+                )
 
-        points = stack_frames([cloud.points for cloud in clouds])  # (B, N, 3)
-        minima = points.min(axis=1)
-        maxima = points.max(axis=1)
+        # Axis-major, so every reduction and elementwise step below runs
+        # over contiguous length-N rows instead of a length-3 inner axis.
+        coords = np.empty((3, len(clouds), shape[0]), dtype=np.float64)
+        for b, cloud in enumerate(clouds):
+            coords[:, b, :] = cloud.points.T
+        minima = coords.min(axis=2).T
+        maxima = coords.max(axis=2).T
         boxes: List[AxisAlignedBox] = []
         for b, cloud in enumerate(clouds):
             bounds = AxisAlignedBox(minimum=minima[b], maximum=maxima[b])
@@ -145,41 +162,38 @@ class Octree:
                 cloud._bounds_cache = bounds
             boxes.append(bounds.as_cube(padding=padding))
 
-        # Per-frame voxel indices, same elementwise recipe as
-        # ``geometry.morton.voxel_indices`` but broadcast over the stack.
+        # Per-frame voxel indices, the same elementwise IEEE recipe as
+        # ``geometry.morton.voxel_indices`` (subtract, divide, scale, floor,
+        # cast, clip), done in place over the stack.
         resolution = 1 << depth
-        cube_min = np.stack([box.minimum for box in boxes])
-        cube_size = np.stack([box.size for box in boxes])
+        cube_min = np.stack([box.minimum for box in boxes], axis=1)
+        cube_size = np.stack([box.size for box in boxes], axis=1)
         extent = np.where(cube_size > 0, cube_size, 1.0)
-        relative = (points - cube_min[:, None, :]) / extent[:, None, :]
-        indices = np.floor(relative * resolution).astype(np.int64)
+        coords -= cube_min[:, :, None]
+        coords /= extent[:, :, None]
+        coords *= resolution
+        np.floor(coords, out=coords)
+        indices = coords.astype(np.int64)
         np.clip(indices, 0, resolution - 1, out=indices)
 
-        codes = encode_cells(indices.reshape(-1, 3), depth).reshape(
-            len(clouds), -1
-        )
-        orders = np.argsort(codes, axis=1, kind="stable")
+        codes = (
+            spread_axis(indices[0], 0)
+            | spread_axis(indices[1], 1)
+            | spread_axis(indices[2], 2)
+        ).view(np.int64)
+        orders, sorted_codes = sort_codes(codes)
 
-        octrees: List["Octree"] = []
-        for b, cloud in enumerate(clouds):
-            frame_codes = codes[b]
-            order = orders[b]
-            sorted_codes = frame_codes[order]
-            unique_codes, starts = np.unique(sorted_codes, return_index=True)
-            counts = np.diff(np.append(starts, sorted_codes.shape[0]))
-            octrees.append(
-                cls._assemble(
-                    cloud,
-                    depth,
-                    boxes[b],
-                    frame_codes,
-                    order,
-                    unique_codes.astype(np.int64),
-                    starts.astype(np.intp),
-                    counts.astype(np.intp),
-                )
+        return [
+            cls._assemble(
+                cloud,
+                depth,
+                boxes[b],
+                codes[b],
+                orders[b],
+                *bucket_sorted(sorted_codes[b]),
             )
-        return octrees
+            for b, cloud in enumerate(clouds)
+        ]
 
     @classmethod
     def _assemble(
@@ -345,7 +359,7 @@ class Octree:
 
     def _sfc_order_cached(self) -> np.ndarray:
         if self._sfc_order is None:
-            self._sfc_order = np.argsort(self.point_codes, kind="stable")
+            self._sfc_order = sort_codes(self.point_codes)[0]
         return self._sfc_order
 
     def _ensure_buckets(self) -> None:
@@ -406,7 +420,7 @@ class Octree:
         """Point indices concatenated in leaf-SFC order (read-only view).
 
         Equal to the per-leaf concatenation (each leaf stores a stable
-        ascending-code sort slice), computed as one stable argsort instead
+        ascending-code sort slice), computed as one packed-key sort instead
         of an O(leaves) concatenate.  The view is read-only because the
         underlying permutation is shared with the lazy tree and the
         host-memory layout.

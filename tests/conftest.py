@@ -87,3 +87,21 @@ def featured_cloud(rng) -> PointCloud:
     points = rng.uniform(0, 1, size=(300, 3))
     features = rng.normal(size=(300, 4))
     return PointCloud(points=points, features=features)
+
+
+@pytest.fixture
+def degenerate_clouds() -> dict:
+    """Clouds whose extent collapses: one point, all duplicates, a plane
+    (z = 0) and a line (y = z = 0)."""
+    rng = np.random.default_rng(21)
+    plane = rng.uniform(-1, 1, size=(600, 3))
+    plane[:, 2] = 0.0
+    line = rng.uniform(-1, 1, size=(600, 3))
+    line[:, 1:] = 0.0
+    point = np.array([[0.3, -2.0, 5.0]])
+    return {
+        "one_point": PointCloud(points=point),
+        "all_duplicates": PointCloud(points=np.tile(point, (500, 1))),
+        "plane_z0": PointCloud(points=plane),
+        "line_y0_z0": PointCloud(points=line),
+    }

@@ -1,12 +1,16 @@
 """Unit tests for Voxel-Expanded Gathering (VEG)."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from repro.datastructuring.base import pick_random_centroids
 from repro.datastructuring.knn import BruteForceKNN
 from repro.datastructuring.veg import VoxelExpandedGatherer
+from repro.geometry.pointcloud import PointCloud
 from repro.geometry.voxelgrid import VoxelGrid
+from repro.kernels import reference as ref
 
 
 def mean_recall(veg_result, knn_result) -> float:
@@ -138,3 +142,34 @@ class TestSemiApproximate:
         # Semi-approximate keeps most of the true neighbors (the inner shells
         # are still exact).
         assert mean_recall(semi, knn) > 0.5
+
+
+class TestLastShellTieOrder:
+    """On an integer lattice exact distance ties are everywhere.
+
+    The batched gatherer keeps ``veg_scalar``'s per-centroid ``np.argsort``
+    of the last shell's distances, so which of several equidistant
+    candidates fill the last slots is the reference's choice, bit for bit.
+    """
+
+    @pytest.mark.parametrize("depth", [2, 3, 4])
+    @pytest.mark.parametrize("neighbors", [16, 40, 64, 100])
+    def test_rows_equal_scalar_reference(self, depth, neighbors):
+        axis = np.arange(12, dtype=np.float64)
+        lattice = PointCloud(
+            points=np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), -1)
+            .reshape(-1, 3)
+        )
+        centroids = pick_random_centroids(lattice, 48, seed=depth)
+        result = VoxelExpandedGatherer(depth=depth).gather(
+            lattice, centroids, neighbors
+        )
+        rows, counters, stage_stats = ref.veg_scalar(
+            lattice, centroids, neighbors, depth=depth
+        )
+        assert np.array_equal(result.neighbor_indices, rows)
+        assert dataclasses.asdict(result.counters) == dataclasses.asdict(counters)
+        assert [
+            dataclasses.astuple(stats)
+            for stats in result.info["run_stats"].per_centroid
+        ] == stage_stats

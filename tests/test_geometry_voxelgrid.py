@@ -1,9 +1,15 @@
 """Unit tests for repro.geometry.voxelgrid."""
 
+import itertools
+
 import numpy as np
 import pytest
 
+from repro.analysis.quality import compare_samplers, registered_samplers
+from repro.geometry.pointcloud import PointCloud
 from repro.geometry.voxelgrid import VoxelGrid, suggest_depth
+from repro.kernels import decode_cells, lookup_sorted, shell_offsets
+from repro.kernels import reference as ref
 
 
 class TestVoxelGrid:
@@ -63,6 +69,78 @@ class TestVoxelGrid:
     def test_cell_size(self, small_cloud):
         grid = VoxelGrid.build(small_cloud, depth=2)
         assert np.allclose(grid.cell_size(), grid.box.size / 4)
+
+
+def boundary_cells(resolution: int) -> np.ndarray:
+    """Every corner, edge-midpoint and face-centre cell of the grid."""
+    mid = resolution // 2
+    ends = (0, resolution - 1)
+    cells = set()
+    for axes in itertools.product((ends, (mid,)), repeat=3):
+        cells.update(itertools.product(*axes))
+    return np.array(sorted(cells), dtype=np.int64)
+
+
+def occupied_cells(grid: VoxelGrid, rng: np.random.Generator) -> np.ndarray:
+    """Cells of up to 40 occupied voxels of ``grid``."""
+    picks = rng.choice(
+        grid.unique_codes, size=min(40, grid.num_occupied_voxels), replace=False
+    )
+    return decode_cells(picks, grid.depth)
+
+
+class TestSlotTable:
+    """``shell_positions_batch`` by address agrees with the binary search."""
+
+    @pytest.mark.parametrize("depth", [1, 2, 3, 4, 5, 6, 7, 8])
+    @pytest.mark.parametrize("radius", [0, 1, 2, 3])
+    def test_shell_positions_equal_lookup_sorted(self, depth, radius):
+        rng = np.random.default_rng(depth)
+        cloud = PointCloud(points=rng.uniform(-1, 1, size=(3000, 3)))
+        grid = VoxelGrid.build(cloud, depth)
+        cells = np.concatenate(
+            [boundary_cells(grid.resolution), occupied_cells(grid, rng)]
+        )
+
+        positions, found = grid.shell_positions_batch(cells, radius)
+        codes, in_bounds = ref.stencil_codes_dense(
+            cells, shell_offsets(radius), depth
+        )
+        expected, occupied = lookup_sorted(grid.unique_codes, codes)
+        assert np.array_equal(found, in_bounds & occupied)
+        assert np.array_equal(positions[found], expected[found])
+        assert positions.min() >= 0
+        # Depths past the table bound keep the binary search.
+        assert ("slot_table" in vars(grid)) == (depth <= 6)
+
+    def test_table_marks_empty_cells(self, small_cloud):
+        grid = VoxelGrid.build(small_cloud, 3)
+        table = grid.slot_table
+        assert table.shape == (8**3,) and table.dtype == np.int32
+        assert np.array_equal(
+            np.flatnonzero(table >= 0), grid.unique_codes
+        )
+        assert np.array_equal(
+            table[grid.unique_codes], np.arange(grid.num_occupied_voxels)
+        )
+
+    def test_build_downsampling_and_quality_never_allocate_it(
+        self, monkeypatch, medium_cloud
+    ):
+        def refuse(grid):
+            raise AssertionError("slot table allocated")
+
+        monkeypatch.setattr(VoxelGrid, "slot_table", property(refuse))
+        grid = VoxelGrid.build(medium_cloud, 5)
+        grid.points_in_voxel(int(grid.unique_codes[0]))
+        compare_samplers(
+            medium_cloud,
+            registered_samplers(include=["voxelgrid", "random"]),
+            num_samples=128,
+        )
+        # The patch is live: a shell lookup is what builds the table.
+        with pytest.raises(AssertionError, match="slot table"):
+            grid.shell_positions_batch(np.zeros((1, 3), dtype=np.int64), 1)
 
 
 class TestSuggestDepth:

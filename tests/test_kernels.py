@@ -20,7 +20,11 @@ from repro.datastructuring.ballquery import BallQueryGatherer
 from repro.datastructuring.base import pick_random_centroids
 from repro.datastructuring.knn import BruteForceKNN
 from repro.datastructuring.veg import VoxelExpandedGatherer
-from repro.datasets.synthetic import gaussian_clusters, sample_cad_shape
+from repro.datasets.synthetic import (
+    gaussian_clusters,
+    lidar_scene,
+    sample_cad_shape,
+)
 from repro.geometry.morton import morton_encode_points
 from repro.geometry.pointcloud import PointCloud
 from repro.geometry.voxelgrid import VoxelGrid, shell_offsets
@@ -39,6 +43,7 @@ from repro.kernels import (
     popcount64,
     rows_per_chunk,
     segment_boundaries,
+    sort_codes,
     spread_axis,
     stencil_codes,
     three_nearest,
@@ -165,6 +170,65 @@ class TestBucketing:
         assert unique_codes.tolist() == [1, 5]
         assert order[:2].tolist() == [1, 3]  # ascending original index
         assert order[2:].tolist() == [0, 2, 4]
+
+    SORT_CASES = {
+        "heavy_duplicates": np.random.default_rng(5).integers(0, 6, size=3000),
+        "all_equal": np.full(1000, 7, dtype=np.int64),
+        "one_element": np.array([42], dtype=np.int64),
+        "empty": np.zeros(0, dtype=np.int64),
+        "wide_codes": np.random.default_rng(6).integers(0, 1 << 40, size=500),
+    }
+
+    @pytest.mark.parametrize("case", sorted(SORT_CASES))
+    def test_sort_codes_equals_stable_argsort(self, case):
+        codes = self.SORT_CASES[case]
+        order, sorted_codes = sort_codes(codes)
+        expected = np.argsort(codes, kind="stable")
+        assert np.array_equal(order, expected)
+        assert np.array_equal(sorted_codes, codes[expected])
+        assert sorted_codes.dtype == codes.dtype
+
+    @pytest.mark.parametrize("case", sorted(SORT_CASES))
+    def test_bucketize_edge_codes_match_dict_reference(self, case):
+        codes = self.SORT_CASES[case]
+        order, unique_codes, starts, counts = bucketize_codes(codes)
+        buckets = ref.dict_bucketize(codes)
+        assert unique_codes.tolist() == list(buckets.keys())
+        assert int(counts.sum()) == codes.shape[0]
+        for position, code in enumerate(unique_codes):
+            start = starts[position]
+            assert np.array_equal(
+                order[start : start + counts[position]], buckets[int(code)]
+            )
+
+    def test_sort_codes_sorts_each_row_of_a_stack(self):
+        codes = np.random.default_rng(7).integers(0, 50, size=(3, 700))
+        order, sorted_codes = sort_codes(codes)
+        for row in range(3):
+            expected = np.argsort(codes[row], kind="stable")
+            assert np.array_equal(order[row], expected)
+            assert np.array_equal(sorted_codes[row], codes[row][expected])
+
+    @pytest.mark.parametrize("size, packs", [(2, True), (1 << 20, False)])
+    def test_sort_codes_63_bit_fallback(self, monkeypatch, size, packs):
+        # Depth-21 codes with the top level's X bit clear span 62 bits:
+        # one index bit still packs into 63, twenty do not.
+        rng = np.random.default_rng(size)
+        codes = rng.integers(1 << 61, 1 << 62, size=size, dtype=np.int64)
+        codes[-1] = codes[0]  # a tie the order must resolve by index
+        expected = np.argsort(codes, kind="stable")
+        argsort_calls = []
+        real_argsort = np.argsort
+
+        def counting_argsort(*args, **kwargs):
+            argsort_calls.append(kwargs.get("kind"))
+            return real_argsort(*args, **kwargs)
+
+        monkeypatch.setattr(np, "argsort", counting_argsort)
+        order, sorted_codes = sort_codes(codes)
+        assert argsort_calls == ([] if packs else ["stable"])
+        assert np.array_equal(order, expected)
+        assert np.array_equal(sorted_codes, codes[expected])
 
     def test_gather_ragged_matches_concatenate(self):
         rng = np.random.default_rng(3)
@@ -459,6 +523,40 @@ class TestOctreeEquivalence:
             assert_octree_matches_scalar(
                 octree, ref.build_octree_scalar(cloud, depth=depth)
             )
+
+    def test_build_matches_scalar_at_the_lidar_workload_shape(self):
+        cloud = lidar_scene(30_000, seed=5)
+        assert_octree_matches_scalar(
+            Octree.build(cloud, depth=8),
+            ref.build_octree_scalar(cloud, depth=8),
+        )
+
+    def test_build_batch_frames_with_different_extents(self):
+        # The axis-major stack quantises every frame against its own cube.
+        rng = np.random.default_rng(9)
+        base = rng.uniform(0, 1, size=(800, 3))
+        clouds = [
+            PointCloud(points=base * [1.0, 1.0, 1.0]),
+            PointCloud(points=base * [50.0, 2.0, 0.01] - [1e3, 0.0, 7.0]),
+            PointCloud(points=base[::-1] * 1e-6 + 3.0),
+        ]
+        for cloud, octree in zip(clouds, Octree.build_batch(clouds, depth=7)):
+            assert_octree_matches_scalar(
+                octree, ref.build_octree_scalar(cloud, depth=7)
+            )
+
+    @pytest.mark.parametrize(
+        "name", ["one_point", "all_duplicates", "plane_z0", "line_y0_z0"]
+    )
+    @pytest.mark.parametrize("depth", [1, 4, 8])
+    def test_build_matches_scalar_on_degenerate_clouds(
+        self, degenerate_clouds, name, depth
+    ):
+        cloud = degenerate_clouds[name]
+        assert_octree_matches_scalar(
+            Octree.build(cloud, depth=depth),
+            ref.build_octree_scalar(cloud, depth=depth),
+        )
 
     def test_points_in_sfc_order_view_is_read_only(self, medium_cloud):
         octree = Octree.build(medium_cloud, depth=4)

@@ -195,6 +195,23 @@ class TestBatch:
         assert sizes == [64, 40, 64]
         assert session.model_builds == 2
 
+    @pytest.mark.parametrize(
+        "task, num_classes",
+        [("classification", 40), ("semantic_segmentation", 13)],
+    )
+    def test_degenerate_clouds_give_finite_logits(
+        self, degenerate_clouds, task, num_classes
+    ):
+        clouds = list(degenerate_clouds.values())
+        session = Session(config=small_config(), task=task)
+        for cloud, response in zip(clouds, session.run_batch(clouds)):
+            logits = response.result.inference.forward.logits
+            sampled = response.result.preprocessing.sampled.num_points
+            assert sampled == min(64, cloud.num_points)
+            rows = 1 if task == "classification" else sampled
+            assert logits.shape == (rows, num_classes)
+            assert np.isfinite(logits).all()
+
     def test_batch_warm_fraction(self):
         session = Session(config=small_config())
         batch = session.run_batch([make_cloud(i) for i in range(4)])
