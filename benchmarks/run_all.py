@@ -456,7 +456,8 @@ def build_scenarios(quick: bool) -> List[Scenario]:
     # --- sampling: the OIS walk vs the frozen array-ranked loop -------
     # ``ois_sampling`` above measures the whole sampler against the fully
     # scalar dict-walk reference; this scenario isolates the sampling loop
-    # by pitting the per-pick list walk against ``ois_sample_scalar`` --
+    # by pitting the per-pick round-mask walk (one table read per level)
+    # against ``ois_sample_scalar`` --
     # the one-sample loop that ranks each level with array ops -- on a
     # pre-built octree (build cost excluded from both sides).  The sample
     # count is deliberately large, so per-frame set-up does not hide the

@@ -55,6 +55,7 @@ from repro.kernels.morton import (
     encode_cells,
     encode_point_scalar,
     hamming_codes,
+    point_encoder,
     popcount64,
     spread_axis,
 )
@@ -96,6 +97,7 @@ __all__ = [
     "encode_cells",
     "encode_point_scalar",
     "hamming_codes",
+    "point_encoder",
     "popcount64",
     "spread_axis",
     "bucket_sorted",

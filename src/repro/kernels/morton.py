@@ -15,7 +15,7 @@ level ``l`` sits at position ``3*l + 2``.
 from __future__ import annotations
 
 import math
-from typing import Tuple
+from typing import Callable, Tuple
 
 import numpy as np
 
@@ -154,6 +154,50 @@ def _spread_bits_scalar(v: int) -> int:
 _SPREAD7 = tuple(_spread_bits_scalar(v) for v in range(128))
 
 
+def point_encoder(
+    box_min: Tuple[float, float, float],
+    extent: Tuple[float, float, float],
+    depth: int,
+) -> Callable[[float, float, float], int]:
+    """Bind a box and depth once; return ``encode(x, y, z) -> m-code``.
+
+    ``encode`` takes Python floats and makes no NumPy call: per axis it runs
+    the IEEE-double steps of :func:`repro.geometry.morton.voxel_indices` in
+    the same order -- ``(p - min) / extent * resolution``, then ``floor``
+    and a clamp to ``[0, resolution)`` -- and spreads the cell with three
+    7-bit table reads.  A caller that encodes many points against one box
+    (OIS encodes its summary point once per pick) pays the argument
+    conversion and the depth check once, here.
+
+    ``extent`` must already have zero sizes replaced by 1.0 (the
+    ``voxel_indices`` convention).
+    """
+    _check_depth(depth)
+    resolution = 1 << depth
+    top = resolution - 1
+    min_x, min_y, min_z = (float(v) for v in box_min)
+    ext_x, ext_y, ext_z = (float(v) for v in extent)
+    s7 = _SPREAD7
+    floor = math.floor
+
+    def encode(x: float, y: float, z: float) -> int:
+        cx = floor((x - min_x) / ext_x * resolution)
+        cy = floor((y - min_y) / ext_y * resolution)
+        cz = floor((z - min_z) / ext_z * resolution)
+        # Clamp only off the common path (max face, outside the box):
+        # min/max calls would double the cost of an in-box point.
+        if not (0 <= cx <= top and 0 <= cy <= top and 0 <= cz <= top):
+            cx, cy, cz = (min(max(c, 0), top) for c in (cx, cy, cz))
+        # X, Y, Z land at bit offsets 2, 1, 0 of every level group; a cell
+        # spreads as three 7-bit chunks, 21 code bits apart.
+        x_bits = s7[cx & 0x7F] | (s7[(cx >> 7) & 0x7F] << 21) | (s7[cx >> 14] << 42)
+        y_bits = s7[cy & 0x7F] | (s7[(cy >> 7) & 0x7F] << 21) | (s7[cy >> 14] << 42)
+        z_bits = s7[cz & 0x7F] | (s7[(cz >> 7) & 0x7F] << 21) | (s7[cz >> 14] << 42)
+        return (x_bits << 2) | (y_bits << 1) | z_bits
+
+    return encode
+
+
 def encode_point_scalar(
     point: Tuple[float, float, float],
     box_min: Tuple[float, float, float],
@@ -163,27 +207,9 @@ def encode_point_scalar(
     """Encode ONE point without any NumPy call.
 
     Exactly matches :func:`repro.geometry.morton.morton_encode_points` for a
-    single point (IEEE-double arithmetic in the same operation order, then
-    the same floor/clip), but runs in a few microseconds: the bit spread is
-    three table reads per axis.  OIS calls this once per sample to encode
-    the virtual summary point; going through the array path there costs
-    ~50x more in NumPy dispatch overhead.
-
-    ``extent`` must already have zero sizes replaced by 1.0 (the
-    ``voxel_indices`` convention).
+    single point; a one-shot call of :func:`point_encoder`, which holds the
+    arithmetic.  Code that encodes many points against one box should bind
+    ``point_encoder`` once instead of paying its set-up on every call.
     """
-    _check_depth(depth)
-    resolution = 1 << depth
-    top = resolution - 1
-    code = 0
-    for axis in range(3):
-        relative = (float(point[axis]) - float(box_min[axis])) / float(extent[axis])
-        cell = min(max(math.floor(relative * resolution), 0), top)
-        # X, Y, Z land at bit offsets 2, 1, 0 of every level group.
-        code = (
-            (code << 1)
-            | _SPREAD7[cell & 0x7F]
-            | (_SPREAD7[(cell >> 7) & 0x7F] << 21)
-            | (_SPREAD7[cell >> 14] << 42)
-        )
-    return code
+    x, y, z = point
+    return point_encoder(box_min, extent, depth)(float(x), float(y), float(z))

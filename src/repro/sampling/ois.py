@@ -19,11 +19,11 @@ operation counts; the paper-scale analytic model is exposed separately as
 frames without materialising them.
 
 The sampling loop is one plain root-to-leaf walk per pick over per-level
-Python lists (at most eight children are ranked per level, where plain ints
-beat array dispatch).  It reads the octree's SFC point permutation directly
-instead of materialising the reorganised host copy.  Picks, per-pick
-counters, and SFC tie-breaks are bit-identical to the retained reference
-loop (:func:`repro.kernels.reference.ois_sample_scalar`) in both modes.
+Python lists of 8-bit child masks, so a level picks its child with one
+table read.  It reads the octree's SFC point permutation directly instead
+of materialising the reorganised host copy.  Picks, per-pick counters,
+and SFC tie-breaks are bit-identical to the retained reference loop
+(:func:`repro.kernels.reference.ois_sample_scalar`) in both modes.
 """
 
 from __future__ import annotations
@@ -34,18 +34,27 @@ import numpy as np
 
 from repro.core.metrics import OpCounters
 from repro.geometry.pointcloud import PointCloud
-from repro.kernels import encode_point_scalar
+from repro.kernels import point_encoder
 from repro.geometry.voxelgrid import suggest_depth
 from repro.octree.builder import Octree
 from repro.sampling.base import Sampler, SamplingResult
 
-#: Hamming weight of a 3-bit octant digit.
-_POPCOUNT3 = (0, 1, 1, 2, 1, 2, 2, 3)
+#: Hamming weight of an 8-bit child mask.
+_POPCOUNT8 = tuple(bin(mask).count("1") for mask in range(256))
 
-_EXHAUSTED = "octree exhausted before collecting the requested samples"
+#: ``_BEST[(round << 3) | digit]``: the digit set in ``round`` farthest
+#: (Hamming) from ``digit``, the lowest one on a tie.
+_BEST = tuple(
+    max((d for d in range(8) if rnd >> d & 1), default=0,
+        key=lambda d: (_POPCOUNT8[d ^ digit], -d))
+    for rnd in range(256) for digit in range(8)
+)
 
-#: Below every reachable key (keys are >= -64 * num_samples).
-_NO_KEY = -(1 << 62)
+#: ``_RANK[(kids << 3) | digit]``: how many digits set in ``kids`` are below
+#: ``digit`` -- a child's position among its code-sorted siblings.
+_RANK = tuple(
+    _POPCOUNT8[kids & ((1 << d) - 1)] for kids in range(256) for d in range(8)
+)
 
 
 def ois_counter_model(
@@ -186,21 +195,25 @@ class OctreeIndexedSampler(Sampler):
         rng: np.random.Generator,
         counters: OpCounters,
     ) -> List[int]:
-        """One exact Octree-Table walk per pick over per-level lists.
+        """One exact Octree-Table walk per pick, one table read per level.
 
-        Level ``L`` of the table is held as plain lists indexed by node
-        (codes in ascending order): remaining and picked point counts, the
-        low 3 code bits, and child bounds -- node ``i``'s children are
-        ``[bounds[i], bounds[i + 1])`` of level ``L + 1``.  Siblings share
-        every code bit above their own octant digit, so their Hamming
-        distances to the seed prefix differ from their digit's distance to
-        the seed's digit by one constant per slice: ranking by
-        ``popcount(low3 ^ digit) - (picked << 6)`` keeps the winner, the
-        first-maximum SFC tie-break and the eligible counts of the
-        full-code ranking of
-        :func:`repro.kernels.reference.ois_sample_scalar`.  Committing a
-        pick updates the ``depth`` nodes the walk chose.
+        Level ``L`` is held as plain lists indexed by parent node (level 1
+        has one virtual root): the first child's position; 8-bit digit
+        masks of the children that exist (``kids``), that still hold points
+        (``live``), and that are live but not yet picked in the parent's
+        current round; and the children's remaining counts.  Live siblings'
+        pick counts never differ by more than one, so least-picked-first
+        keeps exactly the round, and within it the largest Hamming distance
+        (lowest digit on ties) is ``_BEST[(round << 3) | digit]`` -- see
+        DESIGN.md, *OIS walk*.  Picks and counters are those of
+        :func:`repro.kernels.reference.ois_sample_scalar`.
         """
+        # A walk only enters nodes that still hold points, so it runs dry
+        # exactly when the root does: after the octree's last point.
+        if num_samples > octree.cloud.num_points:
+            raise RuntimeError(
+                "octree exhausted before collecting the requested samples"
+            )
         depth = octree.depth
         points = octree.cloud.points
         point_codes = octree.point_codes
@@ -209,31 +222,20 @@ class OctreeIndexedSampler(Sampler):
         slot_bounds = octree.leaf_slot_bounds()
 
         # Per-level table state, one tuple per level 1..depth:
-        # (remaining, picked, low3, child bounds, digit shift).  A node's
-        # children are one contiguous run of the next level's sorted codes
-        # (its parent prefix is code >> 3), so the bounds are where the
-        # prefix changes, and a node's remaining count sums its run.
+        # (first child, kids, live, round, remaining, digit shift).  A
+        # parent's children are one contiguous run of the level's sorted
+        # codes (its prefix is code >> 3) with distinct digits, so the
+        # runs start where the prefix changes, a run's digit bits sum to
+        # its kids mask, and a parent's remaining count sums its run.
         table = []
-        bounds: Optional[List[int]] = None
         counts = np.diff(slot_bounds)
         for level in range(depth, 0, -1):
             codes = level_codes[level]
-            table.append(
-                (
-                    counts.tolist(),
-                    [0] * codes.shape[0],
-                    (codes & 0b111).tolist(),
-                    bounds,
-                    3 * (depth - level),
-                )
-            )
-            prefixes = codes >> 3
-            first = np.empty(codes.shape[0], dtype=bool)
-            first[:1] = True
-            np.not_equal(prefixes[1:], prefixes[:-1], out=first[1:])
-            starts = np.flatnonzero(first)
+            starts = np.flatnonzero(np.diff(codes >> 3, prepend=-1))
+            kids = np.add.reduceat(1 << (codes & 0b111), starts).tolist()
+            table.append((starts.tolist(), kids, kids[:], kids[:],
+                          counts.tolist(), 3 * (depth - level)))
             counts = np.add.reduceat(counts, starts)
-            bounds = np.append(starts, codes.shape[0]).tolist()
         table.reverse()
 
         # Remaining points of a leaf, in SFC order.  Exact mode only ever
@@ -254,13 +256,20 @@ class OctreeIndexedSampler(Sampler):
             return bucket
 
         # Seed point: random pick, written into the first SPT entry.  It is
-        # the only pick without a walk, so its ancestors are looked up.
+        # the only pick without a walk; it descends along its own digits
+        # with the same commit as a walk step.
         seed_index = int(rng.integers(octree.cloud.num_points))
         seed_point_code = int(point_codes[seed_index])
-        for level, (rem, pick, _, _, shift) in enumerate(table, start=1):
-            node = int(np.searchsorted(level_codes[level], seed_point_code >> shift))
-            rem[node] -= 1
-            pick[node] += 1
+        node = 0
+        for first, kids, live, rounds, rem, shift in table:
+            win = (seed_point_code >> shift) & 0b111
+            child = first[node] + _RANK[(kids[node] << 3) | win]
+            bit = 1 << win
+            rem[child] -= 1
+            if not rem[child]:
+                live[node] ^= bit
+            rounds[node] = rounds[node] ^ bit or live[node]
+            node = child
         leaf = node
         if self._approximate:
             bucket_of(leaf).remove(seed_index)
@@ -277,39 +286,30 @@ class OctreeIndexedSampler(Sampler):
         picked = [seed_index]
         sum_x, sum_y, sum_z = points[seed_index].tolist()
         box = octree.box
-        box_minimum = tuple(box.minimum.tolist())
-        extent = tuple(np.where(box.size > 0, box.size, 1.0).tolist())
-        num_top = level_codes[1].shape[0]
+        encode = point_encoder(
+            box.minimum.tolist(),
+            np.where(box.size > 0, box.size, 1.0).tolist(),
+            depth,
+        )
         approximate = self._approximate
         work = 0
         for count in range(1, num_samples):
             # Virtual summary point ||S||_2 of the picked set (Section V-B).
-            seed_code = encode_point_scalar(
-                (sum_x / count, sum_y / count, sum_z / count),
-                box_minimum,
-                extent,
-                depth,
-            )
-            lo, hi = 0, num_top
-            for rem, pick, low, bounds, shift in table:
-                digit = (seed_code >> shift) & 0b111
-                best_key = _NO_KEY
-                for child in range(lo, hi):
-                    if rem[child]:
-                        work += 1
-                        # (-picked, hamming) packed into one int key; strict
-                        # > keeps the first maximum (the SFC tie-break).
-                        key = _POPCOUNT3[low[child] ^ digit] - (pick[child] << 6)
-                        if key > best_key:
-                            best_key = key
-                            node = child
-                if best_key == _NO_KEY:
-                    raise RuntimeError(_EXHAUSTED)
-                rem[node] -= 1
-                pick[node] += 1
-                if bounds is not None:
-                    lo = bounds[node]
-                    hi = bounds[node + 1]
+            seed_code = encode(sum_x / count, sum_y / count, sum_z / count)
+            node = 0
+            for first, kids, live, rounds, rem, shift in table:
+                win = _BEST[(rounds[node] << 3) | ((seed_code >> shift) & 0b111)]
+                child = first[node] + _RANK[(kids[node] << 3) | win]
+                alive = live[node]
+                # The modules rank every live child of the node.
+                work += _POPCOUNT8[alive]
+                bit = 1 << win
+                rem[child] -= 1
+                if not rem[child]:
+                    alive ^= bit
+                    live[node] = alive
+                rounds[node] = rounds[node] ^ bit or alive
+                node = child
 
             if approximate:
                 bucket = bucket_of(node)

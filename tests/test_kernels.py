@@ -40,6 +40,7 @@ from repro.kernels import (
     hamming_codes,
     lookup_sorted,
     pairwise_sq_dists,
+    point_encoder,
     popcount64,
     rows_per_chunk,
     segment_boundaries,
@@ -114,6 +115,29 @@ class TestMortonKernels:
         points = np.vstack([medium_cloud.points[::29], box.maximum])
         codes = morton_encode_points(points, box, depth)
         for point, code in zip(points, codes):
+            assert encode_point_scalar(point, box.minimum, extent, depth) == code
+
+    @pytest.mark.parametrize("depth", range(1, 22))
+    def test_point_encoder_matches_both_paths(self, medium_cloud, depth):
+        """The bound encoder equals the one-shot scalar call and the array
+        path at every depth, with points on the box's max face (top-cell
+        clamp) and outside the box on both sides (both clamps)."""
+        box = medium_cloud.bounds().as_cube(padding=1e-9)
+        extent = np.where(box.size > 0, box.size, 1.0)
+        max_face = np.tile(box.minimum, (3, 1))
+        max_face[np.arange(3), np.arange(3)] = box.maximum
+        points = np.vstack([
+            medium_cloud.points[::41],
+            box.maximum,
+            max_face,
+            box.minimum - 0.25 * box.size,
+            box.maximum + 0.25 * box.size,
+            [box.minimum[0] - 1.0, box.maximum[1] + 1.0, box.center[2]],
+        ])
+        encode = point_encoder(box.minimum.tolist(), extent.tolist(), depth)
+        codes = morton_encode_points(points, box, depth)
+        for point, code in zip(points.tolist(), codes.tolist()):
+            assert encode(*point) == code
             assert encode_point_scalar(point, box.minimum, extent, depth) == code
 
     def test_spread_axis_is_one_axis_of_the_code(self):

@@ -6,8 +6,8 @@ is frozen in :func:`repro.kernels.reference.ois_sample_scalar`.  The
 contract is strict bit-identity -- the same picked indices in the same
 order AND the same operation counters (node visits, Hamming evaluations,
 on-chip traffic) -- in both exactness modes, at any octree depth, on
-degenerate inputs (duplicate coordinates, ``k == n``) and at the frame
-shapes the end-to-end workloads run.
+degenerate inputs (duplicate coordinates, a single leaf, ``k == n``) and
+at the frame shapes the end-to-end workloads run.
 
 The benchmark harness re-asserts the same contract at 100k-point scale on
 every run (``ois_wavefront`` scenario).
@@ -20,7 +20,8 @@ from repro.datasets.synthetic import lidar_scene, sample_cad_shape
 from repro.geometry.pointcloud import PointCloud
 from repro.kernels import reference as ref
 from repro.octree.builder import Octree
-from repro.sampling.ois import OctreeIndexedSampler
+from repro.kernels.morton import MAX_DEPTH
+from repro.sampling.ois import _BEST, _RANK, OctreeIndexedSampler
 
 
 def _assert_matches_frozen(cloud, k, depth=None, approximate=False, seed=7):
@@ -117,3 +118,48 @@ class TestOISWalkBitIdentity:
                                  seed=9)
         _assert_matches_frozen(cloud, 1024, depth=5, approximate=approximate,
                                seed=3)
+
+    @pytest.mark.parametrize("depth", [12, 16, MAX_DEPTH])
+    def test_deep_octrees(self, depth):
+        """Past depth 7 the summary encode takes the second and third 7-bit
+        spread chunks, and a small cloud's table is mostly single-child
+        chains."""
+        rng = np.random.default_rng(depth)
+        for n, k in ((40, 40), (400, 150)):
+            cloud = _random_cloud(rng, n, duplicates=True)
+            for approximate in (False, True):
+                _assert_matches_frozen(cloud, k, depth=depth,
+                                       approximate=approximate)
+
+    @pytest.mark.parametrize("approximate", [False, True])
+    def test_single_leaf_octree(self, approximate):
+        """All points identical: one leaf under a chain of only children."""
+        cloud = PointCloud(points=np.tile([[0.3, -1.0, 2.5]], (25, 1)))
+        for k in (1, cloud.num_points):
+            _assert_matches_frozen(cloud, k, depth=6, approximate=approximate)
+
+    @pytest.mark.parametrize("approximate", [False, True])
+    def test_sample_every_point_at_depth_8(self, approximate):
+        """k == n at the LiDAR depth: every node's round runs down to its
+        last live child."""
+        cloud = _random_cloud(np.random.default_rng(8), 700, duplicates=True)
+        _assert_matches_frozen(cloud, cloud.num_points, depth=8,
+                               approximate=approximate)
+
+
+def test_walk_tables_match_brute_force():
+    """``_BEST`` is the reference's first maximum of the Hamming distance
+    over the round's digits in ascending (SFC) order; ``_RANK`` is a
+    digit's position among the set digits of the kids mask."""
+    for mask in range(256):
+        digits = [d for d in range(8) if mask >> d & 1]
+        for digit in range(8):
+            best = None
+            for d in digits:
+                if best is None or (bin(d ^ digit).count("1")
+                                    > bin(best ^ digit).count("1")):
+                    best = d
+            if best is not None:
+                assert _BEST[(mask << 3) | digit] == best
+        for position, d in enumerate(digits):
+            assert _RANK[(mask << 3) | d] == position
