@@ -142,13 +142,9 @@ class PreprocessingEngine:
     interconnect: InterconnectModel = field(default_factory=InterconnectModel)
     #: Registry name of the down-sampling method ("ois", "fps", "random", ...).
     sampler_name: str = "ois"
-    #: Extra keyword arguments forwarded to the sampler factory.  These win
-    #: over the engine-derived defaults (octree depth, seed, ...).
-    sampler_options: Dict[str, Any] = field(default_factory=dict)
     #: Warm sampler cache keyed by (sampler_name, octree depth):
     #: (sampler, accepts_octree).  Keyed on the name so reassigning
-    #: ``sampler_name`` on a warm engine takes effect; ``sampler_options``
-    #: changes still require a fresh engine.
+    #: ``sampler_name`` on a warm engine takes effect.
     _samplers: Dict[Tuple[str, int], Tuple[Sampler, bool]] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
@@ -168,13 +164,12 @@ class PreprocessingEngine:
 
     def _build_sampler(self, depth: int) -> Sampler:
         pre = self.config.preprocessing
-        options = dict(self.sampler_options)
-        options.setdefault("seed", pre.seed)
+        options: Dict[str, Any] = {"seed": pre.seed}
         if self.sampler_name in ("ois", "ois-approx"):
-            options.setdefault("octree_depth", depth)
-            options.setdefault("num_sampling_modules", pre.num_sampling_modules)
+            options["octree_depth"] = depth
+            options["num_sampling_modules"] = pre.num_sampling_modules
             if pre.approximate:
-                options.setdefault("approximate", True)
+                options["approximate"] = True
         from repro import registry
 
         return registry.create("sampler", self.sampler_name, **options)
@@ -318,7 +313,6 @@ class InferenceEngine:
         default_factory=HgPCNInferenceAccelerator
     )
     task: str = "classification"
-    num_classes: Optional[int] = None
     #: Compute backend name executing the dense layers (``None`` = process
     #: default: ``REPRO_BACKEND`` env when set, else fused).
     backend: Optional[str] = None

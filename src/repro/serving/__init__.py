@@ -4,8 +4,8 @@ The subsystem is four small pieces wired together by
 :class:`~repro.serving.server.FrameServer`, whose hand-off forms a
 micro-batch only when a worker can start it:
 
-* :class:`~repro.serving.queue.AdmissionQueue` -- bounded FIFO front door
-  with enqueue timestamps and backpressure;
+* :class:`~repro.serving.queue.AdmissionQueue` -- bounded FIFO behind
+  :meth:`FrameServer.submit`, with enqueue timestamps and backpressure;
 * :class:`~repro.serving.scheduler.MicroBatchScheduler` -- groups admitted
   requests by warm-state shape key; a group is taken on a priority,
   max-batch-size or max-wait-deadline trigger, whichever fires first;
@@ -23,9 +23,10 @@ processes with shared-memory batch transport -- see
 more capacity is more workers (``num_workers``), which the pool routes by
 warm-shape key to a sticky home worker and spills to the least-loaded one.
 
-``Session.submit`` is the one-liner entry point (a single-worker server
-wrapped around the session itself); build a :class:`FrameServer` directly
-for multi-worker pools.
+:meth:`FrameServer.submit` is the one serving entry point; the core
+:class:`~repro.session.Session` knows nothing of serving.  To serve one
+existing session, wrap it:
+``FrameServer(session_factory=lambda: session, num_workers=1)``.
 
 Resilience (:mod:`~repro.serving.resilience`, :mod:`~repro.serving.faults`)
 wraps the same pipeline without touching the bit-identical core: requests
@@ -61,6 +62,7 @@ from repro.serving.queue import (
     QueueClosed,
     QueuedRequest,
     QueueFull,
+    SubmitOptions,
 )
 from repro.serving.scheduler import MicroBatch, MicroBatchScheduler
 from repro.serving.server import (
@@ -74,7 +76,6 @@ from repro.serving.cluster import (
     WorkerCrashed,
     WorkerError,
 )
-from repro.session import SubmitOptions
 
 __all__ = [
     "AdmissionQueue",

@@ -162,7 +162,7 @@ class WorkerPool:
         self._shed_entry = shed_entry
         self.faults = faults
         self.retry_policy = retry_policy
-        #: A parent-side session answering shape/budget queries, set by
+        #: A parent-side session answering shape queries, set by
         #: :meth:`start`.
         self._probe: Optional[Session] = None
 
@@ -180,11 +180,6 @@ class WorkerPool:
     def shape_key(self, cloud) -> Tuple[Any, ...]:
         assert self._probe is not None, "pool not started"
         return self._probe.shape_key(cloud)
-
-    def default_batch_rows_budget(self) -> Optional[int]:
-        """The sessions' own rows budget (scheduler default)."""
-        assert self._probe is not None, "pool not started"
-        return self._probe.batch_rows_budget
 
     # -- shared completion path ------------------------------------------
     def _complete_batch(

@@ -84,6 +84,12 @@ nonnegative_int = _number(
 positive_float = _number(
     float, lambda v: v > 0 and np.isfinite(v), "a number", "a positive number"
 )
+#: 0 is the documented sentinel of the flags that take this; NaN and inf
+#: fail the range test, so they exit 2 instead of hanging or disabling.
+nonnegative_float = _number(
+    float, lambda v: 0 <= v < np.inf, "a number", "a finite non-negative number"
+)
+fraction = _number(float, lambda v: 0 < v <= 1, "a number", "a number in (0, 1]")
 
 
 def parse_class_spec(spec: str) -> PriorityClass:
@@ -196,7 +202,7 @@ class TrafficConfig:
     )
     #: Mean arrival rate in Hz (0 = submit everything at once).
     rate_hz: float = _flag(
-        100.0, type=float,
+        100.0, type=nonnegative_float,
         help="mean arrival rate of the open-loop traffic "
              "(0 = submit everything at once)",
     )
@@ -321,18 +327,14 @@ class ExecutionConfig:
         8, type=positive_int, help="micro-batch size trigger (default 8)"
     )
     max_wait_ms: float = _flag(
-        5.0, type=float, help="micro-batch deadline trigger in ms (default 5)"
+        5.0, type=nonnegative_float,
+        help="micro-batch deadline trigger in ms (default 5)",
     )
     #: Admission queue bound (0 = sized to the request count).
     queue_capacity: int = _flag(
         0, type=nonnegative_int,
         help="admission queue bound (0 = sized to the request count, "
              "i.e. no backpressure during the soak)",
-    )
-    #: Stacked-rows cap per dispatch (0 = session default).
-    batch_rows_budget: int = _flag(
-        0, type=nonnegative_int,
-        help="stacked-rows cap per dispatch (0 = session default)",
     )
 
 
@@ -373,7 +375,7 @@ class ServeConfig:
 
     dataset: str = _flag("kitti", choices=sorted(DATASET_TASKS))
     scale: float = _flag(
-        0.001, type=float,
+        0.001, type=fraction,
         help="fraction of the paper-scale raw frame to generate",
     )
     samples: int = _flag(
@@ -389,7 +391,7 @@ class ServeConfig:
         help="where to write the JSON metrics report",
     )
     p99_budget_ms: float = _flag(
-        10_000.0, type=float,
+        10_000.0, type=nonnegative_float,
         help="fail when p99 end-to-end latency exceeds this (0 disables)",
     )
     request_timeout: float = _flag(
@@ -480,7 +482,7 @@ class ServeConfig:
         """Session kwargs shared by every worker *and* the sequential
         bit-identity reference (cache-less so outputs never depend on
         scheduling)."""
-        options: Dict[str, Any] = dict(
+        return dict(
             config=self.hgpcn_config(),
             task=DATASET_TASKS[self.dataset],
             sampler=self.execution.sampler,
@@ -488,9 +490,6 @@ class ServeConfig:
             response_cache_size=0,
             backend=self.execution.backend,
         )
-        if self.execution.batch_rows_budget:
-            options["batch_rows_budget"] = self.execution.batch_rows_budget
-        return options
 
     def build_policy(self) -> Optional[ServingPolicy]:
         return self.policy.build()

@@ -1,22 +1,21 @@
-"""Bounded admission queue: the front door of the serving subsystem.
+"""Bounded admission queue: where every served request first waits.
 
-Requests enter serving through :meth:`AdmissionQueue.submit`, which stamps
-the enqueue time, allocates the submission sequence number, and pairs the
-request with the :class:`concurrent.futures.Future` handed back to the
-caller.  The queue is a bounded FIFO: when it is full, ``submit`` either
-raises :class:`QueueFull` immediately (the default -- open-loop callers
-count the rejection and move on) or blocks until a worker starts a batch and
-frees a slot (``block=True``, closed-loop backpressure).  In blocking mode the
-``timeout`` budget is measured on the queue's *injected* clock -- the same
-clock that stamps ``enqueued_at`` -- so tests driving a
-:class:`~repro.serving.metrics.ManualClock` get exact timeout semantics.
+Requests enter serving through :meth:`AdmissionQueue.submit` (behind
+``FrameServer.submit``, the one serving entry point), which stamps the
+enqueue time on the injected clock, allocates the submission sequence
+number, and pairs the request with the :class:`concurrent.futures.Future`
+handed back to the caller.  The queue is a bounded FIFO that never makes a
+caller wait: when it is full, ``submit`` raises :class:`QueueFull` at once
+(open-loop callers count the rejection and move on; the server's shed mode
+turns it into a typed ``LoadShed`` instead).
 
-Requests may carry a TTL: ``submit(..., ttl=...)`` stamps an absolute
-``deadline`` on the entry.  A full queue sheds its expired entries (oldest
-first -- the FIFO order) before giving up with :class:`QueueFull`; each
-shed entry is handed to the ``on_shed`` callback *outside* the queue lock
-so the owner can resolve its future with ``DeadlineExceeded`` -- an
-admitted request is never silently dropped.
+Per-request knobs travel as one :class:`SubmitOptions`.  A request may
+carry a TTL: ``SubmitOptions(ttl=...)`` stamps an absolute ``deadline`` on
+the entry.  A full queue sheds its expired entries (oldest first -- the
+FIFO order) before giving up with :class:`QueueFull`; each shed entry is
+handed to the ``on_shed`` callback *outside* the queue lock so the owner
+can resolve its future with ``DeadlineExceeded`` -- an admitted request is
+never silently dropped.
 
 The consumer is the server's hand-off (``FrameServer._next_batch``), run by
 whichever worker can start a batch: it pulls entries with :meth:`pop` and
@@ -36,13 +35,39 @@ from dataclasses import dataclass, field
 from typing import Callable, Deque, Iterable, List, Optional
 
 from repro.serving.metrics import Clock
-from repro.session import FrameRequest, SubmitOptions
+from repro.session import FrameRequest
 
 
-#: Blocking submitters wake at least this often (real seconds) to re-check
-#: for occupants whose deadlines have passed: an expiry frees a slot
-#: without anyone notifying the condition variable.
-_BLOCKED_POLL_SECONDS = 0.05
+@dataclass(frozen=True)
+class SubmitOptions:
+    """Per-request options of ``FrameServer.submit``.
+
+    One typed bundle that ``FrameServer.submit`` and
+    :meth:`AdmissionQueue.submit` take as ``options=``; the same object is
+    threaded through the layers untouched.
+
+    ``class_name`` feeds the serving policy layer
+    (:mod:`repro.serving.policy`): it picks a configured
+    :class:`~repro.serving.policy.PriorityClass` (the policy's default
+    class when ``None``), whose rank the request rides.  On servers
+    without a policy it only labels the per-class metrics.
+    """
+
+    #: Seconds the request may wait before dispatch; past it the future
+    #: resolves with ``DeadlineExceeded`` (typed, never silent).
+    ttl: Optional[float] = None
+    #: Serving-policy class name; ``None`` means the policy's default.
+    class_name: Optional[str] = None
+
+    def __post_init__(self) -> None:
+        # ``not ttl > 0`` also rejects NaN, which compares false to all.
+        if self.ttl is not None and not self.ttl > 0:
+            raise ValueError(f"ttl must be > 0 seconds, got {self.ttl}")
+
+    @classmethod
+    def coerce(cls, options: Optional["SubmitOptions"] = None) -> "SubmitOptions":
+        """``options`` itself, or the defaults when ``None``."""
+        return options if options is not None else cls()
 
 
 class QueueFull(RuntimeError):
@@ -114,15 +139,13 @@ class AdmissionQueue:
         #: make room; the owner resolves its future with DeadlineExceeded.
         self.on_shed = on_shed
         #: Counts entries popped but not yet started (the scheduler's
-        #: groups); they hold their slot until :meth:`notify_room`.
+        #: groups); they hold their slot until a worker starts them.
         self.held = held
         self._entries: Deque[QueuedRequest] = deque()
         self._lock = threading.Lock()
         self._not_empty = threading.Condition(self._lock)
-        self._not_full = threading.Condition(self._lock)
         self._closed = False
         self._sequence = 0
-        self.rejected = 0
 
     # -- producer side --------------------------------------------------
     def submit(
@@ -135,17 +158,16 @@ class AdmissionQueue:
     ) -> QueuedRequest:
         """Admit ``request``; returns its queue entry (future included).
 
-        Per-request knobs travel as one
-        :class:`~repro.session.SubmitOptions`.  ``options.ttl`` (seconds,
-        > 0) stamps an absolute deadline on the entry; expired entries are shed before
-        dispatch rather than served.  ``priority``/``class_name`` are the
-        *resolved* policy values stamped by the owning server (the raw
-        ``options.class_name`` may be ``None``).
+        Per-request knobs travel as one :class:`SubmitOptions`.
+        ``options.ttl`` (seconds, > 0) stamps an absolute deadline on the
+        entry; expired entries are shed before dispatch rather than served.
+        ``priority``/``class_name`` are the *resolved* policy values stamped
+        by the owning server (the raw ``options.class_name`` may be
+        ``None``).
 
-        Raises :class:`QueueFull` when at capacity (after ``options.timeout``
-        on the injected clock in blocking mode; ``timeout=0`` never waits)
-        and :class:`QueueClosed` after :meth:`close`.  A full queue first
-        sheds its own expired entries to make room.
+        Raises :class:`QueueFull` when at capacity and :class:`QueueClosed`
+        after :meth:`close`.  A full queue first sheds its own expired
+        entries to make room.
         """
         options = SubmitOptions.coerce(options)
         ttl_seconds = options.ttl
@@ -155,38 +177,11 @@ class AdmissionQueue:
                 if self._closed:
                     raise QueueClosed("admission queue is closed")
                 if self._full():
-                    shed.extend(self._shed_expired_locked(self.clock()))
+                    shed = self._shed_expired_locked(self.clock())
                 if self._full():
-                    if not options.block:
-                        self.rejected += 1
-                        raise QueueFull(
-                            f"admission queue at capacity ({self.capacity})"
-                        )
-                    deadline = (
-                        None
-                        if options.timeout is None
-                        else self.clock() + options.timeout
+                    raise QueueFull(
+                        f"admission queue at capacity ({self.capacity})"
                     )
-                    while self._full() and not self._closed:
-                        remaining = None
-                        if deadline is not None:
-                            remaining = deadline - self.clock()
-                            if remaining <= 0:
-                                break
-                        self._not_full.wait(
-                            _BLOCKED_POLL_SECONDS
-                            if remaining is None
-                            else min(remaining, _BLOCKED_POLL_SECONDS)
-                        )
-                        if self._full():
-                            shed.extend(self._shed_expired_locked(self.clock()))
-                    if self._closed:
-                        raise QueueClosed("admission queue is closed")
-                    if self._full():
-                        self.rejected += 1
-                        raise QueueFull(
-                            f"admission queue at capacity ({self.capacity})"
-                        )
                 now = self.clock()
                 entry = QueuedRequest(
                     request=request,
@@ -211,11 +206,6 @@ class AdmissionQueue:
         held = self.held() if self.held is not None else 0
         return len(self._entries) + held >= self.capacity
 
-    def notify_room(self) -> None:
-        """Wake blocked submitters: held entries started or were shed."""
-        with self._lock:
-            self._not_full.notify_all()
-
     def steal_lowest(self, below_priority: int) -> Optional[QueuedRequest]:
         """Remove and return the :func:`shed_victim` among queued entries.
 
@@ -229,7 +219,6 @@ class AdmissionQueue:
                 self._entries = deque(
                     e for e in self._entries if e is not victim
                 )
-                self._not_full.notify()
             return victim
 
     def _shed_expired_locked(self, now: float) -> List[QueuedRequest]:
@@ -241,7 +230,6 @@ class AdmissionQueue:
             self._entries = deque(
                 entry for entry in self._entries if not entry.expired(now)
             )
-            self._not_full.notify_all()
         return shed
 
     def close(self) -> None:
@@ -249,7 +237,6 @@ class AdmissionQueue:
         with self._lock:
             self._closed = True
             self._not_empty.notify_all()
-            self._not_full.notify_all()
 
     # -- consumer side --------------------------------------------------
     def pop(
@@ -274,7 +261,6 @@ class AdmissionQueue:
             entry = self._entries.popleft()
             if sink is not None:
                 sink(entry)
-            self._not_full.notify()
             return entry
 
     def is_drained(self) -> bool:

@@ -35,6 +35,7 @@ flushes every pending group (trigger ``"drain"``) for graceful shutdown.
 
 from __future__ import annotations
 
+import math
 import threading
 import time
 from dataclasses import dataclass
@@ -80,9 +81,12 @@ class MicroBatchScheduler:
     ):
         if max_batch_size < 1:
             raise ValueError(f"max_batch_size must be >= 1, got {max_batch_size}")
-        if max_wait_seconds < 0:
+        # ``not 0 <= x < inf`` also rejects NaN, which compares false to all:
+        # a NaN deadline would spin the hand-off on zero-length waits.
+        if not 0 <= max_wait_seconds < math.inf:
             raise ValueError(
-                f"max_wait_seconds must be >= 0, got {max_wait_seconds}"
+                f"max_wait_seconds must be finite and >= 0, "
+                f"got {max_wait_seconds}"
             )
         if batch_rows_budget is not None and batch_rows_budget < 1:
             raise ValueError(

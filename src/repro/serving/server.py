@@ -76,16 +76,11 @@ from repro.serving.queue import (
     QueueClosed,
     QueuedRequest,
     QueueFull,
+    SubmitOptions,
 )
 from repro.serving.resilience import DeadlineExceeded, RetryPolicy
 from repro.serving.scheduler import MicroBatchScheduler, MicroBatch
-from repro.session import (
-    FrameLike,
-    FrameRequest,
-    FrameResponse,
-    Session,
-    SubmitOptions,
-)
+from repro.session import FrameLike, FrameRequest, FrameResponse, Session
 
 #: Recognised values of ``FrameServer(execution=...)``.
 EXECUTION_MODES = ("thread", "process")
@@ -143,17 +138,19 @@ class FrameServer:
         Factories must return *distinct* sessions for distinct workers
         (sessions are not thread-safe); for deterministic cross-worker
         results, build them with identical configs and
-        ``response_cache_size=0``.
+        ``response_cache_size=0``.  ``session_factory=lambda: session,
+        num_workers=1`` serves one existing session on one thread worker.
     num_workers:
         Worker threads or processes (one warm session each).
     execution:
         ``"thread"`` (default) or ``"process"``.  Process workers need the
         ``fork`` start method; shared memory is used for batch transport
         when available, with an inline fallback otherwise.
-    max_batch_size / max_wait_seconds / batch_rows_budget:
+    max_batch_size / max_wait_seconds:
         Micro-batch triggers (see
-        :class:`~repro.serving.scheduler.MicroBatchScheduler`).  The rows
-        budget defaults to the sessions' own ``batch_rows_budget``.
+        :class:`~repro.serving.scheduler.MicroBatchScheduler`).  The size
+        trigger is further capped by :attr:`Session.batch_rows_budget`, so
+        the scheduler never forms a batch a session would split.
     queue_capacity:
         Bound on requests admitted but not yet started -- queued or
         grouped (backpressure above it).  A full queue sheds its expired
@@ -182,7 +179,6 @@ class FrameServer:
         max_batch_size: int = 8,
         max_wait_seconds: float = 0.005,
         queue_capacity: int = 256,
-        batch_rows_budget: Optional[int] = None,
         clock: Clock = time.monotonic,
         name: str = "serving",
         execution: str = "thread",
@@ -211,13 +207,12 @@ class FrameServer:
         if policy is not None and policy.max_backlog is not None:
             queue_capacity = min(queue_capacity, policy.max_backlog)
         self.pool: Optional[WorkerPool] = None
-        #: The waiting room: the queue, then the scheduler's shape groups
-        #: (whose rows budget :meth:`start` defaults from the sessions').
+        #: The waiting room: the queue, then the scheduler's shape groups.
         self.scheduler = MicroBatchScheduler(
             shape_key=lambda request: self.pool.shape_key(request.cloud),
             max_batch_size=max_batch_size,
             max_wait_seconds=max_wait_seconds,
-            batch_rows_budget=batch_rows_budget,
+            batch_rows_budget=Session.batch_rows_budget,
             clock=clock,
             policy=policy,
         )
@@ -269,8 +264,6 @@ class FrameServer:
             # request is admitted before this method returns.
             pool.start()
             self.pool = pool
-            if self.scheduler.batch_rows_budget is None:
-                self.scheduler.batch_rows_budget = pool.default_batch_rows_budget()
             self._started = True
             return self
 
@@ -355,10 +348,10 @@ class FrameServer:
     ):
         """Admit one frame; returns a future resolving to a FrameResponse.
 
-        Per-request knobs travel as one
-        :class:`~repro.session.SubmitOptions`.  ``options.ttl`` (seconds,
-        > 0) bounds how long the request may wait before it starts: past it,
-        the future resolves with
+        This is the one serving entry point.  Per-request knobs travel as
+        one :class:`~repro.serving.queue.SubmitOptions`.  ``options.ttl``
+        (seconds, > 0) bounds how long the request may wait before it
+        starts: past it, the future resolves with
         :class:`~repro.serving.resilience.DeadlineExceeded` instead of
         being served (never a silent drop).
         ``options.class_name`` selects the serving policy class, whose rank
@@ -391,8 +384,6 @@ class FrameServer:
         # admitted but not yet started.  Reject mode surfaces ``QueueFull``;
         # shed mode makes room by evicting strictly lower-priority waiting
         # work, else sheds the arrival itself -- typed, never raised.
-        if self._shed_mode and options.block:
-            options = dataclasses.replace(options, block=False)
         while True:
             try:
                 return self.admission.submit(
@@ -499,8 +490,6 @@ class FrameServer:
                             entry.future.cancel()
                             self.metrics.record_cancelled()
                 batch = scheduler.take(now, flush=closing)
-                if shed or batch is not None:
-                    self.admission.notify_room()
                 if batch is not None or closing:
                     return batch
                 # Wake for whichever comes first: a batch deadline trigger

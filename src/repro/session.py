@@ -15,9 +15,13 @@ Requests and responses are explicit dataclasses (:class:`FrameRequest`,
 :class:`FrameResponse`, :class:`BatchResult`).  :meth:`Session.run_batch`
 is the one execution path: it groups same-shaped frames so each shape's
 warm-up is paid once and the group travels the engines as a stack;
-:meth:`Session.run` is a batch of one.  Components are referenced by their
-registry names (``sampler="ois"``, ``accelerator="hgpcn"``), which keeps the
-session constructor free of concrete imports::
+:meth:`Session.run` is a batch of one.  A session is synchronous and knows
+nothing of serving: asynchronous callers go through
+:class:`repro.serving.FrameServer`, which runs warm sessions behind one
+admission queue -- ``FrameServer(session_factory=lambda: session,
+num_workers=1)`` serves an existing session.  Components are referenced by
+their registry names (``sampler="ois"``, ``accelerator="hgpcn"``), which
+keeps the session constructor free of concrete imports::
 
     from repro import Session
     session = Session(task="semantic_segmentation", sampler="ois")
@@ -28,7 +32,6 @@ session constructor free of concrete imports::
 from __future__ import annotations
 
 import hashlib
-import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field, replace
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
@@ -49,50 +52,16 @@ from repro.network.backends import resolve_backend
 #: Anything :meth:`Session.run` accepts as a frame.
 FrameLike = Union["FrameRequest", Frame, PointCloud]
 
-#: Default :attr:`Session.batch_rows_budget` (stacked down-sampled points
-#: per batch-native dispatch), the same for every compute backend.
+#: Cap on the stacked down-sampled points per batch-native dispatch, the
+#: same for every compute backend: a shape group whose frames down-sample
+#: to N points runs in sub-batches of ``max(1, budget // N)`` frames -- one
+#: frame per dispatch at N >= 512, four at N = 128.  Frames are stacked only
+#: while the stacked set-abstraction operand still fits one of the backend's
+#: cache-sized blocks: stacking saves python-level dispatches on small
+#: frames, and past a block it only grows memory.  Responses are
+#: bit-identical for every budget (sub-batching changes operand shapes, not
+#: results).
 DEFAULT_BATCH_ROWS_BUDGET = 512
-
-
-@dataclass(frozen=True)
-class SubmitOptions:
-    """Per-request options for the asynchronous submit path.
-
-    One typed bundle that :meth:`Session.submit`, ``FrameServer.submit``
-    and ``AdmissionQueue.submit`` all take as
-    ``options=``; the same object is threaded through the layers
-    untouched.  Lives here (not in :mod:`repro.serving`) because the
-    serving queue imports this module -- the options travel *down* the
-    dependency graph with the request.
-
-    ``class_name`` feeds the serving policy layer
-    (:mod:`repro.serving.policy`): it picks a configured
-    :class:`~repro.serving.policy.PriorityClass` (the policy's default
-    class when ``None``), whose rank the request rides.  On servers
-    without a policy it only labels the per-class metrics.
-    """
-
-    #: Block for a queue slot instead of raising ``QueueFull`` (legacy
-    #: backpressure; irrelevant under ``admission="shed"`` policies).
-    block: bool = False
-    #: Blocking-submit timeout in seconds on the serving clock.
-    timeout: Optional[float] = None
-    #: Seconds the request may wait before dispatch; past it the future
-    #: resolves with ``DeadlineExceeded`` (typed, never silent).
-    ttl: Optional[float] = None
-    #: Serving-policy class name; ``None`` means the policy's default.
-    class_name: Optional[str] = None
-
-    def __post_init__(self) -> None:
-        if self.ttl is not None and self.ttl <= 0:
-            raise ValueError(f"ttl must be > 0 seconds, got {self.ttl}")
-        if self.timeout is not None and self.timeout < 0:
-            raise ValueError(f"timeout must be >= 0, got {self.timeout}")
-
-    @classmethod
-    def coerce(cls, options: Optional["SubmitOptions"] = None) -> "SubmitOptions":
-        """``options`` itself, or the defaults when ``None``."""
-        return options if options is not None else cls()
 
 
 @dataclass(frozen=True)
@@ -212,7 +181,7 @@ class BatchResult:
 
 
 class Session:
-    """A warm, reusable pipeline instance (the serving entry point).
+    """A warm, reusable pipeline instance (the pipeline entry point).
 
     Parameters
     ----------
@@ -233,18 +202,6 @@ class Session:
         not the octree) and its request's raw cloud, so size the cache to
         the frame scale -- or disable it -- when serving paper-scale
         million-point frames.
-    batch_rows_budget:
-        Cap on the stacked down-sampled points per batch-native dispatch:
-        a shape group whose frames down-sample to N points is processed in
-        sub-batches of ``max(1, budget // N)`` frames.  Frames are stacked
-        only while the stacked set-abstraction operand still fits one of
-        the compute backend's cache-sized blocks -- stacking saves
-        python-level dispatches on small frames, and past a block it only
-        grows memory -- so ``None`` (the default) means
-        :data:`DEFAULT_BATCH_ROWS_BUDGET` for every backend: one frame per
-        dispatch at N >= 512, four at N = 128.  Responses are bit-identical
-        for every budget (sub-batching changes operand shapes, not
-        results).
     backend:
         Registry name of the compute backend executing the network layers
         (``available("backend")``), or ``None`` for the process default
@@ -254,6 +211,11 @@ class Session:
         session's options.
     """
 
+    #: Stacked down-sampled points per batch-native dispatch
+    #: (:data:`DEFAULT_BATCH_ROWS_BUDGET`); serving schedulers cap their
+    #: micro-batches with the same value.
+    batch_rows_budget = DEFAULT_BATCH_ROWS_BUDGET
+
     def __init__(
         self,
         config: Optional[HgPCNConfig] = None,
@@ -261,7 +223,6 @@ class Session:
         sampler: str = "ois",
         accelerator: Union[str, Any] = "hgpcn",
         response_cache_size: int = 64,
-        batch_rows_budget: Optional[int] = None,
         backend: Optional[str] = None,
     ):
         self.config = config if config is not None else HgPCNConfig()
@@ -283,31 +244,9 @@ class Session:
         )
         self.backend = resolve_backend(backend).name
         self.response_cache_size = max(0, int(response_cache_size))
-        if batch_rows_budget is None:
-            batch_rows_budget = DEFAULT_BATCH_ROWS_BUDGET
-        self.batch_rows_budget = max(1, int(batch_rows_budget))
         self._response_cache: "OrderedDict[str, FrameResponse]" = OrderedDict()
         self.frames_processed = 0
         self.cache_hits = 0
-        #: Lazily-started single-worker FrameServer behind :meth:`submit`,
-        #: guarded by a lock so concurrent first submits cannot start two
-        #: servers over the same (non-thread-safe) session.
-        self._server: Optional[Any] = None
-        self._server_lock = threading.Lock()
-
-    # -- pickling --------------------------------------------------------
-    def __getstate__(self) -> Dict[str, Any]:
-        """Sessions pickle without their live server (threads, futures) or
-        lock; the warm engines and caches travel as-is.  A restored session
-        starts cold on the serving side but warm on the compute side."""
-        state = self.__dict__.copy()
-        state["_server"] = None
-        del state["_server_lock"]
-        return state
-
-    def __setstate__(self, state: Dict[str, Any]) -> None:
-        self.__dict__.update(state)
-        self._server_lock = threading.Lock()
 
     # -- warm-state introspection --------------------------------------
     @property
@@ -344,60 +283,6 @@ class Session:
         if frame_id is not None:
             request = replace(request, frame_id=frame_id)
         return self.run_batch([request]).responses[0]
-
-    # -- asynchronous path ----------------------------------------------
-    def submit(
-        self,
-        frame: FrameLike,
-        frame_id: Optional[str] = None,
-        options: Optional[SubmitOptions] = None,
-        **server_options,
-    ):
-        """Submit one frame asynchronously; returns a future.
-
-        The first call lazily starts a single-worker
-        :class:`~repro.serving.server.FrameServer` whose worker *is* this
-        session (same warm caches, same response cache), configured by
-        ``server_options`` (``max_batch_size``, ``max_wait_seconds``,
-        ``queue_capacity``, ``policy``, ...).  Per-request knobs travel as
-        one :class:`SubmitOptions` bundle forwarded untouched to
-        :meth:`~repro.serving.server.FrameServer.submit` (``ttl`` seconds
-        bounds the queue wait -- past it the future resolves with
-        :class:`~repro.serving.resilience.DeadlineExceeded` instead of
-        being served).  The future resolves to the frame's
-        :class:`FrameResponse` once its micro-batch has been served; call
-        :meth:`drain` to flush pending work and stop the server.  Do not mix ``submit`` with direct
-        :meth:`run`/:meth:`run_batch` calls while the server is live --
-        the session's warm state is not thread-safe.
-        """
-        with self._server_lock:
-            if self._server is None:
-                from repro.serving.server import FrameServer
-
-                self._server = FrameServer(
-                    session_factory=lambda: self, num_workers=1,
-                    **server_options,
-                ).start()
-            elif server_options:
-                raise ValueError(
-                    "server options only apply to the first submit(); "
-                    "drain() first to reconfigure"
-                )
-            server = self._server
-        return server.submit(frame, frame_id=frame_id, options=options)
-
-    def drain(self) -> Optional[Dict[str, Any]]:
-        """Finish all submitted work, stop serving, return the metrics.
-
-        Returns ``None`` when :meth:`submit` was never called.  The session
-        itself stays warm and usable afterwards (and :meth:`submit` may be
-        called again to start a fresh server).
-        """
-        with self._server_lock:
-            if self._server is None:
-                return None
-            server, self._server = self._server, None
-        return server.shutdown(drain=True)
 
     # -- batched path ---------------------------------------------------
     def run_batch(

@@ -324,8 +324,6 @@ class TestSessionIntegration:
                 Session(backend=name).batch_rows_budget
                 == DEFAULT_BATCH_ROWS_BUDGET
             )
-        # An explicit budget always wins over the default.
-        assert Session(backend="fused", batch_rows_budget=64).batch_rows_budget == 64
 
     def test_session_reports_backend(self):
         from repro.session import Session

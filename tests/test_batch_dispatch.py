@@ -378,8 +378,9 @@ class TestSessionBatchedDispatch:
         for budget in (1, 64, 128, 10_000):
             session = Session(
                 config=small_config(), task="semantic_segmentation",
-                response_cache_size=0, batch_rows_budget=budget,
+                response_cache_size=0,
             )
+            session.batch_rows_budget = budget
             snapshot = batch_snapshot(session.run_batch(frames))
             if reference is None:
                 reference = snapshot

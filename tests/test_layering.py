@@ -3,13 +3,17 @@
 Each case runs in a fresh interpreter (this one has long since imported
 everything): the public entry point must not drag the serving stack, the
 CLI, the serving workers' BLAS cap or the frozen scalar references in, and
-nothing below the serving layer may import the serving stack.
+nothing below the serving layer may import the serving stack.  The core
+session module is also checked statically, so an import deferred into a
+function body cannot point up unseen.
 """
 
+import ast
 import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -50,3 +54,17 @@ def test_lower_layers_never_import_serving(package):
     loaded = modules_after(f"import {package}")
     assert package in loaded
     assert [name for name in loaded if name.startswith("repro.serving")] == []
+
+
+def test_session_module_imports_nothing_from_serving():
+    source = Path(__file__).resolve().parents[1] / "src" / "repro" / "session.py"
+    imported = []
+    for node in ast.walk(ast.parse(source.read_text())):
+        if isinstance(node, ast.Import):
+            imported.extend(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            # ``from repro import serving`` names the package as an alias.
+            imported.append(node.module)
+            imported.extend(f"{node.module}.{a.name}" for a in node.names)
+    assert "repro.core.engine" in imported
+    assert [name for name in imported if name.startswith("repro.serving")] == []

@@ -26,11 +26,12 @@ from repro.serving import (
     PriorityClass,
     QueueFull,
     ServingPolicy,
+    SubmitOptions,
     response_signature,
     signatures_equal,
 )
 from repro.serving.cluster.pool import _STAGED_PER_CHILD, WorkerPool
-from repro.session import FrameRequest, SubmitOptions
+from repro.session import FrameRequest
 
 from test_cluster import make_session
 

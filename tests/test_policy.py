@@ -367,8 +367,6 @@ class TestSubmitOptions:
     def test_validation(self):
         with pytest.raises(ValueError):
             SubmitOptions(ttl=0.0)
-        with pytest.raises(ValueError):
-            SubmitOptions(timeout=-1.0)
 
     def test_coerce_passes_options_through(self):
         options = SubmitOptions(ttl=1.0, class_name="rt")
@@ -380,7 +378,6 @@ class TestSubmitOptions:
         submits = (
             AdmissionQueue(capacity=4).submit,
             FrameServer(session_factory=make_session, num_workers=1).submit,
-            make_session().submit,
         )
         for submit in submits:
             for legacy in ({"block": True}, {"timeout": 2.0}, {"ttl": 1.0}):

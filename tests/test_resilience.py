@@ -6,15 +6,12 @@ admission queue, scheduler, and a live ``FrameServer`` (shed as typed
 ``DeadlineExceeded``, never a silent drop), crash retry with backoff on the
 process pool (seeded worker kills and poisoned transport recover
 bit-identically; exhausted retries surface ``RetriesExhausted`` with the
-crash as cause), the blocking-mode admission-queue timeout semantics on an
-injected clock, the shutdown-vs-in-flight-batch race, ``WorkerCrashed``
+crash as cause), the shutdown-vs-in-flight-batch race, ``WorkerCrashed``
 diagnostics, and the ``serve --chaos`` CLI gates.
 """
 
 from __future__ import annotations
 
-import threading
-import time
 from concurrent.futures import Future
 
 import pytest
@@ -29,16 +26,16 @@ from repro.serving import (
     FrameServer,
     ManualClock,
     MicroBatchScheduler,
-    QueueClosed,
     QueuedRequest,
     QueueFull,
     RetriesExhausted,
     RetryPolicy,
+    SubmitOptions,
     WorkerCrashed,
     response_signature,
     signatures_equal,
 )
-from repro.session import FrameRequest, SubmitOptions
+from repro.session import FrameRequest
 
 from test_cluster import (
     CrashingSession,
@@ -182,6 +179,10 @@ class TestDeadlines:
             queue.submit(_entry_request(0), options=SubmitOptions(ttl=0))
         with pytest.raises(ValueError, match="ttl"):
             queue.submit(_entry_request(0), options=SubmitOptions(ttl=-1.0))
+        with pytest.raises(ValueError, match="ttl"):
+            queue.submit(
+                _entry_request(0), options=SubmitOptions(ttl=float("nan"))
+            )
 
     def test_full_queue_sheds_expired_before_queue_full(self):
         clock = ManualClock()
@@ -189,10 +190,9 @@ class TestDeadlines:
         queue = AdmissionQueue(capacity=2, clock=clock, on_shed=shed.append)
         first = queue.submit(_entry_request(0), options=SubmitOptions(ttl=1.0))
         queue.submit(_entry_request(1), options=SubmitOptions(ttl=10.0))
-        # Full with nothing expired: still QueueFull, counted as rejected.
+        # Full with nothing expired: still QueueFull.
         with pytest.raises(QueueFull):
             queue.submit(_entry_request(2))
-        assert queue.rejected == 1
         assert shed == []
         clock.advance(2.0)  # first's deadline (1.0) has passed
         entry = queue.submit(_entry_request(3))
@@ -268,138 +268,6 @@ class TestDeadlines:
             ).result(timeout=60)
             assert response.result.frame_id == "req0000"
         assert server.shutdown()["requests"]["shed"] == 0
-
-    def test_session_submit_forwards_ttl_per_request(self):
-        # Regression: ttl/block/timeout are per-request arguments of
-        # Session.submit, not FrameServer construction options -- a second
-        # submit with ttl must not raise "server options only apply to the
-        # first submit()".
-        session = make_session()
-        try:
-            first = session.submit(make_request(0), options=SubmitOptions(ttl=60.0))
-            assert first.result(timeout=60).result.frame_id == "req0000"
-            second = session.submit(make_request(1), options=SubmitOptions(ttl=60.0))
-            assert second.result(timeout=60).result.frame_id == "req0001"
-        finally:
-            metrics = session.drain()
-        assert metrics["requests"]["shed"] == 0
-        assert metrics["requests"]["completed"] == 2
-
-
-# ----------------------------------------------------------------------
-# Blocking admission on a manual clock (regression: timeout semantics)
-# ----------------------------------------------------------------------
-class TestBlockingAdmissionManualClock:
-    def _fill(self, queue: AdmissionQueue, n: int) -> None:
-        for i in range(n):
-            queue.submit(_entry_request(i))
-
-    def test_timeout_zero_never_waits(self):
-        queue = AdmissionQueue(capacity=1, clock=ManualClock())
-        self._fill(queue, 1)
-        start = time.monotonic()
-        with pytest.raises(QueueFull):
-            queue.submit(
-                _entry_request(9), options=SubmitOptions(block=True, timeout=0)
-            )
-        assert time.monotonic() - start < 1.0
-        assert queue.rejected == 1
-
-    def test_timeout_is_measured_on_the_injected_clock(self):
-        # Real time passing must NOT expire the budget: only advancing the
-        # injected clock may.  The waiter polls in bounded slices, so after
-        # the manual clock moves past the deadline it gives up promptly.
-        clock = ManualClock()
-        queue = AdmissionQueue(capacity=1, clock=clock)
-        self._fill(queue, 1)
-        outcome = {}
-
-        def blocked_submit():
-            try:
-                queue.submit(
-                    _entry_request(9), options=SubmitOptions(block=True, timeout=0.05)
-                )
-                outcome["result"] = "admitted"
-            except QueueFull:
-                outcome["result"] = "full"
-
-        thread = threading.Thread(target=blocked_submit)
-        thread.start()
-        time.sleep(0.3)  # >> the 0.05 s budget, in *real* seconds
-        assert thread.is_alive(), "timed out on the wall clock"
-        clock.advance(0.1)
-        thread.join(timeout=10)
-        assert not thread.is_alive()
-        assert outcome["result"] == "full"
-        assert queue.rejected == 1
-
-    def test_blocking_submit_admits_when_a_slot_frees(self):
-        clock = ManualClock()
-        queue = AdmissionQueue(capacity=1, clock=clock)
-        self._fill(queue, 1)
-        admitted = []
-
-        def blocked_submit():
-            admitted.append(
-                queue.submit(
-                    _entry_request(9), options=SubmitOptions(block=True, timeout=100.0)
-                )
-            )
-
-        thread = threading.Thread(target=blocked_submit)
-        thread.start()
-        time.sleep(0.05)
-        assert thread.is_alive()
-        assert queue.pop(timeout=0) is not None  # frees the slot
-        thread.join(timeout=10)
-        assert not thread.is_alive()
-        assert admitted[0].request.frame_id == "ttl09"
-        assert queue.rejected == 0
-
-    def test_close_during_blocking_wait_raises_queue_closed(self):
-        queue = AdmissionQueue(capacity=1, clock=ManualClock())
-        self._fill(queue, 1)
-        errors = []
-
-        def blocked_submit():
-            try:
-                queue.submit(
-                    _entry_request(9), options=SubmitOptions(block=True, timeout=100.0)
-                )
-            except QueueClosed as exc:
-                errors.append(exc)
-
-        thread = threading.Thread(target=blocked_submit)
-        thread.start()
-        time.sleep(0.05)
-        queue.close()
-        thread.join(timeout=10)
-        assert not thread.is_alive()
-        assert len(errors) == 1
-
-    def test_blocking_wait_sheds_expired_entries_to_make_room(self):
-        clock = ManualClock()
-        shed = []
-        queue = AdmissionQueue(capacity=1, clock=clock, on_shed=shed.append)
-        doomed = queue.submit(_entry_request(0), options=SubmitOptions(ttl=1.0))
-        admitted = []
-
-        def blocked_submit():
-            admitted.append(
-                queue.submit(
-                    _entry_request(9), options=SubmitOptions(block=True, timeout=100.0)
-                )
-            )
-
-        thread = threading.Thread(target=blocked_submit)
-        thread.start()
-        time.sleep(0.05)
-        assert thread.is_alive()
-        clock.advance(2.0)  # expires the occupant; the waiter sheds it
-        thread.join(timeout=10)
-        assert not thread.is_alive()
-        assert shed == [doomed]
-        assert admitted[0].request.frame_id == "ttl09"
 
 
 # ----------------------------------------------------------------------

@@ -6,8 +6,7 @@ deterministic metrics aggregation under seeded timestamps) and the
 integrated :class:`FrameServer` contract: N-worker results bit-identical to
 a sequential ``run_batch``, drain-on-shutdown completing every admitted
 request, and monotonic future resolution.  Also exercises the
-``Session.submit``/``drain`` entry points and the ``batch_size`` guard on
-``Session.run_batch``.
+``batch_size`` guard on ``Session.run_batch``.
 """
 
 from __future__ import annotations
@@ -36,7 +35,7 @@ from repro.serving import (
     response_signature,
     signatures_equal,
 )
-from repro.session import FrameRequest, Session, SubmitOptions
+from repro.session import FrameRequest, Session
 
 
 def small_config(num_samples: int = 64) -> HgPCNConfig:
@@ -91,37 +90,10 @@ class TestAdmissionQueue:
         queue.submit(make_request(1))
         with pytest.raises(QueueFull):
             queue.submit(make_request(2))
-        assert queue.rejected == 1
         # Draining a slot re-opens admission.
         assert queue.pop(timeout=0) is not None
         entry = queue.submit(make_request(3))
         assert entry.sequence == 2
-
-    def test_blocking_submit_times_out(self):
-        queue = AdmissionQueue(capacity=1)
-        queue.submit(make_request(0))
-        start = time.monotonic()
-        with pytest.raises(QueueFull):
-            queue.submit(
-                make_request(1), options=SubmitOptions(block=True, timeout=0.05)
-            )
-        assert time.monotonic() - start >= 0.04
-
-    def test_blocking_submit_proceeds_when_slot_frees(self):
-        queue = AdmissionQueue(capacity=1)
-        queue.submit(make_request(0))
-
-        def drain_soon():
-            time.sleep(0.03)
-            queue.pop(timeout=0)
-
-        thread = threading.Thread(target=drain_soon)
-        thread.start()
-        entry = queue.submit(
-            make_request(1), options=SubmitOptions(block=True, timeout=2.0)
-        )
-        thread.join()
-        assert entry.sequence == 1
 
     def test_close_stops_admission_but_drains_entries(self):
         queue = AdmissionQueue(capacity=4)
@@ -235,8 +207,9 @@ class TestMicroBatchScheduler:
         key = lambda request: session.shape_key(request.cloud)  # noqa: E731
         with pytest.raises(ValueError):
             MicroBatchScheduler(key, max_batch_size=0)
-        with pytest.raises(ValueError):
-            MicroBatchScheduler(key, max_wait_seconds=-1.0)
+        for max_wait in (-1.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="max_wait_seconds"):
+                MicroBatchScheduler(key, max_wait_seconds=max_wait)
         with pytest.raises(ValueError):
             MicroBatchScheduler(key, batch_rows_budget=0)
 
@@ -513,48 +486,6 @@ class TestFrameServer:
 
 
 # ----------------------------------------------------------------------
-# Session.submit / Session.drain
-# ----------------------------------------------------------------------
-class TestSessionSubmit:
-    def test_submit_returns_futures_and_drain_reports(self):
-        requests = [make_request(i) for i in range(5)]
-        expected = self.signatures(requests)
-        session = make_session()
-        futures = [
-            session.submit(request, max_wait_seconds=0.002)
-            if i == 0
-            else session.submit(request)
-            for i, request in enumerate(requests)
-        ]
-        responses = [future.result(timeout=60.0) for future in futures]
-        metrics = session.drain()
-        assert metrics["requests"]["completed"] == 5
-        for response, signature in zip(responses, expected):
-            assert signatures_equal(response_signature(response), signature)
-        # The worker was the session itself, so its warm state was used.
-        assert session.frames_processed == 5
-        assert session.model_builds == 1
-
-    def signatures(self, requests):
-        reference = make_session().run_batch(requests, batch_size=1)
-        return [response_signature(r) for r in reference.responses]
-
-    def test_drain_without_submit_is_a_noop(self):
-        assert make_session().drain() is None
-
-    def test_submit_options_only_on_first_call(self):
-        session = make_session()
-        session.submit(make_request(0))
-        with pytest.raises(ValueError, match="first submit"):
-            session.submit(make_request(1), max_batch_size=2)
-        session.drain()
-        # After drain() the server is gone and options are accepted again.
-        future = session.submit(make_request(2), max_batch_size=2)
-        future.result(timeout=60.0)
-        session.drain()
-
-
-# ----------------------------------------------------------------------
 # run_batch(batch_size=...) guard (the CLI --batch-size fix)
 # ----------------------------------------------------------------------
 class TestRunBatchBatchSize:
@@ -635,7 +566,7 @@ class TestServeCLI:
             if isinstance(action.default, list):  # repeatable flag
                 default = list(default)
             assert action.default == default, action.option_strings
-        assert len(flags) == 31
+        assert len(flags) == 30
         assert ServeConfig.from_args(parser.parse_args([])) == ServeConfig()
 
     @pytest.mark.parametrize(
@@ -661,6 +592,36 @@ class TestServeCLI:
         assert exit_code == 2
         assert err.startswith("error:") and err.count("\n") == 1, err
         assert not (tmp_path / "metrics.json").exists()
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            # NaN made the hand-off spin on zero-length waits (a hang).
+            ["--max-wait-ms", "nan"],
+            ["--max-wait-ms", "inf"],
+            ["--max-wait-ms", "-1"],
+            ["--scale", "nan"],
+            ["--scale", "1.5"],
+            # NaN silently meant "submit everything at once".
+            ["--rate-hz", "nan"],
+            # NaN silently turned the p99 gate off.
+            ["--p99-budget-ms", "nan"],
+        ],
+    )
+    def test_serve_rejects_non_finite_or_out_of_range_numbers(
+        self, flags, tmp_path, capsys
+    ):
+        from repro.cli import main
+
+        metrics_path = tmp_path / "metrics.json"
+        with pytest.raises(SystemExit) as excinfo:
+            main(
+                ["serve", "--frames", "4", "--workers", "1",
+                 "--metrics-out", str(metrics_path), *flags]
+            )
+        assert excinfo.value.code == 2
+        assert f"argument {flags[0]}: expected" in capsys.readouterr().err
+        assert not metrics_path.exists()
 
     def test_serve_soak_passes_and_writes_metrics(self, tmp_path, capsys):
         import json
