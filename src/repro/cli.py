@@ -44,6 +44,7 @@ from repro.datasets.synthetic import sample_cad_shape
 from repro.serving.config import (
     DATASET_TASKS as _DATASET_TASKS,
     ServeConfig,
+    fraction as _fraction,
     nonnegative_int as _nonnegative_int,
     positive_int as _positive_int,
 )
@@ -67,11 +68,11 @@ def build_parser() -> argparse.ArgumentParser:
     e2e.add_argument(
         "--dataset", choices=sorted(_DATASET_TASKS), default="kitti"
     )
-    e2e.add_argument("--scale", type=float, default=0.005,
+    e2e.add_argument("--scale", type=_fraction, default=0.005,
                      help="fraction of the paper-scale raw frame to generate")
-    e2e.add_argument("--samples", type=int, default=1024,
+    e2e.add_argument("--samples", type=_positive_int, default=1024,
                      help="down-sampled input size (default 1024)")
-    e2e.add_argument("--neighbors", type=int, default=32)
+    e2e.add_argument("--neighbors", type=_positive_int, default=32)
     e2e.add_argument("--seed", type=int, default=0)
     e2e.add_argument(
         "--frames", type=_positive_int, default=1,

@@ -5,8 +5,9 @@ Importing this package registers the built-in backends under the
 component family follows):
 
 * ``fused`` -- the default: cache-sized blocks with folded bias/BN/ReLU
-  epilogues and streamed set abstraction (gather -> MLP -> running max),
-  contract = documented ``allclose`` tolerance, dispatch-invariant by
+  epilogues and streamed set abstraction (gather -> MLP -> running max,
+  with a non-widening first layer tabulated per point ahead of the gather
+  and the last epilogue run on the pooled rows), contract = documented ``allclose`` tolerance, dispatch-invariant by
   construction.
 * ``numpy`` -- the whole-operand path every contract is stated against,
   contract = bit-identity.

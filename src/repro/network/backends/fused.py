@@ -13,31 +13,47 @@ folded ``y * scale + shift`` epilogue and an in-place ReLU, see
 touched, in per-thread workspaces that are reused from call to call.  A set
 abstraction (:meth:`FusedBlockedBackend.apply_grouped`) is streamed the way
 HgPCN feeds VEG neighbour indices to its DLA: a block of whole groups is
-gathered by index into the workspace, centred, run through the stages and
+gathered by index into the workspace, run through the stages and
 max-pooled straight into the output, so neither the ``(M * K, C_in)`` input
 nor the ``(M * K, C_out)`` activation ever exists.
 
+Both ends of a set abstraction's MLP work on points rather than on group
+rows, by two identities:
+
+* The first layer is linear before its epilogue (Mesorasi's "delayed
+  aggregation"): ``[p_j - c_i, f_j] @ W = ((p_j - o) @ W_xyz + f_j @ W_f)
+  - (c_i - o) @ W_xyz``.  When the layer does not widen and the groups
+  hold at least as many rows as the frame has points, the bracket is
+  computed once per point and a block gathers its rows; ``o`` is the
+  frame's first centre, so the rounding follows the cloud's extent, not
+  its position.  At the 1024-point classification shape ``sa2`` runs its
+  first matmul on 512 points instead of 8192 group rows; ``sa1`` (3 input
+  channels -> 64) widens and keeps the gather.
+* The last epilogue is monotone, so it commutes with the max over the
+  group: the raw last matmul output is pooled and the epilogue runs on
+  the ``(M, C_out)`` pooled rows.  This step is exact: the same bits as
+  epilogue-then-max (see ``_pooling_scale`` for negative scales).
+
 Equivalence contract: ``allclose`` against the numpy backend.  The folded
 epilogue re-associates the bias/BN arithmetic ``(x@W + b - mean) * s + beta
--> (x@W) * s + shift`` and the blocked matmul may take different BLAS
-kernels than the whole-operand one, so bit-identity with numpy is not
-guaranteed in general (with this repo's deterministic untrained weights it
-usually holds bit-exactly, but the *declared* contract is the tolerance
-below and that is what the tests and the ``forward_fused_vs_numpy``
-benchmark assert).
+-> (x@W) * s + shift``, the hoisted first layer subtracts two matmul
+results instead of multiplying ``p - c``, and the blocked matmul may take different BLAS kernels than
+the whole-operand one, so outputs differ from numpy in the last bits; the
+*declared* contract is the tolerance below and that is what the tests and
+the ``forward_fused_vs_numpy`` benchmark assert.
 
 Dispatch invariance, by contrast, is exact by construction: the block
 decomposition is a pure function of the layer shapes and the per-frame
-operand shape, and blocks never span a frame boundary -- so a stacked call
-performs literally the same block-sized kernel calls as the per-frame
-calls, and a ``Session.run_batch`` response does not depend on how the
-frames were stacked under this backend.
+operand shape, and neither a block nor the hoisted first-layer table
+spans a frame boundary -- so a stacked call performs literally the same
+kernel calls as the per-frame calls, and a ``Session.run_batch`` response
+does not depend on how the frames were stacked under this backend.
 """
 
 from __future__ import annotations
 
 import threading
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -102,12 +118,15 @@ class FusedBlockedBackend(ComputeBackend):
         stages: List[DenseStage],
         x: np.ndarray,
         out: Optional[np.ndarray] = None,
+        last_epilogue: bool = True,
     ) -> np.ndarray:
         """Push one block through every stage; the last writes into ``out``.
 
         Intermediate activations alternate between two workspace buffers
         (never the one ``x`` may itself live in), so the returned array is
-        only valid until the next block when ``out`` is not given.
+        only valid until the next block when ``out`` is not given.  With
+        ``last_epilogue=False`` the last stage stops at its raw matmul
+        output.  With no stages, ``x`` itself is returned.
         """
         last = len(stages) - 1
         for i, stage in enumerate(stages):
@@ -118,11 +137,8 @@ class FusedBlockedBackend(ComputeBackend):
                     "even" if i % 2 == 0 else "odd", x.shape[0], stage.out_features
                 )
             np.matmul(x, stage.weight, out=y)
-            if stage.scale is not None:
-                y *= stage.scale
-            y += stage.shift
-            if stage.relu:
-                np.maximum(y, 0.0, out=y)
+            if i < last or last_epilogue:
+                _epilogue(y, stage.scale, stage.shift, stage.relu)
             x = y
         return x
 
@@ -142,6 +158,49 @@ class FusedBlockedBackend(ComputeBackend):
                 self._run_stages(stages, flat[start:stop], out[start:stop])
         return out
 
+    @staticmethod
+    def _hoists(
+        first: DenseStage, num_points: int, num_groups: int, group_size: int
+    ) -> bool:
+        """Whether the first stage runs per source point instead of per row.
+
+        Hoisting pays when the layer does not widen (the gathered table
+        rows are no wider than the input rows they replace) and the groups
+        hold at least as many rows as there are points to tabulate.
+        """
+        return (
+            first.in_features >= first.out_features
+            and num_groups * group_size >= num_points
+        )
+
+    def _first_stage_table(
+        self,
+        stage: DenseStage,
+        points: np.ndarray,
+        features: Optional[np.ndarray],
+        centers: np.ndarray,
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """One frame's first-stage matmul, per point and per centre.
+
+        Returns ``table = (p - o) @ W_xyz + f @ W_f`` over the frame's
+        ``(N, C_1)`` points and ``centre_term = (c - o) @ W_xyz`` over its
+        ``(M, C_1)`` centres, so a grouped row's raw first-stage output is
+        ``table[j] - centre_term[i]``.  The origin ``o`` is the frame's
+        first centre: the rounding of both terms then scales with the
+        cloud's extent, not with its absolute position.
+        """
+        origin = centers[0]
+        take = self._workspace.take
+        x = take("points", points.shape[0], stage.in_features)
+        np.subtract(points, origin, out=x[:, :3])
+        if features is not None:
+            x[:, 3:] = features
+        table = take("table", points.shape[0], stage.out_features)
+        np.matmul(x, stage.weight, out=table)
+        centre_term = take("centres", centers.shape[0], stage.out_features)
+        np.matmul(centers - origin, stage.weight[:3], out=centre_term)
+        return table, centre_term
+
     def apply_grouped(
         self,
         mlp,
@@ -150,10 +209,25 @@ class FusedBlockedBackend(ComputeBackend):
         centers: np.ndarray,
         neighbor_rows: np.ndarray,
     ) -> np.ndarray:
+        """Stream a set abstraction block by block; see the module docstring.
+
+        Both ends of the shared MLP work on points rather than on group
+        rows.  When :meth:`_hoists` holds, the first stage's matmul is
+        :meth:`_first_stage_table`, once per frame, and a block gathers
+        table rows, subtracts the centre term and applies the first
+        epilogue.  The last stage is max-pooled over the group straight
+        from its raw matmul output, and its epilogue then runs on the
+        ``(M, C_out)`` pooled rows only.
+        """
         stages = folded_stages(mlp)
+        first, last = stages[0], stages[-1]
         num_frames, num_groups, group_size = neighbor_rows.shape
+        num_points = points.shape[1]
         channels = 0 if features is None else features.shape[-1]
-        pooled = np.empty((num_frames, num_groups, stages[-1].out_features))
+        hoist = self._hoists(first, num_points, num_groups, group_size)
+        rest = stages[1:] if hoist else stages
+        scale, sign = _pooling_scale(last)
+        pooled = np.empty((num_frames, num_groups, last.out_features))
         # Blocks hold whole groups; a group larger than one block (the
         # global group of the last SA layer) is walked in block-sized
         # pieces under a running max.
@@ -162,6 +236,13 @@ class FusedBlockedBackend(ComputeBackend):
         groups_per_block = block // piece
         take = self._workspace.take
         for b in range(num_frames):
+            if hoist:
+                table, centre_term = self._first_stage_table(
+                    first,
+                    points[b],
+                    None if features is None else features[b],
+                    centers[b],
+                )
             for g0 in range(0, num_groups, groups_per_block):
                 g1 = min(g0 + groups_per_block, num_groups)
                 target = pooled[b, g0:g1]
@@ -169,21 +250,66 @@ class FusedBlockedBackend(ComputeBackend):
                     rows = neighbor_rows[b, g0:g1, k0 : k0 + piece]
                     count, width = rows.shape
                     index = rows.reshape(-1)
-                    x = take("input", index.size, 3 + channels)
-                    xyz = take("xyz", index.size, 3)
-                    np.take(points[b], index, axis=0, out=xyz)
-                    np.subtract(
-                        xyz.reshape(count, width, 3),
-                        centers[b, g0:g1, None, :],
-                        out=x.reshape(count, width, -1)[:, :, :3],
-                    )
-                    if channels:
-                        gathered = take("features", index.size, channels)
-                        np.take(features[b], index, axis=0, out=gathered)
-                        x[:, 3:] = gathered
-                    y = self._run_stages(stages, x).reshape(count, width, -1)
+                    if hoist:
+                        x = take("input", index.size, first.out_features)
+                        np.take(table, index, axis=0, out=x)
+                        grouped = x.reshape(count, width, -1)
+                        np.subtract(
+                            grouped, centre_term[g0:g1, None, :], out=grouped
+                        )
+                        if rest:
+                            _epilogue(x, first.scale, first.shift, first.relu)
+                    else:
+                        x = take("input", index.size, 3 + channels)
+                        xyz = take("xyz", index.size, 3)
+                        np.take(points[b], index, axis=0, out=xyz)
+                        np.subtract(
+                            xyz.reshape(count, width, 3),
+                            centers[b, g0:g1, None, :],
+                            out=x.reshape(count, width, -1)[:, :, :3],
+                        )
+                        if channels:
+                            gathered = take("features", index.size, channels)
+                            np.take(features[b], index, axis=0, out=gathered)
+                            x[:, 3:] = gathered
+                    y = self._run_stages(rest, x, last_epilogue=False)
+                    if sign is not None:
+                        y *= sign
+                    y = y.reshape(count, width, -1)
                     if k0 == 0:
                         y.max(axis=1, out=target)
                     else:
                         np.maximum(target, y.max(axis=1), out=target)
+                _epilogue(target, scale, last.shift, last.relu)
         return pooled
+
+
+def _epilogue(
+    y: np.ndarray, scale: Optional[np.ndarray], shift: np.ndarray, relu: bool
+) -> None:
+    """``y * scale + shift``, then ReLU if asked, in place."""
+    if scale is not None:
+        y *= scale
+    y += shift
+    if relu:
+        np.maximum(y, 0.0, out=y)
+
+
+def _pooling_scale(
+    stage: DenseStage,
+) -> Tuple[Optional[np.ndarray], Optional[np.ndarray]]:
+    """``(scale, sign)`` that let the max over a group precede ``stage``'s epilogue.
+
+    Every epilogue step is monotone and IEEE rounding is monotone, so for a
+    channel with ``scale >= 0`` the max of the epilogue is the epilogue of
+    the max, bit for bit.  A channel with ``scale < 0`` turns the max into
+    a min; multiplying its raw output column by ``sign = -1`` (exact) before
+    the max and scaling by ``|scale|`` after it gives the same bits as
+    folding the sign into the weight column, without copying the weight.
+    ``sign`` is ``None`` when no channel needs it, as for every batch-norm
+    fold with positive ``gamma``.
+    """
+    if stage.scale is None or not (stage.scale < 0).any():
+        return stage.scale, None
+    sign = np.where(stage.scale < 0, -1.0, 1.0)
+    return stage.scale * sign, sign

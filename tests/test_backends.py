@@ -15,8 +15,11 @@ Every registered backend is held to the two-tier contract documented in
   gates rest on.
 
 The fused backend's streamed set abstraction (``apply_grouped``) is held
-to the same two tiers against the materialised base implementation, plus
-workspace isolation between threads and across pickling.
+to the same two tiers against the materialised base implementation, on
+both sides of its first-layer hoisting rule and far from the origin; its
+max-pool before the last epilogue is held to bit-identity with
+epilogue-then-max; and its workspaces are isolated between threads and
+across pickling.
 """
 
 import pickle
@@ -290,6 +293,26 @@ class TestModelEquivalence:
         for got, want in zip(actual, expected):
             assert backend.contract.matches(got.logits, want.logits)
 
+    @pytest.mark.parametrize("task", ["classification", "semantic_segmentation"])
+    def test_full_size_fused_forward_matches_numpy(self, task):
+        """At ``input_size=1024`` every fused SA but ``sa1`` hoists its
+        first layer; the logits stay within the contract and no label
+        moves."""
+        fused = get_backend("fused")
+        clouds = [sample_cad_shape(2048, seed=70 + i) for i in range(2)]
+        batch = FrameBatch.from_clouds(clouds)
+        expected = build_model_for_task(
+            task, input_size=1024, backend="numpy"
+        ).forward_batch(batch)
+        actual = build_model_for_task(
+            task, input_size=1024, backend="fused"
+        ).forward_batch(batch)
+        for got, want in zip(actual, expected):
+            assert fused.contract.matches(got.logits, want.logits)
+            np.testing.assert_array_equal(
+                got.logits.argmax(axis=-1), want.logits.argmax(axis=-1)
+            )
+
     @pytest.mark.parametrize("backend_name", BACKEND_NAMES)
     def test_sequential_forward_matches_batched(self, backend_name):
         """Dispatch invariance end to end: forward vs forward_batch.
@@ -363,43 +386,112 @@ def _grouped_operands(rng, frames, points, groups, neighbors, channels):
     return xyz, features, centers, rows
 
 
+def _assert_streamed_sa_contract(mlp, operands):
+    """Fused vs numpy under the contract, and stacked == per-frame exactly."""
+    fused = get_backend("fused")
+    frames, groups = operands[3].shape[:2]
+    expected = get_backend("numpy").apply_grouped(mlp, *operands)
+    actual = fused.apply_grouped(mlp, *operands)
+    assert actual.shape == (frames, groups, mlp.out_features)
+    assert fused.contract.matches(actual, expected)
+    # Dispatch invariance: frame by frame is the very same block calls.
+    for b in range(frames):
+        alone = fused.apply_grouped(
+            mlp,
+            *(None if op is None else op[b : b + 1] for op in operands),
+        )
+        np.testing.assert_array_equal(alone[0], actual[b])
+
+
+# The 1024-wide last layer pins the block at the 64-row floor, so these
+# small shapes cross block boundaries the way full frames do.
+_SA_SHAPES = pytest.mark.parametrize(
+    "frames,points,groups,neighbors,channels",
+    [
+        (1, 90, 31, 5, 4),  # 12 groups per block: 31 leaves a ragged tail
+        (1, 50, 70, 1, 2),  # K = 1
+        (1, 60, 9, 8, 0),  # coordinates only
+        (1, 40, 1, 7, 3),  # one centroid
+        (1, 200, None, 200, 6),  # global group of 200 rows > one block
+        (3, 90, 31, 5, 4),  # B > 1
+        (2, 200, None, 200, 0),
+    ],
+)
+
+
 class TestStreamedSetAbstraction:
     """``fused.apply_grouped`` vs the materialise -> apply -> max reference."""
 
-    # The 1024-wide last layer pins the block at the 64-row floor, so these
-    # small shapes cross block boundaries the way full frames do.
-    @pytest.mark.parametrize(
-        "frames,points,groups,neighbors,channels",
-        [
-            (1, 90, 31, 5, 4),  # 12 groups per block: 31 leaves a ragged tail
-            (1, 50, 70, 1, 2),  # K = 1
-            (1, 60, 9, 8, 0),  # coordinates only
-            (1, 40, 1, 7, 3),  # one centroid
-            (1, 200, None, 200, 6),  # global group of 200 rows > one block
-            (3, 90, 31, 5, 4),  # B > 1
-            (2, 200, None, 200, 0),
-        ],
-    )
+    @_SA_SHAPES
     def test_matches_materialised_reference(
         self, rng, frames, points, groups, neighbors, channels
     ):
         fused = get_backend("fused")
         mlp = SharedMLP([3 + channels, 16, 1024], name="t.stream")
+        stages = fold_stages(mlp)
+        assert fused._block_rows(stages) == 64
+        assert not fused._hoists(stages[0], points, 1, points)  # widening
         operands = _grouped_operands(
             rng, frames, points, groups, neighbors, channels
         )
-        assert fused._block_rows(fold_stages(mlp)) == 64
-        expected = get_backend("numpy").apply_grouped(mlp, *operands)
-        actual = fused.apply_grouped(mlp, *operands)
-        assert actual.shape == (frames, operands[3].shape[1], 1024)
-        assert fused.contract.matches(actual, expected)
-        # Dispatch invariance: frame by frame is the very same block calls.
-        for b in range(frames):
-            alone = fused.apply_grouped(
-                mlp,
-                *(None if op is None else op[b : b + 1] for op in operands),
-            )
-            np.testing.assert_array_equal(alone[0], actual[b])
+        _assert_streamed_sa_contract(mlp, operands)
+
+    @_SA_SHAPES
+    def test_hoisted_first_layer_matches_materialised_reference(
+        self, rng, frames, points, groups, neighbors, channels
+    ):
+        fused = get_backend("fused")
+        mlp = SharedMLP([3 + channels, 3 + channels, 1024], name="t.hoist")
+        stages = fold_stages(mlp)
+        assert fused._block_rows(stages) == 64
+        operands = _grouped_operands(
+            rng, frames, points, groups, neighbors, channels
+        )
+        num_groups, group_size = operands[3].shape[1:]
+        # Every shape but the lone centroid (7 rows < 40 points) hoists.
+        hoists = fused._hoists(stages[0], points, num_groups, group_size)
+        assert hoists == (groups != 1)
+        _assert_streamed_sa_contract(mlp, operands)
+
+    @pytest.mark.parametrize("offset", [1e6, 1e9])
+    @pytest.mark.parametrize("channels", [[7, 7, 1024], [7, 4]])
+    def test_hoisted_far_from_the_origin(self, rng, channels, offset):
+        """The per-frame table is taken about a frame-local origin, so a
+        far-off cloud does not cost the contract its digits (about the
+        absolute origin, 1e9 would miss it by two orders of magnitude)."""
+        mlp = SharedMLP(channels, name="t.far")
+        xyz, features, centers, rows = _grouped_operands(rng, 2, 90, 31, 5, 4)
+        operands = (xyz + offset, features, centers + offset, rows)
+        assert get_backend("fused")._hoists(fold_stages(mlp)[0], 90, 31, 5)
+        _assert_streamed_sa_contract(mlp, operands)
+
+    @pytest.mark.parametrize("final_activation", [False, True])
+    def test_pool_before_epilogue_is_exact(self, rng, final_activation):
+        """Max-pooling the raw last stage, then its epilogue, gives the bits
+        of epilogue-then-max over the same stage outputs, for batch-norm
+        scales of either sign and zero."""
+        fused = get_backend("fused")
+        mlp = SharedMLP(
+            [3 + 4, 16, 8], name="t.pool", final_activation=final_activation
+        )
+        norm = mlp.norms[-1]
+        norm.gamma = np.array([1.5, -0.5, 0.0, 2.0, -3.0, 0.0, 0.25, -1.0])
+        norm.beta = rng.standard_normal(8)
+        norm.running_mean = rng.standard_normal(8)
+        stages = fold_stages(mlp)
+        scale = stages[-1].scale
+        assert (scale < 0).any() and (scale == 0).any() and (scale > 0).any()
+        xyz, features, centers, rows = _grouped_operands(rng, 2, 90, 31, 5, 4)
+        assert not fused._hoists(stages[0], 90, 31, 5)
+        assert 31 * 5 <= fused._block_rows(stages)  # one block per frame
+        actual = fused.apply_grouped(mlp, xyz, features, centers, rows)
+        for b in range(2):
+            grouped = np.concatenate(
+                [xyz[b][rows[b]] - centers[b][:, None, :], features[b][rows[b]]],
+                axis=-1,
+            ).reshape(31 * 5, -1)
+            outputs = fused._run_stages(stages, grouped).reshape(31, 5, -1)
+            np.testing.assert_array_equal(actual[b], outputs.max(axis=1))
 
     def test_numpy_path_is_the_historical_materialised_one(self, rng):
         mlp = SharedMLP([3 + 4, 16, 32], name="t.hist")

@@ -26,6 +26,25 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["e2e", "--dataset", "nuscenes"])
 
+    @pytest.mark.parametrize(
+        "flag,value",
+        [
+            ("--scale", "nan"),
+            ("--scale", "0"),
+            ("--scale", "2"),
+            ("--samples", "0"),
+            ("--neighbors", "0"),
+        ],
+    )
+    def test_e2e_rejects_out_of_range_numbers(self, capsys, flag, value):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["e2e", flag, value])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        errors = [line for line in err.splitlines() if "error:" in line]
+        assert len(errors) == 1 and flag in errors[0]
+        assert "Traceback" not in err
+
 
 class TestExecution:
     def test_figures_single_exhibit(self, capsys):
