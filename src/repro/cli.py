@@ -73,7 +73,7 @@ def build_parser() -> argparse.ArgumentParser:
     e2e.add_argument("--samples", type=_positive_int, default=1024,
                      help="down-sampled input size (default 1024)")
     e2e.add_argument("--neighbors", type=_positive_int, default=32)
-    e2e.add_argument("--seed", type=int, default=0)
+    e2e.add_argument("--seed", type=_nonnegative_int, default=0)
     e2e.add_argument(
         "--frames", type=_positive_int, default=1,
         help="number of frames to run through one warm session (default 1)",
@@ -112,9 +112,9 @@ def build_parser() -> argparse.ArgumentParser:
     ServeConfig.add_cli_args(serve)
 
     samplers = sub.add_parser("samplers", help="compare down-sampling methods")
-    samplers.add_argument("--points", type=int, default=20_000)
-    samplers.add_argument("--samples", type=int, default=1024)
-    samplers.add_argument("--seed", type=int, default=0)
+    samplers.add_argument("--points", type=_positive_int, default=20_000)
+    samplers.add_argument("--samples", type=_positive_int, default=1024)
+    samplers.add_argument("--seed", type=_nonnegative_int, default=0)
 
     components = sub.add_parser(
         "components", help="list the registered pipeline components"

@@ -8,9 +8,6 @@ This subpackage provides:
   all-pairs k-nearest-neighbor gathering.
 * :class:`~repro.datastructuring.ballquery.BallQueryGatherer` -- ball-query
   gathering, the other common PCN neighbor definition.
-* :class:`~repro.datastructuring.kdtree.KDTreeGatherer` -- a k-d-tree
-  baseline in the spirit of QuickNN-style accelerators (exact result,
-  tree-guided search).
 * :class:`~repro.datastructuring.veg.VoxelExpandedGatherer` -- the paper's
   Voxel-Expanded Gathering (VEG) method, which uses octree voxel shells to
   shrink the sorting workload to the last expansion shell only.
@@ -19,13 +16,11 @@ This subpackage provides:
 from repro import registry
 from repro.datastructuring.ballquery import BallQueryGatherer
 from repro.datastructuring.base import Gatherer, GatherResult
-from repro.datastructuring.kdtree import KDTreeGatherer
 from repro.datastructuring.knn import BruteForceKNN, knn_counter_model
 from repro.datastructuring.veg import VEGStageStats, VoxelExpandedGatherer
 
 registry.register("gatherer", "knn", BruteForceKNN)
 registry.register("gatherer", "ballquery", BallQueryGatherer)
-registry.register("gatherer", "kdtree", KDTreeGatherer)
 registry.register("gatherer", "veg", VoxelExpandedGatherer)
 
 __all__ = [
@@ -33,7 +28,6 @@ __all__ = [
     "BruteForceKNN",
     "Gatherer",
     "GatherResult",
-    "KDTreeGatherer",
     "VEGStageStats",
     "VoxelExpandedGatherer",
     "knn_counter_model",

@@ -14,8 +14,7 @@ Modules
 -------
 ``batching``
     Batch-native plumbing: frame stacking/offsets for the ``(B, N, ...)``
-    execution path, the per-segment top-k merge of the batched k-d tree
-    query, and frontier partitions.
+    execution path.
 ``chunking``
     The shared memory-budget-derived chunk-size helper used by every kernel
     that works through an ``(M, N)`` pairwise block.
@@ -38,13 +37,7 @@ Modules
     it depends on the higher-level geometry/octree modules).
 """
 
-from repro.kernels.batching import (
-    frame_offsets,
-    partition_by_mask,
-    ragged_offsets,
-    stack_frames,
-    topk_per_segment,
-)
+from repro.kernels.batching import frame_offsets, stack_frames
 from repro.kernels.chunking import (
     DEFAULT_CHUNK_BUDGET_BYTES,
     distance_chunk_rows,
@@ -86,10 +79,7 @@ from repro.kernels.stencil import (
 
 __all__ = [
     "frame_offsets",
-    "partition_by_mask",
-    "ragged_offsets",
     "stack_frames",
-    "topk_per_segment",
     "DEFAULT_CHUNK_BUDGET_BYTES",
     "distance_chunk_rows",
     "rows_per_chunk",

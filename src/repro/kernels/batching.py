@@ -1,4 +1,4 @@
-"""Batch-native primitives: frame stacking, offsets, frontier partitions.
+"""Batch-native primitives: frame stacking and frame offsets.
 
 The batch-native execution path (``Session.run_batch`` -> engines ->
 ``forward_batch``) moves the unit of work from one frame to a stack of
@@ -10,21 +10,13 @@ that possible without Python loops:
     validating the shape contract the batch relies on.
 ``frame_offsets``
     Row offsets of each frame inside a stacked-and-flattened tensor, for
-    both the same-size case (``B`` frames of ``N`` rows) and the ragged
-    case (per-frame counts).  Adding the offset to per-frame row indices
+    ``B`` frames of ``N`` rows.  Adding the offset to per-frame row indices
     turns them into rows of the flattened stack, so B gathers become one.
-``topk_per_segment``
-    Keep the k smallest ``(dist, value)`` entries of every segment of a
-    ragged candidate list -- the merge step of the batched (frontier) k-d
-    tree query, one ``lexsort`` for all segments.
-``partition_by_mask``
-    Split parallel frontier arrays into the selected / rejected halves in
-    one pass (leaf vs internal pairs, pruned vs surviving pairs).
 """
 
 from __future__ import annotations
 
-from typing import Sequence, Tuple
+from typing import Sequence
 
 import numpy as np
 
@@ -57,79 +49,3 @@ def frame_offsets(num_frames: int, frame_size: int) -> np.ndarray:
     if num_frames < 0 or frame_size < 0:
         raise ValueError("num_frames and frame_size must be >= 0")
     return np.arange(num_frames, dtype=np.intp) * frame_size
-
-
-def ragged_offsets(counts: np.ndarray) -> np.ndarray:
-    """Start offsets (length ``B + 1``) of ragged per-frame segments.
-
-    The ragged counterpart of :func:`frame_offsets`: ``offsets[b] :
-    offsets[b + 1]`` is frame ``b``'s slice of a concatenated per-frame
-    array whose frames contributed ``counts[b]`` rows each.
-    """
-    counts = np.asarray(counts, dtype=np.intp)
-    offsets = np.zeros(counts.shape[0] + 1, dtype=np.intp)
-    np.cumsum(counts, out=offsets[1:])
-    return offsets
-
-
-def topk_per_segment(
-    segment_ids: np.ndarray,
-    dists: np.ndarray,
-    values: np.ndarray,
-    k: int,
-    num_segments: int,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Smallest-k ``(dist, value)`` entries of every segment.
-
-    ``segment_ids`` need not be sorted.  Entries are ranked per segment by
-    ``(dist, value)`` lexicographically (ties on distance resolve to the
-    smaller value), and the survivors come back already in that order.
-
-    Returns ``(top_dists, top_values, counts)`` where the first two are
-    ``(num_segments, k)`` arrays padded with ``inf`` / ``-1`` beyond
-    ``counts[s]`` entries.
-    """
-    if k <= 0:
-        raise ValueError("k must be positive")
-    segment_ids = np.asarray(segment_ids, dtype=np.intp)
-    dists = np.asarray(dists, dtype=np.float64)
-    values = np.asarray(values, dtype=np.intp)
-
-    top_dists = np.full((num_segments, k), np.inf, dtype=np.float64)
-    top_values = np.full((num_segments, k), -1, dtype=np.intp)
-    counts = np.zeros(num_segments, dtype=np.intp)
-    if segment_ids.shape[0] == 0:
-        return top_dists, top_values, counts
-
-    order = np.lexsort((values, dists, segment_ids))
-    seg_sorted = segment_ids[order]
-    starts = np.searchsorted(seg_sorted, np.arange(num_segments, dtype=np.intp))
-    np.minimum(
-        np.bincount(seg_sorted, minlength=num_segments),
-        k,
-        out=counts,
-        casting="unsafe",
-    )
-    rank = np.arange(seg_sorted.shape[0], dtype=np.intp) - starts[seg_sorted]
-    keep = rank < k
-    rows = seg_sorted[keep]
-    cols = rank[keep]
-    top_dists[rows, cols] = dists[order][keep]
-    top_values[rows, cols] = values[order][keep]
-    return top_dists, top_values, counts
-
-
-def partition_by_mask(
-    mask: np.ndarray, *arrays: np.ndarray
-) -> Tuple[Tuple[np.ndarray, ...], Tuple[np.ndarray, ...]]:
-    """Split parallel arrays into the ``mask`` and ``~mask`` halves.
-
-    One boolean indexing pass per array; the relative order within each
-    half is preserved.  Returns ``(selected, rejected)`` tuples aligned
-    with ``arrays``.
-    """
-    mask = np.asarray(mask, dtype=bool)
-    inverse = ~mask
-    selected = tuple(np.asarray(a)[mask] for a in arrays)
-    rejected = tuple(np.asarray(a)[inverse] for a in arrays)
-    return selected, rejected

@@ -3,9 +3,7 @@
 This module preserves, verbatim in behaviour, the pre-kernel-layer code of
 the sampling/gathering stages: per-leaf Python loops in the octree builder,
 per-level dict walks in OIS, per-centroid shell expansion in VEG, the
-per-row inner loop of the brute-force ball query, sqrt-based FPS, and the
-per-centroid k-d tree walks (both the original recursive/heap query and the
-array-backed iterative walk that the batched frontier query replaced).  The
+per-row inner loop of the brute-force ball query, and sqrt-based FPS.  The
 vectorized implementations in the library proper carry an **exact
 equivalence contract** against these functions: same selected indices, same
 neighbor rows, same operation counters, bit for bit.
@@ -792,332 +790,6 @@ def leaf_slot_range_scan(octree: Octree, leaf_code: int) -> Tuple[int, int]:
             return cursor, cursor + leaf.num_points
         cursor += leaf.num_points
     raise KeyError(f"no occupied leaf with code {leaf_code}")
-
-
-# ----------------------------------------------------------------------
-# k-d tree gathering (pre-array recursive build + per-point heap query)
-# ----------------------------------------------------------------------
-class _KDNodeScalar:
-    """One node of the reference k-d tree (leaves hold point indices)."""
-
-    __slots__ = ("axis", "split", "left", "right", "indices")
-
-    def __init__(self, axis=-1, split=0.0, left=None, right=None, indices=None):
-        self.axis = axis
-        self.split = split
-        self.left = left
-        self.right = right
-        self.indices = indices
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.indices is not None
-
-
-def _kdtree_build_scalar(
-    points: np.ndarray, indices: np.ndarray, depth: int, leaf_size: int
-) -> _KDNodeScalar:
-    if indices.shape[0] <= leaf_size:
-        return _KDNodeScalar(indices=indices)
-    axis = depth % 3
-    values = points[indices, axis]
-    median = float(np.median(values))
-    left_mask = values <= median
-    # Degenerate split (all values equal): fall back to a leaf.
-    if left_mask.all() or not left_mask.any():
-        return _KDNodeScalar(indices=indices)
-    return _KDNodeScalar(
-        axis=axis,
-        split=median,
-        left=_kdtree_build_scalar(points, indices[left_mask], depth + 1, leaf_size),
-        right=_kdtree_build_scalar(points, indices[~left_mask], depth + 1, leaf_size),
-    )
-
-
-def _kdtree_query_scalar(
-    node: _KDNodeScalar,
-    points: np.ndarray,
-    target: np.ndarray,
-    neighbors: int,
-    heap: List[tuple],
-    counters: OpCounters,
-) -> None:
-    import heapq
-
-    counters.node_visits += 1
-    if node.is_leaf:
-        for idx in node.indices:
-            counters.distance_computations += 1
-            counters.host_memory_reads += 1
-            dist = float(((points[idx] - target) ** 2).sum())
-            if len(heap) < neighbors:
-                heapq.heappush(heap, (-dist, int(idx)))
-            elif dist < -heap[0][0]:
-                counters.compare_ops += 1
-                heapq.heapreplace(heap, (-dist, int(idx)))
-            else:
-                counters.compare_ops += 1
-        return
-    diff = target[node.axis] - node.split
-    near, far = (node.left, node.right) if diff <= 0 else (node.right, node.left)
-    _kdtree_query_scalar(near, points, target, neighbors, heap, counters)
-    # Prune the far side unless the splitting plane is closer than the
-    # current k-th neighbor.
-    counters.compare_ops += 1
-    if len(heap) < neighbors or diff * diff < -heap[0][0]:
-        _kdtree_query_scalar(far, points, target, neighbors, heap, counters)
-
-
-def kdtree_gather_scalar(
-    cloud: PointCloud,
-    centroid_indices: np.ndarray,
-    neighbors: int,
-    leaf_size: int = 16,
-) -> Tuple[np.ndarray, OpCounters]:
-    """The pre-array ``KDTreeGatherer.gather``; returns ``(rows, counters)``."""
-    centroid_indices = np.asarray(centroid_indices, dtype=np.intp)
-    points = cloud.points
-    counters = OpCounters()
-
-    root = _kdtree_build_scalar(
-        points, np.arange(cloud.num_points, dtype=np.intp), 0, leaf_size
-    )
-    counters.host_memory_reads += cloud.num_points
-
-    rows = np.empty((centroid_indices.shape[0], neighbors), dtype=np.intp)
-    for i, centroid in enumerate(centroid_indices):
-        heap: List[tuple] = []
-        _kdtree_query_scalar(
-            root, points, points[centroid], neighbors, heap, counters
-        )
-        ordered = sorted(((-d, idx) for d, idx in heap))
-        rows[i] = [idx for _, idx in ordered]
-    return rows, counters
-
-
-# ----------------------------------------------------------------------
-# k-d tree gathering (pre-frontier array-backed build + per-centroid walk)
-# ----------------------------------------------------------------------
-class _KDArraysScalar:
-    """One built k-d tree: an index-array permutation plus flat node tables.
-
-    The pre-frontier ``datastructuring.kdtree._KDArrays``, preserved
-    verbatim: per-node metadata as plain Python lists (the per-centroid
-    walk reads one scalar per node, where list indexing beats NumPy scalar
-    indexing severalfold) over one ``perm`` permutation buffer.
-    """
-
-    __slots__ = ("axes", "splits", "lefts", "rights", "starts", "counts", "perm")
-
-    def __init__(self, axes, splits, lefts, rights, starts, counts, perm):
-        self.axes = axes
-        self.splits = splits
-        self.lefts = lefts
-        self.rights = rights
-        self.starts = starts
-        self.counts = counts
-        self.perm = perm
-
-
-def _kd_build_arrays_per_centroid(
-    points: np.ndarray, leaf_size: int
-) -> _KDArraysScalar:
-    """The pre-frontier iterative median-split build (list-backed tables)."""
-    num_points = points.shape[0]
-    perm = np.arange(num_points, dtype=np.intp)
-
-    axes: List[int] = []
-    splits: List[float] = []
-    lefts: List[int] = []
-    rights: List[int] = []
-    starts: List[int] = []
-    counts: List[int] = []
-
-    def new_node() -> int:
-        axes.append(-1)
-        splits.append(0.0)
-        lefts.append(-1)
-        rights.append(-1)
-        starts.append(0)
-        counts.append(0)
-        return len(axes) - 1
-
-    root = new_node()
-    stack: List[Tuple[int, int, int, int]] = [(0, num_points, 0, root)]
-    while stack:
-        start, end, depth, node = stack.pop()
-        if end - start <= leaf_size:
-            starts[node] = start
-            counts[node] = end - start
-            continue
-        segment = perm[start:end]
-        axis = depth % 3
-        values = points[segment, axis]
-        # Median via a direct partition: bit-identical to ``np.median``
-        # (same partition kths, same (a + b) / 2 midpoint).
-        size = values.shape[0]
-        half = size >> 1
-        if size & 1:
-            median = float(np.partition(values, half)[half])
-        else:
-            part = np.partition(values, (half - 1, half))
-            median = float((part[half - 1] + part[half]) / 2.0)
-        left_mask = values <= median
-        if left_mask.all() or not left_mask.any():
-            # Degenerate split (all values equal): fall back to a leaf.
-            starts[node] = start
-            counts[node] = end - start
-            continue
-        left_seg = segment[left_mask]
-        right_seg = segment[~left_mask]
-        perm[start : start + left_seg.shape[0]] = left_seg
-        perm[start + left_seg.shape[0] : end] = right_seg
-        axes[node] = axis
-        splits[node] = median
-        lefts[node] = new_node()
-        rights[node] = new_node()
-        middle = start + left_seg.shape[0]
-        stack.append((middle, end, depth + 1, rights[node]))
-        stack.append((start, middle, depth + 1, lefts[node]))
-
-    return _KDArraysScalar(
-        axes=axes,
-        splits=splits,
-        lefts=lefts,
-        rights=rights,
-        starts=starts,
-        counts=counts,
-        perm=perm,
-    )
-
-
-#: Stack tags of the per-centroid iterative depth-first query.
-_KD_VISIT = 0
-_KD_FAR_CHECK = 1
-
-
-def _kd_query_per_centroid(
-    tree: _KDArraysScalar,
-    points: np.ndarray,
-    target: np.ndarray,
-    neighbors: int,
-    counters: OpCounters,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """The pre-frontier pruned depth-first search for one centroid.
-
-    Candidates are kept in arrival order and merged with each leaf block by
-    a stable sort on distance, so the kept set matches the reference heap
-    whenever the k-th boundary distance is unique.
-    """
-    axes, splits = tree.axes, tree.splits
-    lefts, rights = tree.lefts, tree.rights
-    starts, counts = tree.starts, tree.counts
-    target_xyz = target.tolist()
-
-    cand_dists = np.empty(0, dtype=np.float64)
-    cand_index = np.empty(0, dtype=np.intp)
-    cand_size = 0
-    kth = np.inf
-    node_visits = 0
-    compare_ops = 0
-    point_reads = 0
-
-    # Stack entries: (_KD_VISIT, node, 0.0) runs a subtree; (_KD_FAR_CHECK,
-    # node, plane_dist) replays the post-recursion pruning decision for the
-    # far child after the near subtree completed.
-    stack: List[Tuple[int, int, float]] = [(_KD_VISIT, 0, 0.0)]
-    while stack:
-        tag, node, diff = stack.pop()
-        if tag == _KD_FAR_CHECK:
-            # Prune the far side unless the splitting plane is closer than
-            # the current k-th neighbor.
-            compare_ops += 1
-            if cand_size < neighbors or diff * diff < kth:
-                stack.append((_KD_VISIT, node, 0.0))
-            continue
-
-        node_visits += 1
-        axis = axes[node]
-        if axis < 0:
-            start = starts[node]
-            count = counts[node]
-            leaf_points = tree.perm[start : start + count]
-            # One block of squared distances per leaf, in the
-            # ``kernels.pairwise_sq_dists`` elementwise operation order.
-            diff = points[leaf_points] - target
-            dists = (diff**2).sum(axis=-1)
-            point_reads += count
-            # The heap reference pushes while it has free slots (no
-            # comparison charged) and compares once per point after it
-            # fills.
-            free = neighbors - cand_size
-            if free < count:
-                compare_ops += count - max(0, free)
-
-            if free <= 0 and float(dists.min()) >= kth:
-                # A leaf whose nearest point does not beat the k-th
-                # candidate changes nothing (strict ``<`` replacement).
-                continue
-            cand_dists = np.concatenate([cand_dists, dists])
-            cand_index = np.concatenate([cand_index, leaf_points])
-            if cand_index.shape[0] > neighbors:
-                keep = np.argsort(cand_dists, kind="stable")[:neighbors]
-                keep.sort()  # preserve arrival order among the kept
-                cand_dists = cand_dists[keep]
-                cand_index = cand_index[keep]
-            cand_size = cand_index.shape[0]
-            if cand_size >= neighbors:
-                kth = float(cand_dists.max())
-            continue
-
-        plane_dist = target_xyz[axis] - splits[node]
-        if plane_dist <= 0:
-            near, far = lefts[node], rights[node]
-        else:
-            near, far = rights[node], lefts[node]
-        stack.append((_KD_FAR_CHECK, far, plane_dist))
-        stack.append((_KD_VISIT, near, 0.0))
-
-    counters.node_visits += node_visits
-    counters.compare_ops += compare_ops
-    counters.distance_computations += point_reads
-    counters.host_memory_reads += point_reads
-    return cand_dists, cand_index
-
-
-def kdtree_gather_per_centroid(
-    cloud: PointCloud,
-    centroid_indices: np.ndarray,
-    neighbors: int,
-    leaf_size: int = 16,
-) -> Tuple[np.ndarray, OpCounters]:
-    """The pre-frontier ``KDTreeGatherer.gather``: one pruned DFS per centroid.
-
-    This is the array-backed per-centroid walk that the batched
-    (frontier-per-level) query replaced; rows *and* counters are
-    bit-identical to :func:`kdtree_gather_scalar` (the recursive/heap
-    reference), bar the documented k-th-boundary tie caveat.  The batched
-    query's equivalence contract is on the rows only -- its traversal order
-    (level-synchronous instead of depth-first) makes the pruning decisions
-    with slightly staler bounds, so its operation counts legitimately
-    differ.
-    """
-    centroid_indices = np.asarray(centroid_indices, dtype=np.intp)
-    points = cloud.points
-    counters = OpCounters()
-
-    tree = _kd_build_arrays_per_centroid(points, leaf_size)
-    # Tree construction: charge a single read per point (the build is
-    # offline relative to the per-centroid queries).
-    counters.host_memory_reads += cloud.num_points
-
-    rows = np.empty((centroid_indices.shape[0], neighbors), dtype=np.intp)
-    for i, centroid in enumerate(centroid_indices):
-        dists, index = _kd_query_per_centroid(
-            tree, points, points[centroid], neighbors, counters
-        )
-        rows[i] = index[np.lexsort((index, dists))]
-    return rows, counters
 
 
 # ----------------------------------------------------------------------

@@ -7,10 +7,11 @@ component family follows):
 * ``fused`` -- the default: cache-sized blocks with folded bias/BN/ReLU
   epilogues and streamed set abstraction (gather -> MLP -> running max,
   with a non-widening first layer tabulated per point ahead of the gather
-  and the last epilogue run on the pooled rows), contract = documented ``allclose`` tolerance, dispatch-invariant by
-  construction.
+  and the last epilogue run on the pooled rows), contract = documented
+  ``allclose`` tolerance, dispatch-invariant because no block spans frames.
 * ``numpy`` -- the whole-operand path every contract is stated against,
-  contract = bit-identity.
+  contract = bit-identity, dispatch-invariant because it applies a stacked
+  operand one frame at a time.
 
 Call sites resolve backends through :func:`resolve_backend`, which accepts
 a registry name, an existing instance, or ``None`` for the process default
@@ -29,8 +30,6 @@ from repro.network.backends.base import (
     ComputeBackend,
     DenseStage,
     EquivalenceContract,
-    clear_calibration_cache,
-    dense_shapes,
     fold_stages,
 )
 from repro.network.backends.fused import FusedBlockedBackend
@@ -80,9 +79,7 @@ __all__ = [
     "EquivalenceContract",
     "FusedBlockedBackend",
     "NumpyBackend",
-    "clear_calibration_cache",
     "default_backend_name",
-    "dense_shapes",
     "fold_stages",
     "get_backend",
     "resolve_backend",

@@ -23,15 +23,10 @@ Orthogonally to the numpy-equivalence contract, every backend MUST be
 by frame or as one batch must produce bit-identical rows *for that same
 backend*.  That invariance is what makes a frame's ``Session.run_batch``
 response independent of how the stream was chunked and stacked -- and keeps
-the serving/chaos soaks green -- under every backend.  Backends either
-guarantee it by construction (the default fused backend's blocks never span
-frames) or calibrate it per layer shape with
-:meth:`ComputeBackend.stack_rows_safe` and fall back to per-frame dispatch
-where the probe fails (the numpy backend).
-
-The calibration cache is keyed on the **backend name** as well as the layer
-shape: two backends sharing a process (or two BLAS configurations behind
-them) must not poison each other's verdicts.
+the serving/chaos soaks green -- under every backend.  Both built-in
+backends guarantee it by construction: the default fused backend's blocks
+never span frames, and the numpy backend applies a stacked operand one
+frame at a time.
 """
 
 from __future__ import annotations
@@ -84,20 +79,6 @@ class EquivalenceContract:
         return f"allclose(atol={self.atol:g}, rtol={self.rtol:g})"
 
 
-#: Per-backend stacking calibration cache, keyed by
-#: ``(backend_name, in_features, out_features, rows_per_frame, num_frames)``.
-#: The backend name is part of the key deliberately: the verdict certifies
-#: one backend's kernels at one operand shape, and must not leak to another
-#: backend probing the same shapes (the pre-backend module-level cache in
-#: ``network/pointnet2.py`` was keyed on shape alone).
-_CALIBRATION: Dict[Tuple[str, int, int, int, int], bool] = {}
-
-
-def clear_calibration_cache() -> None:
-    """Drop every cached stacking verdict (test isolation hook)."""
-    _CALIBRATION.clear()
-
-
 @dataclass(frozen=True)
 class DenseStage:
     """One fused-view stage of a layer chain: matmul + folded epilogue.
@@ -128,13 +109,6 @@ class DenseStage:
     @property
     def out_features(self) -> int:
         return int(self.weight.shape[1])
-
-
-def dense_shapes(layer) -> List[Tuple[int, int]]:
-    """The ``(in_features, out_features)`` pairs a layer applies row-wise."""
-    if isinstance(layer, SharedMLP):
-        return [(d.in_features, d.out_features) for d in layer.layers]
-    return [(layer.in_features, layer.out_features)]
 
 
 def fold_stages(layer) -> List[DenseStage]:
@@ -216,10 +190,8 @@ class ComputeBackend:
     """Base class of the pluggable network-execution backends.
 
     Subclasses implement :meth:`apply` (and optionally override
-    :meth:`apply_grouped` and the stacking probe).  Instances are cheap
-    value objects -- they travel inside pickled Sessions to worker
-    processes -- and all calibration state lives in the module-level
-    per-name cache.
+    :meth:`apply_grouped`).  Instances are cheap value objects -- they
+    travel inside pickled Sessions to worker processes.
     """
 
     #: Registry name (``registry.create("backend", name)``).
@@ -277,54 +249,6 @@ class ComputeBackend:
             .reshape(num_frames, num_groups, group_size, -1)
             .max(axis=2)
         )
-
-    # ------------------------------------------------------------------
-    def stack_rows_safe(
-        self,
-        in_features: int,
-        out_features: int,
-        rows_per_frame: int,
-        num_frames: int,
-    ) -> bool:
-        """Whether stacking frames leaves this backend's row results unchanged.
-
-        The verdict is probed once per ``(backend, layer shape)`` via
-        :meth:`_probe_stacking` at the *exact* operand shapes of the
-        dispatch and cached in the module-level per-backend cache -- the
-        one-time cost (about one extra layer application) is paid the first
-        time a backend sees a dispatch shape.
-        """
-        key = (self.name, in_features, out_features, rows_per_frame, num_frames)
-        cached = _CALIBRATION.get(key)
-        if cached is None:
-            cached = bool(
-                self._probe_stacking(
-                    in_features, out_features, rows_per_frame, num_frames
-                )
-            )
-            _CALIBRATION[key] = cached
-        return cached
-
-    def _probe_stacking(
-        self,
-        in_features: int,
-        out_features: int,
-        rows_per_frame: int,
-        num_frames: int,
-    ) -> bool:
-        """Probe the numpy matmul kernel for stacking invariance.
-
-        The probe multiplies a random ``(rows_per_frame, in_features)``
-        operand against itself tiled ``num_frames`` times, so any
-        kernel-selection threshold the real shapes straddle is the one being
-        tested (a fixed probe shape could certify a regime the real operands
-        never run in).
-        """
-        rng = np.random.default_rng(1_000_003 * in_features + out_features)
-        x = rng.standard_normal((rows_per_frame, in_features))
-        weight = rng.standard_normal((in_features, out_features))
-        tiled = np.tile(x, (num_frames, 1)) @ weight
-        return bool(np.array_equal(tiled, np.tile(x @ weight, (num_frames, 1))))
 
     # ------------------------------------------------------------------
     def describe(self) -> Dict[str, object]:

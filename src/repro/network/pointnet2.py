@@ -35,11 +35,9 @@ from repro.network.layers import Dense, ReLU, SharedMLP, softmax
 # every set abstraction goes through a pluggable ComputeBackend
 # (repro/network/backends/): the default fused backend streams cache-sized
 # blocks, the numpy backend reproduces the historical whole-operand path
-# bit-identically (including the per-(backend, layer-shape) stacking
-# calibration and its single-row / BLAS-edge per-frame fallbacks), and
-# every backend states its closeness to numpy as an explicit equivalence
-# contract.  Backends are dispatch invariant, so a frame's result does not
-# depend on how many frames share its stack.
+# one frame at a time, and every backend states its closeness to numpy as
+# an explicit equivalence contract.  Backends are dispatch invariant, so a
+# frame's result does not depend on how many frames share its stack.
 
 
 @dataclass

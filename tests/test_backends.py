@@ -9,9 +9,8 @@ Every registered backend is held to the two-tier contract documented in
   assert through the contract object, so the asserted tolerance can never
   drift from the declared one.
 * **dispatch invariance** -- stacked and per-frame application agree
-  bit-for-bit *within* each backend, including the single-row and
-  BLAS-edge shapes where the numpy backend's calibration probe forces the
-  per-frame fallback.  This is the property the serving bit-identity
+  bit-for-bit *within* each backend, including the single-row
+  shapes where BLAS takes its matrix-vector path.  This is the property the serving bit-identity
   gates rest on.
 
 The fused backend's streamed set abstraction (``apply_grouped``) is held
@@ -33,18 +32,14 @@ from repro import registry
 from repro.core.framebatch import FrameBatch
 from repro.datasets.synthetic import sample_cad_shape
 from repro.network.backends import (
-    clear_calibration_cache,
     default_backend_name,
     get_backend,
     resolve_backend,
 )
 from repro.network.backends.base import (
-    _CALIBRATION,
-    ComputeBackend,
     EquivalenceContract,
     fold_stages,
 )
-from repro.network.backends.numpy_backend import NumpyBackend
 from repro.network.layers import Dense, SharedMLP
 from repro.network.pointnet2 import build_model_for_task
 
@@ -159,76 +154,6 @@ class TestDispatchInvariance:
             ]
         )
         np.testing.assert_array_equal(stacked, per_frame)
-
-    def test_numpy_falls_back_when_probe_fails(self, rng):
-        """A failing calibration probe must force the per-frame path."""
-
-        class ProbeFailBackend(NumpyBackend):
-            name = "numpy-probe-fail-test"
-
-            def _probe_stacking(self, *args):
-                return False
-
-        backend = ProbeFailBackend()
-        layer = SharedMLP([3, 8, 8], name="t.fallback")
-        flat = rng.standard_normal((4 * 16, 3))
-        try:
-            assert not backend.stack_rows_safe(3, 8, 16, 4)
-            # Even with stacking vetoed, results stay bit-identical to the
-            # per-frame ground truth (that IS the fallback).
-            np.testing.assert_array_equal(
-                backend.apply(layer, flat, 4),
-                _per_frame_reference(layer, flat, 4),
-            )
-        finally:
-            clear_calibration_cache()
-
-
-class TestCalibrationCache:
-    def test_key_includes_backend_name(self):
-        """Two backends probing the same shape must not share a verdict."""
-
-        class AlwaysSafe(ComputeBackend):
-            name = "cache-test-safe"
-
-            def _probe_stacking(self, *args):
-                return True
-
-        class NeverSafe(ComputeBackend):
-            name = "cache-test-unsafe"
-
-            def _probe_stacking(self, *args):
-                return False
-
-        shape = (7, 11, 13, 3)
-        try:
-            assert AlwaysSafe().stack_rows_safe(*shape)
-            # The second backend's verdict must come from its own probe,
-            # not the first backend's cached entry for the same shape.
-            assert not NeverSafe().stack_rows_safe(*shape)
-            assert _CALIBRATION[("cache-test-safe",) + shape] is True
-            assert _CALIBRATION[("cache-test-unsafe",) + shape] is False
-        finally:
-            clear_calibration_cache()
-
-    def test_probe_runs_once_per_shape(self):
-        calls = []
-
-        class CountingBackend(ComputeBackend):
-            name = "cache-test-counting"
-
-            def _probe_stacking(self, *args):
-                calls.append(args)
-                return True
-
-        backend = CountingBackend()
-        try:
-            backend.stack_rows_safe(3, 16, 100, 4)
-            backend.stack_rows_safe(3, 16, 100, 4)
-            backend.stack_rows_safe(3, 16, 200, 4)  # different shape probes
-            assert len(calls) == 2
-        finally:
-            clear_calibration_cache()
 
 
 class TestFusedBlocking:

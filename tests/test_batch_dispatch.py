@@ -23,13 +23,7 @@ from repro.core.config import (
 from repro.core.engine import InferenceEngine, PreprocessingEngine
 from repro.core.framebatch import FrameBatch, group_clouds
 from repro.datasets.synthetic import sample_cad_shape
-from repro.kernels import (
-    frame_offsets,
-    partition_by_mask,
-    ragged_offsets,
-    stack_frames,
-    topk_per_segment,
-)
+from repro.kernels import frame_offsets, stack_frames
 from repro.network.pointnet2 import build_model_for_task
 from repro.octree.builder import Octree
 from repro.session import Session
@@ -93,46 +87,6 @@ class TestBatchingKernels:
         assert frame_offsets(0, 5).tolist() == []
         with pytest.raises(ValueError):
             frame_offsets(-1, 5)
-
-    def test_ragged_offsets(self):
-        assert ragged_offsets(np.array([3, 0, 2])).tolist() == [0, 3, 3, 5]
-        assert ragged_offsets(np.zeros(0, dtype=np.intp)).tolist() == [0]
-
-    def test_topk_per_segment_ranks_and_pads(self):
-        segments = np.array([1, 0, 1, 1, 0])
-        dists = np.array([3.0, 5.0, 1.0, 2.0, 4.0])
-        values = np.array([10, 11, 12, 13, 14])
-        top_d, top_v, counts = topk_per_segment(segments, dists, values, 2, 3)
-        assert top_d[0].tolist() == [4.0, 5.0]
-        assert top_v[0].tolist() == [14, 11]
-        assert top_d[1].tolist() == [1.0, 2.0]
-        assert top_v[1].tolist() == [12, 13]
-        assert counts.tolist() == [2, 2, 0]
-        assert top_v[2].tolist() == [-1, -1]
-        assert np.isinf(top_d[2]).all()
-
-    def test_topk_per_segment_breaks_distance_ties_by_value(self):
-        segments = np.zeros(3, dtype=np.intp)
-        dists = np.array([1.0, 1.0, 1.0])
-        values = np.array([9, 2, 5])
-        _, top_v, counts = topk_per_segment(segments, dists, values, 2, 1)
-        assert top_v[0].tolist() == [2, 5]
-        assert counts.tolist() == [2]
-
-    def test_topk_per_segment_empty(self):
-        top_d, top_v, counts = topk_per_segment(
-            np.zeros(0, dtype=np.intp), np.zeros(0), np.zeros(0, dtype=np.intp),
-            3, 2,
-        )
-        assert top_d.shape == (2, 3) and counts.tolist() == [0, 0]
-
-    def test_partition_by_mask(self):
-        mask = np.array([True, False, True])
-        (a_sel, b_sel), (a_rej, b_rej) = partition_by_mask(
-            mask, np.array([1, 2, 3]), np.array([4.0, 5.0, 6.0])
-        )
-        assert a_sel.tolist() == [1, 3] and a_rej.tolist() == [2]
-        assert b_sel.tolist() == [4.0, 6.0] and b_rej.tolist() == [5.0]
 
 
 # ----------------------------------------------------------------------

@@ -34,16 +34,34 @@ class TestParser:
             ("--scale", "2"),
             ("--samples", "0"),
             ("--neighbors", "0"),
+            ("--seed", "-1"),
         ],
     )
     def test_e2e_rejects_out_of_range_numbers(self, capsys, flag, value):
-        with pytest.raises(SystemExit) as exit_info:
-            main(["e2e", flag, value])
-        assert exit_info.value.code == 2
-        err = capsys.readouterr().err
-        errors = [line for line in err.splitlines() if "error:" in line]
-        assert len(errors) == 1 and flag in errors[0]
-        assert "Traceback" not in err
+        _assert_argparse_error(capsys, ["e2e", flag, value], flag)
+
+    @pytest.mark.parametrize(
+        "flag,value",
+        [
+            ("--points", "0"),
+            ("--samples", "0"),
+            ("--samples", "-3"),
+            ("--seed", "-1"),
+        ],
+    )
+    def test_samplers_rejects_out_of_range_numbers(self, capsys, flag, value):
+        _assert_argparse_error(capsys, ["samplers", flag, value], flag)
+
+
+def _assert_argparse_error(capsys, argv, flag):
+    """``argv`` exits 2 with one argparse ``error:`` line naming ``flag``."""
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    errors = [line for line in err.splitlines() if "error:" in line]
+    assert len(errors) == 1 and flag in errors[0]
+    assert "Traceback" not in err
 
 
 class TestExecution:

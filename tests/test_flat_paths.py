@@ -3,13 +3,11 @@
 Every path that replaced a pointer-tree walk or a per-item Python loop is
 checked bit-for-bit against its frozen scalar reference in
 ``repro.kernels.reference``: Octree-Table rows and child order, leaf slot
-ranges, batched neighbor lists, k-d tree kNN rows and counters, and the
-voxel-grid representatives.
+ranges, batched neighbor lists and the voxel-grid representatives.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -21,8 +19,6 @@ from repro.datasets.synthetic import (
     sample_cad_shape,
     uniform_cube,
 )
-from repro.datastructuring.base import pick_random_centroids
-from repro.datastructuring.kdtree import KDTreeGatherer
 from repro.geometry.pointcloud import PointCloud
 from repro.kernels import isin_sorted, reference as ref
 from repro.octree.builder import Octree
@@ -202,76 +198,6 @@ class TestBatchedNeighbors:
         ]
         assert isin_sorted(np.zeros(0, dtype=np.int64), queries).tolist() == [
             False] * 5
-
-
-class TestArrayKDTree:
-    @pytest.mark.parametrize(
-        "leaf_size,neighbors", [(16, 8), (4, 12), (64, 5), (1, 3)]
-    )
-    def test_batched_rows_match_per_centroid_walk(self, leaf_size, neighbors):
-        cloud = sample_cad_shape(2000, shape="sphere", non_uniformity=0.3, seed=4)
-        centroids = pick_random_centroids(cloud, 48, seed=6)
-        result = KDTreeGatherer(leaf_size=leaf_size).gather(
-            cloud, centroids, neighbors
-        )
-        rows, _ = ref.kdtree_gather_per_centroid(
-            cloud, centroids, neighbors, leaf_size=leaf_size
-        )
-        assert np.array_equal(result.neighbor_indices, rows)
-
-    @pytest.mark.parametrize(
-        "leaf_size,neighbors", [(16, 8), (4, 12), (64, 5), (1, 3)]
-    )
-    def test_per_centroid_walk_matches_heap_reference(self, leaf_size, neighbors):
-        # The frozen per-centroid walk keeps the original freezing chain
-        # intact: rows AND counters bit-identical to the recursive/heap
-        # reference.  (The batched frontier query's contract is rows-only --
-        # its level-synchronous pruning visits a few more nodes.)
-        cloud = sample_cad_shape(2000, shape="sphere", non_uniformity=0.3, seed=4)
-        centroids = pick_random_centroids(cloud, 48, seed=6)
-        rows_walk, counters_walk = ref.kdtree_gather_per_centroid(
-            cloud, centroids, neighbors, leaf_size=leaf_size
-        )
-        rows_heap, counters_heap = ref.kdtree_gather_scalar(
-            cloud, centroids, neighbors, leaf_size=leaf_size
-        )
-        assert np.array_equal(rows_walk, rows_heap)
-        assert dataclasses.asdict(counters_walk) == dataclasses.asdict(
-            counters_heap
-        )
-
-    def test_matches_bruteforce_knn_sets(self):
-        from repro.datastructuring.knn import BruteForceKNN
-
-        cloud = gaussian_clusters(1200, num_clusters=4, seed=8)
-        centroids = pick_random_centroids(cloud, 32, seed=2)
-        kd = KDTreeGatherer().gather(cloud, centroids, 10)
-        knn = BruteForceKNN().gather(cloud, centroids, 10)
-        assert kd.neighbor_sets() == knn.neighbor_sets()
-
-    def test_batched_visits_fewer_points_than_bruteforce(self):
-        cloud = sample_cad_shape(4000, shape="sphere", non_uniformity=0.3, seed=5)
-        centroids = pick_random_centroids(cloud, 64, seed=3)
-        result = KDTreeGatherer(leaf_size=16).gather(cloud, centroids, 8)
-        assert result.counters.distance_computations < 64 * cloud.num_points
-        assert result.counters.node_visits > 0
-
-    def test_tied_distances_keep_distance_multisets(self):
-        rng = np.random.default_rng(0)
-        cloud = PointCloud(
-            points=np.repeat(rng.uniform(-1, 1, size=(250, 3)), 4, axis=0)
-        )
-        centroids = pick_random_centroids(cloud, 30, seed=1)
-        result = KDTreeGatherer(leaf_size=8).gather(cloud, centroids, 10)
-        rows, _ = ref.kdtree_gather_per_centroid(
-            cloud, centroids, 10, leaf_size=8
-        )
-        targets = cloud.points[centroids][:, None, :]
-        got = np.sort(
-            ((cloud.points[result.neighbor_indices] - targets) ** 2).sum(-1), axis=1
-        )
-        expected = np.sort(((cloud.points[rows] - targets) ** 2).sum(-1), axis=1)
-        assert np.array_equal(got, expected)
 
 
 class TestVoxelGridVectorised:
