@@ -154,6 +154,20 @@ def fold_stages(layer) -> List[DenseStage]:
     return stages
 
 
+def rows_per_frame(flat: np.ndarray, num_frames: int) -> int:
+    """Rows of each frame in a stacked ``(num_frames * rows, C)`` operand.
+
+    Raises ``ValueError`` when the rows do not split evenly into
+    ``num_frames >= 1`` frames, so no backend silently drops rows.
+    """
+    if num_frames < 1 or flat.shape[0] % num_frames:
+        raise ValueError(
+            f"cannot split {flat.shape[0]} stacked rows into "
+            f"{num_frames} frames"
+        )
+    return flat.shape[0] // num_frames
+
+
 def _parameters(layer) -> Tuple[np.ndarray, ...]:
     """Every array :func:`fold_stages` reads from ``layer``."""
     if isinstance(layer, SharedMLP):

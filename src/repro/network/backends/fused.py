@@ -62,6 +62,7 @@ from repro.network.backends.base import (
     DenseStage,
     EquivalenceContract,
     folded_stages,
+    rows_per_frame,
 )
 
 
@@ -143,18 +144,13 @@ class FusedBlockedBackend(ComputeBackend):
         return x
 
     def apply(self, layer, flat: np.ndarray, num_frames: int = 1) -> np.ndarray:
-        if num_frames < 1 or flat.shape[0] % num_frames:
-            raise ValueError(
-                f"cannot split {flat.shape[0]} stacked rows into "
-                f"{num_frames} frames"
-            )
+        rows = rows_per_frame(flat, num_frames)
         stages = folded_stages(layer)
         out = np.empty((flat.shape[0], stages[-1].out_features))
-        rows_per_frame = flat.shape[0] // num_frames
         block = self._block_rows(stages)
-        for base in range(0, flat.shape[0], max(1, rows_per_frame)):
-            for start in range(base, base + rows_per_frame, block):
-                stop = min(start + block, base + rows_per_frame)
+        for base in range(0, flat.shape[0], max(1, rows)):
+            for start in range(base, base + rows, block):
+                stop = min(start + block, base + rows)
                 self._run_stages(stages, flat[start:stop], out[start:stop])
         return out
 

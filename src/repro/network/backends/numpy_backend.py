@@ -13,7 +13,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.network.backends.base import ComputeBackend, EquivalenceContract
+from repro.network.backends.base import (
+    ComputeBackend,
+    EquivalenceContract,
+    rows_per_frame,
+)
 
 
 class NumpyBackend(ComputeBackend):
@@ -30,10 +34,10 @@ class NumpyBackend(ComputeBackend):
     contract = EquivalenceContract(kind="bit_identical")
 
     def apply(self, layer, flat: np.ndarray, num_frames: int = 1) -> np.ndarray:
-        rows_per_frame = flat.shape[0] // num_frames
+        rows = rows_per_frame(flat, num_frames)
         return np.concatenate(
             [
-                layer(flat[b * rows_per_frame : (b + 1) * rows_per_frame])
+                layer(flat[b * rows : (b + 1) * rows])
                 for b in range(num_frames)
             ]
         )

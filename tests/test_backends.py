@@ -155,6 +155,36 @@ class TestDispatchInvariance:
         )
         np.testing.assert_array_equal(stacked, per_frame)
 
+    @pytest.mark.parametrize("backend_name", BACKEND_NAMES)
+    @pytest.mark.parametrize("label,layer", _layers(), ids=lambda v: v if isinstance(v, str) else "")
+    def test_every_layer_kind(self, backend_name, label, layer, rng):
+        backend = get_backend(backend_name)
+        flat = rng.standard_normal((3 * 37, layer.in_features))
+        stacked = backend.apply(layer, flat, 3)
+        per_frame = np.concatenate(
+            [backend.apply(layer, frame, 1) for frame in np.split(flat, 3)]
+        )
+        np.testing.assert_array_equal(stacked, per_frame)
+
+
+class TestApplyOperand:
+    """Every backend splits a stacked operand the same way."""
+
+    @pytest.mark.parametrize("backend_name", BACKEND_NAMES)
+    @pytest.mark.parametrize("rows,num_frames", [(10, 3), (8, 0)])
+    def test_uneven_split_rejected(self, backend_name, rows, num_frames, rng):
+        layer = SharedMLP([3, 8], name="t.split")
+        with pytest.raises(ValueError, match="cannot split"):
+            get_backend(backend_name).apply(
+                layer, rng.standard_normal((rows, 3)), num_frames
+            )
+
+    @pytest.mark.parametrize("backend_name", BACKEND_NAMES)
+    def test_empty_operand(self, backend_name):
+        layer = SharedMLP([3, 8, 16], name="t.empty_any")
+        out = get_backend(backend_name).apply(layer, np.empty((0, 3)), 2)
+        assert out.shape == (0, 16)
+
 
 class TestFusedBlocking:
     def test_non_divisible_rows_rejected(self, rng):
