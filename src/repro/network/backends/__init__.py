@@ -4,12 +4,13 @@ Importing this package registers the built-in backends under the
 ``"backend"`` registry kind (the :mod:`repro.registry` idiom every other
 component family follows):
 
-* ``fused`` -- the default: cache-sized blocks with folded bias/BN/ReLU
-  epilogues and streamed set abstraction (gather -> MLP -> running max,
-  with a non-widening first layer tabulated per point ahead of the gather
-  and the last epilogue run on the pooled rows), contract = documented
-  ``allclose`` tolerance, dispatch-invariant because no block spans frames.
-* ``numpy`` -- the whole-operand path every contract is stated against,
+* ``fused`` -- the default: float32 compute behind float64 boundaries,
+  cache-sized blocks with folded bias/BN/ReLU epilogues and streamed set
+  abstraction (gather -> MLP -> running max, with a non-widening first
+  layer tabulated per point ahead of the gather and the last epilogue run
+  on the pooled rows), contract = documented ``allclose`` tolerance,
+  dispatch-invariant because no block spans frames.
+* ``numpy`` -- the float64 whole-operand path every contract is stated against,
   contract = bit-identity, dispatch-invariant because it applies a stacked
   operand one frame at a time.
 

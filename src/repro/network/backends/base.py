@@ -31,7 +31,7 @@ frame at a time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -181,8 +181,10 @@ def _parameters(layer) -> Tuple[np.ndarray, ...]:
 
 
 def folded_stages(layer) -> List[DenseStage]:
-    """:func:`fold_stages`, folded once and kept on the layer.
+    """:func:`fold_stages` in single precision, folded once and kept on the layer.
 
+    The batch-norm fold runs in float64; its weight, scale and shift are
+    then cast to float32 once, the precision the fused backend computes in.
     The cached fold is revalidated against the identity of every parameter
     array, so re-assigning a weight or a batch-norm statistic refolds;
     editing a parameter array *in place* after the layer's first
@@ -195,7 +197,15 @@ def folded_stages(layer) -> List[DenseStage]:
             a is b for a, b in zip(params, cached[0])
         ):
             return cached[1]
-    stages = fold_stages(layer)  # raises for foreign layer types
+    stages = [
+        replace(
+            stage,
+            weight=stage.weight.astype(np.float32),
+            scale=None if stage.scale is None else stage.scale.astype(np.float32),
+            shift=stage.shift.astype(np.float32),
+        )
+        for stage in fold_stages(layer)  # raises for foreign layer types
+    ]
     layer.__dict__["_folded"] = (_parameters(layer), stages)
     return stages
 

@@ -5,9 +5,11 @@ Every registered backend is held to the two-tier contract documented in
 
 * **numpy equivalence** -- outputs match the numpy backend's to the
   backend's *declared* :class:`EquivalenceContract` (bit-identity for
-  numpy itself, a stated allclose tolerance for fused).  The tests
-  assert through the contract object, so the asserted tolerance can never
-  drift from the declared one.
+  numpy itself, a stated allclose tolerance for the float32 fused
+  backend).  The tests assert through the contract object, so the
+  asserted tolerance can never drift from the declared one.  Labels are
+  held to equality on CAD frames and to a 99.5 % agreement floor per
+  point on LiDAR frames.
 * **dispatch invariance** -- stacked and per-frame application agree
   bit-for-bit *within* each backend, including the single-row
   shapes where BLAS takes its matrix-vector path.  This is the property the serving bit-identity
@@ -30,7 +32,7 @@ import pytest
 
 from repro import registry
 from repro.core.framebatch import FrameBatch
-from repro.datasets.synthetic import sample_cad_shape
+from repro.datasets.synthetic import lidar_scene, sample_cad_shape
 from repro.network.backends import (
     default_backend_name,
     get_backend,
@@ -39,6 +41,7 @@ from repro.network.backends import (
 from repro.network.backends.base import (
     EquivalenceContract,
     fold_stages,
+    folded_stages,
 )
 from repro.network.layers import Dense, SharedMLP
 from repro.network.pointnet2 import build_model_for_task
@@ -123,8 +126,8 @@ class TestDeclaredContract:
     def test_fused_contract_is_documented_tolerance(self):
         contract = get_backend("fused").contract
         assert contract.kind == "allclose"
-        assert 0 < contract.atol <= 1e-8
-        assert 0 < contract.rtol <= 1e-6
+        assert 0 < contract.atol <= 1e-5
+        assert 0 < contract.rtol <= 1e-4
 
 
 class TestDispatchInvariance:
@@ -268,6 +271,34 @@ class TestModelEquivalence:
                 got.logits.argmax(axis=-1), want.logits.argmax(axis=-1)
             )
 
+    def test_lidar_segmentation_labels_agree_with_numpy(self):
+        """On LiDAR sweeps (80 m across) through the whole pipeline the
+        fused logits stay within the contract and at least 99.5 % of the
+        per-point labels agree with numpy.  Per-point equality would be
+        brittle: over a frame pool the smallest top-2 logit gap can be
+        smaller than the largest logit difference."""
+        from repro import HgPCNConfig
+        from repro.session import Session
+
+        fused = get_backend("fused")
+        frames = [lidar_scene(20_000, seed=90 + i) for i in range(2)]
+        logits = {}
+        for name in ("numpy", "fused"):
+            session = Session(
+                config=HgPCNConfig.for_task(1024),
+                task="semantic_segmentation",
+                backend=name,
+                response_cache_size=0,
+            )
+            logits[name] = [
+                response.result.inference.forward.logits
+                for response in session.run_batch(frames).responses
+            ]
+        for got, want in zip(logits["fused"], logits["numpy"]):
+            assert got.shape == want.shape == (1024, 13)
+            assert fused.contract.matches(got, want)
+            assert np.mean(got.argmax(axis=-1) == want.argmax(axis=-1)) >= 0.995
+
     @pytest.mark.parametrize("backend_name", BACKEND_NAMES)
     def test_sequential_forward_matches_batched(self, backend_name):
         """Dispatch invariance end to end: forward vs forward_batch.
@@ -358,16 +389,17 @@ def _assert_streamed_sa_contract(mlp, operands):
         np.testing.assert_array_equal(alone[0], actual[b])
 
 
-# The 1024-wide last layer pins the block at the 64-row floor, so these
-# small shapes cross block boundaries the way full frames do.
+# The 1024-wide last layer pins the block at 128 float32 rows (1 MiB over
+# input + output of 1024 x 4 bytes), so these small shapes cross block
+# boundaries the way full frames do, each with a ragged last block.
 _SA_SHAPES = pytest.mark.parametrize(
     "frames,points,groups,neighbors,channels",
     [
-        (1, 90, 31, 5, 4),  # 12 groups per block: 31 leaves a ragged tail
-        (1, 50, 70, 1, 2),  # K = 1
-        (1, 60, 9, 8, 0),  # coordinates only
+        (1, 90, 31, 5, 4),  # 25 groups per block: 31 leaves a tail of 6
+        (1, 50, 140, 1, 2),  # K = 1: 128 groups per block, a tail of 12
+        (1, 60, 17, 8, 0),  # coordinates only: 16 per block, a tail of 1
         (1, 40, 1, 7, 3),  # one centroid
-        (1, 200, None, 200, 6),  # global group of 200 rows > one block
+        (1, 200, None, 200, 6),  # global group of 200 rows: 128, then 72
         (3, 90, 31, 5, 4),  # B > 1
         (2, 200, None, 200, 0),
     ],
@@ -384,7 +416,7 @@ class TestStreamedSetAbstraction:
         fused = get_backend("fused")
         mlp = SharedMLP([3 + channels, 16, 1024], name="t.stream")
         stages = fold_stages(mlp)
-        assert fused._block_rows(stages) == 64
+        assert fused._block_rows(stages) == 128
         assert not fused._hoists(stages[0], points, 1, points)  # widening
         operands = _grouped_operands(
             rng, frames, points, groups, neighbors, channels
@@ -398,7 +430,7 @@ class TestStreamedSetAbstraction:
         fused = get_backend("fused")
         mlp = SharedMLP([3 + channels, 3 + channels, 1024], name="t.hoist")
         stages = fold_stages(mlp)
-        assert fused._block_rows(stages) == 64
+        assert fused._block_rows(stages) == 128
         operands = _grouped_operands(
             rng, frames, points, groups, neighbors, channels
         )
@@ -409,22 +441,27 @@ class TestStreamedSetAbstraction:
         _assert_streamed_sa_contract(mlp, operands)
 
     @pytest.mark.parametrize("offset", [1e6, 1e9])
-    @pytest.mark.parametrize("channels", [[7, 7, 1024], [7, 4]])
+    @pytest.mark.parametrize(
+        "channels", [[7, 7, 1024], [7, 4], [7, 16, 1024]]
+    )
     def test_hoisted_far_from_the_origin(self, rng, channels, offset):
-        """The per-frame table is taken about a frame-local origin, so a
-        far-off cloud does not cost the contract its digits (about the
-        absolute origin, 1e9 would miss it by two orders of magnitude)."""
+        """Both paths take the frame about a frame-local origin in float64
+        before rounding it to float32, so a far-off cloud does not cost the
+        contract its digits (rounding raw coordinates first misses it by
+        1e-2 or more at 1e6 and 0.5 or more at 1e9).  The widening MLP
+        keeps the gather."""
         mlp = SharedMLP(channels, name="t.far")
         xyz, features, centers, rows = _grouped_operands(rng, 2, 90, 31, 5, 4)
         operands = (xyz + offset, features, centers + offset, rows)
-        assert get_backend("fused")._hoists(fold_stages(mlp)[0], 90, 31, 5)
+        hoists = get_backend("fused")._hoists(fold_stages(mlp)[0], 90, 31, 5)
+        assert hoists == (channels[1] <= channels[0])
         _assert_streamed_sa_contract(mlp, operands)
 
     @pytest.mark.parametrize("final_activation", [False, True])
     def test_pool_before_epilogue_is_exact(self, rng, final_activation):
         """Max-pooling the raw last stage, then its epilogue, gives the bits
-        of epilogue-then-max over the same stage outputs, for batch-norm
-        scales of either sign and zero."""
+        of epilogue-then-max over the same float32 stage outputs, for
+        batch-norm scales of either sign and zero."""
         fused = get_backend("fused")
         mlp = SharedMLP(
             [3 + 4, 16, 8], name="t.pool", final_activation=final_activation
@@ -433,7 +470,7 @@ class TestStreamedSetAbstraction:
         norm.gamma = np.array([1.5, -0.5, 0.0, 2.0, -3.0, 0.0, 0.25, -1.0])
         norm.beta = rng.standard_normal(8)
         norm.running_mean = rng.standard_normal(8)
-        stages = fold_stages(mlp)
+        stages = folded_stages(mlp)
         scale = stages[-1].scale
         assert (scale < 0).any() and (scale == 0).any() and (scale > 0).any()
         xyz, features, centers, rows = _grouped_operands(rng, 2, 90, 31, 5, 4)
@@ -441,12 +478,18 @@ class TestStreamedSetAbstraction:
         assert 31 * 5 <= fused._block_rows(stages)  # one block per frame
         actual = fused.apply_grouped(mlp, xyz, features, centers, rows)
         for b in range(2):
-            grouped = np.concatenate(
-                [xyz[b][rows[b]] - centers[b][:, None, :], features[b][rows[b]]],
-                axis=-1,
-            ).reshape(31 * 5, -1)
-            outputs = fused._run_stages(stages, grouped).reshape(31, 5, -1)
-            np.testing.assert_array_equal(actual[b], outputs.max(axis=1))
+            # The operand the backend builds: about the first centre in
+            # float64, rounded once, then centred in float32.
+            local = np.concatenate(
+                [xyz[b] - centers[b, 0], features[b]], axis=-1
+            ).astype(np.float32)
+            local_centres = (centers[b] - centers[b, 0]).astype(np.float32)
+            grouped = local[rows[b]]
+            grouped[:, :, :3] -= local_centres[:, None, :]
+            outputs = fused._run_stages(stages, grouped.reshape(31 * 5, -1))
+            np.testing.assert_array_equal(
+                actual[b], outputs.reshape(31, 5, -1).max(axis=1)
+            )
 
     def test_numpy_path_is_the_historical_materialised_one(self, rng):
         mlp = SharedMLP([3 + 4, 16, 32], name="t.hist")
@@ -539,14 +582,17 @@ class TestStreamedSetAbstraction:
         backend = session.inference_engine.warm_state(256, 0).model.backend
         held = sum(b.nbytes for b in backend._workspace.buffers.values())
         assert held > 0
-        cold = Session(
+        # The backend travels as its class alone: the scratch stays behind.
+        assert len(pickle.dumps(backend)) < 1000 < held
+        # A twin that ran the same frame holds the same weights and the
+        # same float32 fold, so the two pickles differ by counters only.
+        twin = Session(
             config=session.config, task="classification", backend="fused",
             response_cache_size=0,
         )
-        cold.inference_engine.warm_state(256, 0)  # weights, no forward yet
+        twin.run(cloud)
         payload = pickle.dumps(session)
-        # Same weights travel either way; the scratch does not.
-        assert len(payload) - len(pickle.dumps(cold)) < held // 2
+        assert abs(len(payload) - len(pickle.dumps(twin))) < held // 2
         clone = pickle.loads(payload)
         clone_backend = clone.inference_engine.warm_state(256, 0).model.backend
         assert clone_backend._workspace.buffers == {}

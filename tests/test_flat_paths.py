@@ -252,7 +252,9 @@ class TestFeaturePropagationSquared:
         coarse = PointCloud(points=rng.uniform(-1, 1, size=(20, 3)))
         coarse_features = rng.normal(size=(20, 16))
 
-        fp = FeaturePropagation("fp", [16, 32])
+        # The subject is the interpolation formula: pin the reference
+        # backend, whose dense layer is ``fp.mlp`` itself.
+        fp = FeaturePropagation("fp", [16, 32], backend="numpy")
         refined, trace = fp(dense, None, coarse, coarse_features)
 
         expected = fp.mlp(
