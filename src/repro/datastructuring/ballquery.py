@@ -47,7 +47,9 @@ class BallQueryGatherer(Gatherer):
         padded = 0
         column = np.arange(neighbors, dtype=np.intp)
         for start, dist in iter_distance_chunks(points[centroid_indices], points):
-            order = np.argsort(dist, axis=1)
+            # Stable: the columns are in index order, so ties go to the lower
+            # index and every row is ascending by (sq_dist, index).
+            order = np.argsort(dist, axis=1, kind="stable")
             sorted_dist = np.take_along_axis(dist, order, axis=1)
             # The sorted distances are ascending, so in-radius membership is
             # a per-row prefix: the whole block reduces to a column-index

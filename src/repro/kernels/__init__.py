@@ -28,7 +28,7 @@ Modules
 ``distance``
     Streamed (per-coordinate) pairwise squared distances, grouped top-k
     selection via ``argpartition`` and the blocked three-nearest search of
-    feature propagation.
+    feature propagation (``argmin`` passes, ascending ``(sq_dist, index)``).
 ``stencil``
     Cached Chebyshev offset stencils (shared by VEG and the octree neighbor
     helpers) and array-wide same-level neighbor code generation.

@@ -842,7 +842,11 @@ def ballquery_scalar(
     neighbors: int,
     radius: float,
 ) -> Tuple[np.ndarray, int, int]:
-    """Returns ``(rows, groups_truncated, groups_padded)``."""
+    """Returns ``(rows, groups_truncated, groups_padded)``.
+
+    Each row lists the in-radius points ascending by ``(sq_dist, index)``
+    (a stable sort), padded with the nearest point.
+    """
     centroid_indices = np.asarray(centroid_indices, dtype=np.intp)
     points = cloud.points
     radius_sq = radius**2
@@ -856,7 +860,7 @@ def ballquery_scalar(
         block = points[block_idx]
         diff = block[:, None, :] - points[None, :, :]
         dist = (diff**2).sum(axis=-1)
-        order = np.argsort(dist, axis=1)
+        order = np.argsort(dist, axis=1, kind="stable")
         sorted_dist = np.take_along_axis(dist, order, axis=1)
         for r in range(block.shape[0]):
             inside = order[r][sorted_dist[r] <= radius_sq]
@@ -891,12 +895,13 @@ def three_nearest_dense(
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Feature propagation's neighbour selection over the whole matrix.
 
-    Returns ``(indices, sq_dists)`` of shape ``(N, min(3, M))`` in
-    ``argpartition`` order (not sorted by distance).
+    Returns ``(indices, sq_dists)`` of shape ``(N, min(3, M))``, each row
+    ascending by ``(sq_dist, index)``: the first ``k`` columns of a stable
+    sort, so exact ties go to the lower coarse index.
     """
     sq_dist = pairwise_sq_dists_dense(dense, coarse)
     k = min(3, coarse.shape[0])
-    nearest = np.argpartition(sq_dist, kth=k - 1, axis=1)[:, :k]
+    nearest = np.argsort(sq_dist, axis=1, kind="stable")[:, :k]
     return nearest, np.take_along_axis(sq_dist, nearest, axis=1)
 
 

@@ -269,9 +269,10 @@ class FeaturePropagation:
         -- the same convention as the FPS sampler) by the blocked
         :func:`repro.kernels.three_nearest`, frame by frame -- per-row
         selection is independent, so a frame's rows do not depend on its
-        stack -- and the refining MLP runs once over the stacked
-        ``(B * N, C)`` operand, which the interpolation accumulates into
-        neighbour by neighbour (no ``(N, 3, C)`` gather).
+        stack -- in ascending ``(sq_dist, index)`` order, which fixes the
+        order the weighted terms are summed in; the refining MLP runs once
+        over the stacked ``(B * N, C)`` operand, which the interpolation
+        accumulates into neighbour by neighbour (no ``(N, 3, C)`` gather).
         ``dense_features`` / ``coarse_features`` are stacked ``(B, N, F)`` /
         ``(B, M, C)`` tensors; returns the stacked ``(B, N, C_out)`` output
         plus one per-frame trace.

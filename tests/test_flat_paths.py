@@ -229,14 +229,15 @@ class TestVoxelGridVectorised:
 
 def three_nearest_interpolation(dense_points, coarse_points, coarse_features):
     """Independent per-frame FP formula on the 2-D ``(N, M)`` distances:
-    full sqrt distances before selection (the pre-squared-distance code)."""
+    full sqrt distances before selection (the pre-squared-distance code),
+    the nearest taken in ``(dist, index)`` order by a stable sort."""
     num_coarse = coarse_points.shape[0]
     if num_coarse == 1:
         return np.repeat(coarse_features, dense_points.shape[0], axis=0)
     diff = dense_points[:, None, :] - coarse_points[None, :, :]
     dist = np.sqrt((diff**2).sum(axis=-1)) + 1e-10
     k = min(3, num_coarse)
-    nearest = np.argpartition(dist, kth=k - 1, axis=1)[:, :k]
+    nearest = np.argsort(dist, axis=1, kind="stable")[:, :k]
     near_dist = np.take_along_axis(dist, nearest, axis=1)
     weights = 1.0 / near_dist
     weights = weights / weights.sum(axis=1, keepdims=True)

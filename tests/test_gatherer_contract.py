@@ -14,7 +14,10 @@ import numpy as np
 import pytest
 
 from repro import registry
+from repro.datastructuring.ballquery import BallQueryGatherer
 from repro.datastructuring.base import Gatherer, pick_random_centroids
+from repro.geometry.pointcloud import PointCloud
+from repro.kernels import reference as ref
 
 GATHERER_NAMES = registry.available("gatherer")
 
@@ -79,3 +82,26 @@ def test_grouped_views_follow_rows(gatherer, featured_cloud):
 def test_rejects_invalid_requests(gatherer, small_cloud, centroids, neighbors):
     with pytest.raises(ValueError):
         gatherer.gather(small_cloud, centroids, neighbors)
+
+
+@pytest.mark.parametrize("neighbors", [4, 10, 24])
+def test_ballquery_lattice_ties_in_distance_index_order(neighbors):
+    """On an integer lattice every distance shell is a run of exact ties:
+    ball query lists a centroid's in-radius points ascending by
+    ``(sq_dist, index)`` (padded with the nearest), as its reference does.
+    4 and 10 cut a tie shell short; 24 pads every row."""
+    axis = np.arange(6, dtype=np.float64)
+    points = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), -1).reshape(-1, 3)
+    cloud = PointCloud(points=points)
+    centroids = np.arange(0, points.shape[0], 7)
+    radius = 1.5  # shells at squared distance 0, 1 and 2
+    rows = BallQueryGatherer(radius=radius).gather(cloud, centroids, neighbors)
+    for row, centroid in zip(rows.neighbor_indices, centroids):
+        sq_dist = ((points - points[centroid]) ** 2).sum(axis=1)
+        order = np.lexsort((np.arange(points.shape[0]), sq_dist))
+        inside = order[sq_dist[order] <= radius**2][:neighbors]
+        expected = np.full(neighbors, order[0])
+        expected[: inside.shape[0]] = inside
+        assert np.array_equal(row, expected), centroid
+    scalar_rows, _, _ = ref.ballquery_scalar(cloud, centroids, neighbors, radius)
+    assert np.array_equal(rows.neighbor_indices, scalar_rows)

@@ -353,7 +353,7 @@ class TestChunkingAndDistance:
         self, monkeypatch, num_coarse, block_rows
     ):
         """Blocked selection == selection over the whole matrix: same
-        indices in the same (argpartition) order, same distances, for row
+        indices in the same (sq_dist, index) order, same distances, for row
         counts around every block boundary."""
         if block_rows is not None:
             monkeypatch.setattr(
@@ -376,6 +376,76 @@ class TestChunkingAndDistance:
             assert indices.shape == (num_dense, min(3, num_coarse))
             assert np.array_equal(indices, ref_indices), num_dense
             assert np.array_equal(sq_dists, ref_sq), num_dense
+
+    @staticmethod
+    def _three_nearest_case(name):
+        """``(dense, coarse)`` for one degenerate or workload-shaped case."""
+        rng = np.random.default_rng(7)
+        axis = np.arange(6, dtype=np.float64)
+        lattice = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), -1)
+        lattice = lattice.reshape(-1, 3)
+        random_dense = rng.normal(size=(50, 3))
+        if name in ("m1", "m2", "m3"):
+            return random_dense, rng.normal(size=(int(name[1]), 3))
+        if name == "identical_coarse":
+            return random_dense, np.repeat(rng.normal(size=(1, 3)), 9, axis=0)
+        if name == "lattice":
+            # Half-integer dense points against every fifth integer lattice
+            # point: every row has a tie among its four nearest.
+            return lattice / 2.0, lattice[::5]
+        if name == "coarse_in_dense":
+            dense = rng.normal(size=(80, 3))
+            return dense, dense[[3, 3, 70, 11, 0, 45, 3, 79]]
+        if name == "overflow":
+            # Every squared distance overflows to +inf.
+            return rng.normal(size=(40, 3)) * 1e200, rng.normal(size=(6, 3)) * 1e200
+        if name == "overflow_tail":
+            # Two finite distances per row, then +inf: the third pick is
+            # the lowest-index +inf entry, not a finite one picked again.
+            coarse = rng.normal(size=(6, 3)) * 1e200
+            coarse[:2] = rng.normal(size=(2, 3))
+            return random_dense, coarse
+        num_dense, num_coarse = {"lidar_fp0": (2048, 512), "lidar_fp1": (512, 128)}[name]
+        dense = lidar_scene(num_dense, seed=num_coarse).points
+        return dense, dense[rng.choice(num_dense, num_coarse, replace=False)]
+
+    @pytest.mark.parametrize(
+        "name",
+        [
+            "m1",
+            "m2",
+            "m3",
+            "identical_coarse",
+            "lattice",
+            "coarse_in_dense",
+            "overflow",
+            "overflow_tail",
+            "lidar_fp0",
+            "lidar_fp1",
+        ],
+    )
+    @pytest.mark.parametrize("block_rows", [None, 8])
+    def test_three_nearest_degenerate_table(self, monkeypatch, name, block_rows):
+        """Ties, M < 3 and overflowed distances: the blocked search equals
+        the stable-sort reference bit for bit, and each row is ascending by
+        (sq_dist, index) with distinct indices."""
+        dense, coarse = self._three_nearest_case(name)
+        if block_rows is not None:
+            monkeypatch.setattr(
+                distance_kernels,
+                "THREE_NEAREST_BLOCK_BYTES",
+                block_rows * coarse.shape[0] * 8 * 2,
+            )
+        with np.errstate(over="ignore"):
+            indices, sq_dists = three_nearest(dense, coarse)
+            ref_indices, ref_sq = ref.three_nearest_dense(dense, coarse)
+        assert indices.shape == (dense.shape[0], min(3, coarse.shape[0]))
+        assert np.array_equal(indices, ref_indices)
+        assert np.array_equal(sq_dists, ref_sq)
+        ascending = sq_dists[:, :-1] <= sq_dists[:, 1:]
+        tied = sq_dists[:, :-1] == sq_dists[:, 1:]
+        assert ascending.all()
+        assert (indices[:, :-1] < indices[:, 1:])[tied].all()
 
     def test_grouped_topk_matches_full_sort(self):
         rng = np.random.default_rng(4)
