@@ -1194,22 +1194,31 @@ _MAX_TIMING_ROUNDS = 5
 _MIN_TIMING_ROUNDS = 2
 
 
-def _timed(
-    run: Callable[[], Tuple[Any, Optional[OpCounters]]]
-) -> Tuple[float, Any, Optional[OpCounters]]:
-    """Best-of-N wall time; fast runs are repeated to suppress jitter."""
-    start = time.perf_counter()
-    value, counters = run()
-    best = time.perf_counter() - start
-    rounds = 1
-    while rounds < _MIN_TIMING_ROUNDS or (
-        best < _RETIME_THRESHOLD_SECONDS and rounds < _MAX_TIMING_ROUNDS
-    ):
-        start = time.perf_counter()
-        value, counters = run()
-        best = min(best, time.perf_counter() - start)
-        rounds += 1
-    return best, value, counters
+def _timed_pair(
+    *runs: Callable[[], Tuple[Any, Optional[OpCounters]]]
+) -> List[Tuple[float, Any, Optional[OpCounters]]]:
+    """Best-of-N wall time of each run, their rounds alternating.
+
+    Each run gets the rounds it would get alone (at least
+    ``_MIN_TIMING_ROUNDS``; fast runs are repeated up to
+    ``_MAX_TIMING_ROUNDS`` to suppress jitter), but round ``i`` of every
+    run is taken before round ``i + 1`` of any, so a burst of host noise
+    lands on both sides of a ratio instead of on one side's whole
+    measurement.
+    """
+    results: List[Tuple[float, Any, Optional[OpCounters]]] = [
+        (float("inf"), None, None) for _ in runs
+    ]
+    for rounds in range(_MAX_TIMING_ROUNDS):
+        for slot, run in enumerate(runs):
+            best = results[slot][0]
+            if rounds >= _MIN_TIMING_ROUNDS and best >= _RETIME_THRESHOLD_SECONDS:
+                continue
+            start = time.perf_counter()
+            value, counters = run()
+            elapsed = time.perf_counter() - start
+            results[slot] = (min(best, elapsed), value, counters)
+    return results
 
 
 def run_scenarios(
@@ -1217,12 +1226,10 @@ def run_scenarios(
 ) -> Dict[str, Any]:
     results: List[Dict[str, Any]] = []
     for scenario in scenarios:
-        reference_seconds, reference_value, reference_counters = _timed(
-            scenario.run_reference
-        )
-        vectorized_seconds, vectorized_value, vectorized_counters = _timed(
-            scenario.run_vectorized
-        )
+        (
+            (reference_seconds, reference_value, reference_counters),
+            (vectorized_seconds, vectorized_value, vectorized_counters),
+        ) = _timed_pair(scenario.run_reference, scenario.run_vectorized)
 
         identical = (scenario.compare or _equal)(
             vectorized_value, reference_value

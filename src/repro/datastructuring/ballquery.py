@@ -14,7 +14,7 @@ import numpy as np
 from repro.datastructuring.base import Gatherer, GatherResult
 from repro.datastructuring.knn import knn_counter_model
 from repro.geometry.pointcloud import PointCloud
-from repro.kernels import iter_distance_chunks
+from repro.kernels import grouped_topk, iter_distance_chunks
 
 
 class BallQueryGatherer(Gatherer):
@@ -47,22 +47,19 @@ class BallQueryGatherer(Gatherer):
         padded = 0
         column = np.arange(neighbors, dtype=np.intp)
         for start, dist in iter_distance_chunks(points[centroid_indices], points):
-            # Stable: the columns are in index order, so ties go to the lower
-            # index and every row is ascending by (sq_dist, index).
-            order = np.argsort(dist, axis=1, kind="stable")
-            sorted_dist = np.take_along_axis(dist, order, axis=1)
-            # The sorted distances are ascending, so in-radius membership is
-            # a per-row prefix: the whole block reduces to a column-index
-            # compare against the per-row in-radius count, padding with the
-            # nearest point (PointNet++ convention: groups always have
-            # exactly k entries) -- no per-row inner loop.
-            inside_counts = (sorted_dist <= radius_sq).sum(axis=1)
+            # The nearest ``neighbors`` ascending by (sq_dist, index); the
+            # in-radius points among them are a prefix, so the group is a
+            # column compare against each row's in-radius count, padded
+            # with the nearest point (PointNet++ convention: groups always
+            # have exactly k entries) -- no per-row inner loop.
+            nearest = grouped_topk(dist, neighbors)
+            inside_counts = (dist <= radius_sq).sum(axis=1)
             truncated += int((inside_counts > neighbors).sum())
             padded += int((inside_counts < neighbors).sum())
             rows[start : start + dist.shape[0]] = np.where(
                 column[None, :] < inside_counts[:, None],
-                order[:, :neighbors],
-                order[:, :1],
+                nearest,
+                nearest[:, :1],
             )
 
         counters = knn_counter_model(

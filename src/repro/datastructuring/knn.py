@@ -66,8 +66,8 @@ class BruteForceKNN(Gatherer):
             stop = start + dist.shape[0]
             if not self._include_self:
                 dist[np.arange(stop - start), centroid_indices[start:stop]] = np.inf
-            # grouped_topk orders the k argpartition survivors by distance so
-            # the nearest appears first (useful for ball-query-style caps).
+            # grouped_topk lists the k nearest ascending by (sq_dist, index),
+            # so the nearest appears first (useful for ball-query-style caps).
             neighbor_rows[start:stop] = grouped_topk(dist, neighbors)
 
         counters = knn_counter_model(

@@ -20,17 +20,34 @@ The semi-approximate variant of Section VIII-A replaces step 5 with a random
 pick from the last shell, removing the remaining distance computations at a
 small accuracy cost.
 
-The expansion itself is batched across centroids: each round encodes the
-whole Chebyshev stencil for every still-active centroid in one vectorised
-pass (:meth:`repro.geometry.voxelgrid.VoxelGrid.shell_positions_batch`),
-gathers all bucket contents with one ragged gather, and computes the
-last-shell distances in one shot.  Results -- neighbor rows, counters, and
-per-centroid stage statistics -- are bit-identical to the retained
-per-centroid scalar reference (:func:`repro.kernels.reference.veg_scalar`).
+Every centroid runs at once, in counts, runs and one sort:
+
+* **VE by counts.**  Shells ``0..r`` make the Chebyshev cube of radius
+  ``r``, whose ``(2r + 1)**2`` ``(x, y)`` columns are each one z-run of the
+  grid's row-major cell order.  Two prefix reads per run
+  (:meth:`~repro.geometry.voxelgrid.VoxelGrid.cells_before`) count a
+  cube's points and occupied voxels; a round counts every still-active
+  centroid's cube, a shell is the difference of two cubes, and a centroid
+  stops at the first radius whose cube holds K points.
+* **GP by runs.**  Each final cube's z-runs are sliced out of the
+  row-major order in one ragged gather, already split into the inner cube
+  and the last shell.
+* **ST as one sort.**  Every candidate becomes one packed ``int64`` key
+  ``(centroid, rank of its sort key, point index)``: inner points take
+  rank 0, last-shell points the dense rank of their squared distance (a
+  uniform draw in the semi-approximate mode).  The keys are unique, so one
+  ``np.sort`` of them is one total order whatever NumPy's sort algorithm,
+  and each row is its centroid's first K keys.
+
+Rows list the inner points in ascending index, then the last shell in
+ascending ``(key, index)``, then padding.  Rows, counters and per-centroid
+stage statistics are bit-identical to the per-centroid shell walk retained
+as :func:`repro.kernels.reference.veg_scalar`.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, fields
 from functools import cached_property
 from typing import List, Optional, Sequence, Tuple
@@ -41,12 +58,7 @@ from repro.core.metrics import OpCounters
 from repro.datastructuring.base import Gatherer, GatherResult
 from repro.geometry.pointcloud import PointCloud
 from repro.geometry.voxelgrid import VoxelGrid, suggest_depth
-from repro.kernels import (
-    decode_cells,
-    gather_ragged,
-    segment_boundaries,
-    sort_codes,
-)
+from repro.kernels import gather_ragged
 
 
 @dataclass
@@ -139,21 +151,66 @@ class VEGRunStats:
         return float(np.mean(self.sorted_candidates))
 
 
-@dataclass
-class _ExpansionPool:
-    """Flattened candidate points of a batched shell expansion.
+def _dense_ranks(keys: np.ndarray) -> np.ndarray:
+    """1-based rank of every key among the distinct keys; ties share one.
 
-    ``flat_points[row_bounds[i] : row_bounds[i+1]]`` are centroid ``i``'s
-    candidates, ordered by shell radius then stencil enumeration then
-    bucket order -- exactly the concatenation order of the scalar
-    per-centroid expansion.
+    Equal keys get one rank whichever order the sort leaves them in.
     """
+    order = np.argsort(keys)
+    ordered = keys[order]
+    new = np.ones(keys.shape[0], dtype=np.int64)
+    np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
+    ranks = np.empty_like(new)
+    ranks[order] = np.cumsum(new)
+    return ranks
 
-    flat_points: np.ndarray
-    point_radius: np.ndarray
-    row_bounds: np.ndarray
-    last_radius: np.ndarray
-    voxels_visited: np.ndarray
+
+def _sq_dists(points: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Squared distances between the points indexed by ``a`` and by ``b``.
+
+    Summed one coordinate at a time as ``(dx*dx + dy*dy) + dz*dz``, which
+    is the association of ``((points[a] - points[b]) ** 2).sum(axis=1)``.
+    """
+    total = None
+    for axis in range(points.shape[1]):
+        column = points[:, axis]
+        delta = column[a] - column[b]
+        delta *= delta
+        total = delta if total is None else np.add(total, delta, out=total)
+    return total
+
+
+def _first_k(
+    rows: np.ndarray,
+    ranks: np.ndarray,
+    points: np.ndarray,
+    num_points: int,
+    neighbors: int,
+    fill: np.ndarray,
+) -> np.ndarray:
+    """Each row's first ``neighbors`` candidates in ``(rank, index)`` order.
+
+    Candidate ``j`` belongs to row ``rows[j]``.  The packed keys ``(row,
+    rank, index)`` are unique, so one ``np.sort`` orders every row at once
+    whatever the sort algorithm; triples too wide for 63 bits take the
+    equivalent ``lexsort``.  A row short of ``neighbors`` is padded with its
+    first entry, or with ``fill[row]`` when it has none.
+    """
+    index_bits = max(1, (num_points - 1).bit_length())
+    rank_bits = max(1, int(ranks.max(initial=0)).bit_length())
+    if (fill.shape[0] - 1).bit_length() + rank_bits + index_bits <= 63:
+        keys = rows.astype(np.int64) << (rank_bits + index_bits)
+        keys |= ranks << index_bits
+        keys |= points
+        keys.sort()
+        ordered = keys & ((1 << index_bits) - 1)
+    else:
+        ordered = points[np.lexsort((points, ranks, rows))]
+    counts = np.bincount(rows, minlength=fill.shape[0])[:, None]
+    column = np.arange(neighbors)
+    take = np.cumsum(counts)[:, None] - counts + np.where(column < counts, column, 0)
+    selected = np.append(ordered, 0)[take]
+    return np.where(counts > 0, selected, fill[:, None]).astype(np.intp)
 
 
 class VoxelExpandedGatherer(Gatherer):
@@ -205,11 +262,11 @@ class VoxelExpandedGatherer(Gatherer):
         """Gather neighbors; optionally reuse a pre-built ``grid``.
 
         Reusing the grid models HgPCN's amortisation of the octree built by
-        the Pre-processing Engine.
+        the Pre-processing Engine; its row-major arrays are built on the
+        first gather and kept with it.
         """
         self._validate(cloud, centroid_indices, neighbors)
         centroid_indices = np.asarray(centroid_indices, dtype=np.intp)
-        rng = np.random.default_rng(self._seed)
 
         depth = self._depth or suggest_depth(cloud.num_points)
         if grid is None:
@@ -222,22 +279,78 @@ class VoxelExpandedGatherer(Gatherer):
 
         # Stage FP + LV for every centroid: fetch the central point and
         # locate its voxel.
-        center_codes = grid.codes[centroid_indices]
-        center_cells = decode_cells(center_codes, depth)
+        linear = grid.linear_cells[centroid_indices]
+        mask = grid.resolution - 1
+        centers = np.stack(
+            [linear >> (2 * depth), (linear >> depth) & mask, linear & mask]
+        )
         counters.onchip_reads += num_centroids
         counters.node_visits += num_centroids
 
-        if self._ball_radius is not None:
-            rows, run_stats = self._gather_ball_batch(
-                grid, cloud, centroid_indices, center_cells, neighbors,
-                counters,
+        # Ball query expands a fixed number of shells, set by the radius
+        # and the voxel edge, so never by the cloud size; every candidate
+        # is then distance-checked against the radius.
+        ball = self._ball_radius is not None
+        shell_limit = None
+        if ball:
+            cell = float(grid.cell_size().min())
+            shell_limit = min(
+                grid.resolution,
+                int(np.ceil(self._ball_radius / max(cell, 1e-12))) + 1,
             )
+        (
+            last_radius,
+            inner_counts,
+            cube_counts,
+            voxels_visited,
+            (inner_rows, inner_points),
+            (last_rows, last_points),
+        ) = self._expand(
+            grid, centers, counters, None if ball else neighbors, shell_limit
+        )
+        last_counts = cube_counts - inner_counts
+        counters.host_memory_reads += int(inner_counts.sum())
+
+        exact = ball or not self._semi_approximate
+        if exact:
+            # Stage ST: distances for the last-shell candidates only.
+            keys = _sq_dists(cloud.points, last_points, centroid_indices[last_rows])
+            total_last = int(last_counts.sum())
+            counters.distance_computations += total_last
+            counters.compare_ops += total_last
+            counters.host_memory_reads += total_last
         else:
-            rows, run_stats = self._gather_knn_batch(
-                grid, cloud, centroid_indices, center_cells, neighbors,
-                rng, counters,
+            # One uniform draw per last-shell candidate, in (centroid,
+            # index) order.
+            order = np.lexsort((last_points, last_rows))
+            last_rows, last_points = last_rows[order], last_points[order]
+            keys = np.random.default_rng(self._seed).random(last_points.shape[0])
+            counters.host_memory_reads += int(
+                np.minimum(last_counts, neighbors - inner_counts).sum()
+            )
+        if ball:
+            inside = keys <= self._ball_radius**2
+            last_rows, last_points, keys = (
+                last_rows[inside], last_points[inside], keys[inside]
             )
 
+        # Stage BF: write the K gathered points to the input buffer.
+        rows = _first_k(
+            np.concatenate([inner_rows, last_rows]),
+            np.concatenate([np.zeros_like(inner_rows), _dense_ranks(keys)]),
+            np.concatenate([inner_points, last_points]),
+            cloud.num_points,
+            neighbors,
+            centroid_indices,
+        )
+        counters.onchip_writes += num_centroids * neighbors
+        run_stats = VEGRunStats(
+            expansions=last_radius,
+            inner_points=inner_counts,
+            last_shell_points=last_counts,
+            sorted_candidates=last_counts if exact else np.zeros_like(last_counts),
+            voxels_visited=voxels_visited,
+        )
         return GatherResult(
             neighbor_indices=rows,
             centroid_indices=centroid_indices,
@@ -252,249 +365,107 @@ class VoxelExpandedGatherer(Gatherer):
         )
 
     # ------------------------------------------------------------------
+    @staticmethod
     def _expand(
-        self,
         grid: VoxelGrid,
-        center_cells: np.ndarray,
-        target_counts: Optional[np.ndarray],
-        max_radius: int,
+        centers: np.ndarray,
         counters: OpCounters,
-    ) -> _ExpansionPool:
-        """Batched stage VE: expand shells for all centroids at once.
+        neighbors: Optional[int],
+        shell_limit: Optional[int] = None,
+    ) -> Tuple[np.ndarray, ...]:
+        """Stages VE and GP, for every centroid at once.
 
-        Per round, every still-active centroid's Chebyshev stencil is
-        encoded and looked up in one pass.  A centroid stays active while
-        its gathered total is below ``target_counts`` (or, when that is
-        ``None``, until ``max_radius`` is exhausted -- the ball-query
-        variant, whose shell count is fixed up front).
+        Round ``r`` counts the points and occupied voxels of each active
+        centroid's radius-``r`` cube; the shell is the difference from
+        round ``r - 1`` and costs ``max(1, its occupied voxels)`` lookups.
+        A centroid stops at the first cube holding ``neighbors`` points (the
+        radius ``R - 1`` cube holds the whole cloud, at least K) or, in ball
+        query (``neighbors`` is ``None``), at ``shell_limit``.  Its final
+        cube's z-runs then split without per-point work: the radius ``r -
+        1`` cube is inner, so an inner column gives its end cells at ``cz -
+        r`` and ``cz + r`` to the last shell and a ring column all of it.
+        Ball query has no inner part.
+
+        Returns ``(last_radius, inner_points, cube_points, voxels_visited,
+        inner, last)``: per centroid the final radius, the points in the
+        cube before it and in it, and the lookups; then the inner and the
+        last-shell candidates as ``(rows, point_indices)``.
         """
-        num_centroids = center_cells.shape[0]
-        active = np.arange(num_centroids, dtype=np.intp)
-        gathered = np.zeros(num_centroids, dtype=np.int64)
-        last_radius = np.zeros(num_centroids, dtype=np.int64)
-        voxels_visited = np.zeros(num_centroids, dtype=np.int64)
+        num_centroids = centers.shape[1]
+        top = grid.resolution - 1
+        last_radius, inner_points, cube_points, cube_voxels, voxels_visited = (
+            np.zeros((5, num_centroids), dtype=np.int64)
+        )
+        # (rows, start, stop) runs of the row-major point order, per kind.
+        inner_runs: List[Tuple[np.ndarray, ...]] = []
+        last_runs: List[Tuple[np.ndarray, ...]] = []
 
-        row_records: List[np.ndarray] = []
-        position_records: List[np.ndarray] = []
-        radius_records: List[np.ndarray] = []
-
-        radius = 0
-        while active.size and radius <= max_radius:
-            positions, found = grid.shell_positions_batch(
-                center_cells[active], radius
-            )
-            shell_voxels = found.sum(axis=1)
-            shell_points = np.where(found, grid.counts[positions], 0).sum(axis=1)
-            visited = np.maximum(1, shell_voxels)
+        # Centroids in row-major cell order: each column's runs then rise
+        # along the active axis, so prefix reads walk memory forwards.
+        active = np.lexsort(centers[::-1])
+        for radius in itertools.count():
+            if not active.size:
+                break
+            lo, hi = grid.cube_runs(centers[:, active], radius)
+            start, voxels_lo = grid.cells_before(lo)
+            stop, voxels_hi = grid.cells_before(hi)
+            points = (stop - start).sum(axis=0)
+            voxels = (voxels_hi - voxels_lo).sum(axis=0)
+            visited = np.maximum(1, voxels - cube_voxels[active])
             voxels_visited[active] += visited
             counters.node_visits += int(visited.sum())
-            gathered[active] += shell_points
+            cube_voxels[active] = voxels
 
-            rows_flat = np.repeat(active, shell_voxels)
-            row_records.append(rows_flat)
-            position_records.append(positions[found])
-            radius_records.append(
-                np.full(rows_flat.shape[0], radius, dtype=np.int64)
+            if neighbors is None:
+                done = np.full(active.shape[0], radius == shell_limit)
+            else:
+                done = points >= neighbors
+                inner_points[active[done]] = cube_points[active[done]]
+            finished = active[done]
+            last_radius[finished] = radius
+            cube_points[active] = points
+            active = active[~done]
+            if not finished.size:
+                continue
+
+            rows = np.broadcast_to(finished, (lo.shape[0], finished.shape[0]))
+            lo, hi, start, stop = (a[:, done] for a in (lo, hi, start, stop))
+            if neighbors is None or radius == 0:
+                last_runs.append((rows, start, stop))
+                continue
+            side = 2 * radius + 1
+            ring = np.ones((side, side), dtype=bool)
+            ring[1:-1, 1:-1] = False
+            ring = ring.reshape(-1)
+            last_runs.append((rows[ring], start[ring], stop[ring]))
+            lo, hi, start, stop, rows = (a[~ring] for a in (lo, hi, start, stop, rows))
+            z = centers[2, finished]
+            in_grid = hi > lo
+            inner_start = grid.points_before(
+                np.where(in_grid & (z >= radius), lo + 1, lo)
             )
+            inner_stop = grid.points_before(
+                np.where(in_grid & (z + radius <= top), hi - 1, hi)
+            )
+            inner_runs.append((rows, inner_start, inner_stop))
+            last_runs.append((rows, start, inner_start))
+            last_runs.append((rows, inner_stop, stop))
 
-            if target_counts is None:
-                last_radius[active] = radius
-            else:
-                done = gathered[active] >= target_counts[active]
-                last_radius[active[done]] = radius
-                active = active[~done]
-            radius += 1
-        if target_counts is not None and active.size:
-            # Grid exhausted before the targets were met; the final shell
-            # appended is the one at max_radius.
-            last_radius[active] = radius - 1
+        def collect(runs):
+            if not runs:
+                return np.zeros((2, 0), dtype=np.intp)
+            rows, starts, stops = (
+                np.concatenate([part.reshape(-1) for part in parts])
+                for parts in zip(*runs)
+            )
+            points, segment = gather_ragged(grid.row_major[0], starts, stops - starts)
+            return rows[segment], points
 
-        rows_all = np.concatenate(row_records) if row_records else np.zeros(0, dtype=np.intp)
-        positions_all = np.concatenate(position_records) if position_records else np.zeros(0, dtype=np.intp)
-        radius_all = np.concatenate(radius_records) if radius_records else np.zeros(0, dtype=np.int64)
-
-        # Group the visited voxels by centroid; the stable sort preserves the
-        # radius-then-stencil enumeration order inside each group, so the
-        # flattened candidates match the scalar shell concatenation exactly.
-        grouped, rows_sorted = sort_codes(rows_all)
-        positions_sorted = positions_all[grouped]
-        radius_sorted = radius_all[grouped]
-
-        flat_points, voxel_segment = gather_ragged(
-            grid.order,
-            grid.starts[positions_sorted],
-            grid.counts[positions_sorted],
-        )
-        point_row = rows_sorted[voxel_segment]
-        point_radius = radius_sorted[voxel_segment]
-        row_bounds = segment_boundaries(point_row, num_centroids)
-        return _ExpansionPool(
-            flat_points=flat_points,
-            point_radius=point_radius,
-            row_bounds=row_bounds,
-            last_radius=last_radius,
-            voxels_visited=voxels_visited,
-        )
-
-    # ------------------------------------------------------------------
-    def _gather_knn_batch(
-        self,
-        grid: VoxelGrid,
-        cloud: PointCloud,
-        centroid_indices: np.ndarray,
-        center_cells: np.ndarray,
-        neighbors: int,
-        rng: np.random.Generator,
-        counters: OpCounters,
-    ) -> Tuple[np.ndarray, VEGRunStats]:
-        points = cloud.points
-        num_centroids = centroid_indices.shape[0]
-        targets = np.full(num_centroids, neighbors, dtype=np.int64)
-        pool = self._expand(
-            grid, center_cells, targets, grid.resolution, counters
-        )
-
-        # Within a centroid's slice the candidates are radius-ascending, so
-        # the inner shells are a prefix and the last shell the suffix.
-        total_counts = np.diff(pool.row_bounds)
-        point_rows = np.repeat(
-            np.arange(num_centroids, dtype=np.intp), total_counts
-        )
-        is_last = pool.point_radius == pool.last_radius[point_rows]
-        last_counts = np.bincount(
-            point_rows[is_last], minlength=num_centroids
-        ).astype(np.int64)
-        inner_counts = total_counts - last_counts
-        counters.host_memory_reads += int(inner_counts.sum())
-
-        # Stage ST: distances for the last-shell candidates only, in one
-        # vectorised pass over every centroid's shell.
-        exact = not self._semi_approximate
-        if exact:
-            last_points = pool.flat_points[is_last]
-            last_rows = point_rows[is_last]
-            last_dists = (
-                (points[last_points] - points[centroid_indices[last_rows]]) ** 2
-            ).sum(axis=1)
-            last_bounds = segment_boundaries(last_rows, num_centroids)
-            counters.distance_computations += int(last_counts.sum())
-            counters.compare_ops += int(last_counts.sum())
-            counters.host_memory_reads += int(last_counts.sum())
-        else:
-            last_dists = np.zeros(0)
-            last_bounds = np.zeros(num_centroids + 1, dtype=np.intp)
-
-        rows = np.empty((num_centroids, neighbors), dtype=np.intp)
-        for row in range(num_centroids):
-            start, end = pool.row_bounds[row], pool.row_bounds[row + 1]
-            inner_n = int(inner_counts[row])
-            inner = pool.flat_points[start : start + inner_n]
-            last_shell = pool.flat_points[start + inner_n : end]
-            still_needed = neighbors - inner_n
-
-            if exact:
-                dist = last_dists[last_bounds[row] : last_bounds[row + 1]]
-                order = np.argsort(dist)[:still_needed]
-                tail = last_shell[order]
-            else:
-                if last_shell.shape[0] <= still_needed:
-                    tail = last_shell
-                else:
-                    tail = rng.choice(
-                        last_shell, size=still_needed, replace=False
-                    )
-                counters.host_memory_reads += int(tail.shape[0])
-            selection = np.concatenate([inner, tail])
-            if selection.shape[0] < neighbors:
-                # Grid exhausted before K points were found (tiny clouds or
-                # boundary centroids in the semi-approximate mode): pad with
-                # the nearest gathered point, mirroring the ball-query
-                # padding convention.
-                pad = np.full(
-                    neighbors - selection.shape[0],
-                    selection[0] if selection.shape[0] else centroid_indices[row],
-                    dtype=np.intp,
-                )
-                selection = np.concatenate([selection, pad])
-
-            # Stage BF: write the K gathered points to the input buffer.
-            counters.onchip_writes += neighbors
-            rows[row] = selection[:neighbors]
-        return rows, VEGRunStats(
-            expansions=pool.last_radius,
-            inner_points=inner_counts,
-            last_shell_points=last_counts,
-            sorted_candidates=last_counts if exact else np.zeros_like(last_counts),
-            voxels_visited=pool.voxels_visited,
-        )
-
-    # ------------------------------------------------------------------
-    def _gather_ball_batch(
-        self,
-        grid: VoxelGrid,
-        cloud: PointCloud,
-        centroid_indices: np.ndarray,
-        center_cells: np.ndarray,
-        neighbors: int,
-        counters: OpCounters,
-    ) -> Tuple[np.ndarray, VEGRunStats]:
-        """Ball-query gathering: expand only as far as the ball reaches.
-
-        The number of shells is fixed by the ball radius and the voxel edge
-        length, so the expansion never depends on the input cloud size;
-        every candidate inside the covered shells is distance-checked
-        against the radius and at most K of the in-ball points are kept.
-        """
-        points = cloud.points
-        num_centroids = centroid_indices.shape[0]
-        radius = float(self._ball_radius)
-        cell = float(grid.cell_size().min())
-        shell_limit = min(
-            grid.resolution, int(np.ceil(radius / max(cell, 1e-12))) + 1
-        )
-        pool = self._expand(grid, center_cells, None, shell_limit, counters)
-
-        pool_counts = np.diff(pool.row_bounds)
-        point_rows = np.repeat(
-            np.arange(num_centroids, dtype=np.intp), pool_counts
-        )
-        dists = (
-            (points[pool.flat_points] - points[centroid_indices[point_rows]])
-            ** 2
-        ).sum(axis=1)
-        counters.distance_computations += int(pool_counts.sum())
-        counters.compare_ops += int(pool_counts.sum())
-        counters.host_memory_reads += int(pool_counts.sum())
-
-        radius_sq = radius**2
-        rows = np.empty((num_centroids, neighbors), dtype=np.intp)
-        for row in range(num_centroids):
-            start, end = pool.row_bounds[row], pool.row_bounds[row + 1]
-            candidates = pool.flat_points[start:end]
-            dist = dists[start:end]
-            inside = candidates[dist <= radius_sq]
-            inside_dist = dist[dist <= radius_sq]
-            order = np.argsort(inside_dist)
-            inside = inside[order]
-            if inside.shape[0] >= neighbors:
-                selection = inside[:neighbors]
-            else:
-                # PointNet++ convention: pad with the nearest in-ball point
-                # (or the centroid itself when the ball is empty).
-                fill_value = (
-                    inside[0] if inside.shape[0] else centroid_indices[row]
-                )
-                pad = np.full(
-                    neighbors - inside.shape[0], fill_value, dtype=np.intp
-                )
-                selection = np.concatenate([inside, pad])
-            counters.onchip_writes += neighbors
-            rows[row] = selection
-        pool_counts = pool_counts.astype(np.int64)
-        return rows, VEGRunStats(
-            expansions=np.full(num_centroids, shell_limit, dtype=np.int64),
-            inner_points=np.zeros(num_centroids, dtype=np.int64),
-            last_shell_points=pool_counts,
-            sorted_candidates=pool_counts,
-            voxels_visited=pool.voxels_visited,
+        return (
+            last_radius,
+            inner_points,
+            cube_points,
+            voxels_visited,
+            collect(inner_runs),
+            collect(last_runs),
         )

@@ -27,11 +27,12 @@ Modules
     many variable-length buckets without a Python loop).
 ``distance``
     Streamed (per-coordinate) pairwise squared distances, grouped top-k
-    selection via ``argpartition`` and the blocked three-nearest search of
-    feature propagation (``argmin`` passes, ascending ``(sq_dist, index)``).
+    selection (``argpartition``, lowest-index ties, a stable sort of the k
+    survivors) and the blocked three-nearest search of feature propagation
+    (``argmin`` passes); both list ascending ``(sq_dist, index)``.
 ``stencil``
-    Cached Chebyshev offset stencils (shared by VEG and the octree neighbor
-    helpers) and array-wide same-level neighbor code generation.
+    Cached Chebyshev offset stencils of the octree neighbor helpers and
+    array-wide same-level neighbor code generation.
 ``reference``
     The retained scalar reference implementations (not imported eagerly --
     it depends on the higher-level geometry/octree modules).

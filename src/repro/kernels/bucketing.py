@@ -139,21 +139,31 @@ def gather_ragged(
 
     Returns ``(flat_values, segment_ids)``; ``segment_ids[j]`` is the bucket
     number the j-th output element came from.  This is the vectorised
-    replacement for ``np.concatenate([buckets[c] for c in codes])``.
+    replacement for ``np.concatenate([buckets[c] for c in codes])``.  The
+    flat indices are one ``cumsum`` of unit steps that jump at each
+    non-empty bucket's first element, and the segment ids one ``cumsum``
+    of bucket-start marks.
     """
     starts = np.asarray(starts, dtype=np.intp)
     counts = np.asarray(counts, dtype=np.intp)
-    total = int(counts.sum())
-    if total == 0:
+    kept = np.flatnonzero(counts)
+    if not kept.shape[0]:
         return (
             np.zeros(0, dtype=np.asarray(values).dtype),
             np.zeros(0, dtype=np.intp),
         )
-    segment_ids = np.repeat(np.arange(counts.shape[0], dtype=np.intp), counts)
+    starts, counts = starts[kept], counts[kept]
     ends = np.cumsum(counts)
-    within = np.arange(total, dtype=np.intp) - np.repeat(ends - counts, counts)
-    flat_index = np.repeat(starts, counts) + within
-    return np.asarray(values)[flat_index], segment_ids
+    first = ends[:-1]
+    step = np.ones(int(ends[-1]), dtype=np.intp)
+    step[0] = starts[0]
+    step[first] = starts[1:] - (starts[:-1] + counts[:-1] - 1)
+    segment = np.zeros_like(step)
+    segment[first] = 1
+    return (
+        np.asarray(values)[np.cumsum(step, out=step)],
+        kept[np.cumsum(segment, out=segment)],
+    )
 
 
 def segment_boundaries(segment_ids: np.ndarray, num_segments: int) -> np.ndarray:

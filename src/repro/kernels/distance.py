@@ -117,13 +117,32 @@ def three_nearest(
 
 
 def grouped_topk(sq_dists: np.ndarray, k: int) -> np.ndarray:
-    """Indices of the k smallest entries per row, nearest first.
+    """Indices of the k smallest entries per row, ascending by ``(value, index)``.
 
-    ``argpartition`` finds the k smallest in O(N), then only those k are
-    ordered -- the selection the brute-force KNN gatherer has always used,
-    factored out so every caller shares one implementation.
+    Exactly ``np.argsort(sq_dists, axis=1, kind="stable")[:, :k]``, without
+    sorting whole rows.  ``np.argpartition`` at ``k`` puts each row's k
+    smallest entries first and its (k+1)-th smallest at ``k``; when that
+    one is larger than the rest, the k entries are the row's set.  Rows
+    where it ties the k-th value (the set is then the partition's choice)
+    take, of the entries equal to the k-th value, the lowest-index ones (a
+    ``cumsum`` over them).  The k survivors, in index order, are then
+    sorted stably by value.
     """
-    order = np.argpartition(sq_dists, kth=k - 1, axis=1)[:, :k]
-    part = np.take_along_axis(sq_dists, order, axis=1)
-    inner = np.argsort(part, axis=1)
-    return np.take_along_axis(order, inner, axis=1)
+    if k >= sq_dists.shape[1]:
+        return np.argsort(sq_dists, axis=1, kind="stable")[:, :k]
+    picked = np.argpartition(sq_dists, k, axis=1)[:, : k + 1]
+    values = np.take_along_axis(sq_dists, picked, axis=1)
+    kth = values[:, :k].max(axis=1, keepdims=True)
+    columns = np.sort(picked[:, :k], axis=1)
+    tied = np.flatnonzero(values[:, k] == kth[:, 0])
+    if tied.shape[0]:
+        rows, kth = sq_dists[tied], kth[tied]
+        below = rows < kth
+        ties = rows == kth
+        places = k - np.count_nonzero(below, axis=1)[:, None]
+        keep = below | (ties & (np.cumsum(ties, axis=1) <= places))
+        columns[tied] = np.nonzero(keep)[1].reshape(tied.shape[0], k)
+    values = np.take_along_axis(sq_dists, columns, axis=1)
+    return np.take_along_axis(
+        columns, np.argsort(values, axis=1, kind="stable"), axis=1
+    )

@@ -3,10 +3,13 @@
 This module preserves, verbatim in behaviour, the pre-kernel-layer code of
 the sampling/gathering stages: per-leaf Python loops in the octree builder,
 per-level dict walks in OIS, per-centroid shell expansion in VEG, the
-per-row inner loop of the brute-force ball query, and sqrt-based FPS.  The
-vectorized implementations in the library proper carry an **exact
-equivalence contract** against these functions: same selected indices, same
-neighbor rows, same operation counters, bit for bit.
+per-row inner loop of the brute-force ball query, and sqrt-based FPS.  Only
+their neighbour orders were restated, each as one total order that no
+sort's tie rule decides (``veg_scalar``, ``ballquery_scalar``,
+``three_nearest_dense``).  The vectorized implementations in the library
+proper carry an **exact equivalence contract** against these functions:
+same selected indices, same neighbor rows, same operation counters, bit for
+bit.
 
 ``benchmarks/run_all.py`` times each vectorized kernel against its scalar
 reference and records the speedups in ``BENCH_kernels.json``;
@@ -534,16 +537,24 @@ def veg_scalar(
     semi_approximate: bool = False,
     ball_radius: Optional[float] = None,
     seed: int = 0,
+    box: Optional[AxisAlignedBox] = None,
 ) -> Tuple[np.ndarray, OpCounters, list]:
-    """The pre-kernel VEG gather; returns ``(rows, counters, stage_stats)``.
+    """The per-centroid VEG shell walk; returns ``(rows, counters, stage_stats)``.
 
     ``stage_stats`` is a list of per-centroid tuples ``(expansions,
     inner_points, last_shell_points, sorted_candidates, voxels_visited)``.
+    A row lists the inner-shell points in ascending index, then the last
+    shell's picks ascending by ``(key, index)`` -- the squared distance, or
+    in the semi-approximate mode one ``rng.random`` draw per last-shell
+    point taken in index order -- then padding with its first entry (the
+    centroid when empty).  Ball mode lists the in-ball points ascending by
+    ``(sq_dist, index)``.  ``box`` is the grid's box (default: the cloud's
+    cube hull), as in :meth:`repro.geometry.voxelgrid.VoxelGrid.build`.
     """
     centroid_indices = np.asarray(centroid_indices, dtype=np.intp)
     rng = np.random.default_rng(seed)
     depth = depth or suggest_depth(cloud.num_points)
-    grid = ScalarGrid(cloud, depth)
+    grid = ScalarGrid(cloud, depth, box)
 
     counters = OpCounters()
     stage_stats: list = []
@@ -591,8 +602,7 @@ def veg_scalar(
 
             inside = pool[dist <= radius**2]
             inside_dist = dist[dist <= radius**2]
-            order = np.argsort(inside_dist)
-            inside = inside[order]
+            inside = inside[np.lexsort((inside, inside_dist))]
             if inside.shape[0] >= neighbors:
                 selection = inside[:neighbors]
             else:
@@ -627,7 +637,7 @@ def veg_scalar(
             radius += 1
         expansions = max(0, len(shells) - 1)
 
-        inner = (
+        inner = np.sort(
             np.concatenate(shells[:-1]) if len(shells) > 1
             else np.zeros(0, dtype=np.intp)
         )
@@ -639,10 +649,9 @@ def veg_scalar(
         still_needed = neighbors - inner.shape[0]
         if semi_approximate:
             sorted_candidates = 0
-            if last_shell.shape[0] <= still_needed:
-                tail = last_shell
-            else:
-                tail = rng.choice(last_shell, size=still_needed, replace=False)
+            last_shell = np.sort(last_shell)
+            draws = rng.random(last_shell.shape[0])
+            tail = last_shell[np.lexsort((last_shell, draws))[:still_needed]]
             counters.host_memory_reads += int(tail.shape[0])
         else:
             dist = ((points[last_shell] - target) ** 2).sum(axis=1)
@@ -650,8 +659,7 @@ def veg_scalar(
             counters.compare_ops += last_shell.shape[0]
             counters.host_memory_reads += int(last_shell.shape[0])
             sorted_candidates = int(last_shell.shape[0])
-            order = np.argsort(dist)[:still_needed]
-            tail = last_shell[order]
+            tail = last_shell[np.lexsort((last_shell, dist))[:still_needed]]
         selection = np.concatenate([inner, tail])
         if selection.shape[0] < neighbors:
             pad = np.full(

@@ -1,11 +1,12 @@
 """Chebyshev offset stencils and batched same-level neighbor codes.
 
-The VEG method (Section VI) and the octree neighbor helpers both expand a
-voxel neighbourhood shell by shell.  The offset stencils live here -- in the
-kernel layer -- so both :class:`~repro.geometry.voxelgrid.VoxelGrid` and
-:mod:`repro.octree.neighbors` share one cached enumeration, and so neighbor
-lookup can run array-wide: one ``(M, S)`` encode over ``M`` centre voxels and
-an ``S``-entry stencil instead of ``M`` Python triple loops.
+The octree neighbor helpers (:mod:`repro.octree.neighbors`) expand a voxel
+neighbourhood shell by shell.  The offset stencils live here -- in the
+kernel layer -- as one cached enumeration, so neighbor lookup runs
+array-wide: one ``(M, S)`` encode over ``M`` centre voxels and an
+``S``-entry stencil instead of ``M`` Python triple loops.  (VEG addresses
+whole Chebyshev cubes through the voxel grid's row-major prefix counts
+instead, :meth:`repro.geometry.voxelgrid.VoxelGrid.cube_runs`.)
 
 Enumeration order matches the scalar triple loop of the pre-kernel code
 (``dx`` outermost, then ``dy``, then ``dz``), which is what the equivalence

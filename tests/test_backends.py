@@ -440,6 +440,30 @@ class TestStreamedSetAbstraction:
         assert hoists == (groups != 1)
         _assert_streamed_sa_contract(mlp, operands)
 
+    @pytest.mark.parametrize("backend_name", ["numpy", "fused"])
+    @pytest.mark.parametrize("hoisted", [False, True])
+    @_SA_SHAPES
+    def test_neighbour_order_within_a_row_is_invisible(
+        self, rng, backend_name, hoisted, frames, points, groups, neighbors, channels
+    ):
+        """Permuting each neighbour row leaves the output bit-identical: the
+        group max ignores the order, which is why a gatherer's order inside
+        a row (VEG's inner-then-tail order, say) cannot reach the logits."""
+        width = 3 + channels if hoisted else 16
+        mlp = SharedMLP([3 + channels, width, 1024], name="t.order")
+        xyz, features, centers, rows = _grouped_operands(
+            rng, frames, points, groups, neighbors, channels
+        )
+        shuffled = np.take_along_axis(
+            rows, rng.random(rows.shape).argsort(axis=-1), axis=-1
+        )
+        assert not np.array_equal(shuffled, rows) or rows.shape[-1] == 1
+        backend = get_backend(backend_name)
+        np.testing.assert_array_equal(
+            backend.apply_grouped(mlp, xyz, features, centers, shuffled),
+            backend.apply_grouped(mlp, xyz, features, centers, rows),
+        )
+
     @pytest.mark.parametrize("offset", [1e6, 1e9])
     @pytest.mark.parametrize(
         "channels", [[7, 7, 1024], [7, 4], [7, 16, 1024]]

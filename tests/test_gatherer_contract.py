@@ -16,6 +16,7 @@ import pytest
 from repro import registry
 from repro.datastructuring.ballquery import BallQueryGatherer
 from repro.datastructuring.base import Gatherer, pick_random_centroids
+from repro.datastructuring.knn import BruteForceKNN
 from repro.geometry.pointcloud import PointCloud
 from repro.kernels import reference as ref
 
@@ -105,3 +106,24 @@ def test_ballquery_lattice_ties_in_distance_index_order(neighbors):
         assert np.array_equal(row, expected), centroid
     scalar_rows, _, _ = ref.ballquery_scalar(cloud, centroids, neighbors, radius)
     assert np.array_equal(rows.neighbor_indices, scalar_rows)
+
+
+@pytest.mark.parametrize("neighbors", [1, 4, 7, 19, 30])
+@pytest.mark.parametrize("include_self", [True, False])
+def test_knn_lattice_ties_in_distance_index_order(neighbors, include_self):
+    """Brute-force kNN lists each centroid's ``neighbors`` nearest ascending
+    by ``(sq_dist, index)``: on an integer lattice the cut falls inside a
+    tie shell for most of these ``neighbors``, and the lower indices win."""
+    axis = np.arange(6, dtype=np.float64)
+    points = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), -1).reshape(-1, 3)
+    cloud = PointCloud(points=points)
+    centroids = np.arange(0, points.shape[0], 5)
+    rows = BruteForceKNN(include_self=include_self).gather(
+        cloud, centroids, neighbors
+    )
+    for row, centroid in zip(rows.neighbor_indices, centroids):
+        sq_dist = ((points - points[centroid]) ** 2).sum(axis=1)
+        if not include_self:
+            sq_dist[centroid] = np.inf
+        order = np.lexsort((np.arange(points.shape[0]), sq_dist))
+        assert np.array_equal(row, order[:neighbors]), centroid

@@ -8,8 +8,7 @@ import pytest
 from repro.analysis.quality import compare_samplers, registered_samplers
 from repro.geometry.pointcloud import PointCloud
 from repro.geometry.voxelgrid import VoxelGrid, suggest_depth
-from repro.kernels import decode_cells, lookup_sorted, shell_offsets
-from repro.kernels import reference as ref
+from repro.kernels import decode_cells
 
 
 class TestVoxelGrid:
@@ -37,35 +36,6 @@ class TestVoxelGrid:
     def test_resolution(self, small_cloud):
         assert VoxelGrid.build(small_cloud, depth=5).resolution == 32
 
-    def test_shell_codes_radius_zero(self, medium_cloud):
-        grid = VoxelGrid.build(medium_cloud, depth=4)
-        code = int(grid.occupied_codes()[0])
-        assert grid.shell_codes(code, 0) == [code]
-
-    def test_shell_codes_disjoint_and_occupied(self, medium_cloud):
-        grid = VoxelGrid.build(medium_cloud, depth=4)
-        code = int(grid.occupied_codes()[len(grid.occupied_codes()) // 2])
-        shells = [set(grid.shell_codes(code, r)) for r in range(3)]
-        # Shells are pairwise disjoint.
-        assert not (shells[0] & shells[1])
-        assert not (shells[1] & shells[2])
-        occupied = set(int(c) for c in grid.occupied_codes())
-        for shell in shells:
-            assert shell <= occupied
-
-    def test_shell_negative_radius_rejected(self, small_cloud):
-        grid = VoxelGrid.build(small_cloud, depth=3)
-        with pytest.raises(ValueError):
-            grid.shell_codes(0, -1)
-
-    def test_points_in_shells_cover_neighborhood(self, medium_cloud):
-        grid = VoxelGrid.build(medium_cloud, depth=3)
-        code = grid.voxel_of_point(0)
-        gathered = []
-        for _radius, indices in grid.points_in_shells(code, max_radius=grid.resolution):
-            gathered.extend(indices.tolist())
-        assert sorted(gathered) == list(range(medium_cloud.num_points))
-
     def test_cell_size(self, small_cloud):
         grid = VoxelGrid.build(small_cloud, depth=2)
         assert np.allclose(grid.cell_size(), grid.box.size / 4)
@@ -81,56 +51,64 @@ def boundary_cells(resolution: int) -> np.ndarray:
     return np.array(sorted(cells), dtype=np.int64)
 
 
-def occupied_cells(grid: VoxelGrid, rng: np.random.Generator) -> np.ndarray:
-    """Cells of up to 40 occupied voxels of ``grid``."""
-    picks = rng.choice(
-        grid.unique_codes, size=min(40, grid.num_occupied_voxels), replace=False
-    )
-    return decode_cells(picks, grid.depth)
+class TestCubeAddressing:
+    """Row-major prefix counts and cube runs against brute-force cell sets."""
 
-
-class TestSlotTable:
-    """``shell_positions_batch`` by address agrees with the binary search."""
-
-    @pytest.mark.parametrize("depth", [1, 2, 3, 4, 5, 6, 7, 8])
-    @pytest.mark.parametrize("radius", [0, 1, 2, 3])
-    def test_shell_positions_equal_lookup_sorted(self, depth, radius):
+    @pytest.mark.parametrize("depth", [1, 2, 3, 5, 6, 7, 8])
+    def test_cells_before_counts_points_and_occupied_cells(self, depth):
         rng = np.random.default_rng(depth)
         cloud = PointCloud(points=rng.uniform(-1, 1, size=(3000, 3)))
         grid = VoxelGrid.build(cloud, depth)
-        cells = np.concatenate(
-            [boundary_cells(grid.resolution), occupied_cells(grid, rng)]
+        cells = grid.linear_cells
+        queries = np.concatenate(
+            [rng.integers(0, grid.resolution**3 + 1, size=200), [0, grid.resolution**3]]
         )
+        points, voxels = grid.cells_before(queries)
+        assert points.tolist() == [int((cells < q).sum()) for q in queries]
+        assert voxels.tolist() == [
+            int((np.unique(cells) < q).sum()) for q in queries
+        ]
+        assert np.array_equal(grid.points_before(queries), points)
+        # Depths past the dense bound keep the binary search.
+        assert ("_dense_prefix" in vars(grid)) == (depth <= 6)
 
-        positions, found = grid.shell_positions_batch(cells, radius)
-        codes, in_bounds = ref.stencil_codes_dense(
-            cells, shell_offsets(radius), depth
-        )
-        expected, occupied = lookup_sorted(grid.unique_codes, codes)
-        assert np.array_equal(found, in_bounds & occupied)
-        assert np.array_equal(positions[found], expected[found])
-        assert positions.min() >= 0
-        # Depths past the table bound keep the binary search.
-        assert ("slot_table" in vars(grid)) == (depth <= 6)
+    def test_row_major_order_is_stable_by_linear_cell(self, medium_cloud):
+        grid = VoxelGrid.build(medium_cloud, 4)
+        order, cells, starts = grid.row_major
+        assert np.array_equal(order, np.argsort(grid.linear_cells, kind="stable"))
+        assert np.array_equal(cells, np.unique(grid.linear_cells))
+        assert np.array_equal(np.diff(starts), np.bincount(grid.linear_cells)[cells])
+        ix, iy, iz = decode_cells(grid.codes, 4).T
+        assert np.array_equal(grid.linear_cells, (ix * 16 + iy) * 16 + iz)
 
-    def test_table_marks_empty_cells(self, small_cloud):
-        grid = VoxelGrid.build(small_cloud, 3)
-        table = grid.slot_table
-        assert table.shape == (8**3,) and table.dtype == np.int32
-        assert np.array_equal(
-            np.flatnonzero(table >= 0), grid.unique_codes
-        )
-        assert np.array_equal(
-            table[grid.unique_codes], np.arange(grid.num_occupied_voxels)
-        )
+    @pytest.mark.parametrize("depth", [2, 4, 7])
+    @pytest.mark.parametrize("radius", [0, 1, 2, 5])
+    def test_cube_runs_hold_the_cube_points(self, depth, radius):
+        rng = np.random.default_rng(depth + radius)
+        cloud = PointCloud(points=rng.uniform(-1, 1, size=(2000, 3)))
+        grid = VoxelGrid.build(cloud, depth)
+        centers = boundary_cells(grid.resolution)
+        lo, hi = grid.cube_runs(centers.T, radius)
+        assert lo.shape == ((2 * radius + 1) ** 2, centers.shape[0])
+        assert (hi >= lo).all()
+        start, stop = grid.points_before(lo), grid.points_before(hi)
+        cells = decode_cells(grid.codes, depth)
+        order = grid.row_major[0]
+        for i, center in enumerate(centers):
+            inside = np.abs(cells - center).max(axis=1) <= radius
+            gathered = np.concatenate(
+                [order[a:b] for a, b in zip(start[:, i], stop[:, i])]
+            )
+            assert np.array_equal(np.sort(gathered), np.flatnonzero(inside))
 
-    def test_build_downsampling_and_quality_never_allocate_it(
+    def test_build_downsampling_and_quality_never_allocate_them(
         self, monkeypatch, medium_cloud
     ):
         def refuse(grid):
-            raise AssertionError("slot table allocated")
+            raise AssertionError("row-major arrays allocated")
 
-        monkeypatch.setattr(VoxelGrid, "slot_table", property(refuse))
+        monkeypatch.setattr(VoxelGrid, "row_major", property(refuse))
+        monkeypatch.setattr(VoxelGrid, "_dense_prefix", property(refuse))
         grid = VoxelGrid.build(medium_cloud, 5)
         grid.points_in_voxel(int(grid.unique_codes[0]))
         compare_samplers(
@@ -138,9 +116,9 @@ class TestSlotTable:
             registered_samplers(include=["voxelgrid", "random"]),
             num_samples=128,
         )
-        # The patch is live: a shell lookup is what builds the table.
-        with pytest.raises(AssertionError, match="slot table"):
-            grid.shell_positions_batch(np.zeros((1, 3), dtype=np.int64), 1)
+        # The patch is live: a prefix read is what builds them.
+        with pytest.raises(AssertionError, match="row-major"):
+            grid.cells_before(np.zeros(1, dtype=np.int64))
 
 
 class TestSuggestDepth:

@@ -27,7 +27,7 @@ from repro.datasets.synthetic import (
 )
 from repro.geometry.morton import morton_encode_points
 from repro.geometry.pointcloud import PointCloud
-from repro.geometry.voxelgrid import VoxelGrid, shell_offsets
+from repro.geometry.voxelgrid import VoxelGrid
 from repro.kernels import (
     DEFAULT_CHUNK_BUDGET_BYTES,
     bucketize_codes,
@@ -44,6 +44,7 @@ from repro.kernels import (
     popcount64,
     rows_per_chunk,
     segment_boundaries,
+    shell_offsets,
     sort_codes,
     spread_axis,
     stencil_codes,
@@ -254,17 +255,26 @@ class TestBucketing:
         assert np.array_equal(order, expected)
         assert np.array_equal(sorted_codes, codes[expected])
 
-    def test_gather_ragged_matches_concatenate(self):
+    @pytest.mark.parametrize(
+        "starts,counts",
+        [
+            ([0, 50, 10, 480], [5, 0, 30, 20]),
+            ([7, 7, 3, 100, 490, 0], [0, 1, 0, 4, 10, 0]),  # empty at both ends
+            ([5, 5, 5], [3, 3, 3]),  # one bucket repeated
+            ([9, 2], [0, 0]),  # nothing to gather
+        ],
+    )
+    def test_gather_ragged_matches_concatenate(self, starts, counts):
         rng = np.random.default_rng(3)
         values = rng.integers(0, 1000, size=500)
-        starts = np.array([0, 50, 10, 480], dtype=np.intp)
-        counts = np.array([5, 0, 30, 20], dtype=np.intp)
+        starts = np.array(starts, dtype=np.intp)
+        counts = np.array(counts, dtype=np.intp)
         flat, segments = gather_ragged(values, starts, counts)
         expected = np.concatenate(
             [values[s : s + c] for s, c in zip(starts, counts)]
         )
         assert np.array_equal(flat, expected)
-        assert np.array_equal(segments, np.repeat(np.arange(4), counts))
+        assert np.array_equal(segments, np.repeat(np.arange(len(counts)), counts))
 
     def test_gather_ragged_empty(self):
         flat, segments = gather_ragged(
@@ -447,12 +457,19 @@ class TestChunkingAndDistance:
         assert ascending.all()
         assert (indices[:, :-1] < indices[:, 1:])[tied].all()
 
-    def test_grouped_topk_matches_full_sort(self):
+    @pytest.mark.parametrize("k", [1, 10, 37, 200])
+    @pytest.mark.parametrize("levels", [None, 2, 7])
+    def test_grouped_topk_is_the_stable_sort_prefix(self, k, levels):
+        """Ties included: ``levels`` rounds the values to that many distinct
+        ones, so the k-th value is tied across the cut in most rows."""
         rng = np.random.default_rng(4)
         dist = rng.uniform(size=(32, 200))
-        top = grouped_topk(dist, 10)
-        full = np.argsort(dist, axis=1)[:, :10]
-        assert np.array_equal(top, full)
+        if levels is not None:
+            dist = np.floor(dist * levels)
+        dist[3] = 1.0  # one row of a single value
+        dist[4, ::3] = np.inf
+        top = grouped_topk(dist, k)
+        assert np.array_equal(top, np.argsort(dist, axis=1, kind="stable")[:, :k])
 
 
 # ----------------------------------------------------------------------
@@ -563,15 +580,28 @@ class TestShells:
         with pytest.raises(ValueError):
             grid.occupied_codes()[0] = -1
 
-    def test_shell_codes_match_scalar_grid(self, medium_cloud):
+    def test_cube_runs_hold_the_scalar_grid_shells(self, medium_cloud):
+        """The radius-r cube's z-runs hold exactly the points of the scalar
+        grid's shells 0..r."""
         depth = 4
         grid = VoxelGrid.build(medium_cloud, depth)
         scalar = ref.ScalarGrid(medium_cloud, depth)
-        for code in grid.occupied_codes()[::5]:
-            for radius in (0, 1, 2):
-                assert grid.shell_codes(int(code), radius) == (
-                    scalar.shell_codes(int(code), radius)
+        codes = grid.occupied_codes()[::5]
+        centers = decode_cells(codes, depth).T
+        order = grid.row_major[0]
+        for radius in (0, 1, 2):
+            lo, hi = grid.cube_runs(centers, radius)
+            start, stop = grid.points_before(lo), grid.points_before(hi)
+            for i, code in enumerate(codes):
+                cube = np.concatenate(
+                    [order[a:b] for a, b in zip(start[:, i], stop[:, i])]
                 )
+                shells = [
+                    scalar.points_in_voxel(c)
+                    for r in range(radius + 1)
+                    for c in scalar.shell_codes(int(code), r)
+                ]
+                assert np.array_equal(np.sort(cube), np.sort(np.concatenate(shells)))
 
 
 # ----------------------------------------------------------------------
