@@ -59,7 +59,6 @@ from repro.kernels.bucketing import (
     gather_ragged,
     isin_sorted,
     lookup_sorted,
-    segment_boundaries,
     sort_codes,
     unique_sorted,
 )
@@ -96,7 +95,6 @@ __all__ = [
     "gather_ragged",
     "isin_sorted",
     "lookup_sorted",
-    "segment_boundaries",
     "sort_codes",
     "unique_sorted",
     "grouped_topk",

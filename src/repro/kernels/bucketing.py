@@ -164,11 +164,3 @@ def gather_ragged(
         np.asarray(values)[np.cumsum(step, out=step)],
         kept[np.cumsum(segment, out=segment)],
     )
-
-
-def segment_boundaries(segment_ids: np.ndarray, num_segments: int) -> np.ndarray:
-    """Start offsets (length ``num_segments + 1``) of sorted segment ids."""
-    segment_ids = np.asarray(segment_ids)
-    return np.searchsorted(
-        segment_ids, np.arange(num_segments + 1, dtype=np.intp)
-    ).astype(np.intp)

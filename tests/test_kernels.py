@@ -43,7 +43,6 @@ from repro.kernels import (
     point_encoder,
     popcount64,
     rows_per_chunk,
-    segment_boundaries,
     shell_offsets,
     sort_codes,
     spread_axis,
@@ -290,11 +289,6 @@ class TestBucketing:
         assert found.tolist() == [True, False, True, False]
         assert positions[0] == 1 and positions[2] == 2
         assert positions.max() < sorted_codes.shape[0]
-
-    def test_segment_boundaries(self):
-        segments = np.array([0, 0, 2, 2, 2, 5], dtype=np.intp)
-        bounds = segment_boundaries(segments, 6)
-        assert bounds.tolist() == [0, 2, 2, 5, 5, 5, 6]
 
 
 # ----------------------------------------------------------------------
