@@ -305,7 +305,7 @@ class VoxelExpandedGatherer(Gatherer):
             voxels_visited,
             (inner_rows, inner_points),
             (last_rows, last_points),
-        ) = self._expand(
+        ) = self._grow_cubes(
             grid, centers, counters, None if ball else neighbors, shell_limit
         )
         last_counts = cube_counts - inner_counts
@@ -366,7 +366,7 @@ class VoxelExpandedGatherer(Gatherer):
 
     # ------------------------------------------------------------------
     @staticmethod
-    def _expand(
+    def _grow_cubes(
         grid: VoxelGrid,
         centers: np.ndarray,
         counters: OpCounters,
