@@ -45,11 +45,10 @@ from repro.datastructuring.base import pick_random_centroids  # noqa: E402
 from repro.datastructuring.veg import VoxelExpandedGatherer  # noqa: E402
 from repro.geometry.morton import morton_encode_points  # noqa: E402
 from repro.geometry.voxelgrid import suggest_depth  # noqa: E402
-from repro.kernels import bucketize_codes, hamming_codes, isin_sorted  # noqa: E402
+from repro.kernels import bucketize_codes, hamming_codes  # noqa: E402
 from repro.kernels import reference as ref  # noqa: E402
 from repro.octree.builder import Octree  # noqa: E402
 from repro.octree.linear import OctreeTable  # noqa: E402
-from repro.octree.neighbors import neighbor_codes_batch  # noqa: E402
 from repro.sampling.fps import FarthestPointSampler  # noqa: E402
 from repro.sampling.ois import OctreeIndexedSampler  # noqa: E402
 
@@ -108,19 +107,26 @@ def _counters_dict(counters: Optional[OpCounters]) -> Optional[Dict[str, int]]:
     return None if counters is None else dataclasses.asdict(counters)
 
 
-def _table_comparable(table: "OctreeTable") -> Tuple[Any, ...]:
-    """The parallel arrays of an Octree-Table, for bit-identity checks."""
-    return (
-        table.codes,
-        table.levels,
-        table.leaf_flags,
-        table.child_bounds,
-        table.child_rows,
-        table.child_octants,
-        table.addr_starts,
-        table.addr_ends,
-        table.root_index,
-        table.num_points,
+def _table_comparable(fields: Dict[str, Any]) -> Tuple[Any, ...]:
+    """The parallel arrays of an Octree-Table, for bit-identity checks.
+
+    ``fields`` is ``vars(table)`` or ``reference.octree_table_scalar``'s
+    dict, which uses the table's field names.
+    """
+    return tuple(
+        fields[name]
+        for name in (
+            "codes",
+            "levels",
+            "leaf_flags",
+            "child_bounds",
+            "child_rows",
+            "child_octants",
+            "addr_starts",
+            "addr_ends",
+            "root_index",
+            "num_points",
+        )
     )
 
 
@@ -258,19 +264,14 @@ def build_scenarios(quick: bool) -> List[Scenario]:
 
     # Both sides run cold every round -- the per-frame cost each path really
     # pays downstream of ``Octree.build``: the flat side re-derives its
-    # per-level code arrays and slot bounds, the scalar side re-materialises
-    # the pointer tree (which the pre-flat table walk forced per frame)
-    # and re-walks it.
+    # per-level code arrays and slot bounds, the scalar side builds its
+    # pointer tree from the leaf codes and walks it.
     def run_table_vec():
         octree_for_flat._level_codes = None
         octree_for_flat._slot_bounds = None
-        table = OctreeTable.from_flat(octree_for_flat)
-        assert octree_for_flat._root is None, "flat path materialised nodes"
-        return _table_comparable(table), None
+        return _table_comparable(vars(OctreeTable.from_flat(octree_for_flat))), None
 
     def run_table_ref():
-        octree_for_walk._root = None
-        octree_for_walk._leaf_lookup = None
         return _table_comparable(ref.octree_table_scalar(octree_for_walk)), None
 
     scenarios.append(
@@ -280,96 +281,6 @@ def build_scenarios(quick: bool) -> List[Scenario]:
             params={"num_points": n_table, "depth": table_depth},
             run_vectorized=run_table_vec,
             run_reference=run_table_ref,
-        )
-    )
-
-    # --- octree: batched neighbor expansion ---------------------------
-    neighbor_centers = octree_for_flat.leaf_codes
-
-    def run_stencil_vec():
-        return neighbor_codes_batch(neighbor_centers, table_depth, radius=1), None
-
-    def run_stencil_ref():
-        flat: List[int] = []
-        splits: List[int] = [0]
-        for code in neighbor_centers:
-            flat.extend(
-                ref.neighbor_codes_at_radius_scalar(int(code), table_depth, 1)
-            )
-            splits.append(len(flat))
-        # Pack into arrays before returning: holding millions of boxed ints
-        # across the subsequent vectorized timing would distort it with GC
-        # pressure.
-        return (
-            np.asarray(flat, dtype=np.int64),
-            np.asarray(splits, dtype=np.intp),
-        ), None
-
-    scenarios.append(
-        Scenario(
-            name="neighbor_stencil",
-            stage="octree",
-            params={
-                "num_points": n_table,
-                "num_centers": int(neighbor_centers.shape[0]),
-                "depth": table_depth,
-                "radius": 1,
-            },
-            run_vectorized=run_stencil_vec,
-            run_reference=run_stencil_ref,
-        )
-    )
-
-    # --- octree: end-to-end occupied-neighbor query --------------------
-    # The operation downstream consumers actually run: expand every occupied
-    # leaf's 26-neighbourhood and keep only the occupied voxels.  The scalar
-    # side gets the generous variant (its membership set built once, not the
-    # pre-PR per-call rebuild of ``filter_occupied``).
-
-    def run_query_vec():
-        flat, splits = neighbor_codes_batch(
-            neighbor_centers, table_depth, radius=1
-        )
-        mask = isin_sorted(neighbor_centers, flat)
-        row_ids = np.repeat(
-            np.arange(neighbor_centers.shape[0], dtype=np.intp),
-            np.diff(splits),
-        )
-        counts = np.bincount(
-            row_ids[mask], minlength=neighbor_centers.shape[0]
-        )
-        kept_splits = np.zeros(neighbor_centers.shape[0] + 1, dtype=np.intp)
-        np.cumsum(counts, out=kept_splits[1:])
-        return (flat[mask], kept_splits), None
-
-    def run_query_ref():
-        occupied_set = set(int(c) for c in neighbor_centers)
-        flat: List[int] = []
-        splits: List[int] = [0]
-        for code in neighbor_centers:
-            for neighbor in ref.neighbor_codes_at_radius_scalar(
-                int(code), table_depth, 1
-            ):
-                if neighbor in occupied_set:
-                    flat.append(neighbor)
-            splits.append(len(flat))
-        return (
-            np.asarray(flat, dtype=np.int64),
-            np.asarray(splits, dtype=np.intp),
-        ), None
-
-    scenarios.append(
-        Scenario(
-            name="neighbor_query",
-            stage="octree",
-            params={
-                "num_points": n_table,
-                "num_centers": int(neighbor_centers.shape[0]),
-                "depth": table_depth,
-                "radius": 1,
-            },
-            run_vectorized=run_query_vec,
-            run_reference=run_query_ref,
         )
     )
 

@@ -11,14 +11,6 @@ substitution rationale.
 """
 
 from repro.datasets.base import DatasetSpec, Frame, PointCloudDataset, TABLE1_BENCHMARKS, get_benchmark
-from repro.datasets.io import (
-    load_frame_npz,
-    load_frame_ply,
-    load_frame_xyz,
-    save_frame_npz,
-    save_frame_ply,
-    save_frame_xyz,
-)
 from repro.datasets.kitti import KittiLikeDataset
 from repro.datasets.lidar import LidarSensorModel
 from repro.datasets.modelnet import ModelNetLikeDataset
@@ -51,12 +43,6 @@ __all__ = [
     "gaussian_clusters",
     "get_benchmark",
     "lidar_scene",
-    "load_frame_npz",
-    "load_frame_ply",
-    "load_frame_xyz",
     "sample_cad_shape",
-    "save_frame_npz",
-    "save_frame_ply",
-    "save_frame_xyz",
     "uniform_cube",
 ]

@@ -8,10 +8,8 @@ HgPCN reproduction builds on:
   paper.
 * :class:`~repro.geometry.bbox.AxisAlignedBox` -- axis-aligned bounding boxes
   used as the root voxel of octrees and for normalisation.
-* :mod:`~repro.geometry.morton` -- Morton code (m-code) encoding, decoding and
-  Hamming distance, the spatial index used by both the OIS and VEG methods.
-* :mod:`~repro.geometry.sfc` -- space-filling-curve orderings of points and
-  voxels.
+* :mod:`~repro.geometry.morton` -- Morton code (m-code) encoding and Hamming
+  distance, the spatial index of the octree that OIS walks.
 * :class:`~repro.geometry.voxelgrid.VoxelGrid` -- a uniform voxelisation of a
   point cloud at a fixed octree depth.
 """
@@ -20,13 +18,10 @@ from repro.geometry.bbox import AxisAlignedBox
 from repro.geometry.morton import (
     MortonCode,
     hamming_distance,
-    morton_decode,
     morton_encode,
     morton_encode_points,
-    voxel_center,
 )
 from repro.geometry.pointcloud import PointCloud
-from repro.geometry.sfc import sfc_argsort, sfc_order_key
 from repro.geometry.voxelgrid import VoxelGrid
 
 __all__ = [
@@ -35,10 +30,6 @@ __all__ = [
     "PointCloud",
     "VoxelGrid",
     "hamming_distance",
-    "morton_decode",
     "morton_encode",
     "morton_encode_points",
-    "sfc_argsort",
-    "sfc_order_key",
-    "voxel_center",
 ]

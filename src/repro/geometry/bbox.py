@@ -30,23 +30,6 @@ class AxisAlignedBox:
         object.__setattr__(self, "minimum", minimum)
         object.__setattr__(self, "maximum", maximum)
 
-    # ------------------------------------------------------------------
-    @classmethod
-    def unchecked(
-        cls, minimum: np.ndarray, maximum: np.ndarray
-    ) -> "AxisAlignedBox":
-        """Construct without validation or conversion.
-
-        For bulk construction from pre-validated float64 arrays (e.g. the
-        octree builder's vectorised per-level voxel boxes), where the
-        ``__post_init__`` checks would dominate the cost.  The caller
-        guarantees ``minimum <= maximum`` element-wise and float64 dtype.
-        """
-        box = object.__new__(cls)
-        object.__setattr__(box, "minimum", minimum)
-        object.__setattr__(box, "maximum", maximum)
-        return box
-
     @property
     def size(self) -> np.ndarray:
         """Per-axis extent."""

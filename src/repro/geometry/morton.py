@@ -16,7 +16,6 @@ hardware Sampling Modules of the Down-sampling Unit implement (Figure 7).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
 
 import numpy as np
 
@@ -34,7 +33,7 @@ def _check_depth(depth: int) -> None:
 
 
 # ----------------------------------------------------------------------
-# Scalar encode / decode
+# Scalar encode
 # ----------------------------------------------------------------------
 def morton_encode(ix: int, iy: int, iz: int, depth: int) -> int:
     """Interleave integer voxel coordinates into an m-code.
@@ -54,21 +53,6 @@ def morton_encode(ix: int, iy: int, iz: int, depth: int) -> int:
         code = (code << 1) | ((iy >> level) & 1)
         code = (code << 1) | ((iz >> level) & 1)
     return code
-
-
-def morton_decode(code: int, depth: int) -> Tuple[int, int, int]:
-    """Inverse of :func:`morton_encode`."""
-    _check_depth(depth)
-    if not 0 <= code < (1 << (3 * depth)):
-        raise ValueError("code outside the range implied by depth")
-    ix = iy = iz = 0
-    for level in range(depth):
-        shift = 3 * (depth - 1 - level)
-        group = (code >> shift) & 0b111
-        ix = (ix << 1) | ((group >> 2) & 1)
-        iy = (iy << 1) | ((group >> 1) & 1)
-        iz = (iz << 1) | (group & 1)
-    return ix, iy, iz
 
 
 # ----------------------------------------------------------------------
@@ -101,15 +85,6 @@ def morton_encode_points(
     retained in :func:`repro.kernels.reference.scalar_morton_encode_points`.
     """
     return encode_cells(voxel_indices(points, box, depth), depth)
-
-
-def voxel_center(code: int, depth: int, box: AxisAlignedBox) -> np.ndarray:
-    """Centre coordinate of the voxel identified by ``code`` at ``depth``."""
-    ix, iy, iz = morton_decode(code, depth)
-    resolution = 1 << depth
-    cell = box.size / resolution
-    cell = np.where(cell > 0, cell, 1.0 / resolution)
-    return box.minimum + (np.array([ix, iy, iz], dtype=np.float64) + 0.5) * cell
 
 
 # ----------------------------------------------------------------------

@@ -19,8 +19,8 @@ Modules
     The shared memory-budget-derived chunk-size helper used by every kernel
     that works through an ``(M, N)`` pairwise block.
 ``morton``
-    Batched Morton (m-code) encode/decode via bit-spreading magic constants,
-    and XOR+popcount Hamming distance over int64 code arrays.
+    Batched Morton (m-code) encoding via bit-spreading magic constants, and
+    XOR+popcount Hamming distance over int64 code arrays.
 ``bucketing``
     Packed-key code sorting (a plain ``np.sort`` that equals the stable
     argsort), run-mask voxel bucketing and ragged gathers (concatenating
@@ -30,9 +30,6 @@ Modules
     selection (``argpartition``, lowest-index ties, a stable sort of the k
     survivors) and the blocked three-nearest search of feature propagation
     (``argmin`` passes); both list ascending ``(sq_dist, index)``.
-``stencil``
-    Cached Chebyshev offset stencils of the octree neighbor helpers and
-    array-wide same-level neighbor code generation.
 ``reference``
     The retained scalar reference implementations (not imported eagerly --
     it depends on the higher-level geometry/octree modules).
@@ -45,7 +42,6 @@ from repro.kernels.chunking import (
     rows_per_chunk,
 )
 from repro.kernels.morton import (
-    decode_cells,
     encode_cells,
     encode_point_scalar,
     hamming_codes,
@@ -57,8 +53,6 @@ from repro.kernels.bucketing import (
     bucket_sorted,
     bucketize_codes,
     gather_ragged,
-    isin_sorted,
-    lookup_sorted,
     sort_codes,
     unique_sorted,
 )
@@ -68,14 +62,6 @@ from repro.kernels.distance import (
     pairwise_sq_dists,
     three_nearest,
 )
-from repro.kernels.stencil import (
-    chebyshev_codes,
-    cube_offsets,
-    face_shell_offsets,
-    shell_codes_batch,
-    shell_offsets,
-    stencil_codes,
-)
 
 __all__ = [
     "frame_offsets",
@@ -83,7 +69,6 @@ __all__ = [
     "DEFAULT_CHUNK_BUDGET_BYTES",
     "distance_chunk_rows",
     "rows_per_chunk",
-    "decode_cells",
     "encode_cells",
     "encode_point_scalar",
     "hamming_codes",
@@ -93,18 +78,10 @@ __all__ = [
     "bucket_sorted",
     "bucketize_codes",
     "gather_ragged",
-    "isin_sorted",
-    "lookup_sorted",
     "sort_codes",
     "unique_sorted",
     "grouped_topk",
     "iter_distance_chunks",
     "pairwise_sq_dists",
     "three_nearest",
-    "chebyshev_codes",
-    "cube_offsets",
-    "face_shell_offsets",
-    "shell_codes_batch",
-    "shell_offsets",
-    "stencil_codes",
 ]

@@ -92,23 +92,6 @@ def bucketize_codes(
     return (order, *bucket_sorted(sorted_codes))
 
 
-def lookup_sorted(
-    sorted_codes: np.ndarray, queries: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Positions of ``queries`` in ``sorted_codes`` plus a found mask.
-
-    Positions of missing queries are clipped in-range (the mask tells the
-    caller to ignore them), so the result is always safe to index with.
-    """
-    queries = np.asarray(queries)
-    positions = np.searchsorted(sorted_codes, queries)
-    positions = np.minimum(positions, max(0, sorted_codes.shape[0] - 1))
-    if sorted_codes.shape[0] == 0:
-        return positions, np.zeros(queries.shape, dtype=bool)
-    found = sorted_codes[positions] == queries
-    return positions, found
-
-
 def unique_sorted(sorted_values: np.ndarray) -> np.ndarray:
     """Unique values of an already-sorted array, without re-sorting.
 
@@ -120,16 +103,6 @@ def unique_sorted(sorted_values: np.ndarray) -> np.ndarray:
     if sorted_values.shape[0] == 0:
         return sorted_values
     return sorted_values[_run_starts_mask(sorted_values)]
-
-
-def isin_sorted(sorted_values: np.ndarray, queries: np.ndarray) -> np.ndarray:
-    """Membership mask of ``queries`` in an ascending-sorted array.
-
-    The ``searchsorted`` replacement for the per-call ``set`` the scalar
-    ``filter_occupied`` built: O(Q log N) with no Python-object hashing.
-    """
-    _, found = lookup_sorted(np.asarray(sorted_values), queries)
-    return found
 
 
 def gather_ragged(

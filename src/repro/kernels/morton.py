@@ -3,7 +3,7 @@
 The scalar encoders in :mod:`repro.geometry.morton` interleave bits one
 level at a time; at paper-scale frame sizes that loop (and the per-point
 Python variant in :mod:`repro.kernels.reference`) is a hot path.  The
-kernels here spread/compact all 21 levels at once with the classic
+kernels here spread all 21 levels at once with the classic
 bit-twiddling magic constants, and compute Hamming distances over whole
 int64 code arrays with a single XOR + popcount.
 
@@ -61,15 +61,6 @@ def _spread_bits(v: np.ndarray) -> np.ndarray:
     return v
 
 
-_COMPACT_MASKS = (
-    (_U(2), _U(0x10C30C30C30C30C3)),
-    (_U(4), _U(0x100F00F00F00F00F)),
-    (_U(8), _U(0x1F0000FF0000FF)),
-    (_U(16), _U(0x1F00000000FFFF)),
-    (_U(32), _U(0x1FFFFF)),
-)
-
-
 #: Position of each axis inside a 3-bit level group (X most significant).
 _AXIS_SHIFTS = np.array([2, 1, 0], dtype=np.uint64)
 
@@ -78,20 +69,12 @@ def spread_axis(coords: np.ndarray, axis) -> np.ndarray:
     """One axis's share of an m-code: ``coords`` spread to every third bit.
 
     Morton codes are separable -- ``encode_cells`` is the OR of the three
-    axes' spread coordinates -- so a caller that combines few distinct
-    per-axis values many times (a neighbour stencil) spreads each value once
-    and ORs table entries.  ``axis`` is 0/1/2 for X/Y/Z, or an index array
-    broadcastable against ``coords`` (``np.arange(3)[:, None, None]`` for an
-    axis-major table).  Coordinates must already lie in ``[0, 2**21)``.
+    axes' spread coordinates -- so the octree builder spreads each row of
+    its axis-major ``(3, B, N)`` voxel indices once and ORs the three.
+    ``axis`` is 0/1/2 for X/Y/Z, or an index array broadcastable against
+    ``coords``.  Coordinates must already lie in ``[0, 2**21)``.
     """
     return _spread_bits(np.asarray(coords).astype(np.uint64)) << _AXIS_SHIFTS[axis]
-
-
-def _compact_bits(v: np.ndarray) -> np.ndarray:
-    v = v & _U(0x1249249249249249)
-    for shift, mask in _COMPACT_MASKS:
-        v = (v ^ (v >> shift)) & mask
-    return v
 
 
 def _check_depth(depth: int) -> None:
@@ -116,24 +99,6 @@ def encode_cells(cells: np.ndarray, depth: int) -> np.ndarray:
         | spread_axis(cells[..., 2], 2)
     )
     return code.astype(np.int64)
-
-
-def decode_cells(codes: np.ndarray, depth: int) -> np.ndarray:
-    """Inverse of :func:`encode_cells`: ``(N,)`` codes to ``(N, 3)`` cells."""
-    _check_depth(depth)
-    codes = np.asarray(codes, dtype=np.int64)
-    if codes.size and (codes.min() < 0 or codes.max() >= (1 << (3 * depth))):
-        raise ValueError("code outside the range implied by depth")
-    u = codes.astype(np.uint64)
-    cells = np.stack(
-        [
-            _compact_bits(u >> _U(2)),
-            _compact_bits(u >> _U(1)),
-            _compact_bits(u),
-        ],
-        axis=-1,
-    )
-    return cells.astype(np.int64)
 
 
 # ----------------------------------------------------------------------

@@ -28,7 +28,6 @@ from repro.geometry.bbox import AxisAlignedBox
 from repro.geometry.pointcloud import PointCloud
 from repro.geometry.voxelgrid import suggest_depth, voxel_indices
 from repro.octree.builder import Octree, OctreeBuildStats
-from repro.octree.node import OctreeNode
 
 
 # ----------------------------------------------------------------------
@@ -105,23 +104,46 @@ def dict_bucketize(codes: np.ndarray) -> Dict[int, np.ndarray]:
 # ----------------------------------------------------------------------
 # Octree construction (pre-kernel per-leaf insertion walk)
 # ----------------------------------------------------------------------
-def _insert_leaf_scalar(
-    root: OctreeNode, leaf_code: int, depth: int
-) -> OctreeNode:
-    node = root
-    for level in range(1, depth + 1):
-        prefix = _prefix_at_level(leaf_code, depth, level)
-        octant = prefix & 0b111
-        child = node.child(octant)
-        if child is None:
-            child = OctreeNode(
-                code=prefix,
-                level=level,
-                box=node.box.octant(octant),
-            )
-            node.children[octant] = child
-        node = child
-    return node
+class _ScalarNode:
+    """A pointer-tree node of the scalar references.
+
+    Each node carries its voxel box, subdivided from its parent's with
+    :meth:`AxisAlignedBox.octant` as the pre-kernel builder did, so the
+    reference does the per-node work the recorded ``octree_build``
+    speedups are measured against.
+    """
+
+    __slots__ = ("code", "level", "box", "children")
+
+    def __init__(self, code: int, level: int, box: AxisAlignedBox) -> None:
+        self.code = code
+        self.level = level
+        self.box = box
+        self.children: Dict[int, "_ScalarNode"] = {}
+
+
+def _scalar_tree(
+    leaf_codes, depth: int, box: AxisAlignedBox
+) -> Tuple[_ScalarNode, List[List[int]]]:
+    """Insert every leaf code with one root-to-leaf walk.
+
+    Returns the root and, per level, the codes of the nodes in creation
+    order, which is ascending when ``leaf_codes`` is.
+    """
+    root = _ScalarNode(0, 0, box)
+    levels: List[List[int]] = [[0]] + [[] for _ in range(depth)]
+    for leaf_code in leaf_codes:
+        node = root
+        for level in range(1, depth + 1):
+            prefix = _prefix_at_level(int(leaf_code), depth, level)
+            octant = prefix & 0b111
+            child = node.children.get(octant)
+            if child is None:
+                child = _ScalarNode(prefix, level, node.box.octant(octant))
+                node.children[octant] = child
+                levels[level].append(prefix)
+            node = child
+    return root, levels
 
 
 def build_octree_scalar(
@@ -130,7 +152,12 @@ def build_octree_scalar(
     box: Optional[AxisAlignedBox] = None,
     padding: float = 1e-9,
 ) -> Octree:
-    """The pre-kernel ``Octree.build``: one root-to-leaf walk per leaf."""
+    """The pre-kernel ``Octree.build``: one root-to-leaf walk per leaf.
+
+    The returned octree carries this walk's own SFC permutation (a stable
+    argsort), leaf buckets and per-level node codes, so every flat accessor
+    of it reads the scalar result, not a recomputation.
+    """
     if cloud.num_points == 0:
         raise ValueError("cannot build an octree over an empty cloud")
     if box is None:
@@ -144,22 +171,14 @@ def build_octree_scalar(
     stats.host_memory_reads += cloud.num_points
     stats.host_memory_writes += cloud.num_points
 
-    root = OctreeNode(code=0, level=0, box=box)
-    leaf_lookup: Dict[int, OctreeNode] = {}
-
     unique_codes, starts = np.unique(sorted_codes, return_index=True)
     ends = np.append(starts[1:], len(sorted_codes))
-    for leaf_code, start, end in zip(unique_codes, starts, ends):
-        leaf_code = int(leaf_code)
-        indices = order[start:end]
-        node = _insert_leaf_scalar(root, leaf_code, depth)
-        node.point_indices = indices
-        leaf_lookup[leaf_code] = node
-        stats.max_leaf_occupancy = max(stats.max_leaf_occupancy, len(indices))
+    _, level_codes = _scalar_tree(unique_codes, depth, box)
+    for start, end in zip(starts, ends):
+        stats.max_leaf_occupancy = max(stats.max_leaf_occupancy, int(end - start))
 
-    all_nodes = list(root.iter_nodes())
-    stats.num_nodes = len(all_nodes)
-    stats.num_leaves = len(leaf_lookup)
+    stats.num_nodes = sum(len(codes) for codes in level_codes)
+    stats.num_leaves = len(unique_codes)
     stats.host_memory_writes += stats.num_nodes
 
     return Octree(
@@ -169,8 +188,10 @@ def build_octree_scalar(
         leaf_codes=unique_codes.astype(np.int64),
         point_codes=codes,
         stats=stats,
-        _root=root,
-        _leaf_lookup=leaf_lookup,
+        _sfc_order=order,
+        _bucket_starts=starts.astype(np.intp),
+        _bucket_counts=(ends - starts).astype(np.intp),
+        _level_codes=[np.asarray(c, dtype=np.int64) for c in level_codes],
     )
 
 
@@ -222,11 +243,10 @@ def ois_scalar(
 ) -> Tuple[np.ndarray, OpCounters]:
     """The pre-kernel OIS sampling loop; returns ``(indices, counters)``.
 
-    Matches ``OctreeIndexedSampler.sample`` without the
+    Walks a pointer tree of the octree's leaf codes, level by level, with
+    dict-held counts.  Matches ``OctreeIndexedSampler.sample`` without the
     ``count_build_at_scale`` rescaling (benchmarks compare raw counts).
     """
-    from repro.octree.memory_layout import HostMemoryLayout
-
     rng = np.random.default_rng(seed)
     counters = OpCounters()
 
@@ -237,15 +257,13 @@ def ois_scalar(
         counters.host_memory_writes += octree.stats.host_memory_writes
     else:
         depth = octree.depth
-    layout = HostMemoryLayout.from_octree(octree)
+    root, _ = _scalar_tree(octree.leaf_codes, depth, octree.box)
     point_codes = octree.point_codes
 
+    # Each leaf's points in host-memory slot order (the SFC permutation).
     remaining: Dict[int, List[int]] = {}
-    for leaf in octree.leaves_in_sfc_order():
-        slots = sorted(
-            layout.slot_of_original(int(i)) for i in leaf.point_indices
-        )
-        remaining[leaf.code] = [int(layout.slot_to_original[s]) for s in slots]
+    for original in octree.points_in_sfc_order().tolist():
+        remaining.setdefault(int(point_codes[original]), []).append(original)
     remaining_count: Dict[Tuple[int, int], int] = {}
     picked_count: Dict[Tuple[int, int], int] = {}
     for leaf_code, points in remaining.items():
@@ -263,14 +281,13 @@ def ois_scalar(
             picked_count[key] += 1
 
     def descend(seed_code: int) -> int:
-        node = octree.root
+        node = root
         for level in range(1, depth + 1):
             seed_prefix = _prefix_at_level(seed_code, depth, level)
             best_child = None
             best_key = None
-            candidates = node.occupied_octants()
             counters.node_visits += 1
-            for octant in candidates:
+            for octant in sorted(node.children):
                 child = node.children[octant]
                 if remaining_count.get((level, child.code), 0) <= 0:
                     continue
@@ -347,7 +364,6 @@ def ois_sample_scalar(
     ``count_build_at_scale`` rescaling (benchmarks compare raw counts).
     """
     from repro.kernels import encode_point_scalar, hamming_codes
-    from repro.octree.memory_layout import HostMemoryLayout
 
     rng = np.random.default_rng(seed)
     counters = OpCounters()
@@ -359,11 +375,10 @@ def ois_sample_scalar(
         counters.host_memory_writes += octree.stats.host_memory_writes
     else:
         depth = octree.depth
-    layout = HostMemoryLayout.from_octree(octree)
     point_codes = octree.point_codes
     leaf_codes = octree.leaf_codes
 
-    slot_to_original = layout.slot_to_original
+    slot_to_original = octree.points_in_sfc_order()
     sorted_codes = point_codes[slot_to_original]
     leaf_starts = np.searchsorted(sorted_codes, leaf_codes, side="left")
     leaf_ends = np.searchsorted(sorted_codes, leaf_codes, side="right")
@@ -680,124 +695,68 @@ def veg_scalar(
 
 
 # ----------------------------------------------------------------------
-# Same-level neighbor search (pre-kernel per-code triple loops)
-# ----------------------------------------------------------------------
-def neighbor_codes_at_radius_scalar(
-    code: int,
-    depth: int,
-    radius: int,
-    include_diagonal: bool = True,
-) -> List[int]:
-    """The pre-kernel Chebyshev-shell enumeration: one Python triple loop."""
-    if radius < 0:
-        raise ValueError("radius must be >= 0")
-    if radius == 0:
-        return [code]
-    cx, cy, cz = scalar_morton_decode(code, depth)
-    resolution = 1 << depth
-    result: List[int] = []
-    for dx in range(-radius, radius + 1):
-        for dy in range(-radius, radius + 1):
-            for dz in range(-radius, radius + 1):
-                cheb = max(abs(dx), abs(dy), abs(dz))
-                if cheb != radius:
-                    continue
-                if not include_diagonal and abs(dx) + abs(dy) + abs(dz) != radius:
-                    continue
-                ix, iy, iz = cx + dx, cy + dy, cz + dz
-                if not (
-                    0 <= ix < resolution
-                    and 0 <= iy < resolution
-                    and 0 <= iz < resolution
-                ):
-                    continue
-                result.append(scalar_morton_encode(ix, iy, iz, depth))
-    return sorted(result)
-
-
-def codes_within_radius_scalar(code: int, depth: int, radius: int) -> List[int]:
-    """The pre-kernel cube enumeration: shell loops plus a ``set`` dedup."""
-    result: List[int] = []
-    for shell in range(radius + 1):
-        result.extend(neighbor_codes_at_radius_scalar(code, depth, shell))
-    return sorted(set(result))
-
-
-def chebyshev_distance_scalar(code_a: int, code_b: int, depth: int) -> int:
-    """The pre-kernel per-pair decode + max-abs-difference."""
-    ax, ay, az = scalar_morton_decode(code_a, depth)
-    bx, by, bz = scalar_morton_decode(code_b, depth)
-    return max(abs(ax - bx), abs(ay - by), abs(az - bz))
-
-
-def filter_occupied_scalar(codes, occupied) -> List[int]:
-    """The pre-kernel membership filter: a per-call Python ``set``."""
-    occupied_set = set(int(c) for c in occupied)
-    return [int(c) for c in codes if int(c) in occupied_set]
-
-
-# ----------------------------------------------------------------------
 # Octree-Table construction (pre-flat recursive pointer-tree emit)
 # ----------------------------------------------------------------------
-def octree_table_scalar(octree: Octree):
+def octree_table_scalar(octree: Octree) -> Dict[str, object]:
     """The pre-flat Octree-Table construction: recursive node-by-node emit.
 
-    Walks the pointer tree (forcing its lazy materialisation when needed),
-    collecting one row per node in pre-order with dict child links, then
-    packs the rows into the array-backed table type for comparison.
+    Inserts the octree's leaf codes into a pointer tree, walks it in
+    pre-order collecting one row per node with dict child links, and
+    returns the rows packed as the table's parallel arrays (the names of
+    :class:`~repro.octree.linear.OctreeTable`'s fields) plus ``depth``,
+    ``num_points`` and ``root_index``.  Leaf address ranges accumulate
+    each leaf's point count in ascending leaf-code order.
     """
-    from repro.octree.linear import OctreeTable
-
+    depth = octree.depth
+    counts: Dict[int, int] = {}
+    for code in octree.point_codes.tolist():
+        counts[code] = counts.get(code, 0) + 1
     leaf_ranges: Dict[int, Tuple[int, int]] = {}
     cursor = 0
-    for leaf in octree.leaves_in_sfc_order():
-        start = cursor
-        cursor += leaf.num_points
-        leaf_ranges[leaf.code] = (start, cursor)
+    for code in sorted(counts):
+        leaf_ranges[code] = (cursor, cursor + counts[code])
+        cursor += counts[code]
 
     codes: List[int] = []
     levels: List[int] = []
-    leaf_flags: List[bool] = []
-    children: List[Dict[int, int]] = []
+    children: List[List[Tuple[int, int]]] = []
     addr: List[Tuple[int, int]] = []
 
-    def emit(node: OctreeNode) -> int:
+    def emit(node: _ScalarNode) -> int:
         row = len(codes)
         codes.append(node.code)
         levels.append(node.level)
-        leaf_flags.append(node.is_leaf)
-        children.append({})
-        addr.append(
-            leaf_ranges.get(node.code, (0, 0)) if node.is_leaf else (0, 0)
-        )
-        for octant in node.occupied_octants():
-            children[row][octant] = emit(node.children[octant])
+        children.append([])
+        addr.append(leaf_ranges[node.code] if node.level == depth else (0, 0))
+        for octant in sorted(node.children):
+            children[row].append((octant, emit(node.children[octant])))
         return row
 
-    root_index = emit(octree.root)
-    return OctreeTable._from_rows(
-        depth=octree.depth,
-        codes=codes,
-        levels=levels,
-        leaf_flags=leaf_flags,
-        children=children,
-        addr=addr,
-        root_index=root_index,
-    )
+    root, _ = _scalar_tree(sorted(counts), depth, octree.box)
+    root_index = emit(root)
 
-
-def leaf_slot_range_scan(octree: Octree, leaf_code: int) -> Tuple[int, int]:
-    """The pre-searchsorted ``HostMemoryLayout.leaf_slot_range``: O(leaves).
-
-    Walks the materialised leaves in SFC order accumulating point counts
-    until the requested code is found.
-    """
-    cursor = 0
-    for leaf in octree.leaves_in_sfc_order():
-        if leaf.code == leaf_code:
-            return cursor, cursor + leaf.num_points
-        cursor += leaf.num_points
-    raise KeyError(f"no occupied leaf with code {leaf_code}")
+    child_bounds = [0]
+    child_rows: List[int] = []
+    child_octants: List[int] = []
+    for links in children:
+        for octant, child_row in links:
+            child_rows.append(child_row)
+            child_octants.append(octant)
+        child_bounds.append(len(child_rows))
+    level_array = np.asarray(levels, dtype=np.int64)
+    return {
+        "depth": depth,
+        "codes": np.asarray(codes, dtype=np.int64),
+        "levels": level_array,
+        "leaf_flags": level_array == depth,
+        "child_bounds": np.asarray(child_bounds, dtype=np.intp),
+        "child_rows": np.asarray(child_rows, dtype=np.intp),
+        "child_octants": np.asarray(child_octants, dtype=np.int64),
+        "addr_starts": np.asarray([a for a, _ in addr], dtype=np.intp),
+        "addr_ends": np.asarray([b for _, b in addr], dtype=np.intp),
+        "num_points": cursor,
+        "root_index": root_index,
+    }
 
 
 # ----------------------------------------------------------------------
@@ -885,7 +844,7 @@ def ballquery_scalar(
 
 
 # ----------------------------------------------------------------------
-# Materialised-operand formulations (pre-streaming distance / stencil code)
+# Materialised-operand formulations (pre-streaming distance code)
 # ----------------------------------------------------------------------
 def pairwise_sq_dists_dense(queries: np.ndarray, points: np.ndarray) -> np.ndarray:
     """``(M, N)`` squared distances through the ``(M, N, 3)`` difference block.
@@ -911,17 +870,3 @@ def three_nearest_dense(
     k = min(3, coarse.shape[0])
     nearest = np.argsort(sq_dist, axis=1, kind="stable")[:, :k]
     return nearest, np.take_along_axis(sq_dist, nearest, axis=1)
-
-
-def stencil_codes_dense(
-    cells: np.ndarray, offsets: np.ndarray, depth: int
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Same-level m-codes of ``cells + offsets``, encoding all ``M * S`` cells."""
-    from repro.kernels import encode_cells
-
-    resolution = 1 << depth
-    coords = np.asarray(cells, dtype=np.int64)[:, None, :] + offsets[None, :, :]
-    in_bounds = np.logical_and(coords >= 0, coords < resolution).all(axis=-1)
-    clipped = np.clip(coords, 0, resolution - 1)
-    codes = encode_cells(clipped.reshape(-1, 3), depth).reshape(in_bounds.shape)
-    return codes, in_bounds

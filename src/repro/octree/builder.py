@@ -3,9 +3,12 @@
 Section V-A of the paper: the Octree is built "by traversing points in the
 raw point cloud in a single pass of the data", subdividing every non-empty
 voxel until a pre-defined depth is reached.  At the same time the point data
-is reorganised in host memory into the SFC leaf order (handled by
-:class:`~repro.octree.memory_layout.HostMemoryLayout`, which consumes the
-tree built here).
+is reorganised in host memory into the SFC leaf order: here that copy is the
+octree's SFC point permutation (:meth:`Octree.points_in_sfc_order`), whose
+slot ranges per leaf are :meth:`Octree.leaf_slot_bounds`.
+
+The octree is flat: sorted leaf codes plus the per-level node codes one
+shift each away (:meth:`Octree.codes_per_level`); no node object exists.
 
 The builder is functional *and* counted: it reports
 :class:`OctreeBuildStats` (points visited, memory traffic, nodes created)
@@ -16,12 +19,12 @@ octree-build-overhead analysis of Figure 11.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
 from repro.geometry.bbox import AxisAlignedBox
-from repro.geometry.morton import MAX_DEPTH, voxel_center
+from repro.geometry.morton import MAX_DEPTH
 from repro.geometry.pointcloud import PointCloud
 from repro.kernels import (
     bucket_sorted,
@@ -29,7 +32,6 @@ from repro.kernels import (
     spread_axis,
     unique_sorted,
 )
-from repro.octree.node import OctreeNode
 
 
 @dataclass
@@ -84,15 +86,10 @@ class Octree:
     leaf_codes: np.ndarray = field(repr=False)
     point_codes: np.ndarray = field(repr=False)
     stats: OctreeBuildStats = field(default_factory=OctreeBuildStats)
-    #: Pointer tree, materialised lazily on first access: the flat arrays
-    #: above fully describe the octree, and the vectorized consumers (OIS,
-    #: the host-memory layout) never touch individual nodes, so ``build``
-    #: does not pay for creating them.
-    _root: Optional[OctreeNode] = field(default=None, repr=False)
-    _leaf_lookup: Optional[Dict[int, OctreeNode]] = field(default=None, repr=False)
     #: Cached SFC point permutation (computed lazily when not supplied).
     _sfc_order: Optional[np.ndarray] = field(default=None, repr=False)
-    #: Leaf bucket geometry over ``_sfc_order`` (for lazy materialisation).
+    #: Leaf bucket geometry over ``_sfc_order`` (computed lazily when not
+    #: supplied).
     _bucket_starts: Optional[np.ndarray] = field(default=None, repr=False)
     _bucket_counts: Optional[np.ndarray] = field(default=None, repr=False)
     #: Cached cumulative leaf point counts (``num_leaves + 1`` slot bounds).
@@ -246,68 +243,6 @@ class Octree:
         )
 
     # ------------------------------------------------------------------
-    # Lazy pointer-tree materialisation
-    # ------------------------------------------------------------------
-    def _materialise_tree(self) -> None:
-        """Create the pointer tree from the flat code arrays.
-
-        Nodes are created level by level in ascending-code order, each
-        linked to its parent with one dict lookup; per-level voxel boxes are
-        computed in one vectorised pass instead of recursive
-        ``box.octant`` subdivision.
-        """
-        from repro.kernels import decode_cells
-
-        depth = self.depth
-        root = OctreeNode(code=0, level=0, box=self.box)
-
-        level_codes = self.codes_per_level()
-
-        box_minimum = self.box.minimum
-        box_size = self.box.size
-        previous: Dict[int, OctreeNode] = {0: root}
-        for level in range(1, depth + 1):
-            codes = level_codes[level]
-            cell = box_size / (1 << level)
-            minima = box_minimum + decode_cells(codes, level) * cell
-            maxima = minima + cell
-            current: Dict[int, OctreeNode] = {}
-            for position, code in enumerate(codes.tolist()):
-                node = OctreeNode(
-                    code=code,
-                    level=level,
-                    box=AxisAlignedBox.unchecked(
-                        minima[position], maxima[position]
-                    ),
-                )
-                previous[code >> 3].children[code & 0b111] = node
-                current[code] = node
-            previous = current
-
-        order = self._sfc_order_cached()
-        self._ensure_buckets()
-        for position, code in enumerate(self.leaf_codes.tolist()):
-            start = self._bucket_starts[position]
-            previous[code].point_indices = order[
-                start : start + self._bucket_counts[position]
-            ]
-
-        self._root = root
-        self._leaf_lookup = previous
-
-    @property
-    def root(self) -> OctreeNode:
-        if self._root is None:
-            self._materialise_tree()
-        return self._root
-
-    @property
-    def leaf_lookup(self) -> Dict[int, OctreeNode]:
-        if self._leaf_lookup is None:
-            self._materialise_tree()
-        return self._leaf_lookup
-
-    # ------------------------------------------------------------------
     # Flat representation
     # ------------------------------------------------------------------
     def codes_per_level(self) -> List[np.ndarray]:
@@ -316,9 +251,8 @@ class Octree:
         ``codes_per_level()[L]`` holds the ascending codes of the occupied
         voxels at level ``L`` (level 0 is the root, level ``depth`` the
         leaves).  Together with :meth:`leaf_point_counts` this is the
-        canonical flat octree representation; every consumer that only needs
-        codes, occupancy, or address ranges reads these arrays and never
-        materialises an :class:`OctreeNode`.
+        canonical flat octree representation: every consumer of codes,
+        occupancy, or address ranges reads these arrays.
         """
         if self._level_codes is None:
             levels: List[np.ndarray] = [self.leaf_codes] * (self.depth + 1)
@@ -344,30 +278,13 @@ class Octree:
         """Depth, root box and build counts, without the per-point arrays."""
         return OctreeSummary(depth=self.depth, box=self.box, stats=self.stats)
 
-    def leaf(self, code: int) -> Optional[OctreeNode]:
-        """Leaf node with m-code ``code`` or ``None`` when that voxel is empty."""
-        return self.leaf_lookup.get(int(code))
-
-    def leaf_of_point(self, point_index: int) -> OctreeNode:
-        """The leaf voxel containing point ``point_index``."""
-        return self.leaf_lookup[int(self.point_codes[point_index])]
-
-    def leaves_in_sfc_order(self) -> List[OctreeNode]:
-        """All leaves ordered by m-code (the 1-D array order of Figure 5b)."""
-        lookup = self.leaf_lookup
-        return [lookup[int(code)] for code in self.leaf_codes]
-
     def _sfc_order_cached(self) -> np.ndarray:
         if self._sfc_order is None:
             self._sfc_order = sort_codes(self.point_codes)[0]
         return self._sfc_order
 
     def _ensure_buckets(self) -> None:
-        """Compute the flat leaf buckets (starts/counts over the SFC order).
-
-        Pure array work over the sorted point codes -- never materialises the
-        pointer tree.
-        """
+        """Compute the flat leaf buckets (starts/counts over the SFC order)."""
         if self._bucket_starts is not None and self._bucket_counts is not None:
             return
         sorted_codes = self.point_codes[self._sfc_order_cached()]
@@ -380,11 +297,7 @@ class Octree:
         ).astype(np.intp)
 
     def leaf_point_counts(self) -> np.ndarray:
-        """Points per leaf, aligned with ``leaf_codes`` (read-only view).
-
-        Flat-path accessor: computed from the sorted point codes, without
-        materialising the pointer tree.
-        """
+        """Points per leaf, aligned with ``leaf_codes`` (read-only view)."""
         self._ensure_buckets()
         view = self._bucket_counts.view()
         view.flags.writeable = False
@@ -395,9 +308,8 @@ class Octree:
 
         ``bounds[i] : bounds[i + 1]`` is the half-open range of SFC slots
         (host-memory point slots relative to the reorganised region base)
-        holding the points of leaf ``leaf_codes[i]``.  This is the
-        searchsorted side of the Octree-Table address ranges and of
-        :meth:`HostMemoryLayout.leaf_slot_range`.
+        holding the points of leaf ``leaf_codes[i]``: the Octree-Table's
+        leaf address ranges.
         """
         if self._slot_bounds is None:
             bounds = np.zeros(self.num_leaves + 1, dtype=np.intp)
@@ -406,44 +318,19 @@ class Octree:
             self._slot_bounds = bounds
         return self._slot_bounds
 
-    def leaf_position(self, code: int) -> int:
-        """Index of leaf ``code`` in the flat leaf arrays, or -1 when empty."""
-        position = int(np.searchsorted(self.leaf_codes, code))
-        if (
-            position < self.num_leaves
-            and int(self.leaf_codes[position]) == int(code)
-        ):
-            return position
-        return -1
-
     def points_in_sfc_order(self) -> np.ndarray:
         """Point indices concatenated in leaf-SFC order (read-only view).
 
         Equal to the per-leaf concatenation (each leaf stores a stable
         ascending-code sort slice), computed as one packed-key sort instead
         of an O(leaves) concatenate.  The view is read-only because the
-        underlying permutation is shared with the lazy tree and the
-        host-memory layout.
+        underlying permutation is the octree's own cached copy.
         """
         if not self.num_leaves:
             return np.zeros(0, dtype=np.intp)
         view = self._sfc_order_cached().view()
         view.flags.writeable = False
         return view
-
-    def leaf_center(self, code: int) -> np.ndarray:
-        """Geometric centre of the leaf voxel ``code``."""
-        return voxel_center(int(code), self.depth, self.box)
-
-    def _leaf_occupancies(self) -> np.ndarray:
-        """Points per leaf, aligned with ``leaf_codes``."""
-        return self.leaf_point_counts()
-
-    def occupancy_histogram(self) -> Dict[int, int]:
-        return {
-            int(code): int(count)
-            for code, count in zip(self.leaf_codes, self._leaf_occupancies())
-        }
 
     def non_uniformity(self) -> float:
         """Coefficient of variation of leaf occupancy.
@@ -452,7 +339,7 @@ class Octree:
         spatial distribution yields a deeper / more unbalanced octree; this
         scalar quantifies that property for the datasets we synthesise.
         """
-        counts = self._leaf_occupancies().astype(float)
+        counts = self.leaf_point_counts().astype(float)
         if counts.size == 0:
             return 0.0
         mean = counts.mean()

@@ -5,7 +5,8 @@ operations:
 
 1. **Octree-build Unit (CPU):** build an octree over the raw frame in a
    single pass and reorganise the points in host memory into SFC leaf order
-   (:class:`~repro.octree.memory_layout.HostMemoryLayout`).
+   (the octree's SFC point permutation,
+   :meth:`~repro.octree.builder.Octree.points_in_sfc_order`).
 2. **Down-sampling Unit (FPGA):** to pick the next sample, descend the
    Octree-Table from the root, at every level choosing the child voxel whose
    m-code is farthest (by Hamming distance) from the current seed voxel;
@@ -20,8 +21,8 @@ frames without materialising them.
 
 The sampling loop is one plain root-to-leaf walk per pick over per-level
 Python lists of 8-bit child masks, so a level picks its child with one
-table read.  It reads the octree's SFC point permutation directly instead
-of materialising the reorganised host copy.  Picks, per-pick counters,
+table read.  It reads the octree's SFC point permutation, the reorganised
+host copy, directly.  Picks, per-pick counters,
 and SFC tie-breaks are bit-identical to the retained reference loop
 (:func:`repro.kernels.reference.ois_sample_scalar`) in both modes.
 """

@@ -3,7 +3,7 @@
 Every path that replaced a pointer-tree walk or a per-item Python loop is
 checked bit-for-bit against its frozen scalar reference in
 ``repro.kernels.reference``: Octree-Table rows and child order, leaf slot
-ranges, batched neighbor lists and the voxel-grid representatives.
+ranges and the voxel-grid representatives.
 """
 
 from __future__ import annotations
@@ -20,19 +20,9 @@ from repro.datasets.synthetic import (
     uniform_cube,
 )
 from repro.geometry.pointcloud import PointCloud
-from repro.kernels import isin_sorted, reference as ref
+from repro.kernels import reference as ref
 from repro.octree.builder import Octree
 from repro.octree.linear import OctreeTable
-from repro.octree.memory_layout import HostMemoryLayout
-from repro.kernels import chebyshev_codes
-from repro.octree.neighbors import (
-    chebyshev_distance,
-    codes_within_radius,
-    codes_within_radius_batch,
-    filter_occupied,
-    neighbor_codes_at_radius,
-    neighbor_codes_batch,
-)
 from repro.sampling.voxel_grid_sampling import VoxelGridSampler
 
 
@@ -45,11 +35,12 @@ def random_clouds():
     ]
 
 
-def tables_row_identical(a: OctreeTable, b: OctreeTable) -> None:
-    assert len(a) == len(b)
-    assert a.depth == b.depth
-    assert a.root_index == b.root_index
-    assert a.num_points == b.num_points
+def tables_row_identical(a: OctreeTable, b: dict) -> None:
+    """``a`` equals ``reference.octree_table_scalar``'s arrays ``b``."""
+    assert len(a) == b["codes"].shape[0]
+    assert a.depth == b["depth"]
+    assert a.root_index == b["root_index"]
+    assert a.num_points == b["num_points"]
     for name in (
         "codes",
         "levels",
@@ -60,17 +51,18 @@ def tables_row_identical(a: OctreeTable, b: OctreeTable) -> None:
         "addr_starts",
         "addr_ends",
     ):
-        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+        assert np.array_equal(getattr(a, name), b[name]), name
 
 
 class TestOctreeTableFlat:
     @pytest.mark.parametrize("case", range(len(random_clouds())))
     def test_from_flat_matches_from_octree_row_for_row(self, case):
-        """The per-row entry views equal the pointer-tree walk's."""
+        """The flat table of the flat octree equals the scalar table walk
+        over the scalar octree build: two independent pipelines."""
         cloud, depth = random_clouds()[case]
         flat = OctreeTable.from_flat(Octree.build(cloud, depth=depth))
-        walk = ref.octree_table_scalar(Octree.build(cloud, depth=depth))
-        assert flat.entries == walk.entries
+        walk = ref.octree_table_scalar(ref.build_octree_scalar(cloud, depth=depth))
+        tables_row_identical(flat, walk)
 
     @pytest.mark.parametrize("case", range(len(random_clouds())))
     def test_from_flat_matches_scalar_reference(self, case):
@@ -80,124 +72,28 @@ class TestOctreeTableFlat:
         reference = ref.octree_table_scalar(Octree.build(cloud, depth=depth))
         tables_row_identical(flat, reference)
 
-    def test_from_flat_materialises_zero_nodes(self, medium_cloud):
-        octree = Octree.build(medium_cloud, depth=5)
-        table = OctreeTable.from_flat(octree)
-        assert octree._root is None, "flat path touched the pointer tree"
-        assert octree._leaf_lookup is None
-        assert len(table) == octree.num_nodes
-
-    def test_entry_views_match_pointer_walk(self, medium_cloud):
-        flat = OctreeTable.from_flat(Octree.build(medium_cloud, depth=4))
-        walk = ref.octree_table_scalar(Octree.build(medium_cloud, depth=4))
-        assert flat.entries == walk.entries
-
-    def test_leaf_lookup_on_flat_table(self, medium_cloud):
-        octree = Octree.build(medium_cloud, depth=4)
-        table = OctreeTable.from_flat(octree)
-        for code in octree.leaf_codes[:20]:
-            entry = table.leaf_entry_for_code(int(code))
-            assert entry is not None and entry.is_leaf and entry.code == code
-        assert table.leaf_entry_for_code(-1) is None
-        assert table.leaf_row_for_code(-1) == -1
-
     def test_preprocessing_engine_uses_flat_path(self, cad_cloud):
         from repro.core.engine import PreprocessingEngine
 
         result = PreprocessingEngine().process(cad_cloud)
-        assert result.octree._root is None
         assert len(result.octree_table) == result.octree.num_nodes
+        tables_row_identical(
+            result.octree_table, ref.octree_table_scalar(result.octree)
+        )
 
 
 class TestLeafSlotRange:
     def test_searchsorted_matches_scan_reference(self, medium_cloud):
-        layout = HostMemoryLayout.from_octree(Octree.build(medium_cloud, depth=4))
-        reference_octree = Octree.build(medium_cloud, depth=4)
-        for code in layout.octree.leaf_codes:
-            assert layout.leaf_slot_range(int(code)) == ref.leaf_slot_range_scan(
-                reference_octree, int(code)
-            )
-
-    def test_unknown_code_raises(self, medium_cloud):
-        layout = HostMemoryLayout.from_octree(Octree.build(medium_cloud, depth=4))
-        with pytest.raises(KeyError):
-            layout.leaf_slot_range(-123)
-
-    def test_slot_range_stays_lazy(self, medium_cloud):
+        """``leaf_slot_bounds`` equals a scan that accumulates each leaf's
+        point count in ascending leaf-code order."""
         octree = Octree.build(medium_cloud, depth=4)
-        layout = HostMemoryLayout.from_octree(octree)
-        layout.leaf_slot_range(int(octree.leaf_codes[3]))
-        assert octree._root is None
-
-
-class TestBatchedNeighbors:
-    @pytest.fixture
-    def codes(self):
-        rng = np.random.default_rng(5)
-        depth = 4
-        # Bulk, corners, and edges of the grid so boundary clipping is hit.
-        bulk = rng.integers(0, 1 << (3 * depth), size=64)
-        corners = [0, (1 << (3 * depth)) - 1]
-        return np.unique(np.concatenate([bulk, corners]).astype(np.int64)), depth
-
-    @pytest.mark.parametrize("radius", [0, 1, 2, 3])
-    @pytest.mark.parametrize("include_diagonal", [True, False])
-    def test_shell_batch_matches_scalar(self, codes, radius, include_diagonal):
-        code_arr, depth = codes
-        flat, splits = neighbor_codes_batch(
-            code_arr, depth, radius=radius, include_diagonal=include_diagonal
-        )
-        for i, code in enumerate(code_arr):
-            expected = ref.neighbor_codes_at_radius_scalar(
-                int(code), depth, radius, include_diagonal=include_diagonal
-            )
-            assert flat[splits[i] : splits[i + 1]].tolist() == expected
-
-    @pytest.mark.parametrize("radius", [0, 1, 2])
-    def test_cube_batch_matches_scalar(self, codes, radius):
-        code_arr, depth = codes
-        flat, splits = codes_within_radius_batch(code_arr, depth, radius)
-        for i, code in enumerate(code_arr):
-            expected = ref.codes_within_radius_scalar(int(code), depth, radius)
-            assert flat[splits[i] : splits[i + 1]].tolist() == expected
-
-    def test_scalar_wrappers_match_reference(self, codes):
-        code_arr, depth = codes
-        for code in code_arr[:10]:
-            assert neighbor_codes_at_radius(
-                int(code), depth, 2
-            ) == ref.neighbor_codes_at_radius_scalar(int(code), depth, 2)
-            assert codes_within_radius(
-                int(code), depth, 2
-            ) == ref.codes_within_radius_scalar(int(code), depth, 2)
-
-    def test_chebyshev_kernel_matches_scalar(self, codes):
-        code_arr, depth = codes
-        rng = np.random.default_rng(0)
-        other = rng.permutation(code_arr)
-        batched = chebyshev_codes(code_arr, other, depth)
-        for a, b, d in zip(code_arr, other, batched):
-            assert int(d) == ref.chebyshev_distance_scalar(int(a), int(b), depth)
-            assert int(d) == chebyshev_distance(int(a), int(b), depth)
-
-    def test_filter_occupied_matches_reference(self, codes):
-        code_arr, depth = codes
-        rng = np.random.default_rng(1)
-        occupied = rng.choice(code_arr, size=code_arr.shape[0] // 2, replace=False)
-        queries = rng.integers(0, 1 << (3 * depth), size=200).astype(np.int64)
-        assert filter_occupied(queries, occupied) == ref.filter_occupied_scalar(
-            queries, occupied
-        )
-        assert filter_occupied([], occupied) == []
-
-    def test_isin_sorted(self):
-        sorted_values = np.array([2, 4, 6, 8], dtype=np.int64)
-        queries = np.array([1, 2, 3, 8, 9], dtype=np.int64)
-        assert isin_sorted(sorted_values, queries).tolist() == [
-            False, True, False, True, False,
-        ]
-        assert isin_sorted(np.zeros(0, dtype=np.int64), queries).tolist() == [
-            False] * 5
+        bounds = octree.leaf_slot_bounds()
+        cursor = 0
+        for i, code in enumerate(octree.leaf_codes.tolist()):
+            count = sum(1 for c in octree.point_codes.tolist() if c == code)
+            assert (bounds[i], bounds[i + 1]) == (cursor, cursor + count)
+            cursor += count
+        assert cursor == medium_cloud.num_points
 
 
 class TestVoxelGridVectorised:

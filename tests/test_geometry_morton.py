@@ -9,13 +9,12 @@ from repro.geometry.bbox import AxisAlignedBox
 from repro.geometry.morton import (
     MortonCode,
     hamming_distance,
-    morton_decode,
     morton_encode,
     morton_encode_points,
     prefix_at_level,
-    voxel_center,
     voxel_indices,
 )
+from repro.kernels.reference import scalar_morton_decode
 
 
 UNIT_BOX = AxisAlignedBox(minimum=[0, 0, 0], maximum=[1, 1, 1])
@@ -39,13 +38,11 @@ class TestScalarEncode:
             for iy in range(4):
                 for iz in range(4):
                     code = morton_encode(ix, iy, iz, 2)
-                    assert morton_decode(code, 2) == (ix, iy, iz)
+                    assert scalar_morton_decode(code, 2) == (ix, iy, iz)
 
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError):
             morton_encode(4, 0, 0, 2)
-        with pytest.raises(ValueError):
-            morton_decode(1 << 6, 2)
         with pytest.raises(ValueError):
             morton_encode(0, 0, 0, 0)
 
@@ -75,7 +72,8 @@ class TestVectorisedEncode:
     def test_voxel_center_roundtrip(self):
         depth = 3
         for code in [0, 5, 37, (1 << 9) - 1]:
-            center = voxel_center(code, depth, UNIT_BOX)
+            cell = np.array(scalar_morton_decode(code, depth), dtype=np.float64)
+            center = UNIT_BOX.minimum + (cell + 0.5) * UNIT_BOX.size / (1 << depth)
             recomputed = morton_encode_points(center[None, :], UNIT_BOX, depth)[0]
             assert recomputed == code
 
@@ -121,7 +119,7 @@ class TestMortonCodeObject:
 )
 def test_property_roundtrip_depth8(ix, iy, iz):
     code = morton_encode(ix, iy, iz, 8)
-    assert morton_decode(code, 8) == (ix, iy, iz)
+    assert scalar_morton_decode(code, 8) == (ix, iy, iz)
 
 
 @settings(max_examples=100, deadline=None)

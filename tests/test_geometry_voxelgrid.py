@@ -8,7 +8,12 @@ import pytest
 from repro.analysis.quality import compare_samplers, registered_samplers
 from repro.geometry.pointcloud import PointCloud
 from repro.geometry.voxelgrid import VoxelGrid, suggest_depth
-from repro.kernels import decode_cells
+from repro.kernels.reference import scalar_morton_decode
+
+
+def decode(codes, depth):
+    """``(N, 3)`` voxel cells of ``codes``, by the scalar reference decode."""
+    return np.array([scalar_morton_decode(int(c), depth) for c in codes], dtype=np.int64)
 
 
 class TestVoxelGrid:
@@ -78,7 +83,7 @@ class TestCubeAddressing:
         assert np.array_equal(order, np.argsort(grid.linear_cells, kind="stable"))
         assert np.array_equal(cells, np.unique(grid.linear_cells))
         assert np.array_equal(np.diff(starts), np.bincount(grid.linear_cells)[cells])
-        ix, iy, iz = decode_cells(grid.codes, 4).T
+        ix, iy, iz = decode(grid.codes, 4).T
         assert np.array_equal(grid.linear_cells, (ix * 16 + iy) * 16 + iz)
 
     @pytest.mark.parametrize("depth", [2, 4, 7])
@@ -92,7 +97,7 @@ class TestCubeAddressing:
         assert lo.shape == ((2 * radius + 1) ** 2, centers.shape[0])
         assert (hi >= lo).all()
         start, stop = grid.points_before(lo), grid.points_before(hi)
-        cells = decode_cells(grid.codes, depth)
+        cells = decode(grid.codes, depth)
         order = grid.row_major[0]
         for i, center in enumerate(centers):
             inside = np.abs(cells - center).max(axis=1) <= radius

@@ -10,8 +10,6 @@ enforces it again at benchmark scale and records the speedups.
 from __future__ import annotations
 
 import dataclasses
-import itertools
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -31,27 +29,22 @@ from repro.geometry.voxelgrid import VoxelGrid
 from repro.kernels import (
     DEFAULT_CHUNK_BUDGET_BYTES,
     bucketize_codes,
-    decode_cells,
     distance_chunk_rows,
     encode_cells,
     encode_point_scalar,
     gather_ragged,
     grouped_topk,
     hamming_codes,
-    lookup_sorted,
     pairwise_sq_dists,
     point_encoder,
     popcount64,
     rows_per_chunk,
-    shell_offsets,
     sort_codes,
     spread_axis,
-    stencil_codes,
     three_nearest,
 )
 from repro.kernels import distance as distance_kernels
 from repro.kernels import reference as ref
-from repro.kernels.stencil import cube_offsets, face_shell_offsets
 from repro.octree.builder import Octree
 from repro.sampling.fps import FarthestPointSampler
 from repro.sampling.ois import OctreeIndexedSampler
@@ -70,7 +63,8 @@ class TestMortonKernels:
         rng = np.random.default_rng(depth)
         cells = rng.integers(0, 1 << depth, size=(500, 3))
         codes = encode_cells(cells, depth)
-        assert np.array_equal(decode_cells(codes, depth), cells)
+        decoded = [ref.scalar_morton_decode(int(c), depth) for c in codes]
+        assert np.array_equal(np.array(decoded), cells)
 
     @pytest.mark.parametrize("depth", [1, 3, 8, 21])
     def test_encode_matches_scalar_reference(self, depth):
@@ -82,8 +76,6 @@ class TestMortonKernels:
             for x, y, z in cells
         ]
         assert codes.tolist() == expected
-        decoded = [ref.scalar_morton_decode(int(c), depth) for c in codes]
-        assert decode_cells(codes, depth).tolist() == [list(d) for d in decoded]
 
     def test_encode_points_matches_loop_reference(self, medium_cloud):
         box = medium_cloud.bounds().as_cube(padding=1e-9)
@@ -281,15 +273,6 @@ class TestBucketing:
         )
         assert flat.size == 0 and segments.size == 0
 
-    def test_lookup_sorted(self):
-        sorted_codes = np.array([2, 5, 9], dtype=np.int64)
-        positions, found = lookup_sorted(
-            sorted_codes, np.array([5, 3, 9, 11], dtype=np.int64)
-        )
-        assert found.tolist() == [True, False, True, False]
-        assert positions[0] == 1 and positions[2] == 2
-        assert positions.max() < sorted_codes.shape[0]
-
 
 # ----------------------------------------------------------------------
 # Chunking / distance kernels
@@ -470,105 +453,6 @@ class TestChunkingAndDistance:
 # Voxel grid shells
 # ----------------------------------------------------------------------
 class TestShells:
-    @pytest.mark.parametrize("radius", [0, 1, 2, 3])
-    def test_shell_offsets_match_scalar_enumeration(self, radius):
-        expected = []
-        if radius == 0:
-            expected.append((0, 0, 0))
-        else:
-            for dx in range(-radius, radius + 1):
-                for dy in range(-radius, radius + 1):
-                    for dz in range(-radius, radius + 1):
-                        if max(abs(dx), abs(dy), abs(dz)) == radius:
-                            expected.append((dx, dy, dz))
-        assert shell_offsets(radius).tolist() == [list(t) for t in expected]
-
-    def test_shell_offsets_large_radius_stays_on_shell(self):
-        """Only the shell is materialised (O(r^2)), never the full cube."""
-        offsets = shell_offsets(25)
-        assert offsets.shape[0] == (2 * 25 + 1) ** 3 - (2 * 25 - 1) ** 3
-        assert (np.abs(offsets).max(axis=1) == 25).all()
-        # Lexicographic (dx, dy, dz) enumeration order is preserved.
-        keys = (offsets[:, 0] * 10_000 + offsets[:, 1] * 100 + offsets[:, 2])
-        assert (np.diff(keys) > 0).all()
-
-    @staticmethod
-    def _boundary_cells(depth):
-        """Centres on every face, edge and corner of the grid plus the bulk."""
-        top = (1 << depth) - 1
-        axis_values = sorted({0, min(1, top), top // 2, max(top - 1, 0), top})
-        return np.array(list(itertools.product(axis_values, repeat=3)), dtype=np.int64)
-
-    @pytest.mark.parametrize("depth", [1, 5, 8, 21])
-    @pytest.mark.parametrize(
-        "stencil, radii",
-        [
-            (shell_offsets, range(13)),
-            (face_shell_offsets, range(13)),
-            (cube_offsets, range(5)),
-        ],
-    )
-    def test_stencil_codes_equal_dense_reference(self, depth, stencil, radii):
-        """Per-axis tables == encoding every (centre, offset) pair: same
-        codes (clipped entries included) and same in-bounds mask, including
-        radii larger than the grid."""
-        cells = self._boundary_cells(depth)
-        for radius in radii:
-            offsets = stencil(radius)
-            codes, in_bounds = stencil_codes(cells, offsets, depth)
-            ref_codes, ref_in_bounds = ref.stencil_codes_dense(cells, offsets, depth)
-            assert codes.dtype == ref_codes.dtype and in_bounds.dtype == np.bool_
-            assert np.array_equal(codes, ref_codes), radius
-            assert np.array_equal(in_bounds, ref_in_bounds), radius
-
-    def test_stencil_codes_arbitrary_offsets(self):
-        """Any integer offsets, not just cached shells: unsorted, repeated,
-        one-sided and per-axis-lopsided."""
-        rng = np.random.default_rng(8)
-        cells = self._boundary_cells(5)
-        for offsets in (
-            rng.integers(-9, 10, size=(40, 3)),
-            rng.integers(3, 7, size=(11, 3)),
-            np.array([[-40, 0, 2], [0, 35, 2], [-40, 0, 2]]),
-            np.array([[7, -3, 0]], dtype=np.int32),
-        ):
-            codes, in_bounds = stencil_codes(cells, offsets, 5)
-            ref_codes, ref_in_bounds = ref.stencil_codes_dense(cells, offsets, 5)
-            assert np.array_equal(codes, ref_codes)
-            assert np.array_equal(in_bounds, ref_in_bounds)
-
-    @pytest.mark.parametrize("num_cells, num_offsets", [(0, 26), (5, 0), (0, 0)])
-    def test_stencil_codes_degenerate_shapes(self, num_cells, num_offsets):
-        cells = np.zeros((num_cells, 3), dtype=np.int64)
-        offsets = shell_offsets(1)[:num_offsets]
-        codes, in_bounds = stencil_codes(cells, offsets, 4)
-        ref_codes, ref_in_bounds = ref.stencil_codes_dense(cells, offsets, 4)
-        assert codes.shape == ref_codes.shape == (num_cells, num_offsets)
-        assert in_bounds.shape == ref_in_bounds.shape
-        assert codes.dtype == ref_codes.dtype and in_bounds.dtype == np.bool_
-
-    @pytest.mark.parametrize("depth", [0, 22])
-    def test_stencil_codes_rejects_bad_depth(self, depth):
-        with pytest.raises(ValueError):
-            stencil_codes(np.zeros((1, 3), dtype=np.int64), shell_offsets(1), depth)
-
-    def test_stencil_codes_never_materialise_per_entry_cells(self):
-        """The 'never materialise' rule as a test: at sa2's largest ring
-        (128 centres x the 2402-entry radius-10 stencil) the peak stays
-        below the size of one (M, S, 3) int64 block -- the dense
-        formulation holds two of them plus their masks."""
-        cells = np.random.default_rng(2).integers(0, 256, size=(128, 3))
-        offsets = shell_offsets(10)
-        assert offsets.shape[0] == 2402
-        stencil_codes(cells, offsets, 8)  # warm caches outside the trace
-        tracemalloc.start()
-        try:
-            stencil_codes(cells, offsets, 8)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 128 * 2402 * 3 * 8
-
     def test_occupied_codes_view_is_read_only(self, small_cloud):
         grid = VoxelGrid.build(small_cloud, 3)
         with pytest.raises(ValueError):
@@ -581,7 +465,7 @@ class TestShells:
         grid = VoxelGrid.build(medium_cloud, depth)
         scalar = ref.ScalarGrid(medium_cloud, depth)
         codes = grid.occupied_codes()[::5]
-        centers = decode_cells(codes, depth).T
+        centers = np.array([ref.scalar_morton_decode(int(c), depth) for c in codes]).T
         order = grid.row_major[0]
         for radius in (0, 1, 2):
             lo, hi = grid.cube_runs(centers, radius)
@@ -602,20 +486,25 @@ class TestShells:
 # Octree construction
 # ----------------------------------------------------------------------
 def assert_octree_matches_scalar(vectorized, scalar):
+    """Every flat array equals the scalar insertion walk's: codes, SFC
+    permutation, leaf buckets, per-level node codes and build counts."""
+    assert vectorized.depth == scalar.depth
+    assert np.array_equal(vectorized.box.minimum, scalar.box.minimum)
+    assert np.array_equal(vectorized.box.maximum, scalar.box.maximum)
     assert np.array_equal(vectorized.leaf_codes, scalar.leaf_codes)
     assert np.array_equal(vectorized.point_codes, scalar.point_codes)
     assert np.array_equal(
         vectorized.points_in_sfc_order(), scalar.points_in_sfc_order()
     )
+    assert np.array_equal(
+        vectorized.leaf_point_counts(), scalar.leaf_point_counts()
+    )
+    assert np.array_equal(vectorized.leaf_slot_bounds(), scalar.leaf_slot_bounds())
+    levels_v, levels_s = vectorized.codes_per_level(), scalar.codes_per_level()
+    assert len(levels_v) == len(levels_s) == vectorized.depth + 1
+    for codes_v, codes_s in zip(levels_v, levels_s):
+        assert np.array_equal(codes_v, codes_s)
     assert vectorized.stats == scalar.stats
-    for node_v, node_s in zip(
-        vectorized.root.iter_nodes(), scalar.root.iter_nodes()
-    ):
-        assert node_v.code == node_s.code
-        assert node_v.level == node_s.level
-        assert np.array_equal(node_v.point_indices, node_s.point_indices)
-        assert np.allclose(node_v.box.minimum, node_s.box.minimum)
-        assert np.allclose(node_v.box.maximum, node_s.box.maximum)
 
 
 class TestOctreeEquivalence:
@@ -681,14 +570,6 @@ class TestOctreeEquivalence:
         order = octree.points_in_sfc_order()
         with pytest.raises(ValueError):
             order[0] = -1
-
-    def test_lazy_tree_not_materialised_by_flat_queries(self, medium_cloud):
-        octree = Octree.build(medium_cloud, depth=4)
-        assert octree.num_leaves == octree.leaf_codes.shape[0]
-        assert sum(octree.occupancy_histogram().values()) == medium_cloud.num_points
-        assert octree._root is None  # flat queries stay array-only
-        assert octree.root.level == 0  # materialises on demand
-        assert octree._root is not None
 
 
 # ----------------------------------------------------------------------

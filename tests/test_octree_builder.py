@@ -1,45 +1,63 @@
-"""Unit tests for repro.octree.builder and repro.octree.node."""
+"""Unit tests for repro.octree.builder (the flat octree)."""
 
 import numpy as np
 import pytest
 
 from repro.geometry.morton import morton_encode_points
 from repro.geometry.pointcloud import PointCloud
+from repro.kernels.reference import scalar_morton_decode
 from repro.octree.builder import Octree
+
+
+def leaf_points(octree):
+    """Each leaf's point indices, in leaf (SFC) order, from the flat arrays."""
+    order = octree.points_in_sfc_order()
+    bounds = octree.leaf_slot_bounds()
+    return [order[bounds[i] : bounds[i + 1]] for i in range(octree.num_leaves)]
+
+
+def leaf_box(octree, code):
+    """``(minimum, maximum)`` of leaf voxel ``code`` inside the root cube."""
+    cell = octree.box.size / (1 << octree.depth)
+    minimum = octree.box.minimum + np.array(scalar_morton_decode(int(code), octree.depth)) * cell
+    return minimum, minimum + cell
 
 
 class TestBuild:
     def test_all_points_stored_exactly_once(self, medium_cloud):
         octree = Octree.build(medium_cloud, depth=4)
-        stored = np.concatenate(
-            [leaf.point_indices for leaf in octree.leaves_in_sfc_order()]
-        )
+        stored = np.concatenate(leaf_points(octree))
         assert sorted(stored.tolist()) == list(range(medium_cloud.num_points))
 
     def test_leaf_codes_match_point_codes(self, small_cloud):
         octree = Octree.build(small_cloud, depth=3)
-        for leaf in octree.leaves_in_sfc_order():
-            for index in leaf.point_indices:
-                assert octree.point_codes[index] == leaf.code
+        for code, indices in zip(octree.leaf_codes, leaf_points(octree)):
+            assert indices.shape[0] > 0
+            for index in indices:
+                assert octree.point_codes[index] == code
 
     def test_leaf_boxes_contain_their_points(self, small_cloud):
         octree = Octree.build(small_cloud, depth=3)
-        for leaf in octree.leaves_in_sfc_order():
-            pts = small_cloud.points[leaf.point_indices]
+        for code, indices in zip(octree.leaf_codes, leaf_points(octree)):
+            minimum, maximum = leaf_box(octree, code)
+            pts = small_cloud.points[indices]
             # Allow a tiny tolerance for points exactly on voxel faces that
             # clipping assigns to the lower-index voxel.
-            assert (pts >= leaf.box.minimum - 1e-9).all()
-            assert (pts <= leaf.box.maximum + 1e-9).all()
+            assert (pts >= minimum - 1e-9).all()
+            assert (pts <= maximum + 1e-9).all()
 
     def test_levels_consistent(self, small_cloud):
+        """Every node's parent is one level up (its code shifted by one
+        octant), and the leaf level is the deepest."""
         octree = Octree.build(small_cloud, depth=4)
-        for node in octree.root.iter_nodes():
-            if not node.is_leaf:
-                for octant, child in node.children.items():
-                    assert child.level == node.level + 1
-                    assert child.code == (node.code << 3) | octant
-            else:
-                assert node.level == octree.depth
+        levels = octree.codes_per_level()
+        assert len(levels) == octree.depth + 1
+        assert levels[0].tolist() == [0]
+        assert np.array_equal(levels[octree.depth], octree.leaf_codes)
+        for level in range(1, octree.depth + 1):
+            assert np.all(np.diff(levels[level]) > 0)
+            assert np.isin(levels[level] >> 3, levels[level - 1]).all()
+            assert np.unique(levels[level] >> 3).shape == levels[level - 1].shape
 
     def test_empty_cloud_rejected(self):
         with pytest.raises(ValueError):
@@ -48,24 +66,28 @@ class TestBuild:
     def test_single_point_cloud(self):
         octree = Octree.build(PointCloud(points=np.array([[0.3, 0.7, 0.1]])), depth=4)
         assert octree.num_leaves == 1
-        assert octree.root.subtree_point_count() == 1
+        assert octree.leaf_slot_bounds().tolist() == [0, 1]
+        assert octree.num_nodes == 1 + octree.depth
 
     def test_leaf_of_point(self, medium_cloud):
+        """A point's code names the leaf whose slot range holds it."""
         octree = Octree.build(medium_cloud, depth=4)
+        order = octree.points_in_sfc_order()
+        bounds = octree.leaf_slot_bounds()
         for index in (0, 17, medium_cloud.num_points - 1):
-            leaf = octree.leaf_of_point(index)
-            assert index in leaf.point_indices
+            position = int(np.searchsorted(octree.leaf_codes, octree.point_codes[index]))
+            assert octree.leaf_codes[position] == octree.point_codes[index]
+            assert index in order[bounds[position] : bounds[position + 1]]
 
     def test_leaf_lookup_by_code(self, small_cloud):
         octree = Octree.build(small_cloud, depth=3)
         code = int(octree.leaf_codes[0])
-        assert octree.leaf(code) is not None
-        assert octree.leaf(code).code == code
+        assert octree.leaf_point_counts()[0] == np.count_nonzero(octree.point_codes == code)
 
     def test_sfc_order_is_sorted_by_code(self, medium_cloud):
         octree = Octree.build(medium_cloud, depth=5)
-        codes = [leaf.code for leaf in octree.leaves_in_sfc_order()]
-        assert codes == sorted(codes)
+        codes = octree.leaf_codes.tolist()
+        assert codes == sorted(set(codes))
 
     def test_points_in_sfc_order_nondecreasing_codes(self, medium_cloud):
         octree = Octree.build(medium_cloud, depth=5)
@@ -76,7 +98,8 @@ class TestBuild:
     def test_leaf_center_encodes_back_to_leaf(self, small_cloud):
         octree = Octree.build(small_cloud, depth=4)
         for code in octree.leaf_codes[:10]:
-            center = octree.leaf_center(int(code))
+            minimum, maximum = leaf_box(octree, code)
+            center = (minimum + maximum) / 2
             recomputed = morton_encode_points(center[None, :], octree.box, 4)[0]
             assert recomputed == code
 
@@ -94,7 +117,9 @@ class TestBuildStats:
 
     def test_node_count_matches_traversal(self, small_cloud):
         octree = Octree.build(small_cloud, depth=3)
-        assert octree.stats.num_nodes == len(list(octree.root.iter_nodes()))
+        assert octree.stats.num_nodes == sum(
+            codes.shape[0] for codes in octree.codes_per_level()
+        )
 
     def test_deeper_tree_more_leaves(self, medium_cloud):
         shallow = Octree.build(medium_cloud, depth=3)
@@ -114,4 +139,4 @@ class TestNonUniformity:
 
     def test_occupancy_histogram_total(self, medium_cloud):
         octree = Octree.build(medium_cloud, depth=4)
-        assert sum(octree.occupancy_histogram().values()) == medium_cloud.num_points
+        assert int(octree.leaf_point_counts().sum()) == medium_cloud.num_points

@@ -1,5 +1,6 @@
 """Unit tests for repro.octree.linear (the Octree-Table)."""
 
+import numpy as np
 import pytest
 
 from repro.octree.builder import Octree
@@ -16,53 +17,73 @@ def table(octree):
     return OctreeTable.from_flat(octree)
 
 
+def children(table, row):
+    lo, hi = table.child_bounds[row], table.child_bounds[row + 1]
+    return table.child_rows[lo:hi], table.child_octants[lo:hi]
+
+
+def leaf_rows(table):
+    """The leaf rows, ascending by m-code (SFC order)."""
+    rows = np.flatnonzero(table.leaf_flags)
+    return rows[np.argsort(table.codes[rows], kind="stable")]
+
+
 class TestStructure:
     def test_one_entry_per_node(self, octree, table):
         assert len(table) == octree.num_nodes
 
     def test_leaf_count_matches(self, octree, table):
-        assert table.num_leaves == octree.num_leaves
+        assert int(table.leaf_flags.sum()) == octree.num_leaves
 
     def test_root_entry(self, table):
-        root = table.root()
-        assert root.level == 0
-        assert not root.is_leaf or len(table) == 1
+        root = table.root_index
+        assert table.levels[root] == 0
+        assert not table.leaf_flags[root] or len(table) == 1
 
     def test_children_links_valid(self, table):
-        for entry in table.entries:
-            for child in table.children_of(entry):
-                assert child.level == entry.level + 1
-                assert child.code >> 3 == entry.code
+        for row in range(len(table)):
+            rows, octants = children(table, row)
+            assert np.all(np.diff(octants) > 0)
+            for child, octant in zip(rows, octants):
+                assert table.levels[child] == table.levels[row] + 1
+                assert table.codes[child] == (table.codes[row] << 3) | octant
+            assert rows.shape[0] == 0 or not table.leaf_flags[row]
 
     def test_leaf_lookup_by_code(self, octree, table):
-        for code in octree.leaf_codes[:20]:
-            entry = table.leaf_entry_for_code(int(code))
-            assert entry is not None
-            assert entry.is_leaf
-            assert entry.code == code
+        rows = leaf_rows(table)
+        assert np.array_equal(table.codes[rows], octree.leaf_codes)
+        assert np.all(table.levels[rows] == octree.depth)
 
-    def test_missing_leaf_lookup(self, table):
-        assert table.leaf_entry_for_code(-1) is None
+    def test_missing_leaf_lookup(self, octree, table):
+        """An empty voxel has no leaf row."""
+        empty = np.setdiff1d(np.arange(8**octree.depth), octree.leaf_codes)
+        assert empty.shape[0] > 0
+        assert not np.isin(empty, table.codes[table.leaf_flags]).any()
 
 
 class TestAddressRanges:
     def test_ranges_are_contiguous_in_sfc_order(self, table):
-        leaves = table.leaf_entries()
         cursor = 0
-        for leaf in leaves:
-            start, end = leaf.address_range
+        for row in leaf_rows(table):
+            start, end = table.addr_starts[row], table.addr_ends[row]
             assert start == cursor
             assert end >= start
             cursor = end
 
     def test_ranges_cover_all_points(self, octree, table):
-        total = sum(leaf.num_points for leaf in table.leaf_entries())
-        assert total == octree.cloud.num_points
+        rows = leaf_rows(table)
+        total = int((table.addr_ends[rows] - table.addr_starts[rows]).sum())
+        assert total == octree.cloud.num_points == table.num_points
 
     def test_leaf_point_counts_match_octree(self, octree, table):
-        for code in octree.leaf_codes:
-            entry = table.leaf_entry_for_code(int(code))
-            assert entry.num_points == octree.leaf(int(code)).num_points
+        rows = leaf_rows(table)
+        assert np.array_equal(
+            table.addr_ends[rows] - table.addr_starts[rows],
+            octree.leaf_point_counts(),
+        )
+        internal = ~table.leaf_flags
+        assert not table.addr_starts[internal].any()
+        assert not table.addr_ends[internal].any()
 
 
 class TestFootprint:

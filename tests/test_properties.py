@@ -11,7 +11,6 @@ from repro.datastructuring.veg import VoxelExpandedGatherer
 from repro.geometry.pointcloud import PointCloud
 from repro.octree.builder import Octree
 from repro.octree.linear import OctreeTable
-from repro.octree.memory_layout import HostMemoryLayout
 from repro.sampling.fps import FarthestPointSampler, fps_counter_model
 from repro.sampling.ois import OctreeIndexedSampler, ois_counter_model
 
@@ -32,8 +31,13 @@ def cloud_strategy(min_points: int = 20, max_points: int = 120):
 def test_octree_partitions_points(cloud, depth):
     """Every point lands in exactly one leaf, whatever the cloud looks like."""
     octree = Octree.build(cloud, depth=depth)
-    stored = np.concatenate([leaf.point_indices for leaf in octree.leaves_in_sfc_order()])
+    order = octree.points_in_sfc_order()
+    bounds = octree.leaf_slot_bounds()
+    stored = np.concatenate(
+        [order[bounds[i] : bounds[i + 1]] for i in range(octree.num_leaves)]
+    )
     assert sorted(stored.tolist()) == list(range(cloud.num_points))
+    assert np.all(np.diff(bounds) > 0)
 
 
 @settings(max_examples=25, deadline=None)
@@ -41,7 +45,9 @@ def test_octree_partitions_points(cloud, depth):
 def test_octree_table_address_ranges_partition_points(cloud, depth):
     octree = Octree.build(cloud, depth=depth)
     table = OctreeTable.from_flat(octree)
-    spans = [leaf.address_range for leaf in table.leaf_entries()]
+    rows = np.flatnonzero(table.leaf_flags)
+    rows = rows[np.argsort(table.codes[rows], kind="stable")]
+    spans = zip(table.addr_starts[rows], table.addr_ends[rows])
     covered = []
     for start, end in spans:
         covered.extend(range(start, end))
@@ -51,11 +57,17 @@ def test_octree_table_address_ranges_partition_points(cloud, depth):
 @settings(max_examples=25, deadline=None)
 @given(cloud=cloud_strategy(), depth=st.integers(min_value=1, max_value=4))
 def test_host_memory_layout_is_a_permutation(cloud, depth):
-    layout = HostMemoryLayout.from_octree(Octree.build(cloud, depth=depth))
-    assert sorted(layout.slot_to_original.tolist()) == list(range(cloud.num_points))
+    """The reorganised host copy (the SFC permutation) holds every point
+    once, in non-decreasing m-code order."""
+    octree = Octree.build(cloud, depth=depth)
+    slot_to_original = octree.points_in_sfc_order()
+    assert sorted(slot_to_original.tolist()) == list(range(cloud.num_points))
+    original_to_slot = np.empty_like(slot_to_original)
+    original_to_slot[slot_to_original] = np.arange(cloud.num_points)
     assert np.array_equal(
-        layout.slot_to_original[layout.original_to_slot], np.arange(cloud.num_points)
+        slot_to_original[original_to_slot], np.arange(cloud.num_points)
     )
+    assert np.all(np.diff(octree.point_codes[slot_to_original]) >= 0)
 
 
 @settings(max_examples=20, deadline=None)

@@ -17,15 +17,13 @@ from repro import HgPCNConfig, Session
 from repro.datasets.synthetic import lidar_scene
 from repro.octree.builder import Octree
 from repro.octree.linear import OctreeTable
-from repro.octree.memory_layout import HostMemoryLayout
-from repro.octree.node import OctreeNode
 from repro.serving import FrameServer, response_signature, signatures_equal
 from repro.serving.cluster.transport import encode_payload
 from repro.session import FrameRequest
 
 from test_cluster import make_request, make_session, reachable
 
-WORKING_SET = (Octree, OctreeTable, OctreeNode)
+WORKING_SET = (Octree, OctreeTable)
 MEGABYTE = 1_000_000
 
 
@@ -129,9 +127,9 @@ class TestLidarShape:
 
 
 class TestUnbuiltWorkingSet:
-    """Serving a frame builds neither the Octree-Table nor the reorganised
-    host copy: the engine prices the table from the octree's counts, and
-    OIS walks the octree's own SFC permutation.  The table is still one
+    """Serving a frame does not build the Octree-Table: the engine prices
+    the table from the octree's counts, and OIS walks the octree's own SFC
+    permutation (the reorganised host copy).  The table is still one
     attribute access away on the engine's result."""
 
     @pytest.fixture
@@ -140,7 +138,6 @@ class TestUnbuiltWorkingSet:
             raise AssertionError("working set built on the serving path")
 
         monkeypatch.setattr(OctreeTable, "from_flat", classmethod(refuse))
-        monkeypatch.setattr(HostMemoryLayout, "from_octree", classmethod(refuse))
 
     @pytest.fixture(scope="class")
     def lidar(self):
