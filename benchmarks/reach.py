@@ -19,16 +19,14 @@ set to a scratch directory first; the parent merges those sets.
 It then compiles every module under ``src/repro``, lists the named functions
 no run entered, and prints them per package with their line totals::
 
-    python3 benchmarks/reach.py                 # report on stdout
-    python3 benchmarks/reach.py --json out.json # also write the report
+    python3 benchmarks/reach.py
 
-Stdlib only; a run takes a few minutes, most of it the serving soaks.  It is
-a measuring tool, not a gate, and no CI step runs it.
+Stdlib only; a run takes about 32 s on a 2-core Xeon.  It is a measuring
+tool, not a gate, and no CI step runs it.
 """
 
 from __future__ import annotations
 
-import argparse
 import contextlib
 import io
 import json
@@ -216,10 +214,6 @@ def report(reached: Set[Key]) -> Dict[str, object]:
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--json", help="also write the report here")
-    args = parser.parse_args()
-
     sys.path.insert(0, str(SRC))
     with tempfile.TemporaryDirectory() as dumps:
         recorder = Recorder(Path(dumps))
@@ -246,10 +240,6 @@ def main() -> int:
         f"total              {totals['unreached']:4d}/{totals['functions']:4d} functions"
         f" {totals['unreached_lines']:5d}/{totals['function_lines']:5d} lines unreached"
     )
-    if args.json:
-        Path(args.json).write_text(
-            json.dumps({"runs": statuses, "totals": totals, "packages": packages}, indent=1) + "\n"
-        )
     return 1 if any(statuses.values()) else 0
 
 

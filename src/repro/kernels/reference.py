@@ -107,15 +107,18 @@ def dict_bucketize(codes: np.ndarray) -> Dict[int, np.ndarray]:
 class _ScalarNode:
     """A pointer-tree node of the scalar references.
 
-    Each node carries its voxel box, subdivided from its parent's with
-    :meth:`AxisAlignedBox.octant` as the pre-kernel builder did, so the
-    reference does the per-node work the recorded ``octree_build``
-    speedups are measured against.
+    Only :func:`build_octree_scalar` gives its nodes voxel boxes,
+    subdivided from the parent's with :meth:`AxisAlignedBox.octant` as the
+    pre-kernel builder did, so the reference does the per-node work the
+    recorded ``octree_build`` speedups are measured against.  The table and
+    OIS references read codes and children only.
     """
 
     __slots__ = ("code", "level", "box", "children")
 
-    def __init__(self, code: int, level: int, box: AxisAlignedBox) -> None:
+    def __init__(
+        self, code: int, level: int, box: Optional[AxisAlignedBox]
+    ) -> None:
         self.code = code
         self.level = level
         self.box = box
@@ -123,12 +126,13 @@ class _ScalarNode:
 
 
 def _scalar_tree(
-    leaf_codes, depth: int, box: AxisAlignedBox
+    leaf_codes, depth: int, box: Optional[AxisAlignedBox] = None
 ) -> Tuple[_ScalarNode, List[List[int]]]:
     """Insert every leaf code with one root-to-leaf walk.
 
-    Returns the root and, per level, the codes of the nodes in creation
-    order, which is ascending when ``leaf_codes`` is.
+    Nodes get ``octant``-subdivided boxes when ``box`` is given.  Returns
+    the root and, per level, the codes of the nodes in creation order,
+    which is ascending when ``leaf_codes`` is.
     """
     root = _ScalarNode(0, 0, box)
     levels: List[List[int]] = [[0]] + [[] for _ in range(depth)]
@@ -139,25 +143,21 @@ def _scalar_tree(
             octant = prefix & 0b111
             child = node.children.get(octant)
             if child is None:
-                child = _ScalarNode(prefix, level, node.box.octant(octant))
+                child_box = None if box is None else node.box.octant(octant)
+                child = _ScalarNode(prefix, level, child_box)
                 node.children[octant] = child
                 levels[level].append(prefix)
             node = child
     return root, levels
 
 
-def build_octree_scalar(
+def _build_octree_scalar(
     cloud: PointCloud,
     depth: int,
-    box: Optional[AxisAlignedBox] = None,
-    padding: float = 1e-9,
-) -> Octree:
-    """The pre-kernel ``Octree.build``: one root-to-leaf walk per leaf.
-
-    The returned octree carries this walk's own SFC permutation (a stable
-    argsort), leaf buckets and per-level node codes, so every flat accessor
-    of it reads the scalar result, not a recomputation.
-    """
+    box: Optional[AxisAlignedBox],
+    padding: float,
+) -> Tuple[Octree, _ScalarNode]:
+    """:func:`build_octree_scalar`, also returning its pointer tree's root."""
     if cloud.num_points == 0:
         raise ValueError("cannot build an octree over an empty cloud")
     if box is None:
@@ -173,7 +173,7 @@ def build_octree_scalar(
 
     unique_codes, starts = np.unique(sorted_codes, return_index=True)
     ends = np.append(starts[1:], len(sorted_codes))
-    _, level_codes = _scalar_tree(unique_codes, depth, box)
+    root, level_codes = _scalar_tree(unique_codes, depth, box)
     for start, end in zip(starts, ends):
         stats.max_leaf_occupancy = max(stats.max_leaf_occupancy, int(end - start))
 
@@ -181,7 +181,7 @@ def build_octree_scalar(
     stats.num_leaves = len(unique_codes)
     stats.host_memory_writes += stats.num_nodes
 
-    return Octree(
+    octree = Octree(
         depth=depth,
         box=box,
         cloud=cloud,
@@ -193,6 +193,22 @@ def build_octree_scalar(
         _bucket_counts=(ends - starts).astype(np.intp),
         _level_codes=[np.asarray(c, dtype=np.int64) for c in level_codes],
     )
+    return octree, root
+
+
+def build_octree_scalar(
+    cloud: PointCloud,
+    depth: int,
+    box: Optional[AxisAlignedBox] = None,
+    padding: float = 1e-9,
+) -> Octree:
+    """The pre-kernel ``Octree.build``: one root-to-leaf walk per leaf.
+
+    The returned octree carries this walk's own SFC permutation (a stable
+    argsort), leaf buckets and per-level node codes, so every flat accessor
+    of it reads the scalar result, not a recomputation.
+    """
+    return _build_octree_scalar(cloud, depth, box, padding)[0]
 
 
 # ----------------------------------------------------------------------
@@ -252,12 +268,12 @@ def ois_scalar(
 
     depth = octree_depth or suggest_depth(cloud.num_points)
     if octree is None:
-        octree = build_octree_scalar(cloud, depth=depth)
+        octree, root = _build_octree_scalar(cloud, depth, None, 1e-9)
         counters.host_memory_reads += octree.stats.host_memory_reads
         counters.host_memory_writes += octree.stats.host_memory_writes
     else:
         depth = octree.depth
-    root, _ = _scalar_tree(octree.leaf_codes, depth, octree.box)
+        root, _ = _scalar_tree(octree.leaf_codes, depth)
     point_codes = octree.point_codes
 
     # Each leaf's points in host-memory slot order (the SFC permutation).
@@ -708,14 +724,12 @@ def octree_table_scalar(octree: Octree) -> Dict[str, object]:
     each leaf's point count in ascending leaf-code order.
     """
     depth = octree.depth
-    counts: Dict[int, int] = {}
-    for code in octree.point_codes.tolist():
-        counts[code] = counts.get(code, 0) + 1
+    leaf_codes = octree.leaf_codes.tolist()
     leaf_ranges: Dict[int, Tuple[int, int]] = {}
     cursor = 0
-    for code in sorted(counts):
-        leaf_ranges[code] = (cursor, cursor + counts[code])
-        cursor += counts[code]
+    for code, count in zip(leaf_codes, octree.leaf_point_counts().tolist()):
+        leaf_ranges[code] = (cursor, cursor + count)
+        cursor += count
 
     codes: List[int] = []
     levels: List[int] = []
@@ -732,7 +746,7 @@ def octree_table_scalar(octree: Octree) -> Dict[str, object]:
             children[row].append((octant, emit(node.children[octant])))
         return row
 
-    root, _ = _scalar_tree(sorted(counts), depth, octree.box)
+    root, _ = _scalar_tree(leaf_codes, depth)
     root_index = emit(root)
 
     child_bounds = [0]

@@ -85,13 +85,12 @@ class Octree:
     cloud: PointCloud
     leaf_codes: np.ndarray = field(repr=False)
     point_codes: np.ndarray = field(repr=False)
+    #: SFC point permutation (a stable sort of ``point_codes``).
+    _sfc_order: np.ndarray = field(repr=False)
+    #: Leaf bucket geometry over ``_sfc_order``, aligned with ``leaf_codes``.
+    _bucket_starts: np.ndarray = field(repr=False)
+    _bucket_counts: np.ndarray = field(repr=False)
     stats: OctreeBuildStats = field(default_factory=OctreeBuildStats)
-    #: Cached SFC point permutation (computed lazily when not supplied).
-    _sfc_order: Optional[np.ndarray] = field(default=None, repr=False)
-    #: Leaf bucket geometry over ``_sfc_order`` (computed lazily when not
-    #: supplied).
-    _bucket_starts: Optional[np.ndarray] = field(default=None, repr=False)
-    _bucket_counts: Optional[np.ndarray] = field(default=None, repr=False)
     #: Cached cumulative leaf point counts (``num_leaves + 1`` slot bounds).
     _slot_bounds: Optional[np.ndarray] = field(default=None, repr=False)
     #: Cached sorted node codes per level (the canonical flat representation).
@@ -278,27 +277,8 @@ class Octree:
         """Depth, root box and build counts, without the per-point arrays."""
         return OctreeSummary(depth=self.depth, box=self.box, stats=self.stats)
 
-    def _sfc_order_cached(self) -> np.ndarray:
-        if self._sfc_order is None:
-            self._sfc_order = sort_codes(self.point_codes)[0]
-        return self._sfc_order
-
-    def _ensure_buckets(self) -> None:
-        """Compute the flat leaf buckets (starts/counts over the SFC order)."""
-        if self._bucket_starts is not None and self._bucket_counts is not None:
-            return
-        sorted_codes = self.point_codes[self._sfc_order_cached()]
-        self._bucket_starts = np.searchsorted(
-            sorted_codes, self.leaf_codes, side="left"
-        ).astype(np.intp)
-        self._bucket_counts = (
-            np.searchsorted(sorted_codes, self.leaf_codes, side="right")
-            - self._bucket_starts
-        ).astype(np.intp)
-
     def leaf_point_counts(self) -> np.ndarray:
         """Points per leaf, aligned with ``leaf_codes`` (read-only view)."""
-        self._ensure_buckets()
         view = self._bucket_counts.view()
         view.flags.writeable = False
         return view
@@ -328,7 +308,7 @@ class Octree:
         """
         if not self.num_leaves:
             return np.zeros(0, dtype=np.intp)
-        view = self._sfc_order_cached().view()
+        view = self._sfc_order.view()
         view.flags.writeable = False
         return view
 
