@@ -10,6 +10,7 @@ unit tests:
   flags;
 * the paper-exhibit scripts (``benchmarks/bench_*.py`` under pytest, and
   ``bench_session_reuse.py``'s own entry point);
+* every ``examples/*.py`` script, run as ``__main__``;
 
 while a ``sys.setprofile`` / ``threading.setprofile`` hook records every code
 object entered.  Forked pool workers leave by ``os._exit``, so the probe
@@ -21,8 +22,11 @@ no run entered, and prints them per package with their line totals::
 
     python3 benchmarks/reach.py
 
-Stdlib only; a run takes about 32 s on a 2-core Xeon.  It is a measuring
-tool, not a gate, and no CI step runs it.
+It exits 1 when a run fails or when the unreached function lines exceed
+:data:`MAX_UNREACHED_LINES`, so code that nothing runs cannot come back
+unnoticed; CI's ``reach`` job runs it.  Deleting unreached code lowers the
+count: lower the constant with it.  Stdlib only; a run takes about 40 s on
+a 2-core Xeon.
 """
 
 from __future__ import annotations
@@ -46,6 +50,10 @@ SRC = ROOT / "src"
 PACKAGE = (SRC / "repro").resolve()
 
 Key = Tuple[str, int, str]
+
+#: The ratchet: the most unreached function lines a run may report (the
+#: highest of three runs; chaos and retry paths vary a little between runs).
+MAX_UNREACHED_LINES = 1323
 
 #: The CLI runs: the CI smoke of ``e2e`` and ``components``, one small
 #: ``samplers`` table, every exhibit, and ``serve`` with each CI soak's flags.
@@ -148,7 +156,7 @@ def run_everything() -> Dict[str, int]:
                 status = 0
             except SystemExit as stop:
                 status = stop.code
-        record(" ".join([str(path.relative_to(HERE)), *args]), status, output.getvalue())
+        record(" ".join([str(path.relative_to(ROOT)), *args]), status, output.getvalue())
 
     run_script(HERE / "e2e" / "run.py", "--smoke")
 
@@ -169,6 +177,9 @@ def run_everything() -> Dict[str, int]:
     record("pytest benchmarks/bench_*.py", status, output.getvalue())
 
     run_script(HERE / "bench_session_reuse.py")
+
+    for example in sorted((ROOT / "examples").glob("*.py")):
+        run_script(example)
     return statuses
 
 
@@ -240,6 +251,14 @@ def main() -> int:
         f"total              {totals['unreached']:4d}/{totals['functions']:4d} functions"
         f" {totals['unreached_lines']:5d}/{totals['function_lines']:5d} lines unreached"
     )
+    if totals["unreached_lines"] > MAX_UNREACHED_LINES:
+        print(
+            f"{totals['unreached_lines']} unreached function lines exceed the ratchet"
+            f" MAX_UNREACHED_LINES = {MAX_UNREACHED_LINES}: delete the new dead code"
+            " or run it from a workload, exhibit, example or CI step",
+            file=sys.stderr,
+        )
+        return 1
     return 1 if any(statuses.values()) else 0
 
 

@@ -3,7 +3,7 @@
 from repro.analysis.breakdown import e2e_breakdown_for_benchmark, EndToEndBreakdown
 from repro.analysis.figures import FigureReport, all_reports
 from repro.analysis.realtime import RealTimeReport, evaluate_realtime
-from repro.analysis.reporting import format_table, format_speedup_series
+from repro.analysis.reporting import format_table
 from repro.analysis.sweep import ParameterSweep, SweepResult
 
 __all__ = [
@@ -15,6 +15,5 @@ __all__ = [
     "all_reports",
     "e2e_breakdown_for_benchmark",
     "evaluate_realtime",
-    "format_speedup_series",
     "format_table",
 ]

@@ -1,13 +1,13 @@
-"""Plain-text table/series formatting used by benchmarks and examples.
+"""Plain-text table formatting used by benchmarks and examples.
 
-The benchmark harness prints the same rows/series the paper's tables and
-figures report; these helpers keep that output consistent and readable
+The benchmark harness prints the same rows the paper's tables and
+figures report; this helper keeps that output consistent and readable
 without any plotting dependency.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 
 def format_table(
@@ -43,59 +43,3 @@ def format_table(
     parts.extend(line(row) for row in rendered_rows)
     return "\n".join(parts)
 
-
-def format_speedup_series(
-    series: Mapping[str, Mapping[str, float]],
-    baseline_label: str = "baseline",
-    title: str | None = None,
-) -> str:
-    """Render a ``{benchmark: {baseline: speedup}}`` mapping as a table."""
-    benchmarks = list(series.keys())
-    baselines: list[str] = []
-    for values in series.values():
-        for key in values:
-            if key not in baselines:
-                baselines.append(key)
-    headers = ["benchmark"] + [f"vs {b}" for b in baselines]
-    rows = []
-    for benchmark in benchmarks:
-        row: list[object] = [benchmark]
-        for baseline in baselines:
-            value = series[benchmark].get(baseline)
-            row.append("-" if value is None else f"{value:.2f}x")
-        rows.append(row)
-    return format_table(headers, rows, title=title)
-
-
-def format_fraction_breakdown(
-    breakdown: Mapping[str, Mapping[str, float]],
-    title: str | None = None,
-) -> str:
-    """Render a ``{benchmark: {phase: fraction}}`` mapping as percentages."""
-    benchmarks = list(breakdown.keys())
-    phases: list[str] = []
-    for values in breakdown.values():
-        for key in values:
-            if key not in phases:
-                phases.append(key)
-    headers = ["benchmark"] + phases
-    rows = []
-    for benchmark in benchmarks:
-        row: list[object] = [benchmark]
-        for phase in phases:
-            value = breakdown[benchmark].get(phase, 0.0)
-            row.append(f"{100 * value:.1f}%")
-        rows.append(row)
-    return format_table(headers, rows, title=title)
-
-
-def summarize_range(values: Dict[str, float]) -> str:
-    """Render a ``label -> value`` mapping as "min ... max" with labels."""
-    if not values:
-        return "(empty)"
-    low_label = min(values, key=values.get)
-    high_label = max(values, key=values.get)
-    return (
-        f"{values[low_label]:.2f}x ({low_label}) ... "
-        f"{values[high_label]:.2f}x ({high_label})"
-    )

@@ -11,20 +11,18 @@ forward consumes.
 The shape contract is strict: every frame in a batch has the same point
 count and the same feature layout (all frames carry features of the same
 width, or none do).  :meth:`Session.run_batch` plans its shape groups into
-such batches; :func:`group_clouds` is the reusable planner for anyone else
-holding a mixed list of clouds.
+such batches.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 import numpy as np
 
 from repro.geometry.pointcloud import PointCloud
-from repro.kernels import frame_offsets, stack_frames
+from repro.kernels import stack_frames
 
 
 @dataclass
@@ -95,43 +93,3 @@ class FrameBatch:
 
     def frame(self, index: int) -> PointCloud:
         return self.clouds[index]
-
-    # ------------------------------------------------------------------
-    def flat_points(self) -> np.ndarray:
-        """``(B * N, 3)`` view of the stacked coordinates."""
-        return self.points.reshape(-1, 3)
-
-    def flat_features(self) -> Optional[np.ndarray]:
-        """``(B * N, F)`` view of the stacked features, or ``None``."""
-        if self.features is None:
-            return None
-        return self.features.reshape(-1, self.features.shape[2])
-
-    def flat_offsets(self) -> np.ndarray:
-        """Per-frame row offsets into the flattened stack.
-
-        ``per_frame_rows + flat_offsets()[b, None]`` converts frame-local
-        index arrays into rows of :meth:`flat_points` /
-        :meth:`flat_features`, so B per-frame gathers collapse into one.
-        """
-        return frame_offsets(self.num_frames, self.num_points)
-
-
-def group_clouds(
-    clouds: Sequence[PointCloud],
-) -> List[Tuple[List[int], FrameBatch]]:
-    """Partition ``clouds`` into same-shaped batches, preserving order.
-
-    Returns ``(indices, batch)`` pairs where ``indices`` are the positions
-    of the batch members in the input sequence; groups appear in
-    first-occurrence order and members keep their relative order, matching
-    the grouping discipline of :meth:`Session.run_batch`.
-    """
-    grouped: "OrderedDict[Tuple[int, int], List[int]]" = OrderedDict()
-    for i, cloud in enumerate(clouds):
-        key = (cloud.num_points, cloud.num_feature_channels)
-        grouped.setdefault(key, []).append(i)
-    return [
-        (indices, FrameBatch.from_clouds([clouds[i] for i in indices]))
-        for indices in grouped.values()
-    ]

@@ -13,7 +13,7 @@ draws between algorithm (OIS/VEG) and implementation (CPU vs FPGA).
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
-from typing import Dict, Iterable, List, Mapping
+from typing import Dict, Iterable, List
 
 
 @dataclass
@@ -43,13 +43,6 @@ class OpCounters:
     interconnect_bytes: int = 0
 
     # ------------------------------------------------------------------
-    def merged_with(self, other: "OpCounters") -> "OpCounters":
-        """Element-wise sum of two counter records."""
-        merged = OpCounters()
-        for f in fields(OpCounters):
-            setattr(merged, f.name, getattr(self, f.name) + getattr(other, f.name))
-        return merged
-
     def add(self, other: "OpCounters") -> None:
         """In-place element-wise accumulation."""
         for f in fields(OpCounters):
@@ -86,10 +79,6 @@ class PhaseLatency:
     phase: str
     seconds: float
 
-    @property
-    def milliseconds(self) -> float:
-        return self.seconds * 1e3
-
 
 @dataclass
 class LatencyBreakdown:
@@ -123,13 +112,6 @@ class LatencyBreakdown:
         for p in self.phases:
             result[p.phase] = result.get(p.phase, 0.0) + p.seconds
         return result
-
-    @classmethod
-    def from_mapping(cls, mapping: Mapping[str, float]) -> "LatencyBreakdown":
-        breakdown = cls()
-        for phase, seconds in mapping.items():
-            breakdown.add(phase, seconds)
-        return breakdown
 
 
 def speedup(baseline_seconds: float, optimized_seconds: float) -> float:

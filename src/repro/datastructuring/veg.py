@@ -137,9 +137,6 @@ class VEGRunStats:
     def total_sorted_candidates(self) -> int:
         return int(self.sorted_candidates.sum())
 
-    def total_inner_points(self) -> int:
-        return int(self.inner_points.sum())
-
     def mean_expansions(self) -> float:
         if not self.num_centroids:
             return 0.0

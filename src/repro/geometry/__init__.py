@@ -8,28 +8,20 @@ HgPCN reproduction builds on:
   paper.
 * :class:`~repro.geometry.bbox.AxisAlignedBox` -- axis-aligned bounding boxes
   used as the root voxel of octrees and for normalisation.
-* :mod:`~repro.geometry.morton` -- Morton code (m-code) encoding and Hamming
-  distance, the spatial index of the octree that OIS walks.
+* :mod:`~repro.geometry.morton` -- vectorised Morton code (m-code) encoding,
+  the spatial index of the octree that OIS walks.
 * :class:`~repro.geometry.voxelgrid.VoxelGrid` -- a uniform voxelisation of a
   point cloud at a fixed octree depth.
 """
 
 from repro.geometry.bbox import AxisAlignedBox
-from repro.geometry.morton import (
-    MortonCode,
-    hamming_distance,
-    morton_encode,
-    morton_encode_points,
-)
+from repro.geometry.morton import morton_encode_points
 from repro.geometry.pointcloud import PointCloud
 from repro.geometry.voxelgrid import VoxelGrid
 
 __all__ = [
     "AxisAlignedBox",
-    "MortonCode",
     "PointCloud",
     "VoxelGrid",
-    "hamming_distance",
-    "morton_encode",
     "morton_encode_points",
 ]

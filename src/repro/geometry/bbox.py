@@ -2,8 +2,8 @@
 
 The root voxel of every octree in the paper is an axis-aligned cube that
 encloses the whole point cloud frame (Figure 5a).  :class:`AxisAlignedBox`
-provides the containment, subdivision, and cube-expansion operations the
-octree builder needs.
+provides the cube-expansion and subdivision operations the octree builder
+and its references need.
 """
 
 from __future__ import annotations
@@ -39,21 +39,6 @@ class AxisAlignedBox:
     def center(self) -> np.ndarray:
         return (self.minimum + self.maximum) / 2.0
 
-    @property
-    def volume(self) -> float:
-        return float(np.prod(self.size))
-
-    def contains(self, points: np.ndarray) -> np.ndarray:
-        """Boolean mask of which ``(N, 3)`` points fall inside the box.
-
-        The upper face is inclusive so a cube exactly enclosing the cloud
-        keeps the extremal points.
-        """
-        points = np.asarray(points, dtype=np.float64)
-        return np.all(
-            (points >= self.minimum) & (points <= self.maximum), axis=-1
-        )
-
     def as_cube(self, padding: float = 0.0) -> "AxisAlignedBox":
         """Return the smallest cube centred like this box that contains it.
 
@@ -87,16 +72,3 @@ class AxisAlignedBox:
             else:
                 maximum[axis] = center[axis]
         return AxisAlignedBox(minimum=minimum, maximum=maximum)
-
-    def union(self, other: "AxisAlignedBox") -> "AxisAlignedBox":
-        return AxisAlignedBox(
-            minimum=np.minimum(self.minimum, other.minimum),
-            maximum=np.maximum(self.maximum, other.maximum),
-        )
-
-    @classmethod
-    def from_points(cls, points: np.ndarray) -> "AxisAlignedBox":
-        points = np.asarray(points, dtype=np.float64)
-        if points.ndim != 2 or points.shape[1] != 3 or points.shape[0] == 0:
-            raise ValueError("need a non-empty (N, 3) array of points")
-        return cls(minimum=points.min(axis=0), maximum=points.max(axis=0))

@@ -5,7 +5,7 @@ where ``p_k = (x_k, y_k, z_k)`` is the coordinate of the k-th point and
 ``f_k`` is an optional 1-D feature vector.  :class:`PointCloud` is a thin,
 immutable-by-convention wrapper around two numpy arrays that enforces this
 shape contract and provides the handful of geometric helpers the rest of the
-library needs (normalisation, subsetting, concatenation).
+library needs (bounds, centroid, subsetting).
 """
 
 from __future__ import annotations
@@ -101,24 +101,6 @@ class PointCloud:
             )
         return self._bounds_cache
 
-    def normalized(self) -> "PointCloud":
-        """Return a copy scaled into the unit cube ``[0, 1]^3``.
-
-        Down-sampling methods normalise the cloud before sampling so that the
-        relative positions used by OIS are scale independent (Section V).
-        Degenerate axes (zero extent) are mapped to 0.5.
-        """
-        box = self.bounds()
-        extent = np.where(box.size > 0, box.size, 1.0)
-        scaled = (self.points - box.minimum) / extent
-        scaled = np.where(box.size > 0, scaled, 0.5)
-        return PointCloud(
-            points=scaled,
-            features=None if self.features is None else self.features.copy(),
-            frame_id=self.frame_id,
-            timestamp=self.timestamp,
-        )
-
     def centroid(self) -> np.ndarray:
         """Mean coordinate of the cloud."""
         if self.num_points == 0:
@@ -134,63 +116,3 @@ class PointCloud:
             frame_id=self.frame_id,
             timestamp=self.timestamp,
         )
-
-    def with_features(self, features: np.ndarray) -> "PointCloud":
-        """Return a copy carrying ``features`` instead of the current ones."""
-        return PointCloud(
-            points=self.points.copy(),
-            features=features,
-            frame_id=self.frame_id,
-            timestamp=self.timestamp,
-        )
-
-    def concatenate(self, other: "PointCloud") -> "PointCloud":
-        """Concatenate two clouds; both must agree on feature presence."""
-        if self.has_features != other.has_features:
-            raise ValueError(
-                "cannot concatenate clouds with and without features"
-            )
-        features = None
-        if self.has_features:
-            features = np.concatenate([self.features, other.features], axis=0)
-        return PointCloud(
-            points=np.concatenate([self.points, other.points], axis=0),
-            features=features,
-            frame_id=self.frame_id,
-            timestamp=self.timestamp,
-        )
-
-    def memory_bytes(self, bytes_per_scalar: int = 4) -> int:
-        """Size of the raw cloud in bytes under a given scalar width.
-
-        The paper's on-chip memory analysis (Fig. 13) assumes single
-        precision coordinates and features, hence the default of 4 bytes.
-        """
-        scalars = self.num_points * (3 + self.num_feature_channels)
-        return scalars * bytes_per_scalar
-
-    # ------------------------------------------------------------------
-    # Constructors
-    # ------------------------------------------------------------------
-    @classmethod
-    def from_arrays(
-        cls,
-        xyz: np.ndarray,
-        features: Optional[np.ndarray] = None,
-        frame_id: Optional[str] = None,
-        timestamp: Optional[float] = None,
-    ) -> "PointCloud":
-        """Build a cloud from raw arrays (alias of the constructor)."""
-        return cls(
-            points=xyz, features=features, frame_id=frame_id, timestamp=timestamp
-        )
-
-    @classmethod
-    def empty(cls, num_feature_channels: int = 0) -> "PointCloud":
-        """An empty cloud, useful as an accumulator."""
-        features = (
-            np.zeros((0, num_feature_channels), dtype=np.float64)
-            if num_feature_channels
-            else None
-        )
-        return cls(points=np.zeros((0, 3), dtype=np.float64), features=features)

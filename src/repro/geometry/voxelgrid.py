@@ -129,10 +129,6 @@ class VoxelGrid:
         start = self.starts[position]
         return self.order[start : start + self.counts[position]]
 
-    def voxel_of_point(self, index: int) -> int:
-        """M-code of the voxel containing point ``index``."""
-        return int(self.codes[index])
-
     def occupancy_histogram(self) -> Dict[int, int]:
         """Map ``code -> number of points`` for the occupied voxels."""
         return {

@@ -1,9 +1,8 @@
 """Batched Morton-code primitives.
 
-The scalar encoders in :mod:`repro.geometry.morton` interleave bits one
-level at a time; at paper-scale frame sizes that loop (and the per-point
-Python variant in :mod:`repro.kernels.reference`) is a hot path.  The
-kernels here spread all 21 levels at once with the classic
+The frozen scalar encoders in :mod:`repro.kernels.reference` interleave
+bits one level at a time; at paper-scale frame sizes that loop is a hot
+path.  The kernels here spread all 21 levels at once with the classic
 bit-twiddling magic constants, and compute Hamming distances over whole
 int64 code arrays with a single XOR + popcount.
 
@@ -85,8 +84,8 @@ def _check_depth(depth: int) -> None:
 def encode_cells(cells: np.ndarray, depth: int) -> np.ndarray:
     """Interleave an ``(N, 3)`` array of integer voxel indices into m-codes.
 
-    Equivalent to calling :func:`repro.geometry.morton.morton_encode` per
-    row, but all levels are spread at once.
+    Equivalent to calling :func:`repro.kernels.reference.scalar_morton_encode`
+    per row, but all levels are spread at once.
     """
     _check_depth(depth)
     cells = np.asarray(cells, dtype=np.int64)

@@ -142,13 +142,6 @@ class SharedMLP:
         return self.channels[-1]
 
 
-def max_pool_groups(features: np.ndarray) -> np.ndarray:
-    """Max over the neighbor axis of an ``(M, K, C)`` grouped feature map."""
-    if features.ndim != 3:
-        raise ValueError("expected an (M, K, C) grouped feature map")
-    return features.max(axis=1)
-
-
 def softmax(logits: np.ndarray, axis: int = -1) -> np.ndarray:
     """Numerically stable softmax."""
     shifted = logits - logits.max(axis=axis, keepdims=True)

@@ -30,14 +30,14 @@ from repro.network.backends import ComputeBackend, resolve_backend
 from repro.network.layers import Dense, ReLU, SharedMLP, softmax
 
 # Every layer below has one implementation, ``forward_batch`` over a stack
-# of B same-shaped frames; the single-frame names (``__call__``,
-# ``forward``) are that with B = 1.  Every dense-layer application and
-# every set abstraction goes through a pluggable ComputeBackend
-# (repro/network/backends/): the default fused backend streams cache-sized
-# blocks, the numpy backend reproduces the historical whole-operand path
-# one frame at a time, and every backend states its closeness to numpy as
-# an explicit equivalence contract.  Backends are dispatch invariant, so a
-# frame's result does not depend on how many frames share its stack.
+# of B same-shaped frames; one frame is a stack with B = 1.  Every
+# dense-layer application and every set abstraction goes through a
+# pluggable ComputeBackend (repro/network/backends/): the default fused
+# backend streams cache-sized blocks, the numpy backend reproduces the
+# historical whole-operand path one frame at a time, and every backend
+# states its closeness to numpy as an explicit equivalence contract.
+# Backends are dispatch invariant, so a frame's result does not depend on
+# how many frames share its stack.
 
 
 @dataclass
@@ -119,17 +119,6 @@ class SetAbstraction:
         self.gatherer = gatherer or BruteForceKNN()
         self.seed = seed
         self.backend = resolve_backend(backend)
-
-    def __call__(
-        self,
-        cloud: PointCloud,
-        features: Optional[np.ndarray],
-    ) -> tuple[PointCloud, np.ndarray, SetAbstractionTrace]:
-        """Run the layer on one frame: :meth:`forward_batch` with ``B = 1``."""
-        new_clouds, new_features, traces = self.forward_batch(
-            [cloud], None if features is None else features[None]
-        )
-        return new_clouds[0], new_features[0], traces[0]
 
     # ------------------------------------------------------------------
     def forward_batch(
@@ -237,22 +226,6 @@ class FeaturePropagation:
         self.mlp = SharedMLP(list(mlp_channels), name=f"{name}.mlp")
         self.backend = resolve_backend(backend)
 
-    def __call__(
-        self,
-        dense_cloud: PointCloud,
-        dense_features: Optional[np.ndarray],
-        coarse_cloud: PointCloud,
-        coarse_features: np.ndarray,
-    ) -> tuple[np.ndarray, LayerTrace]:
-        """Run the layer on one frame: :meth:`forward_batch` with ``B = 1``."""
-        refined, traces = self.forward_batch(
-            [dense_cloud],
-            None if dense_features is None else dense_features[None],
-            [coarse_cloud],
-            coarse_features[None],
-        )
-        return refined[0], traces[0]
-
     # ------------------------------------------------------------------
     def forward_batch(
         self,
@@ -322,14 +295,6 @@ class FeaturePropagation:
         return refined.reshape(num_frames, num_dense, -1), traces
 
 
-def _batch_of_one(cloud: PointCloud):
-    """``cloud`` as a one-frame :class:`~repro.core.framebatch.FrameBatch`."""
-    # Imported here: repro.core imports this module for its engines.
-    from repro.core.framebatch import FrameBatch
-
-    return FrameBatch.from_clouds([cloud])
-
-
 class PointNet2Classification:
     """PointNet++ (SSG) shape classification -- ``Pointnet++(c)`` of Table I."""
 
@@ -380,10 +345,6 @@ class PointNet2Classification:
         self.fc2 = Dense(512, 256, name="cls.fc2")
         self.fc3 = Dense(256, num_classes, name="cls.fc3")
         self._relu = ReLU()
-
-    def forward(self, cloud: PointCloud) -> ForwardResult:
-        """Forward one frame: :meth:`forward_batch` with ``B = 1``."""
-        return self.forward_batch(_batch_of_one(cloud))[0]
 
     def forward_batch(self, batch) -> List[ForwardResult]:
         """Forward a :class:`~repro.core.framebatch.FrameBatch` of frames.
@@ -480,10 +441,6 @@ class PointNet2Segmentation:
             "fp0", [128 + input_feature_channels, 128, 128], backend=self.backend
         )
         self.head = Dense(128, num_classes, name="seg.head")
-
-    def forward(self, cloud: PointCloud) -> ForwardResult:
-        """Forward one frame: :meth:`forward_batch` with ``B = 1``."""
-        return self.forward_batch(_batch_of_one(cloud))[0]
 
     def forward_batch(self, batch) -> List[ForwardResult]:
         """Forward a :class:`~repro.core.framebatch.FrameBatch` of frames.

@@ -51,9 +51,6 @@ class OctreeBuildStats:
     host_memory_writes: int = 0
     max_leaf_occupancy: int = 0
 
-    def total_memory_accesses(self) -> int:
-        return self.host_memory_reads + self.host_memory_writes
-
 
 @dataclass(frozen=True)
 class OctreeSummary:

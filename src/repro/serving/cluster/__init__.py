@@ -2,9 +2,10 @@
 
 Two layers under the serving stack, each usable alone:
 
-* :mod:`~repro.serving.cluster.transport` -- ship ``FrameBatch`` tensors
-  and response payloads across process boundaries without pickling array
-  data (shared-memory segments + dtype/shape manifest, inline fallback);
+* :mod:`~repro.serving.cluster.transport` -- ship request micro-batches
+  (one stacked tensor pair per raw shape) and response payloads across
+  process boundaries without pickling array data (shared-memory segments +
+  dtype/shape manifest, inline fallback);
 * :mod:`~repro.serving.cluster.pool` -- the worker-pool contract behind
   :class:`~repro.serving.server.FrameServer`, with thread and
   fork-process implementations (warm child sessions, shape-key-affine
@@ -20,14 +21,11 @@ from repro.serving.cluster.pool import (
 )
 from repro.serving.cluster.transport import (
     ArraySpec,
-    FrameBatchHeader,
     SharedMemoryArena,
     TransportError,
     TransportMessage,
-    decode_frame_batch,
     decode_payload,
     decode_requests,
-    encode_frame_batch,
     encode_payload,
     encode_requests,
     shared_memory_available,
@@ -35,7 +33,6 @@ from repro.serving.cluster.transport import (
 
 __all__ = [
     "ArraySpec",
-    "FrameBatchHeader",
     "ProcessWorkerPool",
     "SharedMemoryArena",
     "ThreadWorkerPool",
@@ -44,10 +41,8 @@ __all__ = [
     "WorkerCrashed",
     "WorkerError",
     "WorkerPool",
-    "decode_frame_batch",
     "decode_payload",
     "decode_requests",
-    "encode_frame_batch",
     "encode_payload",
     "encode_requests",
     "shared_memory_available",

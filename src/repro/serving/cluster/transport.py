@@ -22,15 +22,12 @@ out of the pickle stream instead:
 * :func:`decode_payload` validates the manifest against the segment,
   rebuilds each array byte-exactly (dtype, shape, and C/F contiguity all
   preserved), and unpickles the skeleton with the arrays patched back in.
-* :func:`encode_frame_batch` / :func:`decode_frame_batch` are the typed
-  wrappers for a bare :class:`FrameBatch`: the message carries a
-  :class:`FrameBatchHeader` and decoding **rejects** any manifest whose
-  tensor shapes disagree with it (defence against torn or misrouted
-  messages).
 * :func:`encode_requests` / :func:`decode_requests` are the request wire
   format of the process pool: frames grouped by raw shape, each group
   shipped as one stacked FrameBatch tensor pair, with per-frame ids and
-  timestamps riding in the skeleton.
+  timestamps riding in the skeleton.  Decoding **rejects** a group whose
+  indices, tensor shapes and per-frame lists disagree (defence against
+  torn or misrouted messages) before it builds any request.
 
 When :mod:`multiprocessing.shared_memory` is unavailable (or the platform
 cannot map segments), every encoder falls back to an **inline** buffer
@@ -190,15 +187,6 @@ class ArraySpec:
 
 
 @dataclasses.dataclass(frozen=True)
-class FrameBatchHeader:
-    """Declared shape of a FrameBatch message, validated against its manifest."""
-
-    num_frames: int
-    num_points: int
-    num_feature_channels: int
-
-
-@dataclasses.dataclass(frozen=True)
 class TransportMessage:
     """One payload crossing a process boundary.
 
@@ -212,7 +200,6 @@ class TransportMessage:
     segment: Optional[str] = None
     inline: Optional[bytes] = None
     total_bytes: int = 0
-    header: Optional[FrameBatchHeader] = None
     #: How many ``known`` objects the sender held, and which of them the
     #: skeleton back-references; decoding needs a ``known`` of that length.
     known_count: int = 0
@@ -394,86 +381,6 @@ def decode_payload(message: TransportMessage, known: Sequence[Any] = ()) -> Any:
 
 
 # ----------------------------------------------------------------------
-# FrameBatch wire format
-# ----------------------------------------------------------------------
-def encode_frame_batch(
-    batch: FrameBatch,
-    arena: Optional[SharedMemoryArena] = None,
-    segment_name: Optional[str] = None,
-    force_inline: bool = False,
-) -> TransportMessage:
-    """Ship one FrameBatch: stacked tensors in the segment, ids in the skeleton."""
-    payload = {
-        "points": batch.points,
-        "features": batch.features,
-        "frame_ids": [cloud.frame_id for cloud in batch.clouds],
-        "timestamps": [cloud.timestamp for cloud in batch.clouds],
-    }
-    message = encode_payload(
-        payload, arena=arena, segment_name=segment_name, force_inline=force_inline
-    )
-    header = FrameBatchHeader(
-        num_frames=batch.num_frames,
-        num_points=batch.num_points,
-        num_feature_channels=batch.num_feature_channels,
-    )
-    return dataclasses.replace(message, header=header)
-
-
-def validate_frame_batch_manifest(message: TransportMessage) -> None:
-    """Reject a FrameBatch message whose manifest disagrees with its header.
-
-    Runs *before* any segment bytes are touched: a torn, tampered, or
-    misrouted message fails here with a :class:`TransportError` instead of
-    materialising garbage tensors.
-    """
-    header = message.header
-    if header is None:
-        raise TransportError("message carries no FrameBatchHeader")
-    expected_arrays = 1 + (1 if header.num_feature_channels else 0)
-    if len(message.manifest) != expected_arrays:
-        raise TransportError(
-            f"FrameBatch manifest has {len(message.manifest)} tensors, "
-            f"header declares {expected_arrays}"
-        )
-    points_shape = (header.num_frames, header.num_points, 3)
-    if tuple(message.manifest[0].shape) != points_shape:
-        raise TransportError(
-            f"points tensor shape {tuple(message.manifest[0].shape)} does "
-            f"not match header {points_shape}"
-        )
-    if header.num_feature_channels:
-        features_shape = (
-            header.num_frames,
-            header.num_points,
-            header.num_feature_channels,
-        )
-        if tuple(message.manifest[1].shape) != features_shape:
-            raise TransportError(
-                f"features tensor shape {tuple(message.manifest[1].shape)} "
-                f"does not match header {features_shape}"
-            )
-
-
-def decode_frame_batch(message: TransportMessage) -> FrameBatch:
-    """Validate and rebuild a FrameBatch; member clouds view the stacks."""
-    validate_frame_batch_manifest(message)
-    payload = decode_payload(message)
-    points = payload["points"]
-    features = payload["features"]
-    clouds = [
-        PointCloud(
-            points=points[b],
-            features=None if features is None else features[b],
-            frame_id=payload["frame_ids"][b],
-            timestamp=payload["timestamps"][b],
-        )
-        for b in range(points.shape[0])
-    ]
-    return FrameBatch(clouds=clouds, points=points, features=features)
-
-
-# ----------------------------------------------------------------------
 # Micro-batch request wire format (what the pool actually dispatches)
 # ----------------------------------------------------------------------
 def encode_requests(
@@ -514,10 +421,55 @@ def encode_requests(
     )
 
 
+def _check_request_group(group: Dict[str, Any], num_requests: int) -> None:
+    """Raise :class:`TransportError` unless ``group`` is well formed."""
+    indices = group["indices"]
+    for i in indices:
+        if not isinstance(i, int) or not 0 <= i < num_requests:
+            raise TransportError(
+                f"request index {i!r} outside [0, {num_requests})"
+            )
+    points = group["points"]
+    if not isinstance(points, np.ndarray) or points.ndim != 3 or points.shape[2] != 3:
+        raise TransportError(
+            f"points tensor must have shape (B, N, 3); got {np.shape(points)}"
+        )
+    features = group["features"]
+    if features is not None and (
+        not isinstance(features, np.ndarray)
+        or features.ndim != 3
+        or features.shape[:2] != points.shape[:2]
+    ):
+        raise TransportError(
+            f"features tensor must have shape {points.shape[:2] + ('F',)}; "
+            f"got {np.shape(features)}"
+        )
+    lengths = {
+        "indices": len(indices),
+        "points": points.shape[0],
+        "frame_ids": len(group["frame_ids"]),
+        "timestamps": len(group["timestamps"]),
+    }
+    if len(set(lengths.values())) != 1:
+        raise TransportError(f"request group lengths disagree: {lengths}")
+
+
 def decode_requests(message: TransportMessage) -> List[FrameRequest]:
-    """Rebuild the request list; clouds are views of the decoded stacks."""
+    """Rebuild the request list; clouds are views of the decoded stacks.
+
+    Every group is checked before any request is built: ``num_requests``
+    is an int >= 0, indices are ints in ``[0, num_requests)``, ``points``
+    is ``(B, N, 3)``, ``features`` is ``None`` or ``(B, N, F)``, and the
+    indices, the stack and the per-frame ids and timestamps all hold B
+    entries.  A malformed message raises :class:`TransportError`.
+    """
     payload = decode_payload(message)
-    requests: List[Optional[FrameRequest]] = [None] * payload["num_requests"]
+    num_requests = payload["num_requests"]
+    if not isinstance(num_requests, int) or num_requests < 0:
+        raise TransportError(f"num_requests {num_requests!r} is not an int >= 0")
+    for group in payload["groups"]:
+        _check_request_group(group, num_requests)
+    requests: List[Optional[FrameRequest]] = [None] * num_requests
     for group in payload["groups"]:
         points = group["points"]
         features = group["features"]

@@ -4,12 +4,7 @@ import pytest
 
 from repro.analysis.breakdown import e2e_breakdown_for_benchmark
 from repro.analysis.realtime import evaluate_realtime
-from repro.analysis.reporting import (
-    format_fraction_breakdown,
-    format_speedup_series,
-    format_table,
-    summarize_range,
-)
+from repro.analysis.reporting import format_table
 from repro.analysis.sweep import ParameterSweep
 
 
@@ -71,21 +66,6 @@ class TestReporting:
     def test_format_table_contains_cells(self):
         text = format_table(["a", "b"], [[1, 2.5], ["x", 3.0]], title="T")
         assert "T" in text and "2.5" in text and "x" in text
-
-    def test_format_speedup_series(self):
-        text = format_speedup_series(
-            {"kitti": {"pointacc": 8.0, "jetson": 19.5}}, title="Fig 14"
-        )
-        assert "8.00x" in text and "vs jetson" in text
-
-    def test_format_fraction_breakdown(self):
-        text = format_fraction_breakdown({"kitti": {"pre": 0.95, "inf": 0.05}})
-        assert "95.0%" in text
-
-    def test_summarize_range(self):
-        text = summarize_range({"a": 1.5, "b": 9.0})
-        assert "1.50x" in text and "9.00x" in text
-        assert summarize_range({}) == "(empty)"
 
 
 class TestSweep:

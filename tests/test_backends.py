@@ -301,7 +301,7 @@ class TestModelEquivalence:
 
     @pytest.mark.parametrize("backend_name", BACKEND_NAMES)
     def test_sequential_forward_matches_batched(self, backend_name):
-        """Dispatch invariance end to end: forward vs forward_batch.
+        """Dispatch invariance end to end: a stack of N vs N stacks of one.
 
         The classification head runs per frame on single-row operands in
         both paths, so this covers the single-row fallback through a real
@@ -316,9 +316,8 @@ class TestModelEquivalence:
         )
         batched = model.forward_batch(FrameBatch.from_clouds(clouds))
         for cloud, from_batch in zip(clouds, batched):
-            np.testing.assert_array_equal(
-                model.forward(cloud).logits, from_batch.logits
-            )
+            alone = model.forward_batch(FrameBatch.from_clouds([cloud]))[0]
+            np.testing.assert_array_equal(alone.logits, from_batch.logits)
 
 
 class TestSessionIntegration:

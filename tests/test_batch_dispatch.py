@@ -21,8 +21,9 @@ from repro.core.config import (
     PreprocessingConfig,
 )
 from repro.core.engine import InferenceEngine, PreprocessingEngine
-from repro.core.framebatch import FrameBatch, group_clouds
+from repro.core.framebatch import FrameBatch
 from repro.datasets.synthetic import sample_cad_shape
+from repro.geometry.pointcloud import PointCloud
 from repro.kernels import frame_offsets, stack_frames
 from repro.network.pointnet2 import build_model_for_task
 from repro.octree.builder import Octree
@@ -42,7 +43,9 @@ def make_cloud(seed: int, points: int = 400, channels: int = 0):
     cloud = sample_cad_shape(points, shape="box", non_uniformity=0.2, seed=seed)
     if channels:
         rng = np.random.default_rng(seed)
-        cloud = cloud.with_features(rng.uniform(size=(points, channels)))
+        cloud = PointCloud(
+            points=cloud.points, features=rng.uniform(size=(points, channels))
+        )
     return cloud
 
 
@@ -102,8 +105,7 @@ class TestFrameBatch:
         assert batch.num_points == 50
         assert batch.num_feature_channels == 2
         assert np.array_equal(batch.frame(1).points, clouds[1].points)
-        assert np.array_equal(batch.flat_points()[50:100], clouds[1].points)
-        assert batch.flat_offsets().tolist() == [0, 50, 100]
+        assert np.array_equal(batch.points.reshape(-1, 3)[50:100], clouds[1].points)
 
     def test_from_clouds_rejects_shape_mismatch(self):
         with pytest.raises(ValueError, match="points"):
@@ -114,15 +116,6 @@ class TestFrameBatch:
             )
         with pytest.raises(ValueError):
             FrameBatch.from_clouds([])
-
-    def test_group_clouds_preserves_order(self):
-        clouds = [
-            make_cloud(0, 50), make_cloud(1, 60), make_cloud(2, 50),
-            make_cloud(3, 60, channels=1),
-        ]
-        groups = group_clouds(clouds)
-        assert [indices for indices, _ in groups] == [[0, 2], [1], [3]]
-        assert groups[0][1].num_points == 50
 
 
 # ----------------------------------------------------------------------
@@ -147,10 +140,8 @@ class TestOctreeBuildBatch:
 
     def test_empty_batch_and_empty_cloud(self):
         assert Octree.build_batch([], depth=4) == []
-        from repro.geometry.pointcloud import PointCloud
-
         with pytest.raises(ValueError):
-            Octree.build_batch([PointCloud.empty()], depth=4)
+            Octree.build_batch([PointCloud(points=np.zeros((0, 3)))], depth=4)
 
 
 # ----------------------------------------------------------------------
@@ -181,7 +172,8 @@ class TestForwardBatch:
         batched = model.forward_batch(FrameBatch.from_clouds(clouds))
         assert len(batched) == 5
         for cloud, result in zip(clouds, batched):
-            assert_traces_equal(result, model.forward(cloud))
+            solo = model.forward_batch(FrameBatch.from_clouds([cloud]))[0]
+            assert_traces_equal(result, solo)
 
     def test_tiny_frames_fall_back_per_frame(self):
         # input_size 16 drives sa3's global group (and the classification
@@ -191,7 +183,8 @@ class TestForwardBatch:
         model = build_model_for_task("classification", input_size=16, seed=0)
         batched = model.forward_batch(FrameBatch.from_clouds(clouds))
         for cloud, result in zip(clouds, batched):
-            assert_traces_equal(result, model.forward(cloud))
+            solo = model.forward_batch(FrameBatch.from_clouds([cloud]))[0]
+            assert_traces_equal(result, solo)
 
 
 # ----------------------------------------------------------------------

@@ -1,15 +1,14 @@
-"""Smoke tests: the runnable examples execute and print their key results.
-
-Only the fast examples are executed end-to-end; the longer, sweep-style ones
-are checked for importability and a ``main`` entry point so a broken import
-or API drift is still caught by the test suite.
-"""
+"""Smoke tests: every example runs end to end and prints its key results."""
 
 import importlib.util
 import pathlib
+import re
+import runpy
 import sys
 
 import pytest
+
+from repro import registry
 
 EXAMPLES_DIR = pathlib.Path(__file__).resolve().parent.parent / "examples"
 
@@ -50,3 +49,19 @@ def test_accelerator_comparison_runs(capsys):
     module.main()
     out = capsys.readouterr().out
     assert "KITTI" in out and "vs HgPCN" in out
+
+
+def test_compare_samplers_runs(capsys):
+    load_example("compare_samplers.py").main()
+    out = capsys.readouterr().out
+    assert "Down-sampling method comparison" in out
+    rows = {line.split(" | ")[0].strip() for line in out.splitlines() if " | " in line}
+    assert set(registry.available("sampler")) <= rows
+
+
+def test_kitti_realtime_service_runs(capsys):
+    runpy.run_path(str(EXAMPLES_DIR / "kitti_realtime_service.py"), run_name="__main__")
+    out = capsys.readouterr().out
+    assert "keeps up with sensor: True" in out
+    assert re.search(r"HgPCN: .* meets 10 Hz real-time: True", out)
+    assert re.search(r"CPU baseline: .* meets 10 Hz real-time: False", out)

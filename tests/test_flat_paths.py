@@ -152,13 +152,15 @@ class TestFeaturePropagationSquared:
         # The subject is the interpolation formula: pin the reference
         # backend, whose dense layer is ``fp.mlp`` itself.
         fp = FeaturePropagation("fp", [16, 32], backend="numpy")
-        refined, trace = fp(dense, None, coarse, coarse_features)
+        refined, traces = fp.forward_batch(
+            [dense], None, [coarse], coarse_features[None]
+        )
 
         expected = fp.mlp(
             three_nearest_interpolation(dense.points, coarse.points, coarse_features)
         )
-        assert np.array_equal(refined, expected)
-        assert trace.num_vectors == 120
+        assert np.array_equal(refined[0], expected)
+        assert traces[0].num_vectors == 120
 
     @pytest.mark.parametrize("num_coarse", [1, 2, 3, 20])
     @pytest.mark.parametrize("dense_channels", [0, 5])
@@ -246,8 +248,13 @@ class TestFeaturePropagationStreamed:
         refined, _ = fp.forward_batch(dense, dense_features, coarse, coarse_features)
         assert refined.shape == (3, 300, 32)
         for b in range(3):
-            alone, _ = fp(dense[b], dense_features[b], coarse[b], coarse_features[b])
-            assert np.array_equal(refined[b], alone), b
+            alone, _ = fp.forward_batch(
+                [dense[b]],
+                dense_features[b : b + 1],
+                [coarse[b]],
+                coarse_features[b : b + 1],
+            )
+            assert np.array_equal(refined[b], alone[0]), b
             expected = fp.mlp(
                 np.concatenate(
                     [

@@ -1,4 +1,4 @@
-"""Unit and property tests for repro.geometry.morton."""
+"""Unit and property tests for the m-code encoding of repro.geometry.morton."""
 
 import numpy as np
 import pytest
@@ -6,18 +6,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.geometry.bbox import AxisAlignedBox
-from repro.geometry.morton import (
-    MortonCode,
-    hamming_distance,
-    morton_encode,
-    morton_encode_points,
-    prefix_at_level,
-    voxel_indices,
-)
-from repro.kernels.reference import scalar_morton_decode
+from repro.geometry.morton import morton_encode_points, voxel_indices
+from repro.kernels import encode_cells
+from repro.kernels.reference import scalar_morton_decode, scalar_morton_encode
 
 
 UNIT_BOX = AxisAlignedBox(minimum=[0, 0, 0], maximum=[1, 1, 1])
+
+
+def morton_encode(ix: int, iy: int, iz: int, depth: int) -> int:
+    """The m-code of one voxel, through the vectorised encoder."""
+    return int(encode_cells(np.array([[ix, iy, iz]]), depth)[0])
 
 
 class TestScalarEncode:
@@ -46,12 +45,6 @@ class TestScalarEncode:
         with pytest.raises(ValueError):
             morton_encode(0, 0, 0, 0)
 
-    def test_prefix_at_level(self):
-        code = morton_encode(0b101, 0b010, 0b111, 3)
-        assert prefix_at_level(code, 3, 3) == code
-        assert prefix_at_level(code, 3, 1) == code >> 6
-        assert prefix_at_level(code, 3, 2) == code >> 3
-
 
 class TestVectorisedEncode:
     def test_matches_scalar(self, rng):
@@ -61,7 +54,9 @@ class TestVectorisedEncode:
         indices = voxel_indices(points, UNIT_BOX, depth)
         for point_index in range(points.shape[0]):
             ix, iy, iz = indices[point_index]
-            assert codes[point_index] == morton_encode(int(ix), int(iy), int(iz), depth)
+            assert codes[point_index] == scalar_morton_encode(
+                int(ix), int(iy), int(iz), depth
+            )
 
     def test_boundary_points_clipped(self):
         points = np.array([[1.0, 1.0, 1.0], [0.0, 0.0, 0.0]])
@@ -78,39 +73,6 @@ class TestVectorisedEncode:
             assert recomputed == code
 
 
-class TestHamming:
-    def test_scalar(self):
-        assert hamming_distance(0b1010, 0b0110) == 2
-        assert hamming_distance(0, 0) == 0
-
-    def test_array(self):
-        a = np.array([0b111, 0b000, 0b101], dtype=np.int64)
-        result = hamming_distance(a, 0b001)
-        assert list(result) == [2, 1, 1]
-
-    def test_symmetry_and_identity(self):
-        assert hamming_distance(37, 91) == hamming_distance(91, 37)
-        assert hamming_distance(91, 91) == 0
-
-
-class TestMortonCodeObject:
-    def test_bits_string(self):
-        assert MortonCode(code=0b110101, depth=2).bits == "110101"
-
-    def test_parent_child(self):
-        node = MortonCode(code=0b110101, depth=2)
-        assert node.parent().code == 0b110
-        assert node.child(0b011).code == 0b110101011
-
-    def test_parent_of_depth1_raises(self):
-        with pytest.raises(ValueError):
-            MortonCode(code=0b101, depth=1).parent()
-
-    def test_hamming_requires_same_depth(self):
-        with pytest.raises(ValueError):
-            MortonCode(code=0, depth=1).hamming(MortonCode(code=0, depth=2))
-
-
 @settings(max_examples=100, deadline=None)
 @given(
     ix=st.integers(min_value=0, max_value=255),
@@ -120,16 +82,6 @@ class TestMortonCodeObject:
 def test_property_roundtrip_depth8(ix, iy, iz):
     code = morton_encode(ix, iy, iz, 8)
     assert scalar_morton_decode(code, 8) == (ix, iy, iz)
-
-
-@settings(max_examples=100, deadline=None)
-@given(
-    a=st.integers(min_value=0, max_value=2**24 - 1),
-    b=st.integers(min_value=0, max_value=2**24 - 1),
-    c=st.integers(min_value=0, max_value=2**24 - 1),
-)
-def test_property_hamming_triangle_inequality(a, b, c):
-    assert hamming_distance(a, c) <= hamming_distance(a, b) + hamming_distance(b, c)
 
 
 @settings(max_examples=50, deadline=None)

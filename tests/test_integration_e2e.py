@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.config import HgPCNConfig, InferenceEngineConfig, PreprocessingConfig
+from repro.core.framebatch import FrameBatch
 from repro.datasets import (
     KittiLikeDataset,
     ModelNetLikeDataset,
@@ -77,8 +78,9 @@ def test_veg_and_knn_backed_models_agree_on_workload_shape():
         neighbors=16,
         seed=0,
     )
-    knn_workload = extract_workload(knn_model.forward(sampled))
-    veg_workload = extract_workload(veg_model.forward(sampled))
+    batch = FrameBatch.from_clouds([sampled])
+    knn_workload = extract_workload(knn_model.forward_batch(batch)[0])
+    veg_workload = extract_workload(veg_model.forward_batch(batch)[0])
 
     assert [l.mac_ops for l in knn_workload.layers] == [
         l.mac_ops for l in veg_workload.layers

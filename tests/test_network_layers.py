@@ -8,7 +8,6 @@ from repro.network.layers import (
     Dense,
     ReLU,
     SharedMLP,
-    max_pool_groups,
     softmax,
 )
 
@@ -86,16 +85,6 @@ class TestSharedMLP:
 
 
 class TestPoolingAndSoftmax:
-    def test_max_pool_groups(self):
-        grouped = np.arange(24, dtype=float).reshape(2, 3, 4)
-        pooled = max_pool_groups(grouped)
-        assert pooled.shape == (2, 4)
-        assert np.allclose(pooled[0], grouped[0].max(axis=0))
-
-    def test_max_pool_requires_3d(self):
-        with pytest.raises(ValueError):
-            max_pool_groups(np.zeros((3, 4)))
-
     def test_softmax_normalises(self):
         logits = np.random.default_rng(0).normal(size=(5, 10)) * 50
         probs = softmax(logits)

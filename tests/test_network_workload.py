@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.framebatch import FrameBatch
 from repro.core.metrics import OpCounters
 from repro.geometry.pointcloud import PointCloud
 from repro.network.pointnet2 import PointNet2Classification
@@ -16,7 +17,7 @@ class TestExtractWorkload:
     def test_macs_match_forward_trace(self, rng):
         cloud = PointCloud(points=rng.uniform(size=(128, 3)))
         model = PointNet2Classification(num_classes=10, input_size=128, neighbors=8)
-        result = model.forward(cloud)
+        result = model.forward_batch(FrameBatch.from_clouds([cloud]))[0]
         workload = extract_workload(result)
         assert workload.total_mac_ops() == result.total_mac_ops()
         assert workload.num_gather_groups > 0
@@ -25,7 +26,9 @@ class TestExtractWorkload:
     def test_layer_list_non_empty(self, rng):
         cloud = PointCloud(points=rng.uniform(size=(128, 3)))
         model = PointNet2Classification(num_classes=10, input_size=128, neighbors=8)
-        workload = extract_workload(model.forward(cloud))
+        workload = extract_workload(
+            model.forward_batch(FrameBatch.from_clouds([cloud]))[0]
+        )
         assert len(workload.layers) >= 6
         assert all(layer.mac_ops > 0 for layer in workload.layers)
 
@@ -48,7 +51,9 @@ class TestSyntheticWorkload:
         model = PointNet2Classification(
             num_classes=40, input_size=input_size, neighbors=32
         )
-        functional = extract_workload(model.forward(cloud))
+        functional = extract_workload(
+            model.forward_batch(FrameBatch.from_clouds([cloud]))[0]
+        )
         analytic = synthetic_pointnet2_workload(
             input_size, task="classification", neighbors=32
         )

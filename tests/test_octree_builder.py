@@ -61,7 +61,7 @@ class TestBuild:
 
     def test_empty_cloud_rejected(self):
         with pytest.raises(ValueError):
-            Octree.build(PointCloud.empty(), depth=3)
+            Octree.build(PointCloud(points=np.zeros((0, 3))), depth=3)
 
     def test_single_point_cloud(self):
         octree = Octree.build(PointCloud(points=np.array([[0.3, 0.7, 0.1]])), depth=4)

@@ -2,8 +2,9 @@
 
 Covers byte-exact roundtrips of FrameBatch tensors through a shared-memory
 segment (dtype, shape, and C/F contiguity all preserved), manifest
-validation rejecting mismatched shapes before any bytes are touched,
-arena segment ownership, the micro-batch request wire format,
+validation rejecting out-of-bounds specs before any bytes are touched,
+arena segment ownership, the micro-batch request wire format and its
+rejection of malformed groups,
 equivalence of the inline fallback path when
 ``multiprocessing.shared_memory`` is unavailable, single lifting of a
 repeated array, and validated ``known=`` back-references.
@@ -21,13 +22,10 @@ from repro.datasets.synthetic import sample_cad_shape
 from repro.serving.cluster import transport
 from repro.serving.cluster.transport import (
     ArraySpec,
-    FrameBatchHeader,
     SharedMemoryArena,
     TransportError,
-    decode_frame_batch,
     decode_payload,
     decode_requests,
-    encode_frame_batch,
     encode_payload,
     encode_requests,
     shared_memory_available,
@@ -254,48 +252,6 @@ class TestKnownBackReferences:
 # Manifest validation
 # ----------------------------------------------------------------------
 class TestManifestValidation:
-    def test_mismatched_points_shape_rejected(self):
-        batch = make_batch(num_frames=2, points=40)
-        message = encode_frame_batch(batch, force_inline=True)
-        lying = dataclasses.replace(
-            message,
-            header=FrameBatchHeader(
-                num_frames=2, num_points=41, num_feature_channels=0
-            ),
-        )
-        with pytest.raises(TransportError, match="does not match header"):
-            decode_frame_batch(lying)
-
-    def test_mismatched_feature_shape_rejected(self):
-        batch = make_batch(num_frames=2, points=30, features=4)
-        message = encode_frame_batch(batch, force_inline=True)
-        lying = dataclasses.replace(
-            message,
-            header=FrameBatchHeader(
-                num_frames=2, num_points=30, num_feature_channels=5
-            ),
-        )
-        with pytest.raises(TransportError, match="does not match header"):
-            decode_frame_batch(lying)
-
-    def test_wrong_tensor_count_rejected(self):
-        batch = make_batch(num_frames=2, points=30)
-        message = encode_frame_batch(batch, force_inline=True)
-        lying = dataclasses.replace(
-            message,
-            header=FrameBatchHeader(
-                num_frames=2, num_points=30, num_feature_channels=4
-            ),
-        )
-        with pytest.raises(TransportError, match="manifest has"):
-            decode_frame_batch(lying)
-
-    def test_missing_header_rejected(self):
-        batch = make_batch(num_frames=1, points=10)
-        message = encode_frame_batch(batch, force_inline=True)
-        with pytest.raises(TransportError, match="no FrameBatchHeader"):
-            decode_frame_batch(dataclasses.replace(message, header=None))
-
     def test_out_of_bounds_manifest_rejected(self):
         message = encode_payload({"a": np.arange(4.0)}, force_inline=True)
         bad_spec = dataclasses.replace(
@@ -312,31 +268,29 @@ class TestManifestValidation:
 
 
 # ----------------------------------------------------------------------
-# FrameBatch + request wire formats
+# Request wire format
 # ----------------------------------------------------------------------
-class TestFrameBatchWire:
+class TestRequestWire:
     @pytest.mark.parametrize("features", [0, 3])
     def test_roundtrip(self, arena, features):
         batch = make_batch(num_frames=3, points=25, features=features)
-        message = encode_frame_batch(batch, arena=arena)
-        restored = decode_frame_batch(message)
-        assert restored.num_frames == batch.num_frames
-        assert restored.points.tobytes() == batch.points.tobytes()
-        if features:
-            assert restored.features.tobytes() == batch.features.tobytes()
-        else:
-            assert restored.features is None
-        for original, copy in zip(batch.clouds, restored.clouds):
+        requests = [
+            FrameRequest(
+                cloud=cloud, frame_id=cloud.frame_id, timestamp=cloud.timestamp
+            )
+            for cloud in batch.clouds
+        ]
+        restored = decode_requests(encode_requests(requests, arena=arena))
+        assert len(restored) == batch.num_frames
+        for original, copy in zip(batch.clouds, restored):
+            assert copy.cloud.points.tobytes() == original.points.tobytes()
+            if features:
+                assert copy.cloud.features.tobytes() == original.features.tobytes()
+            else:
+                assert copy.cloud.features is None
             assert copy.frame_id == original.frame_id
             assert copy.timestamp == original.timestamp
 
-    def test_header_travels_with_message(self):
-        batch = make_batch(num_frames=2, points=15, features=2)
-        message = encode_frame_batch(batch, force_inline=True)
-        assert message.header == FrameBatchHeader(2, 15, 2)
-
-
-class TestRequestWire:
     @pytest.mark.parametrize("force_inline", [False, True])
     def test_mixed_raw_shapes_roundtrip(self, arena, force_inline):
         if not force_inline and not shared_memory_available():
@@ -376,6 +330,41 @@ class TestRequestWire:
         payload["num_requests"] = 3
         lying = encode_payload(payload, force_inline=True)
         with pytest.raises(TransportError, match="missing"):
+            decode_requests(lying)
+
+    @pytest.mark.parametrize(
+        "num_requests,changes",
+        [
+            pytest.param(2.0, {}, id="non-int-num-requests"),
+            pytest.param(2, {"indices": [0, -1]}, id="negative-index"),
+            pytest.param(2, {"indices": [0, 2]}, id="index-out-of-range"),
+            pytest.param(2, {"indices": [0, 1.0]}, id="non-int-index"),
+            pytest.param(1, {"indices": [0]}, id="fewer-indices-than-rows"),
+            pytest.param(3, {"indices": [0, 1, 2]}, id="more-indices-than-rows"),
+            pytest.param(2, {"frame_ids": ["req0"]}, id="short-frame-ids"),
+            pytest.param(2, {"timestamps": [0.0]}, id="short-timestamps"),
+            pytest.param(2, {"points": np.zeros((2, 30, 2))}, id="points-not-xyz"),
+            pytest.param(2, {"points": np.zeros((30, 3))}, id="points-no-batch-axis"),
+            pytest.param(2, {"features": np.zeros((2, 29, 4))}, id="features-rows"),
+            pytest.param(2, {"features": np.zeros((2, 30))}, id="features-not-3d"),
+        ],
+    )
+    def test_malformed_group_rejected(self, num_requests, changes):
+        """A group whose indices, tensors and per-frame lists disagree is a
+        TransportError, never a silent drop or a stray IndexError."""
+        requests = [
+            FrameRequest(
+                cloud=sample_cad_shape(30, shape="box", seed=i),
+                frame_id=f"req{i}",
+                timestamp=0.5 * i,
+            )
+            for i in range(2)
+        ]
+        payload = decode_payload(encode_requests(requests, force_inline=True))
+        payload["num_requests"] = num_requests
+        payload["groups"][0].update(changes)
+        lying = encode_payload(payload, force_inline=True)
+        with pytest.raises(TransportError):
             decode_requests(lying)
 
 
