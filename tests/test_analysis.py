@@ -67,6 +67,24 @@ class TestReporting:
         text = format_table(["a", "b"], [[1, 2.5], ["x", 3.0]], title="T")
         assert "T" in text and "2.5" in text and "x" in text
 
+    def test_format_table_formats_floats_only(self):
+        text = format_table(
+            ["n", "s"], [[3, 2.34567], [True, 8.0]], float_format="{:.2f}"
+        )
+        assert "2.35" in text and "8.00" in text
+        assert "3.00" not in text and "True" in text
+
+    def test_format_table_aligns_columns(self):
+        text = format_table(["name", "x"], [["kitti", 1.5], ["s3dis", 12.25]])
+        lines = text.splitlines()
+        assert lines[1] == "------+------"
+        assert len({len(line) for line in lines}) == 1
+        assert [line.index("|") for line in lines if "|" in line] == [6, 6, 6]
+
+    def test_format_table_without_title_starts_with_headers(self):
+        text = format_table(["a", "b"], [[1, 2]])
+        assert text.splitlines()[0] == "a | b"
+
 
 class TestSweep:
     def test_cartesian_product(self):

@@ -319,6 +319,26 @@ class TestSessionBatchedDispatch:
         ]
         assert sizes == [64, 40, 64, 64, 40]
 
+    def test_groups_keep_first_seen_order(self):
+        frames = [
+            make_cloud(0, 400), make_cloud(1, 40), make_cloud(2, 400),
+            make_cloud(3, 400, channels=1),
+        ]
+        session = Session(config=small_config(), task="semantic_segmentation")
+        result = session.run_batch(frames)
+        assert list(result.groups.items()) == [
+            (("semantic_segmentation", 64, 0), 2),
+            (("semantic_segmentation", 40, 0), 1),
+            (("semantic_segmentation", 64, 1), 1),
+        ]
+        # Responses come back in submission order, not group order.
+        assert [r.result.preprocessing.sampled.num_points for r in result] == [
+            64, 40, 64, 64,
+        ]
+        assert [
+            r.result.preprocessing.sampled.num_feature_channels for r in result
+        ] == [0, 0, 0, 1]
+
     def test_sub_batching_budget_is_result_invariant(self):
         frames = [make_cloud(i) for i in range(6)]
         reference = None

@@ -73,6 +73,19 @@ class TestLatencyBreakdown:
         with pytest.raises(ValueError):
             LatencyBreakdown().add("x", -1.0)
 
+    def test_unknown_phase_is_zero(self):
+        breakdown = LatencyBreakdown()
+        breakdown.add("a", 0.5)
+        assert breakdown.seconds_for("b") == 0.0
+        assert "b" not in breakdown.as_dict()
+
+    def test_as_dict_keeps_first_seen_order(self):
+        breakdown = LatencyBreakdown()
+        for phase, seconds in [("octree", 0.1), ("ois", 0.2), ("octree", 0.3)]:
+            breakdown.add(phase, seconds)
+        assert list(breakdown.as_dict()) == ["octree", "ois"]
+        assert breakdown.as_dict()["octree"] == pytest.approx(0.4)
+
 
 class TestSpeedup:
     def test_basic(self):

@@ -30,6 +30,12 @@ class TestAxisAlignedBox:
         cube = box.as_cube()
         assert np.all(cube.size > 0)
 
+    def test_as_cube_padding(self):
+        box = AxisAlignedBox(minimum=[0, 0, 0], maximum=[2, 1, 0.5])
+        cube = box.as_cube(padding=0.5)
+        assert np.allclose(cube.center, box.center)
+        assert np.allclose(cube.size, [3.0, 3.0, 3.0])
+
     def test_octant_partition(self):
         box = AxisAlignedBox(minimum=[0, 0, 0], maximum=[2, 2, 2])
         total_volume = sum(np.prod(box.octant(code).size) for code in range(8))

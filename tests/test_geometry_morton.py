@@ -1,4 +1,5 @@
-"""Unit and property tests for the m-code encoding of repro.geometry.morton."""
+"""Unit and property tests for the m-code encoding of repro.geometry.morton
+and the m-code Hamming distance of repro.kernels."""
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 
 from repro.geometry.bbox import AxisAlignedBox
 from repro.geometry.morton import morton_encode_points, voxel_indices
-from repro.kernels import encode_cells
+from repro.kernels import encode_cells, hamming_codes
 from repro.kernels.reference import scalar_morton_decode, scalar_morton_encode
 
 
@@ -45,6 +46,39 @@ class TestScalarEncode:
         with pytest.raises(ValueError):
             morton_encode(0, 0, 0, 0)
 
+    def test_prefix_at_level(self):
+        # The top 3*l bits of a depth-3 code are the code of the ancestor
+        # voxel at level l: the octree's parent links are right shifts.
+        ix, iy, iz = 0b101, 0b010, 0b111
+        code = morton_encode(ix, iy, iz, 3)
+        for level in (1, 2, 3):
+            shift = 3 - level
+            ancestor = morton_encode(ix >> shift, iy >> shift, iz >> shift, level)
+            assert code >> (3 * shift) == ancestor
+
+    def test_child_appends_octant(self):
+        # A child's code is its parent's code followed by the 3-bit octant
+        # in AxisAlignedBox.octant's (x, y, z) bit order.
+        parent = morton_encode(0b10, 0b01, 0b11, 2)
+        for octant in range(8):
+            bx, by, bz = (octant >> 2) & 1, (octant >> 1) & 1, octant & 1
+            child = morton_encode(0b100 | bx, 0b010 | by, 0b110 | bz, 3)
+            assert child == (parent << 3) | octant
+
+
+class TestHamming:
+    def test_scalar(self):
+        assert hamming_codes(0b1010, 0b0110) == 2
+        assert hamming_codes(0, 0) == 0
+
+    def test_array(self):
+        a = np.array([0b111, 0b000, 0b101], dtype=np.int64)
+        assert hamming_codes(a, 0b001).tolist() == [2, 1, 1]
+
+    def test_symmetry_and_identity(self):
+        assert hamming_codes(37, 91) == hamming_codes(91, 37)
+        assert hamming_codes(91, 91) == 0
+
 
 class TestVectorisedEncode:
     def test_matches_scalar(self, rng):
@@ -57,6 +91,15 @@ class TestVectorisedEncode:
             assert codes[point_index] == scalar_morton_encode(
                 int(ix), int(iy), int(iz), depth
             )
+
+    def test_parent_code_is_prefix(self, rng):
+        # Encoding one level shallower drops exactly the last octant.
+        points = rng.uniform(0, 1, size=(500, 3))
+        points[:3] = [[0, 0, 0], [1, 1, 1], [0.5, 0.5, 0.5]]
+        for depth in (2, 5, 9):
+            deep = morton_encode_points(points, UNIT_BOX, depth)
+            shallow = morton_encode_points(points, UNIT_BOX, depth - 1)
+            assert np.array_equal(deep >> 3, shallow)
 
     def test_boundary_points_clipped(self):
         points = np.array([[1.0, 1.0, 1.0], [0.0, 0.0, 0.0]])
@@ -82,6 +125,16 @@ class TestVectorisedEncode:
 def test_property_roundtrip_depth8(ix, iy, iz):
     code = morton_encode(ix, iy, iz, 8)
     assert scalar_morton_decode(code, 8) == (ix, iy, iz)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    a=st.integers(min_value=0, max_value=2**24 - 1),
+    b=st.integers(min_value=0, max_value=2**24 - 1),
+    c=st.integers(min_value=0, max_value=2**24 - 1),
+)
+def test_property_hamming_triangle_inequality(a, b, c):
+    assert hamming_codes(a, c) <= hamming_codes(a, b) + hamming_codes(b, c)
 
 
 @settings(max_examples=50, deadline=None)

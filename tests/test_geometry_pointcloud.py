@@ -31,6 +31,14 @@ class TestConstruction:
         cloud_f = PointCloud(points=np.zeros((0, 3)), features=np.zeros((0, 3)))
         assert cloud_f.num_feature_channels == 3
 
+    def test_coerces_to_float64(self):
+        cloud = PointCloud(
+            points=[[0, 1, 2], [3, 4, 5]], features=np.ones((2, 1), dtype=np.int32)
+        )
+        assert cloud.points.dtype == np.float64
+        assert cloud.features.dtype == np.float64
+        assert cloud.points.tolist() == [[0.0, 1.0, 2.0], [3.0, 4.0, 5.0]]
+
     def test_len_and_iter(self, small_cloud):
         assert len(small_cloud) == 200
         first = next(iter(small_cloud))
@@ -43,6 +51,12 @@ class TestGeometry:
         assert np.all(medium_cloud.points >= box.minimum)
         assert np.all(medium_cloud.points <= box.maximum)
 
+    def test_bounds_tight(self, rng):
+        points = rng.uniform(-3, 5, size=(50, 3))
+        box = PointCloud(points=points).bounds()
+        assert np.array_equal(box.minimum, points.min(axis=0))
+        assert np.array_equal(box.maximum, points.max(axis=0))
+
     def test_bounds_cached_identity(self, small_cloud):
         assert small_cloud.bounds() is small_cloud.bounds()
 
@@ -54,8 +68,19 @@ class TestGeometry:
         points = np.array([[0.0, 0.0, 0.0], [2.0, 4.0, 6.0]])
         assert np.allclose(PointCloud(points=points).centroid(), [1.0, 2.0, 3.0])
 
+    def test_centroid_empty_raises(self):
+        with pytest.raises(ValueError):
+            PointCloud(points=np.zeros((0, 3))).centroid()
+
     def test_select_preserves_order_and_features(self, featured_cloud):
         indices = [5, 2, 9]
         sub = featured_cloud.select(indices)
         assert np.allclose(sub.points, featured_cloud.points[indices])
         assert np.allclose(sub.features, featured_cloud.features[indices])
+
+    def test_select_keeps_frame_metadata(self, small_cloud):
+        cloud = PointCloud(points=small_cloud.points, frame_id="f7", timestamp=0.7)
+        sub = cloud.select([3, 1])
+        assert sub.frame_id == "f7"
+        assert sub.timestamp == 0.7
+        assert not sub.has_features

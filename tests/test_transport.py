@@ -19,6 +19,7 @@ import pytest
 
 from repro.core.framebatch import FrameBatch
 from repro.datasets.synthetic import sample_cad_shape
+from repro.geometry.pointcloud import PointCloud
 from repro.serving.cluster import transport
 from repro.serving.cluster.transport import (
     ArraySpec,
@@ -37,8 +38,6 @@ def make_batch(num_frames: int = 3, points: int = 50, features: int = 0) -> Fram
     rng = np.random.default_rng(7)
     clouds = []
     for i in range(num_frames):
-        from repro.geometry.pointcloud import PointCloud
-
         clouds.append(
             PointCloud(
                 points=rng.normal(size=(points, 3)),
@@ -316,6 +315,41 @@ class TestRequestWire:
             assert (
                 copy.cloud.points.tobytes() == original.cloud.points.tobytes()
             )
+
+    def test_groups_by_raw_shape_in_first_seen_order(self):
+        shapes = [(50, 0), (60, 0), (50, 0), (60, 1)]
+        requests = []
+        for i, (points, channels) in enumerate(shapes):
+            cloud = sample_cad_shape(points, shape="box", seed=i)
+            if channels:
+                cloud = PointCloud(
+                    points=cloud.points, features=np.ones((points, channels))
+                )
+            requests.append(FrameRequest(cloud=cloud, frame_id=f"req{i}"))
+        payload = decode_payload(encode_requests(requests, force_inline=True))
+        groups = payload["groups"]
+        assert [group["indices"] for group in groups] == [[0, 2], [1], [3]]
+        assert [group["points"].shape for group in groups] == [
+            (2, 50, 3), (1, 60, 3), (1, 60, 3),
+        ]
+        assert [group["frame_ids"] for group in groups] == [
+            ["req0", "req2"], ["req1"], ["req3"],
+        ]
+        assert groups[2]["features"].shape == (1, 60, 1)
+
+    def test_duplicate_slot_rejected(self):
+        requests = [
+            FrameRequest(
+                cloud=sample_cad_shape(points, shape="box", seed=i),
+                frame_id=f"req{i}",
+            )
+            for i, points in enumerate([30, 40])
+        ]
+        payload = decode_payload(encode_requests(requests, force_inline=True))
+        payload["groups"][1]["indices"] = [0]
+        lying = encode_payload(payload, force_inline=True)
+        with pytest.raises(TransportError, match="assigned twice"):
+            decode_requests(lying)
 
     def test_missing_slot_rejected(self):
         requests = [
