@@ -11,6 +11,11 @@ stream.  The life cycle is::
     pool.start()            # build sessions / spawn workers; pulling begins
     pool.join(timeout)      # after the stream ended: wait for worker exit
 
+Each pool also answers ``idle()``: whether no batch is running (nor, for
+processes, waiting out a retry backoff).  The hand-off asks it on every
+pass and starts a lone request at once when nothing runs, instead of
+holding it for companions that only pay off behind running work.
+
 :class:`ThreadWorkerPool` runs one warm session per thread; an idle thread
 takes its next batch itself, so nothing is ever queued in the pool.
 
@@ -73,6 +78,11 @@ End-of-stream is collector-driven: the feeder only marks the stream closed
 when the hand-off returns ``None``; the collector sends each worker its
 ``stop`` sentinel once no batch is in flight *and* no retry is pending, so a
 retry can never land behind a ``stop`` in the FIFO request queue.
+:meth:`ProcessWorkerPool.join` then joins every child the pool ever
+spawned, respawned generations included.  When its timeout expires first,
+it stops the collector, terminates (then kills) each child still running,
+fails their batches with :class:`WorkerCrashed` and cancels whatever has
+not started, so no child outlives the pool and no future is left pending.
 
 Fault injection: an optional seeded
 :class:`~repro.serving.faults.FaultPlan` rides the fork into every child
@@ -84,6 +94,7 @@ which batches those are depends on the load-aware routing above.
 
 from __future__ import annotations
 
+import atexit
 import dataclasses
 import itertools
 import multiprocessing
@@ -119,6 +130,10 @@ _ACK_WAIT_SECONDS = 5.0
 #: Batches the feeder keeps in flight per child: one running plus one staged,
 #: so the next request's encode and transport overlap the current compute.
 _STAGED_PER_CHILD = 2
+
+#: How long a timed-out shutdown waits for a straggler it told to stop (the
+#: collector thread, or a terminated child) before escalating.
+_TERMINATE_SECONDS = 1.0
 
 
 class WorkerCrashed(RuntimeError):
@@ -230,6 +245,9 @@ class ThreadWorkerPool(WorkerPool):
         super().__init__(*args, **kwargs)
         self.sessions: List[Session] = []
         self._threads: List[threading.Thread] = []
+        #: Indices of the workers between taking a batch and resolving it
+        #: (set add/discard are atomic under the GIL).
+        self._busy: Set[int] = set()
 
     def start(self) -> None:
         self.sessions = [self.session_factory() for _ in range(self.num_workers)]
@@ -256,11 +274,19 @@ class ThreadWorkerPool(WorkerPool):
     def worker_stats(self) -> List[dict]:
         return [session.stats() for session in self.sessions]
 
+    def idle(self) -> bool:
+        """Whether no worker is running a batch."""
+        # A worker joins the set just after the hand-off returns its batch;
+        # a sibling reading in between starts one batch without waiting,
+        # which only costs a batching opportunity.
+        return not self._busy
+
     def _worker_loop(self, worker_index: int) -> None:
         session = self.sessions[worker_index]
         worker_name = f"{self.name}-worker-{worker_index}"
         ordinal = -1
         while (batch := self._next_batch()) is not None:
+            self._busy.add(worker_index)
             ordinal += 1
             # Taken means started: the batch left the waiting room at
             # ``formed_at``; an injected delay below is slow *service*.
@@ -282,6 +308,7 @@ class ThreadWorkerPool(WorkerPool):
             self._complete_batch(
                 batch, dispatched_at, self.clock(), responses, error, worker_name
             )
+            self._busy.discard(worker_index)
 
 
 # ----------------------------------------------------------------------
@@ -478,6 +505,9 @@ class ProcessWorkerPool(WorkerPool):
         self._arena = SharedMemoryArena(prefix=f"repro-req-{os.getpid()}")
         self._retries: List[_PendingRetry] = []
         self._workers: List[_WorkerHandle] = []
+        #: Every handle ever spawned, respawned generations included:
+        #: shutdown joins each child, however it ended.
+        self._generations: List[_WorkerHandle] = []
         self._responses = None
         self._respond: Optional[Callable[[Tuple[Any, ...]], None]] = None
         self._collector: Optional[threading.Thread] = None
@@ -491,6 +521,10 @@ class ProcessWorkerPool(WorkerPool):
         self._warm: List[Set[Any]] = [set() for _ in range(self.num_workers)]
         self._latest_stats: List[Optional[dict]] = []
         self._eos = False
+        #: Set by :meth:`_close` (when :meth:`join` stops waiting, or at
+        #: interpreter exit): nothing spawns or is sent after it, and the
+        #: collector exits.
+        self._closed = False
         self._all_done = threading.Event()
         #: Number of crash-recovery respawns performed (observable in tests).
         self.respawns = 0
@@ -531,6 +565,11 @@ class ProcessWorkerPool(WorkerPool):
         self._workers = [
             self._spawn(index, generation=0) for index in range(self.num_workers)
         ]
+        # At interpreter exit multiprocessing terminates the daemonic
+        # children; a collector still sweeping would take that for crashes
+        # and respawn orphans that outlive the program.  atexit runs hooks
+        # last-in first-out, so this one closes the pool before that.
+        atexit.register(self._close)
         self._collector = threading.Thread(
             target=self._collector_loop,
             name=f"{self.name}-collector",
@@ -548,7 +587,7 @@ class ProcessWorkerPool(WorkerPool):
         try:
             while True:
                 with self._lock:
-                    while len(self._in_flight) >= slots:
+                    while len(self._in_flight) >= slots and not self._closed:
                         self._slot_free.wait()
                 batch = self._next_batch()
                 if batch is None:
@@ -578,12 +617,14 @@ class ProcessWorkerPool(WorkerPool):
             daemon=True,
         )
         process.start()
-        return _WorkerHandle(
+        handle = _WorkerHandle(
             index=index,
             generation=generation,
             process=process,
             request_queue=request_queue,
         )
+        self._generations.append(handle)
+        return handle
 
     def _send(self, batch: MicroBatch, attempts: int = 1) -> None:
         """Encode ``batch`` and enqueue it on the child routing picks."""
@@ -605,22 +646,32 @@ class ProcessWorkerPool(WorkerPool):
         # under one lock so a concurrent crash-respawn cannot swap the
         # handle between the lookup and the put.
         with self._lock:
-            handle = self._workers[worker_index]
-            if handle.done:
-                # The slot died and was retired (possible only while
-                # draining); a retry still needs a live worker there.
-                handle = self._spawn(handle.index, handle.generation + 1)
-                self._workers[worker_index] = handle
-                self.respawns += 1
-            self._in_flight[batch.batch_id] = _InFlight(
-                batch=batch,
-                worker_index=worker_index,
-                generation=handle.generation,
-                dispatched_at=dispatched_at,
-                segment=wire.segment,
-                attempts=attempts,
-            )
-            handle.request_queue.put(("batch", batch.batch_id, wire))
+            closed = self._closed
+            if not closed:
+                handle = self._workers[worker_index]
+                if handle.done:
+                    # The slot died and was retired (possible only while
+                    # draining); a retry still needs a live worker there.
+                    handle = self._spawn(handle.index, handle.generation + 1)
+                    self._workers[worker_index] = handle
+                    self.respawns += 1
+                self._in_flight[batch.batch_id] = _InFlight(
+                    batch=batch,
+                    worker_index=worker_index,
+                    generation=handle.generation,
+                    dispatched_at=dispatched_at,
+                    segment=wire.segment,
+                    attempts=attempts,
+                )
+                handle.request_queue.put(("batch", batch.batch_id, wire))
+        if closed:
+            # A timed-out shutdown stopped the workers: the batch never
+            # starts, so it is cancelled like any other unstarted work.
+            if wire.segment is not None:
+                self._arena.release(wire.segment)
+            for entry in batch.entries:
+                entry.future.cancel()
+                self.metrics.record_cancelled()
 
     def _route(self, key: Any) -> int:
         """Load-aware placement: home while it is no busier than the rest."""
@@ -645,16 +696,40 @@ class ProcessWorkerPool(WorkerPool):
             return worker_index
 
     def join(self, timeout: Optional[float] = None) -> None:
+        """Wait for the stream to end, then reap every child ever spawned.
+
+        A child still running when ``timeout`` expires is terminated (then
+        killed); its in-flight batches fail with :class:`WorkerCrashed`
+        and whatever has not started yet is cancelled.
+        """
         deadline = None if timeout is None else time.monotonic() + timeout
         self._all_done.wait(_remaining(deadline))
         for thread in (self._feeder, self._collector):
             if thread is not None:
                 thread.join(_remaining(deadline))
-        for handle in self._workers:
-            handle.process.join(_remaining(deadline))
-            if handle.process.is_alive():  # refuse to hang the caller
-                handle.process.terminate()
-                handle.process.join(1.0)
+        self._close()
+        atexit.unregister(self._close)
+        if self._collector is not None:
+            self._collector.join(_TERMINATE_SECONDS)
+        for handle in self._generations:
+            process = handle.process
+            process.join(_remaining(deadline))
+            if process.is_alive():  # refuse to hang the caller
+                process.terminate()
+                process.join(_TERMINATE_SECONDS)
+            if process.is_alive():
+                process.kill()
+                process.join()
+        # Fail the batches of the children just terminated (closed: no
+        # respawn, no retry) and cancel the retries that were waiting.
+        self._sweep_crashes()
+        with self._lock:
+            stranded, self._retries = self._retries, []
+        for pending in stranded:
+            for entry in pending.batch.entries:
+                entry.future.cancel()
+                self.metrics.record_cancelled()
+        for handle in self._generations:
             try:
                 handle.request_queue.close()
                 handle.request_queue.cancel_join_thread()
@@ -665,7 +740,18 @@ class ProcessWorkerPool(WorkerPool):
             self._respond = None  # drops the write end with the closure
         self._arena.release_all()
 
+    def _close(self) -> None:
+        """Stop spawning and sending; the collector exits on its next poll."""
+        with self._lock:
+            self._closed = True
+            self._slot_free.notify_all()
+
     # -- introspection ---------------------------------------------------
+    def idle(self) -> bool:
+        """Whether no batch is in flight or waiting out a retry backoff."""
+        with self._lock:
+            return not self._in_flight and not self._retries
+
     def worker_stats(self) -> List[dict]:
         """Latest ``session.stats()`` reported by each worker process."""
         with self._lock:
@@ -679,7 +765,7 @@ class ProcessWorkerPool(WorkerPool):
     # -- collector thread ------------------------------------------------
     def _collector_loop(self) -> None:
         try:
-            while True:
+            while not self._closed:
                 message = None
                 if self._responses.poll(_POLL_SECONDS):
                     message = self._responses.recv()
@@ -826,10 +912,11 @@ class ProcessWorkerPool(WorkerPool):
     ) -> bool:
         """Queue the batch's unexpired survivors for a backed-off retry.
 
-        Returns False when the policy is out of attempts (caller fails the
-        batch); expired entries are shed either way.
+        Returns False when the policy is out of attempts or the pool has
+        shut down (caller fails the batch); otherwise expired entries are
+        shed and the rest wait out the backoff.
         """
-        if self.retry_policy.exhausted(info.attempts):
+        if self._closed or self.retry_policy.exhausted(info.attempts):
             return False
         now = self.clock()
         if not self._keep_survivors(info.batch, now):
@@ -868,7 +955,7 @@ class ProcessWorkerPool(WorkerPool):
                     not self.retry_policy.exhausted(info.attempts)
                     for _, info in batches
                 )
-                if not self._eos or retryable:
+                if not self._closed and (not self._eos or retryable):
                     # Replace the handle inside this same critical section:
                     # _send() reads the handle and registers in-flight
                     # under the lock, so a batch can never be enqueued on

@@ -328,7 +328,8 @@ class ExecutionConfig:
     )
     max_wait_ms: float = _flag(
         5.0, type=nonnegative_float,
-        help="micro-batch deadline trigger in ms (default 5)",
+        help="longest a partial batch waits behind running work, in ms "
+             "(default 5)",
     )
     #: Admission queue bound (0 = sized to the request count).
     queue_capacity: int = _flag(

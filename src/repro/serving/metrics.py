@@ -44,7 +44,8 @@ class RequestRecord:
     #: Micro-batch identity and occupancy this request rode in.
     batch_id: int
     batch_size: int
-    #: What dispatched the batch: "size", "deadline", or "drain".
+    #: What dispatched the batch: "size", "deadline", "priority", "idle"
+    #: or "drain".
     trigger: str
     #: Name of the worker that served the batch.
     worker: str = ""

@@ -1,4 +1,4 @@
-"""Shape-grouped micro-batch formation with size/deadline dispatch triggers.
+"""Shape-grouped micro-batch formation and its dispatch triggers.
 
 The scheduler holds the requests the admission queue has handed over and
 groups them by their warm-state shape key -- ``(task, sampled_size,
@@ -6,7 +6,7 @@ feature_channels)``, the same key :meth:`repro.session.Session.shape_key`
 uses -- because only same-keyed frames can ride one
 :class:`~repro.core.framebatch.FrameBatch` through a warm session.
 
-A group dispatches as a :class:`MicroBatch` when the first of three
+A group dispatches as a :class:`MicroBatch` when the first of these
 triggers fires:
 
 * **size** -- the group reached its effective batch size: the configured
@@ -17,12 +17,16 @@ triggers fires:
   split).
 * **deadline** -- the group's *oldest* request has waited
   ``max_wait_seconds`` since admission.  This bounds the latency a lonely
-  shape pays for batching: a request never waits longer than that for
-  companions that may not come.
+  shape pays for batching behind running work: a request never waits
+  longer than that for companions that may not come.
 * **priority** -- a request of a ``preempt``
   :class:`~repro.serving.policy.PriorityClass` arrived: its shape group
   dispatches immediately instead of waiting for companions, carrying the
   highest-priority members first.
+* **idle** -- the caller says no batch is running (``take(idle=True)``)
+  and no other trigger fired: the first non-empty group dispatches at
+  once, because waiting for companions only pays while a worker is busy.
+  Off by default, so :meth:`ready` and :meth:`drain` never use it.
 
 With a serving policy attached, groups are visited highest-priority first
 (a high-priority arrival jumps the grouping order) and an over-full
@@ -58,7 +62,8 @@ class MicroBatch:
     entries: List[QueuedRequest]
     #: Clock reading when the batch was formed.
     formed_at: float
-    #: Which trigger formed it: "size", "deadline", "priority", or "drain".
+    #: Which trigger formed it: "size", "deadline", "priority", "idle" or
+    #: "drain".
     trigger: str
     #: Formation order (0-based, per scheduler).
     batch_id: int = 0
@@ -244,19 +249,25 @@ class MicroBatchScheduler:
         )
 
     def take(
-        self, now: Optional[float] = None, flush: bool = False
+        self,
+        now: Optional[float] = None,
+        flush: bool = False,
+        idle: bool = False,
     ) -> Optional[MicroBatch]:
         """Pop the first batch whose priority, size, or deadline trigger fired.
 
         The hand-off primitive: whoever can start a batch *now* takes one.
         ``flush`` hands out every pending group regardless of triggers
-        (trigger ``"drain"``, the shutdown path).  ``None`` when nothing is
-        due.
+        (trigger ``"drain"``, the shutdown path).  ``idle`` says no batch
+        is running: when no other trigger fired, the first non-empty group
+        in visit order starts at once (trigger ``"idle"``).  ``None`` when
+        nothing is due.
         """
         if now is None:
             now = self.clock()
         with self._lock:
-            for key in self._visit_order():
+            visit = self._visit_order()
+            for key in visit:
                 entries = self._pending[key]
                 limit = self.effective_batch_size(key)
                 if flush:
@@ -272,13 +283,9 @@ class MicroBatchScheduler:
                     trigger = "deadline"
                 else:
                     continue
-                self._urgent.discard(key)
-                chosen, rest = self._select(entries, limit)
-                if rest:
-                    self._pending[key] = rest
-                else:
-                    del self._pending[key]
-                return self._form(key, chosen, now, trigger)
+                return self._pop(key, now, trigger)
+            if idle and visit:
+                return self._pop(visit[0], now, "idle")
         return None
 
     def ready(
@@ -296,16 +303,22 @@ class MicroBatchScheduler:
         """Flush every pending group (shutdown path)."""
         return self.ready(now, flush=True)
 
-    def _form(
-        self,
-        key: Tuple[str, int, int],
-        entries: List[QueuedRequest],
-        now: float,
-        trigger: str,
+    def _pop(
+        self, key: Tuple[str, int, int], now: float, trigger: str
     ) -> MicroBatch:
+        """Form ``key``'s next batch and remove it from the group.  Caller
+        holds the lock."""
+        self._urgent.discard(key)
+        chosen, rest = self._select(
+            self._pending[key], self.effective_batch_size(key)
+        )
+        if rest:
+            self._pending[key] = rest
+        else:
+            del self._pending[key]
         batch = MicroBatch(
             key=key,
-            entries=list(entries),
+            entries=chosen,
             formed_at=now,
             trigger=trigger,
             batch_id=self._batch_counter,

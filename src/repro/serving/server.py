@@ -150,7 +150,9 @@ class FrameServer:
         Micro-batch triggers (see
         :class:`~repro.serving.scheduler.MicroBatchScheduler`).  The size
         trigger is further capped by :attr:`Session.batch_rows_budget`, so
-        the scheduler never forms a batch a session would split.
+        the scheduler never forms a batch a session would split.  An idle
+        pool starts a request at once; ``max_wait_seconds`` is the longest
+        a partial batch waits behind running work.
     queue_capacity:
         Bound on requests admitted but not yet started -- queued or
         grouped (backpressure above it).  A full queue sheds its expired
@@ -470,9 +472,12 @@ class FrameServer:
         -- so a batch is never formed ahead of the capacity to run it.
         Each pass sweeps the admission queue into the shape groups, sheds
         what has expired (an expired request is never started), and takes
-        the first group whose priority/size/deadline trigger has fired;
-        with none due it waits on the queue for the next trigger, TTL
-        expiry, arrival or close.
+        the first group whose priority/size/deadline trigger has fired --
+        or, when the pool runs no batch, the first non-empty group at once
+        (trigger ``"idle"``): batching only pays behind running work.  With
+        none due it waits on the queue for the next trigger, TTL expiry,
+        arrival or close.  A batch completing does not wake it: a group
+        parked behind the last running batch starts at its deadline.
         """
         scheduler = self.scheduler
         with self._handoff:
@@ -489,7 +494,10 @@ class FrameServer:
                         for entry in batch.entries:
                             entry.future.cancel()
                             self.metrics.record_cancelled()
-                batch = scheduler.take(now, flush=closing)
+                # ``pool`` is unset only while it starts, before anything
+                # can be admitted.
+                idle = self.pool is not None and self.pool.idle()
+                batch = scheduler.take(now, flush=closing, idle=idle)
                 if batch is not None or closing:
                     return batch
                 # Wake for whichever comes first: a batch deadline trigger

@@ -3,15 +3,19 @@
 Covers the ``ProcessWorkerPool`` behind ``FrameServer(execution="process")``
 (bit-identity with a sequential ``run_batch``, inline-fallback equivalence,
 worker exceptions vs worker crashes, shape-key affinity, two process
-servers in one parent) and the shutdown idempotency guarantees the process
-pool relies on.
+servers in one parent), the shutdown idempotency guarantees the process
+pool relies on, and that no child outlives its pool on any exit path.
 """
 
 from __future__ import annotations
 
 import gc
 import glob
+import multiprocessing
 import os
+import signal
+import subprocess
+import sys
 import threading
 import time
 import types
@@ -27,6 +31,7 @@ from repro.core.config import (
 from repro.datasets.synthetic import sample_cad_shape
 from repro.geometry.pointcloud import PointCloud
 from repro.serving import (
+    FaultPlan,
     FrameServer,
     RetryPolicy,
     WorkerCrashed,
@@ -584,3 +589,118 @@ class TestShutdownIdempotency:
         assert snapshot["requests"]["failed"] == 1
         assert snapshot["requests"]["in_flight"] == 0
         assert server.shutdown()["requests"] == snapshot["requests"]
+
+
+# ----------------------------------------------------------------------
+# Every child a process pool spawned is gone after shutdown
+# ----------------------------------------------------------------------
+def live_children(name):
+    """Live child processes of the process pool named ``name``."""
+    return [
+        child.pid
+        for child in multiprocessing.active_children()
+        if child.name.startswith(f"{name}-proc-")
+    ]
+
+
+#: Starts a process server, serves one frame and runs what interpreter exit
+#: runs: the pool's atexit hook, then multiprocessing's, which terminates
+#: the children.  A collector taking that for crashes would respawn them
+#: within one poll; the probe prints the live children half a second later.
+EXIT_PROBE = """
+import atexit, multiprocessing, os, time
+from test_cluster import make_request, make_session
+from repro.serving import FrameServer
+
+server = FrameServer(
+    make_session, num_workers=2, execution="process", name="exit"
+).start()
+server.submit(make_request(0)).result(timeout=60)
+atexit._run_exitfuncs()
+time.sleep(0.5)
+print(" ".join(str(child.pid) for child in multiprocessing.active_children()))
+os._exit(0)
+"""
+
+
+class TestChildReaping:
+    def test_drained_shutdown_reaps_every_child(self):
+        server = FrameServer(
+            make_session, num_workers=2, execution="process", name="reap-drain"
+        ).start()
+        futures = [server.submit(make_request(i)) for i in range(4)]
+        server.shutdown(drain=True)
+        assert all(future.done() for future in futures)
+        assert live_children("reap-drain") == []
+
+    def test_cancelling_shutdown_reaps_every_child(self):
+        server = FrameServer(
+            make_session,
+            num_workers=2,
+            execution="process",
+            max_wait_seconds=60.0,
+            name="reap-cancel",
+        ).start()
+        futures = [server.submit(make_request(i)) for i in range(4)]
+        server.shutdown(drain=False)
+        assert all(future.done() for future in futures)
+        assert live_children("reap-cancel") == []
+
+    def test_timed_out_shutdown_terminates_a_child_that_does_not_exit(self):
+        server = FrameServer(
+            make_session,
+            num_workers=1,
+            execution="process",
+            name="reap-timeout",
+            faults=FaultPlan().slow_worker(0, delay_seconds=60.0),
+        ).start()
+        future = server.submit(make_request(0))
+        started = time.monotonic()
+        server.shutdown(timeout=0.2)
+        assert time.monotonic() - started < 10.0
+        assert live_children("reap-timeout") == []
+        # The terminated batch fails typed instead of hanging its caller,
+        # and nothing respawns behind the shutdown.
+        assert isinstance(future.exception(timeout=10.0), WorkerCrashed)
+        time.sleep(0.2)
+        assert live_children("reap-timeout") == []
+
+    def test_shutdown_after_a_kill_fault_reaps_every_generation(self):
+        server = FrameServer(
+            make_session,
+            num_workers=2,
+            execution="process",
+            name="reap-kill",
+            faults=FaultPlan(seed=0).kill_worker(0, after_batches=0),
+            retry_policy=RetryPolicy(base_delay_seconds=0.01, seed=0),
+        ).start()
+        futures = [server.submit(make_request(i)) for i in range(4)]
+        assert all(f.result(timeout=60) is not None for f in futures)
+        server.shutdown()
+        assert server.pool.respawns >= 1
+        assert live_children("reap-kill") == []
+
+    def test_interpreter_exit_respawns_no_orphan(self, tmp_path):
+        tests_dir = os.path.dirname(os.path.abspath(__file__))
+        src_dir = os.path.join(os.path.dirname(tests_dir), "src")
+        pids, log = tmp_path / "pids", tmp_path / "log"
+        # Files, not pipes: an orphan holding a pipe would stall the read.
+        with open(pids, "w") as out, open(log, "w") as err:
+            result = subprocess.run(
+                [sys.executable, "-c", EXIT_PROBE],
+                env=dict(
+                    os.environ,
+                    PYTHONPATH=os.pathsep.join([src_dir, tests_dir]),
+                ),
+                stdout=out,
+                stderr=err,
+                timeout=120,
+            )
+        orphans = [int(pid) for pid in pids.read_text().split()]
+        for pid in orphans:  # never leave one behind, even on failure
+            try:
+                os.kill(pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+        assert result.returncode == 0, log.read_text()
+        assert orphans == []

@@ -12,6 +12,8 @@ diagnostics, and the ``serve --chaos`` CLI gates.
 
 from __future__ import annotations
 
+import threading
+import time
 from concurrent.futures import Future
 
 import pytest
@@ -35,7 +37,7 @@ from repro.serving import (
     response_signature,
     signatures_equal,
 )
-from repro.session import FrameRequest
+from repro.session import FrameRequest, Session
 
 from test_cluster import (
     CrashingSession,
@@ -234,26 +236,46 @@ class TestDeadlines:
         assert scheduler.next_expiry() is None
 
     def test_server_resolves_expired_requests_with_deadline_exceeded(self):
-        # max_wait is far beyond the TTL, so the requests sit pending in
-        # the scheduler until their deadlines pass; the idle worker's
-        # hand-off must wake on next_expiry and shed them as typed errors.
-        with FrameServer(
-            make_session,
-            num_workers=1,
+        # One worker is wedged inside a batch, so the TTL'd request parks
+        # behind running work under a max_wait far beyond its TTL; the
+        # other worker's hand-off must wake on next_expiry and shed it as a
+        # typed error.
+        release = threading.Event()
+        entered = threading.Semaphore(0)
+
+        class BlockedSession(Session):
+            def run_batch(self, frames, batch_size=None):
+                entered.release()
+                release.wait(30.0)
+                return super().run_batch(frames, batch_size)
+
+        server = FrameServer(
+            lambda: BlockedSession(
+                config=small_config(), task="semantic_segmentation",
+                sampler="random", response_cache_size=0,
+            ),
+            num_workers=2,
             max_batch_size=8,
             max_wait_seconds=30.0,
             name="ttl",
-        ) as server:
+        ).start()
+        try:
+            running = server.submit(make_request(1))
+            assert entered.acquire(timeout=10.0)
             doomed = server.submit(make_request(0), options=SubmitOptions(ttl=0.05))
             with pytest.raises(DeadlineExceeded, match="missed its deadline"):
                 doomed.result(timeout=10)
             snapshot = server.stats()
+        finally:
+            release.set()
+        assert running.result(timeout=30).result.frame_id == "req0001"
         assert snapshot["requests"]["shed"] == 1
         assert snapshot["requests"]["failed"] == 0
-        assert snapshot["requests"]["in_flight"] == 0
+        assert snapshot["requests"]["in_flight"] == 1
         assert snapshot["resilience"]["deadline_sheds"] == 1
         final = server.shutdown()
         assert final["requests"]["shed"] == 1
+        assert final["requests"]["in_flight"] == 0
 
     def test_unexpired_ttl_requests_are_served_normally(self):
         with FrameServer(
@@ -301,6 +323,60 @@ class TestCrashRecovery:
         assert server.pool.respawns >= 1
         for response, signature in zip(responses, expected):
             assert signatures_equal(response_signature(response), signature)
+
+    def test_pool_is_idle_again_after_a_kill_fault_retry_completes(self):
+        server = FrameServer(
+            make_session,
+            num_workers=1,
+            execution="process",
+            name="idle-kill",
+            faults=FaultPlan(seed=0).kill_worker(0, after_batches=0),
+            retry_policy=RetryPolicy(
+                max_attempts=3, base_delay_seconds=0.01, seed=0
+            ),
+        ).start()
+        try:
+            assert server.pool.idle()
+            response = server.submit(make_request(0)).result(timeout=120)
+            assert response.result.frame_id == "req0000"
+            assert server.stats()["resilience"]["retries"] == 1
+            assert server.pool.respawns == 1
+            assert server.pool.idle()
+        finally:
+            server.shutdown()
+
+    def test_pool_is_idle_again_after_survivors_expire_in_backoff(self):
+        server = FrameServer(
+            make_session,
+            num_workers=1,
+            execution="process",
+            name="idle-expire",
+            # Batch 0 warms the child; batch 1 dies with it.
+            faults=FaultPlan(seed=0).kill_worker(0, after_batches=1),
+            retry_policy=RetryPolicy(
+                base_delay_seconds=2.0, max_delay_seconds=2.0, jitter=0.0
+            ),
+        ).start()
+        try:
+            server.submit(make_request(0)).result(timeout=120)
+            doomed = server.submit(
+                make_request(1), options=SubmitOptions(ttl=1.0)
+            )
+            deadline = time.monotonic() + 1.0
+            while server.stats()["resilience"]["retries"] == 0:
+                assert time.monotonic() < deadline
+                time.sleep(0.01)
+            time.sleep(0.05)
+            assert not server.pool.idle()  # the retry waits out its backoff
+            with pytest.raises(DeadlineExceeded):
+                doomed.result(timeout=120)
+            snapshot = server.stats()
+            # It survived the crash, then expired while backing off.
+            assert snapshot["resilience"]["retries"] == 1
+            assert snapshot["requests"]["shed"] == 1
+            assert server.pool.idle()
+        finally:
+            server.shutdown()
 
     def test_poisoned_transport_is_detected_and_retried(self):
         requests = [make_request(i) for i in range(2)]

@@ -1,16 +1,18 @@
 """Tests for the asynchronous serving subsystem.
 
 Covers the four serving pieces in isolation (admission queue backpressure,
-scheduler shape-grouping and deadline triggers under a manual clock,
+scheduler shape-grouping and deadline/idle triggers under a manual clock,
 deterministic metrics aggregation under seeded timestamps) and the
 integrated :class:`FrameServer` contract: N-worker results bit-identical to
 a sequential ``run_batch``, drain-on-shutdown completing every admitted
-request, and monotonic future resolution.  Also exercises the
+request, an idle server starting a lone request at once, and monotonic
+future resolution.  Also exercises the
 ``batch_size`` guard on ``Session.run_batch``.
 """
 
 from __future__ import annotations
 
+import sys
 import threading
 import time
 
@@ -28,10 +30,12 @@ from repro.serving import (
     FrameServer,
     ManualClock,
     MicroBatchScheduler,
+    PriorityClass,
     QueueClosed,
     QueueFull,
     RequestRecord,
     ServingMetrics,
+    ServingPolicy,
     response_signature,
     signatures_equal,
 )
@@ -202,6 +206,51 @@ class TestMicroBatchScheduler:
         (batch,) = scheduler.ready(now=0.0)
         assert [e.sequence for e in batch.entries] == [0, 1, 2, 3]
 
+    def test_idle_starts_a_lonely_group_at_once(self):
+        clock = ManualClock()
+        scheduler, queue = self.setup_scheduler(clock)
+        scheduler.add(queue.submit(make_request(0, points=40)))
+        # Behind running work the group still waits for max_wait ...
+        assert scheduler.take(now=0.0) is None
+        assert scheduler.take(now=0.004, idle=False) is None
+        # ... but an idle pool starts it now, companions or not.
+        batch = scheduler.take(now=0.0, idle=True)
+        assert batch.trigger == "idle"
+        assert [e.sequence for e in batch.entries] == [0]
+        assert batch.formed_at == 0.0
+        assert scheduler.pending_count == 0
+        assert scheduler.take(now=0.0, idle=True) is None
+
+    def test_drain_priority_and_size_take_precedence_over_idle(self):
+        clock = ManualClock()
+        policy = ServingPolicy(
+            classes=(
+                PriorityClass("high", priority=10, preempt=True),
+                PriorityClass("low", priority=0),
+            ),
+            default_class="low",
+        )
+        scheduler, queue = self.setup_scheduler(clock, policy=policy)
+        # A lonely 40-point group first in visit order, then a full group.
+        scheduler.add(queue.submit(make_request(0, points=40)))
+        scheduler.add(queue.submit(make_request(1)))
+        scheduler.add(queue.submit(make_request(2)))
+        batch = scheduler.take(now=0.0, idle=True)
+        assert (batch.trigger, batch.key[1]) == ("size", 64)
+        # A preempting arrival beats idle the same way.
+        scheduler.add(
+            queue.submit(make_request(3), class_name="high", priority=10)
+        )
+        batch = scheduler.take(now=0.0, idle=True)
+        assert (batch.trigger, batch.key[1]) == ("priority", 64)
+        # Flush labels every group drain, idle or not.
+        scheduler.add(queue.submit(make_request(4)))
+        drained = [
+            scheduler.take(now=0.0, flush=True, idle=True) for _ in range(2)
+        ]
+        assert [b.trigger for b in drained] == ["drain", "drain"]
+        assert scheduler.pending_count == 0
+
     def test_parameter_validation(self):
         session = make_session()
         key = lambda request: session.shape_key(request.cloud)  # noqa: E731
@@ -348,6 +397,46 @@ class TestFrameServer:
         assert metrics["requests"]["completed"] == len(requests)
         assert metrics["requests"]["dropped"] == 0
         assert metrics["futures_monotonic"] is True
+
+    def test_idle_server_starts_a_lone_request_at_once(self):
+        # The clock never advances, so neither the size nor the deadline
+        # trigger can fire: only the idle trigger can start the request.
+        server = FrameServer(
+            session_factory=make_session,
+            num_workers=1,
+            max_batch_size=8,
+            max_wait_seconds=0.005,
+            clock=ManualClock(),
+        )
+        with server:
+            response = server.submit(make_request(0)).result(timeout=10.0)
+        assert response.request.frame_id == "req0000"
+        (record,) = server.metrics.records
+        assert record.trigger == "idle"
+        assert record.queue_wait == 0
+
+    def test_busy_workers_are_counted_under_thread_contention(self):
+        # More workers than cores and a tiny switch interval: a lost update
+        # to the busy bookkeeping would leave the pool never idle again.
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            server = FrameServer(
+                session_factory=make_session,
+                num_workers=4,
+                max_batch_size=2,
+                max_wait_seconds=0.001,
+            )
+            with server:
+                futures = [
+                    server.submit(make_request(i % 4)) for i in range(40)
+                ]
+                for future in futures:
+                    assert future.result(timeout=60.0) is not None
+        finally:
+            sys.setswitchinterval(previous)
+        assert server.pool.idle()
+        assert server.metrics.snapshot()["requests"]["completed"] == 40
 
     def test_drain_on_shutdown_completes_every_admitted_request(self):
         requests = [make_request(i) for i in range(9)]
