@@ -87,9 +87,12 @@ class Scenario:
 
     ``collect_metrics``, when set, is called once after the timing rounds
     and its return value lands under ``"metrics"`` in the scenario's
-    result record -- serving scenarios expose their ``ServingMetrics``
-    snapshot this way so ``--check-baseline`` can gate per-class latency
-    percentiles, not just the aggregate speedup.
+    result record -- the shed-admission serving scenario records its
+    ``ServingMetrics`` snapshot (load sheds, latency percentiles) this way.
+
+    ``teardown``, when set, is called once after ``collect_metrics`` (and
+    when a run raises): the serving scenarios shut down the servers their
+    runs cached, so no worker outlives its scenario.
     """
 
     name: str
@@ -101,6 +104,7 @@ class Scenario:
     contract: str = "bit_identical"
     min_speedup: Optional[float] = None
     collect_metrics: Optional[Callable[[], Any]] = None
+    teardown: Optional[Callable[[], None]] = None
 
 
 def _counters_dict(counters: Optional[OpCounters]) -> Optional[Dict[str, int]]:
@@ -535,14 +539,11 @@ def build_scenarios(quick: bool) -> List[Scenario]:
     # detection sweep + respawn + backed-off re-dispatch.
     scenarios.append(_serving_chaos_scenario(quick))
 
-    # --- serving: SLO policy under seeded mixed-shape burst traffic ------
-    # The PR 10 serving-policy layer under adversarial load: a seeded
-    # mixed small/large-cloud stream at a rate the pool cannot sustain,
-    # two priority classes (preempting high, sheddable low), and shed
-    # admission.  Every future must resolve either bit-identical to the
-    # sequential reference or as a typed LoadShed -- never QueueFull,
-    # never silently.  The metrics snapshot feeds the per-class p99 gate
-    # in --check-baseline.
+    # --- serving: shed admission under seeded mixed-shape burst traffic --
+    # A seeded mixed small/large-cloud stream at a rate the pool cannot
+    # sustain, behind shed admission with a tight waiting room.  Every
+    # future must resolve either bit-identical to the sequential reference
+    # or as a typed LoadShed -- never QueueFull, never silently.
     scenarios.append(_serving_mixed_traffic_scenario(quick))
 
     return scenarios
@@ -846,7 +847,20 @@ def _serving_scenario(
             if reference == "thread_pool"
             else run_naive
         ),
+        teardown=_shutdown_servers(state),
     )
+
+
+def _shutdown_servers(state: Dict[str, Any]) -> Callable[[], None]:
+    """A serving scenario's teardown: shut down every server it cached."""
+
+    def teardown() -> None:
+        for name in ("endpoint", "thread_reference"):
+            server = state.pop(name, None)
+            if server is not None:
+                server.shutdown()
+
+    return teardown
 
 
 def _serving_chaos_scenario(quick: bool) -> Scenario:
@@ -951,10 +965,7 @@ def _serving_mixed_traffic_scenario(quick: bool) -> Scenario:
         ExecutionConfig,
         FrameServer,
         LoadShed,
-        PolicyConfig,
-        PriorityClass,
         ServeConfig,
-        SubmitOptions,
         TrafficConfig,
         signatures_equal,
     )
@@ -970,28 +981,19 @@ def _serving_mixed_traffic_scenario(quick: bool) -> Scenario:
         traffic=TrafficConfig(
             model="mixed",
             # Overdriven on purpose: the arrival span is far shorter than
-            # the sequential service time, so the backlog limit engages
-            # and the policy must shed.
+            # the sequential service time, so the waiting room fills and
+            # the server must shed.
             rate_hz=2000.0,
             raw_points=400 if quick else 800,
-            # Parallel to the class list below: ~30% high, ~70% low.
-            class_weights=(0.3, 0.7),
-        ),
-        policy=PolicyConfig(
-            classes=(
-                PriorityClass("high", priority=10, preempt=True),
-                PriorityClass("low", priority=0),
-            ),
-            admission="shed",
-            # Tight on purpose (well under the arrival burst): the soak
-            # must actually shed in both modes to prove typed shedding.
-            max_backlog=8,
         ),
         execution=ExecutionConfig(
             workers=2,
             max_batch=8,
             max_wait_ms=2.0,
-            queue_capacity=num_requests,
+            # Tight on purpose (well under the arrival burst): the run
+            # must actually shed in both modes to prove typed shedding.
+            queue_capacity=8,
+            admission="shed",
             sampler="random",
         ),
     )
@@ -1007,7 +1009,7 @@ def _serving_mixed_traffic_scenario(quick: bool) -> Scenario:
             ).start()
         return state["endpoint"]
 
-    def run_policy():
+    def run_shed():
         endpoint = get_endpoint()
         start = time.perf_counter()
         futures = []
@@ -1017,12 +1019,7 @@ def _serving_mixed_traffic_scenario(quick: bool) -> Scenario:
                 time.sleep(delay)
             # QueueFull must never surface under shed admission; a raise
             # here aborts the round and fails the scenario loudly.
-            futures.append(
-                endpoint.submit(
-                    item.request,
-                    options=SubmitOptions(class_name=item.class_name),
-                )
-            )
+            futures.append(endpoint.submit(item.request))
         outcomes: List[Any] = []
         for future in futures:
             try:
@@ -1075,20 +1072,20 @@ def _serving_mixed_traffic_scenario(quick: bool) -> Scenario:
             "num_requests": num_requests,
             "traffic": "mixed",
             "rate_hz": 2000.0,
-            "classes": "high:10:preempt, low:0 (weights 0.3/0.7)",
             "admission": "shed",
-            "max_backlog": 8,
+            "queue_capacity": 8,
             "workers": 2,
             "max_batch": 8,
             "max_wait_ms": 2.0,
             "sampler": "random",
             "reference": "naive",
         },
-        run_vectorized=run_policy,
+        run_vectorized=run_shed,
         run_reference=run_reference,
         compare=compare,
         contract="typed_or_bit_identical",
         collect_metrics=collect_metrics,
+        teardown=_shutdown_servers(state),
     )
 
 
@@ -1132,49 +1129,57 @@ def _timed_pair(
     return results
 
 
+def _run_scenario(scenario: Scenario) -> Dict[str, Any]:
+    """Time, compare and report one scenario; its result record."""
+    (
+        (reference_seconds, reference_value, reference_counters),
+        (vectorized_seconds, vectorized_value, vectorized_counters),
+    ) = _timed_pair(scenario.run_reference, scenario.run_vectorized)
+
+    identical = (scenario.compare or _equal)(
+        vectorized_value, reference_value
+    )
+    counters_match = (
+        _counters_dict(vectorized_counters)
+        == _counters_dict(reference_counters)
+    )
+    speedup = reference_seconds / max(vectorized_seconds, 1e-12)
+    result = {
+        "name": scenario.name,
+        "stage": scenario.stage,
+        "params": scenario.params,
+        "reference_seconds": round(reference_seconds, 6),
+        "vectorized_seconds": round(vectorized_seconds, 6),
+        "speedup": round(speedup, 2),
+        "identical": bool(identical and counters_match),
+        "contract": scenario.contract,
+        "min_speedup": scenario.min_speedup,
+        "counters": _counters_dict(vectorized_counters),
+        "metrics": (
+            scenario.collect_metrics()
+            if scenario.collect_metrics is not None
+            else None
+        ),
+    }
+    status = "ok " if identical and counters_match else "MISMATCH"
+    print(
+        f"[{status}] {scenario.name:<22} {scenario.stage:<15}"
+        f" ref {reference_seconds:8.3f}s  vec {vectorized_seconds:8.3f}s"
+        f"  speedup {speedup:7.1f}x"
+    )
+    return result
+
+
 def run_scenarios(
     scenarios: List[Scenario], quick: bool
 ) -> Dict[str, Any]:
     results: List[Dict[str, Any]] = []
     for scenario in scenarios:
-        (
-            (reference_seconds, reference_value, reference_counters),
-            (vectorized_seconds, vectorized_value, vectorized_counters),
-        ) = _timed_pair(scenario.run_reference, scenario.run_vectorized)
-
-        identical = (scenario.compare or _equal)(
-            vectorized_value, reference_value
-        )
-        counters_match = (
-            _counters_dict(vectorized_counters)
-            == _counters_dict(reference_counters)
-        )
-        speedup = reference_seconds / max(vectorized_seconds, 1e-12)
-        results.append(
-            {
-                "name": scenario.name,
-                "stage": scenario.stage,
-                "params": scenario.params,
-                "reference_seconds": round(reference_seconds, 6),
-                "vectorized_seconds": round(vectorized_seconds, 6),
-                "speedup": round(speedup, 2),
-                "identical": bool(identical and counters_match),
-                "contract": scenario.contract,
-                "min_speedup": scenario.min_speedup,
-                "counters": _counters_dict(vectorized_counters),
-                "metrics": (
-                    scenario.collect_metrics()
-                    if scenario.collect_metrics is not None
-                    else None
-                ),
-            }
-        )
-        status = "ok " if identical and counters_match else "MISMATCH"
-        print(
-            f"[{status}] {scenario.name:<22} {scenario.stage:<15}"
-            f" ref {reference_seconds:8.3f}s  vec {vectorized_seconds:8.3f}s"
-            f"  speedup {speedup:7.1f}x"
-        )
+        try:
+            results.append(_run_scenario(scenario))
+        finally:
+            if scenario.teardown is not None:
+                scenario.teardown()
 
     speedups = [r["speedup"] for r in results]
     summary = {
@@ -1210,13 +1215,11 @@ def _baseline_entry(raw: Any) -> Dict[str, Any]:
             "speedup": raw.get("speedup"),
             "budget": float(raw.get("budget", DEFAULT_REGRESSION_BUDGET)),
             "min_speedup": raw.get("min_speedup"),
-            "class_p99_budget_ms": raw.get("class_p99_budget_ms"),
         }
     return {
         "speedup": raw,
         "budget": DEFAULT_REGRESSION_BUDGET,
         "min_speedup": None,
-        "class_p99_budget_ms": None,
     }
 
 
@@ -1282,25 +1285,6 @@ def check_baseline(report: Dict[str, Any], baseline_path: Path) -> List[str]:
                 f"{scenario['name']}: speedup {scenario['speedup']}x is"
                 f" below the promised floor of {floor}x"
             )
-        budgets = (entry or {}).get("class_p99_budget_ms") or {}
-        if budgets:
-            per_class = (scenario.get("metrics") or {}).get("per_class", {})
-            for class_name, budget_ms in budgets.items():
-                stats = per_class.get(class_name)
-                if not stats or not stats.get("completed"):
-                    failures.append(
-                        f"{scenario['name']}: class {class_name!r} completed"
-                        " nothing, so its recorded"
-                        f" {budget_ms:g} ms p99 budget cannot be gated"
-                    )
-                    continue
-                p99 = stats["latency_ms"]["p99"]
-                if p99 > budget_ms:
-                    failures.append(
-                        f"{scenario['name']}: class {class_name!r} p99"
-                        f" latency {p99:.1f} ms exceeds its recorded"
-                        f" {budget_ms:g} ms budget"
-                    )
     return failures
 
 

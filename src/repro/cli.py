@@ -13,7 +13,10 @@ open-loop traffic (seeded Poisson arrivals), reports queue-wait/latency
 percentiles and throughput as JSON, and gates on the soak invariants:
 no dropped or rejected requests, futures resolving monotonically with
 their own request's payload, per-request outputs bit-identical to a
-sequential ``run_batch``, and p99 latency under a generous budget.
+sequential ``run_batch``, and p99 latency under a generous budget.  Every
+request is one traffic class; ``--admission shed`` turns a full waiting
+room's ``QueueFull`` into a typed ``LoadShed`` future, which
+``--min-load-sheds`` then requires to have happened.
 
 Pipeline components are addressed by their registry names, so ``e2e`` can
 swap the down-sampler (``--sampler fps``) or the inference platform model
@@ -106,9 +109,14 @@ def build_parser() -> argparse.ArgumentParser:
     serve = sub.add_parser(
         "serve",
         help="asynchronous serving soak: queue -> micro-batches -> workers",
+        description="Serve one seeded open-loop stream of one traffic class "
+                    "through a FrameServer and gate on the soak invariants. "
+                    "A full waiting room (--queue-capacity) rejects the "
+                    "arrival with QueueFull, or under --admission shed "
+                    "resolves it with LoadShed.",
     )
     # The flags live with the config they parse into (argparse groups:
-    # traffic / policy / execution / chaos) -- see repro.serving.config.
+    # traffic / execution / chaos) -- see repro.serving.config.
     ServeConfig.add_cli_args(serve)
 
     samplers = sub.add_parser("samplers", help="compare down-sampling methods")
@@ -219,7 +227,6 @@ def _run_serve(config: ServeConfig) -> int:
         FrameServer,
         LoadShed,
         QueueFull,
-        SubmitOptions,
         response_signature,
         signatures_equal,
     )
@@ -241,7 +248,6 @@ def _run_serve(config: ServeConfig) -> int:
         )
         return 2
     faults = config.build_faults()
-    policy = config.build_policy()
     task = _DATASET_TASKS[config.dataset]
     items = config.build_traffic_items()
     requests = [item.request for item in items]
@@ -251,7 +257,8 @@ def _run_serve(config: ServeConfig) -> int:
 
     # Ground truth for the bit-identity gate: the same requests through one
     # sequential frame-at-a-time session -- whatever traffic model and
-    # policy drive the server, a served response must match this exactly.
+    # admission mode drive the server, a served response must match this
+    # exactly.
     expected = None
     if config.verify:
         reference = Session(**session_options).run_batch(requests, batch_size=1)
@@ -275,9 +282,8 @@ def _run_serve(config: ServeConfig) -> int:
             delay = start + item.arrival - time.perf_counter()
             if delay > 0:
                 time.sleep(delay)
-            options = SubmitOptions(class_name=item.class_name)
             try:
-                futures.append(server.submit(item.request, options=options))
+                futures.append(server.submit(item.request))
             except QueueFull:
                 futures.append(None)
         for i, future in enumerate(futures):
@@ -361,22 +367,6 @@ def _run_serve(config: ServeConfig) -> int:
             f"p99 latency {p99_ms:.1f} ms exceeds the "
             f"{config.p99_budget_ms:.0f} ms budget"
         )
-    per_class = metrics.get("per_class", {})
-    if policy is not None:
-        # Per-class SLO gate: every class that declared an slo_ms budget
-        # and completed work must land its p99 inside it.
-        for cls in policy.classes:
-            if cls.slo_ms is None:
-                continue
-            stats = per_class.get(cls.name)
-            if not stats or not stats["completed"]:
-                continue
-            class_p99 = stats["latency_ms"]["p99"]
-            if class_p99 > cls.slo_ms:
-                failures.append(
-                    f"class {cls.name!r} p99 latency {class_p99:.1f} ms "
-                    f"exceeds its {cls.slo_ms:g} ms SLO"
-                )
     if config.min_load_sheds and counts["load_shed"] < config.min_load_sheds:
         failures.append(
             f"only {counts['load_shed']} load sheds recorded; the soak "
@@ -409,7 +399,7 @@ def _run_serve(config: ServeConfig) -> int:
             "backend": resolve_backend(exec_cfg.backend).describe(),
             "traffic": traffic_model,
             "rate_hz": config.traffic.rate_hz,
-            "policy": policy.describe() if policy is not None else None,
+            "admission": exec_cfg.admission,
             "max_batch": exec_cfg.max_batch,
             "max_wait_ms": exec_cfg.max_wait_ms,
             "seed": config.seed,
@@ -458,15 +448,8 @@ def _run_serve(config: ServeConfig) -> int:
         rows.append(
             ["response KB / frame", f"{shipped / max(1, frames) / 1e3:.1f}"]
         )
-    if policy is not None:
+    if exec_cfg.admission == "shed":
         rows.append(["typed load sheds", str(counts["load_shed"])])
-        for name in sorted(per_class):
-            stats = per_class[name]
-            rows.append([
-                f"class {name} (done/shed p99 ms)",
-                f"{stats['completed']}/{stats['load_shed']} "
-                "p99={p99:.2f}".format(**stats["latency_ms"]),
-            ])
     if faults is not None:
         rows.append(["chaos (retries/sheds)",
                      "{retries}/{deadline_sheds}".format(**resilience)])

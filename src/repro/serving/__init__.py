@@ -7,8 +7,9 @@ micro-batch only when a worker can start it:
 * :class:`~repro.serving.queue.AdmissionQueue` -- bounded FIFO behind
   :meth:`FrameServer.submit`, with enqueue timestamps and backpressure;
 * :class:`~repro.serving.scheduler.MicroBatchScheduler` -- groups admitted
-  requests by warm-state shape key; a group is taken on a priority,
-  max-batch-size or max-wait-deadline trigger, whichever fires first;
+  requests by warm-state shape key; a group is taken on a max-batch-size
+  or max-wait-deadline trigger, whichever fires first, or at once by an
+  idle pool;
 * a :class:`~repro.serving.cluster.pool.WorkerPool` -- workers (threads or
   processes, see :mod:`repro.serving.cluster.pool`) each owning one warm
   :class:`~repro.session.Session`, pulling batches from the hand-off and
@@ -28,6 +29,11 @@ warm-shape key to a sticky home worker and spills to the least-loaded one.
 existing session, wrap it:
 ``FrameServer(session_factory=lambda: session, num_workers=1)``.
 
+Every request is one traffic class.  When the waiting room is full,
+``FrameServer(admission="reject")`` raises :class:`QueueFull` from
+``submit`` and ``admission="shed"`` resolves the arrival's future with
+:class:`LoadShed` instead.
+
 Resilience (:mod:`~repro.serving.resilience`, :mod:`~repro.serving.faults`)
 wraps the same pipeline without touching the bit-identical core: requests
 may carry TTL deadlines (shed as :class:`DeadlineExceeded` before
@@ -40,7 +46,6 @@ latency / transport corruption for chaos testing.
 from repro.serving.config import (
     ChaosConfig,
     ExecutionConfig,
-    PolicyConfig,
     ServeConfig,
     TrafficConfig,
 )
@@ -50,7 +55,6 @@ from repro.serving.metrics import (
     RequestRecord,
     ServingMetrics,
 )
-from repro.serving.policy import LoadShed, PriorityClass, ServingPolicy
 from repro.serving.traffic import TrafficItem, TrafficModel
 from repro.serving.resilience import (
     DeadlineExceeded,
@@ -59,6 +63,7 @@ from repro.serving.resilience import (
 )
 from repro.serving.queue import (
     AdmissionQueue,
+    LoadShed,
     QueueClosed,
     QueuedRequest,
     QueueFull,
@@ -89,8 +94,6 @@ __all__ = [
     "ManualClock",
     "MicroBatch",
     "MicroBatchScheduler",
-    "PolicyConfig",
-    "PriorityClass",
     "ProcessWorkerPool",
     "QueueClosed",
     "QueueFull",
@@ -100,7 +103,6 @@ __all__ = [
     "RetryPolicy",
     "ServeConfig",
     "ServingMetrics",
-    "ServingPolicy",
     "SubmitOptions",
     "ThreadWorkerPool",
     "TrafficConfig",

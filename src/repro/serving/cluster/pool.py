@@ -27,7 +27,7 @@ as shared-memory messages (:mod:`repro.serving.cluster.transport`):
 * a parent-side feeder thread takes a batch from the hand-off only while
   fewer than ``_STAGED_PER_CHILD x num_workers`` batches are in flight, so
   the backlog stays in the server's waiting room where ``queue_capacity``,
-  TTLs and priorities reach it;
+  TTLs and shed admission reach it;
 * the parent encodes a batch's requests into a
   ``repro-req-{pid}-{pool}-{w}-{b}`` segment (the pool token keeps names
   unique when one parent runs several process servers at once) and
@@ -229,7 +229,6 @@ class WorkerPool:
                     trigger=batch.trigger,
                     worker=worker_name,
                     ok=error is None,
-                    class_name=entry.class_name,
                 )
             )
 

@@ -1,10 +1,10 @@
 """Typed serve configuration shared by the CLI and the benchmark harness.
 
 :class:`ServeConfig` is the one description of a serving soak: what traffic
-to generate, under which serving policy, on what execution substrate, with
-which chaos plan.  The ``serve`` CLI parses straight into it: a config field
-declared with :func:`_flag` *is* the flag -- name, default, validator and
-help written once -- so :meth:`ServeConfig.add_cli_args` and
+to generate, on what execution substrate and under which admission mode,
+with which chaos plan.  The ``serve`` CLI parses straight into it: a config
+field declared with :func:`_flag` *is* the flag -- name, default, validator
+and help written once -- so :meth:`ServeConfig.add_cli_args` and
 :meth:`ServeConfig.from_args` are loops over the dataclass fields, and
 ``benchmarks/run_all.py`` constructs the same dataclasses directly.
 
@@ -12,13 +12,10 @@ The sub-configs mirror the argparse groups:
 
 * :class:`TrafficConfig` -- which registered ``"traffic"`` model generates
   the request stream (``None`` keeps the legacy dataset-frames +
-  seeded-Poisson path), its rate, frame size and class weights;
-* :class:`PolicyConfig` -- priority-class specs
-  (``name:priority[:slo_ms][:preempt]``), default class, admission mode
-  and shed backlog -- building an optional
-  :class:`~repro.serving.policy.ServingPolicy`;
+  seeded-Poisson path), its rate and frame size;
 * :class:`ExecutionConfig` -- workers, execution mode, micro-batch
-  triggers, pipeline components;
+  triggers, the waiting room's bound and admission mode, pipeline
+  components;
 * :class:`ChaosConfig` -- the seeded fault plan.
 
 Everything a builder returns is a pure function of the config (and its
@@ -33,7 +30,7 @@ from __future__ import annotations
 import argparse
 from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional
 
 import numpy as np
 
@@ -44,11 +41,7 @@ from repro.core.config import (
     PreprocessingConfig,
 )
 from repro.serving.faults import FaultPlan
-from repro.serving.policy import (
-    ADMISSION_MODES,
-    PriorityClass,
-    ServingPolicy,
-)
+from repro.serving.server import ADMISSION_MODES, EXECUTION_MODES
 from repro.serving.traffic import TrafficItem, TrafficModel
 
 #: Registry dataset name -> Table I task (the CLI's mapping).
@@ -90,54 +83,6 @@ nonnegative_float = _number(
     float, lambda v: 0 <= v < np.inf, "a number", "a finite non-negative number"
 )
 fraction = _number(float, lambda v: 0 < v <= 1, "a number", "a number in (0, 1]")
-
-
-def parse_class_spec(spec: str) -> PriorityClass:
-    """Parse one ``--classes`` item: ``name:priority[:slo_ms][:preempt]``.
-
-    Examples: ``high:10:50:preempt`` (priority 10, 50 ms SLO, preempting),
-    ``low:0`` (priority 0, no SLO).  The optional third field is the SLO
-    budget in ms; a trailing ``preempt`` token makes arrivals of the class
-    dispatch their shape group immediately.
-    """
-    parts = [p for p in spec.split(":") if p != ""]
-    if not parts:
-        raise argparse.ArgumentTypeError(f"empty class spec {spec!r}")
-    name = parts[0]
-    priority = 0
-    slo_ms: Optional[float] = None
-    preempt = False
-    rest = parts[1:]
-    if rest and rest[0] != "preempt":
-        try:
-            priority = int(rest[0])
-        except ValueError:
-            raise argparse.ArgumentTypeError(
-                f"class spec {spec!r}: priority must be an integer, "
-                f"got {rest[0]!r}"
-            )
-        rest = rest[1:]
-    if rest and rest[0] != "preempt":
-        try:
-            slo_ms = float(rest[0])
-        except ValueError:
-            raise argparse.ArgumentTypeError(
-                f"class spec {spec!r}: slo_ms must be a number, got {rest[0]!r}"
-            )
-        rest = rest[1:]
-    if rest:
-        if rest != ["preempt"]:
-            raise argparse.ArgumentTypeError(
-                f"class spec {spec!r}: unexpected trailing {rest!r} "
-                "(expected 'preempt')"
-            )
-        preempt = True
-    try:
-        return PriorityClass(
-            name=name, priority=priority, slo_ms=slo_ms, preempt=preempt
-        )
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"class spec {spec!r}: {exc}")
 
 
 def _flag(default: Any, flag: Optional[str] = None, **argparse_kwargs: Any) -> Any:
@@ -211,92 +156,18 @@ class TrafficConfig:
         400, "--traffic-raw-points", type=positive_int,
         help="raw cloud size of model-generated frames (default 400)",
     )
-    #: Per-item class draw weights, parallel to the policy's class list
-    #: (``None`` -> uniform).  Needs a model and policy classes.
-    class_weights: Optional[Tuple[float, ...]] = _flag(
-        None, "--traffic-class-weights",
-        help="per-class draw weights: either comma-separated floats "
-             "parallel to --classes, or name=weight pairs "
-             "(e.g. high=0.3,low=0.7; default uniform)",
-    )
 
-    def build(
-        self,
-        frames: int,
-        seed: int,
-        class_names: Sequence[str] = (),
-    ) -> Optional[TrafficModel]:
+    def build(self, frames: int, seed: int) -> Optional[TrafficModel]:
         """Instantiate the registered model (``None`` when unset)."""
         if self.model is None:
             return None
-        kwargs: Dict[str, Any] = dict(
+        return registry.create(
+            "traffic",
+            self.model,
             frames=frames,
             rate_hz=self.rate_hz,
             seed=seed,
             raw_points=self.raw_points,
-        )
-        if class_names:
-            kwargs["class_names"] = tuple(class_names)
-            if self.class_weights is not None:
-                kwargs["class_weights"] = self.class_weights
-        return registry.create("traffic", self.model, **kwargs)
-
-
-@dataclass
-class PolicyConfig:
-    """Serving-policy knobs; :meth:`build` returns ``None`` when untouched."""
-
-    classes: Tuple[PriorityClass, ...] = _flag(
-        (), type=parse_class_spec, action="append",
-        metavar="NAME:PRIO[:SLO_MS][:preempt]",
-        help="priority class spec, repeatable "
-             "(e.g. --classes high:10:50:preempt --classes low:0)",
-    )
-    default_class: Optional[str] = _flag(
-        None,
-        help="class for unlabelled requests "
-             "(default: the lowest-priority class)",
-    )
-    admission: str = _flag(
-        "reject", choices=ADMISSION_MODES,
-        help="over-capacity behaviour: 'reject' raises QueueFull, "
-             "'shed' resolves lowest-priority work with LoadShed",
-    )
-    max_backlog: Optional[int] = _flag(
-        None, type=positive_int,
-        help="shed threshold on admitted-but-unstarted requests; needs "
-             "--admission shed (default: the queue capacity)",
-    )
-
-    def __post_init__(self) -> None:
-        # Policy flags the soak would ignore or crash on mid-run
-        # (``--max-backlog`` without ``--admission shed``, an unknown
-        # ``--default-class``) fail at construction instead.
-        self.build()
-
-    @property
-    def configured(self) -> bool:
-        return bool(
-            self.classes
-            or self.admission != "reject"
-            or self.max_backlog is not None
-            or self.default_class is not None
-        )
-
-    def build(self) -> Optional[ServingPolicy]:
-        if not self.configured:
-            return None
-        classes = self.classes or (PriorityClass("default"),)
-        default = self.default_class
-        if default is None:
-            # Lowest-priority class is the natural default: unlabelled
-            # traffic should not outrank labelled high-priority work.
-            default = min(classes, key=lambda c: (c.priority, c.name)).name
-        return ServingPolicy(
-            classes=tuple(classes),
-            default_class=default,
-            admission=self.admission,
-            max_backlog=self.max_backlog,
         )
 
 
@@ -309,7 +180,7 @@ class ExecutionConfig:
         help="warm-session workers in the server (default 2)",
     )
     execution: str = _flag(
-        "thread", choices=("thread", "process"),
+        "thread", choices=EXECUTION_MODES,
         help="run workers as threads or as fork-spawned processes with "
              "shared-memory batch transport (default thread)",
     )
@@ -331,11 +202,17 @@ class ExecutionConfig:
         help="longest a partial batch waits behind running work, in ms "
              "(default 5)",
     )
-    #: Admission queue bound (0 = sized to the request count).
+    #: Waiting-room bound (0 = sized to the request count).
     queue_capacity: int = _flag(
         0, type=nonnegative_int,
-        help="admission queue bound (0 = sized to the request count, "
-             "i.e. no backpressure during the soak)",
+        help="bound on requests admitted but not yet started (0 = sized "
+             "to the request count, i.e. no backpressure during the soak)",
+    )
+    admission: str = _flag(
+        "reject", choices=ADMISSION_MODES,
+        help="what a full waiting room does to an arrival: 'reject' raises "
+             "QueueFull, 'shed' resolves its future with LoadShed "
+             "(default reject)",
     )
 
 
@@ -411,19 +288,14 @@ class ServeConfig:
              "(validates a shed-mode soak actually shed; 0 disables)",
     )
     traffic: TrafficConfig = field(default_factory=TrafficConfig)
-    policy: PolicyConfig = field(default_factory=PolicyConfig)
     execution: ExecutionConfig = field(default_factory=ExecutionConfig)
     chaos: ChaosConfig = field(default_factory=ChaosConfig)
 
     def __post_init__(self) -> None:
-        # Class weights only feed a traffic model's draw over the --classes
-        # list; without both they would be dropped without a word.
-        if self.traffic.class_weights is not None and (
-            self.traffic.model is None or not self.policy.classes
-        ):
-            raise ValueError(
-                "--traffic-class-weights needs --traffic and --classes"
-            )
+        # Only shed admission load-sheds; a reject-mode soak would fail the
+        # gate whatever the server did.
+        if self.min_load_sheds and self.execution.admission != "shed":
+            raise ValueError("--min-load-sheds needs --admission shed")
 
     # -- argparse integration --------------------------------------------
     @staticmethod
@@ -438,30 +310,10 @@ class ServeConfig:
     def from_args(cls, args: argparse.Namespace) -> "ServeConfig":
         """The config the parsed ``serve`` flags describe; ``ValueError``
         names the flags that contradict each other."""
-        weights: Optional[Tuple[float, ...]] = None
-        if args.traffic_class_weights:
-            entries = args.traffic_class_weights.split(",")
-            if any("=" in entry for entry in entries):
-                # name=weight form: reorder to match the --classes order.
-                by_name = {}
-                for entry in entries:
-                    name, _, value = entry.partition("=")
-                    by_name[name.strip()] = float(value)
-                class_names = [spec.name for spec in args.classes]
-                unknown = sorted(set(by_name) - set(class_names))
-                if unknown:
-                    raise ValueError(
-                        f"--traffic-class-weights names {unknown} "
-                        f"do not match --classes {class_names}"
-                    )
-                weights = tuple(by_name.get(n, 0.0) for n in class_names)
-            else:
-                weights = tuple(float(w) for w in entries)
         return _from_flags(
             cls,
             args,
-            traffic=_from_flags(TrafficConfig, args, class_weights=weights),
-            policy=_from_flags(PolicyConfig, args, classes=tuple(args.classes)),
+            traffic=_from_flags(TrafficConfig, args),
             execution=_from_flags(ExecutionConfig, args),
             chaos=_from_flags(ChaosConfig, args),
         )
@@ -492,24 +344,13 @@ class ServeConfig:
             backend=self.execution.backend,
         )
 
-    def build_policy(self) -> Optional[ServingPolicy]:
-        return self.policy.build()
-
     def build_faults(self) -> Optional[FaultPlan]:
         return self.chaos.build(self.seed, self.execution.workers)
 
     def build_traffic_items(self) -> List[TrafficItem]:
         """The request stream: traffic-model items, or dataset frames on a
         seeded Poisson schedule (the legacy path) when no model is set."""
-        built_policy = self.build_policy()
-        class_names: Tuple[str, ...] = ()
-        if built_policy is not None and self.traffic.model is not None:
-            class_names = tuple(
-                cls.name for cls in built_policy.classes
-            )
-        model = self.traffic.build(
-            frames=self.frames, seed=self.seed, class_names=class_names
-        )
+        model = self.traffic.build(frames=self.frames, seed=self.seed)
         if model is not None:
             return model.items()
         from repro.session import FrameRequest
@@ -552,29 +393,15 @@ class ServeConfig:
             max_wait_seconds=self.execution.max_wait_ms / 1e3,
             queue_capacity=self.execution.queue_capacity or num_requests,
             faults=faults,
-            policy=self.build_policy(),
+            admission=self.execution.admission,
         )
-
-    def describe(self) -> Dict[str, Any]:
-        policy = self.build_policy()
-        return {
-            "dataset": self.dataset,
-            "frames": self.frames,
-            "seed": self.seed,
-            "traffic": (
-                {"model": self.traffic.model, "rate_hz": self.traffic.rate_hz}
-            ),
-            "policy": policy.describe() if policy is not None else None,
-            "workers": self.execution.workers,
-            "execution": self.execution.execution,
-        }
 
 
 #: ``ServeConfig`` sub-config field / argparse group title, its dataclass,
 #: and the group's description, in ``--help`` order.
 _FLAG_GROUPS = (
     ("traffic", TrafficConfig, "what request stream to generate"),
-    ("policy", PolicyConfig, "serving policy: priority classes, shedding, limits"),
-    ("execution", ExecutionConfig, "workers and micro-batch triggers"),
+    ("execution", ExecutionConfig,
+     "workers, micro-batch triggers and admission"),
     ("chaos", ChaosConfig, "seeded fault injection"),
 )

@@ -18,7 +18,7 @@ from __future__ import annotations
 import threading
 from collections import Counter
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, Sequence
 
 import numpy as np
 
@@ -44,15 +44,12 @@ class RequestRecord:
     #: Micro-batch identity and occupancy this request rode in.
     batch_id: int
     batch_size: int
-    #: What dispatched the batch: "size", "deadline", "priority", "idle"
-    #: or "drain".
+    #: What dispatched the batch: "size", "deadline", "idle" or "drain".
     trigger: str
     #: Name of the worker that served the batch.
     worker: str = ""
     #: False when the future was resolved with an exception.
     ok: bool = True
-    #: Serving-policy class the request rode (per-class percentile key).
-    class_name: str = "default"
 
     @property
     def queue_wait(self) -> float:
@@ -93,9 +90,6 @@ class ServingMetrics:
         self._sheds = 0
         self._load_sheds = 0
         self._retries = 0
-        #: Per-class counters for the typed non-served outcomes.
-        self._shed_classes: Dict[str, int] = {}
-        self._load_shed_classes: Dict[str, int] = {}
 
     # -- recording ------------------------------------------------------
     def record_submitted(self) -> int:
@@ -121,21 +115,15 @@ class ServingMetrics:
             self._cancelled += 1
 
     # -- resilience counters --------------------------------------------
-    def record_shed(self, class_name: str = "default") -> None:
+    def record_shed(self) -> None:
         """Count one request resolved ``DeadlineExceeded`` before dispatch."""
         with self._lock:
             self._sheds += 1
-            self._shed_classes[class_name] = (
-                self._shed_classes.get(class_name, 0) + 1
-            )
 
-    def record_load_shed(self, class_name: str = "default") -> None:
-        """Count one admitted request resolved ``LoadShed`` (SLO admission)."""
+    def record_load_shed(self) -> None:
+        """Count one arrival resolved ``LoadShed`` (shed admission)."""
         with self._lock:
             self._load_sheds += 1
-            self._load_shed_classes[class_name] = (
-                self._load_shed_classes.get(class_name, 0) + 1
-            )
 
     def record_retry(self) -> None:
         """Count one request re-enqueued after a worker crash."""
@@ -186,8 +174,6 @@ class ServingMetrics:
             sheds = self._sheds
             load_sheds = self._load_sheds
             retries = self._retries
-            shed_classes = dict(self._shed_classes)
-            load_shed_classes = dict(self._load_shed_classes)
         completed = [r for r in records if r.ok]
         failed = [r for r in records if not r.ok]
 
@@ -225,8 +211,8 @@ class ServingMetrics:
                 #: Resolved ``DeadlineExceeded`` before dispatch (TTL shed) --
                 #: a typed result, not a loss.
                 "shed": sheds,
-                #: Resolved ``LoadShed`` by SLO-aware admission -- also a
-                #: typed result, never a silent drop.
+                #: Resolved ``LoadShed`` by shed admission -- also a typed
+                #: result, never a silent drop.
                 "load_shed": load_sheds,
                 #: Admitted and still queued/executing (0 after a drain).
                 "in_flight": (
@@ -241,9 +227,6 @@ class ServingMetrics:
             "queue_wait_ms": _percentiles_ms([r.queue_wait for r in completed]),
             "service_ms": _percentiles_ms([r.service_time for r in completed]),
             "latency_ms": _percentiles_ms([r.latency for r in completed]),
-            "per_class": self._per_class(
-                completed, failed, shed_classes, load_shed_classes
-            ),
             "per_worker": per_worker,
             "batches": {
                 "count": len(batches),
@@ -263,33 +246,6 @@ class ServingMetrics:
                 "load_sheds": load_sheds,
             },
         }
-
-    @staticmethod
-    def _per_class(
-        completed: List[RequestRecord],
-        failed: List[RequestRecord],
-        shed_classes: Dict[str, int],
-        load_shed_classes: Dict[str, int],
-    ) -> Dict[str, Dict[str, Any]]:
-        """Per-priority-class breakdown: counters + latency percentiles."""
-        names = (
-            {r.class_name for r in completed}
-            | {r.class_name for r in failed}
-            | set(shed_classes)
-            | set(load_shed_classes)
-        )
-        out: Dict[str, Dict[str, Any]] = {}
-        for name in sorted(names):
-            done = [r for r in completed if r.class_name == name]
-            out[name] = {
-                "completed": len(done),
-                "failed": sum(1 for r in failed if r.class_name == name),
-                "shed": shed_classes.get(name, 0),
-                "load_shed": load_shed_classes.get(name, 0),
-                "queue_wait_ms": _percentiles_ms([r.queue_wait for r in done]),
-                "latency_ms": _percentiles_ms([r.latency for r in done]),
-            }
-        return out
 
 
 #: Type of the injectable clock shared by the serving components.

@@ -7,7 +7,7 @@ number, and pairs the request with the :class:`concurrent.futures.Future`
 handed back to the caller.  The queue is a bounded FIFO that never makes a
 caller wait: when it is full, ``submit`` raises :class:`QueueFull` at once
 (open-loop callers count the rejection and move on; the server's shed mode
-turns it into a typed ``LoadShed`` instead).
+resolves the arrival's future with :class:`LoadShed` instead).
 
 Per-request knobs travel as one :class:`SubmitOptions`.  A request may
 carry a TTL: ``SubmitOptions(ttl=...)`` stamps an absolute ``deadline`` on
@@ -32,7 +32,7 @@ import time
 from collections import deque
 from concurrent.futures import Future
 from dataclasses import dataclass, field
-from typing import Callable, Deque, Iterable, List, Optional
+from typing import Callable, Deque, List, Optional
 
 from repro.serving.metrics import Clock
 from repro.session import FrameRequest
@@ -45,19 +45,11 @@ class SubmitOptions:
     One typed bundle that ``FrameServer.submit`` and
     :meth:`AdmissionQueue.submit` take as ``options=``; the same object is
     threaded through the layers untouched.
-
-    ``class_name`` feeds the serving policy layer
-    (:mod:`repro.serving.policy`): it picks a configured
-    :class:`~repro.serving.policy.PriorityClass` (the policy's default
-    class when ``None``), whose rank the request rides.  On servers
-    without a policy it only labels the per-class metrics.
     """
 
     #: Seconds the request may wait before dispatch; past it the future
     #: resolves with ``DeadlineExceeded`` (typed, never silent).
     ttl: Optional[float] = None
-    #: Serving-policy class name; ``None`` means the policy's default.
-    class_name: Optional[str] = None
 
     def __post_init__(self) -> None:
         # ``not ttl > 0`` also rejects NaN, which compares false to all.
@@ -72,6 +64,15 @@ class SubmitOptions:
 
 class QueueFull(RuntimeError):
     """The admission queue is at capacity (backpressure)."""
+
+
+class LoadShed(RuntimeError):
+    """Typed result of shed admission refusing this request.
+
+    Raised *through the future*, never from ``submit``: under
+    ``admission="shed"`` an arrival that finds the waiting room full gets a
+    future resolved with this exception instead of a raised ``QueueFull``.
+    """
 
 
 class QueueClosed(RuntimeError):
@@ -95,30 +96,9 @@ class QueuedRequest:
     deadline: Optional[float] = field(default=None, compare=False)
     #: How many times a worker pool has dispatched this entry (crash retry).
     attempts: int = field(default=0, compare=False)
-    #: Serving-policy rank (higher wins scheduler ordering and survives
-    #: admission shedding); 0 for requests without a policy.
-    priority: int = field(default=0, compare=False)
-    #: Serving-policy class this entry rides (per-class metrics key).
-    class_name: str = field(default="default", compare=False)
 
     def expired(self, now: float) -> bool:
         return self.deadline is not None and self.deadline <= now
-
-
-def shed_victim(
-    entries: Iterable[QueuedRequest], below_priority: int
-) -> Optional[QueuedRequest]:
-    """The entry SLO-aware admission evicts for a ``below_priority`` arrival.
-
-    Among entries of strictly lower priority: the lowest-priority one,
-    youngest first (the least sunk queue wait).  ``None`` when every entry
-    ranks at least ``below_priority``.
-    """
-    return min(
-        (entry for entry in entries if entry.priority < below_priority),
-        key=lambda entry: (entry.priority, -entry.sequence),
-        default=None,
-    )
 
 
 class AdmissionQueue:
@@ -152,18 +132,12 @@ class AdmissionQueue:
         self,
         request: FrameRequest,
         options: Optional[SubmitOptions] = None,
-        *,
-        priority: int = 0,
-        class_name: str = "default",
     ) -> QueuedRequest:
         """Admit ``request``; returns its queue entry (future included).
 
         Per-request knobs travel as one :class:`SubmitOptions`.
         ``options.ttl`` (seconds, > 0) stamps an absolute deadline on the
         entry; expired entries are shed before dispatch rather than served.
-        ``priority``/``class_name`` are the *resolved* policy values stamped
-        by the owning server (the raw ``options.class_name`` may be
-        ``None``).
 
         Raises :class:`QueueFull` when at capacity and :class:`QueueClosed`
         after :meth:`close`.  A full queue first sheds its own expired
@@ -189,8 +163,6 @@ class AdmissionQueue:
                     sequence=self._sequence,
                     enqueued_at=now,
                     deadline=None if ttl_seconds is None else now + ttl_seconds,
-                    priority=int(priority),
-                    class_name=class_name,
                 )
                 self._sequence += 1
                 self._entries.append(entry)
@@ -198,28 +170,13 @@ class AdmissionQueue:
                 return entry
         finally:
             if shed and self.on_shed is not None:
-                for victim in shed:
-                    self.on_shed(victim)
+                for expired in shed:
+                    self.on_shed(expired)
 
     def _full(self) -> bool:
         """Queued plus held entries fill ``capacity`` (caller holds the lock)."""
         held = self.held() if self.held is not None else 0
         return len(self._entries) + held >= self.capacity
-
-    def steal_lowest(self, below_priority: int) -> Optional[QueuedRequest]:
-        """Remove and return the :func:`shed_victim` among queued entries.
-
-        The caller resolves the victim's future with a typed ``LoadShed``.
-        """
-        with self._lock:
-            victim = shed_victim(self._entries, below_priority)
-            if victim is not None:
-                # Rebuild by identity: dataclass __eq__ would compare the
-                # numpy payloads element-wise.
-                self._entries = deque(
-                    e for e in self._entries if e is not victim
-                )
-            return victim
 
     def _shed_expired_locked(self, now: float) -> List[QueuedRequest]:
         """Drop expired entries (oldest first); caller resolves their futures."""

@@ -19,22 +19,16 @@ triggers fires:
   ``max_wait_seconds`` since admission.  This bounds the latency a lonely
   shape pays for batching behind running work: a request never waits
   longer than that for companions that may not come.
-* **priority** -- a request of a ``preempt``
-  :class:`~repro.serving.policy.PriorityClass` arrived: its shape group
-  dispatches immediately instead of waiting for companions, carrying the
-  highest-priority members first.
 * **idle** -- the caller says no batch is running (``take(idle=True)``)
-  and no other trigger fired: the first non-empty group dispatches at
-  once, because waiting for companions only pays while a worker is busy.
+  and no other trigger fired: the first group in visit order dispatches
+  at once, because waiting for companions only pays while a worker is busy.
   Off by default, so :meth:`ready` and :meth:`drain` never use it.
 
-With a serving policy attached, groups are visited highest-priority first
-(a high-priority arrival jumps the grouping order) and an over-full
-group's members are *selected* by descending priority -- but whichever
-entries are selected leave in admission order within the batch, so
-per-batch future resolution stays monotonic in sequence numbers (the
-``futures_monotonic`` gate holds under every policy).  :meth:`drain`
-flushes every pending group (trigger ``"drain"``) for graceful shutdown.
+Groups are visited in the order they formed, and a batch takes its
+group's oldest members in admission order, so per-batch future resolution
+stays monotonic in sequence numbers (the ``futures_monotonic`` gate).
+:meth:`drain` flushes every pending group (trigger ``"drain"``) for
+graceful shutdown.
 """
 
 from __future__ import annotations
@@ -43,11 +37,10 @@ import math
 import threading
 import time
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.serving.metrics import Clock
-from repro.serving.policy import PriorityClass, ServingPolicy
-from repro.serving.queue import QueuedRequest, shed_victim
+from repro.serving.queue import QueuedRequest
 from repro.session import FrameRequest
 
 #: Maps a request to its warm-state shape key ``(task, sampled, channels)``.
@@ -62,8 +55,7 @@ class MicroBatch:
     entries: List[QueuedRequest]
     #: Clock reading when the batch was formed.
     formed_at: float
-    #: Which trigger formed it: "size", "deadline", "priority", "idle" or
-    #: "drain".
+    #: Which trigger formed it: "size", "deadline", "idle" or "drain".
     trigger: str
     #: Formation order (0-based, per scheduler).
     batch_id: int = 0
@@ -82,7 +74,6 @@ class MicroBatchScheduler:
         max_wait_seconds: float = 0.005,
         batch_rows_budget: Optional[int] = None,
         clock: Clock = time.monotonic,
-        policy: Optional[ServingPolicy] = None,
     ):
         if max_batch_size < 1:
             raise ValueError(f"max_batch_size must be >= 1, got {max_batch_size}")
@@ -102,15 +93,10 @@ class MicroBatchScheduler:
         self.max_wait_seconds = float(max_wait_seconds)
         self.batch_rows_budget = batch_rows_budget
         self.clock = clock
-        self.policy = policy
-        self._classes: Dict[str, PriorityClass] = (
-            policy.class_map if policy is not None else {}
-        )
         self._lock = threading.Lock()
-        #: Pending entries per shape key, in admission order.
+        #: Pending entries per shape key, in admission order; keys in the
+        #: order their group formed.
         self._pending: Dict[Tuple[str, int, int], List[QueuedRequest]] = {}
-        #: Keys holding a freshly-arrived entry of a ``preempt`` class.
-        self._urgent: Set[Tuple[str, int, int]] = set()
         self._batch_counter = 0
 
     # ------------------------------------------------------------------
@@ -135,11 +121,8 @@ class MicroBatchScheduler:
     def add(self, entry: QueuedRequest) -> None:
         """Accept one entry from the admission queue into its shape group."""
         key = self.shape_key(entry.request)
-        cls = self._classes.get(entry.class_name)
         with self._lock:
             self._pending.setdefault(key, []).append(entry)
-            if cls is not None and cls.preempt:
-                self._urgent.add(key)
 
     def next_deadline(self) -> Optional[float]:
         """Earliest clock reading at which a deadline trigger fires."""
@@ -183,70 +166,7 @@ class MicroBatchScheduler:
                     self._pending[key] = kept
                 else:
                     del self._pending[key]
-                    self._urgent.discard(key)
         return shed
-
-    def steal_lowest(self, below_priority: int) -> Optional[QueuedRequest]:
-        """Remove and return the :func:`~repro.serving.queue.shed_victim`
-        among pending entries (same contract as the queue's)."""
-        with self._lock:
-            victim = shed_victim(
-                (e for entries in self._pending.values() for e in entries),
-                below_priority,
-            )
-            if victim is not None:
-                key = next(
-                    key
-                    for key, entries in self._pending.items()
-                    if any(e is victim for e in entries)
-                )
-                # Remove by identity: dataclass __eq__ would compare the
-                # numpy payloads element-wise.
-                rest = [e for e in self._pending[key] if e is not victim]
-                if rest:
-                    self._pending[key] = rest
-                else:
-                    del self._pending[key]
-                    self._urgent.discard(key)
-            return victim
-
-    @staticmethod
-    def _select(
-        entries: List[QueuedRequest], limit: int
-    ) -> Tuple[List[QueuedRequest], List[QueuedRequest]]:
-        """Split ``entries`` into (batch members, remainder).
-
-        Members are chosen by descending priority (admission order among
-        equals) but *returned in admission order*: priority decides who
-        rides the batch, sequence order decides their slots, so per-batch
-        future resolution stays monotonic.  The all-equal fast path is the
-        pre-policy FIFO behaviour, bit for bit.
-        """
-        if len(entries) <= limit:
-            return list(entries), []
-        first_priority = entries[0].priority
-        if all(e.priority == first_priority for e in entries):
-            return entries[:limit], entries[limit:]
-        chosen = sorted(
-            sorted(entries, key=lambda e: (-e.priority, e.sequence))[:limit],
-            key=lambda e: e.sequence,
-        )
-        chosen_set = {id(e) for e in chosen}
-        return chosen, [e for e in entries if id(e) not in chosen_set]
-
-    def _visit_order(self) -> List[Tuple[str, int, int]]:
-        """Group visit order: highest pending priority first (policy), else
-        insertion order (legacy).  Caller holds the lock."""
-        keys = [key for key, entries in self._pending.items() if entries]
-        if self.policy is None:
-            return keys
-        return sorted(
-            keys,
-            key=lambda key: (
-                -max(e.priority for e in self._pending[key]),
-                min(e.sequence for e in self._pending[key]),
-            ),
-        )
 
     def take(
         self,
@@ -254,38 +174,30 @@ class MicroBatchScheduler:
         flush: bool = False,
         idle: bool = False,
     ) -> Optional[MicroBatch]:
-        """Pop the first batch whose priority, size, or deadline trigger fired.
+        """Pop the first batch whose size or deadline trigger fired.
 
         The hand-off primitive: whoever can start a batch *now* takes one.
         ``flush`` hands out every pending group regardless of triggers
         (trigger ``"drain"``, the shutdown path).  ``idle`` says no batch
-        is running: when no other trigger fired, the first non-empty group
-        in visit order starts at once (trigger ``"idle"``).  ``None`` when
-        nothing is due.
+        is running: when no other trigger fired, the first group in visit
+        order starts at once (trigger ``"idle"``).  ``None`` when nothing
+        is due.
         """
         if now is None:
             now = self.clock()
         with self._lock:
-            visit = self._visit_order()
-            for key in visit:
-                entries = self._pending[key]
-                limit = self.effective_batch_size(key)
+            for key, entries in self._pending.items():
                 if flush:
                     trigger = "drain"
-                elif key in self._urgent:
-                    # A preempting arrival dispatches its group now: the
-                    # highest-priority members ride out immediately instead
-                    # of waiting for the size trigger to fill.
-                    trigger = "priority"
-                elif len(entries) >= limit:
+                elif len(entries) >= self.effective_batch_size(key):
                     trigger = "size"
                 elif now - entries[0].enqueued_at >= self.max_wait_seconds:
                     trigger = "deadline"
                 else:
                     continue
                 return self._pop(key, now, trigger)
-            if idle and visit:
-                return self._pop(visit[0], now, "idle")
+            if idle and self._pending:
+                return self._pop(next(iter(self._pending)), now, "idle")
         return None
 
     def ready(
@@ -306,12 +218,11 @@ class MicroBatchScheduler:
     def _pop(
         self, key: Tuple[str, int, int], now: float, trigger: str
     ) -> MicroBatch:
-        """Form ``key``'s next batch and remove it from the group.  Caller
-        holds the lock."""
-        self._urgent.discard(key)
-        chosen, rest = self._select(
-            self._pending[key], self.effective_batch_size(key)
-        )
+        """Form ``key``'s next batch from its oldest members and remove them
+        from the group.  Caller holds the lock."""
+        entries = self._pending[key]
+        limit = self.effective_batch_size(key)
+        chosen, rest = entries[:limit], entries[limit:]
         if rest:
             self._pending[key] = rest
         else:

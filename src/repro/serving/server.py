@@ -6,8 +6,8 @@
   :class:`concurrent.futures.Future` objects back; an admitted request
   waits in the admission queue and then in the
   :class:`~repro.serving.scheduler.MicroBatchScheduler`'s shape groups --
-  one waiting room under one bound (``queue_capacity``), where TTLs,
-  priorities and admission shedding reach every request not yet started;
+  one waiting room under one bound (``queue_capacity``), where TTLs and
+  admission shedding reach every request not yet started;
 * a micro-batch is formed only when something can start it *now*:
   whatever is about to run one calls the hand-off
   (:meth:`FrameServer._next_batch`), which sweeps the queue into the
@@ -25,10 +25,10 @@
 
 Work the server will not serve is refused in a typed way, never dropped:
 ``QueueFull`` raised at the door (the default ``admission="reject"``), or
-a future resolved with :class:`~repro.serving.policy.LoadShed`
+a future resolved with :class:`~repro.serving.queue.LoadShed`
 (``admission="shed"``) or :class:`~repro.serving.resilience.DeadlineExceeded`
-(TTL).  A request's priority is the rank of its
-:class:`~repro.serving.policy.ServingPolicy` class.
+(TTL).  Every request is one traffic class: a full waiting room refuses
+the arrival, never a request already admitted.
 
 Determinism contract: every per-frame computation in the pipeline seeds its
 RNG per call (samplers, gatherers, network layers), so a frame's response
@@ -70,9 +70,9 @@ from repro.serving.cluster.pool import (
 )
 from repro.serving.faults import FaultPlan
 from repro.serving.metrics import Clock, ServingMetrics
-from repro.serving.policy import LoadShed, ServingPolicy
 from repro.serving.queue import (
     AdmissionQueue,
+    LoadShed,
     QueueClosed,
     QueuedRequest,
     QueueFull,
@@ -84,6 +84,8 @@ from repro.session import FrameLike, FrameRequest, FrameResponse, Session
 
 #: Recognised values of ``FrameServer(execution=...)``.
 EXECUTION_MODES = ("thread", "process")
+#: Recognised values of ``FrameServer(admission=...)``.
+ADMISSION_MODES = ("reject", "shed")
 
 
 def response_signature(response: FrameResponse) -> Tuple[Any, ...]:
@@ -156,7 +158,7 @@ class FrameServer:
     queue_capacity:
         Bound on requests admitted but not yet started -- queued or
         grouped (backpressure above it).  A full queue sheds its expired
-        entries (TTL) before rejecting.
+        entries (TTL) before refusing the arrival.
     clock:
         Injectable monotonic clock shared by every serving component.
     faults:
@@ -168,10 +170,12 @@ class FrameServer:
         (:class:`~repro.serving.resilience.RetryPolicy`; default 3
         attempts with capped seeded-jitter backoff).  Pass
         ``RetryPolicy(max_attempts=1)`` to fail on the first crash.
-    policy:
-        Optional :class:`~repro.serving.policy.ServingPolicy`: priority
-        classes and SLO-aware admission shedding.  Without one every
-        request ranks equal (FIFO per shape, ``QueueFull`` backpressure).
+    admission:
+        What a full waiting room does to an arrival: ``"reject"`` (the
+        default) raises :class:`~repro.serving.queue.QueueFull` from
+        ``submit``; ``"shed"`` returns a future resolved with
+        :class:`~repro.serving.queue.LoadShed`, so ``submit`` never raises
+        for backpressure.
     """
 
     def __init__(
@@ -186,13 +190,18 @@ class FrameServer:
         execution: str = "thread",
         faults: Optional[FaultPlan] = None,
         retry_policy: Optional[RetryPolicy] = None,
-        policy: Optional[ServingPolicy] = None,
+        admission: str = "reject",
     ):
         if num_workers < 1:
             raise ValueError(f"num_workers must be >= 1, got {num_workers}")
         if execution not in EXECUTION_MODES:
             raise ValueError(
                 f"execution must be one of {EXECUTION_MODES}, got {execution!r}"
+            )
+        if admission not in ADMISSION_MODES:
+            raise ValueError(
+                f"admission must be one of {ADMISSION_MODES}, "
+                f"got {admission!r}"
             )
         self.session_factory = session_factory
         self.num_workers = int(num_workers)
@@ -201,13 +210,9 @@ class FrameServer:
         self.clock = clock
         self.faults = faults
         self.retry_policy = retry_policy
-        self.policy = policy
+        #: Under shed admission a full waiting room sheds the arrival.
+        self._shed_mode = admission == "shed"
         self.metrics = ServingMetrics()
-        #: Shed admission turns the bound's ``QueueFull`` into steal/``LoadShed``
-        #: and may tighten the bound itself (``max_backlog``, shed-only).
-        self._shed_mode = policy is not None and policy.admission == "shed"
-        if policy is not None and policy.max_backlog is not None:
-            queue_capacity = min(queue_capacity, policy.max_backlog)
         self.pool: Optional[WorkerPool] = None
         #: The waiting room: the queue, then the scheduler's shape groups.
         self.scheduler = MicroBatchScheduler(
@@ -216,7 +221,6 @@ class FrameServer:
             max_wait_seconds=max_wait_seconds,
             batch_rows_budget=Session.batch_rows_budget,
             clock=clock,
-            policy=policy,
         )
         self.admission = AdmissionQueue(
             capacity=queue_capacity,
@@ -356,15 +360,12 @@ class FrameServer:
         starts: past it, the future resolves with
         :class:`~repro.serving.resilience.DeadlineExceeded` instead of
         being served (never a silent drop).
-        ``options.class_name`` selects the serving policy class, whose rank
-        is the request's priority (without a policy it only labels the
-        metrics).
 
         Raises :class:`~repro.serving.queue.QueueFull` under backpressure
         and :class:`~repro.serving.queue.QueueClosed` after shutdown.
         Under ``admission="shed"`` the server never raises ``QueueFull``:
         a shed request gets a future resolved with
-        :class:`~repro.serving.policy.LoadShed` instead -- a typed result.
+        :class:`~repro.serving.queue.LoadShed` instead -- a typed result.
         """
         if not self._started:
             self.start()
@@ -372,11 +373,6 @@ class FrameServer:
         request = FrameRequest.coerce(frame, index=next(self._submit_counter))
         if frame_id is not None:
             request = dataclasses.replace(request, frame_id=frame_id)
-        if self.policy is not None:
-            cls = self.policy.resolve(options.class_name)
-            class_name, priority = cls.name, cls.priority
-        else:
-            class_name, priority = options.class_name or "default", 0
         # Count the submission before the entry becomes visible to the
         # scheduler: recording it afterwards opens a window where a fast
         # worker completes the request first and a live stats() snapshot
@@ -384,48 +380,28 @@ class FrameServer:
         self.metrics.record_submitted()
         # One check, two outcomes: the queue's bound counts everything
         # admitted but not yet started.  Reject mode surfaces ``QueueFull``;
-        # shed mode makes room by evicting strictly lower-priority waiting
-        # work, else sheds the arrival itself -- typed, never raised.
-        while True:
-            try:
-                return self.admission.submit(
-                    request,
-                    options=options,
-                    priority=priority,
-                    class_name=class_name,
-                ).future
-            except QueueFull:
-                if not self._shed_mode:
-                    self.metrics.record_admission_failed()
-                    self.metrics.record_rejected()
-                    raise
-                victim = self.admission.steal_lowest(priority)
-                if victim is None:
-                    victim = self.scheduler.steal_lowest(priority)
-                if victim is None:
-                    self.metrics.record_load_shed(class_name)
-                    return self._typed_failure(
-                        LoadShed(
-                            f"request {request.frame_id!r} shed at admission "
-                            f"(backlog at {self.admission.capacity})"
-                        )
-                    )
-                self._load_shed_entry(victim)
-            except QueueClosed:
+        # shed mode resolves the arrival's future with ``LoadShed`` -- typed,
+        # never raised.
+        try:
+            return self.admission.submit(request, options=options).future
+        except QueueFull:
+            if not self._shed_mode:
                 self.metrics.record_admission_failed()
+                self.metrics.record_rejected()
                 raise
-
-    def _waiting_depth(self) -> int:
-        """Requests admitted but not yet started: the waiting room."""
-        return len(self.admission) + self.scheduler.pending_count
-
-    @staticmethod
-    def _typed_failure(exc: BaseException) -> "Future":
-        """A future pre-resolved with a typed serving exception."""
-        future: "Future" = Future()
-        future.set_running_or_notify_cancel()
-        future.set_exception(exc)
-        return future
+            self.metrics.record_load_shed()
+            future: "Future" = Future()
+            future.set_running_or_notify_cancel()
+            future.set_exception(
+                LoadShed(
+                    f"request {request.frame_id!r} shed at admission "
+                    f"(waiting room at {self.admission.capacity})"
+                )
+            )
+            return future
+        except QueueClosed:
+            self.metrics.record_admission_failed()
+            raise
 
     def _shed_entry(self, entry: QueuedRequest, now: Optional[float] = None) -> None:
         """Resolve one expired entry with ``DeadlineExceeded`` (typed, counted)."""
@@ -438,19 +414,7 @@ class FrameServer:
                     f"by {now - (entry.deadline or now):.3f}s before dispatch"
                 )
             )
-        self.metrics.record_shed(entry.class_name)
-
-    def _load_shed_entry(self, entry: QueuedRequest) -> None:
-        """Resolve one admission-shed victim with ``LoadShed`` (typed)."""
-        if entry.future.set_running_or_notify_cancel():
-            entry.future.set_exception(
-                LoadShed(
-                    f"request {entry.request.frame_id!r} "
-                    f"(class {entry.class_name!r}, priority {entry.priority}) "
-                    "shed for higher-priority admission"
-                )
-            )
-        self.metrics.record_load_shed(entry.class_name)
+        self.metrics.record_shed()
 
     def stats(self) -> dict:
         """Live metrics snapshot (the server keeps running)."""
@@ -472,7 +436,7 @@ class FrameServer:
         -- so a batch is never formed ahead of the capacity to run it.
         Each pass sweeps the admission queue into the shape groups, sheds
         what has expired (an expired request is never started), and takes
-        the first group whose priority/size/deadline trigger has fired --
+        the first group whose size/deadline trigger has fired --
         or, when the pool runs no batch, the first non-empty group at once
         (trigger ``"idle"``): batching only pays behind running work.  With
         none due it waits on the queue for the next trigger, TTL expiry,
@@ -482,22 +446,7 @@ class FrameServer:
         scheduler = self.scheduler
         with self._handoff:
             while True:
-                while self.admission.pop(timeout=0, sink=scheduler.add):
-                    pass
-                now = self.clock()
-                shed = scheduler.shed_expired(now)
-                for entry in shed:
-                    self._shed_entry(entry, now)
-                closing = self.admission.is_drained()
-                if closing and self._discard:
-                    for batch in scheduler.drain(now):
-                        for entry in batch.entries:
-                            entry.future.cancel()
-                            self.metrics.record_cancelled()
-                # ``pool`` is unset only while it starts, before anything
-                # can be admitted.
-                idle = self.pool is not None and self.pool.idle()
-                batch = scheduler.take(now, flush=closing, idle=idle)
+                batch, closing, now = self._take_now()
                 if batch is not None or closing:
                     return batch
                 # Wake for whichever comes first: a batch deadline trigger
@@ -511,3 +460,27 @@ class FrameServer:
                     timeout=max(0.0, min(wakes) - now) if wakes else None,
                     sink=scheduler.add,
                 )
+
+    def _take_now(self) -> Tuple[Optional[MicroBatch], bool, float]:
+        """One pass of the hand-off that never waits (the caller holds
+        ``_handoff``): sweep, shed, take.
+
+        Returns the batch taken (``None`` when nothing is due), whether the
+        stream is closing, and the clock reading the pass used.
+        """
+        scheduler = self.scheduler
+        while self.admission.pop(timeout=0, sink=scheduler.add):
+            pass
+        now = self.clock()
+        for entry in scheduler.shed_expired(now):
+            self._shed_entry(entry, now)
+        closing = self.admission.is_drained()
+        if closing and self._discard:
+            for batch in scheduler.drain(now):
+                for entry in batch.entries:
+                    entry.future.cancel()
+                    self.metrics.record_cancelled()
+        # ``pool`` is unset only while it starts, before anything can be
+        # admitted.
+        idle = self.pool is not None and self.pool.idle()
+        return scheduler.take(now, flush=closing, idle=idle), closing, now

@@ -1,38 +1,36 @@
 """Seeded traffic models for the serving soaks and benchmarks.
 
 A traffic model turns ``(frames, rate_hz, seed, ...)`` into a deterministic
-list of :class:`TrafficItem` -- a :class:`~repro.session.FrameRequest`, its
-open-loop arrival offset in seconds, and an optional serving-policy class
-name.  Models are registered under the ``"traffic"`` registry kind, so the
-``serve`` CLI and the benchmark harness address them by string exactly like
-samplers and backends::
+list of :class:`TrafficItem` -- a :class:`~repro.session.FrameRequest` and
+its open-loop arrival offset in seconds.  Models are registered under the
+``"traffic"`` registry kind, so the ``serve`` CLI and the benchmark harness
+address them by string exactly like samplers and backends::
 
     model = registry.create("traffic", "mixed", frames=64, rate_hz=200, seed=0)
     for item in model.items():
         ...  # submit item.request at t0 + item.arrival
 
 Determinism contract: a model's output is a pure function of its
-constructor arguments.  Arrival gaps, class draws, and frame geometry each
-consume *independent* seeded generators (``seed``, ``seed + 1``, and
-``seed + 2 + index`` respectively), so adding a class mix never perturbs
-the arrival schedule and vice versa -- the bit-identity gate compares
-served responses against a sequential run over the *same* request list,
-which therefore never depends on policy configuration.
+constructor arguments.  Arrival gaps and frame geometry consume
+*independent* seeded generators (``seed`` and ``seed + 2 + index``), so a
+frame's payload never depends on the arrival schedule and vice versa --
+the bit-identity gate compares served responses against a sequential run
+over the *same* request list.
 
 Two models are registered, both Poisson in time: ``poisson`` emits one
 raw size of CAD-style synthetic frame
 (:func:`~repro.datasets.synthetic.sample_cad_shape`), and ``mixed`` adds a
 second, smaller raw size (below ``num_samples``) so its stream exercises
 two warm-state shape keys -- the CI shed soak and the
-``serving_mixed_traffic`` benchmark scenario drive it with two priority
-classes.  Task mixing is out of scope: a serving session is built for one
+``serving_mixed_traffic`` benchmark scenario drive it under shed
+admission.  Task mixing is out of scope: a serving session is built for one
 task, so one server serves one task; a second task needs a second server.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List
 
 import numpy as np
 
@@ -52,12 +50,10 @@ class TrafficItem:
     request: FrameRequest
     #: Open-loop arrival offset from the stream start, in seconds.
     arrival: float
-    #: Serving-policy class to submit under (``None`` -> server default).
-    class_name: Optional[str] = None
 
 
 class TrafficModel:
-    """Base class: seeded arrivals + seeded frames + seeded class draws.
+    """Base class: seeded arrivals + seeded frames.
 
     Subclasses implement :meth:`_gaps` (inter-arrival seconds, length
     ``frames``; the first gap is the offset of the first arrival) and may
@@ -65,8 +61,7 @@ class TrafficModel:
 
     Parameters shared by every model: ``frames`` (stream length),
     ``rate_hz`` (mean arrival rate; ``0`` submits everything at once),
-    ``seed``, ``raw_points`` (raw cloud size), ``class_names`` /
-    ``class_weights`` (optional per-item class draw).
+    ``seed``, ``raw_points`` (raw cloud size).
     """
 
     name = "base"
@@ -77,8 +72,6 @@ class TrafficModel:
         rate_hz: float = 100.0,
         seed: int = 0,
         raw_points: int = 400,
-        class_names: Optional[Sequence[str]] = None,
-        class_weights: Optional[Sequence[float]] = None,
     ):
         if frames < 1:
             raise ValueError(f"frames must be >= 1, got {frames}")
@@ -90,22 +83,6 @@ class TrafficModel:
         self.rate_hz = float(rate_hz)
         self.seed = int(seed)
         self.raw_points = int(raw_points)
-        self.class_names = tuple(class_names) if class_names else ()
-        if self.class_names:
-            if class_weights is None:
-                weights = np.ones(len(self.class_names))
-            else:
-                weights = np.asarray(list(class_weights), dtype=np.float64)
-                if len(weights) != len(self.class_names):
-                    raise ValueError(
-                        f"{len(self.class_names)} class names but "
-                        f"{len(weights)} weights"
-                    )
-                if not np.all(weights > 0):
-                    raise ValueError("class weights must be > 0")
-            self.class_probs = weights / weights.sum()
-        else:
-            self.class_probs = None
 
     # -- the pieces subclasses override ---------------------------------
     def _gaps(self, rng: np.random.Generator) -> np.ndarray:
@@ -134,19 +111,9 @@ class TrafficModel:
             )
         return np.cumsum(np.maximum(gaps, 0.0))
 
-    def _classes(self) -> List[Optional[str]]:
-        if self.class_probs is None:
-            return [None] * self.frames
-        rng = np.random.default_rng(self.seed + 1)
-        draws = rng.choice(
-            len(self.class_names), size=self.frames, p=self.class_probs
-        )
-        return [self.class_names[int(d)] for d in draws]
-
     def items(self) -> List[TrafficItem]:
         """The full deterministic stream, in arrival order."""
         arrivals = self.arrivals()
-        classes = self._classes()
         items = []
         for i in range(self.frames):
             cloud = self._cloud(i)
@@ -158,7 +125,6 @@ class TrafficModel:
                         timestamp=cloud.timestamp,
                     ),
                     arrival=float(arrivals[i]),
-                    class_name=classes[i],
                 )
             )
         return items
@@ -170,7 +136,6 @@ class TrafficModel:
             "rate_hz": self.rate_hz,
             "seed": self.seed,
             "raw_points": self.raw_points,
-            "classes": list(self.class_names) or None,
         }
 
 
@@ -192,8 +157,7 @@ class MixedTraffic(PoissonTraffic):
     points instead of ``raw_points``; keep ``small_points`` below the
     session's ``num_samples`` so the down-sampled size -- and hence the
     warm-state shape key -- genuinely differs and the scheduler runs two
-    concurrent groups.  Combine with ``class_names`` for the two-priority
-    mixed soak.
+    concurrent groups.
     """
 
     name = "mixed"
@@ -204,14 +168,10 @@ class MixedTraffic(PoissonTraffic):
         rate_hz: float = 100.0,
         seed: int = 0,
         raw_points: int = 400,
-        class_names: Optional[Sequence[str]] = None,
-        class_weights: Optional[Sequence[float]] = None,
         small_points: int = 48,
         small_share: float = 0.5,
     ):
-        super().__init__(
-            frames, rate_hz, seed, raw_points, class_names, class_weights
-        )
+        super().__init__(frames, rate_hz, seed, raw_points)
         if small_points < 1:
             raise ValueError(f"small_points must be >= 1, got {small_points}")
         if not 0.0 <= small_share <= 1.0:
@@ -222,7 +182,7 @@ class MixedTraffic(PoissonTraffic):
         self.small_share = float(small_share)
 
     def _is_small(self, index: int) -> bool:
-        # Deterministic per-index draw, independent of arrivals/classes.
+        # Deterministic per-index draw, independent of the arrivals.
         return bool(
             np.random.default_rng(self.seed + 2 + index).random()
             < self.small_share

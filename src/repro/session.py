@@ -63,13 +63,39 @@ FrameLike = Union["FrameRequest", Frame, PointCloud]
 #: results).
 DEFAULT_BATCH_ROWS_BUDGET = 512
 
+#: Largest coordinate or feature magnitude a request may carry.  The fused
+#: backend computes in float32; past this bound a value or its square
+#: overflows there, and the frame would come back with inf/NaN logits
+#: instead of an error.
+MAX_INPUT_MAGNITUDE = float(np.sqrt(np.finfo(np.float32).max))
+
+
+def _in_range(values: np.ndarray) -> bool:
+    """Every value finite and within :data:`MAX_INPUT_MAGNITUDE`.
+
+    Two reductions without a temporary array (a NaN propagates through both
+    and fails the compare), so the check costs about one ``np.isfinite``
+    pass.
+    """
+    if values.size == 0:
+        return True
+    bound = MAX_INPUT_MAGNITUDE
+    return bool(values.max() <= bound and values.min() >= -bound)
+
+
+def _range_defect(values: np.ndarray, what: str) -> str:
+    if not np.isfinite(values).all():
+        return f"has a non-finite (NaN or inf) {what}"
+    return f"has a {what} beyond +/-{MAX_INPUT_MAGNITUDE:.3g}"
+
 
 @dataclass(frozen=True)
 class FrameRequest:
     """One frame submitted to a :class:`Session`.
 
-    Construction is the input boundary: a frame with no points or with a
-    NaN / inf coordinate or feature raises :class:`ValueError` here, naming
+    Construction is the input boundary: a frame with no points, or with a
+    coordinate or feature that is NaN, inf or larger in magnitude than
+    :data:`MAX_INPUT_MAGNITUDE`, raises :class:`ValueError` here, naming
     the frame, instead of failing inside a kernel or a serving worker.
     """
 
@@ -81,10 +107,10 @@ class FrameRequest:
         cloud = self.cloud
         if cloud.num_points == 0:
             defect = "has no points"
-        elif not np.isfinite(cloud.points).all():
-            defect = "has a non-finite (NaN or inf) coordinate"
-        elif cloud.features is not None and not np.isfinite(cloud.features).all():
-            defect = "has a non-finite (NaN or inf) feature"
+        elif not _in_range(cloud.points):
+            defect = _range_defect(cloud.points, "coordinate")
+        elif cloud.features is not None and not _in_range(cloud.features):
+            defect = _range_defect(cloud.features, "feature")
         else:
             return
         raise ValueError(f"frame {self.frame_id!r} {defect}")

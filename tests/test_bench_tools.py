@@ -240,8 +240,43 @@ class TestBaselineGate:
             recorded = baseline[mode]
             assert set(recorded) == names
             for name, entry in recorded.items():
-                required = {"speedup", "budget", "min_speedup"}
-                # Serving-policy scenarios may additionally gate per-class
-                # latency tails.
-                allowed = required | {"class_p99_budget_ms"}
-                assert required <= set(entry) <= allowed, name
+                assert set(entry) == {"speedup", "budget", "min_speedup"}, name
+
+
+class TestScenarioTeardown:
+    @staticmethod
+    def scenario(calls, run=lambda: (1, None)):
+        return run_all.Scenario(
+            name="probe",
+            stage="serving",
+            params={},
+            run_vectorized=run,
+            run_reference=lambda: (1, None),
+            collect_metrics=lambda: calls.append("metrics"),
+            teardown=lambda: calls.append("teardown"),
+        )
+
+    def test_teardown_runs_once_after_collect_metrics(self):
+        calls = []
+        report = run_all.run_scenarios([self.scenario(calls)], quick=True)
+        assert report["scenarios"][0]["identical"]
+        assert calls == ["metrics", "teardown"]
+
+    def test_teardown_runs_when_a_run_raises(self):
+        calls = []
+
+        def fail():
+            raise RuntimeError("run failed")
+
+        with pytest.raises(RuntimeError, match="run failed"):
+            run_all.run_scenarios([self.scenario(calls, fail)], quick=True)
+        assert calls == ["teardown"]
+
+    def test_every_scenario_caching_a_server_tears_it_down(self):
+        # The chaos scenario starts and shuts a fresh server per round.
+        cached = {
+            s.name: s.teardown is not None
+            for s in run_all.build_scenarios(quick=True)
+            if s.name.startswith("serving_") and s.name != "serving_chaos_poisson"
+        }
+        assert len(cached) == 5 and all(cached.values()), cached

@@ -4,8 +4,8 @@ Arrivals outrun one worker made slow with ``FaultPlan.slow_worker``, so a
 backlog forms while the 5 ms deadline trigger is live -- nothing is parked
 behind a long ``max_wait_seconds``.  The backlog has to sit where the
 server's own rules reach it: ``queue_capacity`` refuses, TTLs expire,
-``admission="shed"`` sheds, a preempting class jumps it, and same-shape
-groups fill to their size limit.  Also pins the shape that makes this so:
+``admission="shed"`` sheds, and same-shape groups fill to their size
+limit.  Also pins the shape that makes this so:
 workers pull (no scheduler thread, no pool-side queue) and the process
 pool stages at most a constant number of batches per child.
 """
@@ -23,9 +23,7 @@ from repro.serving import (
     FaultPlan,
     FrameServer,
     LoadShed,
-    PriorityClass,
     QueueFull,
-    ServingPolicy,
     SubmitOptions,
     response_signature,
     signatures_equal,
@@ -152,50 +150,25 @@ class TestOverload:
 
     @pytest.mark.parametrize("execution", EXECUTIONS)
     def test_shed_admission_sheds_instead_of_queueing(self, execution):
-        server = slow_server(
-            execution, policy=ServingPolicy(admission="shed", max_backlog=8)
-        )
+        server = slow_server(execution, admission="shed", queue_capacity=8)
+        depths = []
         with server:
-            futures = drive(server, make_requests())
+            futures = drive(
+                server, make_requests(),
+                observe=lambda: depths.append(
+                    len(server.admission) + server.scheduler.pending_count
+                ),
+            )
             counts = outcomes(futures)
             snapshot = server.shutdown()
         requests = snapshot["requests"]
         assert None not in futures  # QueueFull is never raised under shed
+        assert max(depths) <= 8
         assert requests["load_shed"] > 0
         assert requests["load_shed"] == counts[LoadShed.__name__]
         assert requests["completed"] + requests["load_shed"] == FRAMES
         assert requests["submitted"] == FRAMES
         assert requests["rejected"] == 0
-
-    def test_preempting_arrival_jumps_the_backlog(self):
-        policy = ServingPolicy(
-            classes=(
-                PriorityClass("high", priority=10, preempt=True),
-                PriorityClass("low", priority=0),
-            ),
-            default_class="low",
-        )
-        urgent_at = 40  # well into the backlog
-        server = slow_server(policy=policy)
-        with server:
-            counts = outcomes(
-                drive(
-                    server, make_requests(60),
-                    options=lambda i: SubmitOptions(
-                        class_name="high" if i == urgent_at else "low"
-                    ),
-                )
-            )
-        assert counts == {"served": 60}
-        records = {r.sequence: r for r in server.metrics.records}
-        urgent = records[urgent_at]
-        assert urgent.trigger == "priority"
-        overtaken = [
-            r for r in records.values()
-            if r.sequence < urgent_at and r.dispatched_at > urgent.dispatched_at
-        ]
-        # More than the remainder of its own shape group (< one batch).
-        assert len(overtaken) >= 8
 
     def test_backlog_fills_batches_to_the_size_limit(self):
         server = slow_server()

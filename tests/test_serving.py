@@ -30,12 +30,10 @@ from repro.serving import (
     FrameServer,
     ManualClock,
     MicroBatchScheduler,
-    PriorityClass,
     QueueClosed,
     QueueFull,
     RequestRecord,
     ServingMetrics,
-    ServingPolicy,
     response_signature,
     signatures_equal,
 )
@@ -221,30 +219,21 @@ class TestMicroBatchScheduler:
         assert scheduler.pending_count == 0
         assert scheduler.take(now=0.0, idle=True) is None
 
-    def test_drain_priority_and_size_take_precedence_over_idle(self):
+    def test_drain_deadline_and_size_take_precedence_over_idle(self):
         clock = ManualClock()
-        policy = ServingPolicy(
-            classes=(
-                PriorityClass("high", priority=10, preempt=True),
-                PriorityClass("low", priority=0),
-            ),
-            default_class="low",
-        )
-        scheduler, queue = self.setup_scheduler(clock, policy=policy)
+        scheduler, queue = self.setup_scheduler(clock)
         # A lonely 40-point group first in visit order, then a full group.
         scheduler.add(queue.submit(make_request(0, points=40)))
         scheduler.add(queue.submit(make_request(1)))
         scheduler.add(queue.submit(make_request(2)))
         batch = scheduler.take(now=0.0, idle=True)
         assert (batch.trigger, batch.key[1]) == ("size", 64)
-        # A preempting arrival beats idle the same way.
-        scheduler.add(
-            queue.submit(make_request(3), class_name="high", priority=10)
-        )
-        batch = scheduler.take(now=0.0, idle=True)
-        assert (batch.trigger, batch.key[1]) == ("priority", 64)
+        # A group past its deadline keeps the deadline label when idle.
+        scheduler.add(queue.submit(make_request(3)))
+        batch = scheduler.take(now=0.005, idle=True)
+        assert (batch.trigger, batch.key[1]) == ("deadline", 40)
         # Flush labels every group drain, idle or not.
-        scheduler.add(queue.submit(make_request(4)))
+        scheduler.add(queue.submit(make_request(4, points=40)))
         drained = [
             scheduler.take(now=0.0, flush=True, idle=True) for _ in range(2)
         ]
@@ -635,12 +624,11 @@ class TestServeCLI:
         renamed = {
             "traffic": ("traffic", "model"),
             "traffic_raw_points": ("traffic", "raw_points"),
-            "traffic_class_weights": ("traffic", "class_weights"),
             "chaos": ("chaos", "enabled"),
             "chaos_kill_after": ("chaos", "kill_after"),
             "chaos_slow_ms": ("chaos", "slow_ms"),
         }
-        sections = (config.traffic, config.policy, config.execution, config.chaos)
+        sections = (config.traffic, config.execution, config.chaos)
         flags = [a for a in parser._actions if a.dest != "help"]
         for action in flags:
             if action.dest in renamed:
@@ -655,17 +643,15 @@ class TestServeCLI:
             if isinstance(action.default, list):  # repeatable flag
                 default = list(default)
             assert action.default == default, action.option_strings
-        assert len(flags) == 30
+        assert len(flags) == 26
         assert ServeConfig.from_args(parser.parse_args([])) == ServeConfig()
 
     @pytest.mark.parametrize(
         "flags",
         [
-            # Only shed admission has a backlog threshold to tighten.
-            ["--rate-hz", "0", "--max-backlog", "1"],
-            # Weights only feed a traffic model's draw over --classes.
-            ["--traffic-class-weights", "0.3,0.7"],
-            ["--admission", "shed", "--default-class", "nosuch"],
+            # Only shed admission load-sheds.
+            ["--min-load-sheds", "1"],
+            ["--admission", "reject", "--min-load-sheds", "5"],
         ],
     )
     def test_serve_rejects_flags_it_would_ignore_or_crash_on(

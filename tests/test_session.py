@@ -15,7 +15,13 @@ from repro.datasets import KittiLikeDataset
 from repro.datasets.synthetic import sample_cad_shape
 from repro.geometry.pointcloud import PointCloud
 from repro.serving import FrameServer
-from repro.session import BatchResult, FrameRequest, FrameResponse, Session
+from repro.session import (
+    MAX_INPUT_MAGNITUDE,
+    BatchResult,
+    FrameRequest,
+    FrameResponse,
+    Session,
+)
 
 
 def small_config(num_samples: int = 64) -> HgPCNConfig:
@@ -102,6 +108,49 @@ def test_malformed_frame_rejected_at_the_request_boundary(defect, message):
         response = server.submit(make_cloud(1)).result(timeout=60.0)
     assert response.predicted_labels().shape == (1,)
     assert server.metrics.snapshot()["requests"]["submitted"] == 1
+
+
+@pytest.mark.parametrize("what", ["coordinate", "feature"])
+def test_frame_beyond_float32_range_rejected_at_the_request_boundary(what):
+    """A finite frame whose values float32 cannot carry (1e100) gave NaN
+    logits on the fused backend; it is a ValueError naming the frame
+    through ``Session.run`` and through a thread and a process server,
+    while a frame just inside the bound still serves finite logits."""
+    assert MAX_INPUT_MAGNITUDE == pytest.approx(1.8446744e19)
+
+    def scaled(scale: float) -> PointCloud:
+        cloud = make_cloud(0, points=64)
+        points, features = cloud.points.copy(), np.ones((64, 1))
+        if what == "coordinate":
+            points *= scale
+        else:
+            features *= scale
+        return PointCloud(points=points, features=features)
+
+    huge = scaled(1e100)
+    message = f"has a {what} beyond +/-1.84e+19"
+    with pytest.raises(ValueError, match=f"frame 'big' {re.escape(message)}"):
+        FrameRequest(cloud=huge, frame_id="big")
+    session = Session(config=small_config(), task="classification")
+    with pytest.raises(ValueError, match=f"frame 'frame0000' {re.escape(message)}"):
+        session.run(huge)
+    assert session.frames_processed == 0
+    logits = session.run(scaled(1e18)).result.inference.forward.logits
+    assert np.isfinite(logits).all()
+
+    for execution in ("thread", "process"):
+        with FrameServer(
+            session_factory=lambda: Session(
+                config=small_config(), task="classification"
+            ),
+            num_workers=1,
+            execution=execution,
+        ) as server:
+            with pytest.raises(ValueError, match=re.escape(message)):
+                server.submit(huge, frame_id="big")
+            response = server.submit(make_cloud(1)).result(timeout=60.0)
+        assert response.predicted_labels().shape == (1,)
+        assert server.metrics.snapshot()["requests"]["submitted"] == 1
 
 
 class TestWarmState:

@@ -1,10 +1,9 @@
 """Tests for the pluggable traffic models (``repro.serving.traffic``).
 
 The determinism contract is the load-bearing property: a model's stream is
-a pure function of its constructor arguments, and the three random pieces
-(arrival gaps, class draws, frame geometry) consume independent seeded
-generators -- so the bit-identity soak can replay the exact request list
-sequentially regardless of policy configuration.  These tests pin that
+a pure function of its constructor arguments, and its two random pieces
+(arrival gaps, frame geometry) consume independent seeded generators -- so
+the bit-identity soak can replay the exact request list sequentially.  These tests pin that
 contract plus the Poisson rate and the mixed model's two frame sizes, on
 the generated streams alone (no server, no sleeps).
 """
@@ -52,7 +51,6 @@ class TestDeterminism:
         assert len(first) == len(second) == 12
         for a, b in zip(first, second):
             assert a.arrival == b.arrival
-            assert a.class_name == b.class_name
             assert a.request.frame_id == b.request.frame_id
             np.testing.assert_array_equal(
                 a.request.cloud.points, b.request.cloud.points
@@ -65,23 +63,18 @@ class TestDeterminism:
         b = registry.create("traffic", name, seed=1, **kwargs).arrivals()
         assert not np.array_equal(a, b)
 
-    def test_class_draws_never_perturb_arrivals(self):
-        # Independent RNG streams: adding a class mix must leave the
-        # arrival schedule and the geometry bit-identical, otherwise the
-        # sequential bit-identity reference would depend on policy.
-        plain = PoissonTraffic(frames=10, rate_hz=100.0, seed=3)
-        classed = PoissonTraffic(
-            frames=10, rate_hz=100.0, seed=3,
-            class_names=("high", "low"), class_weights=(0.3, 0.7),
+    def test_seeded_stream_is_pinned(self):
+        # A seed's stream is part of the soak contract: arrivals come from
+        # ``seed`` and each frame's size draw from ``seed + 2 + index``, and
+        # no other draw may shift them.
+        model = MixedTraffic(frames=6, rate_hz=200.0, seed=3, raw_points=64)
+        items = model.items()
+        assert [item.arrival for item in items[:4]] == pytest.approx(
+            [0.000550074063, 0.002498358431, 0.009496063222, 0.020496803701],
+            abs=1e-12,
         )
-        np.testing.assert_array_equal(plain.arrivals(), classed.arrivals())
-        for a, b in zip(plain.items(), classed.items()):
-            np.testing.assert_array_equal(
-                a.request.cloud.points, b.request.cloud.points
-            )
-        assert all(item.class_name is None for item in plain.items())
-        drawn = {item.class_name for item in classed.items()}
-        assert drawn <= {"high", "low"}
+        sizes = [item.request.frame_id.split(".")[2] for item in items]
+        assert sizes == ["large"] * 3 + ["small"] + ["large"] * 2
 
     def test_arrivals_are_sorted_and_nonnegative(self):
         for name in ALL_MODELS:
@@ -96,16 +89,6 @@ class TestDeterminism:
     def test_rate_zero_submits_everything_at_once(self):
         arrivals = PoissonTraffic(frames=5, rate_hz=0.0, seed=0).arrivals()
         np.testing.assert_array_equal(arrivals, np.zeros(5))
-
-    def test_class_weight_validation(self):
-        with pytest.raises(ValueError, match="weights"):
-            PoissonTraffic(
-                frames=4, class_names=("a", "b"), class_weights=(1.0,)
-            )
-        with pytest.raises(ValueError, match="> 0"):
-            PoissonTraffic(
-                frames=4, class_names=("a", "b"), class_weights=(1.0, 0.0)
-            )
 
     def test_shapes_are_the_supported_cad_shapes(self):
         # sample_cad_shape knows box/cylinder/sphere only; the generator
@@ -190,7 +173,6 @@ class TestTrafficItems:
         item = TrafficItem(
             request=PoissonTraffic(frames=1, seed=0).items()[0].request,
             arrival=0.5,
-            class_name="high",
         )
         with pytest.raises(AttributeError):
             item.arrival = 1.0
