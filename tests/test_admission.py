@@ -15,7 +15,7 @@ contract through a live thread worker.
 from __future__ import annotations
 
 import threading
-from concurrent.futures import CancelledError
+from concurrent.futures import CancelledError, Future
 from typing import Any, Dict, List, Optional
 
 import numpy as np
@@ -43,7 +43,9 @@ from repro.serving import (
     LoadShed,
     ManualClock,
     MicroBatch,
+    MicroBatchScheduler,
     QueueClosed,
+    QueuedRequest,
     QueueFull,
     ServeConfig,
     SubmitOptions,
@@ -382,6 +384,111 @@ class TestFullWaitingRoom:
             FrameServer(session_factory=make_session, admission="panic")
         with pytest.raises(TypeError):
             FrameServer(session_factory=make_session, policy=None)
+
+
+# ----------------------------------------------------------------------
+# One class, one order: what replaced priority ordering
+# ----------------------------------------------------------------------
+def make_entry(sequence: int, clock: ManualClock, points: int = 400) -> QueuedRequest:
+    return QueuedRequest(
+        request=make_request(sequence, points=points),
+        future=Future(),
+        sequence=sequence,
+        enqueued_at=clock(),
+    )
+
+
+def by_points(request: FrameRequest):
+    """A shape key with one group per raw frame size."""
+    return ("task", request.cloud.num_points, 3)
+
+
+class TestOneClassOrder:
+    """No arrival fires a trigger of its own, groups leave in the order they
+    formed, and a batch takes its group's oldest members.  Waits are powers
+    of two so the manual clock's sums are exact."""
+
+    def make_scheduler(self, clock, **overrides):
+        options = dict(
+            shape_key=by_points, max_batch_size=4, max_wait_seconds=0.5,
+            clock=clock,
+        )
+        options.update(overrides)
+        return MicroBatchScheduler(**options)
+
+    def test_an_arrival_fires_no_trigger_of_its_own(self):
+        clock = ManualClock()
+        scheduler = self.make_scheduler(clock)
+        scheduler.add(make_entry(0, clock))
+        clock.advance(0.25)
+        scheduler.add(make_entry(1, clock))
+        scheduler.add(make_entry(2, clock, points=40))
+        # Below size and before the oldest's deadline: everyone waits.
+        assert scheduler.ready() == []
+        assert scheduler.pending_count == 3
+        clock.advance(0.25)
+        # The deadline runs from a group's oldest member: the 400-point
+        # group leaves whole, the younger 40-point group keeps waiting.
+        (batch,) = scheduler.ready()
+        assert batch.trigger == "deadline"
+        assert [e.sequence for e in batch.entries] == [0, 1]
+        assert scheduler.next_deadline() == 0.75
+
+    def test_groups_leave_in_the_order_they_formed(self):
+        clock = ManualClock()
+        scheduler = self.make_scheduler(
+            clock, max_batch_size=2, max_wait_seconds=0.0
+        )
+        scheduler.add(make_entry(0, clock, points=40))
+        scheduler.add(make_entry(1, clock))
+        scheduler.add(make_entry(2, clock))
+        # Both groups are due; the one that formed first leaves first,
+        # although the later one is full.
+        batches = scheduler.ready()
+        assert [b.trigger for b in batches] == ["deadline", "size"]
+        assert [[e.sequence for e in b.entries] for b in batches] == [[0], [1, 2]]
+        # A group that emptied re-forms at the back of the visit order.
+        scheduler.add(make_entry(3, clock))
+        scheduler.add(make_entry(4, clock, points=40))
+        batches = scheduler.ready()
+        assert [[e.sequence for e in b.entries] for b in batches] == [[3], [4]]
+
+    def test_an_overfull_group_takes_its_oldest_and_the_rest_waits(self):
+        clock = ManualClock()
+        scheduler = self.make_scheduler(clock, max_batch_size=2)
+        for sequence in range(3):
+            scheduler.add(make_entry(sequence, clock))
+            clock.advance(0.25)
+        (batch,) = scheduler.ready()
+        assert batch.trigger == "size"
+        assert [e.sequence for e in batch.entries] == [0, 1]
+        # The leftover's deadline runs from its own admission (0.5).
+        assert scheduler.next_deadline() == 1.0
+        assert scheduler.ready() == []
+        clock.advance(0.25)
+        (batch,) = scheduler.ready()
+        assert batch.trigger == "deadline"
+        assert [e.sequence for e in batch.entries] == [2]
+        assert scheduler.pending_count == 0
+
+
+def test_a_slot_frees_only_when_its_entry_starts():
+    """Popped into the scheduler's groups, an entry keeps its slot; a
+    refused submit takes no sequence number."""
+    held: List[QueuedRequest] = []
+    queue = AdmissionQueue(capacity=2, clock=ManualClock(), held=lambda: len(held))
+    queue.submit(make_request(0))
+    queue.submit(make_request(1))
+    with pytest.raises(QueueFull):
+        queue.submit(make_request(2))
+    entry = queue.pop(timeout=0, sink=held.append)
+    assert entry.sequence == 0 and held == [entry]
+    assert len(queue) == 1
+    with pytest.raises(QueueFull):
+        queue.submit(make_request(2))
+    held.clear()  # a worker started it
+    assert queue.submit(make_request(3)).sequence == 2
+    assert [queue.pop(timeout=0).sequence for _ in range(2)] == [1, 2]
 
 
 # ----------------------------------------------------------------------

@@ -170,6 +170,17 @@ class TestOverload:
         assert requests["submitted"] == FRAMES
         assert requests["rejected"] == 0
 
+    def test_no_arrival_overtakes_the_backlog(self):
+        server = slow_server()
+        with server:
+            assert outcomes(drive(server, make_requests(60))) == {"served": 60}
+        records = sorted(server.metrics.records, key=lambda r: r.sequence)
+        # One shape, one class: requests start in admission order, each
+        # batch by one of the waiting room's own triggers.
+        dispatched = [r.dispatched_at for r in records]
+        assert dispatched == sorted(dispatched)
+        assert {r.trigger for r in records} <= {"size", "deadline", "idle"}
+
     def test_backlog_fills_batches_to_the_size_limit(self):
         server = slow_server()
         with server:

@@ -340,6 +340,61 @@ class TestServingMetrics:
         assert snapshot["throughput_rps"] == 0.0
         assert snapshot["futures_monotonic"] is True
 
+    @staticmethod
+    def record_served(metrics, sequence, latency, ok=True):
+        metrics.record_submitted()
+        metrics.record(
+            RequestRecord(
+                sequence=sequence,
+                frame_id=f"req{sequence:04d}",
+                enqueued_at=0.0,
+                dispatched_at=latency / 2,
+                completed_at=latency,
+                completion_index=metrics.next_completion_index(),
+                batch_id=sequence,
+                batch_size=1,
+                trigger="deadline",
+                ok=ok,
+            )
+        )
+
+    def test_failed_and_shed_requests_stay_out_of_the_latency_percentiles(self):
+        metrics = ServingMetrics()
+        for sequence, latency in enumerate([0.010, 0.020, 0.030, 0.500]):
+            self.record_served(metrics, sequence, latency)
+        self.record_served(metrics, 4, 0.100, ok=False)
+        for _ in range(2):
+            metrics.record_submitted()
+            metrics.record_load_shed()
+        metrics.record_submitted()
+        metrics.record_shed()
+        snapshot = metrics.snapshot()
+        assert snapshot["requests"] == {
+            "submitted": 8, "rejected": 0, "completed": 4,
+            "failed": 1, "dropped": 0, "shed": 1, "load_shed": 2,
+            "in_flight": 0,
+        }
+        latency = snapshot["latency_ms"]
+        assert latency["p50"] == pytest.approx(25.0)
+        assert latency["mean"] == pytest.approx(140.0)
+        assert latency["max"] == pytest.approx(500.0)
+
+    def test_typed_outcomes_alone_leave_the_latency_report_empty(self):
+        metrics = ServingMetrics()
+        metrics.record_submitted()
+        metrics.record_load_shed()
+        metrics.record_submitted()
+        metrics.record_shed()
+        snapshot = metrics.snapshot()
+        assert snapshot["requests"]["completed"] == 0
+        assert snapshot["requests"]["in_flight"] == 0
+        assert snapshot["latency_ms"]["p99"] == 0.0
+        assert snapshot["throughput_rps"] == 0.0
+        assert snapshot["batches"]["count"] == 0
+        assert snapshot["resilience"] == {
+            "retries": 0, "deadline_sheds": 1, "load_sheds": 1,
+        }
+
     def test_non_monotonic_futures_detected(self):
         metrics = ServingMetrics()
         a, b = synthetic_records(seed=1, count=2)
@@ -721,6 +776,33 @@ class TestServeCLI:
         assert report["metrics"]["requests"]["completed"] == 12
         assert report["metrics"]["futures_monotonic"] is True
         assert len(report["workers"]) == 2
+
+    def test_serve_shed_soak_reports_its_admission_mode(self, tmp_path, capsys):
+        import json
+
+        from repro.cli import main
+
+        metrics_path = tmp_path / "metrics.json"
+        exit_code = main(
+            [
+                "serve", "--frames", "12", "--workers", "1",
+                "--scale", "0.0005", "--samples", "32", "--neighbors", "4",
+                "--rate-hz", "0", "--max-wait-ms", "2", "--seed", "0",
+                "--admission", "shed", "--queue-capacity", "2",
+                "--metrics-out", str(metrics_path),
+            ]
+        )
+        out = capsys.readouterr().out
+        assert exit_code == 0, out
+        assert "typed load sheds" in out
+        report = json.loads(metrics_path.read_text())
+        assert report["serve"]["admission"] == "shed"
+        assert "policy" not in report["serve"]
+        requests = report["metrics"]["requests"]
+        # Every frame ends served or typed-shed; nothing is refused.
+        assert requests["completed"] + requests["load_shed"] == 12
+        assert requests["rejected"] == 0 and requests["in_flight"] == 0
+        assert report["checks"]["passed"] is True
 
     def test_serve_rejects_unknown_execution(self, capsys):
         from repro.cli import main

@@ -110,6 +110,33 @@ def test_malformed_frame_rejected_at_the_request_boundary(defect, message):
     assert server.metrics.snapshot()["requests"]["submitted"] == 1
 
 
+@pytest.mark.parametrize("sign", [1.0, -1.0], ids=["positive", "negative"])
+def test_magnitude_bound_is_inclusive_on_both_signs(sign):
+    """The range check is a max and a min reduction: a value at
+    +/-MAX_INPUT_MAGNITUDE passes, the next float beyond it is refused
+    for either sign, and NaN and inf keep their own message."""
+    edge = sign * MAX_INPUT_MAGNITUDE
+    base = make_cloud(0, points=8).points
+
+    def with_value(what: str, value: float) -> PointCloud:
+        if what == "coordinate":
+            points = base.copy()
+            points[3, 1] = value
+            return PointCloud(points=points)
+        features = np.zeros((8, 1))
+        features[5, 0] = value
+        return PointCloud(points=base, features=features)
+
+    for what in ("coordinate", "feature"):
+        FrameRequest(cloud=with_value(what, edge), frame_id="edge")
+        beyond = float(np.nextafter(edge, sign * np.inf))
+        with pytest.raises(ValueError, match=f"frame 'edge' has a {what} beyond"):
+            FrameRequest(cloud=with_value(what, beyond), frame_id="edge")
+        for value in (np.nan, sign * np.inf):
+            with pytest.raises(ValueError, match=f"non-finite .* {what}"):
+                FrameRequest(cloud=with_value(what, value), frame_id="edge")
+
+
 @pytest.mark.parametrize("what", ["coordinate", "feature"])
 def test_frame_beyond_float32_range_rejected_at_the_request_boundary(what):
     """A finite frame whose values float32 cannot carry (1e100) gave NaN

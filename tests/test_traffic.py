@@ -90,6 +90,23 @@ class TestDeterminism:
         arrivals = PoissonTraffic(frames=5, rate_hz=0.0, seed=0).arrivals()
         np.testing.assert_array_equal(arrivals, np.zeros(5))
 
+    def test_parameter_validation(self):
+        for options, name in (
+            ({"frames": 0}, "frames"),
+            ({"rate_hz": -1.0}, "rate_hz"),
+            ({"raw_points": 0}, "raw_points"),
+        ):
+            for model in (PoissonTraffic, MixedTraffic):
+                with pytest.raises(ValueError, match=name):
+                    model(**options)
+        for options, name in (
+            ({"small_points": 0}, "small_points"),
+            ({"small_share": -0.1}, "small_share"),
+            ({"small_share": 1.5}, "small_share"),
+        ):
+            with pytest.raises(ValueError, match=name):
+                MixedTraffic(**options)
+
     def test_shapes_are_the_supported_cad_shapes(self):
         # sample_cad_shape knows box/cylinder/sphere only; the generator
         # cycling anything else would crash mid-stream.
