@@ -24,7 +24,9 @@ no run entered, and prints them per package with their line totals::
 
 It exits 1 when a run fails or when the unreached function lines exceed
 :data:`MAX_UNREACHED_LINES`, so code that nothing runs cannot come back
-unnoticed; CI's ``reach`` job runs it.  Deleting unreached code lowers the
+unnoticed; CI's ``reach`` job runs it.  Each failed run is named again,
+with its exit status, after the totals, so the tail of a long log shows
+which one failed.  Deleting unreached code lowers the
 count: lower the constant with it.  Stdlib only; a run takes about 40 s on
 a 2-core Xeon.
 """
@@ -52,8 +54,8 @@ PACKAGE = (SRC / "repro").resolve()
 Key = Tuple[str, int, str]
 
 #: The ratchet: the most unreached function lines a run may report (the
-#: highest of three runs; chaos and retry paths vary a little between runs).
-MAX_UNREACHED_LINES = 1309
+#: highest of five runs; chaos and retry paths vary a little between runs).
+MAX_UNREACHED_LINES = 932
 
 #: The CLI runs: the CI smoke of ``e2e`` and ``components``, one small
 #: ``samplers`` table, every exhibit, and ``serve`` with each CI soak's flags.
@@ -223,6 +225,11 @@ def report(reached: Set[Key]) -> Dict[str, object]:
     return out
 
 
+def failed_runs(statuses: Dict[str, int]) -> List[str]:
+    """``"<run>: exit <status>"`` for every run that failed, in run order."""
+    return [f"{name}: exit {status}" for name, status in statuses.items() if status]
+
+
 def main() -> int:
     sys.path.insert(0, str(SRC))
     with tempfile.TemporaryDirectory() as dumps:
@@ -250,15 +257,19 @@ def main() -> int:
         f"total              {totals['unreached']:4d}/{totals['functions']:4d} functions"
         f" {totals['unreached_lines']:5d}/{totals['function_lines']:5d} lines unreached"
     )
-    if totals["unreached_lines"] > MAX_UNREACHED_LINES:
+    sys.stdout.flush()
+    failures = failed_runs(statuses)
+    for failure in failures:
+        print(f"failed run: {failure}", file=sys.stderr)
+    over = totals["unreached_lines"] > MAX_UNREACHED_LINES
+    if over:
         print(
             f"{totals['unreached_lines']} unreached function lines exceed the ratchet"
             f" MAX_UNREACHED_LINES = {MAX_UNREACHED_LINES}: delete the new dead code"
             " or run it from a workload, exhibit, example or CI step",
             file=sys.stderr,
         )
-        return 1
-    return 1 if any(statuses.values()) else 0
+    return 1 if over or failures else 0
 
 
 if __name__ == "__main__":

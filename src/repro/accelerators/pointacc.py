@@ -35,7 +35,7 @@ class PointACCModel(InferenceAccelerator):
     #: Parallel distance-computation lanes of the Mapping Unit.
     distance_lanes: int = 16
     sorter: BitonicSorter = field(
-        default_factory=lambda: BitonicSorter(comparators=16, frequency_hz=1.0e9)
+        default_factory=lambda: BitonicSorter(comparators=16)
     )
     fcu: FeatureComputationUnit = field(
         default_factory=lambda: FeatureComputationUnit(array=SystolicArray())

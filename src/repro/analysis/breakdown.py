@@ -10,7 +10,7 @@ directly from the workload counts.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Optional
 
 from repro.accelerators.base import InferenceWorkloadSpec
 from repro.accelerators.cpu import CPUExecutor
@@ -39,14 +39,6 @@ class EndToEndBreakdown:
     def inference_fraction(self) -> float:
         total = self.total_seconds()
         return 0.0 if total == 0 else self.inference_seconds / total
-
-    def as_dict(self) -> Dict[str, float]:
-        return {
-            "preprocessing_s": self.preprocessing_seconds,
-            "inference_s": self.inference_seconds,
-            "preprocessing_fraction": self.preprocessing_fraction(),
-            "inference_fraction": self.inference_fraction(),
-        }
 
 
 def e2e_breakdown_for_benchmark(

@@ -44,13 +44,6 @@ class SamplingQuality:
     chamfer_distance: float
     voxel_occupancy_recall: float
 
-    def as_dict(self) -> Dict[str, float]:
-        return {
-            "coverage_radius": self.coverage_radius,
-            "chamfer_distance": self.chamfer_distance,
-            "voxel_occupancy_recall": self.voxel_occupancy_recall,
-        }
-
 
 def _nearest_sample_distances(cloud: PointCloud, sampled: PointCloud) -> np.ndarray:
     nearest = np.empty(cloud.num_points)

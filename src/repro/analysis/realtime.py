@@ -28,12 +28,6 @@ class RealTimeReport:
     max_backlog: int
     meets_realtime: bool
 
-    def headroom(self) -> float:
-        """Achieved rate over required rate (>1 means real-time with margin)."""
-        if self.sensor_rate_hz == 0:
-            return float("inf")
-        return self.achieved_fps / self.sensor_rate_hz
-
 
 def evaluate_realtime(
     per_frame_latencies_s: Sequence[float],

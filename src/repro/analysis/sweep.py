@@ -44,13 +44,6 @@ class ParameterSweep:
         return self.results
 
     # ------------------------------------------------------------------
-    def metric_series(self, metric: str) -> Dict[str, float]:
-        """``{param-string: value}`` for one metric over all results."""
-        series = {}
-        for result in self.results:
-            key = ", ".join(f"{k}={v}" for k, v in result.parameters.items())
-            series[key] = result.metrics[metric]
-        return series
 
     def rows(self, metrics: Sequence[str]) -> List[List[object]]:
         """Table rows: parameter values followed by the selected metrics."""

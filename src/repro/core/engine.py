@@ -23,7 +23,7 @@ import numpy as np
 
 from repro.core.config import HgPCNConfig
 from repro.core.framebatch import FrameBatch
-from repro.core.metrics import LatencyBreakdown, OpCounters
+from repro.core.metrics import LatencyBreakdown
 from repro.accelerators.hgpcn import HgPCNInferenceAccelerator
 from repro.accelerators.base import (
     InferenceAccelerator,
@@ -277,12 +277,6 @@ class InferenceExecution:
     def predicted_labels(self) -> np.ndarray:
         return self.forward.predicted_class()
 
-    def workload_counters(self) -> OpCounters:
-        """Aggregate data structuring counters of this execution."""
-        if self.workload is None:
-            self.workload = extract_workload(self.forward)
-        return self.workload.data_structuring
-
 
 @dataclass
 class InferenceWarmState:
@@ -447,7 +441,3 @@ class InferenceEngine:
             )
             self._measured_probe = probe
         return probe[1]
-
-    def workload_counters(self, execution: InferenceExecution) -> OpCounters:
-        """Aggregate data structuring counters of one execution."""
-        return execution.workload_counters()

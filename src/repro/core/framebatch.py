@@ -73,13 +73,6 @@ class FrameBatch:
     def __len__(self) -> int:
         return len(self.clouds)
 
-    def __iter__(self):
-        return iter(self.clouds)
-
-    @property
-    def num_frames(self) -> int:
-        return len(self.clouds)
-
     @property
     def num_points(self) -> int:
         """Points per frame (every member has the same count)."""
@@ -90,6 +83,3 @@ class FrameBatch:
         if self.features is None:
             return 0
         return int(self.features.shape[2])
-
-    def frame(self, index: int) -> PointCloud:
-        return self.clouds[index]

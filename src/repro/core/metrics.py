@@ -13,7 +13,7 @@ draws between algorithm (OIS/VEG) and implementation (CPU vs FPGA).
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
-from typing import Dict, Iterable, List
+from typing import Dict, List
 
 
 @dataclass
@@ -54,23 +54,6 @@ class OpCounters:
     def total_onchip_accesses(self) -> int:
         return self.onchip_reads + self.onchip_writes
 
-    def as_dict(self) -> Dict[str, int]:
-        return {f.name: getattr(self, f.name) for f in fields(OpCounters)}
-
-    def scaled(self, factor: float) -> "OpCounters":
-        """Counters multiplied by ``factor`` (used by analytic extrapolation)."""
-        scaled = OpCounters()
-        for f in fields(OpCounters):
-            setattr(scaled, f.name, int(round(getattr(self, f.name) * factor)))
-        return scaled
-
-    @classmethod
-    def sum(cls, records: Iterable["OpCounters"]) -> "OpCounters":
-        total = cls()
-        for record in records:
-            total.add(record)
-        return total
-
 
 @dataclass(frozen=True)
 class PhaseLatency:
@@ -97,25 +80,8 @@ class LatencyBreakdown:
     def seconds_for(self, phase: str) -> float:
         return sum(p.seconds for p in self.phases if p.phase == phase)
 
-    def fractions(self) -> Dict[str, float]:
-        """Fraction of total time per phase name (phases may repeat)."""
-        total = self.total_seconds()
-        if total == 0:
-            return {p.phase: 0.0 for p in self.phases}
-        result: Dict[str, float] = {}
-        for p in self.phases:
-            result[p.phase] = result.get(p.phase, 0.0) + p.seconds / total
-        return result
-
     def as_dict(self) -> Dict[str, float]:
         result: Dict[str, float] = {}
         for p in self.phases:
             result[p.phase] = result.get(p.phase, 0.0) + p.seconds
         return result
-
-
-def speedup(baseline_seconds: float, optimized_seconds: float) -> float:
-    """Baseline / optimised latency ratio, guarded against divide-by-zero."""
-    if optimized_seconds <= 0:
-        raise ValueError("optimized latency must be positive")
-    return baseline_seconds / optimized_seconds

@@ -16,12 +16,7 @@ from repro.datasets.lidar import LidarSensorModel
 from repro.datasets.modelnet import ModelNetLikeDataset
 from repro.datasets.s3dis import S3DISLikeDataset
 from repro.datasets.shapenet import ShapeNetLikeDataset
-from repro.datasets.synthetic import (
-    gaussian_clusters,
-    lidar_scene,
-    sample_cad_shape,
-    uniform_cube,
-)
+from repro.datasets.synthetic import lidar_scene, sample_cad_shape
 
 from repro import registry
 
@@ -40,9 +35,7 @@ __all__ = [
     "S3DISLikeDataset",
     "ShapeNetLikeDataset",
     "TABLE1_BENCHMARKS",
-    "gaussian_clusters",
     "get_benchmark",
     "lidar_scene",
     "sample_cad_shape",
-    "uniform_cube",
 ]

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional
 
 import numpy as np
@@ -151,9 +151,6 @@ class PointCloudDataset(abc.ABC):
     @abc.abstractmethod
     def generate_frame(self, index: int) -> Frame:
         """Generate frame ``index`` deterministically."""
-
-    def __len__(self) -> int:
-        return self.num_frames
 
     def __iter__(self) -> Iterator[Frame]:
         for i in range(self.num_frames):

@@ -58,19 +58,3 @@ class KittiLikeDataset(PointCloudDataset):
             timestamp=timestamp,
             labels=labels,
         )
-
-    def timestamps(self) -> np.ndarray:
-        return np.array(
-            [self.generate_frame(i).timestamp for i in range(self.num_frames)]
-        )
-
-    def average_generation_rate_hz(self) -> float:
-        """Mean frame generation rate measured from the timestamps."""
-        ts = self.timestamps()
-        if len(ts) < 2:
-            return self.frame_rate_hz
-        deltas = np.diff(ts)
-        deltas = deltas[deltas > 0]
-        if deltas.size == 0:
-            return self.frame_rate_hz
-        return float(1.0 / deltas.mean())

@@ -100,10 +100,6 @@ class ServiceTrace:
             backlog = max(backlog, arrived - i - 1 + 1)
         return backlog
 
-    def mean_latency(self) -> float:
-        """Mean arrival-to-completion latency per frame."""
-        return float((self.completion_times - self.arrival_times).mean())
-
     def keeps_up(self, slack: float = 1e-9) -> bool:
         """True when the service rate matches or exceeds the sensor rate.
 

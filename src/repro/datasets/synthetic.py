@@ -16,41 +16,11 @@ workload characteristics:
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from repro.geometry.pointcloud import PointCloud
-
-
-def uniform_cube(
-    num_points: int, extent: float = 1.0, seed: int = 0
-) -> PointCloud:
-    """Points uniformly distributed inside a cube (a structureless control)."""
-    if num_points <= 0:
-        raise ValueError("num_points must be positive")
-    rng = np.random.default_rng(seed)
-    points = rng.uniform(-extent / 2, extent / 2, size=(num_points, 3))
-    return PointCloud(points=points)
-
-
-def gaussian_clusters(
-    num_points: int,
-    num_clusters: int = 8,
-    extent: float = 10.0,
-    cluster_std: float = 0.3,
-    seed: int = 0,
-) -> PointCloud:
-    """A mixture of Gaussian blobs (highly non-uniform occupancy)."""
-    if num_points <= 0 or num_clusters <= 0:
-        raise ValueError("num_points and num_clusters must be positive")
-    rng = np.random.default_rng(seed)
-    centers = rng.uniform(-extent / 2, extent / 2, size=(num_clusters, 3))
-    assignment = rng.integers(num_clusters, size=num_points)
-    points = centers[assignment] + rng.normal(
-        scale=cluster_std, size=(num_points, 3)
-    )
-    return PointCloud(points=points)
 
 
 def _surface_sphere(rng: np.random.Generator, n: int) -> np.ndarray:

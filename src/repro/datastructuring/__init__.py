@@ -17,7 +17,7 @@ from repro import registry
 from repro.datastructuring.ballquery import BallQueryGatherer
 from repro.datastructuring.base import Gatherer, GatherResult
 from repro.datastructuring.knn import BruteForceKNN, knn_counter_model
-from repro.datastructuring.veg import VEGStageStats, VoxelExpandedGatherer
+from repro.datastructuring.veg import VoxelExpandedGatherer
 
 registry.register("gatherer", "knn", BruteForceKNN)
 registry.register("gatherer", "ballquery", BallQueryGatherer)
@@ -28,7 +28,6 @@ __all__ = [
     "BruteForceKNN",
     "Gatherer",
     "GatherResult",
-    "VEGStageStats",
     "VoxelExpandedGatherer",
     "knn_counter_model",
 ]

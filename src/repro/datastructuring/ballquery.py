@@ -27,10 +27,6 @@ class BallQueryGatherer(Gatherer):
             raise ValueError("radius must be positive")
         self._radius = radius
 
-    @property
-    def radius(self) -> float:
-        return self._radius
-
     def gather(
         self,
         cloud: PointCloud,

@@ -41,23 +41,9 @@ class GatherResult:
     def num_centroids(self) -> int:
         return int(self.neighbor_indices.shape[0])
 
-    @property
-    def neighbors_per_centroid(self) -> int:
-        return int(self.neighbor_indices.shape[1])
-
     def neighbor_sets(self) -> list[set[int]]:
         """Neighbor index rows as sets (order-independent comparisons)."""
         return [set(int(i) for i in row) for row in self.neighbor_indices]
-
-    def grouped_coordinates(self, cloud: PointCloud) -> np.ndarray:
-        """``(M, K, 3)`` gathered neighbor coordinates."""
-        return cloud.points[self.neighbor_indices]
-
-    def grouped_features(self, cloud: PointCloud) -> np.ndarray | None:
-        """``(M, K, F)`` gathered neighbor features, or ``None``."""
-        if cloud.features is None:
-            return None
-        return cloud.features[self.neighbor_indices]
 
 
 class Gatherer(abc.ABC):

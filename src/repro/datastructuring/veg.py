@@ -48,9 +48,8 @@ as :func:`repro.kernels.reference.veg_scalar`.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, fields
-from functools import cached_property
-from typing import List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -61,9 +60,13 @@ from repro.geometry.voxelgrid import VoxelGrid, suggest_depth
 from repro.kernels import gather_ragged
 
 
-@dataclass
-class VEGStageStats:
-    """Per-centroid statistics of one VEG gathering (Figure 15/16 inputs).
+@dataclass(eq=False)
+class VEGRunStats:
+    """VEG statistics of every centroid of one run (Figure 15/16 inputs).
+
+    One ``int64`` column per statistic, row ``i`` describing centroid ``i``
+    -- the arrays the batched gatherer already holds, which is also what
+    the DSU cost model prices a frame from.
 
     Attributes
     ----------
@@ -81,58 +84,15 @@ class VEGStageStats:
         Number of voxel lookups performed during the expansion.
     """
 
-    expansions: int = 0
-    inner_points: int = 0
-    last_shell_points: int = 0
-    sorted_candidates: int = 0
-    voxels_visited: int = 0
-
-
-@dataclass(eq=False)
-class VEGRunStats:
-    """VEG statistics of every centroid of one run.
-
-    One ``int64`` column per :class:`VEGStageStats` field, row ``i``
-    describing centroid ``i`` -- the arrays the batched gatherer already
-    holds, which is also what the DSU cost model prices a frame from.
-    :attr:`per_centroid` is the same data as one record per centroid,
-    built on first use.
-    """
-
     expansions: np.ndarray
     inner_points: np.ndarray
     last_shell_points: np.ndarray
     sorted_candidates: np.ndarray
     voxels_visited: np.ndarray
 
-    @classmethod
-    def from_stats(cls, per_centroid: Sequence[VEGStageStats]) -> "VEGRunStats":
-        """Columns from one :class:`VEGStageStats` record per centroid."""
-        return cls(
-            **{
-                column.name: np.array(
-                    [getattr(stats, column.name) for stats in per_centroid],
-                    dtype=np.int64,
-                )
-                for column in fields(VEGStageStats)
-            }
-        )
-
     @property
     def num_centroids(self) -> int:
         return int(self.expansions.shape[0])
-
-    @cached_property
-    def per_centroid(self) -> List[VEGStageStats]:
-        return [
-            VEGStageStats(*row)
-            for row in zip(
-                *(
-                    getattr(self, column.name).tolist()
-                    for column in fields(VEGStageStats)
-                )
-            )
-        ]
 
     def total_sorted_candidates(self) -> int:
         return int(self.sorted_candidates.sum())

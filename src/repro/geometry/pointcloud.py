@@ -11,7 +11,7 @@ library needs (bounds, centroid, subsetting).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -65,12 +65,6 @@ class PointCloud:
     # ------------------------------------------------------------------
     # Basic protocol
     # ------------------------------------------------------------------
-    def __len__(self) -> int:
-        return self.points.shape[0]
-
-    def __iter__(self) -> Iterator[np.ndarray]:
-        return iter(self.points)
-
     @property
     def num_points(self) -> int:
         """Number of points in the cloud."""

@@ -111,20 +111,14 @@ class VoxelGrid:
         view.flags.writeable = False
         return view
 
-    def bucket_position(self, code: int) -> int:
-        """Index of voxel ``code`` in the occupied-voxel arrays, or -1."""
-        position = int(np.searchsorted(self.unique_codes, code))
-        if (
-            position < self.num_occupied_voxels
-            and int(self.unique_codes[position]) == int(code)
-        ):
-            return position
-        return -1
-
     def points_in_voxel(self, code: int) -> np.ndarray:
         """Indices (into the cloud) of the points inside voxel ``code``."""
-        position = self.bucket_position(int(code))
-        if position < 0:
+        code = int(code)
+        position = int(np.searchsorted(self.unique_codes, code))
+        if (
+            position == self.num_occupied_voxels
+            or int(self.unique_codes[position]) != code
+        ):
             return np.zeros(0, dtype=np.intp)
         start = self.starts[position]
         return self.order[start : start + self.counts[position]]

@@ -9,8 +9,8 @@ turn counts into latency and on-chip-memory estimates.
 * :mod:`~repro.hardware.devices` -- throughput/bandwidth profiles of the
   CPUs, GPUs, and accelerator fabrics.
 * :mod:`~repro.hardware.memory` -- host-memory and on-chip (BRAM) models.
-* :mod:`~repro.hardware.bitonic` -- bitonic sorting network (functional and
-  cost model), the ranking hardware both HgPCN and PointACC use.
+* :mod:`~repro.hardware.bitonic` -- bitonic sorting network cost model, the
+  ranking hardware both HgPCN and PointACC use.
 * :mod:`~repro.hardware.systolic` -- the 16x16 systolic-array DLA used as
   the Feature Computation Unit.
 * :mod:`~repro.hardware.sampling_module` -- the Down-sampling Unit with its
@@ -22,14 +22,14 @@ turn counts into latency and on-chip-memory estimates.
 * :mod:`~repro.hardware.interconnect` -- MMIO / shared-memory transfer cost.
 """
 
-from repro.hardware.bitonic import BitonicSorter, bitonic_merge_comparisons, bitonic_sort, bitonic_sort_comparisons
-from repro.hardware.devices import DeviceProfile, get_device, list_devices
+from repro.hardware.bitonic import BitonicSorter, bitonic_sort_comparisons
+from repro.hardware.devices import DeviceProfile, get_device
 from repro.hardware.dsu import DataStructuringUnit, DSUStageBreakdown
 from repro.hardware.fcu import FeatureComputationUnit
 from repro.hardware.interconnect import InterconnectModel
 from repro.hardware.memory import HostMemoryModel, OnChipMemoryModel
 from repro.hardware.octree_build_unit import OctreeBuildUnit
-from repro.hardware.sampling_module import DownSamplingUnit, SamplingModule
+from repro.hardware.sampling_module import DownSamplingUnit
 from repro.hardware.systolic import SystolicArray
 
 __all__ = [
@@ -43,11 +43,7 @@ __all__ = [
     "InterconnectModel",
     "OctreeBuildUnit",
     "OnChipMemoryModel",
-    "SamplingModule",
     "SystolicArray",
-    "bitonic_merge_comparisons",
-    "bitonic_sort",
     "bitonic_sort_comparisons",
     "get_device",
-    "list_devices",
 ]

@@ -1,4 +1,4 @@
-"""Bitonic sorting network: functional implementation and cost model.
+"""Bitonic sorting network: cost model.
 
 Both HgPCN's Data Structuring Unit and PointACC's Mapping Unit rank neighbor
 candidates with a bitonic sorter (Section VII-D).  The crucial difference the
@@ -14,9 +14,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
-
-import numpy as np
 
 
 def _next_power_of_two(n: int) -> int:
@@ -41,76 +38,13 @@ def bitonic_sort_comparisons(num_elements: int) -> int:
     return (n * stages * (stages + 1)) // 4
 
 
-def bitonic_merge_comparisons(num_elements: int) -> int:
-    """Compare-exchange count of one bitonic merge (already-bitonic input)."""
-    if num_elements <= 0:
-        raise ValueError("num_elements must be positive")
-    n = _next_power_of_two(num_elements)
-    if n == 1:
-        return 0
-    stages = int(math.log2(n))
-    return (n // 2) * stages
-
-
-def bitonic_sort(values: Sequence[float], descending: bool = False) -> np.ndarray:
-    """Functional bitonic sort (reference implementation for tests).
-
-    The input is padded with sentinels to a power of two, sorted by the
-    classic recursive network, and the padding removed.  Provided so the cost
-    model and the functional behaviour can be validated against each other.
-    """
-    data = np.asarray(values, dtype=np.float64).copy()
-    original = data.shape[0]
-    if original == 0:
-        return data
-    n = _next_power_of_two(original)
-    pad_value = np.inf if not descending else -np.inf
-    padded = np.concatenate([data, np.full(n - original, pad_value)])
-
-    def compare_exchange(arr: np.ndarray, i: int, j: int, direction: bool) -> None:
-        if (arr[i] > arr[j]) == direction:
-            arr[i], arr[j] = arr[j], arr[i]
-
-    def merge(arr: np.ndarray, low: int, count: int, direction: bool) -> None:
-        if count <= 1:
-            return
-        k = count // 2
-        for i in range(low, low + k):
-            compare_exchange(arr, i, i + k, direction)
-        merge(arr, low, k, direction)
-        merge(arr, low + k, k, direction)
-
-    def sort(arr: np.ndarray, low: int, count: int, direction: bool) -> None:
-        if count <= 1:
-            return
-        k = count // 2
-        sort(arr, low, k, True)
-        sort(arr, low + k, k, False)
-        merge(arr, low, count, direction)
-
-    sort(padded, 0, n, not descending)
-    result = padded[np.isfinite(padded)] if n != original else padded
-    return result[:original]
-
-
 @dataclass(frozen=True)
 class BitonicSorter:
     """Hardware bitonic sorter with a fixed number of comparator lanes."""
 
     comparators: int = 16
-    frequency_hz: float = 1.0e9
 
     def cycles_to_sort(self, num_elements: int) -> int:
         """Cycles to sort ``num_elements`` given the comparator budget."""
         comparisons = bitonic_sort_comparisons(num_elements)
         return int(math.ceil(comparisons / self.comparators))
-
-    def seconds_to_sort(self, num_elements: int) -> float:
-        return self.cycles_to_sort(num_elements) / self.frequency_hz
-
-    def cycles_for_batches(self, batch_sizes: Sequence[int]) -> int:
-        """Cycles to sort a sequence of independent batches back to back."""
-        return sum(self.cycles_to_sort(max(1, int(b))) for b in batch_sizes if b > 0)
-
-    def seconds_for_batches(self, batch_sizes: Sequence[int]) -> float:
-        return self.cycles_for_batches(batch_sizes) / self.frequency_hz

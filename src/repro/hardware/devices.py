@@ -208,11 +208,3 @@ def get_device(name: str) -> DeviceProfile:
             f"unknown device {name!r}; known devices: {sorted(_PROFILES)}"
         ) from exc
 
-
-def list_devices() -> list[str]:
-    return sorted(_PROFILES)
-
-
-def register_device(profile: DeviceProfile) -> DeviceProfile:
-    """Register a custom profile (overwrites an existing name)."""
-    return _register(profile)

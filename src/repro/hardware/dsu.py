@@ -19,10 +19,8 @@ from typing import Dict, Optional
 
 import numpy as np
 
-from repro.core.metrics import LatencyBreakdown
-from repro.datastructuring.veg import VEGRunStats, VEGStageStats
+from repro.datastructuring.veg import VEGRunStats
 from repro.hardware.bitonic import BitonicSorter
-from repro.hardware.memory import HostMemoryModel
 
 #: Stage names in pipeline order.
 DSU_STAGES = ("FP", "LV", "VE", "GP", "ST", "BF")
@@ -56,12 +54,6 @@ class DSUStageBreakdown:
         )
         return bottleneck + fill
 
-    def as_breakdown(self, frequency_hz: float) -> LatencyBreakdown:
-        breakdown = LatencyBreakdown()
-        for stage in DSU_STAGES:
-            breakdown.add(stage, self.cycles.get(stage, 0) / frequency_hz)
-        return breakdown
-
 
 @dataclass(frozen=True)
 class DataStructuringUnit:
@@ -75,36 +67,22 @@ class DataStructuringUnit:
     gather_lanes: int = 4
     #: Distance evaluations per cycle feeding the sorter.
     distance_lanes: int = 4
-    sorter: BitonicSorter = field(
-        default_factory=lambda: BitonicSorter(comparators=16, frequency_hz=1.0e9)
-    )
-    host_memory: HostMemoryModel = field(default_factory=HostMemoryModel)
+    sorter: BitonicSorter = field(default_factory=lambda: BitonicSorter(comparators=16))
     octree_depth: int = 6
 
     # ------------------------------------------------------------------
-    def stage_cycles_for_centroid(self, stats: VEGStageStats, neighbors: int) -> Dict[str, int]:
-        """Cycles per stage for one central point."""
-        fp = 1
-        lv = self.octree_depth  # one table lookup per level to reach the leaf
-        ve = max(1, -(-stats.voxels_visited // self.expansion_lanes))
-        gp = max(1, -(-max(1, stats.inner_points) // self.gather_lanes))
-        if stats.sorted_candidates > 0:
-            distance = -(-stats.sorted_candidates // self.distance_lanes)
-            sort = self.sorter.cycles_to_sort(stats.sorted_candidates)
-            st = distance + sort
-        else:
-            st = 1
-        bf = max(1, -(-neighbors // self.gather_lanes))
-        return {"FP": fp, "LV": lv, "VE": ve, "GP": gp, "ST": st, "BF": bf}
-
     def breakdown_for_run(
         self, run_stats: VEGRunStats, neighbors: int
     ) -> DSUStageBreakdown:
         """Aggregate stage cycles over all centroids of one frame.
 
-        The sum of :meth:`stage_cycles_for_centroid` over the run, computed
-        from the statistics columns in exact integer arithmetic; the sorter
-        is priced once per distinct candidate count.
+        Per centroid: FP one cycle; LV one table lookup per octree level;
+        VE the voxel lookups over the expansion lanes; GP the inner points
+        over the gather lanes; ST the sorted candidates' distances over the
+        distance lanes plus their bitonic sort (one cycle when nothing is
+        sorted); BF the K neighbors over the gather lanes.  Summed from the
+        statistics columns in exact integer arithmetic; the sorter is priced
+        once per distinct candidate count.
         """
         count = run_stats.num_centroids
         ve = np.maximum(1, -(-run_stats.voxels_visited // self.expansion_lanes))

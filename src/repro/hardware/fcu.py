@@ -35,11 +35,3 @@ class FeatureComputationUnit:
 
     def seconds_for_workload(self, workload: NetworkWorkload) -> float:
         return sum(self.seconds_for_layer(layer) for layer in workload.layers)
-
-    def utilization_for_workload(self, workload: NetworkWorkload) -> float:
-        """Achieved MAC utilisation relative to the array's peak."""
-        seconds = self.seconds_for_workload(workload)
-        if seconds == 0:
-            return 0.0
-        peak = self.array.macs_per_cycle * self.array.frequency_hz
-        return workload.total_mac_ops() / (seconds * peak)

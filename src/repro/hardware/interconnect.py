@@ -1,4 +1,4 @@
-"""Host <-> FPGA interconnect model (MMIO / shared-memory DMA).
+"""Host <-> FPGA interconnect model (setup latency plus bandwidth).
 
 On the Intel PAC platform the CPU and FPGA share host memory; the
 Octree-Table is transferred to the Down-sampling Unit "via MMIO"
@@ -20,9 +20,6 @@ class InterconnectModel:
     bandwidth_bytes_per_s: float = 8.0e9
     #: Per-transfer setup latency in seconds (doorbell + descriptor).
     setup_latency_s: float = 5.0e-6
-    #: MMIO single-word write latency (used for small register transfers).
-    mmio_word_latency_s: float = 2.0e-7
-    mmio_word_bytes: int = 8
 
     def transfer_seconds(self, num_bytes: float) -> float:
         """Latency of one DMA-style bulk transfer."""
@@ -32,18 +29,6 @@ class InterconnectModel:
             return 0.0
         return self.setup_latency_s + num_bytes / self.bandwidth_bytes_per_s
 
-    def mmio_seconds(self, num_bytes: float) -> float:
-        """Latency of transferring ``num_bytes`` by individual MMIO writes."""
-        if num_bytes < 0:
-            raise ValueError("num_bytes must be non-negative")
-        words = -(-int(num_bytes) // self.mmio_word_bytes)
-        return words * self.mmio_word_latency_s
-
-    def octree_table_transfer_seconds(
-        self, table_bits: int, use_dma: bool = True
-    ) -> float:
+    def octree_table_transfer_seconds(self, table_bits: int) -> float:
         """Cost of shipping an Octree-Table of ``table_bits`` to the FPGA."""
-        num_bytes = table_bits / 8
-        if use_dma:
-            return self.transfer_seconds(num_bytes)
-        return self.mmio_seconds(num_bytes)
+        return self.transfer_seconds(table_bits / 8)

@@ -2,9 +2,8 @@
 
 Two concerns are modelled:
 
-* **Traffic/latency** -- :class:`HostMemoryModel` turns access counts into
-  transfer time (used indirectly through the device profiles, but exposed
-  here for unit-level analysis).
+* **Traffic/latency** -- :class:`HostMemoryModel` turns a transfer's size
+  into time (the Down-sampling Unit's point fetches).
 * **Capacity** -- :class:`OnChipMemoryModel` tracks what must be resident in
   the FPGA's block RAM.  This is the Figure 13 analysis: with the common FPS
   method the raw frame plus the intermediate distance array must fit on chip,
@@ -16,8 +15,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Dict
-
-from repro.core.metrics import OpCounters
 
 
 @dataclass
@@ -34,10 +31,6 @@ class HostMemoryModel:
         if num_bytes == 0:
             return 0.0
         return self.access_latency_s + num_bytes / self.bandwidth_bytes_per_s
-
-    def seconds_for_counters(self, counters: OpCounters) -> float:
-        total = counters.total_host_memory_accesses() * self.bytes_per_point
-        return self.transfer_seconds(total)
 
 
 @dataclass
@@ -59,17 +52,11 @@ class OnChipMemoryModel:
             )
         self.allocations[name] = megabits
 
-    def release(self, name: str) -> None:
-        self.allocations.pop(name, None)
-
     def used_megabits(self) -> float:
         return sum(self.allocations.values())
 
     def free_megabits(self) -> float:
         return self.capacity_megabits - self.used_megabits()
-
-    def fits(self, megabits: float) -> bool:
-        return self.used_megabits() + megabits <= self.capacity_megabits
 
 
 # ----------------------------------------------------------------------

@@ -30,21 +30,6 @@ from repro.hardware.memory import HostMemoryModel
 
 
 @dataclass(frozen=True)
-class SamplingModule:
-    """One Hamming-distance evaluation lane."""
-
-    code_bits: int = 63
-    frequency_hz: float = 2.5e8
-
-    def cycles_per_evaluation(self) -> int:
-        """XOR + popcount + compare, fully pipelined: one result per cycle."""
-        return 1
-
-    def seconds_per_evaluation(self) -> float:
-        return self.cycles_per_evaluation() / self.frequency_hz
-
-
-@dataclass(frozen=True)
 class DownSamplingUnit:
     """The FPGA Down-sampling Unit: parallel Sampling Modules + selector."""
 

@@ -13,9 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable
-
-from repro.network.workload import LayerWorkload, NetworkWorkload
+from repro.network.workload import LayerWorkload
 
 
 @dataclass(frozen=True)
@@ -50,18 +48,3 @@ class SystolicArray:
         per_tile = layer.num_vectors + self.rows + self.cols
         cycles = row_tiles * col_tiles * per_tile
         return int(math.ceil(cycles / self.efficiency))
-
-    def cycles_for_workload(self, workload: NetworkWorkload) -> int:
-        return sum(self.cycles_for_layer(layer) for layer in workload.layers)
-
-    def seconds_for_workload(self, workload: NetworkWorkload) -> float:
-        return self.cycles_for_workload(workload) / self.frequency_hz
-
-    def seconds_for_layers(self, layers: Iterable[LayerWorkload]) -> float:
-        return sum(self.cycles_for_layer(layer) for layer in layers) / self.frequency_hz
-
-    def ideal_seconds_for_macs(self, mac_ops: int) -> float:
-        """Lower bound: MACs at full array utilisation."""
-        if mac_ops < 0:
-            raise ValueError("mac_ops must be non-negative")
-        return mac_ops / (self.macs_per_cycle * self.frequency_hz)

@@ -213,9 +213,13 @@ def folded_stages(layer) -> List[DenseStage]:
 class ComputeBackend:
     """Base class of the pluggable network-execution backends.
 
-    Subclasses implement :meth:`apply` (and optionally override
-    :meth:`apply_grouped`).  Instances are cheap value objects -- they
-    travel inside pickled Sessions to worker processes.
+    Subclasses implement ``apply(layer, flat, num_frames=1)``, which
+    applies a row-wise layer to a stacked ``(num_frames * rows, C)``
+    operand, and may override :meth:`apply_grouped`.  ``apply`` must be
+    dispatch invariant: the rows of ``apply(layer, stacked, B)`` are
+    bit-identical to concatenating ``apply(layer, frame, 1)`` over the B
+    frames.  Instances are cheap value objects; forked pool workers
+    inherit them.
     """
 
     #: Registry name (``registry.create("backend", name)``).
@@ -224,16 +228,6 @@ class ComputeBackend:
     contract: EquivalenceContract = EquivalenceContract(kind="bit_identical")
 
     # ------------------------------------------------------------------
-    def apply(
-        self, layer, flat: np.ndarray, num_frames: int = 1
-    ) -> np.ndarray:
-        """Apply a row-wise layer to a stacked ``(num_frames * rows, C)`` operand.
-
-        Must be dispatch invariant: the rows of ``apply(layer, stacked, B)``
-        must be bit-identical to concatenating ``apply(layer, frame, 1)``
-        over the B frames.
-        """
-        raise NotImplementedError
 
     def apply_grouped(
         self,
@@ -281,6 +275,3 @@ class ComputeBackend:
             "name": self.name,
             "contract": self.contract.describe(),
         }
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging nicety
-        return f"{type(self).__name__}(name={self.name!r})"

@@ -114,11 +114,6 @@ class FusedBlockedBackend(ComputeBackend):
     def __init__(self) -> None:
         self._workspace = _Workspace()
 
-    def __reduce__(self):
-        # Workspaces are scratch: a backend travelling inside a pickled
-        # Session (process worker pools) arrives with none.
-        return (type(self), ())
-
     def _block_rows(self, stages: List[DenseStage]) -> int:
         widest = max(max(s.in_features, s.out_features) for s in stages)
         row_bytes = 2 * _Workspace.dtype.itemsize * widest  # input + output

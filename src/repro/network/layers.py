@@ -142,13 +142,6 @@ class SharedMLP:
         return self.channels[-1]
 
 
-def softmax(logits: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Numerically stable softmax."""
-    shifted = logits - logits.max(axis=axis, keepdims=True)
-    exp = np.exp(shifted)
-    return exp / exp.sum(axis=axis, keepdims=True)
-
-
 def _glorot(shape: tuple[int, int], name: str) -> np.ndarray:
     """Deterministic Glorot-uniform initialisation keyed by the layer name.
 

@@ -27,7 +27,7 @@ from repro.datastructuring.knn import BruteForceKNN
 from repro.geometry.pointcloud import PointCloud
 from repro.kernels import stack_frames, three_nearest
 from repro.network.backends import ComputeBackend, resolve_backend
-from repro.network.layers import Dense, ReLU, SharedMLP, softmax
+from repro.network.layers import Dense, ReLU, SharedMLP
 
 # Every layer below has one implementation, ``forward_batch`` over a stack
 # of B same-shaped frames; one frame is a stack with B = 1.  Every
@@ -66,9 +66,6 @@ class ForwardResult:
     logits: np.ndarray
     sa_traces: List[SetAbstractionTrace] = field(default_factory=list)
     head_traces: List[LayerTrace] = field(default_factory=list)
-
-    def probabilities(self) -> np.ndarray:
-        return softmax(self.logits)
 
     def predicted_class(self) -> np.ndarray:
         return np.argmax(self.logits, axis=-1)

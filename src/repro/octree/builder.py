@@ -65,10 +65,6 @@ class OctreeSummary:
     stats: OctreeBuildStats
 
     @property
-    def num_nodes(self) -> int:
-        return self.stats.num_nodes
-
-    @property
     def num_leaves(self) -> int:
         return self.stats.num_leaves
 

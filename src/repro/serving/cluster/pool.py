@@ -11,10 +11,12 @@ stream.  The life cycle is::
     pool.start()            # build sessions / spawn workers; pulling begins
     pool.join(timeout)      # after the stream ended: wait for worker exit
 
-Each pool also answers ``idle()``: whether no batch is running (nor, for
-processes, waiting out a retry backoff).  The hand-off asks it on every
-pass and starts a lone request at once when nothing runs, instead of
-holding it for companions that only pay off behind running work.
+``timeout`` bounds the whole join, not each worker's.  ``worker_stats()``
+lists each worker's latest ``session.stats()``.  Each pool also answers
+``idle()``: whether no batch is running (nor, for processes, waiting out a
+retry backoff).  The hand-off asks it on every pass and starts a lone
+request at once when nothing runs, instead of holding it for companions
+that only pay off behind running work.
 
 :class:`ThreadWorkerPool` runs one warm session per thread; an idle thread
 takes its next batch itself, so nothing is ever queued in the pool.
@@ -182,16 +184,6 @@ class WorkerPool:
         self._probe: Optional[Session] = None
 
     # -- contract --------------------------------------------------------
-    def start(self) -> None:
-        raise NotImplementedError
-
-    def join(self, timeout: Optional[float] = None) -> None:
-        """Wait up to ``timeout`` seconds *in total* for the workers to exit."""
-        raise NotImplementedError
-
-    def worker_stats(self) -> List[dict]:
-        raise NotImplementedError
-
     def shape_key(self, cloud) -> Tuple[Any, ...]:
         assert self._probe is not None, "pool not started"
         return self._probe.shape_key(cloud)
@@ -755,11 +747,6 @@ class ProcessWorkerPool(WorkerPool):
         """Latest ``session.stats()`` reported by each worker process."""
         with self._lock:
             return [dict(stats) if stats else {} for stats in self._latest_stats]
-
-    def affinity_map(self) -> Dict[Any, int]:
-        """Warm-shape key -> worker index (snapshot)."""
-        with self._lock:
-            return dict(self._affinity)
 
     # -- collector thread ------------------------------------------------
     def _collector_loop(self) -> None:

@@ -158,11 +158,6 @@ class SharedMemoryArena:
             names = list(self._owned)
         return sum(1 for name in names if self.release(name))
 
-    @property
-    def owned_names(self) -> List[str]:
-        with self._lock:
-            return list(self._owned)
-
     def __enter__(self) -> "SharedMemoryArena":
         return self
 
@@ -204,10 +199,6 @@ class TransportMessage:
     #: skeleton back-references; decoding needs a ``known`` of that length.
     known_count: int = 0
     known_refs: Tuple[int, ...] = ()
-
-    @property
-    def via_shared_memory(self) -> bool:
-        return self.segment is not None
 
 
 class _ArrayLiftingPickler(pickle.Pickler):

@@ -198,9 +198,6 @@ class FaultPlan:
             "specs": [dataclasses.asdict(spec) for spec in self.specs],
         }
 
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"FaultPlan(seed={self.seed}, specs={self.specs!r})"
-
 
 def poison_message(message):
     """Corrupt a :class:`~repro.serving.cluster.transport.TransportMessage`.

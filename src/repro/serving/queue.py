@@ -11,18 +11,23 @@ resolves the arrival's future with :class:`LoadShed` instead).
 
 Per-request knobs travel as one :class:`SubmitOptions`.  A request may
 carry a TTL: ``SubmitOptions(ttl=...)`` stamps an absolute ``deadline`` on
-the entry.  A full queue sheds its expired entries (oldest first -- the
-FIFO order) before giving up with :class:`QueueFull`; each shed entry is
-handed to the ``on_shed`` callback *outside* the queue lock so the owner
-can resolve its future with ``DeadlineExceeded`` -- an admitted request is
-never silently dropped.
+the entry.
 
 The consumer is the server's hand-off (``FrameServer._next_batch``), run by
 whichever worker can start a batch: it pulls entries with :meth:`pop` and
 regroups them into shape-keyed micro-batches (see
 :mod:`repro.serving.scheduler`).  Popped entries that have not started yet
-still occupy the waiting room: the owner reports them through ``held`` and
-they count against ``capacity`` like queued ones.
+still occupy the waiting room: the scheduler passed as ``held`` keeps them,
+and they count against ``capacity`` like queued ones.
+
+A full waiting room sheds every expired entry -- its own, oldest first,
+and those ``held`` in the scheduler's groups -- before giving up with
+:class:`QueueFull`.  The sweep runs only when the room is full, under the
+queue lock and then the scheduler's (the order :meth:`pop` takes them in
+with ``sink=scheduler.add``).  Each shed entry is handed to the
+``on_shed`` callback *outside* the queue lock so the owner can resolve its
+future with ``DeadlineExceeded`` -- an admitted request is never silently
+dropped.
 """
 
 from __future__ import annotations
@@ -32,10 +37,13 @@ import time
 from collections import deque
 from concurrent.futures import Future
 from dataclasses import dataclass, field
-from typing import Callable, Deque, List, Optional
+from typing import TYPE_CHECKING, Callable, Deque, List, Optional
 
 from repro.serving.metrics import Clock
 from repro.session import FrameRequest
+
+if TYPE_CHECKING:
+    from repro.serving.scheduler import MicroBatchScheduler
 
 
 @dataclass(frozen=True)
@@ -109,7 +117,7 @@ class AdmissionQueue:
         capacity: int = 256,
         clock: Clock = time.monotonic,
         on_shed: Optional[Callable[[QueuedRequest], None]] = None,
-        held: Optional[Callable[[], int]] = None,
+        held: Optional["MicroBatchScheduler"] = None,
     ):
         if capacity < 1:
             raise ValueError(f"queue capacity must be >= 1, got {capacity}")
@@ -118,8 +126,8 @@ class AdmissionQueue:
         #: Called (outside the queue lock) with each expired entry shed to
         #: make room; the owner resolves its future with DeadlineExceeded.
         self.on_shed = on_shed
-        #: Counts entries popped but not yet started (the scheduler's
-        #: groups); they hold their slot until a worker starts them.
+        #: The scheduler whose groups keep entries popped but not yet
+        #: started; they hold their slot until a worker starts them.
         self.held = held
         self._entries: Deque[QueuedRequest] = deque()
         self._lock = threading.Lock()
@@ -140,8 +148,8 @@ class AdmissionQueue:
         entry; expired entries are shed before dispatch rather than served.
 
         Raises :class:`QueueFull` when at capacity and :class:`QueueClosed`
-        after :meth:`close`.  A full queue first sheds its own expired
-        entries to make room.
+        after :meth:`close`.  A full waiting room first sheds its expired
+        entries, queued or ``held``, to make room.
         """
         options = SubmitOptions.coerce(options)
         ttl_seconds = options.ttl
@@ -151,7 +159,10 @@ class AdmissionQueue:
                 if self._closed:
                     raise QueueClosed("admission queue is closed")
                 if self._full():
-                    shed = self._shed_expired_locked(self.clock())
+                    now = self.clock()
+                    shed = self._shed_expired_locked(now)
+                    if self.held is not None:
+                        shed += self.held.shed_expired(now)
                 if self._full():
                     raise QueueFull(
                         f"admission queue at capacity ({self.capacity})"
@@ -175,7 +186,7 @@ class AdmissionQueue:
 
     def _full(self) -> bool:
         """Queued plus held entries fill ``capacity`` (caller holds the lock)."""
-        held = self.held() if self.held is not None else 0
+        held = self.held.pending_count if self.held is not None else 0
         return len(self._entries) + held >= self.capacity
 
     def _shed_expired_locked(self, now: float) -> List[QueuedRequest]:
@@ -224,11 +235,6 @@ class AdmissionQueue:
         """Closed and empty: no entry will ever come out again."""
         with self._lock:
             return self._closed and not self._entries
-
-    @property
-    def closed(self) -> bool:
-        with self._lock:
-            return self._closed
 
     def __len__(self) -> int:
         with self._lock:

@@ -88,10 +88,3 @@ class RetryPolicy:
         with self._lock:
             stretch = 1.0 + self.jitter * float(self._rng.random())
         return base * stretch
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return (
-            f"RetryPolicy(max_attempts={self.max_attempts}, "
-            f"base={self.base_delay_seconds}, max={self.max_delay_seconds}, "
-            f"jitter={self.jitter}, seed={self.seed})"
-        )

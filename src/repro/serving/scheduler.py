@@ -60,9 +60,6 @@ class MicroBatch:
     #: Formation order (0-based, per scheduler).
     batch_id: int = 0
 
-    def __len__(self) -> int:
-        return len(self.entries)
-
 
 class MicroBatchScheduler:
     """Groups pending requests by shape key and decides when to dispatch."""
@@ -112,10 +109,6 @@ class MicroBatchScheduler:
     def pending_count(self) -> int:
         with self._lock:
             return sum(len(entries) for entries in self._pending.values())
-
-    def pending_keys(self) -> List[Tuple[str, int, int]]:
-        with self._lock:
-            return [key for key, entries in self._pending.items() if entries]
 
     # ------------------------------------------------------------------
     def add(self, entry: QueuedRequest) -> None:

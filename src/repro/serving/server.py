@@ -157,8 +157,8 @@ class FrameServer:
         a partial batch waits behind running work.
     queue_capacity:
         Bound on requests admitted but not yet started -- queued or
-        grouped (backpressure above it).  A full queue sheds its expired
-        entries (TTL) before refusing the arrival.
+        grouped (backpressure above it).  A full room sheds its expired
+        entries (TTL), queued or grouped, before refusing the arrival.
     clock:
         Injectable monotonic clock shared by every serving component.
     faults:
@@ -226,7 +226,7 @@ class FrameServer:
             capacity=queue_capacity,
             clock=clock,
             on_shed=self._shed_entry,
-            held=lambda: self.scheduler.pending_count,
+            held=self.scheduler,
         )
         #: Serialises the hand-off: one taker at a time sweeps, sheds and
         #: waits; the others queue behind it for the next batch.
@@ -278,20 +278,6 @@ class FrameServer:
 
     def __exit__(self, exc_type, exc, tb) -> None:
         self.shutdown(drain=exc_type is None)
-
-    @property
-    def running(self) -> bool:
-        """Started and not (yet) shutting down."""
-        with self._lifecycle_lock:
-            return self._started and not self._stopping and not self._stopped
-
-    @property
-    def sessions(self) -> List[Session]:
-        """The warm sessions of a *thread* pool (empty for process pools,
-        whose sessions live in the worker processes)."""
-        if isinstance(self.pool, ThreadWorkerPool):
-            return self.pool.sessions
-        return []
 
     def shutdown(
         self, drain: bool = True, timeout: Optional[float] = None
@@ -415,10 +401,6 @@ class FrameServer:
                 )
             )
         self.metrics.record_shed()
-
-    def stats(self) -> dict:
-        """Live metrics snapshot (the server keeps running)."""
-        return self.metrics.snapshot()
 
     def worker_stats(self) -> List[dict]:
         """Per-worker ``session.stats()`` (live for threads, last-reported

@@ -30,7 +30,7 @@ task, so one server serves one task; a second task needs a second server.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List
+from typing import List, Optional
 
 import numpy as np
 
@@ -55,7 +55,7 @@ class TrafficItem:
 class TrafficModel:
     """Base class: seeded arrivals + seeded frames.
 
-    Subclasses implement :meth:`_gaps` (inter-arrival seconds, length
+    Subclasses implement ``_gaps(rng)`` (inter-arrival seconds, length
     ``frames``; the first gap is the offset of the first arrival) and may
     override :meth:`_cloud` to change frame geometry.
 
@@ -85,12 +85,9 @@ class TrafficModel:
         self.raw_points = int(raw_points)
 
     # -- the pieces subclasses override ---------------------------------
-    def _gaps(self, rng: np.random.Generator) -> np.ndarray:
-        raise NotImplementedError
-
-    def _cloud(self, index: int) -> PointCloud:
+    def _cloud(self, index: int, num_points: Optional[int] = None) -> PointCloud:
         cloud = sample_cad_shape(
-            num_points=self.raw_points,
+            num_points=num_points or self.raw_points,
             shape=_SHAPES[index % len(_SHAPES)],
             non_uniformity=0.2,
             seed=self.seed + 2 + index,
@@ -128,15 +125,6 @@ class TrafficModel:
                 )
             )
         return items
-
-    def describe(self) -> Dict[str, Any]:
-        return {
-            "model": self.name,
-            "frames": self.frames,
-            "rate_hz": self.rate_hz,
-            "seed": self.seed,
-            "raw_points": self.raw_points,
-        }
 
 
 @registry.register("traffic", "poisson")
@@ -190,18 +178,7 @@ class MixedTraffic(PoissonTraffic):
 
     def _cloud(self, index: int) -> PointCloud:
         small = self._is_small(index)
-        cloud = sample_cad_shape(
-            num_points=self.small_points if small else self.raw_points,
-            shape=_SHAPES[index % len(_SHAPES)],
-            non_uniformity=0.2,
-            seed=self.seed + 2 + index,
-        )
+        cloud = super()._cloud(index, self.small_points if small else self.raw_points)
         size = "small" if small else "large"
         cloud.frame_id = f"traffic.mixed.{size}.{index}"
         return cloud
-
-    def describe(self) -> Dict[str, Any]:
-        return super().describe() | {
-            "small_points": self.small_points,
-            "small_share": self.small_share,
-        }

@@ -162,15 +162,8 @@ class FrameResponse:
     #: Whether the whole response came from the content-addressed cache.
     cached: bool = False
 
-    @property
-    def frame_id(self) -> str:
-        return self.result.frame_id
-
     def predicted_labels(self) -> np.ndarray:
         return self.result.inference.predicted_labels()
-
-    def total_seconds(self) -> float:
-        return self.result.total_seconds()
 
 
 @dataclass
@@ -193,17 +186,6 @@ class BatchResult:
 
     def results(self) -> List[EndToEndResult]:
         return [response.result for response in self.responses]
-
-    def warm_fraction(self) -> float:
-        """Fraction of frames served from warm model state or the cache."""
-        if not self.responses:
-            return 0.0
-        served_warm = sum(1 for r in self.responses if r.warm or r.cached)
-        return served_warm / len(self.responses)
-
-    def total_seconds(self) -> float:
-        """Sum of the modelled per-frame latencies."""
-        return float(sum(r.total_seconds() for r in self.responses))
 
 
 class Session:

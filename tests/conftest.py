@@ -17,7 +17,9 @@ import numpy as np
 import pytest
 
 from repro.geometry.pointcloud import PointCloud
-from repro.datasets.synthetic import gaussian_clusters, lidar_scene, sample_cad_shape
+from repro.datasets.synthetic import lidar_scene, sample_cad_shape
+
+from clouds import gaussian_clusters
 
 #: Seconds a test may run before SIGALRM fails it.  Well past CI's
 #: ``faulthandler_timeout=120``, which dumps every thread's stack first.

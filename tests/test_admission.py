@@ -39,6 +39,7 @@ from repro.datasets.synthetic import sample_cad_shape
 from repro.geometry.pointcloud import PointCloud
 from repro.serving import (
     AdmissionQueue,
+    DeadlineExceeded,
     FrameServer,
     LoadShed,
     ManualClock,
@@ -175,6 +176,14 @@ class WaitingRoom(RuleBasedStateMachine):
     def waiting(self) -> int:
         return len(self.server.admission) + self.server.scheduler.pending_count
 
+    def unexpired_waiting(self) -> int:
+        """Waiting entries not yet past their TTL: a full room sheds the
+        rest, queued or held in a shape group, before it refuses."""
+        now = self.clock()
+        groups = self.server.scheduler._pending.values()
+        entries = [*self.server.admission._entries, *(e for g in groups for e in g)]
+        return sum(not entry.expired(now) for entry in entries)
+
     @rule(
         size=st.sampled_from(sorted(CLOUDS)),
         ttl=st.one_of(st.none(), st.sampled_from([0.001, 0.004, 0.005, 0.02])),
@@ -186,7 +195,7 @@ class WaitingRoom(RuleBasedStateMachine):
             return
         frame_id = f"r{self.submitted}"
         self.submitted += 1
-        full = self.waiting() >= self.capacity
+        full = self.unexpired_waiting() >= self.capacity
         try:
             future = self.server.submit(
                 CLOUDS[size], frame_id=frame_id, options=SubmitOptions(ttl=ttl)
@@ -275,7 +284,7 @@ class WaitingRoom(RuleBasedStateMachine):
         counts = {name: 0 for name in OUTCOMES}
         for outcome in outcomes.values():
             counts[outcome] += 1
-        requests = self.server.stats()["requests"]
+        requests = self.server.metrics.snapshot()["requests"]
         assert requests["completed"] == counts["served"]
         assert requests["shed"] == counts["DeadlineExceeded"]
         assert requests["load_shed"] == counts["LoadShed"]
@@ -293,6 +302,40 @@ TestWaitingRoomMachine = WaitingRoom.TestCase
 TestWaitingRoomMachine.settings = settings(
     max_examples=150, stateful_step_count=30, deadline=None
 )
+
+
+@pytest.mark.parametrize("admission", ["reject", "shed"])
+def test_an_expired_held_entry_frees_its_slot(admission):
+    """A request past its TTL in a shape group (popped from the queue while
+    every worker is busy) is shed to admit an arrival, not counted as
+    occupying the full room."""
+    clock = ManualClock()
+    server = FrameServer(
+        session_factory=lambda: None,
+        queue_capacity=1,
+        clock=clock,
+        admission=admission,
+    )
+    server.pool = pool = ManualPool(server)
+    server._started = True
+    pool.idle_now = False
+    expired = server.submit(
+        CLOUDS[4], frame_id="old", options=SubmitOptions(ttl=0.001)
+    )
+    with server._handoff:
+        batch, _, _ = server._take_now()
+    assert batch is None and server.scheduler.pending_count == 1
+    clock.advance(0.002)
+    arrival = server.submit(CLOUDS[4], frame_id="new")
+    with pytest.raises(DeadlineExceeded):
+        expired.result(timeout=0)
+    assert not arrival.done()
+    assert (len(server.admission), server.scheduler.pending_count) == (1, 0)
+    snapshot = server.shutdown(drain=True)
+    assert arrival.result(timeout=0) == "served:new"
+    requests = snapshot["requests"]
+    assert (requests["shed"], requests["completed"]) == (1, 1)
+    assert requests["rejected"] == requests["load_shed"] == 0
 
 
 # ----------------------------------------------------------------------
@@ -475,18 +518,19 @@ class TestOneClassOrder:
 def test_a_slot_frees_only_when_its_entry_starts():
     """Popped into the scheduler's groups, an entry keeps its slot; a
     refused submit takes no sequence number."""
-    held: List[QueuedRequest] = []
-    queue = AdmissionQueue(capacity=2, clock=ManualClock(), held=lambda: len(held))
+    clock = ManualClock()
+    held = MicroBatchScheduler(shape_key=by_points, max_batch_size=1, clock=clock)
+    queue = AdmissionQueue(capacity=2, clock=clock, held=held)
     queue.submit(make_request(0))
     queue.submit(make_request(1))
     with pytest.raises(QueueFull):
         queue.submit(make_request(2))
-    entry = queue.pop(timeout=0, sink=held.append)
-    assert entry.sequence == 0 and held == [entry]
+    entry = queue.pop(timeout=0, sink=held.add)
+    assert entry.sequence == 0 and held.pending_count == 1
     assert len(queue) == 1
     with pytest.raises(QueueFull):
         queue.submit(make_request(2))
-    held.clear()  # a worker started it
+    assert held.take().entries == [entry]  # a worker started it
     assert queue.submit(make_request(3)).sequence == 2
     assert [queue.pop(timeout=0).sequence for _ in range(2)] == [1, 2]
 

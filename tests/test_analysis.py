@@ -43,7 +43,7 @@ class TestRealtime:
     def test_fast_pipeline_meets_realtime(self):
         report = evaluate_realtime([0.04] * 20, sensor_rate_hz=10.0)
         assert report.meets_realtime
-        assert report.headroom() > 1.0
+        assert report.achieved_fps > report.sensor_rate_hz
 
     def test_slow_pipeline_fails(self):
         report = evaluate_realtime([0.3] * 20, sensor_rate_hz=10.0)
@@ -93,11 +93,9 @@ class TestSweep:
         assert len(results) == 6
         assert results[0].metrics["product"] == 10
 
-    def test_metric_series_and_rows(self):
+    def test_rows_and_headers(self):
         sweep = ParameterSweep(parameters={"n": [1, 2]})
         sweep.run(lambda n: {"double": 2 * n})
-        series = sweep.metric_series("double")
-        assert series["n=1"] == 2
         rows = sweep.rows(["double"])
         assert rows[1] == [2, 4]
         assert sweep.headers(["double"]) == ["n", "double"]

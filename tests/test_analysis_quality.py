@@ -20,11 +20,6 @@ class TestEvaluateSampling:
         assert quality.coverage_radius >= quality.chamfer_distance >= 0
         assert 0 <= quality.voxel_occupancy_recall <= 1
         assert quality.num_samples == 64
-        assert set(quality.as_dict()) == {
-            "coverage_radius",
-            "chamfer_distance",
-            "voxel_occupancy_recall",
-        }
 
     def test_full_sampling_is_perfect(self, small_cloud):
         result = RandomSampler(seed=0).sample(small_cloud, small_cloud.num_points)

@@ -23,7 +23,6 @@ epilogue-then-max; and its workspaces are isolated between threads and
 across pickling.
 """
 
-import pickle
 import sys
 import threading
 
@@ -589,36 +588,3 @@ class TestStreamedSetAbstraction:
             assert len(outputs) == 25
             for output in outputs:
                 np.testing.assert_array_equal(output, expected[slot])
-
-    def test_warm_session_pickles_without_workspaces(self):
-        from repro import HgPCNConfig
-        from repro.session import Session
-
-        session = Session(
-            config=HgPCNConfig.for_task(256, neighbors=16),
-            task="classification",
-            backend="fused",
-            response_cache_size=0,
-        )
-        cloud = sample_cad_shape(1024, seed=3)
-        logits = session.run(cloud).result.inference.forward.logits
-        backend = session.inference_engine.warm_state(256, 0).model.backend
-        held = sum(b.nbytes for b in backend._workspace.buffers.values())
-        assert held > 0
-        # The backend travels as its class alone: the scratch stays behind.
-        assert len(pickle.dumps(backend)) < 1000 < held
-        # A twin that ran the same frame holds the same weights and the
-        # same float32 fold, so the two pickles differ by counters only.
-        twin = Session(
-            config=session.config, task="classification", backend="fused",
-            response_cache_size=0,
-        )
-        twin.run(cloud)
-        payload = pickle.dumps(session)
-        assert abs(len(payload) - len(pickle.dumps(twin))) < held // 2
-        clone = pickle.loads(payload)
-        clone_backend = clone.inference_engine.warm_state(256, 0).model.backend
-        assert clone_backend._workspace.buffers == {}
-        np.testing.assert_array_equal(
-            clone.run(cloud).result.inference.forward.logits, logits
-        )

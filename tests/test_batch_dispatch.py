@@ -104,7 +104,7 @@ class TestFrameBatch:
         assert batch.features.shape == (3, 50, 2)
         assert batch.num_points == 50
         assert batch.num_feature_channels == 2
-        assert np.array_equal(batch.frame(1).points, clouds[1].points)
+        assert batch.clouds[1] is clouds[1]
         assert np.array_equal(batch.points.reshape(-1, 3)[50:100], clouds[1].points)
 
     def test_from_clouds_rejects_shape_mismatch(self):
@@ -225,9 +225,10 @@ class TestEngineProcessBatch:
             solo = engine_solo.process(cloud)
             assert_traces_equal(execution.forward, solo.forward)
             assert execution.breakdown.as_dict() == solo.breakdown.as_dict()
-            assert dataclasses.asdict(
-                execution.workload_counters()
-            ) == dataclasses.asdict(solo.workload_counters())
+            assert (
+                execution.workload.data_structuring
+                == solo.workload.data_structuring
+            )
 
     def test_second_inference_batch_runs_fully_warm(self):
         engine = InferenceEngine(config=small_config(), task="semantic_segmentation")
@@ -247,7 +248,7 @@ def batch_snapshot(batch):
         forward = response.result.inference.forward
         snapshot.append(
             {
-                "frame_id": response.frame_id,
+                "frame_id": response.result.frame_id,
                 "logits": forward.logits,
                 "sampled": response.result.preprocessing.sampling.indices,
                 "gather_rows": [

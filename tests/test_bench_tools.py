@@ -1,4 +1,5 @@
-"""Tests for the benchmark tooling: trajectory CSV/SVG and the baseline gate.
+"""Tests for the benchmark tooling: trajectory CSV/SVG, the baseline gate
+and the reachability probe's report.
 
 The harness itself (``benchmarks/run_all.py``) is exercised end to end by
 CI's bench-smoke job; these tests cover the pure logic -- history parsing,
@@ -28,6 +29,7 @@ def _load(name):
 to_csv = _load("to_csv")
 plot_trajectory = _load("plot_trajectory")
 run_all = _load("run_all")
+reach = _load("reach")
 
 
 def _record(sha, mode="quick", **speedups):
@@ -280,3 +282,23 @@ class TestScenarioTeardown:
             if s.name.startswith("serving_") and s.name != "serving_chaos_poisson"
         }
         assert len(cached) == 5 and all(cached.values()), cached
+
+
+class TestReachFailedRuns:
+    def test_failed_runs_are_named_with_their_status_in_run_order(self):
+        statuses = {"e2e": 0, "repro serve --chaos": 1, "examples": 0, "pytest": 2}
+        assert reach.failed_runs(statuses) == [
+            "repro serve --chaos: exit 1",
+            "pytest: exit 2",
+        ]
+        assert reach.failed_runs({"e2e": 0}) == []
+
+    def test_main_names_the_failed_run_after_the_totals(self, monkeypatch, capsys):
+        monkeypatch.setattr(
+            reach, "run_everything", lambda: {"e2e": 0, "repro serve --chaos": 1}
+        )
+        monkeypatch.setattr(reach, "report", lambda reached: {})
+        assert reach.main() == 1
+        out, err = capsys.readouterr()
+        assert out.splitlines()[-1].startswith("total")
+        assert err.splitlines() == ["failed run: repro serve --chaos: exit 1"]

@@ -274,7 +274,7 @@ class TestProcessExecution:
         ) as server:
             for request in requests:
                 server.submit(request).result(timeout=60)
-            affinity = server.pool.affinity_map()
+            affinity = dict(server.pool._affinity)
         # Two distinct sampled sizes -> two keys, spread over both workers.
         assert len(affinity) == 2
         assert sorted(affinity.values()) == [0, 1]
@@ -301,7 +301,7 @@ class TestProcessExecution:
         ) as server:
             futures = [server.submit(request) for request in requests]
             responses = [future.result(timeout=60) for future in futures]
-            affinity = server.pool.affinity_map()
+            affinity = dict(server.pool._affinity)
         snapshot = server.shutdown()
         assert list(affinity.values()) == [0]  # one key, one home
         per_worker = snapshot["per_worker"]
@@ -323,7 +323,7 @@ class TestProcessExecution:
         ) as server:
             for i in range(5):
                 server.submit(make_request(i)).result(timeout=60)
-            affinity = server.pool.affinity_map()
+            affinity = dict(server.pool._affinity)
         assert list(affinity.values()) == [0]
         assert {r.worker for r in server.metrics.records} == {"home-proc-0"}
         assert server.metrics.snapshot()["per_worker"] == {
@@ -507,13 +507,6 @@ class TestProcessExecution:
         # under a megabyte per frame, and here less than two raw clouds.
         per_frame = shipped / sum(s["frames_processed"] for s in stats)
         assert 0 < per_frame < 2 * requests[0].cloud.points.nbytes < 1_000_000
-
-    def test_process_server_has_no_parent_side_sessions(self):
-        with FrameServer(
-            make_session, num_workers=1, execution="process", name="nosess"
-        ) as server:
-            server.submit(make_request(0)).result(timeout=60)
-            assert server.sessions == []
 
     def test_invalid_execution_rejected(self):
         with pytest.raises(ValueError, match="execution"):

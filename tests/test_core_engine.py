@@ -87,5 +87,5 @@ class TestInferenceEngine:
         engine = InferenceEngine(config=config, task="classification")
         sampled = PreprocessingEngine(config=config).process(raw_cloud).sampled
         execution = engine.process(sampled)
-        counters = engine.workload_counters(execution)
+        counters = execution.workload.data_structuring
         assert counters.distance_computations > 0

@@ -20,7 +20,6 @@ class TestBruteForceKNN:
         result = BruteForceKNN().gather(medium_cloud, centroids, neighbors=8)
         assert result.neighbor_indices.shape == (16, 8)
         assert result.num_centroids == 16
-        assert result.neighbors_per_centroid == 8
 
     def test_matches_reference(self, small_cloud):
         centroids = np.array([0, 7, 42, 199])
@@ -54,12 +53,6 @@ class TestBruteForceKNN:
             small_cloud, centroids, neighbors=4
         )
         assert 5 not in result.neighbor_indices[0]
-
-    def test_grouped_coordinates_and_features(self, featured_cloud):
-        centroids = pick_random_centroids(featured_cloud, 4, seed=1)
-        result = BruteForceKNN().gather(featured_cloud, centroids, neighbors=6)
-        assert result.grouped_coordinates(featured_cloud).shape == (4, 6, 3)
-        assert result.grouped_features(featured_cloud).shape == (4, 6, 4)
 
     def test_validation(self, small_cloud):
         with pytest.raises(ValueError):

@@ -46,8 +46,8 @@ class TestFunctional:
                 ((medium_cloud.points[result.neighbor_indices[row]]
                   - medium_cloud.points[centroid]) ** 2).sum(1)
             )
-            stats = result.info["run_stats"].per_centroid[row]
-            reach = (stats.expansions + 1) * max_cell * np.sqrt(3) + 1e-9
+            expansions = result.info["run_stats"].expansions[row]
+            reach = (expansions + 1) * max_cell * np.sqrt(3) + 1e-9
             assert (dist <= reach).all()
 
     def test_high_recall_against_bruteforce(self, cad_cloud):
@@ -115,21 +115,21 @@ class TestWorkloadReduction:
         centroids = pick_random_centroids(medium_cloud, 16, seed=0)
         result = VoxelExpandedGatherer(seed=0).gather(medium_cloud, centroids, 12)
         run_stats = result.info["run_stats"]
-        assert len(run_stats.per_centroid) == 16
-        for stats in run_stats.per_centroid:
-            assert stats.voxels_visited >= 1
-            assert stats.inner_points + stats.last_shell_points >= 12 or (
-                stats.last_shell_points == 0
-            )
+        assert run_stats.num_centroids == 16
+        assert (run_stats.voxels_visited >= 1).all()
+        covered = run_stats.inner_points + run_stats.last_shell_points >= 12
+        assert (covered | (run_stats.last_shell_points == 0)).all()
 
     def test_inner_points_not_sorted(self, medium_cloud):
         """Points from the inner shells never enter the sorter."""
         centroids = pick_random_centroids(medium_cloud, 16, seed=0)
         result = VoxelExpandedGatherer(seed=0).gather(medium_cloud, centroids, 12)
         run_stats = result.info["run_stats"]
-        for stats in run_stats.per_centroid:
-            if stats.inner_points < 12:  # the normal expansion path
-                assert stats.sorted_candidates == stats.last_shell_points
+        normal_path = run_stats.inner_points < 12  # the normal expansion path
+        assert np.array_equal(
+            run_stats.sorted_candidates[normal_path],
+            run_stats.last_shell_points[normal_path],
+        )
 
 
 class TestSemiApproximate:
@@ -139,8 +139,8 @@ class TestSemiApproximate:
             medium_cloud, centroids, 12
         )
         run_stats = semi.info["run_stats"]
-        normal_path = [s for s in run_stats.per_centroid if s.inner_points < 12]
-        assert all(s.sorted_candidates == 0 for s in normal_path)
+        normal_path = run_stats.inner_points < 12
+        assert (run_stats.sorted_candidates[normal_path] == 0).all()
 
     def test_fewer_distance_computations_than_exact(self, medium_cloud):
         centroids = pick_random_centroids(medium_cloud, 16, seed=0)
@@ -194,9 +194,9 @@ def assert_conforms(cloud, centroids, neighbors, depth, mode, grid=None, box=Non
     )
     assert np.array_equal(result.neighbor_indices, rows)
     assert dataclasses.asdict(result.counters) == dataclasses.asdict(counters)
-    assert [
-        dataclasses.astuple(stats) for stats in result.info["run_stats"].per_centroid
-    ] == stage_stats
+    run_stats = result.info["run_stats"]
+    columns = [getattr(run_stats, f.name).tolist() for f in dataclasses.fields(run_stats)]
+    assert list(zip(*columns)) == stage_stats
 
 
 class TestConformance:

@@ -77,5 +77,5 @@ class TestVEGBallQuery:
         )
         run_stats = result.info["run_stats"]
         grid_cell = 1.0  # depth-4 grid over a ~10-unit cloud -> cells ~0.7
-        for stats in run_stats.per_centroid:
-            assert stats.expansions <= int(np.ceil(0.2 / 0.05)) + 1
+        for expansions in run_stats.expansions:
+            assert expansions <= int(np.ceil(0.2 / 0.05)) + 1

@@ -13,17 +13,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from repro.datasets.synthetic import (
-    gaussian_clusters,
-    lidar_scene,
-    sample_cad_shape,
-    uniform_cube,
-)
+from repro.datasets.synthetic import lidar_scene, sample_cad_shape
 from repro.geometry.pointcloud import PointCloud
 from repro.kernels import reference as ref
 from repro.octree.builder import Octree
 from repro.octree.linear import OctreeTable
 from repro.sampling.voxel_grid_sampling import VoxelGridSampler
+
+from clouds import gaussian_clusters, uniform_cube
 
 
 def random_clouds():

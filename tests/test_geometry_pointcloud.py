@@ -39,11 +39,6 @@ class TestConstruction:
         assert cloud.features.dtype == np.float64
         assert cloud.points.tolist() == [[0.0, 1.0, 2.0], [3.0, 4.0, 5.0]]
 
-    def test_len_and_iter(self, small_cloud):
-        assert len(small_cloud) == 200
-        first = next(iter(small_cloud))
-        assert first.shape == (3,)
-
 
 class TestGeometry:
     def test_bounds_contains_all_points(self, medium_cloud):

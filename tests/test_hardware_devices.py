@@ -3,17 +3,11 @@
 import pytest
 
 from repro.core.metrics import OpCounters
-from repro.hardware.devices import (
-    DeviceProfile,
-    get_device,
-    list_devices,
-    register_device,
-)
+from repro.hardware.devices import get_device
 
 
 class TestRegistry:
     def test_paper_platforms_registered(self):
-        names = list_devices()
         for expected in (
             "xeon_w2255",
             "jetson_xavier_nx",
@@ -21,26 +15,11 @@ class TestRegistry:
             "arria10_gx",
             "dla_16x16",
         ):
-            assert expected in names
+            assert get_device(expected).name == expected
 
     def test_get_device_unknown(self):
         with pytest.raises(KeyError):
             get_device("pdp11")
-
-    def test_register_custom(self):
-        custom = DeviceProfile(
-            name="test_custom",
-            frequency_hz=1e9,
-            mac_rate=1e9,
-            distance_rate=1e9,
-            compare_rate=1e9,
-            hamming_rate=1e9,
-            node_visit_rate=1e9,
-            host_memory_bandwidth=1e9,
-            onchip_bandwidth=1e10,
-        )
-        register_device(custom)
-        assert get_device("test_custom") is custom
 
 
 class TestLatencyModel:

@@ -1,66 +1,68 @@
 """Unit tests for the Data Structuring Unit pipeline model (Figure 8/16)."""
 
+from typing import Optional
+
 import numpy as np
 import pytest
 
 from repro.datastructuring.base import pick_random_centroids
-from repro.datastructuring.veg import VEGRunStats, VEGStageStats, VoxelExpandedGatherer
+from repro.datastructuring.veg import VEGRunStats, VoxelExpandedGatherer
 from repro.hardware.bitonic import BitonicSorter
 from repro.hardware.dsu import DSU_STAGES, DSUStageBreakdown, DataStructuringUnit
 
 
-def make_stats(last_shell: int = 60, inner: int = 10, voxels: int = 27) -> VEGStageStats:
-    return VEGStageStats(
-        expansions=2,
-        inner_points=inner,
-        last_shell_points=last_shell,
-        sorted_candidates=last_shell,
-        voxels_visited=voxels,
+def make_run(
+    count: int = 1,
+    last_shell: int = 60,
+    inner: int = 10,
+    voxels: int = 27,
+    sorted_candidates: Optional[int] = None,
+) -> VEGRunStats:
+    """``count`` centroids with identical statistics."""
+    if sorted_candidates is None:
+        sorted_candidates = last_shell
+
+    def column(value: int) -> np.ndarray:
+        return np.full(count, value, dtype=np.int64)
+
+    return VEGRunStats(
+        expansions=column(2),
+        inner_points=column(inner),
+        last_shell_points=column(last_shell),
+        sorted_candidates=column(sorted_candidates),
+        voxels_visited=column(voxels),
     )
 
 
 class TestStageModel:
     def test_all_stages_present(self):
         dsu = DataStructuringUnit()
-        cycles = dsu.stage_cycles_for_centroid(make_stats(), neighbors=32)
+        cycles = dsu.breakdown_for_run(make_run(), neighbors=32).cycles
         assert set(cycles.keys()) == set(DSU_STAGES)
         assert all(c >= 1 for c in cycles.values())
 
     def test_sort_stage_dominates_for_large_shells(self):
         dsu = DataStructuringUnit()
-        cycles = dsu.stage_cycles_for_centroid(make_stats(last_shell=500), neighbors=32)
+        cycles = dsu.breakdown_for_run(make_run(last_shell=500), neighbors=32).cycles
         assert cycles["ST"] == max(cycles.values())
 
     def test_semi_approximate_sort_stage_trivial(self):
         dsu = DataStructuringUnit()
-        stats = make_stats()
-        stats.sorted_candidates = 0
-        cycles = dsu.stage_cycles_for_centroid(stats, neighbors=32)
-        assert cycles["ST"] == 1
+        run = make_run(sorted_candidates=0)
+        assert dsu.breakdown_for_run(run, neighbors=32).cycles["ST"] == 1
 
     def test_breakdown_aggregates_centroids(self):
         dsu = DataStructuringUnit()
-        run = VEGRunStats.from_stats([make_stats()] * 10)
-        breakdown = dsu.breakdown_for_run(run, neighbors=32)
-        single = dsu.stage_cycles_for_centroid(make_stats(), neighbors=32)
+        breakdown = dsu.breakdown_for_run(make_run(count=10), neighbors=32)
+        single = dsu.breakdown_for_run(make_run(), neighbors=32).cycles
         assert breakdown.cycles["ST"] == 10 * single["ST"]
         assert breakdown.total_cycles() == 10 * sum(single.values())
 
     def test_pipelined_cycles_bounded_by_total(self):
         dsu = DataStructuringUnit()
-        run = VEGRunStats.from_stats([make_stats()] * 50)
-        breakdown = dsu.breakdown_for_run(run, neighbors=32)
+        breakdown = dsu.breakdown_for_run(make_run(count=50), neighbors=32)
         assert breakdown.pipelined_cycles(50) <= breakdown.total_cycles()
         assert breakdown.pipelined_cycles(50) >= max(breakdown.cycles.values())
-
-    def test_latency_breakdown_conversion(self):
-        dsu = DataStructuringUnit()
-        run = VEGRunStats.from_stats([make_stats()] * 5)
-        breakdown = dsu.breakdown_for_run(run, neighbors=32)
-        latency = breakdown.as_breakdown(frequency_hz=dsu.frequency_hz)
-        assert latency.total_seconds() == pytest.approx(
-            breakdown.total_cycles() / dsu.frequency_hz
-        )
 
 
 class TestRunLatency:
@@ -75,8 +77,8 @@ class TestRunLatency:
     def test_synthetic_stats_match_shape(self):
         dsu = DataStructuringUnit()
         run = dsu.synthetic_run_stats(num_centroids=100, neighbors=32)
-        assert len(run.per_centroid) == 100
-        assert run.per_centroid[0].sorted_candidates == int(round(2.5 * 32))
+        assert run.num_centroids == 100
+        assert run.sorted_candidates[0] == int(round(2.5 * 32))
 
     def test_more_centroids_more_latency(self):
         dsu = DataStructuringUnit()
@@ -97,10 +99,33 @@ class ScalarDSU(DataStructuringUnit):
     """The per-centroid spec summed in a python loop: what
     ``breakdown_for_run`` did before it priced the run from arrays."""
 
+    def stage_cycles_for_centroid(self, row, neighbors):
+        _expansions, inner, _last_shell, candidates, voxels = row
+        if candidates > 0:
+            distance = -(-candidates // self.distance_lanes)
+            st = distance + self.sorter.cycles_to_sort(candidates)
+        else:
+            st = 1
+        return {
+            "FP": 1,
+            "LV": self.octree_depth,
+            "VE": max(1, -(-voxels // self.expansion_lanes)),
+            "GP": max(1, -(-max(1, inner) // self.gather_lanes)),
+            "ST": st,
+            "BF": max(1, -(-neighbors // self.gather_lanes)),
+        }
+
     def breakdown_for_run(self, run_stats, neighbors):
         totals = {stage: 0 for stage in DSU_STAGES}
-        for stats in run_stats.per_centroid:
-            cycles = self.stage_cycles_for_centroid(stats, neighbors)
+        columns = (
+            run_stats.expansions,
+            run_stats.inner_points,
+            run_stats.last_shell_points,
+            run_stats.sorted_candidates,
+            run_stats.voxels_visited,
+        )
+        for row in zip(*(column.tolist() for column in columns)):
+            cycles = self.stage_cycles_for_centroid(row, neighbors)
             for stage in DSU_STAGES:
                 totals[stage] += cycles[stage]
         return DSUStageBreakdown(cycles=totals)
@@ -135,18 +160,9 @@ class TestArrayPricing:
 
     def test_empty_run_prices_to_zero(self):
         breakdown = DataStructuringUnit().breakdown_for_run(
-            VEGRunStats.from_stats([]), 32
+            make_run(count=0), 32
         )
         assert breakdown.cycles == {stage: 0 for stage in DSU_STAGES}
-
-    def test_per_centroid_is_a_view_of_the_columns(self, medium_cloud):
-        centroids = pick_random_centroids(medium_cloud, 32, seed=0)
-        run = VoxelExpandedGatherer(seed=0).gather(
-            medium_cloud, centroids, 16
-        ).info["run_stats"]
-        assert run.num_centroids == len(run.per_centroid) == 32
-        assert VEGRunStats.from_stats(run.per_centroid).per_centroid == run.per_centroid
-        assert [s.voxels_visited for s in run.per_centroid] == run.voxels_visited.tolist()
 
     def test_modelled_inference_unchanged_to_the_last_bit(self):
         from repro import HgPCNConfig, Session

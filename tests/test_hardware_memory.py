@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.core.metrics import OpCounters
 from repro.hardware.memory import (
     HostMemoryModel,
     OnChipMemoryModel,
@@ -19,13 +18,6 @@ class TestHostMemoryModel:
         model = HostMemoryModel(bandwidth_bytes_per_s=1e9, access_latency_s=0.0)
         assert model.transfer_seconds(1e9) == pytest.approx(1.0)
 
-    def test_counter_pricing(self):
-        model = HostMemoryModel(bandwidth_bytes_per_s=1e9, access_latency_s=0.0)
-        counters = OpCounters(host_memory_reads=1000, host_memory_writes=1000)
-        assert model.seconds_for_counters(counters) == pytest.approx(
-            2000 * model.bytes_per_point / 1e9
-        )
-
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             HostMemoryModel().transfer_seconds(-1)
@@ -37,8 +29,6 @@ class TestOnChipMemoryModel:
         budget.allocate("octree_table", 10.0)
         assert budget.used_megabits() == pytest.approx(10.0)
         assert budget.free_megabits() == pytest.approx(55.0)
-        budget.release("octree_table")
-        assert budget.used_megabits() == 0.0
 
     def test_over_capacity_raises(self):
         budget = OnChipMemoryModel(capacity_megabits=65.0)
@@ -51,11 +41,13 @@ class TestOnChipMemoryModel:
         budget.allocate("x", 40.0)
         assert budget.used_megabits() == pytest.approx(40.0)
 
-    def test_fits(self):
+    def test_fills_to_exact_capacity(self):
         budget = OnChipMemoryModel(capacity_megabits=65.0)
         budget.allocate("a", 60.0)
-        assert budget.fits(5.0)
-        assert not budget.fits(6.0)
+        budget.allocate("b", 5.0)
+        assert budget.free_megabits() == pytest.approx(0.0)
+        with pytest.raises(MemoryError):
+            budget.allocate("c", 1.0)
 
 
 class TestFigure13Footprints:

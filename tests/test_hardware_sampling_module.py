@@ -2,14 +2,7 @@
 
 import pytest
 
-from repro.hardware.sampling_module import DownSamplingUnit, SamplingModule
-
-
-class TestSamplingModule:
-    def test_single_cycle_evaluation(self):
-        module = SamplingModule()
-        assert module.cycles_per_evaluation() == 1
-        assert module.seconds_per_evaluation() == pytest.approx(1 / module.frequency_hz)
+from repro.hardware.sampling_module import DownSamplingUnit
 
 
 class TestDownSamplingUnit:

@@ -4,11 +4,7 @@ import pytest
 
 from repro.hardware.fcu import FeatureComputationUnit
 from repro.hardware.systolic import SystolicArray
-from repro.network.workload import (
-    LayerWorkload,
-    NetworkWorkload,
-    synthetic_pointnet2_workload,
-)
+from repro.network.workload import LayerWorkload, synthetic_pointnet2_workload
 
 
 def make_layer(num_vectors: int, in_features: int, out_features: int) -> LayerWorkload:
@@ -43,19 +39,11 @@ class TestSystolicArray:
     def test_zero_vectors(self):
         assert SystolicArray().cycles_for_layer(make_layer(0, 16, 16)) == 0
 
-    def test_workload_sum(self):
-        array = SystolicArray()
-        workload = NetworkWorkload(layers=[make_layer(100, 16, 16), make_layer(200, 16, 16)])
-        assert array.cycles_for_workload(workload) == sum(
-            array.cycles_for_layer(l) for l in workload.layers
-        )
-
     def test_ideal_lower_bound(self):
         array = SystolicArray(efficiency=1.0)
-        workload = NetworkWorkload(layers=[make_layer(4096, 64, 64)])
-        assert array.ideal_seconds_for_macs(
-            workload.total_mac_ops()
-        ) <= array.seconds_for_workload(workload)
+        layer = make_layer(4096, 64, 64)
+        ideal_cycles = layer.mac_ops / array.macs_per_cycle
+        assert ideal_cycles <= array.cycles_for_layer(layer)
 
     def test_invalid_dimensions(self):
         with pytest.raises(ValueError):
@@ -96,5 +84,6 @@ class TestFeatureComputationUnit:
     def test_utilization_bounded(self):
         fcu = FeatureComputationUnit()
         workload = synthetic_pointnet2_workload(4096, task="semantic_segmentation")
-        utilization = fcu.utilization_for_workload(workload)
+        peak = fcu.array.macs_per_cycle * fcu.array.frequency_hz
+        utilization = workload.total_mac_ops() / (fcu.seconds_for_workload(workload) * peak)
         assert 0.0 < utilization <= 1.0

@@ -54,15 +54,6 @@ class TestInterconnect:
         link = InterconnectModel(bandwidth_bytes_per_s=1e9, setup_latency_s=1e-5)
         assert link.transfer_seconds(1e9) == pytest.approx(1.0 + 1e-5)
 
-    def test_mmio_slower_than_dma_for_bulk(self):
-        link = InterconnectModel()
-        table_bits = 8 * 10**6
-        assert link.octree_table_transfer_seconds(
-            table_bits, use_dma=False
-        ) > link.octree_table_transfer_seconds(table_bits, use_dma=True)
-
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             InterconnectModel().transfer_seconds(-1)
-        with pytest.raises(ValueError):
-            InterconnectModel().mmio_seconds(-1)

@@ -3,13 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.network.layers import (
-    BatchNorm,
-    Dense,
-    ReLU,
-    SharedMLP,
-    softmax,
-)
+from repro.network.layers import BatchNorm, Dense, ReLU, SharedMLP
 
 
 class TestDense:
@@ -82,15 +76,3 @@ class TestSharedMLP:
     def test_requires_two_channels(self):
         with pytest.raises(ValueError):
             SharedMLP([4])
-
-
-class TestPoolingAndSoftmax:
-    def test_softmax_normalises(self):
-        logits = np.random.default_rng(0).normal(size=(5, 10)) * 50
-        probs = softmax(logits)
-        assert np.allclose(probs.sum(axis=-1), 1.0)
-        assert (probs >= 0).all()
-
-    def test_softmax_stability_large_values(self):
-        probs = softmax(np.array([[1e4, 1e4 + 1.0]]))
-        assert np.isfinite(probs).all()

@@ -59,11 +59,10 @@ class TestSetAbstraction:
 
 
 class TestClassification:
-    def test_forward_shapes_and_probabilities(self, input_cloud):
+    def test_forward_shapes_and_prediction(self, input_cloud):
         model = PointNet2Classification(num_classes=10, input_size=128, neighbors=8)
         result = forward_one(model, input_cloud)
         assert result.logits.shape == (1, 10)
-        assert np.allclose(result.probabilities().sum(), 1.0)
         assert 0 <= result.predicted_class()[0] < 10
 
     def test_trace_structure(self, input_cloud):
@@ -99,7 +98,6 @@ class TestSegmentation:
         model = PointNet2Segmentation(num_classes=13, input_size=128, neighbors=8)
         result = forward_one(model, input_cloud)
         assert result.logits.shape == (128, 13)
-        assert np.allclose(result.probabilities().sum(axis=-1), 1.0)
 
     def test_with_input_features(self, rng):
         cloud = PointCloud(

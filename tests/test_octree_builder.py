@@ -129,7 +129,7 @@ class TestBuildStats:
 
 class TestNonUniformity:
     def test_clustered_cloud_more_non_uniform_than_uniform(self, rng):
-        from repro.datasets.synthetic import gaussian_clusters, uniform_cube
+        from clouds import gaussian_clusters, uniform_cube
 
         uniform = Octree.build(uniform_cube(2000, seed=1), depth=4)
         clustered = Octree.build(

@@ -116,7 +116,7 @@ def test_ois_matches_scalar(name, depth, k, approximate):
         cloud, num_samples, octree_depth=depth, approximate=approximate, seed=3
     )
     np.testing.assert_array_equal(result.indices, indices)
-    assert result.counters.as_dict() == counters.as_dict()
+    assert result.counters == counters
     assert result.indices.max() < cloud.num_points
     assert np.unique(result.indices).shape[0] == num_samples
 

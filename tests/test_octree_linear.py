@@ -96,7 +96,7 @@ class TestFootprint:
         assert table.total_megabits() == pytest.approx(table.total_bits() / 1e6)
 
     def test_larger_cloud_larger_table(self):
-        from repro.datasets.synthetic import uniform_cube
+        from clouds import uniform_cube
 
         small_table = OctreeTable.from_flat(
             Octree.build(uniform_cube(200, seed=0), depth=4)

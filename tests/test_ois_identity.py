@@ -33,7 +33,7 @@ def _assert_matches_frozen(cloud, k, depth=None, approximate=False, seed=7):
         cloud, k, octree_depth=depth, approximate=approximate, seed=seed
     )
     np.testing.assert_array_equal(np.asarray(result.indices), ref_indices)
-    assert result.counters.as_dict() == ref_counters.as_dict()
+    assert result.counters == ref_counters
 
 
 def _random_cloud(rng, n, duplicates=False):
@@ -91,7 +91,7 @@ class TestOISWalkBitIdentity:
             cloud, 256, octree_depth=4, seed=0, octree=octree
         )
         np.testing.assert_array_equal(np.asarray(result.indices), ref_indices)
-        assert result.counters.as_dict() == ref_counters.as_dict()
+        assert result.counters == ref_counters
 
     def test_tiny_clouds(self):
         """Clouds of one to nine points, sampled once and exhaustively."""

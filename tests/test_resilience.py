@@ -265,7 +265,7 @@ class TestDeadlines:
             doomed = server.submit(make_request(0), options=SubmitOptions(ttl=0.05))
             with pytest.raises(DeadlineExceeded, match="missed its deadline"):
                 doomed.result(timeout=10)
-            snapshot = server.stats()
+            snapshot = server.metrics.snapshot()
         finally:
             release.set()
         assert running.result(timeout=30).result.frame_id == "req0001"
@@ -339,7 +339,7 @@ class TestCrashRecovery:
             assert server.pool.idle()
             response = server.submit(make_request(0)).result(timeout=120)
             assert response.result.frame_id == "req0000"
-            assert server.stats()["resilience"]["retries"] == 1
+            assert server.metrics.snapshot()["resilience"]["retries"] == 1
             assert server.pool.respawns == 1
             assert server.pool.idle()
         finally:
@@ -363,14 +363,14 @@ class TestCrashRecovery:
                 make_request(1), options=SubmitOptions(ttl=1.0)
             )
             deadline = time.monotonic() + 1.0
-            while server.stats()["resilience"]["retries"] == 0:
+            while server.metrics.snapshot()["resilience"]["retries"] == 0:
                 assert time.monotonic() < deadline
                 time.sleep(0.01)
             time.sleep(0.05)
             assert not server.pool.idle()  # the retry waits out its backoff
             with pytest.raises(DeadlineExceeded):
                 doomed.result(timeout=120)
-            snapshot = server.stats()
+            snapshot = server.metrics.snapshot()
             # It survived the crash, then expired while backing off.
             assert snapshot["resilience"]["retries"] == 1
             assert snapshot["requests"]["shed"] == 1

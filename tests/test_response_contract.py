@@ -115,7 +115,7 @@ class TestLidarShape:
         full = session.preprocessing_engine.process(cloud)
         assert full.octree.stats == summary.octree.stats
         assert full.octree.depth == summary.octree.depth
-        assert full.octree.num_nodes == summary.octree.num_nodes
+        assert full.octree.num_nodes == summary.octree.stats.num_nodes
         assert full.octree.num_leaves == summary.octree.num_leaves
         np.testing.assert_array_equal(full.octree.box.minimum, summary.octree.box.minimum)
         np.testing.assert_array_equal(full.octree.box.maximum, summary.octree.box.maximum)

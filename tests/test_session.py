@@ -222,8 +222,7 @@ class TestWarmState:
         session = Session(config=small_config())
         execution = session.run(make_cloud(1)).result.inference
         assert execution.workload is not None
-        counters = session.inference_engine.workload_counters(execution)
-        assert counters is execution.workload.data_structuring
+        assert execution.workload.data_structuring.distance_computations > 0
 
 
 class TestResponseCache:
@@ -233,7 +232,7 @@ class TestResponseCache:
         first = session.run(cloud, frame_id="a")
         again = session.run(cloud, frame_id="b")
         assert not first.cached and again.cached
-        assert again.frame_id == "b"  # identity is rewritten per request
+        assert again.result.frame_id == "b"  # identity is rewritten per request
         np.testing.assert_array_equal(
             first.predicted_labels(), again.predicted_labels()
         )
@@ -292,8 +291,8 @@ class TestBatch:
         session = Session(config=small_config())
         batch = session.run_batch([make_cloud(i) for i in range(4)])
         # First frame builds the model; the other three run warm.
-        assert batch.warm_fraction() == pytest.approx(0.75)
-        assert batch.total_seconds() > 0
+        assert [r.warm or r.cached for r in batch] == [False, True, True, True]
+        assert all(r.result.total_seconds() > 0 for r in batch)
 
     def test_run_sequence_returns_sequence_result(self):
         session = Session(config=small_config())
@@ -321,7 +320,7 @@ class TestPluggableComponents:
             config=small_config(), task="classification", accelerator=accelerator
         )
         response = session.run(make_cloud(1, points=200))
-        assert response.total_seconds() > 0
+        assert response.result.total_seconds() > 0
 
     def test_unknown_sampler_raises_with_choices(self):
         session = Session(config=small_config(), sampler="definitely-unknown")
@@ -338,6 +337,5 @@ class TestFrameResponse:
         session = Session(config=small_config(), task="semantic_segmentation")
         response = session.run(make_cloud(1), frame_id="frame-x")
         assert isinstance(response, FrameResponse)
-        assert response.frame_id == "frame-x"
-        assert response.total_seconds() == response.result.total_seconds()
+        assert response.result.frame_id == "frame-x"
         assert response.predicted_labels().shape[0] > 0

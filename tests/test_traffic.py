@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from repro import registry
-from repro.serving import TrafficItem, TrafficModel
+from repro.serving import TrafficItem
 from repro.serving.traffic import _SHAPES, MixedTraffic, PoissonTraffic
 
 ALL_MODELS = ("poisson", "mixed")
@@ -175,17 +175,6 @@ class TestTrafficItems:
             ids = [item.request.frame_id for item in items]
             assert len(set(ids)) == len(ids), name
 
-    def test_describe_is_json_friendly(self):
-        import json
-
-        for name in ALL_MODELS:
-            desc = registry.create(
-                "traffic", name, frames=4, rate_hz=100.0, seed=0,
-                raw_points=64,
-            ).describe()
-            assert desc["model"] == name
-            json.dumps(desc)  # must serialise into the soak report
-
     def test_item_is_a_frozen_record(self):
         item = TrafficItem(
             request=PoissonTraffic(frames=1, seed=0).items()[0].request,
@@ -193,7 +182,3 @@ class TestTrafficItems:
         )
         with pytest.raises(AttributeError):
             item.arrival = 1.0
-
-    def test_base_model_requires_a_gap_implementation(self):
-        with pytest.raises(NotImplementedError):
-            TrafficModel(frames=2, rate_hz=1.0).arrivals()
