@@ -15,6 +15,8 @@ from repro.datasets import (
 from repro.datasets.synthetic import indoor_room, lidar_scene, sample_cad_shape
 from repro.octree.builder import Octree
 
+from clouds import gaussian_clusters, uniform_cube
+
 
 class TestTable1Registry:
     def test_four_benchmarks(self):
@@ -39,6 +41,14 @@ class TestTable1Registry:
 
 
 class TestGenerators:
+    def test_uniform_cube_extent(self):
+        cloud = uniform_cube(500, extent=2.0, seed=0)
+        assert cloud.num_points == 500
+        assert np.abs(cloud.points).max() <= 1.0
+
+    def test_gaussian_clusters_count(self):
+        assert gaussian_clusters(321, seed=1).num_points == 321
+
     def test_cad_shape_counts_and_noise(self):
         cloud = sample_cad_shape(700, shape="cylinder", seed=2)
         assert cloud.num_points == 700

@@ -3,9 +3,9 @@
 Each name in ``registry.available("gatherer")`` is created with its
 defaults and held to the :class:`~repro.datastructuring.base.Gatherer`
 interface: result shape and provenance, indices into the input cloud,
-determinism, counted work, grouped views and the shared input validation.
-Method-specific accuracy (exact kNN, VEG recall, ball membership) is
-tested in the per-method modules.
+determinism, counted work, rows that ignore point features and the shared
+input validation.  Method-specific accuracy (exact kNN, VEG recall, ball
+membership) is tested in the per-method modules.
 """
 
 from __future__ import annotations
@@ -59,6 +59,14 @@ def test_counts_distance_work(gatherer, medium_cloud):
     centroids = pick_random_centroids(medium_cloud, 10, seed=3)
     counters = gatherer.gather(medium_cloud, centroids, 8).counters
     assert counters.distance_computations > 0
+
+
+def test_features_do_not_move_the_rows(gatherer, featured_cloud):
+    centroids = pick_random_centroids(featured_cloud, 8, seed=4)
+    bare = PointCloud(points=featured_cloud.points)
+    with_features = gatherer.gather(featured_cloud, centroids, 5).neighbor_indices
+    without = gatherer.gather(bare, centroids, 5).neighbor_indices
+    assert np.array_equal(with_features, without)
 
 
 @pytest.mark.parametrize(

@@ -54,6 +54,14 @@ class TestInterconnect:
         link = InterconnectModel(bandwidth_bytes_per_s=1e9, setup_latency_s=1e-5)
         assert link.transfer_seconds(1e9) == pytest.approx(1.0 + 1e-5)
 
+    def test_octree_table_ships_as_one_bulk_transfer(self):
+        link = InterconnectModel(bandwidth_bytes_per_s=1e9, setup_latency_s=1e-5)
+        table_bits = 8 * 10**6
+        assert link.octree_table_transfer_seconds(table_bits) == pytest.approx(
+            1e-5 + 1e-3
+        )
+        assert link.octree_table_transfer_seconds(0) == 0.0
+
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             InterconnectModel().transfer_seconds(-1)
